@@ -2,7 +2,7 @@
 # green. Formatting runs only where ocamlformat is installed, so the
 # target works in minimal containers too.
 
-.PHONY: all check build test fmt bench bench-snapshot bench-diff clean server-smoke serve-smoke trace-smoke crash-smoke crash-matrix collection-smoke obs-smoke http-smoke serve-demo
+.PHONY: all check build test fmt bench bench-snapshot bench-diff clean server-smoke serve-smoke trace-smoke crash-smoke crash-matrix collection-smoke obs-smoke http-smoke perf-selftest serve-demo
 
 all: build
 
@@ -71,6 +71,13 @@ http-smoke: build
 # and METRICS replies parse and the sink file rotates.
 trace-smoke:
 	dune exec test/test_trace.exe -- test e2e
+
+# The repository benchmark at tiny size: every perfbench workload runs
+# traced and untraced, every served wire and HTTP reply is checked
+# against the library's answer, and the metric names and units must
+# match BENCHMARK.json.
+perf-selftest:
+	python3 perfbench/run.py --self-test
 
 # Simulate a small repository and serve it on the default address.
 # Ctrl-C drains and exits; talk to it with

@@ -17,13 +17,24 @@ type t =
 exception Parse_error of { pos : int; message : string }
 
 val to_string : t -> string
-(** Compact single-line rendering. Numbers that are exact integers print
-    without a fractional part; NaN and infinities render as [null]
-    (JSON has no spelling for them). *)
+(** Compact single-line rendering: no whitespace between tokens, object
+    fields in list order. The bytes are a contract (the wire golden file
+    pins them):
+    - Numbers: an integral value with |x| <= 1e15 prints as plain
+      decimal digits, with [-0] for negative zero; every other finite
+      value prints as C's [%.17g]; NaN and infinities print as [null]
+      (JSON has no spelling for them).
+    - Strings: the double quote, backslash, newline, carriage return
+      and tab are escaped as a backslash followed by the quote, the
+      backslash, [n], [r] and [t]; other bytes below 0x20 as [\u00XX]
+      with lowercase hex digits; bytes >= 0x80 are copied verbatim (no
+      UTF-8 validation). *)
 
 val parse : string -> t
 (** Strict parser for the subset above. Raises {!Parse_error} with the
-    byte offset of the offending character. *)
+    byte offset of the offending character. A [\u] escape needs four
+    hex digits; one below 0x80 decodes to that byte and any other maps
+    to [?], so [parse] inverts [to_string] exactly. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on missing keys or non-objects. *)

@@ -251,6 +251,12 @@ let test_json_trace_payloads () =
   (match Json.parse {|"aA\t\"b\\"|} with
   | Json.Str s -> check Alcotest.string "escape decoding" "aA\t\"b\\" s
   | _ -> Alcotest.fail "expected a string");
+  (* All four \u digits must be hex; int_of_string alone lets '_' in. *)
+  (match Json.parse {|"\u00_4"|} with
+  | v -> Alcotest.failf "\\u00_4 decoded as %s" (Json.to_string v)
+  | exception Json.Parse_error { pos; message } ->
+      check Alcotest.(pair int string) "underscore in \\u escape" (1, {|bad \u escape "00_4"|})
+        (pos, message));
   (* Nested arrays: a span tree several levels deep. *)
   let rec deep n =
     if n = 0 then Json.List [ Json.Num 0.0 ]
@@ -272,6 +278,212 @@ let test_json_trace_payloads () =
   | Json.Num v ->
       check (Alcotest.float 1e-6) "float precision survives" 1770000000.123456 v
   | _ -> Alcotest.fail "expected a number"
+
+(* The byte contract of [Json.to_string], spelled out with Printf: the
+   oracle the encoder's direct digit and run writers are checked
+   against. *)
+let oracle_to_string v =
+  let buf = Buffer.create 64 in
+  let number x =
+    if Float.is_nan x || Float.abs x = Float.infinity then "null"
+    else if Float.is_integer x && Float.abs x <= 1e15 then Printf.sprintf "%.0f" x
+    else Printf.sprintf "%.17g" x
+  in
+  let str s =
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let sep i = if i > 0 then Buffer.add_char buf ',' in
+  let rec go = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Json.Num x -> Buffer.add_string buf (number x)
+    | Json.Str s -> str s
+    | Json.List items ->
+        Buffer.add_char buf '[';
+        List.iteri (fun i v -> sep i; go v) items;
+        Buffer.add_char buf ']'
+    | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri (fun i (k, v) -> sep i; str k; Buffer.add_char buf ':'; go v) fields;
+        Buffer.add_char buf '}'
+  in
+  go v;
+  Buffer.contents buf
+
+let edge_floats =
+  [
+    0.0; -0.0; 1e15; -1e15; 1e15 +. 1.0; 1e15 +. 2.0; -.(1e15 +. 2.0); 1e15 -. 1.0;
+    0x1p53; -0x1p53; 5e-324; max_float; -.max_float; min_float; 0.5; -0.5; 1e-7;
+    Float.nan; Float.infinity; Float.neg_infinity;
+  ]
+
+(* Integers of 1 to 17 digits (15 is the decoder's exact-int limit),
+   fractions, raw bit patterns and the named edges. *)
+let gen_float ~finite =
+  let open QCheck.Gen in
+  let rec pow10 d = if d = 0 then 1 else 10 * pow10 (d - 1) in
+  let digits =
+    int_range 1 17 >>= fun d ->
+    let m = pow10 d - 1 in
+    map float_of_int (int_range (-m) m)
+  in
+  let g =
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        (2, oneofl edge_floats);
+        (3, digits);
+        (2, map2 (fun n d -> float_of_int n /. float_of_int d) int (int_range 1 1000));
+      ]
+  in
+  if finite then map (fun x -> if Float.is_finite x then x else 0.25) g else g
+
+(* Byte strings heavy in the bytes the escaper and the run copier treat
+   specially: quotes, backslashes, control bytes and bytes >= 0x80. *)
+let gen_bytes =
+  let open QCheck.Gen in
+  string_size
+    ~gen:
+      (frequency
+         [
+           (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\x1f'; '\x7f'; '\x80'; '\xff'; '/' ]);
+           (3, char);
+           (4, printable);
+         ])
+    (int_range 0 24)
+
+let gen_json ~finite =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (4, map (fun x -> Json.Num x) (gen_float ~finite));
+        (3, map (fun s -> Json.Str s) gen_bytes);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 5) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Json.Obj l) (list_size (int_range 0 5) (pair gen_bytes (self (n / 3))))
+               );
+             ])
+
+let run_qcheck ~count ~name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop) |> fun (_, _, f) -> f ()
+
+let json_arb ~finite = QCheck.make ~print:oracle_to_string (gen_json ~finite)
+
+let test_json_encoder_bytes () =
+  List.iter
+    (fun x ->
+      check Alcotest.string
+        (Printf.sprintf "edge %h" x)
+        (oracle_to_string (Json.Num x))
+        (Json.to_string (Json.Num x)))
+    edge_floats;
+  check Alcotest.string "negative zero" "-0" (Json.to_string (Json.Num (-0.0)));
+  run_qcheck ~count:2000 ~name:"to_string matches the Printf oracle" (json_arb ~finite:false)
+    (fun v -> String.equal (Json.to_string v) (oracle_to_string v))
+
+let test_json_decoder_round_trip () =
+  run_qcheck ~count:2000 ~name:"parse inverts to_string" (json_arb ~finite:true) (fun v ->
+      let s = Json.to_string v in
+      let v' = Json.parse s in
+      Json.equal v v' && String.equal (Json.to_string v') s);
+  (* Bare digit runs, leading zeros included, decode exactly as
+     float_of_string reads them, sign of zero too. *)
+  let digit_runs =
+    QCheck.make ~print:Fun.id
+      QCheck.Gen.(
+        map2
+          (fun neg ds -> (if neg then "-" else "") ^ ds)
+          bool
+          (string_size ~gen:(char_range '0' '9') (int_range 1 18)))
+  in
+  run_qcheck ~count:2000 ~name:"digit runs decode as float_of_string" digit_runs (fun s ->
+      match Json.parse s with
+      | Json.Num x -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float (float_of_string s))
+      | _ -> false);
+  match Json.parse "-0" with
+  | Json.Num x -> check Alcotest.bool "-0 keeps its sign" true (Float.sign_bit x)
+  | _ -> Alcotest.fail "expected a number"
+
+(* Every malformed input fails at a pinned byte offset with a pinned
+   message. *)
+let test_json_malformed_inputs () =
+  let cases =
+    [
+      ("", 0, "unexpected end of input");
+      ("   ", 3, "unexpected end of input");
+      ("[", 1, "unexpected end of input");
+      ("[1", 2, "expected ']', found end of input");
+      ("[1,2", 4, "expected ']', found end of input");
+      ("[1,", 3, "unexpected end of input");
+      ("[1,]", 3, "unexpected character ']'");
+      ("[1 2]", 3, "expected ']', found '2'");
+      ("[true false]", 6, "expected ']', found 'f'");
+      ("{", 1, "expected '\"', found end of input");
+      ({|{"a"|}, 4, "expected ':', found end of input");
+      ({|{"a":|}, 5, "unexpected end of input");
+      ({|{"a":1|}, 6, "expected '}', found end of input");
+      ({|{"a":1,}|}, 7, "expected '\"', found '}'");
+      ({|{"a" 1}|}, 5, "expected ':', found '1'");
+      ("{a:1}", 1, "expected '\"', found 'a'");
+      ({|"abc|}, 4, "unterminated string");
+      ({|"a\"|}, 4, "unterminated string");
+      ({|"ab\|}, 3, "unterminated escape");
+      ({|"\u12"|}, 1, "truncated \\u escape");
+      ({|"\u004|}, 1, "truncated \\u escape");
+      ({|"\u12zz"|}, 1, "bad \\u escape \"12zz\"");
+      ({|"\x"|}, 1, "unknown escape \\'x'");
+      ("-", 0, "invalid number \"-\"");
+      ("1e", 0, "invalid number \"1e\"");
+      ("1.2.3", 0, "invalid number \"1.2.3\"");
+      ("--1", 0, "invalid number \"--1\"");
+      ("1e5e", 0, "invalid number \"1e5e\"");
+      ("[-]", 1, "invalid number \"-\"");
+      ("nul", 0, "invalid literal (expected null)");
+      ("tru", 0, "invalid literal (expected true)");
+      ("falsy", 0, "invalid literal (expected false)");
+      ("nulll", 4, "trailing garbage");
+      ({|{"a":1} trailing|}, 8, "trailing garbage");
+      ("1 2", 2, "trailing garbage");
+      ("123abc", 3, "trailing garbage");
+      ("-0x10", 2, "trailing garbage");
+      ("+1", 0, "unexpected character '+'");
+      (".5", 0, "unexpected character '.'");
+    ]
+  in
+  List.iter
+    (fun (input, pos, message) ->
+      match Json.parse input with
+      | v -> Alcotest.failf "%S parsed as %s" input (Json.to_string v)
+      | exception Json.Parse_error e ->
+          check
+            Alcotest.(pair int string)
+            (Printf.sprintf "error for %S" input)
+            (pos, message) (e.pos, e.message))
+    cases
 
 (* The Prometheus exporter: every metric appears under a crimson_
    prefix with a TYPE line, and every sample line is "name value" or
@@ -607,6 +819,9 @@ let () =
           Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
           Alcotest.test_case "json parser details" `Quick test_json_parser_details;
           Alcotest.test_case "json trace payloads" `Quick test_json_trace_payloads;
+          Alcotest.test_case "json encoder bytes" `Quick test_json_encoder_bytes;
+          Alcotest.test_case "json decoder round-trip" `Quick test_json_decoder_round_trip;
+          Alcotest.test_case "json malformed inputs" `Quick test_json_malformed_inputs;
           Alcotest.test_case "prometheus exporter" `Quick test_prometheus_exporter;
           Alcotest.test_case "prometheus buckets" `Quick test_prometheus_buckets;
           Alcotest.test_case "prometheus escaping" `Quick test_prometheus_escaping;
