@@ -27,7 +27,11 @@ let note fmt = Printf.ksprintf (fun s -> Printf.printf "%s\n%!" s) fmt
 
 let reset_metrics () = Metrics.reset_all ()
 
-let metrics_snapshot () = Metrics.to_json ()
+(* The runtime.* gauges are sampled on demand, so refresh them first or
+   every snapshot records them as 0. *)
+let metrics_snapshot () =
+  Crimson_obs.Runtime.refresh ();
+  Metrics.to_json ()
 
 (* Fields already emitted for an experiment this run, so the snapshot
    file keeps the experiment's own fields when the harness adds its

@@ -5,8 +5,9 @@
    (defaults: current directory, bench/baselines)
 
    For every experiment present in both directories, numeric top-level
-   fields are compared by suffix convention: [*per_s] is
-   higher-is-better, [*_ms] and [*_pct] are lower-is-better; everything
+   fields are compared by name convention: [*per_s] is
+   higher-is-better, [*_ms], [*_ms_<qualifier>] (e.g.
+   [projection_ms_k5000]) and [*_pct] are lower-is-better; everything
    else (counts, sizes, the raw metrics dump) is informational only.
    A >20% regression prints a WARNING line, but the exit status is
    always 0 — benchmark containers are too noisy for a hard gate, so
@@ -23,8 +24,11 @@ let direction_of field =
     let fl = String.length field and sl = String.length suffix in
     fl >= sl && String.sub field (fl - sl) sl = suffix
   in
+  let has_ms_infix =
+    List.mem "ms" (List.tl (String.split_on_char '_' field))
+  in
   if ends_with "per_s" then Some Higher_better
-  else if ends_with "_ms" || ends_with "_pct" then Some Lower_better
+  else if has_ms_infix || ends_with "_pct" then Some Lower_better
   else None
 
 let read_bench path =

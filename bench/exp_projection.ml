@@ -2,8 +2,12 @@
 
    Projection is Crimson's workhorse: sort the sampled leaves in
    preorder, take LCAs of adjacent pairs, hang everything off an
-   ancestor stack. Cost should scale roughly linearly in k (each step is
-   O(f·log depth) stored-index work), independent of the full tree size. *)
+   ancestor stack. Stored node ids are dense preorder ranks, so the sort
+   is an integer sort and each ancestor test reads two cached node
+   views; the k-1 LCAs are the only layered-label work. Cost should
+   scale roughly linearly in k, independent of the full tree size. Each
+   k's mean time is emitted as [projection_ms_k<k>], which
+   [make bench-diff] compares against the committed baseline. *)
 
 open Bench_common
 module Tree = Crimson_tree.Tree
@@ -29,25 +33,32 @@ let run () =
           ("result nodes", T.Right);
         ]
   in
-  List.iter
-    (fun k ->
-      let rng = Prng.create (100 + k) in
-      let sample = Sampling.uniform stored ~rng ~k in
-      let proj = ref (Projection.project stored sample) in
-      let ms = time_mean ~reps:3 (fun () -> proj := Projection.project stored sample) in
-      T.add_row table
-        [
-          string_of_int k;
-          Printf.sprintf "%.2f" ms;
-          Printf.sprintf "%.4f" (ms /. float_of_int k);
-          string_of_int (Tree.node_count !proj);
-        ])
-    [ 10; 50; 100; 500; 1000; 5000 ];
+  let fields =
+    List.map
+      (fun k ->
+        let rng = Prng.create (100 + k) in
+        let sample = Sampling.uniform stored ~rng ~k in
+        let proj = ref (Projection.project stored sample) in
+        let ms = time_mean ~reps:3 (fun () -> proj := Projection.project stored sample) in
+        T.add_row table
+          [
+            string_of_int k;
+            Printf.sprintf "%.2f" ms;
+            Printf.sprintf "%.4f" (ms /. float_of_int k);
+            string_of_int (Tree.node_count !proj);
+          ];
+        (Printf.sprintf "projection_ms_k%d" k, Json.Num ms))
+      [ 10; 50; 100; 500; 1000; 5000 ]
+  in
   T.print table;
   Repo.close repo;
   note
-    "Per-species cost stays within a small constant band (the mild growth\n\
-     is the O(k log k) preorder sort whose comparisons are stored-index\n\
-     queries): projection touches O(k) index paths of the stored tree and\n\
-     never the other 100k species — the access pattern the paper designed\n\
-     the repository around."
+    "Per-species cost stays well under a millisecond at every k: the sort\n\
+     is an integer sort on preorder ids, so the stored-index work is the\n\
+     k-1 adjacent-pair LCAs plus a few cached views per projection node.\n\
+     It peaks in the middle of the sweep, where the LCA paths stop fitting\n\
+     the node cache but sampled leaves are still too sparse to share\n\
+     prefetch windows. Projection touches O(k) index paths of the stored\n\
+     tree and never the other 100k species — the access pattern the paper\n\
+     designed the repository around.";
+  emit_bench ~experiment:"E4" ~fields ()

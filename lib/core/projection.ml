@@ -4,13 +4,15 @@ exception Projection_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Projection_error s)) fmt
 
+(* Node ids are dense preorder ranks, so preorder order is integer
+   order. Validating in ascending id order also walks the node cache's
+   prefetch windows forward, so neighbouring leaves share a fetch. *)
 let sorted_distinct_leaves tree leaf_ids =
   if leaf_ids = [] then error "empty leaf set";
+  let sorted = List.sort_uniq Int.compare leaf_ids in
   List.iter
-    (fun l ->
-      if not (Stored_tree.is_leaf tree l) then error "node %d is not a leaf" l)
-    leaf_ids;
-  let sorted = List.sort_uniq (Stored_tree.compare_preorder tree) leaf_ids in
+    (fun l -> if not (Stored_tree.is_leaf tree l) then error "node %d is not a leaf" l)
+    sorted;
   if List.length sorted <> List.length leaf_ids then error "duplicate leaves in set";
   sorted
 
@@ -23,8 +25,7 @@ let projection_nodes tree leaf_ids =
     | a :: (b :: _ as rest) -> lcas (Stored_tree.lca tree a b :: acc) rest
     | [ _ ] | [] -> acc
   in
-  let all = List.rev_append (lcas [] sorted) sorted in
-  List.sort_uniq (Stored_tree.compare_preorder tree) all
+  List.sort_uniq Int.compare (List.rev_append (lcas [] sorted) sorted)
 
 let project tree leaf_ids =
   let nodes = projection_nodes tree leaf_ids in

@@ -194,8 +194,19 @@ let lca_set t = function
   | [] -> invalid_arg "Stored_tree.lca_set: empty set"
   | first :: rest -> List.fold_left (lca t) first rest
 
-let is_ancestor_or_self t ~ancestor n = Engine.is_ancestor_or_self t ~ancestor n
-let compare_preorder t a b = Engine.compare_preorder t a b
+(* Preorder order and ancestry need no label walk: ids are dense
+   preorder ranks, so a node's descendants are exactly the nodes after it
+   whose leaf interval lies inside its own. *)
+let compare_preorder t a b =
+  if a < 0 || a >= t.node_count then raise (Unknown_node a);
+  if b < 0 || b >= t.node_count then raise (Unknown_node b);
+  Int.compare a b
+
+let is_ancestor_or_self t ~ancestor n =
+  let va = view t ancestor and vn = view t n in
+  ancestor <= n
+  && va.Node_view.leaf_lo <= vn.Node_view.leaf_lo
+  && vn.Node_view.leaf_hi <= va.Node_view.leaf_hi
 
 let path_distance t a b =
   let l = lca t a b in

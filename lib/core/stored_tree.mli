@@ -7,9 +7,16 @@
     tree is kept, per the paper's design point that simulation trees
     exceed main memory while individual queries touch few pages.
 
-    Structure queries (LCA, ancestor tests, preorder comparison) run the
-    {!Crimson_label.Layered.Engine} algorithms over the stored layered
-    labels. *)
+    LCA runs the {!Crimson_label.Layered.Engine} algorithm over the
+    stored layered labels (the paper's §2.1 index). Preorder order and
+    ancestry need no label walk, because of one invariant: stored node
+    ids are dense preorder ranks [0 .. node_count - 1]. The loader
+    renumbers every tree that way and [Loader.fetch_tree] asserts it.
+    So {!compare_preorder} is integer order on ids, and
+    {!is_ancestor_or_self} is [a <= x] plus containment of [x]'s leaf
+    interval in [a]'s. The same invariant lets {!is_leaf} find a first
+    child at [node + 1], lets {!Node_view} prefetch runs of adjacent ids,
+    and lets {!Projection} sort leaves as integers. *)
 
 type t
 
@@ -90,7 +97,13 @@ val lca_set : t -> int list -> int
 (** Raises [Invalid_argument] on the empty list. *)
 
 val is_ancestor_or_self : t -> ancestor:int -> int -> bool
+(** Reads the two nodes' cached views: [ancestor <= n] and [n]'s leaf
+    interval inside [ancestor]'s. Raises {!Unknown_node}. *)
+
 val compare_preorder : t -> int -> int -> int
+(** [Int.compare] on the ids, which are preorder ranks. Raises
+    {!Unknown_node} for an id outside [\[0, node_count)]. *)
+
 val depth : t -> int -> int
 
 val path_distance : t -> int -> int -> float

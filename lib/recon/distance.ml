@@ -44,33 +44,44 @@ let validate seqs =
   if !len = 0 then invalid "sequences are empty";
   Array.of_list seqs
 
-(* Per-pair site difference fractions: (transitions, transversions). *)
+(* Site difference fractions of one pair of uppercased sequences:
+   (transitions, transversions). *)
 let pair_fractions a b =
   let len = String.length a in
   let transitions = ref 0 and transversions = ref 0 in
-  let purine = function 'A' | 'a' | 'G' | 'g' -> true | _ -> false in
+  let purine = function 'A' | 'G' -> true | _ -> false in
   for i = 0 to len - 1 do
-    let x = Char.uppercase_ascii a.[i] and y = Char.uppercase_ascii b.[i] in
+    let x = a.[i] and y = b.[i] in
     if x <> y then
-      if purine a.[i] = purine b.[i] then incr transitions else incr transversions
+      if purine x = purine y then incr transitions else incr transversions
   done;
   let l = float_of_int len in
   (float_of_int !transitions /. l, float_of_int !transversions /. l)
 
+(* Every pairwise distance model here is symmetric, so each unordered
+   pair is computed once, on sequences uppercased once per taxon. *)
+let of_pairs seqs model =
+  let arr = validate seqs in
+  let names = Array.map fst arr in
+  let upper = Array.map (fun (_, s) -> String.uppercase_ascii s) arr in
+  let n = Array.length arr in
+  let d = Array.init n (fun _ -> Array.make n 0.0) in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let p, q = pair_fractions upper.(i) upper.(j) in
+      let v = model p q in
+      d.(i).(j) <- v;
+      d.(j).(i) <- v
+    done
+  done;
+  { names; d }
+
 let saturation_ceiling = 5.0
 
-let p_distance seqs =
-  let arr = validate seqs in
-  let names = Array.map fst arr in
-  of_fun ~names (fun i j ->
-      let p, q = pair_fractions (snd arr.(i)) (snd arr.(j)) in
-      p +. q)
+let p_distance seqs = of_pairs seqs (fun p q -> p +. q)
 
 let jc69 seqs =
-  let arr = validate seqs in
-  let names = Array.map fst arr in
-  of_fun ~names (fun i j ->
-      let p, q = pair_fractions (snd arr.(i)) (snd arr.(j)) in
+  of_pairs seqs (fun p q ->
       let p = p +. q in
       if p >= 0.75 then saturation_ceiling
       else
@@ -78,10 +89,7 @@ let jc69 seqs =
         Float.min v saturation_ceiling)
 
 let k2p seqs =
-  let arr = validate seqs in
-  let names = Array.map fst arr in
-  of_fun ~names (fun i j ->
-      let p, q = pair_fractions (snd arr.(i)) (snd arr.(j)) in
+  of_pairs seqs (fun p q ->
       let a = 1.0 -. (2.0 *. p) -. q in
       let b = 1.0 -. (2.0 *. q) in
       if a <= 0.0 || b <= 0.0 then saturation_ceiling

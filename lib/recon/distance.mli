@@ -2,7 +2,9 @@
 
     Inputs are (taxon name, sequence) pairs of equal length; distances
     feed UPGMA and neighbor joining. Corrections invert the expected
-    saturation of observed differences under the corresponding model. *)
+    saturation of observed differences under the corresponding model.
+    The sequence models are symmetric, so they compute each unordered
+    pair once, on sequences uppercased once per taxon. *)
 
 type t = {
   names : string array;

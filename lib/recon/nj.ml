@@ -17,35 +17,37 @@ let reconstruct (dm : Distance.t) =
     let total = (2 * n) - 2 in
     let children = Array.make total [] in
     let next = ref n in
-    (* Active node ids and the working distance matrix, indexed by a dense
-       slot per active node. *)
+    (* Active node ids, and the working distances between them in an n×n
+       matrix indexed by slot: w.((s * n) + s') is the distance between
+       the nodes in slots s and s'. Both halves take the input's
+       upper-triangle entry. *)
     let active = Array.init n Fun.id in
     let count = ref n in
-    let d = Array.init n (fun i -> Array.init n (fun j -> Distance.get dm i j)) in
-    (* Grow d lazily: represent as dynamic via Hashtbl keyed by node ids to
-       keep the code clear (n is at most a few thousand in practice). *)
-    let dist = Hashtbl.create (n * 4) in
-    let key a b = (min a b * total) + max a b in
+    let w = Array.make (n * n) 0.0 in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        Hashtbl.replace dist (key i j) d.(i).(j)
+        let v = Distance.get dm i j in
+        w.((i * n) + j) <- v;
+        w.((j * n) + i) <- v
       done
     done;
-    let get a b = if a = b then 0.0 else Hashtbl.find dist (key a b) in
     while !count > 3 do
       let m = !count in
       (* Row sums. *)
       let r = Array.make m 0.0 in
       for i = 0 to m - 1 do
+        let row = i * n in
         for j = 0 to m - 1 do
-          if i <> j then r.(i) <- r.(i) +. get active.(i) active.(j)
+          if i <> j then r.(i) <- r.(i) +. w.(row + j)
         done
       done;
       (* Minimise the Q criterion. *)
       let best_i = ref 0 and best_j = ref 1 and best_q = ref infinity in
+      let scale = float_of_int (m - 2) in
       for i = 0 to m - 1 do
+        let row = i * n in
         for j = i + 1 to m - 1 do
-          let q = (float_of_int (m - 2) *. get active.(i) active.(j)) -. r.(i) -. r.(j) in
+          let q = (scale *. w.(row + j)) -. r.(i) -. r.(j) in
           if q < !best_q then begin
             best_q := q;
             best_i := i;
@@ -55,7 +57,7 @@ let reconstruct (dm : Distance.t) =
       done;
       let i = !best_i and j = !best_j in
       let a = active.(i) and b = active.(j) in
-      let dij = get a b in
+      let dij = w.((i * n) + j) in
       let la =
         (dij /. 2.0) +. ((r.(i) -. r.(j)) /. (2.0 *. float_of_int (m - 2)))
       in
@@ -64,20 +66,30 @@ let reconstruct (dm : Distance.t) =
       let v = !next in
       incr next;
       children.(v) <- [ (a, la); (b, lb) ];
-      (* Distances from the new node. *)
+      (* Distances from the new node, which takes slot i. *)
       for x = 0 to m - 1 do
         if x <> i && x <> j then begin
-          let c = active.(x) in
-          let dv = Float.max 0.0 ((get a c +. get b c -. dij) /. 2.0) in
-          Hashtbl.replace dist (key v c) dv
+          let dv = Float.max 0.0 ((w.((i * n) + x) +. w.((j * n) + x) -. dij) /. 2.0) in
+          w.((i * n) + x) <- dv;
+          w.((x * n) + i) <- dv
         end
       done;
-      (* Replace slot i with v; remove slot j. *)
+      (* The last slot moves into j. *)
+      let last = m - 1 in
+      if j <> last then begin
+        for x = 0 to last - 1 do
+          if x <> j then begin
+            let d = w.((last * n) + x) in
+            w.((j * n) + x) <- d;
+            w.((x * n) + j) <- d
+          end
+        done
+      end;
       active.(i) <- v;
-      active.(j) <- active.(m - 1);
-      count := m - 1
+      active.(j) <- active.(last);
+      count := last
     done;
-    (* Final join: connect the last 3 (or 2) nodes at a root. *)
+    (* Final join: connect the last three nodes at a root. *)
     let b = Tree.Builder.create ~capacity:(2 * total) () in
     let root = Tree.Builder.add_root b in
     let rec attach parent (v, len) =
@@ -88,21 +100,10 @@ let reconstruct (dm : Distance.t) =
     (* attach recurses once per tree edge with depth bounded by the join
        tree height (~log n on random inputs, n worst case) — acceptable
        for the few-thousand-taxon inputs NJ is used on. *)
-    if !count = 3 then begin
-      let a = active.(0) and bb = active.(1) and c = active.(2) in
-      let dab = get a bb and dac = get a c and dbc = get bb c in
-      let la = Float.max 0.0 ((dab +. dac -. dbc) /. 2.0) in
-      let lb = Float.max 0.0 ((dab +. dbc -. dac) /. 2.0) in
-      let lc = Float.max 0.0 ((dac +. dbc -. dab) /. 2.0) in
-      attach root (a, la);
-      attach root (bb, lb);
-      attach root (c, lc)
-    end
-    else begin
-      let a = active.(0) and bb = active.(1) in
-      let dab = get a bb in
-      attach root (a, dab /. 2.0);
-      attach root (bb, dab /. 2.0)
-    end;
+    (* Slots 0, 1 and 2 remain: pairs (0,1), (0,2) and (1,2). *)
+    let dab = w.(1) and dac = w.(2) and dbc = w.(n + 2) in
+    attach root (active.(0), Float.max 0.0 ((dab +. dac -. dbc) /. 2.0));
+    attach root (active.(1), Float.max 0.0 ((dab +. dbc -. dac) /. 2.0));
+    attach root (active.(2), Float.max 0.0 ((dac +. dbc -. dab) /. 2.0));
     Tree.Builder.finish b
   end

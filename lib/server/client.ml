@@ -10,6 +10,8 @@ type t = {
   mutable closed : bool;
 }
 
+let of_fd fd = { fd; buf = Buffer.create 256; closed = false }
+
 let connect addr =
   let domain, sockaddr =
     match addr with
@@ -28,7 +30,7 @@ let connect addr =
   in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   match Unix.connect fd sockaddr with
-  | () -> { fd; buf = Buffer.create 256; closed = false }
+  | () -> of_fd fd
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       conn_error "cannot connect to %s: %s" (Wire.addr_to_string addr)

@@ -13,6 +13,10 @@ exception Connection_error of string
 val connect : Wire.addr -> t
 (** Raises {!Connection_error}. *)
 
+val of_fd : Unix.file_descr -> t
+(** A session over an already connected socket, such as one a readiness
+    probe opened. The client owns the descriptor from then on. *)
+
 val close : t -> unit
 (** Idempotent. *)
 

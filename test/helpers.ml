@@ -93,6 +93,27 @@ let balanced_binary height =
   grow root height;
   Tree.Builder.finish b
 
+(* Connect to the Unix-domain socket at [path] once a server listens on
+   it. [bind] creates the socket file before [listen], so a file that
+   exists does not mean a server is ready: a connect in between is
+   refused. Retry until a connect succeeds, and fail the test once
+   [deadline] (a [Unix.gettimeofday] time) passes. While the returned
+   socket stays open it holds one of the server's admission slots, so a
+   test that counts sessions should use it as its first client. *)
+let connect_when_listening ~deadline path =
+  let rec attempt () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED | Unix.EAGAIN), _, _) ->
+        Unix.close fd;
+        if Unix.gettimeofday () >= deadline then
+          Alcotest.failf "no server listening on %s before the deadline" path;
+        ignore (Unix.select [] [] [] 0.02);
+        attempt ()
+  in
+  attempt ()
+
 let tree_testable =
   Alcotest.testable
     (fun ppf t -> Format.fprintf ppf "<tree %d nodes>" (Tree.node_count t))

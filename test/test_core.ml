@@ -184,34 +184,60 @@ let test_stored_lca_paper () =
   check Alcotest.bool "not ancestor" false
     (Stored_tree.is_ancestor_or_self stored ~ancestor:s_bha s_spy)
 
+(* Cross-check disk-backed LCA / compare / ancestry / depth against the
+   in-memory implementations. [Helpers.random_tree] has unary chains,
+   where a leaf-interval ancestry test must still tell a unary node from
+   the leaf below it; the caterpillar is deep enough for several layers
+   at f = 3. *)
+let check_stored_against_memory repo rng ~name ~f t0 =
+  let t, _ = Ops.copy_with_mapping t0 in
+  let stored = (Loader.load_tree ~f repo ~name t).tree in
+  let rank = Tree.preorder_rank t in
+  (* Stored ids are preorder ranks of t's ids. *)
+  let sid v = rank.(v) in
+  let depths = Tree.depths t in
+  let n = Tree.node_count t in
+  for _ = 1 to 150 do
+    let a = Prng.int rng n in
+    let b = Prng.int rng n in
+    let expected = sid (Ops.naive_lca t a b) in
+    let got = Stored_tree.lca stored (sid a) (sid b) in
+    if got <> expected then Alcotest.failf "%s: lca mismatch %d %d" name a b;
+    let cmp_mem = compare rank.(a) rank.(b) in
+    let cmp_disk = Stored_tree.compare_preorder stored (sid a) (sid b) in
+    if Int.compare cmp_disk 0 <> Int.compare cmp_mem 0 then
+      Alcotest.failf "%s: compare mismatch %d %d" name a b;
+    List.iter
+      (fun (x, y) ->
+        if
+          Stored_tree.is_ancestor_or_self stored ~ancestor:(sid x) (sid y)
+          <> (Ops.naive_lca t x y = x)
+        then Alcotest.failf "%s: ancestry mismatch %d %d" name x y)
+      ((a, b) :: (b, a) :: (a, a)
+      :: (match Tree.parent t a with p when p = Tree.nil -> [] | p -> [ (p, a); (a, p) ]));
+    if Stored_tree.depth stored (sid a) <> depths.(a) then
+      Alcotest.failf "%s: depth mismatch %d" name a
+  done;
+  let unknown what query =
+    match query () with
+    | exception Stored_tree.Unknown_node m when m = n -> ()
+    | _ -> Alcotest.failf "%s: %s accepted node %d" name what n
+  in
+  unknown "is_ancestor_or_self" (fun () ->
+      Stored_tree.is_ancestor_or_self stored ~ancestor:0 n);
+  unknown "is_ancestor_or_self" (fun () ->
+      Stored_tree.is_ancestor_or_self stored ~ancestor:n 0);
+  unknown "compare_preorder" (fun () -> Stored_tree.compare_preorder stored 0 n);
+  unknown "compare_preorder" (fun () -> Stored_tree.compare_preorder stored n 0)
+
 let test_stored_queries_match_memory () =
-  (* Cross-check disk-backed LCA / compare / depth against the in-memory
-     implementations on random trees. *)
   let repo = Repo.open_mem () in
   let rng = Prng.create 11 in
   for i = 0 to 2 do
-    let t0 = Helpers.random_tree rng 120 in
-    let t, _ = Ops.copy_with_mapping t0 in
-    let report = Loader.load_tree ~f:3 repo ~name:(Printf.sprintf "x%d" i) t in
-    let stored = report.tree in
-    let rank = Tree.preorder_rank t in
-    (* Stored ids are preorder ranks of t's ids. *)
-    let sid v = rank.(v) in
-    let depths = Tree.depths t in
-    for _ = 1 to 150 do
-      let a = Prng.int rng (Tree.node_count t) in
-      let b = Prng.int rng (Tree.node_count t) in
-      let expected = sid (Ops.naive_lca t a b) in
-      let got = Stored_tree.lca stored (sid a) (sid b) in
-      if got <> expected then Alcotest.failf "lca mismatch %d %d" a b;
-      let cmp_mem = compare rank.(a) rank.(b) in
-      let cmp_disk = Stored_tree.compare_preorder stored (sid a) (sid b) in
-      if Int.compare cmp_disk 0 <> Int.compare cmp_mem 0 then
-        Alcotest.failf "compare mismatch %d %d" a b;
-      if Stored_tree.depth stored (sid a) <> depths.(a) then
-        Alcotest.failf "depth mismatch %d" a
-    done
-  done
+    check_stored_against_memory repo rng ~name:(Printf.sprintf "x%d" i) ~f:3
+      (Helpers.random_tree rng 120)
+  done;
+  check_stored_against_memory repo rng ~name:"caterpillar" ~f:3 (Helpers.caterpillar 2000)
 
 (* ---------------------------- Node cache --------------------------- *)
 
@@ -475,6 +501,29 @@ let test_projection_matches_reference_random () =
         Alcotest.failf "projection mismatch (tree %d, k=%d)" i k
     done
   done
+
+(* Projection under an 8-page buffer pool, from one leaf up to all of
+   them, with the input ids in random order. *)
+let test_projection_tiny_pool () =
+  let repo = Repo.open_mem ~pool_size:8 () in
+  let rng = Prng.create 31 in
+  List.iteri
+    (fun i t0 ->
+      let t, _ = Ops.copy_with_mapping t0 in
+      let stored = (Loader.load_tree ~f:3 repo ~name:(Printf.sprintf "tp%d" i) t).tree in
+      let leaves = Tree.leaves t in
+      let rank = Tree.preorder_rank t in
+      let n = Array.length leaves in
+      List.iter
+        (fun k ->
+          let pick = Prng.sample_without_replacement rng ~k ~n in
+          let subset = Array.to_list (Array.map (fun i -> leaves.(i)) pick) in
+          let reference = Ops.induced_subtree t subset in
+          let proj = Projection.project stored (List.map (fun v -> rank.(v)) subset) in
+          if not (Tree.equal_unordered ~tolerance:1e-6 reference proj) then
+            Alcotest.failf "projection mismatch under a tiny pool (tree %d, k=%d)" i k)
+        [ 1; 2; 3; 17; n / 2; n - 1; n ])
+    [ Helpers.caterpillar 400; Helpers.random_tree rng 800 ]
 
 let test_projection_single_leaf () =
   let repo = Repo.open_mem () in
@@ -969,6 +1018,7 @@ let () =
           Alcotest.test_case "figure 2" `Quick test_projection_figure2;
           Alcotest.test_case "matches reference (random)" `Slow
             test_projection_matches_reference_random;
+          Alcotest.test_case "tiny buffer pool" `Slow test_projection_tiny_pool;
           Alcotest.test_case "single leaf" `Quick test_projection_single_leaf;
           Alcotest.test_case "errors" `Quick test_projection_errors;
         ] );

@@ -205,6 +205,270 @@ let test_bionj_tiny () =
   let dm = Distance.p_distance [ ("A", "AAAA"); ("B", "AATT"); ("C", "TTTT") ] in
   check Alcotest.int "three taxa" 3 (Tree.leaf_count (Bionj.reconstruct dm))
 
+(* ------------------- Bit-identity against oracles ------------------- *)
+
+(* Reference implementations: distances computed per ordered pair and
+   averaged through [Distance.of_fun], NJ and BIONJ over Hashtbls keyed
+   by node-id pairs. The library's one-pass distances and slot-indexed
+   array NJ and BIONJ must match them bit for bit. *)
+module Oracle = struct
+  let pair_fractions a b =
+    let len = String.length a in
+    let transitions = ref 0 and transversions = ref 0 in
+    let purine = function 'A' | 'a' | 'G' | 'g' -> true | _ -> false in
+    for i = 0 to len - 1 do
+      let x = Char.uppercase_ascii a.[i] and y = Char.uppercase_ascii b.[i] in
+      if x <> y then
+        if purine a.[i] = purine b.[i] then incr transitions else incr transversions
+    done;
+    let l = float_of_int len in
+    (float_of_int !transitions /. l, float_of_int !transversions /. l)
+
+  let two_pass seqs model =
+    let arr = Array.of_list seqs in
+    Distance.of_fun ~names:(Array.map fst arr) (fun i j ->
+        let p, q = pair_fractions (snd arr.(i)) (snd arr.(j)) in
+        model p q)
+
+  let p_distance seqs = two_pass seqs (fun p q -> p +. q)
+
+  let jc69 seqs =
+    two_pass seqs (fun p q ->
+        let p = p +. q in
+        if p >= 0.75 then 5.0
+        else Float.min (-0.75 *. log (1.0 -. (4.0 *. p /. 3.0))) 5.0)
+
+  let k2p seqs =
+    two_pass seqs (fun p q ->
+        let a = 1.0 -. (2.0 *. p) -. q in
+        let b = 1.0 -. (2.0 *. q) in
+        if a <= 0.0 || b <= 0.0 then 5.0
+        else Float.min ((-0.5 *. log a) -. (0.25 *. log b)) 5.0)
+
+  let attach_all dm n children b root joins =
+    let rec attach parent (v, len) =
+      let name = if v < n then Some dm.Distance.names.(v) else None in
+      let id = Tree.Builder.add_child ?name ~branch_length:(Float.max 0.0 len) b ~parent in
+      List.iter (attach id) children.(v)
+    in
+    List.iter (attach root) joins;
+    Tree.Builder.finish b
+
+  let nj (dm : Distance.t) =
+    let n = Distance.size dm in
+    if n = 2 then begin
+      let b = Tree.Builder.create () in
+      let r = Tree.Builder.add_root b in
+      let d = Float.max 0.0 (Distance.get dm 0 1) in
+      ignore (Tree.Builder.add_child ~name:dm.Distance.names.(0) ~branch_length:(d /. 2.0) b ~parent:r);
+      ignore (Tree.Builder.add_child ~name:dm.Distance.names.(1) ~branch_length:(d /. 2.0) b ~parent:r);
+      Tree.Builder.finish b
+    end
+    else begin
+      let total = (2 * n) - 2 in
+      let children = Array.make total [] in
+      let next = ref n in
+      let active = Array.init n Fun.id in
+      let count = ref n in
+      let dist = Hashtbl.create (n * 4) in
+      let key a b = (min a b * total) + max a b in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          Hashtbl.replace dist (key i j) (Distance.get dm i j)
+        done
+      done;
+      let get a b = if a = b then 0.0 else Hashtbl.find dist (key a b) in
+      while !count > 3 do
+        let m = !count in
+        let r = Array.make m 0.0 in
+        for i = 0 to m - 1 do
+          for j = 0 to m - 1 do
+            if i <> j then r.(i) <- r.(i) +. get active.(i) active.(j)
+          done
+        done;
+        let best_i = ref 0 and best_j = ref 1 and best_q = ref infinity in
+        for i = 0 to m - 1 do
+          for j = i + 1 to m - 1 do
+            let q = (float_of_int (m - 2) *. get active.(i) active.(j)) -. r.(i) -. r.(j) in
+            if q < !best_q then begin
+              best_q := q;
+              best_i := i;
+              best_j := j
+            end
+          done
+        done;
+        let i = !best_i and j = !best_j in
+        let a = active.(i) and b = active.(j) in
+        let dij = get a b in
+        let la = (dij /. 2.0) +. ((r.(i) -. r.(j)) /. (2.0 *. float_of_int (m - 2))) in
+        let la = Float.max 0.0 (Float.min dij la) in
+        let lb = Float.max 0.0 (dij -. la) in
+        let v = !next in
+        incr next;
+        children.(v) <- [ (a, la); (b, lb) ];
+        for x = 0 to m - 1 do
+          if x <> i && x <> j then begin
+            let c = active.(x) in
+            Hashtbl.replace dist (key v c) (Float.max 0.0 ((get a c +. get b c -. dij) /. 2.0))
+          end
+        done;
+        active.(i) <- v;
+        active.(j) <- active.(m - 1);
+        count := m - 1
+      done;
+      let b = Tree.Builder.create ~capacity:(2 * total) () in
+      let root = Tree.Builder.add_root b in
+      let a = active.(0) and bb = active.(1) and c = active.(2) in
+      let dab = get a bb and dac = get a c and dbc = get bb c in
+      attach_all dm n children b root
+        [
+          (a, Float.max 0.0 ((dab +. dac -. dbc) /. 2.0));
+          (bb, Float.max 0.0 ((dab +. dbc -. dac) /. 2.0));
+          (c, Float.max 0.0 ((dac +. dbc -. dab) /. 2.0));
+        ]
+    end
+
+  let bionj (dm : Distance.t) =
+    let n = Distance.size dm in
+    if n <= 3 then nj dm
+    else begin
+      let total = (2 * n) - 2 in
+      let children = Array.make total [] in
+      let next = ref n in
+      let active = Array.init n Fun.id in
+      let count = ref n in
+      let key a b = (min a b * total) + max a b in
+      let dist = Hashtbl.create (n * 4) in
+      let var = Hashtbl.create (n * 4) in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let d = Distance.get dm i j in
+          Hashtbl.replace dist (key i j) d;
+          Hashtbl.replace var (key i j) d
+        done
+      done;
+      let get tbl a b = if a = b then 0.0 else Hashtbl.find tbl (key a b) in
+      while !count > 3 do
+        let m = !count in
+        let r = Array.make m 0.0 in
+        for i = 0 to m - 1 do
+          for j = 0 to m - 1 do
+            if i <> j then r.(i) <- r.(i) +. get dist active.(i) active.(j)
+          done
+        done;
+        let best_i = ref 0 and best_j = ref 1 and best_q = ref infinity in
+        for i = 0 to m - 1 do
+          for j = i + 1 to m - 1 do
+            let q =
+              (float_of_int (m - 2) *. get dist active.(i) active.(j)) -. r.(i) -. r.(j)
+            in
+            if q < !best_q then begin
+              best_q := q;
+              best_i := i;
+              best_j := j
+            end
+          done
+        done;
+        let i = !best_i and j = !best_j in
+        let a = active.(i) and b = active.(j) in
+        let dij = get dist a b in
+        let la = (dij /. 2.0) +. ((r.(i) -. r.(j)) /. (2.0 *. float_of_int (m - 2))) in
+        let la = Float.max 0.0 (Float.min dij la) in
+        let lb = Float.max 0.0 (dij -. la) in
+        let v = !next in
+        incr next;
+        children.(v) <- [ (a, la); (b, lb) ];
+        let vab = get var a b in
+        let lambda =
+          if vab <= 0.0 || m <= 2 then 0.5
+          else begin
+            let s = ref 0.0 in
+            for x = 0 to m - 1 do
+              if x <> i && x <> j then begin
+                let c = active.(x) in
+                s := !s +. (get var b c -. get var a c)
+              end
+            done;
+            let l = 0.5 +. (!s /. (2.0 *. float_of_int (m - 2) *. vab)) in
+            Float.max 0.0 (Float.min 1.0 l)
+          end
+        in
+        for x = 0 to m - 1 do
+          if x <> i && x <> j then begin
+            let c = active.(x) in
+            let dac = get dist a c and dbc = get dist b c in
+            let d' = (lambda *. (dac -. la)) +. ((1.0 -. lambda) *. (dbc -. lb)) in
+            Hashtbl.replace dist (key v c) (Float.max 0.0 d');
+            let vac = get var a c and vbc = get var b c in
+            let v' =
+              (lambda *. vac) +. ((1.0 -. lambda) *. vbc)
+              -. (lambda *. (1.0 -. lambda) *. vab)
+            in
+            Hashtbl.replace var (key v c) (Float.max 0.0 v')
+          end
+        done;
+        active.(i) <- v;
+        active.(j) <- active.(m - 1);
+        count := m - 1
+      done;
+      let b = Tree.Builder.create ~capacity:(2 * total) () in
+      let root = Tree.Builder.add_root b in
+      let a = active.(0) and bb = active.(1) and c = active.(2) in
+      let dab = get dist a bb and dac = get dist a c and dbc = get dist bb c in
+      attach_all dm n children b root
+        [
+          (a, Float.max 0.0 ((dab +. dac -. dbc) /. 2.0));
+          (bb, Float.max 0.0 ((dab +. dbc -. dac) /. 2.0));
+          (c, Float.max 0.0 ((dac +. dbc -. dab) /. 2.0));
+        ]
+    end
+end
+
+(* Alignments of 2–60 taxa and 1–300 sites in mixed-case ACGT. Each
+   taxon mutates its own share of a common ancestor's sites, so the
+   distances range from identical to saturated. *)
+let arb_alignment =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 60 >>= fun n ->
+      int_range 1 300 >>= fun sites ->
+      let base = "ACGTacgt" in
+      string_size ~gen:(oneofl (List.init 8 (String.get base))) (return sites)
+      >>= fun ancestor ->
+      let taxon i =
+        float_range 0.0 0.8 >>= fun rate ->
+        list_repeat sites (pair (float_range 0.0 1.0) (int_bound 7)) >|= fun draws ->
+        let s =
+          String.of_seq
+            (Seq.mapi
+               (fun k (u, b) -> if u < rate then base.[b] else ancestor.[k])
+               (List.to_seq draws))
+        in
+        (Printf.sprintf "T%d" i, s)
+      in
+      flatten_l (List.init n taxon))
+  in
+  QCheck.make gen ~print:(fun seqs ->
+      Printf.sprintf "%d taxa x %d sites" (List.length seqs)
+        (String.length (snd (List.hd seqs))))
+
+let same_bits (a : Distance.t) (b : Distance.t) =
+  a.Distance.names = b.Distance.names
+  && Array.for_all2
+       (Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)))
+       a.Distance.d b.Distance.d
+
+let prop_recon_bit_identical =
+  QCheck.Test.make ~name:"distances, NJ and BIONJ match the reference oracles bit for bit"
+    ~count:200 arb_alignment (fun seqs ->
+      same_bits (Distance.p_distance seqs) (Oracle.p_distance seqs)
+      && same_bits (Distance.k2p seqs) (Oracle.k2p seqs)
+      &&
+      let dm = Distance.jc69 seqs in
+      same_bits dm (Oracle.jc69 seqs)
+      && Tree.equal_ordered ~tolerance:0.0 (Nj.reconstruct dm) (Oracle.nj dm)
+      && Tree.equal_ordered ~tolerance:0.0 (Bionj.reconstruct dm) (Oracle.bionj dm))
+
 (* -------------------------- Branch score ---------------------------- *)
 
 let test_branch_score_zero_on_identical () =
@@ -444,6 +708,7 @@ let () =
             test_bionj_recovers_additive_topologies;
           Alcotest.test_case "competitive on noisy data" `Slow test_bionj_on_noisy_data;
           Alcotest.test_case "tiny inputs" `Quick test_bionj_tiny;
+          QCheck_alcotest.to_alcotest prop_recon_bit_identical;
         ] );
       ( "branch_score",
         [

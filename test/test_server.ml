@@ -494,9 +494,7 @@ let test_e2e_smoke () =
         | pid -> pid
       in
       let deadline = Unix.gettimeofday () +. 10.0 in
-      while (not (Sys.file_exists sock)) && Unix.gettimeofday () < deadline do
-        ignore (Unix.select [] [] [] 0.02)
-      done;
+      let probe = Helpers.connect_when_listening ~deadline sock in
       check Alcotest.bool "socket appears" true (Sys.file_exists sock);
       Fun.protect
         ~finally:(fun () ->
@@ -509,14 +507,19 @@ let test_e2e_smoke () =
           flush stdout;
           flush stderr;
           let clients =
-            List.init 3 (fun _ ->
+            List.init 3 (fun i ->
                 match Unix.fork () with
                 | 0 ->
                     Crimson_obs.Trace.child_reset ();
                     Crimson_obs.Events.child_reset ();
                     let status =
                       try
-                        let c = Client.connect (Wire.Unix_path sock) in
+                        (* The readiness probe holds an admission slot:
+                           the first client takes it over. *)
+                        let c =
+                          if i = 0 then Client.of_fd probe
+                          else Client.connect (Wire.Unix_path sock)
+                        in
                         if not (Client.ok (Client.request c "HELLO")) then Unix._exit 3;
                         if not (Client.ok (Client.request c "USE gold")) then Unix._exit 4;
                         if not (Client.ok (Client.request c "SEED 5")) then Unix._exit 5;
@@ -541,6 +544,7 @@ let test_e2e_smoke () =
                     Unix._exit status
                 | pid -> pid)
           in
+          Unix.close probe;
           List.iter
             (fun pid ->
               match Unix.waitpid [] pid with
@@ -789,9 +793,7 @@ let test_multiworker_e2e () =
         | pid -> pid
       in
       let deadline = Unix.gettimeofday () +. 10.0 in
-      while (not (Sys.file_exists sock)) && Unix.gettimeofday () < deadline do
-        ignore (Unix.select [] [] [] 0.02)
-      done;
+      let probe = Helpers.connect_when_listening ~deadline sock in
       check Alcotest.bool "socket appears" true (Sys.file_exists sock);
       Fun.protect
         ~finally:(fun () ->
@@ -803,14 +805,19 @@ let test_multiworker_e2e () =
           flush stdout;
           flush stderr;
           let clients =
-            List.init 3 (fun _ ->
+            List.init 3 (fun i ->
                 match Unix.fork () with
                 | 0 ->
                     Crimson_obs.Trace.child_reset ();
                     Crimson_obs.Events.child_reset ();
                     let status =
                       try
-                        let c = Client.connect (Wire.Unix_path sock) in
+                        (* The readiness probe holds an admission slot:
+                           the first client takes it over. *)
+                        let c =
+                          if i = 0 then Client.of_fd probe
+                          else Client.connect (Wire.Unix_path sock)
+                        in
                         if not (Client.ok (Client.request c "HELLO")) then Unix._exit 3;
                         if not (Client.ok (Client.request c "USE gold")) then Unix._exit 4;
                         if not (Client.ok (Client.request c "SEED 5")) then Unix._exit 5;
@@ -830,6 +837,7 @@ let test_multiworker_e2e () =
                     Unix._exit status
                 | pid -> pid)
           in
+          Unix.close probe;
           List.iter
             (fun pid ->
               match Unix.waitpid [] pid with
@@ -1026,11 +1034,11 @@ let prom_value text name =
          | [ n; v ] when n = name -> float_of_string_opt v
          | _ -> None)
 
-let wait_for_file path =
+(* Wait until a server accepts connections on [path]; the probe is
+   closed at once, as these tests never fill the admission limit. *)
+let wait_until_listening path =
   let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
-    ignore (Unix.select [] [] [] 0.02)
-  done;
+  Unix.close (Helpers.connect_when_listening ~deadline path);
   check Alcotest.bool (path ^ " appears") true (Sys.file_exists path)
 
 let read_lines path =
@@ -1094,8 +1102,8 @@ let test_obs_fleet_e2e () =
             Unix._exit 0
         | pid -> pid
       in
-      wait_for_file sock;
-      wait_for_file obs_sock;
+      wait_until_listening sock;
+      wait_until_listening obs_sock;
       Fun.protect
         ~finally:(fun () ->
           (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -1298,8 +1306,8 @@ let test_healthz_fault_e2e () =
             Unix._exit 0
         | pid -> pid
       in
-      wait_for_file sock;
-      wait_for_file obs_sock;
+      wait_until_listening sock;
+      wait_until_listening obs_sock;
       Fun.protect
         ~finally:(fun () ->
           (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());

@@ -374,16 +374,15 @@ let test_trace_smoke () =
         | pid -> pid
       in
       let deadline = Unix.gettimeofday () +. 10.0 in
-      while (not (Sys.file_exists sock)) && Unix.gettimeofday () < deadline do
-        ignore (Unix.select [] [] [] 0.02)
-      done;
+      let probe = Helpers.connect_when_listening ~deadline sock in
       check Alcotest.bool "socket appears" true (Sys.file_exists sock);
       Fun.protect
         ~finally:(fun () ->
           (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
           try ignore (Unix.waitpid [] server_pid) with Unix.Unix_error _ -> ())
         (fun () ->
-          let c = Client.connect (Wire.Unix_path sock) in
+          (* The readiness probe becomes the session. *)
+          let c = Client.of_fd probe in
           let must q =
             let r = Client.request c q in
             if not (Client.ok r) then
