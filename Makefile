@@ -53,11 +53,11 @@ collection-smoke: build
 	sh scripts/collection_smoke.sh
 
 # The fleet health plane end to end through the CLI: serve at
-# --workers 4 with --obs-listen, health-gate the boot via /healthz,
-# push a query burst, and require the merged /metrics server.requests
-# counter to equal the sum of the per-worker slices.
+# --workers 1 and 4 with --obs-listen, health-gate the boot via
+# /healthz, push a query burst, and require the merged /metrics
+# server.requests counter to equal the sum of the per-worker slices.
 obs-smoke: build
-	sh scripts/obs_smoke.sh
+	sh scripts/obs_smoke.sh 1 4
 
 # The HTTP/JSON data-service gateway end to end through the CLI:
 # serve with --http-listen at --workers 1 and 4, require the paginated

@@ -21,7 +21,7 @@ module Stored_tree = Crimson_core.Stored_tree
 module Summary = Crimson_core.Summary
 module Table = Crimson_storage.Table
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
 module Http_client = Crimson_server.Http_client
 
@@ -55,8 +55,8 @@ let fork_server ~repo_dir ~sock ~hsock =
       let repo = Repo.open_dir ~create:false repo_dir in
       let config =
         {
-          Engine.default_config with
-          Engine.max_sessions = 8;
+          Worker_core.default_config with
+          Worker_core.max_sessions = 8;
           request_timeout = 10.0;
           http_listen = Some (Wire.Unix_path hsock);
         }

@@ -18,10 +18,10 @@ open Bench_common
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
 module Client = Crimson_server.Client
-module Http_obs = Crimson_server.Http_obs
+module Http_client = Crimson_server.Http_client
 
 let leaves = 2000
 let queries_per_client = 200
@@ -61,15 +61,15 @@ let fork_server ~obs ~dir ~repo_dir ~sock =
         match obs with
         | None ->
             {
-              Engine.default_config with
-              Engine.max_sessions = 64;
+              Worker_core.default_config with
+              Worker_core.max_sessions = 64;
               request_timeout = 10.0;
               workers;
             }
         | Some obs_sock ->
             {
-              Engine.default_config with
-              Engine.max_sessions = 64;
+              Worker_core.default_config with
+              Worker_core.max_sessions = 64;
               request_timeout = 10.0;
               workers;
               slowlog_ms = Some 0.0;
@@ -129,8 +129,8 @@ let fork_scraper obs_sock =
       let addr = Wire.Unix_path obs_sock in
       (try
          while true do
-           ignore (Http_obs.get addr "/metrics");
-           ignore (Http_obs.get addr "/healthz");
+           ignore (Http_client.get addr "/metrics");
+           ignore (Http_client.get addr "/healthz");
            ignore (Unix.select [] [] [] 0.05)
          done
        with _ -> ());

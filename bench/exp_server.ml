@@ -14,7 +14,7 @@ open Bench_common
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
 module Client = Crimson_server.Client
 
@@ -50,7 +50,7 @@ let fork_server ~repo_dir ~sock =
       Crimson_obs.Events.child_reset ();
       let repo = Repo.open_dir ~create:false repo_dir in
       let config =
-        { Engine.default_config with Engine.max_sessions = 64; request_timeout = 10.0 }
+        { Worker_core.default_config with Worker_core.max_sessions = 64; request_timeout = 10.0 }
       in
       Fun.protect
         ~finally:(fun () -> Repo.close repo)

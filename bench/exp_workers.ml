@@ -23,7 +23,7 @@ open Bench_common
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
 module Client = Crimson_server.Client
 
@@ -63,8 +63,8 @@ let fork_server ~workers ~repo_dir ~sock =
       let repo = Repo.open_dir ~create:false repo_dir in
       let config =
         {
-          Engine.default_config with
-          Engine.max_sessions = 64;
+          Worker_core.default_config with
+          Worker_core.max_sessions = 64;
           request_timeout = 10.0;
           workers;
         }

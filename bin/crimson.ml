@@ -23,7 +23,8 @@ module B = Crimson_benchmark.Benchmark_manager
 module Prng = Crimson_util.Prng
 module Wire = Crimson_server.Wire
 module Server = Crimson_server.Server
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
+module Http_client = Crimson_server.Http_client
 module Client = Crimson_server.Client
 
 open Cmdliner
@@ -799,18 +800,18 @@ let serve_cmd =
          & info [ "listen" ] ~docv:"ADDR" ~doc:("Listen address: " ^ listen_doc))
   in
   let max_sessions =
-    Arg.(value & opt int Engine.default_config.Engine.max_sessions
+    Arg.(value & opt int Worker_core.default_config.Worker_core.max_sessions
          & info [ "max-sessions" ] ~docv:"N"
              ~doc:"Admission control: concurrent sessions beyond N are rejected \
                    with a protocol error.")
   in
   let timeout =
-    Arg.(value & opt float Engine.default_config.Engine.request_timeout
+    Arg.(value & opt float Worker_core.default_config.Worker_core.request_timeout
          & info [ "timeout" ] ~docv:"SECONDS"
              ~doc:"Per-request wall-clock timeout; 0 disables.")
   in
   let max_line =
-    Arg.(value & opt int Engine.default_config.Engine.max_line
+    Arg.(value & opt int Worker_core.default_config.Worker_core.max_line
          & info [ "max-line" ] ~docv:"BYTES" ~doc:"Input request-line length cap.")
   in
   let create =
@@ -827,24 +828,24 @@ let serve_cmd =
                    Disabled by default.")
   in
   let trace_max_bytes =
-    Arg.(value & opt int Engine.default_config.Engine.trace_max_bytes
+    Arg.(value & opt int Worker_core.default_config.Worker_core.trace_max_bytes
          & info [ "trace-max-bytes" ] ~docv:"BYTES"
              ~doc:"Rotation cap for the $(b,--trace-out) file.")
   in
   let flush_interval =
-    Arg.(value & opt float Engine.default_config.Engine.flush_interval
+    Arg.(value & opt float Worker_core.default_config.Worker_core.flush_interval
          & info [ "flush-interval" ] ~docv:"SECONDS"
              ~doc:"How often the serving loop fsyncs the trace sink; 0 disables \
                    periodic flushing.")
   in
   let workers =
     Arg.(value
-         & opt string (string_of_int Engine.default_config.Engine.workers)
+         & opt string (string_of_int Worker_core.default_config.Worker_core.workers)
          & info [ "workers" ] ~docv:"N"
-             ~doc:"Worker domains serving requests. 1 (the default) is the \
-                   single-threaded server; N >= 2 runs a coordinator plus N \
-                   shared-nothing workers, each with its own read-only open of \
-                   the repository. STATS/METRICS/TOP stay fleet-wide. \
+             ~doc:"Workers serving requests. 1 (the default) serves every \
+                   session on the accepting domain; N >= 2 hands sessions to N \
+                   shared-nothing worker domains, each with its own read-only \
+                   open of the repository. STATS/METRICS/TOP stay fleet-wide. \
                    $(b,auto) sizes the fleet from the machine's recommended \
                    domain count.")
   in
@@ -865,14 +866,14 @@ let serve_cmd =
                     $(docv): " ^ listen_doc ^ " Disabled by default."))
   in
   let stall_after =
-    Arg.(value & opt float Engine.default_config.Engine.stall_after
+    Arg.(value & opt float Worker_core.default_config.Worker_core.stall_after
          & info [ "stall-after" ] ~docv:"SECONDS"
              ~doc:"Watchdog: flag a worker as stalled after this many seconds of \
                    heartbeat silence. $(b,/healthz) answers 503 while any worker \
                    is stalled.")
   in
   let stall_factor =
-    Arg.(value & opt float Engine.default_config.Engine.stall_factor
+    Arg.(value & opt float Worker_core.default_config.Worker_core.stall_factor
          & info [ "stall-factor" ] ~docv:"K"
              ~doc:"Watchdog: an in-flight request may run K times its deadline \
                    budget before its worker counts as stalled.")
@@ -896,7 +897,7 @@ let serve_cmd =
     guarded (fun () ->
         let workers =
           match String.lowercase_ascii (String.trim workers) with
-          | "auto" -> Ok (Crimson_server.Worker_core.auto_workers ())
+          | "auto" -> Ok (Worker_core.auto_workers ())
           | s -> (
               match int_of_string_opt s with
               | Some n when n >= 1 -> Ok n
@@ -933,7 +934,7 @@ let serve_cmd =
               (fun () ->
                 let config =
                   {
-                    Engine.max_sessions;
+                    Worker_core.max_sessions;
                     request_timeout = timeout;
                     max_line;
                     slowlog_ms;
@@ -947,7 +948,7 @@ let serve_cmd =
                     stall_factor;
                     events_out;
                     events_max_bytes =
-                      Engine.default_config.Engine.events_max_bytes;
+                      Worker_core.default_config.Worker_core.events_max_bytes;
                     debug_verbs;
                   }
                 in
@@ -1321,7 +1322,6 @@ let top_cmd =
 (* ------------------------------ health ------------------------------ *)
 
 let health_cmd =
-  let module Http_obs = Crimson_server.Http_obs in
   let to_addr =
     Arg.(required & opt (some string) None
          & info [ "to"; "obs" ] ~docv:"ADDR"
@@ -1345,16 +1345,16 @@ let health_cmd =
         | Ok addr -> (
             match get_path with
             | Some path -> (
-                match Http_obs.get addr path with
+                match Http_client.get addr path with
                 | Error msg -> fail "cannot reach %s: %s" path msg
-                | Ok (status, body) ->
+                | Ok { Http_client.status; body; _ } ->
                     print_string body;
                     if status = 200 then `Ok ()
                     else fail "HTTP %d from %s" status path)
             | None -> (
-                match Http_obs.get addr "/healthz" with
+                match Http_client.get addr "/healthz" with
                 | Error msg -> fail "cannot reach /healthz: %s" msg
-                | Ok (status, body) ->
+                | Ok { Http_client.status; body; _ } ->
                     let module Json = Crimson_obs.Json in
                     (if json then print_string body
                      else
@@ -1414,7 +1414,6 @@ let health_cmd =
 (* ----------------------------- http-get ----------------------------- *)
 
 let http_get_cmd =
-  let module Http_client = Crimson_server.Http_client in
   let to_addr =
     Arg.(required & opt (some string) None
          & info [ "to" ] ~docv:"ADDR"

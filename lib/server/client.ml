@@ -13,28 +13,16 @@ type t = {
 let of_fd fd = { fd; buf = Buffer.create 256; closed = false }
 
 let connect addr =
-  let domain, sockaddr =
-    match addr with
-    | Wire.Tcp (host, port) -> (
-        match
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (
-            match Unix.gethostbyname host with
-            | { Unix.h_addr_list; _ } when Array.length h_addr_list > 0 ->
-                h_addr_list.(0)
-            | _ -> raise Not_found)
-        with
-        | inet -> (Unix.PF_INET, Unix.ADDR_INET (inet, port))
-        | exception Not_found -> conn_error "unknown host %s" host)
-    | Wire.Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  match Unix.connect fd sockaddr with
-  | () -> of_fd fd
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      conn_error "cannot connect to %s: %s" (Wire.addr_to_string addr)
-        (Unix.error_message e)
+  match Conn.resolve addr with
+  | Error msg -> conn_error "%s" msg
+  | Ok (domain, sockaddr) -> (
+      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+      match Unix.connect fd sockaddr with
+      | () -> of_fd fd
+      | exception Unix.Unix_error (e, _, _) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          conn_error "cannot connect to %s: %s" (Wire.addr_to_string addr)
+            (Unix.error_message e))
 
 let close t =
   if not t.closed then begin

@@ -1,40 +1,46 @@
-(** The multi-worker server: a coordinator plus N shared-nothing worker
-    domains ({!Worker_core}) over one repository directory.
+(** Who serves the sessions {!Server.run} admits, chosen by fleet size.
 
-    The coordinator (the calling domain) owns the listening socket,
-    admission control against the fleet-wide session limit, and the only
-    read-write repository handle — workers send query-history rows over
-    a serialized channel and it performs every insert. Each worker
-    domain opens its own read-only repository (private file descriptors,
-    buffer pools, node-view caches) and runs the same select loop as the
-    single-worker server over the connections the coordinator hands it
-    round-robin.
+    - {!local} ([workers = 1]): the calling domain itself. Its
+      connection loop adopts every admitted connection into one
+      {!Worker_core} over the caller's read-write repository — no
+      domain, no second open of the repository, no history channel.
+      (A spawned worker opens a second repository, and every pager
+      preallocates 256 × 4 KiB frames per file.)
+    - {!spawn} ([workers >= 2]): N shared-nothing worker domains, each
+      running the same {!Conn.serve} loop over its own read-only open
+      of the repository directory and the connections handed to it
+      round-robin. The calling domain keeps the only read-write handle
+      and inserts every query-history row the workers send over a
+      serialized channel. TOP merges the answering worker's live
+      sessions with every peer's published rows; SLOWLOG merges ring
+      slices the same way. *)
 
-    STATS and METRICS are fleet-wide for free (metric counters are
-    atomic and process-global; [server.worker.<id>.*] carries each
-    worker's slice); TOP merges the answering worker's live sessions
-    with every peer's published rows. SIGINT/SIGTERM stop the accept
-    loop, drain all workers (bounded reply flush, sessions closed,
-    repositories closed), join the domains, write out any queued
-    history rows, and remove a Unix-domain socket file. *)
+type t = {
+  beats : Watchdog.beat array;  (** One heartbeat per worker, for the watchdog. *)
+  place : Unix.file_descr -> id:int -> Conn.kind -> unit;
+      (** Serve an admitted connection as session [id]. *)
+  sources : (Unix.file_descr * (unit -> unit)) list;
+      (** Extra read sources for the calling domain's loop. *)
+  tick : unit -> unit;  (** Run every loop iteration of the calling domain. *)
+  slowlog : unit -> Crimson_obs.Trace.record list list;
+      (** Every worker's slowlog ring, for [/slowlog]. *)
+  stop : unit -> unit;
+      (** Shutdown: drain and join the workers, write out queued
+          history. *)
+}
 
-val run :
+val local :
+  config:Worker_core.config -> active:int Atomic.t -> Conn.set -> Crimson_core.Repo.t -> t
+(** Worker 1 of 1 on the calling domain, serving in the given set. *)
+
+val spawn :
   config:Worker_core.config ->
-  ?on_ready:(Unix.sockaddr -> unit) ->
-  ?on_obs_ready:(Unix.sockaddr -> unit) ->
-  ?on_http_ready:(Unix.sockaddr -> unit) ->
+  active:int Atomic.t ->
+  stop:bool Atomic.t ->
   Crimson_core.Repo.t ->
-  Wire.addr ->
-  unit
-(** Serve [addr] with [config.workers] worker domains until signalled.
-    [repo] must be an on-disk repository opened read-write
-    ([Invalid_argument] for in-memory ones — workers re-open the
-    directory read-only). [on_ready] fires with the bound address after
-    every worker holds its repository and the socket accepts;
-    [on_obs_ready] fires with the bound observability address when
-    [config.obs_listen] is set; [on_http_ready] fires with the bound
-    HTTP gateway address when [config.http_listen] is set — gateway
-    connections go through the same admission account and round-robin
-    onto the same worker fleet as wire connections. Raises
-    {!Conn.Bind_error} when binding (any socket) fails or a worker
-    cannot open the repository. *)
+  t
+(** Spawn [config.workers] worker domains and return once every one
+    holds its read-only repository. Workers leave their loops when
+    [stop] is set. [repo] must be on disk ([Invalid_argument]
+    otherwise); raises {!Conn.Bind_error} when a worker cannot open
+    it. *)

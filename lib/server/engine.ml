@@ -1,13 +1,3 @@
-(* Compatibility facade: the protocol engine proper now lives in
-   Worker_core so the coordinator can run several of them, one per
-   domain. Standalone callers (the single-worker server, the protocol
-   unit tests) keep the historical [Engine] name and API — a core
-   created without a fleet context behaves exactly like the old
-   monolithic engine. *)
-
+(* Another name for Worker_core: perfbench/served.ml still refers to
+   [Engine.default_config]. *)
 include Worker_core
-
-(* Shadow the core's constructor to hide the fleet context: an [Engine]
-   is always a standalone core. The coordinator builds its workers
-   through [Worker_core.create ~ctx] directly. *)
-let create ?config repo = Worker_core.create ?config repo

@@ -1,8 +1,8 @@
 (* Minimal blocking HTTP client for the data-service gateway: one
    connection, many requests (keep-alive), explicit status + headers +
    body so callers can drive conditional GETs (If-None-Match / 304).
-   Used by `crimson http-get`, the smoke scripts and the gateway tests —
-   no external HTTP library. *)
+   Used by `crimson http-get`, `crimson health`, the smoke scripts and
+   the tests — no external HTTP library. *)
 
 type response = {
   status : int;
@@ -12,35 +12,20 @@ type response = {
 
 type t = { fd : Unix.file_descr; buf : Buffer.t }
 
-let resolve addr =
-  match addr with
-  | Wire.Tcp (host, port) -> (
-      match Unix.inet_addr_of_string host with
-      | inet -> (Unix.PF_INET, Unix.ADDR_INET (inet, port))
-      | exception Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list; _ } when Array.length h_addr_list > 0 ->
-              (Unix.PF_INET, Unix.ADDR_INET (h_addr_list.(0), port))
-          | _ | (exception Not_found) ->
-              raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))))
-  | Wire.Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
-
 let connect ?(timeout = 5.0) addr =
-  match
-    let domain, sockaddr = resolve addr in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-       Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-       Unix.connect fd sockaddr
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  with
-  | exception Unix.Unix_error (e, fn, _) ->
-      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-  | fd -> Ok { fd; buf = Buffer.create 4096 }
+  match Conn.resolve addr with
+  | Error _ as e -> e
+  | Ok (domain, sockaddr) -> (
+      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+      match
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
+        Unix.connect fd sockaddr
+      with
+      | () -> Ok { fd; buf = Buffer.create 4096 }
+      | exception Unix.Unix_error (e, fn, _) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

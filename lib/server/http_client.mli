@@ -1,8 +1,8 @@
 (** Minimal blocking HTTP client for the data-service gateway: one
     connection, many requests (keep-alive), with status, headers and
     body exposed so callers can drive conditional GETs
-    (If-None-Match / 304). Used by [crimson http-get], the smoke
-    scripts and the gateway tests. *)
+    (If-None-Match / 304). Used by [crimson http-get], [crimson health],
+    the smoke scripts and the tests. *)
 
 type response = {
   status : int;
@@ -15,8 +15,9 @@ type t
 (** One open connection. Not thread-safe. *)
 
 val connect : ?timeout:float -> Wire.addr -> (t, string) result
-(** Open a connection (TCP or Unix-domain); [timeout] (default 5s)
-    bounds each socket read and write. *)
+(** Open a connection (TCP or Unix-domain, resolved by
+    {!Conn.resolve}); [timeout] (default 5s) bounds each socket read
+    and write. *)
 
 val request :
   t ->

@@ -1,12 +1,11 @@
-(** Minimal HTTP/1.0 observability endpoint ([serve --obs-listen]).
+(** The observability endpoint's route table ([serve --obs-listen]).
 
-    A zero-dependency GET-only responder serviced from the owning
-    server loop (the coordinator's accept loop or the single-worker
-    select loop), reusing {!Conn}'s buffering and line framing. Every
-    exchange is one request / one response / close.
+    {!Server.run} serves it over the gateway's HTTP codec
+    ({!Crimson_gateway.Http}): one request per connection, then close,
+    at most 64 connections at once, none holding a session slot.
 
-    Routes (via {!routes}): [/metrics] (merged Prometheus exposition
-    from {!Crimson_obs.Fleet}), [/healthz] (200/503 from the watchdog,
+    Routes: [/metrics] (merged Prometheus exposition from
+    {!Crimson_obs.Fleet}), [/healthz] (200/503 from the watchdog,
     per-worker JSON detail), [/varz] ([stats --json] equivalent),
     [/slowlog] (fleet-merged slow-query log). *)
 
@@ -15,29 +14,8 @@ type response = { status : int; content_type : string; body : string }
 val text : int -> string -> response
 val json : int -> Crimson_obs.Json.t -> response
 
-type t
-
-val create : addr:Wire.addr -> handler:(string -> response) -> t
-(** Bind and listen (raises {!Conn.Bind_error} like the wire listener).
-    [handler] maps a request path (query string stripped) to a
-    response; non-GET methods and malformed heads are answered without
-    consulting it. *)
-
-val bound_addr : t -> Unix.sockaddr
-(** Actual bound address (resolves port 0). *)
-
-val readable : t -> Unix.file_descr list
-(** Fds the owning loop should select for reading (listener + open
-    connections). *)
-
-val writable : t -> Unix.file_descr list
-(** Fds with pending response bytes. *)
-
-val service : t -> readable:Unix.file_descr list -> writable:Unix.file_descr list -> unit
-(** One service pass with the ready sets select returned: flush, read,
-    respond, accept. *)
-
-val close : t -> unit
+val render : response -> string
+(** The complete HTTP response, [Connection: close]. *)
 
 val routes :
   healthz:(unit -> bool * Crimson_obs.Json.t) ->
@@ -45,10 +23,14 @@ val routes :
   slowlog:(unit -> Crimson_obs.Json.t) ->
   string ->
   response
-(** The standard route table. [healthz] returns (healthy?, detail);
-    unhealthy renders as 503 so load balancers and scripts can probe
-    with no JSON parsing. *)
+(** The route table over a request path (query string stripped).
+    [healthz] returns (healthy?, detail); unhealthy renders as 503 so
+    load balancers and scripts can probe with no JSON parsing. *)
 
-val get : ?timeout:float -> Wire.addr -> string -> (int * string, string) result
-(** Tiny blocking HTTP/1.0 GET client: returns (status, body). Used by
-    [crimson health], the obs smoke script and tests. *)
+val answer :
+  (string -> response) ->
+  (Crimson_gateway.Http.request, string) result ->
+  string
+(** The rendered reply to one decoded request head: the route's
+    response for a GET, 405 for any other method, 400 for a decode
+    error (or a route that raised). *)

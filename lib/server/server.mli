@@ -1,34 +1,28 @@
-(** The Crimson query service, serving the {!Wire} protocol over TCP or
-    a Unix-domain socket in one of two shapes, selected by
-    [config.workers]:
+(** The Crimson query service: the {!Wire} protocol, the HTTP/JSON
+    gateway and the observability endpoint, over TCP or Unix-domain
+    sockets.
 
-    - [workers = 1] (default): the historical single-process,
-      single-threaded [Unix.select] event loop. One standalone
-      {!Engine} holds the open repository and its warm stored-tree
-      views; requests execute synchronously on the event loop, so
-      concurrency is between sessions' I/O, never inside the storage
-      engine.
-    - [workers >= 2]: a {!Coordinator} plus that many shared-nothing
-      worker domains, each running its own {!Worker_core} over a
-      private read-only open of the same repository directory. The
-      coordinator keeps the listening socket, admission control and the
-      only write path (the Query Repository); STATS/METRICS/TOP report
-      fleet-wide numbers. Requires an on-disk repository.
+    The calling domain binds every listener, accepts every connection,
+    applies admission control and serves the observability routes, all
+    in one {!Conn.serve} loop. Admitted sessions go to the fleet
+    {!Coordinator} picks by [config.workers]: at [1] (the default) the
+    same loop serves them against the caller's repository; at [n >= 2]
+    [n] worker domains, each running that loop over a private read-only
+    open of the repository directory (which must be on disk).
 
-    Robustness (both shapes): admission control (over-limit connects
-    receive a rejection line and are closed, never left hanging), a
-    per-request deadline-check timeout, an input line cap, and
+    Robustness: over-limit connects get a rejection (a wire error line,
+    or an HTTP 503 once the request head is in) and are closed, never
+    left hanging; per-request deadline checks; an input line cap;
     malformed input answered with protocol errors. SIGINT/SIGTERM
     trigger a graceful drain: stop accepting, flush every pending
-    reply, close sessions (and join worker domains), remove the Unix
-    socket file, return.
+    reply, close sessions (and join worker domains), remove Unix
+    socket files, return.
 
-    Every [Engine.flush_interval] seconds the loop calls {!Engine.tick}
-    between selects (and once more at shutdown), fsyncing the JSONL
-    trace sink so a crash loses at most one interval of records. *)
+    Every [config.flush_interval] seconds the loop fsyncs the JSONL
+    trace sink, so a crash loses at most one interval of records. *)
 
 val run :
-  ?config:Engine.config ->
+  ?config:Worker_core.config ->
   ?on_ready:(Unix.sockaddr -> unit) ->
   ?on_obs_ready:(Unix.sockaddr -> unit) ->
   ?on_http_ready:(Unix.sockaddr -> unit) ->
@@ -39,11 +33,11 @@ val run :
     once with the bound address (reports the kernel-chosen port when
     listening on port 0), after every worker is ready; [on_obs_ready]
     fires with the bound observability address when
-    [config.obs_listen] is set (the {!Http_obs} endpoint serving
-    [/metrics], [/healthz], [/varz], [/slowlog]); [on_http_ready]
-    fires with the bound gateway address when [config.http_listen] is
-    set (the versioned [/v1] HTTP/JSON data-service API, served through
-    the same sessions and verb handlers as the wire protocol). Raises
+    [config.obs_listen] is set (the {!Http_obs} routes [/metrics],
+    [/healthz], [/varz], [/slowlog]); [on_http_ready] fires with the
+    bound gateway address when [config.http_listen] is set (the
+    versioned [/v1] HTTP/JSON data-service API, served through the same
+    sessions and verb handlers as the wire protocol). Raises
     {!Bind_error} when an address cannot be bound; never raises out of
     the serving loop itself. The caller still owns (and closes) the
     repository. *)

@@ -105,13 +105,6 @@ type session_row = {
   r_last : string;
 }
 
-(* The fleet context a coordinator injects into each worker core. All
-   mutation crossing domain boundaries goes through these closures: the
-   Query Repository write path is a serialized channel to the
-   coordinator, admission accounting is a shared atomic behind
-   [fleet_active]/[on_session_closed], and TOP visibility flows through
-   publish/peers. A core created without a context (the single-worker
-   server, unit tests) owns all of that locally. *)
 (* A published snapshot of one worker's trace/slowlog rings: pure data
    (immutable record lists), safe to hand across domains. Workers
    republish when their ring generation moves; a peer answering SLOWLOG
@@ -123,12 +116,16 @@ type obs_slice = {
   o_recent : Trace.record list;
 }
 
+(* The fleet context every core runs in. All mutation crossing domain
+   boundaries goes through it: the Query Repository write path, the
+   shared admission count, and TOP/SLOWLOG visibility through
+   publish/peers. Publications are thunks, so a fleet without peers
+   never builds them. *)
 type ctx = {
   worker_id : int; (* 1-based within the fleet *)
   workers : int;
-  fleet_started_at : float;
-  fleet_active : unit -> int;
-  on_session_closed : unit -> unit;
+  started_at : float;
+  active : int Atomic.t;
   record_query :
     elapsed_ms:float ->
     pages:int ->
@@ -136,24 +133,38 @@ type ctx = {
     text:string ->
     result:string ->
     unit;
-  publish_sessions : session_row list -> unit;
+  publish_sessions : (unit -> session_row list) -> unit;
   peer_sessions : unit -> session_row list;
-  publish_obs : obs_slice -> unit;
+  publish_obs : (unit -> obs_slice) -> unit;
   peer_obs : unit -> obs_slice list;
       (* Snapshot-request to every peer over the wake pipes: nudge them
          to republish, wait briefly, fall back to their last published
          slice when one is mid-request. *)
 }
 
+(* The one-worker fleet: history goes straight into [repo], which the
+   core serves, and there are no peers to publish to. *)
+let local_ctx ?(active = Atomic.make 0) repo =
+  {
+    worker_id = 1;
+    workers = 1;
+    started_at = Unix.gettimeofday ();
+    active;
+    record_query =
+      (fun ~elapsed_ms ~pages ~cost ~text ~result ->
+        ignore (Repo.record_query repo ~elapsed_ms ~pages ~cost ~text ~result));
+    publish_sessions = ignore;
+    peer_sessions = (fun () -> []);
+    publish_obs = ignore;
+    peer_obs = (fun () -> []);
+  }
+
 type t = {
   cfg : config;
   repo : Repo.t;
-  ctx : ctx option;
-  worker_id : int; (* 0 = standalone single-worker core *)
+  ctx : ctx;
   trees : (int, Stored_tree.t) Hashtbl.t;  (* warm handles, by tree id *)
   sessions : (int, session) Hashtbl.t;  (* live sessions, for TOP *)
-  started_at : float;
-  mutable next_session : int;
   mutable active : int;
   (* Pre-created metric handles: the per-request path does no name
      lookups. The server.* family is process-global — counters are
@@ -162,7 +173,6 @@ type t = {
   m_errors : Metrics.Counter.t;
   m_timeouts : Metrics.Counter.t;
   m_accepted : Metrics.Counter.t;
-  m_rejected : Metrics.Counter.t;
   m_closed : Metrics.Counter.t;
   m_active : Metrics.Gauge.t;
   (* Aggregates over every session that ever ran (requests, wall ms,
@@ -185,42 +195,23 @@ type t = {
   mutable last_obs_gen : int; (* ring generation last published *)
 }
 
-let create ?(config = default_config) ?ctx repo =
+let create ?(config = default_config) ctx repo =
   (* Register the request-latency histogram up front so a STATS before
      the first QUERY already shows it (Span.timed feeds it by name). *)
   ignore (Metrics.histogram "server.request_ms");
   Trace.set_slowlog_ms config.slowlog_ms;
-  (* [None] leaves any sink installed by the caller (global --trace-out)
-     alone; only an explicit path (re)targets the JSONL sink. In a
-     fleet the coordinator installs the shared sink once, before the
-     worker cores exist. *)
-  (match (config.trace_out, ctx) with
-  | Some path, None -> Trace.set_sink ~max_bytes:config.trace_max_bytes (Some path)
-  | Some _, Some _ | None, _ -> ());
-  (* Same ownership rule for the event journal: the coordinator installs
-     the shared journal before the worker cores exist; a standalone core
-     installs its own. *)
-  (match (config.events_out, ctx) with
-  | Some path, None ->
-      Crimson_obs.Events.set_journal ~max_bytes:config.events_max_bytes (Some path)
-  | Some _, Some _ | None, _ -> ());
-  let worker_id = match ctx with Some (c : ctx) -> c.worker_id | None -> 0 in
-  let wname suffix = Printf.sprintf "server.worker.%d.%s" worker_id suffix in
+  let wname suffix = Printf.sprintf "server.worker.%d.%s" ctx.worker_id suffix in
   {
     cfg = config;
     repo;
     ctx;
-    worker_id;
     trees = Hashtbl.create 8;
     sessions = Hashtbl.create 16;
-    started_at = Unix.gettimeofday ();
-    next_session = 1;
     active = 0;
     m_requests = Metrics.counter "server.requests";
     m_errors = Metrics.counter "server.errors";
     m_timeouts = Metrics.counter "server.timeouts";
     m_accepted = Metrics.counter "server.sessions.accepted";
-    m_rejected = Metrics.counter "server.sessions.rejected";
     m_closed = Metrics.counter "server.sessions.closed";
     m_active = Metrics.gauge "server.sessions.active";
     m_sess_requests = Metrics.counter "server.session.requests";
@@ -239,7 +230,6 @@ let repo t = t.repo
 let active_sessions t = t.active
 let session_id s = s.id
 let session_requests s = s.requests
-let worker_id t = t.worker_id
 
 type reply = {
   body : string;
@@ -257,12 +247,11 @@ let render_wire (resp : Response.t) =
 
 (* ----------------------------- Sessions ---------------------------- *)
 
-let fleet_active t =
-  match t.ctx with Some c -> c.fleet_active () | None -> t.active
+let fleet_active t = Atomic.get t.ctx.active
 
 let row_of_session t s =
   {
-    r_worker = t.worker_id;
+    r_worker = t.ctx.worker_id;
     r_session = s.id;
     r_tree = Option.map Stored_tree.name s.tree;
     r_requests = s.requests;
@@ -276,68 +265,34 @@ let row_of_session t s =
 let live_rows t =
   Hashtbl.fold (fun _ s acc -> row_of_session t s :: acc) t.sessions []
 
-(* Fleet mode: push this worker's current accounting into its published
-   slot so any sibling answering TOP sees it. Called after every handled
-   request and on session close — rows per worker are bounded by its
-   session count, so this is a cheap list build. *)
-let publish t =
-  match t.ctx with
-  | Some c -> c.publish_sessions (live_rows t)
-  | None -> ()
+(* Offer this worker's current accounting to its peers so any sibling
+   answering TOP sees it. Called after every handled request and on
+   session close; rows per worker are bounded by its session count. *)
+let publish t = t.ctx.publish_sessions (fun () -> live_rows t)
 
-let rejection_message ~active ~max_sessions =
-  Printf.sprintf "session limit reached (%d active, max %d)" active max_sessions
-
-let rejection_body ~active ~max_sessions =
-  Wire.error Response.Session_limit (rejection_message ~active ~max_sessions)
-
-let make_session id =
-  {
-    id;
-    started_at = Unix.gettimeofday ();
-    tree = None;
-    rng = Prng.create 0;
-    requests = 0;
-    ms = 0.0;
-    pages = 0;
-    bytes_out = 0;
-    last_line = "";
-    closed = false;
-  }
-
-let open_session t =
-  if t.active >= t.cfg.max_sessions then begin
-    Metrics.Counter.incr t.m_rejected;
-    Log.info (fun m ->
-        m "session rejected: %d active (limit %d)" t.active t.cfg.max_sessions);
-    Error
-      {
-        body = rejection_body ~active:t.active ~max_sessions:t.cfg.max_sessions;
-        close = true;
-      }
-  end
-  else begin
-    let id = t.next_session in
-    t.next_session <- id + 1;
-    t.active <- t.active + 1;
-    Metrics.Counter.incr t.m_accepted;
-    Metrics.Gauge.set t.m_active (float_of_int (fleet_active t));
-    Log.debug (fun m -> m "session=%d opened (%d active)" id t.active);
-    let s = make_session id in
-    Hashtbl.replace t.sessions id s;
-    Ok s
-  end
-
-(* Fleet path: admission control and id allocation already happened in
-   the coordinator (against the shared atomic), so the worker just
-   materialises the session. *)
+(* Admission control and id allocation already happened at accept
+   (against the shared atomic), so the core just materialises the
+   session. *)
 let accept_session t ~id =
   t.active <- t.active + 1;
   Metrics.Counter.incr t.m_accepted;
   Metrics.Gauge.set t.m_active (float_of_int (fleet_active t));
   Log.debug (fun m ->
-      m "session=%d accepted by worker %d (%d local)" id t.worker_id t.active);
-  let s = make_session id in
+      m "session=%d accepted by worker %d (%d local)" id t.ctx.worker_id t.active);
+  let s =
+    {
+      id;
+      started_at = Unix.gettimeofday ();
+      tree = None;
+      rng = Prng.create 0;
+      requests = 0;
+      ms = 0.0;
+      pages = 0;
+      bytes_out = 0;
+      last_line = "";
+      closed = false;
+    }
+  in
   Hashtbl.replace t.sessions id s;
   s
 
@@ -347,7 +302,7 @@ let close_session t s =
     Hashtbl.remove t.sessions s.id;
     t.active <- t.active - 1;
     Metrics.Counter.incr t.m_closed;
-    (match t.ctx with Some c -> c.on_session_closed () | None -> ());
+    Atomic.decr t.ctx.active;
     Metrics.Gauge.set t.m_active (float_of_int (fleet_active t));
     publish t;
     Log.debug (fun m -> m "session=%d closed after %d requests" s.id s.requests)
@@ -355,14 +310,12 @@ let close_session t s =
 
 (* --------------------------- Query recording ------------------------ *)
 
-(* The Query Repository is the one write path. A standalone core owns a
-   read-write repository and inserts directly; a fleet worker's
-   repository is read-only, so the row travels over the serialized
-   channel to the coordinator, which holds the only writable handle. *)
+(* The Query Repository is the one write path. A one-worker core serves
+   the read-write repository and inserts directly; a larger fleet's
+   workers hold read-only opens, so the row travels over the serialized
+   channel to the calling domain, which holds the only writable handle. *)
 let record t ?(cost = "") ~elapsed_ms ~pages ~text ~result () =
-  match t.ctx with
-  | Some c -> c.record_query ~elapsed_ms ~pages ~cost ~text ~result
-  | None -> ignore (Repo.record_query t.repo ~elapsed_ms ~pages ~cost ~text ~result)
+  t.ctx.record_query ~elapsed_ms ~pages ~cost ~text ~result
 
 (* ----------------------------- Handlers ---------------------------- *)
 
@@ -631,16 +584,12 @@ let top t =
   (* This worker's rows come from the live session table (so the TOP
      request itself is already visible as a session's last line); peers
      contribute their most recently published snapshots. *)
-  let peers = match t.ctx with Some c -> c.peer_sessions () | None -> [] in
-  let rows = live_rows t @ peers |> List.sort compare_rows in
-  let started_at =
-    match t.ctx with Some c -> c.fleet_started_at | None -> t.started_at
-  in
+  let rows = live_rows t @ t.ctx.peer_sessions () |> List.sort compare_rows in
   Response.ok
     [
-      ("uptime_s", Json.Num (now -. started_at));
+      ("uptime_s", Json.Num (now -. t.ctx.started_at));
       ("active", num (fleet_active t));
-      ("workers", num (match t.ctx with Some c -> c.workers | None -> 1));
+      ("workers", num t.ctx.workers);
       ("requests", num (Metrics.Counter.value t.m_requests));
       ("sessions", Json.List (List.map (row_to_json now) rows));
     ]
@@ -653,7 +602,7 @@ let stats _t =
    peer's published ring by timestamp (newest first). Each record's
    per-worker provenance rides in its meta ("worker": id). *)
 let slowlog t n =
-  let peers = match t.ctx with Some c -> c.peer_obs () | None -> [] in
+  let peers = t.ctx.peer_obs () in
   let rings = Trace.slowlog () :: List.map (fun s -> s.o_slow) peers in
   let entries = Crimson_obs.Fleet.merge_records ?n rings in
   Response.ok
@@ -669,20 +618,17 @@ let slowlog t n =
 (* Republish this worker's ring slice when (or, [force]d by a peer's
    snapshot request, whether or not) the rings changed. *)
 let publish_obs ?(force = false) t =
-  match t.ctx with
-  | None -> ()
-  | Some c ->
-      let g = Trace.generation () in
-      if force || g <> t.last_obs_gen then begin
-        t.last_obs_gen <- g;
-        c.publish_obs
-          {
-            o_worker = t.worker_id;
-            o_generation = g;
-            o_slow = Trace.slowlog ();
-            o_recent = Trace.recent ();
-          }
-      end
+  let g = Trace.generation () in
+  if force || g <> t.last_obs_gen then begin
+    t.last_obs_gen <- g;
+    t.ctx.publish_obs (fun () ->
+        {
+          o_worker = t.ctx.worker_id;
+          o_generation = g;
+          o_slow = Trace.slowlog ();
+          o_recent = Trace.recent ();
+        })
+  end
 
 let metrics_reply _t =
   Crimson_obs.Runtime.refresh ();
@@ -999,7 +945,7 @@ let accounted t s ~line f =
     Trace.timed ~name:"server.request_ms"
       ~meta:
         [
-          ("worker", num t.worker_id);
+          ("worker", num t.ctx.worker_id);
           ("session", num s.id);
           ("request", num s.requests);
           ("line", Json.Str (truncate_line line));
@@ -1010,7 +956,7 @@ let accounted t s ~line f =
   Metrics.Histogram.observe t.mw_request_ms elapsed_ms;
   Metrics.Gauge.add t.m_sess_ms elapsed_ms;
   Log.debug (fun m ->
-      m "worker=%d session=%d req=%d %.3fms %s" t.worker_id s.id s.requests elapsed_ms
+      m "worker=%d session=%d req=%d %.3fms %s" t.ctx.worker_id s.id s.requests elapsed_ms
         (if String.length line > 80 then String.sub line 0 80 ^ "…" else line));
   resp
 
@@ -1047,12 +993,3 @@ let handle_http t s (r : Crimson_gateway.Http.request) =
   let body, close = Gateway.respond handlers r in
   account_bytes t s (String.length body);
   (body, close)
-
-(* Periodic maintenance, driven by the server loop between selects:
-   durability for the trace sink plus a debug heartbeat. *)
-let tick t =
-  Trace.flush ();
-  Log.debug (fun m ->
-      m "tick: %d active sessions, %d traces, %d slow" t.active
-        (Metrics.counter_value "obs.trace.records")
-        (Metrics.counter_value "obs.trace.slow"))

@@ -2,19 +2,25 @@
     own connections with no shared mutable state — sessions, warm
     {!Crimson_core.Stored_tree} handles (and through them per-worker
     node-view caches and buffer pools), and pre-created metric handles.
+    It owns no socket: {!Conn} feeds it lines and decoded HTTP requests.
 
-    A core runs in one of two modes:
+    Every core is worker [ctx.worker_id] of a fleet of [ctx.workers].
+    Admission happens at accept, before a session reaches the core
+    ({!accept_session}); everything that crosses domains — the Query
+    Repository write path, the shared admission count, TOP and SLOWLOG
+    visibility — goes through the {!ctx}. A one-worker fleet
+    ({!local_ctx}) serves the caller's read-write repository on the
+    calling domain; in a larger fleet ({!Coordinator}) each core serves
+    a private read-only open.
 
-    - {b standalone} ([create] without [?ctx]) — the single-worker
-      server and the unit tests. The core owns admission control,
-      session-id allocation, and writes query history directly into its
-      (read-write) repository. Behaviour is identical to the old
-      monolithic [Engine].
-    - {b fleet} ([create ~ctx]) — one of N worker domains behind a
-      {!Coordinator}. The core's repository is opened read-only; every
-      cross-domain concern (the Query Repository write path, fleet
-      admission accounting, TOP visibility) is routed through the
-      [ctx] closures the coordinator provides. *)
+    Telemetry: every handled request counts into [server.requests] and
+    the worker's [server.worker.<id>.requests] slice, and times into
+    [server.request_ms]; failures count into [server.errors], timeouts
+    into [server.timeouts], session churn into
+    [server.sessions.accepted]/[closed] and the
+    [server.sessions.active] gauge. Every request runs under
+    [Trace.timed], so its span tree lands in the trace ring, the
+    slowlog past [slowlog_ms], and any JSONL sink. *)
 
 type config = {
   max_sessions : int;  (** Reject new sessions beyond this many, fleet-wide. *)
@@ -23,12 +29,12 @@ type config = {
   slowlog_ms : float option;  (** Slow-query threshold; [None] disables the slowlog. *)
   trace_out : string option;  (** JSONL trace sink path ([None]: keep current sink). *)
   trace_max_bytes : int;  (** Sink rotation threshold. *)
-  flush_interval : float;  (** Seconds between maintenance ticks. *)
+  flush_interval : float;
+      (** Seconds between trace-sink fsyncs by the server loop. *)
   workers : int;
-      (** Worker domains serving requests. [1] (the default) keeps the
-          single-threaded server; [n >= 2] runs the coordinator with [n]
-          shared-nothing worker domains (requires a persistent, on-disk
-          repository). *)
+      (** Worker cores serving requests. [1] (the default) serves on the
+          calling domain; [n >= 2] runs [n] shared-nothing worker
+          domains (requires a persistent, on-disk repository). *)
   obs_listen : Wire.addr option;
       (** Address for the HTTP observability endpoint ([/metrics],
           [/healthz], [/varz], [/slowlog]); [None] (default) disables
@@ -53,11 +59,15 @@ type config = {
 }
 
 val default_config : config
+(** 64 sessions, 5 s timeout, 64 KiB lines, no slowlog, no trace sink
+    (64 MiB rotation cap when one is set), 5 s flush interval, 1
+    worker, no obs endpoint or gateway, 10 s stall-after with factor 4,
+    no event journal, debug verbs off. *)
 
 val auto_workers : unit -> int
 (** The fleet size [--workers auto] resolves to: the runtime's
-    recommended domain count minus one (the coordinator's accept loop
-    runs on the spawning domain), floored at one worker. *)
+    recommended domain count minus one (the accept loop keeps the
+    calling domain), floored at one worker. *)
 
 type t
 (** One worker core. Not thread-safe: a core and all its sessions are
@@ -103,11 +113,10 @@ type obs_slice = {
 type ctx = {
   worker_id : int;  (** 1-based id of this worker within the fleet. *)
   workers : int;  (** Fleet size. *)
-  fleet_started_at : float;  (** Coordinator start time, for TOP uptime. *)
-  fleet_active : unit -> int;  (** Fleet-wide live session count. *)
-  on_session_closed : unit -> unit;
-      (** Called once per session close, so the coordinator can release
-          the admission slot. *)
+  started_at : float;  (** Server start time, for TOP uptime. *)
+  active : int Atomic.t;
+      (** Fleet-wide live sessions: charged at accept, released by
+          {!close_session}. *)
   record_query :
     elapsed_ms:float ->
     pages:int ->
@@ -115,54 +124,48 @@ type ctx = {
     text:string ->
     result:string ->
     unit;
-      (** The serialized Query Repository write path: enqueue one
-          history row for the coordinator (the only writer) to insert. *)
-  publish_sessions : session_row list -> unit;
-      (** Publish this worker's current session rows for fleet TOP. *)
+      (** The Query Repository write path: one history row. *)
+  publish_sessions : (unit -> session_row list) -> unit;
+      (** Offer this worker's current session rows for fleet TOP. *)
   peer_sessions : unit -> session_row list;
       (** The other workers' most recently published rows. *)
-  publish_obs : obs_slice -> unit;
-      (** Publish this worker's trace/slowlog ring slice (and ack any
+  publish_obs : (unit -> obs_slice) -> unit;
+      (** Offer this worker's trace/slowlog ring slice (and ack any
           pending snapshot request). *)
   peer_obs : unit -> obs_slice list;
       (** Request fresh ring slices from the other workers (bounded
           wait; a wedged worker contributes its last published
           slice). *)
 }
-(** The fleet context a coordinator injects into each worker core; see
-    {!create}. *)
+(** The fleet context of one core. Publications are thunks: a fleet
+    without peers never forces them. *)
 
-val create : ?config:config -> ?ctx:ctx -> Crimson_core.Repo.t -> t
-(** Build a core over an open repository. Without [?ctx] the core is
-    standalone (owns admission and the history write path). With [?ctx]
-    the core is one fleet worker: [repo] should be a read-only handle
-    and the trace sink is left to the coordinator (an explicit
-    [trace_out] is ignored — the coordinator installs the shared sink
-    once, before spawning workers). *)
+val local_ctx : ?active:int Atomic.t -> Crimson_core.Repo.t -> ctx
+(** The one-worker fleet: worker 1 of 1, history rows written straight
+    into the given (read-write) repository, no peers. [active] is the
+    admission count to release sessions into (fresh by default). *)
+
+val create : ?config:config -> ctx -> Crimson_core.Repo.t -> t
+(** Build a core over an open repository — the one the [ctx] expects:
+    read-write for {!local_ctx}, a private read-only open in a larger
+    fleet. Sets the slowlog threshold; the trace sink and event journal
+    are the server's to install. *)
 
 val config : t -> config
 val repo : t -> Crimson_core.Repo.t
-
-val worker_id : t -> int
-(** This core's fleet id; [0] for a standalone core. *)
 
 type reply = {
   body : string;  (** Complete response line(s), newline-terminated. *)
   close : bool;  (** Close the connection after writing [body]. *)
 }
 
-val open_session :
-  t -> (session, reply) result
-(** Standalone admission: [Error reply] when [max_sessions] live
-    sessions exist — write [reply.body] and close. *)
-
 val accept_session : t -> id:int -> session
-(** Fleet admission: the coordinator already charged the shared
-    admission count and allocated [id]; just materialise the session. *)
+(** Materialise session [id]. Admission happened at accept: the caller
+    already charged [ctx.active]. *)
 
 val close_session : t -> session -> unit
-(** Idempotent; releases the session (and, in a fleet, its admission
-    slot via [ctx.on_session_closed]). *)
+(** Idempotent; releases the session and its admission slot in
+    [ctx.active]. *)
 
 val session_id : session -> int
 val session_requests : session -> int
@@ -201,22 +204,10 @@ val protocol_error : t -> session -> string -> reply
 (** Reply for transport-level violations (oversized line, NUL byte):
     counted as an error, [close = true]. *)
 
-val tick : t -> unit
-(** Periodic maintenance (trace-sink flush); call between selects. *)
-
 val publish_obs : ?force:bool -> t -> unit
 (** Publish this worker's ring slice through [ctx.publish_obs] when the
     rings changed since the last publication (tracked by
     {!Crimson_obs.Trace.generation}); [~force:true] republishes — and
-    thereby acks a pending snapshot request — even when unchanged.
-    No-op for a standalone core. *)
-
-val rejection_body : active:int -> max_sessions:int -> string
-(** The exact over-limit error line, shared with the coordinator so a
-    fleet rejects with byte-identical text. *)
-
-val rejection_message : active:int -> max_sessions:int -> string
-(** The bare over-limit message, for front ends that frame it
-    themselves (the HTTP gateway's 503). *)
+    thereby acks a pending snapshot request — even when unchanged. *)
 
 val src : Logs.src

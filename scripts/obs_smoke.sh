@@ -1,10 +1,11 @@
 #!/bin/sh
-# CLI-level smoke for the fleet health plane: boot `crimson serve
-# --workers 4` with the HTTP observability endpoint, wait for /healthz
-# to answer 200 via `crimson health`, push a small query burst through
-# `crimson connect`, then scrape /metrics and require the merged
-# server.requests counter to equal the sum of the per-worker slices at
-# quiescence. Finishes with a clean SIGTERM drain.
+# CLI-level smoke for the fleet health plane, at each worker count given
+# on the command line (`obs_smoke.sh 1 4`): boot `crimson serve` with
+# the HTTP observability endpoint, wait for /healthz to answer 200 via
+# `crimson health`, push a small query burst through `crimson connect`,
+# then scrape /metrics and require the merged server.requests counter
+# to equal the sum of the per-worker slices at quiescence. Finishes
+# with a clean SIGTERM drain.
 set -eu
 
 BIN=${CRIMSON_BIN:-_build/default/bin/crimson.exe}
@@ -14,68 +15,71 @@ trap 'rm -rf "$WORK"' EXIT
 "$BIN" simulate --model yule --leaves 200 --seed 7 -o "$WORK/t.nex" >/dev/null
 "$BIN" load -r "$WORK/repo" -n smoke -f 8 "$WORK/t.nex" >/dev/null
 
-SOCK="$WORK/s.sock"
-OBS="$WORK/obs.sock"
-"$BIN" serve -r "$WORK/repo" --listen "unix:$SOCK" --workers 4 \
-    --obs-listen "unix:$OBS" --max-sessions 8 &
-PID=$!
+for W in "$@"; do
+    SOCK="$WORK/s$W.sock"
+    OBS="$WORK/obs$W.sock"
+    "$BIN" serve -r "$WORK/repo" --listen "unix:$SOCK" --workers "$W" \
+        --obs-listen "unix:$OBS" --max-sessions 8 &
+    PID=$!
 
-# Health-gate the boot: the endpoint answers as soon as the socket
-# binds, but /healthz only reports 200 once every worker has a
-# heartbeat.
-i=0
-until "$BIN" health --to "unix:$OBS" >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "obs-smoke: /healthz never answered 200" >&2
-        kill -9 "$PID" 2>/dev/null || true
+    # Health-gate the boot: the endpoint answers as soon as the socket
+    # binds, but /healthz only reports 200 once every worker has a
+    # heartbeat.
+    i=0
+    until "$BIN" health --to "unix:$OBS" >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "obs-smoke: /healthz never answered 200 (workers=$W)" >&2
+            kill -9 "$PID" 2>/dev/null || true
+            exit 1
+        fi
+        sleep 0.05
+    done
+
+    # A burst of real requests spread across the fleet.
+    for _ in 1 2 3; do
+        "$BIN" connect --to "unix:$SOCK" \
+            'HELLO' 'USE smoke' 'QUERY lca(T0, T7)' 'QUERY distance(T0, T9)' \
+            'STATS' 'QUIT' >/dev/null
+    done
+
+    METRICS=$("$BIN" health --to "unix:$OBS" --get /metrics)
+
+    # The merged counter must equal the sum of the per-worker slices
+    # once the burst has drained (slices increment before the fleet
+    # total, so anything else means the merge lost or invented
+    # requests).
+    printf '%s\n' "$METRICS" | awk -v w="$W" '
+        $1 == "crimson_server_requests" { merged = $2 }
+        $1 ~ /^crimson_server_worker_[0-9]+_requests$/ { slices += $2 }
+        END {
+            if (merged == "" || slices == 0) {
+                print "obs-smoke: exposition lacks request counters" > "/dev/stderr"
+                exit 1
+            }
+            if (merged != slices) {
+                printf "obs-smoke: workers=%d merged %d != sum of slices %d\n", \
+                    w, merged, slices > "/dev/stderr"
+                exit 1
+            }
+            printf "obs-smoke: workers=%d merged server.requests %d = sum of %s\n", \
+                w, merged, "worker slices"
+        }
+    '
+
+    # The other routes answer and carry the expected shapes.
+    "$BIN" health --to "unix:$OBS" --get /varz | grep -q '"workers"'
+    "$BIN" health --to "unix:$OBS" --get /slowlog | grep -q '"entries"'
+    "$BIN" health --to "unix:$OBS" --json | grep -q '"healthy":true'
+
+    kill -TERM "$PID"
+    if ! wait "$PID"; then
+        echo "obs-smoke: server exited non-zero on SIGTERM (workers=$W)" >&2
         exit 1
     fi
-    sleep 0.05
+    if [ -e "$OBS" ]; then
+        echo "obs-smoke: observability socket not removed on shutdown (workers=$W)" >&2
+        exit 1
+    fi
+    echo "obs-smoke: workers=$W ok"
 done
-
-# A burst of real requests spread across the fleet.
-for _ in 1 2 3; do
-    "$BIN" connect --to "unix:$SOCK" \
-        'HELLO' 'USE smoke' 'QUERY lca(T0, T7)' 'QUERY distance(T0, T9)' \
-        'STATS' 'QUIT' >/dev/null
-done
-
-METRICS=$("$BIN" health --to "unix:$OBS" --get /metrics)
-
-# The merged counter must equal the sum of the per-worker slices once
-# the burst has drained (slices increment before the fleet total, so
-# anything else means the merge lost or invented requests).
-printf '%s\n' "$METRICS" | awk '
-    $1 == "crimson_server_requests" { merged = $2 }
-    $1 ~ /^crimson_server_worker_[0-9]+_requests$/ { slices += $2 }
-    END {
-        if (merged == "" || slices == 0) {
-            print "obs-smoke: exposition lacks request counters" > "/dev/stderr"
-            exit 1
-        }
-        if (merged != slices) {
-            printf "obs-smoke: merged %d != sum of slices %d\n", \
-                merged, slices > "/dev/stderr"
-            exit 1
-        }
-        printf "obs-smoke: merged server.requests %d = sum of %s\n", \
-            merged, "worker slices"
-    }
-'
-
-# The other routes answer and carry the expected shapes.
-"$BIN" health --to "unix:$OBS" --get /varz | grep -q '"workers"'
-"$BIN" health --to "unix:$OBS" --get /slowlog | grep -q '"entries"'
-"$BIN" health --to "unix:$OBS" --json | grep -q '"healthy":true'
-
-kill -TERM "$PID"
-if ! wait "$PID"; then
-    echo "obs-smoke: server exited non-zero on SIGTERM" >&2
-    exit 1
-fi
-if [ -e "$OBS" ]; then
-    echo "obs-smoke: observability socket not removed on shutdown" >&2
-    exit 1
-fi
-echo "obs-smoke: ok"

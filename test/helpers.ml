@@ -114,6 +114,34 @@ let connect_when_listening ~deadline path =
   in
   attempt ()
 
+(* Send [request] verbatim on a fresh connection to [sockaddr] and read
+   until the server closes. A reset counts as an error even after reply
+   bytes arrived, so a test can tell a clean close from a dropped
+   connection. Each read waits at most 5 s. *)
+let raw_exchange sockaddr request =
+  let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        Unix.connect fd sockaddr;
+        ignore (Unix.write_substring fd request 0 (String.length request));
+        let buf = Buffer.create 512 in
+        let chunk = Bytes.create 4096 in
+        let rec read_all () =
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Buffer.contents buf
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              read_all ()
+        in
+        read_all ()
+      with
+      | reply -> Ok reply
+      | exception Unix.Unix_error (e, fn, _) ->
+          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+
 let tree_testable =
   Alcotest.testable
     (fun ppf t -> Format.fprintf ppf "<tree %d nodes>" (Tree.node_count t))

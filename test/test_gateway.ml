@@ -15,9 +15,10 @@ module Loader = Crimson_core.Loader
 module Models = Crimson_sim.Models
 module Prng = Crimson_util.Prng
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
 module Http_client = Crimson_server.Http_client
+module Client = Crimson_server.Client
 
 let check = Alcotest.check
 
@@ -294,10 +295,13 @@ let build_repo dir =
   ignore (Loader.load_tree ~f:4 repo ~name:"silver" t2);
   Repo.close repo
 
-(* Fork a server over [dir]; returns (pid, wire socket, http socket). *)
-let fork_server ?(workers = 1) dir =
+(* Fork a server over [dir]; returns (pid, wire socket, http address).
+   The gateway listens on a Unix socket in [dir] unless [http] names
+   another address. *)
+let fork_server ?(workers = 1) ?(max_sessions = 16) ?http dir =
   let sock = Filename.concat dir "wire.sock" in
   let hsock = Filename.concat dir "http.sock" in
+  let haddr = match http with Some a -> a | None -> Wire.Unix_path hsock in
   flush stdout;
   flush stderr;
   let pid =
@@ -308,11 +312,11 @@ let fork_server ?(workers = 1) dir =
         let repo = Repo.open_dir ~create:false dir in
         let config =
           {
-            Engine.default_config with
-            Engine.workers;
-            max_sessions = 16;
+            Worker_core.default_config with
+            Worker_core.workers;
+            max_sessions;
             request_timeout = 10.0;
-            http_listen = Some (Wire.Unix_path hsock);
+            http_listen = Some haddr;
           }
         in
         Fun.protect
@@ -321,13 +325,27 @@ let fork_server ?(workers = 1) dir =
         Unix._exit 0
     | pid -> pid
   in
-  (* Both probes are closed at once: no test here fills the 16-session
-     admission limit. *)
+  (* The gateway binds before the wire socket accepts, so a wire probe
+     covers a TCP gateway too. Both probes are closed at once; a test
+     that fills the admission limit waits for their slots to return. *)
   let deadline = Unix.gettimeofday () +. 15.0 in
   Unix.close (Helpers.connect_when_listening ~deadline sock);
-  Unix.close (Helpers.connect_when_listening ~deadline hsock);
-  check Alcotest.bool "gateway socket appears" true (Sys.file_exists hsock);
-  (pid, Wire.Unix_path sock, Wire.Unix_path hsock)
+  if http = None then begin
+    Unix.close (Helpers.connect_when_listening ~deadline hsock);
+    check Alcotest.bool "gateway socket appears" true (Sys.file_exists hsock)
+  end;
+  (pid, Wire.Unix_path sock, haddr)
+
+(* A loopback port that was free a moment ago, for a TCP listener. *)
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> assert false)
 
 let stop_server pid =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -501,6 +519,61 @@ let test_e2e_mutation_invalidates () =
       check Alcotest.string "untouched tree keeps its tag" gold_before
         gold_after)
 
+(* Admission at the HTTP front door: with the only session slot held
+   over the wire, a GET must read a well-formed 503 carrying the
+   structured session_limit error, not a reset connection. Over TCP a
+   server that closes with the request still unread resets the
+   connection, and the reset can destroy the reply. *)
+let over_limit_503 ~workers () =
+  with_temp_dir (fun dir ->
+      build_repo dir;
+      let http = Wire.Tcp ("127.0.0.1", free_port ()) in
+      let pid, wire, haddr = fork_server ~workers ~max_sessions:1 ~http dir in
+      Fun.protect
+        ~finally:(fun () -> stop_server pid)
+        (fun () ->
+          (* The readiness probes' slot is released asynchronously, so
+             retry until the held session is admitted. *)
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          let rec hold () =
+            let c = Client.connect wire in
+            match Client.request c "HELLO" with
+            | reply when Client.ok reply -> c
+            | _ | (exception Client.Connection_error _) ->
+                Client.close c;
+                if Unix.gettimeofday () >= deadline then
+                  Alcotest.fail "no admission slot freed within 5s";
+                ignore (Unix.select [] [] [] 0.05);
+                hold ()
+          in
+          let held = hold () in
+          Fun.protect
+            ~finally:(fun () -> Client.close held)
+            (fun () ->
+              (match Http_client.get haddr "/v1/trees" with
+              | Ok r ->
+                  check Alcotest.int "over-limit status" 503
+                    r.Http_client.status;
+                  check Alcotest.bool "session_limit code" true
+                    (contains "\"code\":\"session_limit\"" r.Http_client.body)
+              | Error e -> Alcotest.failf "over-limit GET failed: %s" e);
+              (* Reading on to the end must find a clean close. *)
+              let port =
+                match haddr with Wire.Tcp (_, p) -> p | Wire.Unix_path _ -> 0
+              in
+              match
+                Helpers.raw_exchange
+                  (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+                  "GET /v1/trees HTTP/1.1\r\nHost: crimson\r\n\r\n"
+              with
+              | Ok raw ->
+                  check Alcotest.bool "503 then a clean close" true
+                    (contains " 503 " raw && contains "session_limit" raw)
+              | Error e -> Alcotest.failf "over-limit connection dropped: %s" e)))
+
+let test_e2e_over_limit_single () = over_limit_503 ~workers:1 ()
+let test_e2e_over_limit_fleet () = over_limit_503 ~workers:4 ()
+
 let () =
   Alcotest.run "crimson_gateway"
     [
@@ -532,5 +605,9 @@ let () =
             test_e2e_stable_across_workers;
           Alcotest.test_case "mutation invalidates etags" `Quick
             test_e2e_mutation_invalidates;
+          Alcotest.test_case "over-limit GET gets 503 (1 worker)" `Quick
+            test_e2e_over_limit_single;
+          Alcotest.test_case "over-limit GET gets 503 (4 workers)" `Quick
+            test_e2e_over_limit_fleet;
         ] );
     ]

@@ -1,8 +1,9 @@
 (* Tests for the Crimson query service: wire framing and command
-   parsing, the protocol engine's session state and admission control,
-   repository-open failure modes, and an end-to-end smoke test that
-   forks a real server on a Unix socket, drives it from concurrent
-   client processes, and checks answers against direct library calls. *)
+   parsing, listening-socket takeover rules, the worker core's session
+   state, repository-open failure modes, and end-to-end tests that fork
+   a real server on a Unix socket, drive it from concurrent client
+   processes (including admission control), and check answers against
+   direct library calls. *)
 
 module Tree = Crimson_tree.Tree
 module Repo = Crimson_core.Repo
@@ -14,10 +15,11 @@ module Prng = Crimson_util.Prng
 module Json = Crimson_obs.Json
 module Metrics = Crimson_obs.Metrics
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
 module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
+module Conn = Crimson_server.Conn
 module Client = Crimson_server.Client
+module Http_client = Crimson_server.Http_client
 module Collection = Crimson_collection.Collection
 module Coll_lang = Crimson_collection.Coll_lang
 
@@ -126,7 +128,21 @@ let load_test_repo () =
   let stored = (Loader.load_tree ~f:4 repo ~name:"gold" tree).Loader.tree in
   (repo, stored)
 
-let body (r : Engine.reply) = r.Engine.body
+(* A core built the way the one-worker server builds it. Admission
+   happens at accept in the server; [open_session] charges the slot the
+   same way before the core materialises the session. *)
+let core ?config repo =
+  let active = Atomic.make 0 in
+  let t = Worker_core.create ?config (Worker_core.local_ctx ~active repo) repo in
+  let next_id = ref 0 in
+  let open_session () =
+    Atomic.incr active;
+    incr next_id;
+    Worker_core.accept_session t ~id:!next_id
+  in
+  (t, open_session)
+
+let body (r : Worker_core.reply) = r.Worker_core.body
 
 let reply_json r = Json.parse (String.trim (body r))
 
@@ -159,83 +175,70 @@ let expect_err r =
 
 let test_engine_sessions () =
   let repo, stored = load_test_repo () in
-  let config = { Engine.default_config with Engine.max_sessions = 2 } in
-  let t = Engine.create ~config repo in
-  let s1 = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "s1" in
-  let s2 = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "s2" in
-  check Alcotest.int "two active" 2 (Engine.active_sessions t);
-  (* Admission control: the third session is rejected with a closing
-     protocol error, and the engine stays at two. *)
-  (match Engine.open_session t with
-  | Ok _ -> Alcotest.fail "third session should be rejected"
-  | Error r ->
-      check Alcotest.bool "rejection closes" true r.Engine.close;
-      ignore (expect_err r);
-      check Alcotest.bool "rejection names the limit" true (contains "limit" (body r)));
+  let t, open_session = core repo in
+  let s1 = open_session () in
+  let s2 = open_session () in
+  check Alcotest.int "two active" 2 (Worker_core.active_sessions t);
   (* HELLO reports the session id and stored trees. *)
-  let r = expect_ok (Engine.handle_line t s1 "HELLO") in
+  let r = expect_ok (Worker_core.handle_line t s1 "HELLO") in
   check Alcotest.bool "hello lists gold" true (contains "gold" (body r));
   (match field "session" r with
-  | Json.Num v -> check Alcotest.int "session id" (Engine.session_id s1) (int_of_float v)
+  | Json.Num v -> check Alcotest.int "session id" (Worker_core.session_id s1) (int_of_float v)
   | _ -> Alcotest.fail "session id not a number");
   (* QUERY before USE is a protocol error that keeps the session. *)
-  let r = expect_err (Engine.handle_line t s1 "QUERY info()") in
+  let r = expect_err (Worker_core.handle_line t s1 "QUERY info()") in
   check Alcotest.bool "names USE" true (contains "USE" (body r));
-  check Alcotest.bool "keeps session" false r.Engine.close;
+  check Alcotest.bool "keeps session" false r.Worker_core.close;
   (* USE unknown tree errors; USE gold works and reports shape. *)
-  ignore (expect_err (Engine.handle_line t s1 "USE nope"));
-  let r = expect_ok (Engine.handle_line t s1 "USE gold") in
+  ignore (expect_err (Worker_core.handle_line t s1 "USE nope"));
+  let r = expect_ok (Worker_core.handle_line t s1 "USE gold") in
   (match field "leaves" r with
   | Json.Num v ->
       check Alcotest.int "leaf count" (Stored_tree.leaf_count stored) (int_of_float v)
   | _ -> Alcotest.fail "leaves not a number");
   (* Queries match direct library calls, including seeded sampling. *)
-  ignore (expect_ok (Engine.handle_line t s1 "SEED 5"));
+  ignore (expect_ok (Worker_core.handle_line t s1 "SEED 5"));
   let direct q =
     match Query_lang.run ~rng:(Prng.create 5) ~record:false repo stored q with
     | Ok o -> o.Query_lang.result
     | Error e -> Alcotest.failf "direct query failed: %s" e
   in
   let served q =
-    match field "result" (expect_ok (Engine.handle_line t s1 ("QUERY " ^ q))) with
+    match field "result" (expect_ok (Worker_core.handle_line t s1 ("QUERY " ^ q))) with
     | Json.Str s -> s
     | _ -> Alcotest.fail "result not a string"
   in
   check Alcotest.string "sample(3) deterministic" (direct "sample(3)") (served "sample(3)");
   check Alcotest.string "lca" (direct "lca(T0, T7)") (served "lca(T0, T7)");
   (* Sessions are independent: s2 still has no tree. *)
-  ignore (expect_err (Engine.handle_line t s2 "QUERY info()"));
+  ignore (expect_err (Worker_core.handle_line t s2 "QUERY info()"));
   (* Malformed input is an error reply, never a crash, session kept. *)
-  let r = expect_err (Engine.handle_line t s1 "QUERY lca(((((") in
-  check Alcotest.bool "malformed keeps session" false r.Engine.close;
-  ignore (expect_err (Engine.handle_line t s1 "BOGUS"));
-  ignore (expect_err (Engine.handle_line t s1 ""));
+  let r = expect_err (Worker_core.handle_line t s1 "QUERY lca(((((") in
+  check Alcotest.bool "malformed keeps session" false r.Worker_core.close;
+  ignore (expect_err (Worker_core.handle_line t s1 "BOGUS"));
+  ignore (expect_err (Worker_core.handle_line t s1 ""));
   (* STATS carries the registry, including server counters. *)
-  let r = expect_ok (Engine.handle_line t s2 "STATS") in
+  let r = expect_ok (Worker_core.handle_line t s2 "STATS") in
   check Alcotest.bool "stats has registry" true (contains "server.requests" (body r));
   (* QUIT closes; close_session is idempotent and decrements. *)
-  let r = expect_ok (Engine.handle_line t s1 "QUIT") in
-  check Alcotest.bool "quit closes" true r.Engine.close;
-  Engine.close_session t s1;
-  Engine.close_session t s1;
-  check Alcotest.int "one active" 1 (Engine.active_sessions t);
-  (* A slot freed by QUIT admits a new session. *)
-  (match Engine.open_session t with
-  | Ok s3 -> Engine.close_session t s3
-  | Error _ -> Alcotest.fail "freed slot should admit");
-  Engine.close_session t s2;
-  check Alcotest.int "none active" 0 (Engine.active_sessions t)
+  let r = expect_ok (Worker_core.handle_line t s1 "QUIT") in
+  check Alcotest.bool "quit closes" true r.Worker_core.close;
+  Worker_core.close_session t s1;
+  Worker_core.close_session t s1;
+  check Alcotest.int "one active" 1 (Worker_core.active_sessions t);
+  Worker_core.close_session t s2;
+  check Alcotest.int "none active" 0 (Worker_core.active_sessions t)
 
 let test_engine_metrics () =
   Metrics.reset_all ();
   let repo, _stored = load_test_repo () in
-  let t = Engine.create repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
-  ignore (Engine.handle_line t s "HELLO");
-  ignore (Engine.handle_line t s "USE gold");
-  ignore (Engine.handle_line t s "QUERY lca(T0, T1)");
-  ignore (Engine.handle_line t s "NOT A COMMAND");
-  Engine.close_session t s;
+  let t, open_session = core repo in
+  let s = open_session () in
+  ignore (Worker_core.handle_line t s "HELLO");
+  ignore (Worker_core.handle_line t s "USE gold");
+  ignore (Worker_core.handle_line t s "QUERY lca(T0, T1)");
+  ignore (Worker_core.handle_line t s "NOT A COMMAND");
+  Worker_core.close_session t s;
   check Alcotest.int "requests counted" 4 (Metrics.counter_value "server.requests");
   check Alcotest.int "errors counted" 1 (Metrics.counter_value "server.errors");
   check Alcotest.int "accepted" 1 (Metrics.counter_value "server.sessions.accepted");
@@ -252,28 +255,28 @@ let test_engine_metrics () =
    grammar and engine can produce. *)
 let test_explain_profile_top () =
   let repo, _stored = load_test_repo () in
-  let t = Engine.create repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
+  let t, open_session = core repo in
+  let s = open_session () in
   (* Before USE: tree-dependent verbs refuse, TOP still answers. *)
-  ignore (expect_err (Engine.handle_line t s "EXPLAIN lca(T0, T1)"));
-  ignore (expect_err (Engine.handle_line t s "PROFILE lca(T0, T1)"));
-  ignore (expect_ok (Engine.handle_line t s "TOP"));
-  ignore (expect_ok (Engine.handle_line t s "USE gold"));
+  ignore (expect_err (Worker_core.handle_line t s "EXPLAIN lca(T0, T1)"));
+  ignore (expect_err (Worker_core.handle_line t s "PROFILE lca(T0, T1)"));
+  ignore (expect_ok (Worker_core.handle_line t s "TOP"));
+  ignore (expect_ok (Worker_core.handle_line t s "USE gold"));
   (* EXPLAIN: a plan is a non-empty list of strings; nothing recorded. *)
   let before = List.length (Repo.history repo) in
-  let r = expect_ok (Engine.handle_line t s "EXPLAIN lca(T0, T1)") in
+  let r = expect_ok (Worker_core.handle_line t s "EXPLAIN lca(T0, T1)") in
   (match field "plan" r with
   | Json.List (Json.Str _ :: _) -> ()
   | _ -> Alcotest.failf "plan not a string list: %s" (body r));
   check Alcotest.int "explain records nothing" before (List.length (Repo.history repo));
   (* Error paths: empty argument (wire grammar), malformed query, and
      unknown species (execution-level resolution). *)
-  ignore (expect_err (Engine.handle_line t s "EXPLAIN"));
-  ignore (expect_err (Engine.handle_line t s "PROFILE"));
-  ignore (expect_err (Engine.handle_line t s "TOP extra"));
-  ignore (expect_err (Engine.handle_line t s "EXPLAIN lca((((("));
-  ignore (expect_err (Engine.handle_line t s "PROFILE lca((((("));
-  ignore (expect_err (Engine.handle_line t s "PROFILE lca(Nope, T1)"));
+  ignore (expect_err (Worker_core.handle_line t s "EXPLAIN"));
+  ignore (expect_err (Worker_core.handle_line t s "PROFILE"));
+  ignore (expect_err (Worker_core.handle_line t s "TOP extra"));
+  ignore (expect_err (Worker_core.handle_line t s "EXPLAIN lca((((("));
+  ignore (expect_err (Worker_core.handle_line t s "PROFILE lca((((("));
+  ignore (expect_err (Worker_core.handle_line t s "PROFILE lca(Nope, T1)"));
   (* PROFILE: the report's pages must equal the reply's pager-counted
      pages, and a warm repeat must be deterministic. *)
   let profile_pages r =
@@ -292,12 +295,12 @@ let test_explain_profile_top () =
     in
     (stage_counter "pager_hits" + stage_counter "pager_misses", reply_pages)
   in
-  ignore (expect_ok (Engine.handle_line t s "QUERY lca(T0, T7)"));
-  let r1 = expect_ok (Engine.handle_line t s "PROFILE lca(T0, T7)") in
+  ignore (expect_ok (Worker_core.handle_line t s "QUERY lca(T0, T7)"));
+  let r1 = expect_ok (Worker_core.handle_line t s "PROFILE lca(T0, T7)") in
   let report1, reply1 = profile_pages r1 in
   check Alcotest.int "profile pages match pager counters" reply1 report1;
   check Alcotest.bool "profiled query touched pages" true (reply1 > 0);
-  let r2 = expect_ok (Engine.handle_line t s "PROFILE lca(T0, T7)") in
+  let r2 = expect_ok (Worker_core.handle_line t s "PROFILE lca(T0, T7)") in
   let report2, reply2 = profile_pages r2 in
   check Alcotest.int "warm repeat: same pages (report)" report1 report2;
   check Alcotest.int "warm repeat: same pages (reply)" reply1 reply2;
@@ -308,14 +311,14 @@ let test_explain_profile_top () =
          q.text = "lca(T0, T7)" && String.length q.cost > 0 && q.cost.[0] = '{')
        (Repo.history repo));
   (* TOP: this session appears with its accumulated accounting. *)
-  let r = expect_ok (Engine.handle_line t s "TOP") in
+  let r = expect_ok (Worker_core.handle_line t s "TOP") in
   (match field "sessions" r with
   | Json.List rows ->
       let mine =
         List.find_opt
           (fun row ->
             match Json.member "session" row with
-            | Some (Json.Num v) -> int_of_float v = Engine.session_id s
+            | Some (Json.Num v) -> int_of_float v = Worker_core.session_id s
             | _ -> false)
           rows
       in
@@ -333,14 +336,14 @@ let test_explain_profile_top () =
           | _ -> Alcotest.fail "session row lacks last")
       | None -> Alcotest.fail "own session missing from TOP")
   | _ -> Alcotest.failf "sessions not a list: %s" (body r));
-  Engine.close_session t s;
+  Worker_core.close_session t s;
   (* A closed session leaves the TOP table. *)
-  let s2 = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "s2" in
-  let r = expect_ok (Engine.handle_line t s2 "TOP") in
+  let s2 = open_session () in
+  let r = expect_ok (Worker_core.handle_line t s2 "TOP") in
   (match field "sessions" r with
   | Json.List rows -> check Alcotest.int "only the live session" 1 (List.length rows)
   | _ -> Alcotest.fail "sessions not a list");
-  Engine.close_session t s2
+  Worker_core.close_session t s2
 
 (* An over-budget PROFILE line dies in the line buffer before the
    engine ever sees it — same poisoning contract as any other verb. *)
@@ -364,24 +367,24 @@ let test_request_timeout () =
   let repo = Repo.open_mem () in
   let tree = Models.caterpillar ~rng:(Prng.create 3) ~leaves:4000 () in
   ignore (Loader.load_tree ~f:8 repo ~name:"deep" tree);
-  let config = { Engine.default_config with Engine.request_timeout = 0.001 } in
-  let t = Engine.create ~config repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
-  ignore (expect_ok (Engine.handle_line t s "USE deep"));
-  let r = Engine.handle_line t s "QUERY project(T0, T1000, T2000, T3000, T3999)" in
+  let config = { Worker_core.default_config with Worker_core.request_timeout = 0.001 } in
+  let t, open_session = core ~config repo in
+  let s = open_session () in
+  ignore (expect_ok (Worker_core.handle_line t s "USE deep"));
+  let r = Worker_core.handle_line t s "QUERY project(T0, T1000, T2000, T3000, T3999)" in
   if is_ok r then
     (* Machine fast enough to beat 1 ms: not a failure of the timeout
        machinery, but the timeout path went unexercised. *)
     check Alcotest.bool "timeout untriggered but no crash" true true
   else begin
     check Alcotest.bool "timeout reported" true (contains "timed out" (body r));
-    check Alcotest.bool "session survives timeout" false r.Engine.close;
+    check Alcotest.bool "session survives timeout" false r.Worker_core.close;
     check Alcotest.bool "timeout counted" true
       (Metrics.counter_value "server.timeouts" > 0)
   end;
   (* The session keeps answering after a timeout. *)
-  ignore (expect_ok (Engine.handle_line t s "QUERY depth(T3)"));
-  Engine.close_session t s
+  ignore (expect_ok (Worker_core.handle_line t s "QUERY depth(T3)"));
+  Worker_core.close_session t s
 
 (* --------------------------- Repo.open_dir -------------------------- *)
 
@@ -429,6 +432,66 @@ let test_open_dir_errors () =
       Repo.close repo;
       let repo = Repo.open_dir ~create:false repo_dir in
       Repo.close repo)
+
+(* -------------------------- Listening sockets ------------------------ *)
+
+(* A Unix socket path with a live server behind it is never taken over:
+   the second listener is refused and the first keeps accepting. *)
+let test_listen_live_socket () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "live.sock" in
+      let first = Conn.listen_on (Wire.Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close first)
+        (fun () ->
+          (match Conn.listen_on (Wire.Unix_path path) with
+          | fd ->
+              Unix.close fd;
+              Alcotest.fail "a second listener took over a live socket"
+          | exception Conn.Bind_error msg ->
+              check Alcotest.bool "names the conflict" true
+                (contains "already in use" msg));
+          let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close client)
+            (fun () ->
+              Unix.connect client (Unix.ADDR_UNIX path);
+              ignore (Unix.select [ first ] [] [] 1.0);
+              match Conn.accept first with
+              | Some fd -> Unix.close fd
+              | None -> Alcotest.fail "the first listener stopped accepting")))
+
+(* A socket file whose server died refuses connections: it is stale and
+   a new listener replaces it. *)
+let test_listen_stale_socket () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "stale.sock" in
+      let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind dead (Unix.ADDR_UNIX path);
+      Unix.close dead;
+      check Alcotest.bool "stale socket file left behind" true (Sys.file_exists path);
+      let fd = Conn.listen_on (Wire.Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close client)
+            (fun () -> Unix.connect client (Unix.ADDR_UNIX path))))
+
+(* Anything but a socket at the path is left alone. *)
+let test_listen_regular_file () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "plain" in
+      let oc = open_out path in
+      output_string oc "keep me";
+      close_out oc;
+      (match Conn.listen_on (Wire.Unix_path path) with
+      | fd ->
+          Unix.close fd;
+          Alcotest.fail "listened over a regular file"
+      | exception Conn.Bind_error _ -> ());
+      check Alcotest.bool "file kept" true (Sys.file_exists path))
 
 (* --------------------------- End-to-end ----------------------------- *)
 
@@ -481,8 +544,8 @@ let test_e2e_smoke () =
             let repo = Repo.open_dir ~create:false repo_dir in
             let config =
               {
-                Engine.default_config with
-                Engine.max_sessions = 3;
+                Worker_core.default_config with
+                Worker_core.max_sessions = 3;
                 request_timeout = 10.0;
                 max_line = 4096;
               }
@@ -614,14 +677,14 @@ let test_collection_verbs () =
   let c = Collection.create repo ~name:"boot" ~taxa in
   ignore (Collection.ingest c tree);
   ignore (Collection.ingest c tree);
-  let t = Engine.create repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
+  let t, open_session = core repo in
+  let s = open_session () in
   (* HELLO lists collections alongside trees. *)
-  (match field "collections" (expect_ok (Engine.handle_line t s "HELLO")) with
+  (match field "collections" (expect_ok (Worker_core.handle_line t s "HELLO")) with
   | Json.List [ Json.Str "boot" ] -> ()
   | other -> Alcotest.failf "collections field: %s" (Json.to_string other));
   let result line =
-    match field "result" (expect_ok (Engine.handle_line t s line)) with
+    match field "result" (expect_ok (Worker_core.handle_line t s line)) with
     | Json.Str r -> r
     | _ -> Alcotest.failf "non-string result for %s" line
   in
@@ -637,21 +700,21 @@ let test_collection_verbs () =
   check Alcotest.bool "collstats runs" true
     (contains "bipartitions" (result "COLLSTATS boot"));
   (* EXPLAIN and PROFILE route collection texts without a selected tree. *)
-  (match field "plan" (expect_ok (Engine.handle_line t s "EXPLAIN consensus('boot')")) with
+  (match field "plan" (expect_ok (Worker_core.handle_line t s "EXPLAIN consensus('boot')")) with
   | Json.List (_ :: _) -> ()
   | _ -> Alcotest.fail "collection explain plan empty");
-  let r = expect_ok (Engine.handle_line t s "PROFILE consensus('boot')") in
+  let r = expect_ok (Worker_core.handle_line t s "PROFILE consensus('boot')") in
   (match field "profile" r with
   | Json.Obj _ as p ->
       check Alcotest.bool "profile charges dict_scan" true
         (contains "dict_scan" (Json.to_string p))
   | _ -> Alcotest.fail "profile field missing");
   (* Errors stay protocol errors, not crashes. *)
-  ignore (expect_err (Engine.handle_line t s "CONSENSUS"));
-  ignore (expect_err (Engine.handle_line t s "CONSENSUS nosuch"));
-  ignore (expect_err (Engine.handle_line t s "CONSENSUS boot high"));
-  ignore (expect_err (Engine.handle_line t s "QUERY consensus('boot', 0.1)"));
-  ignore (Engine.handle_line t s "QUIT")
+  ignore (expect_err (Worker_core.handle_line t s "CONSENSUS"));
+  ignore (expect_err (Worker_core.handle_line t s "CONSENSUS nosuch"));
+  ignore (expect_err (Worker_core.handle_line t s "CONSENSUS boot high"));
+  ignore (expect_err (Worker_core.handle_line t s "QUERY consensus('boot', 0.1)"));
+  ignore (Worker_core.handle_line t s "QUIT")
 
 (* --workers auto sizes the fleet from the machine: always at least one
    worker, and never the whole machine (the coordinator keeps a core
@@ -739,6 +802,27 @@ let test_read_only_mode () =
 
 (* -------------------------- Multi-worker fleet ----------------------- *)
 
+(* Admission slots are released asynchronously: a worker decrements the
+   shared count only after it drops the drained connection, so a connect
+   racing a just-quit session can be rejected. Acquire a session on the
+   server at [sock] by polling until admitted. *)
+let admit sock =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    let c = Client.connect (Wire.Unix_path sock) in
+    match Client.request c "HELLO" with
+    | reply when Client.ok reply -> c
+    | _ | (exception Client.Connection_error _) ->
+        Client.close c;
+        if Unix.gettimeofday () >= deadline then
+          Alcotest.fail "no admission slot freed within 5s"
+        else begin
+          ignore (Unix.select [] [] [] 0.05);
+          go ()
+        end
+  in
+  go ()
+
 (* The coordinator acceptance tests: N worker domains behind one
    socket must answer byte-identically to direct library calls, reject
    over-limit connects fleet-wide, aggregate STATS so the server total
@@ -779,8 +863,8 @@ let test_multiworker_e2e () =
             let repo = Repo.open_dir ~create:false repo_dir in
             let config =
               {
-                Engine.default_config with
-                Engine.max_sessions = 3;
+                Worker_core.default_config with
+                Worker_core.max_sessions = 3;
                 request_timeout = 10.0;
                 max_line = 4096;
                 workers = 3;
@@ -845,27 +929,7 @@ let test_multiworker_e2e () =
               | _, Unix.WEXITED n -> Alcotest.failf "client exited %d" n
               | _, _ -> Alcotest.fail "client killed")
             clients;
-          (* Admission slots are released asynchronously: a worker
-             decrements the shared count only after it drops the drained
-             connection, so a connect racing a just-quit session can be
-             rejected. Acquire sessions by polling until admitted. *)
-          let admit () =
-            let deadline = Unix.gettimeofday () +. 5.0 in
-            let rec go () =
-              let c = Client.connect (Wire.Unix_path sock) in
-              match Client.request c "HELLO" with
-              | reply when Client.ok reply -> c
-              | _ | (exception Client.Connection_error _) ->
-                  Client.close c;
-                  if Unix.gettimeofday () >= deadline then
-                    Alcotest.fail "no admission slot freed within 5s"
-                  else begin
-                    ignore (Unix.select [] [] [] 0.05);
-                    go ()
-                  end
-            in
-            go ()
-          in
+          let admit () = admit sock in
           (* Fleet-wide admission: fill all 3 slots (they land on
              different workers round-robin), the 4th connect is rejected
              by the coordinator with the standard protocol error. *)
@@ -973,8 +1037,6 @@ let test_multiworker_e2e () =
 
 (* ----------------------- Fleet observability ------------------------ *)
 
-module Http_obs = Crimson_server.Http_obs
-
 (* TOP's comparator must be a total order: cost descending, ties broken
    by (worker, session) — merged fleet rows never flap between
    renders. *)
@@ -1016,16 +1078,16 @@ let test_compare_rows_total () =
    refused unless the server opted into debug verbs. *)
 let test_sleep_verb_gated () =
   let repo, _ = load_test_repo () in
-  let t = Engine.create repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
-  ignore (expect_err (Engine.handle_line t s "SLEEP 5"));
-  Engine.close_session t s;
-  let t = Engine.create ~config:{ Engine.default_config with Engine.debug_verbs = true } repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
-  (match field "slept_ms" (expect_ok (Engine.handle_line t s "SLEEP 5")) with
+  let t, open_session = core repo in
+  let s = open_session () in
+  ignore (expect_err (Worker_core.handle_line t s "SLEEP 5"));
+  Worker_core.close_session t s;
+  let t, open_session = core ~config:{ Worker_core.default_config with Worker_core.debug_verbs = true } repo in
+  let s = open_session () in
+  (match field "slept_ms" (expect_ok (Worker_core.handle_line t s "SLEEP 5")) with
   | Json.Num v -> check (Alcotest.float 1e-9) "echoes duration" 5.0 v
   | _ -> Alcotest.fail "slept_ms not a number");
-  Engine.close_session t s
+  Worker_core.close_session t s
 
 let prom_value text name =
   String.split_on_char '\n' text
@@ -1086,8 +1148,8 @@ let test_obs_fleet_e2e () =
             let repo = Repo.open_dir ~create:false repo_dir in
             let config =
               {
-                Engine.default_config with
-                Engine.max_sessions = 16;
+                Worker_core.default_config with
+                Worker_core.max_sessions = 16;
                 request_timeout = 10.0;
                 workers = 4;
                 slowlog_ms = Some 0.0;
@@ -1140,8 +1202,8 @@ let test_obs_fleet_e2e () =
              slices within one scrape. *)
           let last_merged = ref 0.0 in
           for _ = 1 to 15 do
-            (match Http_obs.get obs "/metrics" with
-            | Ok (200, body) ->
+            (match Http_client.get obs "/metrics" with
+            | Ok { Http_client.status = 200; body; _ } ->
                 let merged =
                   match prom_value body "crimson_server_requests" with
                   | Some v -> v
@@ -1162,7 +1224,8 @@ let test_obs_fleet_e2e () =
                 check Alcotest.bool "merged never goes backwards" true
                   (merged >= !last_merged);
                 last_merged := merged
-            | Ok (status, _) -> Alcotest.failf "/metrics answered %d" status
+            | Ok { Http_client.status; _ } ->
+                Alcotest.failf "/metrics answered %d" status
             | Error e -> Alcotest.failf "/metrics scrape failed: %s" e);
             ignore (Unix.select [] [] [] 0.02)
           done;
@@ -1177,9 +1240,9 @@ let test_obs_fleet_e2e () =
           (* Quiescent: merged totals equal the sum of the slices exactly,
              for the counter and for the histogram's sample count. *)
           let varz =
-            match Http_obs.get obs "/varz" with
-            | Ok (200, body) -> Json.parse body
-            | Ok (status, _) -> Alcotest.failf "/varz answered %d" status
+            match Http_client.get obs "/varz" with
+            | Ok { Http_client.status = 200; body; _ } -> Json.parse body
+            | Ok { Http_client.status; _ } -> Alcotest.failf "/varz answered %d" status
             | Error e -> Alcotest.failf "/varz failed: %s" e
           in
           let path keys j =
@@ -1285,8 +1348,8 @@ let test_healthz_fault_e2e () =
             let repo = Repo.open_dir ~create:false repo_dir in
             let config =
               {
-                Engine.default_config with
-                Engine.max_sessions = 8;
+                Worker_core.default_config with
+                Worker_core.max_sessions = 8;
                 (* SLEEP 1500 against a 0.3 s deadline and factor 2: the
                    watchdog flags the worker ~0.6 s in and clears it on
                    the reply, well inside the sleep. stall_after stays
@@ -1315,8 +1378,8 @@ let test_healthz_fault_e2e () =
         (fun () ->
           let obs = Wire.Unix_path obs_sock in
           let healthz () =
-            match Http_obs.get obs "/healthz" with
-            | Ok (status, body) -> (status, body)
+            match Http_client.get obs "/healthz" with
+            | Ok { Http_client.status; body; _ } -> (status, body)
             | Error e -> Alcotest.failf "/healthz failed: %s" e
           in
           check Alcotest.int "healthy at boot" 200 (fst (healthz ()));
@@ -1388,6 +1451,85 @@ let test_healthz_fault_e2e () =
             (List.mem "worker_stalled" kinds);
           check Alcotest.bool "worker_recovered follows the stall" true
             (List.mem "worker_recovered" (after "worker_stalled" kinds))))
+
+(* The observability endpoint at one worker and at four: the four
+   routes answer 200, an unknown path 404, a POST 405 and a malformed
+   request line 400, and /healthz still answers while every session
+   slot is taken, because obs connections never hold one. *)
+let obs_routes ~workers () =
+  with_tmp_dir (fun dir ->
+      let repo_dir = Filename.concat dir "repo" in
+      let sock = Filename.concat dir "r.sock" in
+      let obs_sock = Filename.concat dir "robs.sock" in
+      (let repo = Repo.open_dir repo_dir in
+       let tree = Models.yule ~rng:(Prng.create 11) ~leaves:20 () in
+       ignore (Loader.load_tree ~f:4 repo ~name:"gold" tree);
+       Repo.close repo);
+      flush stdout;
+      flush stderr;
+      let server_pid =
+        match Unix.fork () with
+        | 0 ->
+            Crimson_obs.Trace.child_reset ();
+            Crimson_obs.Events.child_reset ();
+            Crimson_obs.Metrics.reset_all ();
+            let repo = Repo.open_dir ~create:false repo_dir in
+            let config =
+              {
+                Worker_core.default_config with
+                Worker_core.max_sessions = 2;
+                workers;
+                obs_listen = Some (Wire.Unix_path obs_sock);
+              }
+            in
+            Fun.protect
+              ~finally:(fun () -> Repo.close repo)
+              (fun () -> Server.run ~config repo (Wire.Unix_path sock));
+            Unix._exit 0
+        | pid -> pid
+      in
+      wait_until_listening sock;
+      wait_until_listening obs_sock;
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] server_pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          let obs = Wire.Unix_path obs_sock in
+          let status ?meth path =
+            match Http_client.connect obs with
+            | Error e -> Alcotest.failf "connect to obs: %s" e
+            | Ok c ->
+                Fun.protect
+                  ~finally:(fun () -> Http_client.close c)
+                  (fun () ->
+                    match Http_client.request c ?meth path with
+                    | Ok r -> r.Http_client.status
+                    | Error e -> Alcotest.failf "%s: %s" path e)
+          in
+          List.iter
+            (fun path -> check Alcotest.int path 200 (status path))
+            [ "/metrics"; "/healthz"; "/varz"; "/slowlog" ];
+          check Alcotest.int "unknown path" 404 (status "/nope");
+          check Alcotest.int "POST" 405 (status ~meth:"POST" "/metrics");
+          (match
+             Helpers.raw_exchange (Unix.ADDR_UNIX obs_sock) "NONSENSE\r\n\r\n"
+           with
+          | Ok raw ->
+              check Alcotest.bool "malformed request line" true
+                (String.length raw >= 12 && String.sub raw 0 12 = "HTTP/1.1 400")
+          | Error e -> Alcotest.failf "malformed request: %s" e);
+          let held = List.init 2 (fun _ -> admit sock) in
+          check Alcotest.int "healthz with every slot held" 200 (status "/healthz");
+          List.iter Client.close held;
+          Unix.kill server_pid Sys.sigterm;
+          match Unix.waitpid [] server_pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _, Unix.WEXITED n -> Alcotest.failf "server exited %d on SIGTERM" n
+          | _, _ -> Alcotest.fail "server stopped"))
+
+let test_obs_routes_single () = obs_routes ~workers:1 ()
+let test_obs_routes_fleet () = obs_routes ~workers:4 ()
 
 (* ---------------------------- Wire parity --------------------------- *)
 
@@ -1473,12 +1615,12 @@ let parity_transcript () =
   let c = Collection.create repo ~name:"boot" ~taxa in
   ignore (Collection.ingest c boot);
   ignore (Collection.ingest c (Models.yule ~rng:(Prng.create 10) ~leaves:15 ()));
-  let t = Engine.create repo in
-  let s = match Engine.open_session t with Ok s -> s | Error _ -> Alcotest.fail "open" in
+  let t, open_session = core repo in
+  let s = open_session () in
   let out = Buffer.create 4096 in
   List.iter
     (fun line ->
-      let reply = Engine.handle_line t s line in
+      let reply = Worker_core.handle_line t s line in
       Buffer.add_string out ("> " ^ line ^ "\n");
       Buffer.add_string out (parity_normalise (body reply)))
     parity_script;
@@ -1541,7 +1683,7 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "sessions and admission" `Quick test_engine_sessions;
+          Alcotest.test_case "sessions" `Quick test_engine_sessions;
           Alcotest.test_case "metrics and recording" `Quick test_engine_metrics;
           Alcotest.test_case "explain, profile and top" `Quick test_explain_profile_top;
           Alcotest.test_case "over-budget profile line" `Quick
@@ -1555,6 +1697,12 @@ let () =
         ] );
       ( "parity",
         [ Alcotest.test_case "wire replay vs golden" `Quick test_wire_parity ] );
+      ( "listen",
+        [
+          Alcotest.test_case "live socket refused" `Quick test_listen_live_socket;
+          Alcotest.test_case "stale socket rebound" `Quick test_listen_stale_socket;
+          Alcotest.test_case "regular file refused" `Quick test_listen_regular_file;
+        ] );
       ( "repo",
         [
           Alcotest.test_case "open_dir typed errors" `Quick test_open_dir_errors;
@@ -1568,5 +1716,9 @@ let () =
             test_obs_fleet_e2e;
           Alcotest.test_case "healthz fault injection" `Slow
             test_healthz_fault_e2e;
+          Alcotest.test_case "observability routes (1 worker)" `Slow
+            test_obs_routes_single;
+          Alcotest.test_case "observability routes (4 workers)" `Slow
+            test_obs_routes_fleet;
         ] );
     ]

@@ -14,7 +14,7 @@ module Loader = Crimson_core.Loader
 module Models = Crimson_sim.Models
 module Prng = Crimson_util.Prng
 module Wire = Crimson_server.Wire
-module Engine = Crimson_server.Engine
+module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
 module Client = Crimson_server.Client
 
@@ -358,8 +358,8 @@ let test_trace_smoke () =
             let repo = Repo.open_dir ~create:false repo_dir in
             let config =
               {
-                Engine.default_config with
-                Engine.max_sessions = 4;
+                Worker_core.default_config with
+                Worker_core.max_sessions = 4;
                 request_timeout = 10.0;
                 slowlog_ms = Some 0.0;
                 trace_out = Some trace_path;
