@@ -558,7 +558,7 @@ let stats_cmd =
         with_repo dir (fun repo ->
             let show stored =
               print_string (Crimson_core.Tree_stats.to_string
-                              (Crimson_core.Tree_stats.compute repo stored))
+                              (Crimson_core.Tree_stats.compute stored))
             in
             let selected =
               match tree with
@@ -581,7 +581,7 @@ let stats_cmd =
                    then emit the scrape text. *)
                 List.iter
                   (fun stored ->
-                    ignore (Crimson_core.Tree_stats.compute repo stored))
+                    ignore (Crimson_core.Tree_stats.compute stored))
                   trees;
                 print_string (Crimson_obs.Metrics.to_prometheus ());
                 `Ok ()

@@ -16,44 +16,32 @@ let member tree ~clade_of node =
   let lca = root_of tree clade_of in
   Stored_tree.is_ancestor_or_self tree ~ancestor:lca node
 
+(* A clade is the id range [lca, subtree_end lca]: its size is known
+   before any row is read, and streaming the range in preorder meets
+   every parent before its children, so parent ids rebuild the tree and
+   the new ids are the stored ones shifted by [lca]. *)
 let subtree ?(limit = 100_000) tree inputs =
   let module T = Crimson_tree.Tree in
   let lca = root_of tree inputs in
-  let b = T.Builder.create () in
-  let count = ref 0 in
-  (* Iterative DFS: (stored node, parent id in the new tree). *)
-  let stack = Crimson_util.Vec.create () in
-  Crimson_util.Vec.push stack (lca, T.nil);
-  while not (Crimson_util.Vec.is_empty stack) do
-    let v, parent = Crimson_util.Vec.pop stack in
-    incr count;
-    if !count > limit then
-      invalid_arg (Printf.sprintf "Clade.subtree: clade exceeds %d nodes" limit);
-    let view = Stored_tree.view tree v in
-    let name = match view.Node_view.name with "" -> None | s -> Some s in
-    let id =
-      if parent = T.nil then T.Builder.add_root ?name b
-      else T.Builder.add_child ?name ~branch_length:view.Node_view.blen b ~parent
-    in
-    List.iter
-      (fun c -> Crimson_util.Vec.push stack (c, id))
-      (List.rev (Stored_tree.children tree v))
-  done;
+  let last = Stored_tree.subtree_end tree lca in
+  if last - lca + 1 > limit then
+    invalid_arg (Printf.sprintf "Clade.subtree: clade exceeds %d nodes" limit);
+  let b = T.Builder.create ~capacity:(last - lca + 1) () in
+  Stored_tree.scan tree ~lo:lca ~hi:last (fun view ->
+      let name = match view.Node_view.name with "" -> None | s -> Some s in
+      let v = view.Node_view.node in
+      if v = lca then ignore (T.Builder.add_root ?name b)
+      else
+        ignore
+          (T.Builder.add_child ?name ~branch_length:view.Node_view.blen b
+             ~parent:(view.Node_view.parent - lca));
+      v + 1);
   T.Builder.finish b
 
 let nodes ?(limit = 10_000) tree inputs =
   let lca = root_of tree inputs in
-  let acc = ref [] in
-  let count = ref 0 in
-  let rec visit v =
-    if !count < limit then begin
-      incr count;
-      acc := v :: !acc;
-      List.iter visit (Stored_tree.children tree v)
-    end
-  in
-  visit lca;
-  List.rev !acc
+  let last = min (Stored_tree.subtree_end tree lca) (lca + limit - 1) in
+  List.init (max 0 (last - lca + 1)) (fun i -> lca + i)
 
 (* ---------------------------- Telemetry ---------------------------- *)
 (* Shadow the public entry points with "core.clade." spans: every call

@@ -19,11 +19,14 @@ val member : Stored_tree.t -> clade_of:int list -> int -> bool
 
 val nodes : ?limit:int -> Stored_tree.t -> int list -> int list
 (** All node ids of the clade (internal nodes included), preorder, capped
-    by [limit] (default 10_000). Uses the children index. *)
+    by [limit] (default 10_000): the id range
+    [\[lca, min (subtree_end lca) (lca + limit - 1)\]], with no row reads
+    beyond the LCA. *)
 
 val subtree : ?limit:int -> Stored_tree.t -> int list -> Crimson_tree.Tree.t
 (** Materialise the minimal spanning clade as an in-memory tree (names
     and branch lengths preserved; the clade root's incoming edge is
-    dropped). Raises [Invalid_argument] when the clade exceeds [limit]
-    nodes (default 100_000) — spanning clades of a huge tree can be the
-    whole tree. *)
+    dropped), streaming the clade's id range past the view cache.
+    Raises [Invalid_argument], before reading the range, when the clade
+    exceeds [limit] nodes (default 100_000) — spanning clades of a huge
+    tree can be the whole tree. *)

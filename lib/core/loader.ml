@@ -83,10 +83,13 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
   let t, _mapping = Ops.copy_with_mapping tree in
   let ix = Layered.build ~f t in
   let root_dist = Tree.root_distance t in
-  (* Leaf ordinal intervals per node: leaves numbered in preorder. *)
+  (* Leaf ordinal intervals per node: leaves numbered in preorder. Ids
+     are preorder ranks, so a subtree is the id range [v, subtree_end v]
+     and its end is the end of its last child's subtree. *)
   let n = Tree.node_count t in
   let leaf_lo = Array.make n max_int in
   let leaf_hi = Array.make n (-1) in
+  let subtree_end = Array.init n Fun.id in
   let ord = ref 0 in
   Array.iter
     (fun v ->
@@ -100,29 +103,31 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
     (fun v ->
       Tree.iter_children t v (fun c ->
           leaf_lo.(v) <- min leaf_lo.(v) leaf_lo.(c);
-          leaf_hi.(v) <- max leaf_hi.(v) leaf_hi.(c)))
+          leaf_hi.(v) <- max leaf_hi.(v) leaf_hi.(c);
+          subtree_end.(v) <- max subtree_end.(v) subtree_end.(c)))
     (Tree.postorder t);
   let n_leaves = !ord in
   (* Node rows. *)
+  let node_row v =
+    [|
+      Record.VInt tree_id;
+      Record.VInt v;
+      Record.VInt (Tree.parent t v);
+      Record.VInt (Layered.raw_edge_index ix ~layer:0 v);
+      Record.VText (match Tree.name t v with Some s -> s | None -> "");
+      Record.VFloat (Tree.branch_length t v);
+      Record.VFloat root_dist.(v);
+      Record.VInt (Layered.raw_sub ix ~layer:0 v);
+      Record.VInt (Layered.raw_local_depth ix ~layer:0 v);
+      Record.VInt leaf_lo.(v);
+      Record.VInt leaf_hi.(v);
+      Record.VInt subtree_end.(v);
+    |]
+  in
   let nodes_table = Repo.nodes repo in
   let node_rows = ref 0 in
   for v = 0 to n - 1 do
-    let row =
-      [|
-        Record.VInt tree_id;
-        Record.VInt v;
-        Record.VInt (Tree.parent t v);
-        Record.VInt (Layered.raw_edge_index ix ~layer:0 v);
-        Record.VText (match Tree.name t v with Some s -> s | None -> "");
-        Record.VFloat (Tree.branch_length t v);
-        Record.VFloat root_dist.(v);
-        Record.VInt (Layered.raw_sub ix ~layer:0 v);
-        Record.VInt (Layered.raw_local_depth ix ~layer:0 v);
-        Record.VInt leaf_lo.(v);
-        Record.VInt leaf_hi.(v);
-      |]
-    in
-    ignore (Table.insert nodes_table row);
+    ignore (Table.insert nodes_table (node_row v));
     incr node_rows;
     if !node_rows mod 100_000 = 0 then
       Log.info (fun m -> m "  … %d node rows written" !node_rows)
@@ -181,6 +186,10 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
          Record.VInt n_leaves;
        |]);
   let stored = Stored_tree.open_id repo tree_id in
+  (* Hand back a warm handle: the lowest ids are the ones species
+     validation and the first queries read, and their rows are still in
+     memory, so no page is read to cache them. *)
+  Stored_tree.prime stored (fun v -> Node_view.of_row (node_row v));
   (* Species data, validated against the stored tree. *)
   let species_rows =
     match species with
@@ -256,18 +265,18 @@ let fetch_tree stored =
   (* Stored ids are preorder-dense: parents precede children, and sibling
      order is edge order, so inserting 0..n-1 reproduces ids exactly. *)
   let ids = Array.make n Tree.nil in
-  for v = 0 to n - 1 do
-    (* One decoded view per node; the ascending scan rides the cache's
-       cursor prefetch, so this is a streaming read of the nodes table. *)
-    let view = Stored_tree.view stored v in
-    let name = match view.Node_view.name with "" -> None | s -> Some s in
-    let p = view.Node_view.parent in
-    if p = Tree.nil then ids.(v) <- Tree.Builder.add_root ?name b
-    else
-      ids.(v) <-
-        Tree.Builder.add_child ?name ~branch_length:view.Node_view.blen b
-          ~parent:ids.(p)
-  done;
+  (* One streaming read of the nodes table, past the view cache: a
+     whole tree would only flush it. *)
+  Stored_tree.scan stored ~lo:0 ~hi:(n - 1) (fun view ->
+      let v = view.Node_view.node in
+      let name = match view.Node_view.name with "" -> None | s -> Some s in
+      let p = view.Node_view.parent in
+      if p = Tree.nil then ids.(v) <- Tree.Builder.add_root ?name b
+      else
+        ids.(v) <-
+          Tree.Builder.add_child ?name ~branch_length:view.Node_view.blen b
+            ~parent:ids.(p);
+      v + 1);
   let t = Tree.Builder.finish b in
   assert (Array.for_all2 ( = ) ids (Array.init n Fun.id));
   t

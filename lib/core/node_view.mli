@@ -7,10 +7,15 @@
     single index descent (node ids are dense preorder, so neighbouring
     ids are what deep climbs and subtree sweeps touch next).
 
+    Sequential runs that read each row once — a time-sampling frontier,
+    a clade, a whole tree — use {!scan} instead, which streams rows past
+    the cache so they do not evict the random-access working set.
+
     Telemetry: hits, misses and evictions are registered as
     [core.node_cache.*] counters, prefetch batch sizes as the
-    [core.node_cache.prefetch_batch] histogram — visible in
-    [crimson stats] and BENCH lines. *)
+    [core.node_cache.prefetch_batch] histogram, scan times as the
+    [core.node_scan.ms] histogram — visible in [crimson stats] and BENCH
+    lines. *)
 
 module Record = Crimson_storage.Record
 
@@ -27,6 +32,7 @@ type t = {
   local_depth : int;
   leaf_lo : int;
   leaf_hi : int;
+  subtree_end : int; (* last preorder id below the node; [node] for a leaf *)
 }
 (** One fully decoded node row (layer 0). *)
 
@@ -39,8 +45,7 @@ type layer_view = {
 (** A row of a layer > 0 of the layered label index. *)
 
 val of_row : Record.value array -> t
-(** Decode a [Schema.Nodes] row (used by streaming scans that bypass the
-    cache, e.g. whole-tree statistics). *)
+(** Decode a [Schema.Nodes] row. *)
 
 (** {1 The cache} *)
 
@@ -60,6 +65,20 @@ val find : cache -> int -> t option
 
 val node : cache -> int -> t
 (** Raises {!Unknown_node}. *)
+
+val prime : cache -> count:int -> (int -> t) -> unit
+(** [prime c ~count view_of] admits [view_of n] for the ids
+    [0 .. min count capacity - 1], with no storage reads. The loader
+    uses it to hand back a warm handle built from the rows it just
+    wrote; the views must equal what {!of_row} decodes from them. *)
+
+val scan : cache -> lo:int -> hi:int -> (t -> int) -> unit
+(** Stream the views of ids [lo .. hi] in ascending order through one
+    [by_node] cursor, without admitting them to the LRU. The callback
+    returns the next id it wants: [v.node + 1] steps to the next row, a
+    larger id re-seeks the cursor there (one index descent), an id past
+    [hi] ends the scan. Polls the request deadline per row, as {!find}
+    does. *)
 
 val layer_view : cache -> layer:int -> int -> layer_view
 (** Raises {!Unknown_node}. Valid for layers >= 1. *)

@@ -259,10 +259,9 @@ let execute ~rng repo stored { fn; args } =
 let plan stored { fn; args } =
   let nargs = List.length args in
   let layers = Stored_tree.layer_count stored in
-  let f = Stored_tree.f stored in
   let step fmt = Printf.ksprintf (fun s -> s) fmt in
   let resolve_step k =
-    step "resolve %d name(s): 1 B+tree find each in leaves.by_name (node ids pass through)"
+    step "resolve %d name(s): 1 B+tree find each in nodes.by_name (node ids pass through)"
       k
   in
   let header = step "query %s/%d on tree %S" fn nargs (Stored_tree.name stored) in
@@ -274,9 +273,10 @@ let plan stored { fn; args } =
           step "layered LCA: fold pairwise over %d nodes" (List.length species);
           step
             "each pair climbs the layer decomposition: O(layers) = O(%d) layer rows, \
-             each a sub-root lookup in subtrees.by_layer"
+             each a sub-root lookup in subtrees.by_sub"
             layers;
-          step "node views served by the node-view LRU cache (prefetch window f=%d)" f;
+          step "node views served by the node-view LRU cache (prefetch window %d rows)"
+            Node_view.default_prefetch;
         ]
     | "lca", _ -> bad "lca needs at least two species"
     | "clade", (_ :: _ as species) ->
@@ -284,7 +284,8 @@ let plan stored { fn; args } =
           resolve_step (List.length species);
           step "clade root: layered LCA over %d nodes, O(%d) layer rows per pair"
             (List.length species) layers;
-          step "clade size/leaves: preorder interval scan of nodes.by_node (cursor)";
+          step "clade size: the root's leaf interval, 1 node view";
+          step "clade leaves: range scan of leaves.by_ord over that interval (cursor)";
         ]
     | "clade", [] -> bad "clade needs at least one species"
     | "distance", [ _; _ ] ->
@@ -307,7 +308,11 @@ let plan stored { fn; args } =
     | "parent", [ _ ] -> [ resolve_step 1; step "1 node view (parent field)" ]
     | "parent", _ -> bad "parent needs exactly one species"
     | "children", [ _ ] ->
-        [ resolve_step 1; step "prefix scan of nodes.by_parent for the child rows" ]
+        [
+          resolve_step 1;
+          step "first child at id + 1, each next sibling at subtree_end + 1: one node \
+                view per child, no index scan";
+        ]
     | "children", _ -> bad "children needs exactly one node"
     | "project", (_ :: _ as species) ->
         [
@@ -319,16 +324,18 @@ let plan stored { fn; args } =
     | "project", [] -> bad "project needs at least one species"
     | "sample", ([ _ ] | [ _; _ ]) ->
         [
-          step "uniform draw from the leaves table: O(k) index probes in leaves.by_leaf";
           (if nargs = 2 then
-             step "time-sliced: frontier scan at the cut time, then sample the frontier"
-           else step "k names resolved back through node views");
+             step "time-sliced: frontier skip-scan of nodes.by_node at the cut time, \
+                   then k/|frontier| draws per frontier leaf interval"
+           else step "uniform draw of k leaf ordinals");
+          step "O(k) index probes in leaves.by_ord, names resolved through node views";
         ]
     | "sample", _ -> bad "sample needs (k) or (k, time)"
     | "frontier", [ _ ] ->
         [
-          step "walk from the root, cutting edges crossing the time: O(frontier) node \
-                views";
+          step "preorder skip-scan of nodes.by_node from the root, past the view cache";
+          step "a node past the time joins the frontier and the cursor re-seeks to its \
+                subtree_end + 1: reads the cap above the frontier plus the frontier rows";
         ]
     | "frontier", _ -> bad "frontier needs exactly one time"
     | "match", [ _ ] ->

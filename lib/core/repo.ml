@@ -18,6 +18,8 @@ type t = {
   mutable next_query_id : int option; (* lazily initialised from storage *)
 }
 
+let dir_label db = match Database.dir db with Some d -> d | None -> "<mem>"
+
 (* Open the Query Repository, migrating repositories written before the
    telemetry columns existed: their rows re-insert under the new schema
    with elapsed_ms = 0 and pages = 0 (cost unknown, not free — but zero
@@ -50,7 +52,7 @@ let open_queries db =
       Crimson_storage.Error.fail
         (Crimson_storage.Error.Read_only
            {
-             file = (match Database.dir db with Some d -> d | None -> "<mem>");
+             file = dir_label db;
              op = "migrate legacy queries schema (open read-write once)";
            })
   | exception Database.Schema_mismatch _ -> (
@@ -60,14 +62,30 @@ let open_queries db =
           migrate_from Schema.Queries.legacy_schema
             ~pad:[| Record.VFloat 0.0; Record.VInt 0; Record.VText "" |])
 
+exception Open_error of string
+
+let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
+
 let open_tables db =
   let trees =
     Database.table db ~name:"trees" ~schema:Schema.Trees.schema
       ~indexes:Schema.Trees.indexes
   in
   let nodes =
-    Database.table db ~name:"nodes" ~schema:Schema.Nodes.schema
-      ~indexes:Schema.Nodes.indexes
+    match
+      Database.table db ~name:"nodes" ~schema:Schema.Nodes.schema
+        ~indexes:Schema.Nodes.indexes
+    with
+    | tbl -> tbl
+    | exception Database.Schema_mismatch _ ->
+        (* Node rows from before [subtree_end] are refused, not
+           migrated: a rewrite would drop the table before re-inserting
+           its rows, and without an atomic table swap a crash half-way
+           would lose every tree. *)
+        open_error
+          "cannot open repository %s: table nodes lacks the subtree_end column \
+           (written by an older version); re-load its trees with this version"
+          (dir_label db)
   in
   let layers =
     Database.table db ~name:"layers" ~schema:Schema.Layers.schema
@@ -103,7 +121,7 @@ let open_tables db =
          Crimson_storage.Error.fail
            (Crimson_storage.Error.Read_only
               {
-                file = (match Database.dir db with Some d -> d | None -> "<mem>");
+                file = dir_label db;
                 op =
                   Printf.sprintf "create %s tables (open read-write once)"
                     (String.concat "/" names);
@@ -139,10 +157,6 @@ let open_tables db =
     members;
     next_query_id = None;
   }
-
-exception Open_error of string
-
-let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
 
 (* The server opens repositories it must not create, and has to report a
    clean startup failure instead of a raw [Sys_error]/[Unix_error]: every

@@ -13,7 +13,13 @@ exception Open_error of string
     [~create:false]), permissions, a corrupt catalog, a schema mismatch.
     The message names the directory and the cause; no raw [Sys_error] or
     [Unix_error] escapes, so servers and the CLI can report startup
-    failures cleanly. *)
+    failures cleanly.
+
+    A repository whose [nodes] table predates the [subtree_end] column
+    (see {!Schema.Nodes}) is refused in either mode, with a message that
+    names the table, the missing column and the remedy: re-load the
+    trees with this version. It is not migrated in place, because the
+    rewrite would drop the table before re-inserting its rows. *)
 
 val open_dir :
   ?pool_size:int ->

@@ -11,29 +11,36 @@ let uniform tree ~rng ~k =
   let ords = Prng.sample_without_replacement rng ~k ~n in
   Array.to_list (Array.map (fun ord -> Stored_tree.leaf_by_ordinal tree ord) ords)
 
-let frontier_at tree ~time =
+(* A preorder skip-scan from the root: a node past the cut time is on
+   the frontier and its subtree is skipped (root distances grow along
+   every path), anything else steps to the next id. Only the cap above
+   the frontier and the frontier rows themselves are read, in ascending
+   id order, which is the order the paper's DFS would emit them in. *)
+let frontier_views tree ~time =
+  if not (Float.is_finite time) then invalid "time %g must be finite" time;
   if time < 0.0 then invalid "time %g must be non-negative" time;
-  (* DFS from the root, stopping at the first node on each path whose
-     cumulative distance exceeds [time]. Uses the children index, so only
-     the shallow "cap" of the tree above the frontier is read. *)
   let acc = ref [] in
-  let rec visit node =
-    if (Stored_tree.view tree node).Node_view.root_dist > time then
-      acc := node :: !acc
-    else List.iter visit (Stored_tree.children tree node)
-  in
-  visit (Stored_tree.root tree);
+  Stored_tree.scan tree ~lo:(Stored_tree.root tree)
+    ~hi:(Stored_tree.node_count tree - 1) (fun v ->
+      if v.Node_view.root_dist > time then begin
+        acc := v :: !acc;
+        v.Node_view.subtree_end + 1
+      end
+      else v.Node_view.node + 1);
   List.rev !acc
+
+let frontier_at tree ~time =
+  List.map (fun v -> v.Node_view.node) (frontier_views tree ~time)
 
 let with_time tree ~rng ~k ~time =
   let n = Stored_tree.leaf_count tree in
   if k <= 0 then invalid "sample size %d must be positive" k;
   if k > n then invalid "sample size %d exceeds leaf count %d" k n;
-  let frontier = frontier_at tree ~time in
+  let frontier = frontier_views tree ~time in
   if frontier = [] then
     invalid "no species lies deeper than evolutionary time %g" time;
   let intervals =
-    List.map (fun node -> Stored_tree.leaf_interval tree node) frontier
+    List.map (fun v -> (v.Node_view.leaf_lo, v.Node_view.leaf_hi)) frontier
   in
   let capacity = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 intervals in
   if k > capacity then

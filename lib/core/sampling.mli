@@ -20,7 +20,11 @@ val uniform : Stored_tree.t -> rng:Crimson_util.Prng.t -> k:int -> int list
 val frontier_at : Stored_tree.t -> time:float -> int list
 (** Minimal (closest-to-root) nodes whose root distance strictly exceeds
     [time], in preorder — the paper's example yields [{Bha, x, Syn, Bsu}]
-    at time 1 on Figure 1. Raises {!Invalid_sample} on negative [time]. *)
+    at time 1 on Figure 1. One preorder skip-scan of the node rows past
+    the view cache: it reads the cap above the frontier and the frontier
+    rows, and jumps over each frontier node's subtree. Raises
+    {!Invalid_sample}, before any read, on a negative or non-finite
+    [time]. *)
 
 val with_time :
   Stored_tree.t -> rng:Crimson_util.Prng.t -> k:int -> time:float -> int list
@@ -31,4 +35,4 @@ val with_time :
     quota contribute all their leaves; leftover demand spills to the
     other subtrees. Raises {!Invalid_sample} when [k] is not positive,
     exceeds the leaf count, exceeds the leaves below the frontier, or the
-    frontier is empty. *)
+    frontier is empty, and for the times {!frontier_at} refuses. *)

@@ -46,6 +46,7 @@ module Nodes = struct
       ("local_depth", Record.Int);
       ("leaf_lo", Record.Int);
       ("leaf_hi", Record.Int);
+      ("subtree_end", Record.Int);
     |]
 
   let c_tree = 0
@@ -59,9 +60,9 @@ module Nodes = struct
   let c_local_depth = 8
   let c_leaf_lo = 9
   let c_leaf_hi = 10
+  let c_subtree_end = 11
   let key_node ~tree node = Key.cat [ Key.int tree; Key.int node ]
   let key_name ~tree name = Key.cat [ Key.int tree; Key.text name ]
-  let key_children ~tree ~parent = Key.cat [ Key.int tree; Key.int parent ]
 
   let indexes =
     [
@@ -70,15 +71,6 @@ module Nodes = struct
         true;
       ix "by_name"
         (fun row -> key_name ~tree:(Record.get_int row c_tree) (Record.get_text row c_name))
-        false;
-      ix "by_parent"
-        (fun row ->
-          Key.cat
-            [
-              Key.int (Record.get_int row c_tree);
-              Key.int (Record.get_int row c_parent);
-              Key.int (Record.get_int row c_edge_index);
-            ])
         false;
     ]
 end

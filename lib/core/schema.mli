@@ -4,7 +4,8 @@
 
     - [trees] — one row per loaded tree (metadata, labeling parameters);
     - [nodes] — layer-0 rows: structure, branch length, cumulative
-      root distance, layered-label fields, descendant-leaf interval;
+      root distance, layered-label fields, descendant-leaf interval and
+      the last preorder id of the node's subtree;
     - [layers] — nodes of layers >= 1 of the hierarchical index;
     - [subtrees] — per (layer, subtree id): the subtree's root node;
     - [leaves] — leaf ordinal -> node mapping for O(1) uniform sampling;
@@ -31,7 +32,14 @@ module Trees : sig
   val key_name : string -> string
 end
 
-(** [nodes] columns (layer 0). *)
+(** [nodes] columns (layer 0).
+
+    Node ids are dense preorder ranks, so the subtree of node [n] is the
+    id range [\[n, subtree_end\]]. That one column answers children
+    (first child [n + 1], next sibling [subtree_end c + 1]), leafness
+    ([subtree_end = n]) and ancestry without a parent index. It is the
+    last column, appended after the leaf interval; repositories written
+    before it existed fail to open (see {!Repo.open_dir}). *)
 module Nodes : sig
   val schema : Record.schema
   val c_tree : int
@@ -45,10 +53,13 @@ module Nodes : sig
   val c_local_depth : int
   val c_leaf_lo : int
   val c_leaf_hi : int
+  val c_subtree_end : int
+
   val indexes : Table.index_spec list
+  (** [by_node] (tree, node), unique; [by_name] (tree, name). *)
+
   val key_node : tree:int -> int -> string
   val key_name : tree:int -> string -> string
-  val key_children : tree:int -> parent:int -> string
 end
 
 (** [layers] columns (layers >= 1). *)

@@ -80,27 +80,25 @@ let node_name t node =
 let branch_length t node = (view t node).Node_view.blen
 let root_distance t node = (view t node).Node_view.root_dist
 
+let subtree_end t node = (view t node).Node_view.subtree_end
+
+(* A subtree is the id range [node, subtree_end]: the first child, if
+   any, is [node + 1], and each next sibling starts one past the end of
+   the previous one's subtree. Preorder visits children in edge order. *)
 let children t node =
-  ignore (view t node);
-  let acc = ref [] in
-  Table.iter_index (Repo.nodes t.repo) ~index:"by_parent"
-    ~prefix:(Schema.Nodes.key_children ~tree:t.id ~parent:node) (fun _ row ->
-      acc := Record.get_int row Schema.Nodes.c_node :: !acc;
-      true);
-  List.rev !acc
+  let last = subtree_end t node in
+  let rec from c acc =
+    if c > last then List.rev acc else from (subtree_end t c + 1) (c :: acc)
+  in
+  from (node + 1) []
 
 let leaf_interval t node =
   let v = view t node in
   (v.Node_view.leaf_lo, v.Node_view.leaf_hi)
 
-let is_leaf t node =
-  (* A leaf spans exactly one ordinal; an internal unary chain above a
-     single leaf spans one too, so rule out a first child. Dense
-     preorder ids put a first child — when one exists — at [node + 1],
-     which the prefetch window usually has resident already. *)
-  let v = view t node in
-  v.Node_view.leaf_hi = v.Node_view.leaf_lo + 1
-  && (node + 1 >= t.node_count || (view t (node + 1)).Node_view.parent <> node)
+let is_leaf t node = subtree_end t node = node
+let scan t ~lo ~hi f = Node_view.scan t.cache ~lo ~hi f
+let prime t view_of = Node_view.prime t.cache ~count:t.node_count view_of
 
 let leaf_by_ordinal t ord =
   match
@@ -195,18 +193,17 @@ let lca_set t = function
   | first :: rest -> List.fold_left (lca t) first rest
 
 (* Preorder order and ancestry need no label walk: ids are dense
-   preorder ranks, so a node's descendants are exactly the nodes after it
-   whose leaf interval lies inside its own. *)
+   preorder ranks, so a node's descendants are exactly the ids in
+   (node, subtree_end]. *)
 let compare_preorder t a b =
   if a < 0 || a >= t.node_count then raise (Unknown_node a);
   if b < 0 || b >= t.node_count then raise (Unknown_node b);
   Int.compare a b
 
 let is_ancestor_or_self t ~ancestor n =
-  let va = view t ancestor and vn = view t n in
-  ancestor <= n
-  && va.Node_view.leaf_lo <= vn.Node_view.leaf_lo
-  && vn.Node_view.leaf_hi <= va.Node_view.leaf_hi
+  let last = subtree_end t ancestor in
+  if n < 0 || n >= t.node_count then raise (Unknown_node n);
+  ancestor <= n && n <= last
 
 let path_distance t a b =
   let l = lca t a b in

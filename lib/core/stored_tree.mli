@@ -12,11 +12,13 @@
     ancestry need no label walk, because of one invariant: stored node
     ids are dense preorder ranks [0 .. node_count - 1]. The loader
     renumbers every tree that way and [Loader.fetch_tree] asserts it.
-    So {!compare_preorder} is integer order on ids, and
-    {!is_ancestor_or_self} is [a <= x] plus containment of [x]'s leaf
-    interval in [a]'s. The same invariant lets {!is_leaf} find a first
-    child at [node + 1], lets {!Node_view} prefetch runs of adjacent ids,
-    and lets {!Projection} sort leaves as integers. *)
+    So every subtree is the id range [\[n, subtree_end n\]], stored in
+    each node row: {!compare_preorder} is integer order on ids,
+    {!is_ancestor_or_self} is [a <= x <= subtree_end a], {!is_leaf} is
+    [subtree_end n = n], and {!children} is arithmetic. The same
+    invariant lets {!Node_view} prefetch runs of adjacent ids, lets
+    {!scan} skip whole subtrees, and lets {!Projection} sort leaves as
+    integers. *)
 
 type t
 
@@ -68,9 +70,16 @@ val node_name : t -> int -> string option
 val branch_length : t -> int -> float
 val root_distance : t -> int -> float
 val children : t -> int -> int list
-(** In edge order, via the [by_parent] index. *)
+(** In edge order: the first child is [node + 1] when the node is
+    internal, each next sibling [subtree_end c + 1]. One node view per
+    child plus one for the node. *)
+
+val subtree_end : t -> int -> int
+(** The last preorder id in the node's subtree ([node] for a leaf). *)
 
 val is_leaf : t -> int -> bool
+(** [subtree_end node = node]: one node view. *)
+
 val leaf_interval : t -> int -> int * int
 (** [(lo, hi)]: the half-open interval of leaf ordinals under the node. *)
 
@@ -82,6 +91,15 @@ val leaves_between : t -> lo:int -> hi:int -> limit:int -> int list
 (** Leaf node ids with ordinals in [\[lo, min hi (lo + limit))], in
     preorder, streamed off one index cursor instead of per-ordinal
     lookups. *)
+
+val scan : t -> lo:int -> hi:int -> (Node_view.t -> int) -> unit
+(** Stream the views of ids [lo .. hi] in preorder, past the view cache;
+    the callback returns the next id wanted, so returning
+    [v.subtree_end + 1] skips [v]'s subtree. See {!Node_view.scan}. *)
+
+val prime : t -> (int -> Node_view.t) -> unit
+(** Admit views of the lowest ids to the handle's cache without storage
+    reads, up to its capacity (see {!Node_view.prime}). *)
 
 val node_by_name : t -> string -> int option
 (** First node carrying the name (index lookup, not a scan). *)
@@ -97,8 +115,8 @@ val lca_set : t -> int list -> int
 (** Raises [Invalid_argument] on the empty list. *)
 
 val is_ancestor_or_self : t -> ancestor:int -> int -> bool
-(** Reads the two nodes' cached views: [ancestor <= n] and [n]'s leaf
-    interval inside [ancestor]'s. Raises {!Unknown_node}. *)
+(** [ancestor <= n <= subtree_end ancestor]: one cached view. Raises
+    {!Unknown_node} when either id is outside the tree. *)
 
 val compare_preorder : t -> int -> int -> int
 (** [Int.compare] on the ids, which are preorder ranks. Raises

@@ -1,6 +1,3 @@
-module Table = Crimson_storage.Table
-module Key = Crimson_storage.Key
-
 type t = {
   nodes : int;
   leaves : int;
@@ -14,8 +11,7 @@ type t = {
   depth_histogram : (int * int) array;
 }
 
-let compute repo stored =
-  let tree_id = Stored_tree.id stored in
+let compute stored =
   let n = Stored_tree.node_count stored in
   (* Stored node ids are preorder-dense, so a parent's id is always below
      its child's: depths resolve in one ascending pass. *)
@@ -24,30 +20,15 @@ let compute repo stored =
   let blen = Array.make n 0.0 in
   let max_root_distance = ref 0.0 in
   let children_count = Array.make n 0 in
-  (* Cursor over the by_node prefix: reads exactly this tree's rows in
-     id order, instead of scanning every tree's heap pages. *)
-  let cursor =
-    Table.cursor (Repo.nodes repo) ~index:"by_node" ~prefix:(Key.int tree_id)
-  in
-  let rec drain () =
-    match Table.Cursor.next cursor with
-    | None -> ()
-    | Some (_, row) ->
-        let nv = Node_view.of_row row in
-        parent.(nv.Node_view.node) <- nv.Node_view.parent;
-        blen.(nv.Node_view.node) <- nv.Node_view.blen;
-        is_leaf.(nv.Node_view.node) <- nv.Node_view.leaf_hi = nv.Node_view.leaf_lo + 1;
-        max_root_distance := Float.max !max_root_distance nv.Node_view.root_dist;
-        drain ()
-  in
-  drain ();
-  (* hi = lo+1 also holds for unary chains above a single leaf; correct
-     using child counts below. *)
+  Stored_tree.scan stored ~lo:0 ~hi:(n - 1) (fun nv ->
+      let v = nv.Node_view.node in
+      parent.(v) <- nv.Node_view.parent;
+      blen.(v) <- nv.Node_view.blen;
+      is_leaf.(v) <- nv.Node_view.subtree_end = v;
+      max_root_distance := Float.max !max_root_distance nv.Node_view.root_dist;
+      v + 1);
   for v = 0 to n - 1 do
     if parent.(v) >= 0 then children_count.(parent.(v)) <- children_count.(parent.(v)) + 1
-  done;
-  for v = 0 to n - 1 do
-    is_leaf.(v) <- children_count.(v) = 0
   done;
   let depth = Array.make n 0 in
   let max_depth = ref 0 in
@@ -129,5 +110,5 @@ let to_string t = Format.asprintf "%a" pp t
 
 (* ---------------------------- Telemetry ---------------------------- *)
 
-let compute repo stored =
-  Crimson_obs.Span.with_ ~name:"core.tree_stats" (fun () -> compute repo stored)
+let compute stored =
+  Crimson_obs.Span.with_ ~name:"core.tree_stats" (fun () -> compute stored)

@@ -18,6 +18,9 @@ type t = {
       (** (depth bucket start, node count), bucketed by powers of two. *)
 }
 
-val compute : Repo.t -> Stored_tree.t -> t
+val compute : Stored_tree.t -> t
+(** One streaming scan of the tree's node rows, past the view cache
+    (see {!Stored_tree.scan}). *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -965,6 +965,365 @@ let test_overview_pages_sublinear () =
     true
     (p_big < p_fallback)
 
+(* -------------------------- Subtree ranges -------------------------- *)
+(* Stored ids are dense preorder ranks and every node row carries
+   [subtree_end], so children, leafness, ancestry, clades and the
+   time-sampling frontier are id arithmetic and skip-scans. Each is
+   checked against the tree [Loader.fetch_tree] rebuilds in memory,
+   across tree shapes, fanouts and buffer-pool sizes. *)
+
+module Models = Crimson_sim.Models
+module Database = Crimson_storage.Database
+module Record = Crimson_storage.Record
+module Key = Crimson_storage.Key
+module Schema = Crimson_core.Schema
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* The recursive frontier walk and quota draw that [Sampling.with_time]
+   ran before the skip-scan, kept as the oracle for its samples: for one
+   seed, both must return the same species in the same order. *)
+let dfs_frontier stored ~time =
+  let acc = ref [] in
+  let rec visit node =
+    if (Stored_tree.view stored node).Node_view.root_dist > time then acc := node :: !acc
+    else List.iter visit (Stored_tree.children stored node)
+  in
+  visit (Stored_tree.root stored);
+  List.rev !acc
+
+let dfs_with_time stored ~rng ~k ~time =
+  let invalid fmt = Printf.ksprintf (fun s -> raise (Sampling.Invalid_sample s)) fmt in
+  let n = Stored_tree.leaf_count stored in
+  if k <= 0 then invalid "sample size %d must be positive" k;
+  if k > n then invalid "sample size %d exceeds leaf count %d" k n;
+  let frontier = dfs_frontier stored ~time in
+  if frontier = [] then invalid "no species lies deeper than evolutionary time %g" time;
+  let intervals = List.map (Stored_tree.leaf_interval stored) frontier in
+  let capacity = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 intervals in
+  if k > capacity then
+    invalid "sample size %d exceeds the %d species below the time-%g frontier" k
+      capacity time;
+  let m = List.length frontier in
+  let sizes = Array.of_list (List.map (fun (lo, hi) -> hi - lo) intervals) in
+  let quotas = Array.make m (k / m) in
+  let order = Prng.sample_without_replacement rng ~k:m ~n:m in
+  for i = 0 to (k mod m) - 1 do
+    quotas.(order.(i)) <- quotas.(order.(i)) + 1
+  done;
+  let excess = ref 0 in
+  for i = 0 to m - 1 do
+    if quotas.(i) > sizes.(i) then begin
+      excess := !excess + (quotas.(i) - sizes.(i));
+      quotas.(i) <- sizes.(i)
+    end
+  done;
+  while !excess > 0 do
+    for i = 0 to m - 1 do
+      if !excess > 0 && quotas.(i) < sizes.(i) then begin
+        quotas.(i) <- quotas.(i) + 1;
+        decr excess
+      end
+    done
+  done;
+  let samples = ref [] in
+  List.iteri
+    (fun i (lo, hi) ->
+      if quotas.(i) > 0 then
+        Array.iter
+          (fun p -> samples := Stored_tree.leaf_by_ordinal stored (lo + p) :: !samples)
+          (Prng.sample_without_replacement rng ~k:quotas.(i) ~n:(hi - lo)))
+    intervals;
+  List.rev !samples
+
+let sampled f = match f () with v -> Ok v | exception Sampling.Invalid_sample m -> Error m
+
+(* Preorder ids of the subtree under [root], by an explicit-stack walk of
+   the in-memory children lists. *)
+let preorder_below mem root =
+  let out = ref [] and stack = ref [ root ] in
+  while !stack <> [] do
+    match !stack with
+    | v :: rest ->
+        out := v :: !out;
+        stack := Tree.children mem v @ rest
+    | [] -> ()
+  done;
+  List.rev !out
+
+let check_subtree_ranges ~f ~pool tree =
+  let repo = Repo.open_mem ~pool_size:pool () in
+  let loaded = (Loader.load_tree ~f repo ~name:"t" tree).tree in
+  (* A cold handle: answers come from storage, not the views the loader
+     primed. *)
+  let stored = Stored_tree.open_id repo (Stored_tree.id loaded) in
+  let mem = Loader.fetch_tree stored in
+  let n = Tree.node_count mem in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s -> Alcotest.failf "%s (f=%d, pool %d, %d nodes)" s f pool n)
+      fmt
+  in
+  if Tree.preorder mem <> Array.init n Fun.id then fail "ids are not preorder ranks";
+  let size = Array.make n 1 in
+  for v = n - 1 downto 1 do
+    let p = Tree.parent mem v in
+    size.(p) <- size.(p) + size.(v)
+  done;
+  for v = 0 to n - 1 do
+    if Stored_tree.subtree_end stored v <> v + size.(v) - 1 then fail "subtree_end %d" v;
+    if Stored_tree.is_leaf stored v <> Tree.is_leaf mem v then fail "is_leaf %d" v;
+    if Stored_tree.children stored v <> Tree.children mem v then fail "children %d" v
+  done;
+  let rng = Prng.create (n + f + pool) in
+  let rec walk_up a x = x >= 0 && (x = a || walk_up a (Tree.parent mem x)) in
+  for i = 1 to 400 do
+    let a = Prng.int rng n in
+    (* Half the pairs fall inside or just past [a]'s subtree, where the
+       range bounds matter; the rest are uniform. *)
+    let x =
+      if i mod 2 = 0 then Prng.int rng n else min (n - 1) (a + Prng.int rng (size.(a) + 1))
+    in
+    if Stored_tree.is_ancestor_or_self stored ~ancestor:a x <> walk_up a x then
+      fail "is_ancestor_or_self %d %d" a x
+  done;
+  (match Stored_tree.is_ancestor_or_self stored ~ancestor:0 n with
+  | exception Stored_tree.Unknown_node _ -> ()
+  | _ -> fail "ancestry of an id outside the tree");
+  let rd = Tree.root_distance mem in
+  let height = Array.fold_left Float.max 0.0 rd in
+  let times =
+    (0.0 :: List.init 8 (fun i -> height *. float_of_int (i + 1) /. 9.0)) @ [ height +. 1.0 ]
+  in
+  let leaves = Stored_tree.leaf_count stored in
+  List.iter
+    (fun time ->
+      let expected =
+        List.filter
+          (fun v -> rd.(v) > time && (v = 0 || time >= rd.(Tree.parent mem v)))
+          (List.init n Fun.id)
+      in
+      if Sampling.frontier_at stored ~time <> expected then fail "frontier at %g" time;
+      if dfs_frontier stored ~time <> expected then fail "DFS oracle at %g" time;
+      List.iter
+        (fun k ->
+          let seed = Prng.int rng 1_000_000 in
+          let draw with_time () = with_time stored ~rng:(Prng.create seed) ~k ~time in
+          if sampled (draw Sampling.with_time) <> sampled (draw dfs_with_time) then
+            fail "with_time k=%d at %g" k time)
+        [ 1; 3; (leaves / 2) + 1 ])
+    times;
+  let leaf_ids = Tree.leaves mem in
+  for _ = 1 to 8 do
+    let inputs =
+      List.init (1 + Prng.int rng 3) (fun _ -> leaf_ids.(Prng.int rng (Array.length leaf_ids)))
+    in
+    let lca = Ops.naive_lca_set mem inputs in
+    let below = preorder_below mem lca in
+    if Clade.nodes ~limit:n stored inputs <> below then fail "Clade.nodes under %d" lca;
+    if Clade.nodes ~limit:3 stored inputs <> List.filteri (fun i _ -> i < 3) below then
+      fail "Clade.nodes ~limit:3 under %d" lca;
+    if
+      not
+        (Tree.equal_ordered ~tolerance:0.0 (Ops.extract_subtree mem lca)
+           (Clade.subtree ~limit:n stored inputs))
+    then fail "Clade.subtree under %d" lca
+  done
+
+type shape = Yule | Birth_death | Caterpillar
+
+let shape_name = function
+  | Yule -> "yule"
+  | Birth_death -> "birth-death"
+  | Caterpillar -> "caterpillar"
+
+let gen_tree shape ~seed ~leaves =
+  let rng = Prng.create seed in
+  match shape with
+  | Yule -> Models.yule ~rng ~leaves ()
+  | Birth_death -> Models.birth_death ~rng ~leaves ~birth_rate:1.0 ~death_rate:0.4 ()
+  | Caterpillar -> Models.caterpillar ~rng ~leaves ()
+
+let arb_range_case =
+  QCheck.make
+    ~print:(fun (shape, leaves, f, pool, seed) ->
+      Printf.sprintf "%s, %d leaves, f=%d, pool %d, seed %d" (shape_name shape) leaves f
+        pool seed)
+    QCheck.Gen.(
+      tup5
+        (oneofl [ Yule; Birth_death; Caterpillar ])
+        (int_range 2 300) (oneofl [ 2; 3; 8; 16 ]) (oneofl [ 8; 256 ])
+        (int_bound 1_000_000))
+
+let prop_subtree_ranges =
+  QCheck.Test.make ~name:"subtree ranges = in-memory reference" ~count:40 arb_range_case
+  @@ fun (shape, leaves, f, pool, seed) ->
+  check_subtree_ranges ~f ~pool (gen_tree shape ~seed ~leaves);
+  true
+
+let test_subtree_ranges_deep () =
+  (* A 10^4-deep caterpillar at both ends of the fanout and pool range. *)
+  let tree = gen_tree Caterpillar ~seed:2006 ~leaves:10_000 in
+  check_subtree_ranges ~f:2 ~pool:8 tree;
+  check_subtree_ranges ~f:16 ~pool:256 tree
+
+let test_load_primes_views () =
+  (* More nodes than the cache holds: the lowest [capacity] ids come back
+     resident, decoded exactly as a read of their stored rows would be. *)
+  let repo = Repo.open_mem () in
+  let t = Helpers.caterpillar Node_view.default_capacity in
+  let stored = (Loader.load_tree ~f:8 repo ~name:"warm" t).tree in
+  let primed = Node_view.default_capacity in
+  check Alcotest.bool "tree exceeds the cache" true (Stored_tree.node_count stored > primed);
+  for v = 0 to primed - 1 do
+    if Stored_tree.view stored v <> direct_view repo stored v then
+      Alcotest.failf "primed view differs from the stored row at node %d" v
+  done;
+  let cs = Stored_tree.cache_stats stored in
+  check Alcotest.int "no misses over the primed ids" 0 cs.Node_view.misses;
+  check Alcotest.int "one hit per primed id" primed cs.Node_view.hits;
+  ignore (Stored_tree.view stored primed);
+  check Alcotest.int "the first id past capacity is read" 1
+    (Stored_tree.cache_stats stored).Node_view.misses
+
+let test_old_nodes_layout_refused () =
+  let old_schema = Array.sub Schema.Nodes.schema 0 Schema.Nodes.c_subtree_end in
+  let by_parent =
+    {
+      Table.index_name = "by_parent";
+      key_of_row =
+        (fun row ->
+          Key.cat
+            [
+              Key.int (Record.get_int row Schema.Nodes.c_tree);
+              Key.int (Record.get_int row Schema.Nodes.c_parent);
+              Key.int (Record.get_int row Schema.Nodes.c_edge_index);
+            ]);
+      unique = false;
+    }
+  in
+  let old_indexes = Schema.Nodes.indexes @ [ by_parent ] in
+  with_temp_dir (fun dir ->
+      (* The layout the previous version wrote: no subtree_end, plus a
+         parent index. *)
+      (let db = Database.open_dir dir in
+       ignore
+         (Database.table db ~name:"trees" ~schema:Schema.Trees.schema
+            ~indexes:Schema.Trees.indexes);
+       let nodes = Database.table db ~name:"nodes" ~schema:old_schema ~indexes:old_indexes in
+       ignore
+         (Table.insert nodes
+            Record.
+              [|
+                VInt 0; VInt 0; VInt (-1); VInt 0; VText "root"; VFloat 0.0; VFloat 0.0;
+                VInt 0; VInt 0; VInt 0; VInt 1;
+              |]);
+       Database.close db);
+      let refused mode =
+        match Repo.open_dir ~mode dir with
+        | repo ->
+            Repo.close repo;
+            Alcotest.fail "a nodes table without subtree_end opened"
+        | exception Repo.Open_error msg ->
+            List.iter
+              (fun word ->
+                check Alcotest.bool (Printf.sprintf "%S names %s" msg word) true
+                  (contains msg word))
+              [ dir; "nodes"; "subtree_end"; "re-load" ]
+      in
+      refused Database.Read_write;
+      refused Database.Read_only;
+      (* Refused, not migrated: the old rows are untouched. *)
+      let db = Database.open_dir dir in
+      let nodes = Database.table db ~name:"nodes" ~schema:old_schema ~indexes:old_indexes in
+      check Alcotest.int "old rows kept" 1 (Table.row_count nodes);
+      Database.close db)
+
+let test_non_finite_times_refused () =
+  (* A NaN or infinite cut time is refused before any read: no frontier
+     walk, no pages. *)
+  let repo = Repo.open_mem () in
+  let _, loaded = load_figure1 repo in
+  let stored = Stored_tree.open_id repo (Stored_tree.id loaded) in
+  List.iter
+    (fun text ->
+      let before = Repo.pages_touched repo in
+      (match Query_lang.run repo stored text with
+      | Error msg ->
+          check Alcotest.bool (Printf.sprintf "%s: %S" text msg) true (contains msg "finite")
+      | Ok o -> Alcotest.failf "%s answered %S" text o.Query_lang.result);
+      check Alcotest.int (text ^ " reads no page") before (Repo.pages_touched repo))
+    [ "frontier(nan)"; "frontier(inf)"; "frontier(-inf)"; "sample(3, nan)"; "sample(3, inf)" ]
+
+(* ------------------------------ EXPLAIN ----------------------------- *)
+
+(* Every "<table>.by_<index>" an EXPLAIN plan cites, for every verb of
+   both query surfaces, must be an index that table really has. *)
+let test_explain_names_real_indexes () =
+  let repo = Repo.open_mem () in
+  let _, stored = load_figure1 repo in
+  let boot = Crimson_collection.Collection.create repo ~name:"boot" ~taxa:[ "a"; "b"; "c" ] in
+  ignore (Crimson_collection.Collection.ingest boot (Newick.parse "((a,b),c);"));
+  let table_of = function
+    | "trees" -> Repo.trees repo
+    | "nodes" -> Repo.nodes repo
+    | "layers" -> Repo.layers repo
+    | "subtrees" -> Repo.subtrees repo
+    | "leaves" -> Repo.leaves repo
+    | "species" -> Repo.species repo
+    | "summaries" -> Repo.summaries repo
+    | "queries" -> Repo.queries repo
+    | "collections" -> Repo.collections repo
+    | "bips" -> Repo.bips repo
+    | "members" -> Repo.members repo
+    | name -> Alcotest.failf "plan cites unknown table %s" name
+  in
+  let ident c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_' in
+  let cited line =
+    let n = String.length line in
+    let rec from i acc =
+      if i + 4 > n then List.rev acc
+      else if String.sub line i 4 = ".by_" then begin
+        let lo = ref i and hi = ref (i + 4) in
+        while !lo > 0 && ident line.[!lo - 1] do decr lo done;
+        while !hi < n && ident line.[!hi] do incr hi done;
+        from !hi ((String.sub line !lo (i - !lo), String.sub line (i + 1) (!hi - i - 1)) :: acc)
+      end
+      else from (i + 1) acc
+    in
+    from 0 []
+  in
+  let total = ref 0 in
+  let check_plan text = function
+    | Error msg -> Alcotest.failf "EXPLAIN %s: %s" text msg
+    | Ok plan ->
+        List.iter
+          (fun line ->
+            List.iter
+              (fun (table, index) ->
+                incr total;
+                if not (List.mem index (Table.index_names (table_of table))) then
+                  Alcotest.failf "EXPLAIN %s cites %s.%s, which does not exist" text table
+                    index)
+              (cited line))
+          plan
+  in
+  List.iter
+    (fun text -> check_plan text (Query_lang.explain stored text))
+    [
+      "lca(Bha, Lla)"; "clade(Lla, Spy)"; "distance(Bha, Syn)"; "path(Lla, Bsu)";
+      "depth(Spy)"; "parent(Spy)"; "children(x)"; "project(Bha, Lla, Syn)"; "sample(2)";
+      "sample(2, 1.0)"; "frontier(1.0)"; "match('(Bha,(Lla,Syn));')"; "seq(Bha)"; "info()";
+      "overview(1)";
+    ];
+  List.iter
+    (fun text -> check_plan text (Crimson_collection.Coll_lang.explain repo text))
+    [ "consensus('boot')"; "support('boot')"; "rfmatrix('boot')"; "collstats('boot')" ];
+  check Alcotest.bool "plans cite indexes" true (!total > 10)
+
 let () =
   Alcotest.run "crimson_core"
     [
@@ -1062,5 +1421,20 @@ let () =
         [
           Alcotest.test_case "reopen" `Quick test_persistence_across_reopen;
           Alcotest.test_case "tiny buffer pool" `Slow test_small_pool_queries;
+        ] );
+      ( "ranges",
+        [
+          QCheck_alcotest.to_alcotest prop_subtree_ranges;
+          Alcotest.test_case "10^4-deep caterpillar" `Quick test_subtree_ranges_deep;
+          Alcotest.test_case "load primes the handle" `Quick test_load_primes_views;
+          Alcotest.test_case "old nodes layout refused" `Quick
+            test_old_nodes_layout_refused;
+          Alcotest.test_case "non-finite times refused" `Quick
+            test_non_finite_times_refused;
+        ] );
+      ( "explain",
+        [
+          Alcotest.test_case "plans name real indexes" `Quick
+            test_explain_names_real_indexes;
         ] );
     ]

@@ -313,8 +313,8 @@ let test_fasta_file () =
 module Tree_stats = Crimson_core.Tree_stats
 
 let test_tree_stats_figure1 () =
-  let repo, stored = load_figure1 () in
-  let s = Tree_stats.compute repo stored in
+  let _repo, stored = load_figure1 () in
+  let s = Tree_stats.compute stored in
   check Alcotest.int "nodes" 8 s.nodes;
   check Alcotest.int "leaves" 5 s.leaves;
   check Alcotest.int "max depth" 3 s.max_depth;
@@ -333,7 +333,7 @@ let test_tree_stats_binary_fraction () =
   let rng = Prng.create 4 in
   let t = Models.yule ~rng ~leaves:50 () in
   let stored = (Loader.load_tree ~f:4 repo ~name:"y" t).tree in
-  let s = Tree_stats.compute repo stored in
+  let s = Tree_stats.compute stored in
   check (Alcotest.float 1e-9) "yule is binary" 1.0 s.binary_fraction;
   check Alcotest.int "leaves" 50 s.leaves
 
