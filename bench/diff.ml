@@ -5,7 +5,8 @@
    (defaults: current directory, bench/baselines)
 
    For every experiment present in both directories, numeric top-level
-   fields are compared by name convention: [*per_s] is
+   fields are compared by name convention: [*per_s] and
+   [*per_s_<qualifier>] (e.g. [load_nodes_per_s_yule50k_f8]) are
    higher-is-better, [*_ms], [*_ms_<qualifier>] (e.g.
    [projection_ms_k5000]) and [*_pct] are lower-is-better; everything
    else (counts, sizes, the raw metrics dump) is informational only.
@@ -24,10 +25,14 @@ let direction_of field =
     let fl = String.length field and sl = String.length suffix in
     fl >= sl && String.sub field (fl - sl) sl = suffix
   in
-  let has_ms_infix =
-    List.mem "ms" (List.tl (String.split_on_char '_' field))
+  let parts = List.tl (String.split_on_char '_' field) in
+  let has_ms_infix = List.mem "ms" parts in
+  let rec has_per_s = function
+    | "per" :: "s" :: _ -> true
+    | _ :: rest -> has_per_s rest
+    | [] -> false
   in
-  if ends_with "per_s" then Some Higher_better
+  if ends_with "per_s" || has_per_s parts then Some Higher_better
   else if has_ms_infix || ends_with "_pct" then Some Lower_better
   else None
 

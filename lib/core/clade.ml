@@ -7,10 +7,19 @@ let size tree inputs =
 
 let leaf_ids ?(limit = 10_000) tree inputs =
   let lca = root_of tree inputs in
-  let lo, hi = Stored_tree.leaf_interval tree lca in
-  (* Leaf ordinals are contiguous under a clade root: stream them off
-     one cursor instead of an index descent per ordinal. *)
-  Stored_tree.leaves_between tree ~lo ~hi ~limit
+  (* The clade is the id range [lca, subtree_end lca]: stream it and keep
+     the leaves, stopping at the limit. *)
+  let last = Stored_tree.subtree_end tree lca in
+  let acc = ref [] and count = ref 0 in
+  if limit > 0 then
+    Stored_tree.scan tree ~lo:lca ~hi:last (fun v ->
+        let n = v.Node_view.node in
+        if v.Node_view.subtree_end = n then begin
+          acc := n :: !acc;
+          incr count
+        end;
+        if !count >= limit then last + 1 else n + 1);
+  List.rev !acc
 
 let member tree ~clade_of node =
   let lca = root_of tree clade_of in

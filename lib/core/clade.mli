@@ -11,7 +11,9 @@ val size : Stored_tree.t -> int list -> int
 
 val leaf_ids : ?limit:int -> Stored_tree.t -> int list -> int list
 (** Leaves of the clade in preorder, at most [limit] (default 10_000) to
-    keep huge clades from materialising by accident. *)
+    keep huge clades from materialising by accident: the rows of the id
+    range [\[lca, subtree_end lca\]] with [subtree_end = node], streamed
+    past the view cache until [limit] leaves are found. *)
 
 val member : Stored_tree.t -> clade_of:int list -> int -> bool
 (** Is a node inside the minimal spanning clade? One LCA plus one

@@ -124,21 +124,20 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
       Record.VInt subtree_end.(v);
     |]
   in
+  (* Rows go in id order, so the rids the inserts return form runs of
+     consecutive slots: the run directory that locates rows by id. *)
   let nodes_table = Repo.nodes repo in
   let node_rows = ref 0 in
-  for v = 0 to n - 1 do
-    ignore (Table.insert nodes_table (node_row v));
-    incr node_rows;
-    if !node_rows mod 100_000 = 0 then
-      Log.info (fun m -> m "  … %d node rows written" !node_rows)
-  done;
-  (* Leaf ordinals. *)
-  for v = 0 to n - 1 do
-    if Tree.is_leaf t v then
-      ignore
-        (Table.insert (Repo.leaves repo)
-           [| Record.VInt tree_id; Record.VInt leaf_lo.(v); Record.VInt v |])
-  done;
+  let rids =
+    Array.init n (fun v ->
+        let rid = Table.insert nodes_table (node_row v) in
+        incr node_rows;
+        if !node_rows mod 100_000 = 0 then
+          Log.info (fun m -> m "  … %d node rows written" !node_rows);
+        rid)
+  in
+  let runs = Node_view.runs_of_rids rids ~leaf_lo in
+  Node_view.store_runs repo ~tree:tree_id runs;
   (* Higher layers and subtree roots. *)
   let layer_rows = ref 0 in
   let subtree_rows = ref 0 in
@@ -186,10 +185,10 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
          Record.VInt n_leaves;
        |]);
   let stored = Stored_tree.open_id repo tree_id in
-  (* Hand back a warm handle: the lowest ids are the ones species
-     validation and the first queries read, and their rows are still in
-     memory, so no page is read to cache them. *)
-  Stored_tree.prime stored (fun v -> Node_view.of_row (node_row v));
+  (* Hand back a warm handle: the runs just built, and views of the
+     lowest ids — the ones species validation and the first queries
+     read — from rows still in memory, so no page is read for either. *)
+  Stored_tree.prime stored ~runs (fun v -> Node_view.of_row (node_row v));
   (* Species data, validated against the stored tree. *)
   let species_rows =
     match species with
@@ -295,10 +294,9 @@ let delete_tree repo stored =
    with
   | Some (rid, _) -> ignore (Table.delete (Repo.trees repo) rid)
   | None -> ());
-  drop (Repo.nodes repo);
+  Node_view.delete_rows repo ~tree:tree_id ~nodes:(Stored_tree.node_count stored);
   drop (Repo.layers repo);
   drop (Repo.subtrees repo);
-  drop (Repo.leaves repo);
   drop (Repo.summaries repo);
   drop (Repo.species repo);
   Repo.flush repo;

@@ -2,9 +2,10 @@
     Data Loader, §3 "Loading Data").
 
     A tree is renumbered to dense preorder ids, its hierarchical layered
-    index is built in memory, and everything is written to the [nodes],
-    [layers], [subtrees] and [leaves] tables. Species sequences are
-    chunked into the [species] table and may also be appended to an
+    index is built in memory, and everything is written to the [nodes]
+    (in id order), [node_runs], [layers], [subtrees] and [summaries]
+    tables, before the tree's catalog row. Species sequences are chunked
+    into the [species] table and may also be appended to an
     already-loaded tree. *)
 
 exception Load_error of string
@@ -29,7 +30,9 @@ val load_tree :
     Species Repository; names must match leaves of the tree. Raises
     {!Load_error} on duplicate tree names or unknown species names, and
     logs progress on the [crimson.loader] source (the GUI's "messages
-    about the loading status"). *)
+    about the loading status"). The returned handle already holds the
+    tree's run directory and views of its lowest ids, so its first
+    reads need no page. *)
 
 val load_structure_only :
   ?f:int -> Repo.t -> name:string -> Crimson_tree.Tree.t -> report
@@ -57,4 +60,6 @@ val fetch_tree : Stored_tree.t -> Crimson_tree.Tree.t
     Node ids are preserved. *)
 
 val delete_tree : Repo.t -> Stored_tree.t -> unit
-(** Remove the tree's rows from every repository table. *)
+(** Remove the tree's rows from every repository table: its catalog row
+    first, then its node rows through its runs, then the runs and the
+    rest. *)

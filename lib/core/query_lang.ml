@@ -285,7 +285,8 @@ let plan stored { fn; args } =
           step "clade root: layered LCA over %d nodes, O(%d) layer rows per pair"
             (List.length species) layers;
           step "clade size: the root's leaf interval, 1 node view";
-          step "clade leaves: range scan of leaves.by_ord over that interval (cursor)";
+          step "clade leaves: stream the id range [root, subtree_end root] through the \
+                run directory, keeping rows with subtree_end = id";
         ]
     | "clade", [] -> bad "clade needs at least one species"
     | "distance", [ _; _ ] ->
@@ -325,16 +326,18 @@ let plan stored { fn; args } =
     | "sample", ([ _ ] | [ _; _ ]) ->
         [
           (if nargs = 2 then
-             step "time-sliced: frontier skip-scan of nodes.by_node at the cut time, \
+             step "time-sliced: frontier skip-scan of the node rows at the cut time, \
                    then k/|frontier| draws per frontier leaf interval"
            else step "uniform draw of k leaf ordinals");
-          step "O(k) index probes in leaves.by_ord, names resolved through node views";
+          step "each ordinal: binary search of the run directory on leaf_lo, then of \
+                one page's rows; names resolved through node views";
         ]
     | "sample", _ -> bad "sample needs (k) or (k, time)"
     | "frontier", [ _ ] ->
         [
-          step "preorder skip-scan of nodes.by_node from the root, past the view cache";
-          step "a node past the time joins the frontier and the cursor re-seeks to its \
+          step "preorder skip-scan of the node rows from the root, located through the \
+                run directory and read past the view cache";
+          step "a node past the time joins the frontier and the scan jumps to its \
                 subtree_end + 1: reads the cap above the frontier plus the frontier rows";
         ]
     | "frontier", _ -> bad "frontier needs exactly one time"

@@ -7,8 +7,8 @@ type t = {
   trees : Table.t;
   nodes : Table.t;
   layers : Table.t;
+  node_runs : Table.t;
   subtrees : Table.t;
-  leaves : Table.t;
   species : Table.t;
   summaries : Table.t;
   queries : Table.t;
@@ -78,14 +78,29 @@ let open_tables db =
     with
     | tbl -> tbl
     | exception Database.Schema_mismatch _ ->
-        (* Node rows from before [subtree_end] are refused, not
-           migrated: a rewrite would drop the table before re-inserting
-           its rows, and without an atomic table swap a crash half-way
-           would lose every tree. *)
+        (* Node rows in an older layout are refused, not migrated: a
+           rewrite would drop the table before re-inserting its rows, and
+           without an atomic table swap a crash half-way would lose every
+           tree. The message names what the catalog holds. *)
+        let schema, indexes = Option.get (Database.stored_layout db "nodes") in
+        let found =
+          if not (Array.exists (fun (c, _) -> c = "subtree_end") schema) then
+            "lacks the subtree_end column"
+          else
+            Printf.sprintf "has the index set [%s], not [%s]"
+              (String.concat ", " indexes)
+              (String.concat ", "
+                 (List.map (fun (s : Table.index_spec) -> s.index_name)
+                    Schema.Nodes.indexes))
+        in
         open_error
-          "cannot open repository %s: table nodes lacks the subtree_end column \
-           (written by an older version); re-load its trees with this version"
-          (dir_label db)
+          "cannot open repository %s: table nodes %s (written by an older version); \
+           re-load its trees with this version"
+          (dir_label db) found
+  in
+  let node_runs =
+    Database.table db ~name:"node_runs" ~schema:Schema.Node_runs.schema
+      ~indexes:Schema.Node_runs.indexes
   in
   let layers =
     Database.table db ~name:"layers" ~schema:Schema.Layers.schema
@@ -94,10 +109,6 @@ let open_tables db =
   let subtrees =
     Database.table db ~name:"subtrees" ~schema:Schema.Subtrees.schema
       ~indexes:Schema.Subtrees.indexes
-  in
-  let leaves =
-    Database.table db ~name:"leaves" ~schema:Schema.Leaves.schema
-      ~indexes:Schema.Leaves.indexes
   in
   let species =
     Database.table db ~name:"species" ~schema:Schema.Species.schema
@@ -146,9 +157,9 @@ let open_tables db =
     db;
     trees;
     nodes;
+    node_runs;
     layers;
     subtrees;
-    leaves;
     species;
     summaries;
     queries;
@@ -205,9 +216,9 @@ let dir t = Database.dir t.db
 let mode t = Database.mode t.db
 let trees t = t.trees
 let nodes t = t.nodes
+let node_runs t = t.node_runs
 let layers t = t.layers
 let subtrees t = t.subtrees
-let leaves t = t.leaves
 let species t = t.species
 let summaries t = t.summaries
 let queries t = t.queries

@@ -15,11 +15,13 @@ exception Open_error of string
     [Unix_error] escapes, so servers and the CLI can report startup
     failures cleanly.
 
-    A repository whose [nodes] table predates the [subtree_end] column
-    (see {!Schema.Nodes}) is refused in either mode, with a message that
-    names the table, the missing column and the remedy: re-load the
-    trees with this version. It is not migrated in place, because the
-    rewrite would drop the table before re-inserting its rows. *)
+    A repository whose [nodes] table is in an older layout (see
+    {!Schema.Nodes}) is refused in either mode, with a message that
+    names the table, what it found — a missing [subtree_end] column, or
+    the index set of an older version ([by_node], with the [leaves]
+    table beside it) — and the remedy: re-load the trees with this
+    version. It is not migrated in place, because the rewrite would drop
+    the table before re-inserting its rows. *)
 
 val open_dir :
   ?pool_size:int ->
@@ -62,9 +64,13 @@ val mode : t -> Database.mode
 
 val trees : t -> Table.t
 val nodes : t -> Table.t
+
+val node_runs : t -> Table.t
+(** The run directory of the [nodes] heap (see {!Schema.Node_runs});
+    read and written through {!Node_view}. *)
+
 val layers : t -> Table.t
 val subtrees : t -> Table.t
-val leaves : t -> Table.t
 val species : t -> Table.t
 
 val summaries : t -> Table.t

@@ -3,7 +3,7 @@ module Table = Crimson_storage.Table
 module Key = Crimson_storage.Key
 
 let ix name key unique : Table.index_spec =
-  { Table.index_name = name; key_of_row = key; unique }
+  { Table.index_name = name; key_of_row = (fun row -> Some (key row)); unique }
 
 module Trees = struct
   let schema : Record.schema =
@@ -33,6 +33,7 @@ module Trees = struct
 end
 
 module Nodes = struct
+  (* [Node_view] decodes rows field by field in this column order. *)
   let schema : Record.schema =
     [|
       ("tree", Record.Int);
@@ -61,17 +62,46 @@ module Nodes = struct
   let c_leaf_lo = 9
   let c_leaf_hi = 10
   let c_subtree_end = 11
-  let key_node ~tree node = Key.cat [ Key.int tree; Key.int node ]
   let key_name ~tree name = Key.cat [ Key.int tree; Key.text name ]
+
+  (* Names only: an unnamed node has no entry, since no lookup asks for
+     the empty name. *)
+  let indexes =
+    [
+      {
+        Table.index_name = "by_name";
+        key_of_row =
+          (fun row ->
+            match Record.get_text row c_name with
+            | "" -> None
+            | name -> Some (key_name ~tree:(Record.get_int row c_tree) name));
+        unique = false;
+      };
+    ]
+end
+
+module Node_runs = struct
+  let schema : Record.schema =
+    [|
+      ("tree", Record.Int);
+      ("first", Record.Int);
+      ("rid", Record.Int);
+      ("leaf_lo", Record.Int);
+    |]
+
+  let c_tree = 0
+  let c_first = 1
+  let c_rid = 2
+  let c_leaf_lo = 3
+  let key_tree tree = Key.int tree
 
   let indexes =
     [
-      ix "by_node"
-        (fun row -> key_node ~tree:(Record.get_int row c_tree) (Record.get_int row c_node))
+      ix "by_first"
+        (fun row ->
+          Key.cat
+            [ key_tree (Record.get_int row c_tree); Key.int (Record.get_int row c_first) ])
         true;
-      ix "by_name"
-        (fun row -> key_name ~tree:(Record.get_int row c_tree) (Record.get_text row c_name))
-        false;
     ]
 end
 
@@ -128,23 +158,6 @@ module Subtrees = struct
         (fun row ->
           key_sub ~tree:(Record.get_int row c_tree)
             ~layer:(Record.get_int row c_layer) (Record.get_int row c_sub))
-        true;
-    ]
-end
-
-module Leaves = struct
-  let schema : Record.schema =
-    [| ("tree", Record.Int); ("ord", Record.Int); ("node", Record.Int) |]
-
-  let c_tree = 0
-  let c_ord = 1
-  let c_node = 2
-  let key_ord ~tree ord = Key.cat [ Key.int tree; Key.int ord ]
-
-  let indexes =
-    [
-      ix "by_ord"
-        (fun row -> key_ord ~tree:(Record.get_int row c_tree) (Record.get_int row c_ord))
         true;
     ]
 end

@@ -1,15 +1,19 @@
 (** Relational schemas of the Crimson repositories.
 
-    The Repository Manager stores everything in five tables:
+    The Repository Manager stores trees, species and history in these
+    tables (the collection tables are described below):
 
     - [trees] — one row per loaded tree (metadata, labeling parameters);
     - [nodes] — layer-0 rows: structure, branch length, cumulative
       root distance, layered-label fields, descendant-leaf interval and
-      the last preorder id of the node's subtree;
+      the last preorder id of the node's subtree, written in id order
+      and indexed by name only;
+    - [node_runs] — the per-tree run directory that locates a node row
+      by id, and a leaf by ordinal, without an index descent;
     - [layers] — nodes of layers >= 1 of the hierarchical index;
     - [subtrees] — per (layer, subtree id): the subtree's root node;
-    - [leaves] — leaf ordinal -> node mapping for O(1) uniform sampling;
     - [species] — sequence data, chunked to fit pages;
+    - [summaries] — precomputed per-clade rollups;
     - [queries] — the Query Repository (history of user queries).
 
     Column positions are exposed as integer constants so the query layer
@@ -38,8 +42,13 @@ end
     id range [\[n, subtree_end\]]. That one column answers children
     (first child [n + 1], next sibling [subtree_end c + 1]), leafness
     ([subtree_end = n]) and ancestry without a parent index. It is the
-    last column, appended after the leaf interval; repositories written
-    before it existed fail to open (see {!Repo.open_dir}). *)
+    last column, appended after the leaf interval.
+
+    There is no index on (tree, node): the loader writes a tree's rows
+    in id order, and {!Node_runs} locates them. Every row keeps its
+    [tree] and [node] columns so a read can check it got the row it
+    asked for. Repositories written before [subtree_end] existed, or
+    with the older [by_node] index, fail to open (see {!Repo.open_dir}). *)
 module Nodes : sig
   val schema : Record.schema
   val c_tree : int
@@ -56,10 +65,33 @@ module Nodes : sig
   val c_subtree_end : int
 
   val indexes : Table.index_spec list
-  (** [by_node] (tree, node), unique; [by_name] (tree, name). *)
+  (** [by_name] (tree, name), non-unique and partial: unnamed nodes have
+      no entry. *)
 
-  val key_node : tree:int -> int -> string
   val key_name : tree:int -> string -> string
+end
+
+(** [node_runs] columns — the run directory of the [nodes] heap.
+
+    A tree's rows are written for ids [0 .. n-1] in order, so each heap
+    page holds a run of consecutive ids in consecutive slots. One row per
+    run: the run's [first] id, that row's [rid], and its [leaf_lo]. The
+    run of id [i] is the last with [first <= i], and its rid is the
+    first rid plus [i - first]; leaf ordinals search the same rows on
+    [leaf_lo], which never decreases as ids rise. The format (building,
+    storing, loading) belongs to [Crimson_core.Node_view]. *)
+module Node_runs : sig
+  val schema : Record.schema
+  val c_tree : int
+  val c_first : int
+  val c_rid : int
+  val c_leaf_lo : int
+
+  val indexes : Table.index_spec list
+  (** [by_first] (tree, first), unique. *)
+
+  val key_tree : int -> string
+  (** Prefix of every key of one tree. *)
 end
 
 (** [layers] columns (layers >= 1). *)
@@ -85,16 +117,6 @@ module Subtrees : sig
   val c_root : int
   val indexes : Table.index_spec list
   val key_sub : tree:int -> layer:int -> int -> string
-end
-
-(** [leaves] columns. *)
-module Leaves : sig
-  val schema : Record.schema
-  val c_tree : int
-  val c_ord : int
-  val c_node : int
-  val indexes : Table.index_spec list
-  val key_ord : tree:int -> int -> string
 end
 
 (** [species] columns; long sequences are split into fixed-size chunks. *)

@@ -18,15 +18,18 @@ type t = {
 
 let of_meta_row ?cache_capacity ?prefetch repo row =
   let id = Record.get_int row Schema.Trees.c_id in
+  let node_count = Record.get_int row Schema.Trees.c_nodes in
   {
     repo;
     id;
     name = Record.get_text row Schema.Trees.c_name;
     f = Record.get_int row Schema.Trees.c_f;
     layer_count = Record.get_int row Schema.Trees.c_layers;
-    node_count = Record.get_int row Schema.Trees.c_nodes;
+    node_count;
     leaf_count = Record.get_int row Schema.Trees.c_leaves;
-    cache = Node_view.create_cache ?capacity:cache_capacity ?prefetch repo ~tree:id;
+    cache =
+      Node_view.create_cache ?capacity:cache_capacity ?prefetch repo ~tree:id
+        ~nodes:node_count;
   }
 
 let open_id ?cache_capacity ?prefetch repo id =
@@ -98,29 +101,12 @@ let leaf_interval t node =
 
 let is_leaf t node = subtree_end t node = node
 let scan t ~lo ~hi f = Node_view.scan t.cache ~lo ~hi f
-let prime t view_of = Node_view.prime t.cache ~count:t.node_count view_of
+let prime t ~runs view_of = Node_view.prime t.cache ~runs ~count:t.node_count view_of
 
 let leaf_by_ordinal t ord =
-  match
-    Table.find (Repo.leaves t.repo) ~index:"by_ord"
-      ~key:(Schema.Leaves.key_ord ~tree:t.id ord)
-  with
-  | Some (_, row) -> Record.get_int row Schema.Leaves.c_node
+  match Node_view.leaf_by_ordinal t.cache ord with
+  | Some leaf -> leaf
   | None -> raise (Unknown_node ord)
-
-let leaves_between t ~lo ~hi ~limit =
-  (* One cursor descent over the leaves table instead of a point lookup
-     per ordinal. Ordinal order is preorder order. *)
-  let stop = min hi (lo + max 0 limit) in
-  let acc = ref [] in
-  if stop > lo then
-    Table.scan_range (Repo.leaves t.repo) ~index:"by_ord"
-      ~lo:(Schema.Leaves.key_ord ~tree:t.id lo)
-      ~hi:(Schema.Leaves.key_ord ~tree:t.id stop)
-      (fun _ row ->
-        acc := Record.get_int row Schema.Leaves.c_node :: !acc;
-        true);
-  List.rev !acc
 
 let node_by_name t name =
   if name = "" then None

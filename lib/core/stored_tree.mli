@@ -18,7 +18,11 @@
     [subtree_end n = n], and {!children} is arithmetic. The same
     invariant lets {!Node_view} prefetch runs of adjacent ids, lets
     {!scan} skip whole subtrees, and lets {!Projection} sort leaves as
-    integers. *)
+    integers.
+
+    Rows are located by id through the tree's run directory, read on
+    the handle's first access that needs it, so {!open_id} and
+    {!open_name} cost one catalog read. *)
 
 type t
 
@@ -84,25 +88,23 @@ val leaf_interval : t -> int -> int * int
 (** [(lo, hi)]: the half-open interval of leaf ordinals under the node. *)
 
 val leaf_by_ordinal : t -> int -> int
-(** Node id of the leaf with the given preorder ordinal. Raises
-    {!Unknown_node} when out of range. *)
-
-val leaves_between : t -> lo:int -> hi:int -> limit:int -> int list
-(** Leaf node ids with ordinals in [\[lo, min hi (lo + limit))], in
-    preorder, streamed off one index cursor instead of per-ordinal
-    lookups. *)
+(** Node id of the leaf with the given preorder ordinal, found through
+    the run directory with no index (see {!Node_view.leaf_by_ordinal}).
+    Raises {!Unknown_node} when out of range. *)
 
 val scan : t -> lo:int -> hi:int -> (Node_view.t -> int) -> unit
 (** Stream the views of ids [lo .. hi] in preorder, past the view cache;
     the callback returns the next id wanted, so returning
     [v.subtree_end + 1] skips [v]'s subtree. See {!Node_view.scan}. *)
 
-val prime : t -> (int -> Node_view.t) -> unit
-(** Admit views of the lowest ids to the handle's cache without storage
-    reads, up to its capacity (see {!Node_view.prime}). *)
+val prime : t -> runs:Node_view.runs -> (int -> Node_view.t) -> unit
+(** Hand the handle the tree's runs and admit views of the lowest ids to
+    its cache, up to its capacity, without storage reads (see
+    {!Node_view.prime}). *)
 
 val node_by_name : t -> string -> int option
-(** First node carrying the name (index lookup, not a scan). *)
+(** First node carrying the name (index lookup, not a scan). [None] for
+    [""] without a read: unnamed nodes are not indexed. *)
 
 val leaf_ids_by_names : t -> string list -> (int list, string) result
 (** Resolve leaf names; [Error name] on the first unknown or non-leaf

@@ -128,34 +128,19 @@ let decode_entry row =
    the target layer's rollups from a full scan of the tree's node rows.
    Touches O(tree) pages — exactly the cost the precomputed path
    avoids — but keeps old repositories readable. *)
-let overview_scan repo ~tree_id ~layer_count ~layer =
-  let n_guess = ref 0 in
-  let parents = ref [||] and blens = ref [||] and leaves = ref [||] in
-  let ensure n =
-    if n > !n_guess then begin
-      let grow a fill =
-        let b = Array.make (max n (2 * Array.length !a)) fill in
-        Array.blit !a 0 b 0 !n_guess;
-        a := b
-      in
-      grow parents (-1);
-      grow blens 0.0;
-      grow leaves 0;
-      n_guess := Array.length !parents
-    end
-  in
-  let count = ref 0 in
-  Table.iter_index (Repo.nodes repo) ~index:"by_node" ~prefix:(Key.int tree_id)
-    (fun _ row ->
-      let v = Node_view.of_row row in
-      ensure (v.Node_view.node + 1);
-      !parents.(v.Node_view.node) <- v.Node_view.parent;
-      !blens.(v.Node_view.node) <- v.Node_view.blen;
-      !leaves.(v.Node_view.node) <- v.Node_view.leaf_hi - v.Node_view.leaf_lo;
-      incr count;
-      true);
-  let n = !count in
-  let parents = !parents and blens = !blens and leaf_c = !leaves in
+let overview_scan stored ~layer =
+  let repo = Stored_tree.repo stored in
+  let tree_id = Stored_tree.id stored in
+  let layer_count = Stored_tree.layer_count stored in
+  let n = Stored_tree.node_count stored in
+  let parents = Array.make n (-1) and blens = Array.make n 0.0 in
+  let leaf_c = Array.make n 0 in
+  Stored_tree.scan stored ~lo:0 ~hi:(n - 1) (fun v ->
+      let node = v.Node_view.node in
+      parents.(node) <- v.Node_view.parent;
+      blens.(node) <- v.Node_view.blen;
+      leaf_c.(node) <- v.Node_view.leaf_hi - v.Node_view.leaf_lo;
+      node + 1);
   let nodes_c = Array.make n 1 in
   let height_a = Array.make n 0 in
   let blen_a = Array.make n 0.0 in
@@ -192,14 +177,7 @@ let overview_scan repo ~tree_id ~layer_count ~layer =
       | Some (_, row) -> Record.get_int row Schema.Layers.c_sub
       | None -> raise Not_found
   in
-  let name_of r0 =
-    match
-      Table.find (Repo.nodes repo) ~index:"by_node"
-        ~key:(Schema.Nodes.key_node ~tree:tree_id r0)
-    with
-    | Some (_, row) -> Record.get_text row Schema.Nodes.c_name
-    | None -> ""
-  in
+  let name_of r0 = (Stored_tree.view stored r0).Node_view.name in
   let acc = ref [] in
   Table.iter_index subtrees ~index:"by_sub"
     ~prefix:(Key.cat [ Key.int tree_id; Key.int layer ])
@@ -238,7 +216,7 @@ let overview stored ~depth =
   match List.rev !acc with
   | [] ->
       Metrics.Counter.incr m_miss;
-      (layer, overview_scan repo ~tree_id ~layer_count ~layer)
+      (layer, overview_scan stored ~layer)
   | entries ->
       Metrics.Counter.incr m_hit;
       (layer, entries)

@@ -340,6 +340,13 @@ let table t ~name ~schema ~indexes =
 
 let table_names t = List.map (fun e -> e.table_name) t.catalog
 
+let stored_layout t name =
+  List.find_map
+    (fun e ->
+      if String.equal e.table_name name then Some (e.schema, List.map fst e.index_meta)
+      else None)
+    t.catalog
+
 let drop_table t name =
   check_open t;
   if t.mode = Read_only then fail_read_only t (Printf.sprintf "drop table %s" name);

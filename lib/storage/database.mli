@@ -63,6 +63,11 @@ val table :
 val table_names : t -> string list
 (** Tables recorded in the catalog. *)
 
+val stored_layout : t -> string -> (Record.schema * string list) option
+(** The schema and index names the catalog records for a table ([None]
+    when it has none): what {!table} compares a request against, for
+    callers that must say which part of a {!Schema_mismatch} differs. *)
+
 val drop_table : t -> string -> unit
 (** Remove a table and its files. Raises [Not_found] for unknown names. *)
 

@@ -70,6 +70,11 @@ let get t rid =
   check_rid t rid "get";
   Pager.with_page t.pager (rid_page rid) (fun page -> Slotted.read page (rid_slot rid))
 
+let with_record t rid f =
+  check_rid t rid "with_record";
+  Pager.with_page t.pager (rid_page rid) (fun page ->
+      Slotted.with_record page (rid_slot rid) f)
+
 let delete t rid =
   check_rid t rid "delete";
   Pager.with_page_mut t.pager (rid_page rid) (fun page ->

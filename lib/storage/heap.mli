@@ -28,6 +28,13 @@ val get : t -> rid -> string option
 (** [None] for deleted records. Raises [Invalid_argument] for rids that
     never existed. *)
 
+val with_record : t -> rid -> (bytes -> int -> int -> 'a) -> 'a option
+(** [with_record t rid f] pins the record's page and calls
+    [f page off len] on the record's bytes in place: no copy. [f] must
+    not keep [page], which the pool may reuse once it returns. [None]
+    for deleted records; raises [Invalid_argument] for rids that never
+    existed, as {!get} does. *)
+
 val delete : t -> rid -> unit
 
 val iter : t -> (rid -> string -> unit) -> unit

@@ -46,21 +46,75 @@ let encode schema row =
     row;
   Codec.Writer.contents w
 
+module Reader = struct
+  type t = {
+    buf : bytes;
+    mutable pos : int;
+    limit : int;
+  }
+
+  let create buf ~off ~len = { buf; pos = off; limit = off + len }
+
+  let need r n =
+    if r.limit - r.pos < n then
+      raise
+        (Codec.Corrupt
+           (Printf.sprintf "Record.Reader: need %d bytes at offset %d, have %d" n r.pos
+              (r.limit - r.pos)))
+
+  let u8 r =
+    need r 1;
+    let v = Char.code (Bytes.unsafe_get r.buf r.pos) in
+    r.pos <- r.pos + 1;
+    v
+
+  let varint r =
+    let rec loop shift acc =
+      if shift > Sys.int_size - 7 then
+        raise (Codec.Corrupt "Record.Reader: varint overflow");
+      let b = u8 r in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then acc else loop (shift + 7) acc
+    in
+    loop 0 0
+
+  let int r =
+    let v = varint r in
+    (v lsr 1) lxor - (v land 1)
+
+  let float r =
+    need r 8;
+    let v = Int64.float_of_bits (Bytes.get_int64_le r.buf r.pos) in
+    r.pos <- r.pos + 8;
+    v
+
+  let text r =
+    let n = varint r in
+    need r n;
+    let s = if n = 0 then "" else Bytes.sub_string r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let finish r =
+    if r.pos <> r.limit then type_error "payload has %d trailing bytes" (r.limit - r.pos)
+end
+
 let decode schema payload =
-  let r = Codec.Reader.create payload in
+  let r =
+    Reader.create (Bytes.unsafe_of_string payload) ~off:0 ~len:(String.length payload)
+  in
   (* Explicit loop: decoding must consume fields left to right. *)
   let n = Array.length schema in
   let row = Array.make n (VInt 0) in
   for i = 0 to n - 1 do
     row.(i) <-
       (match snd schema.(i) with
-      | Int -> VInt (Codec.Reader.zigzag r)
-      | Float -> VFloat (Codec.Reader.float64 r)
-      | Text -> VText (Codec.Reader.string r)
-      | Blob -> VBlob (Codec.Reader.string r))
+      | Int -> VInt (Reader.int r)
+      | Float -> VFloat (Reader.float r)
+      | Text -> VText (Reader.text r)
+      | Blob -> VBlob (Reader.text r))
   done;
-  if Codec.Reader.remaining r <> 0 then
-    type_error "payload has %d trailing bytes" (Codec.Reader.remaining r);
+  Reader.finish r;
   row
 
 let column_index schema name =

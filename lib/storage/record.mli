@@ -25,7 +25,30 @@ val encode : schema -> value array -> string
 
 val decode : schema -> string -> value array
 (** Raises [Crimson_util.Codec.Corrupt] on malformed input and
-    {!Type_error} when the payload disagrees with the schema. *)
+    {!Type_error} when the payload disagrees with the schema. Built on
+    {!Reader}. *)
+
+(** Sequential field reader over an encoded row held in a buffer — a
+    pinned page, for callers that decode straight off it with no payload
+    copy and no value array (see [Heap.with_record]). Fields must be read
+    left to right, each with the reader of its column type; a read that
+    runs past the end of the row raises [Crimson_util.Codec.Corrupt]. *)
+module Reader : sig
+  type t
+
+  val create : bytes -> off:int -> len:int -> t
+  (** A reader over [len] bytes from [off]. It reads the buffer in
+      place, so it must not be used once a page buffer is unpinned. *)
+
+  val int : t -> int
+  val float : t -> float
+
+  val text : t -> string
+  (** A [Text] or [Blob] field, copied out of the buffer. *)
+
+  val finish : t -> unit
+  (** Raises {!Type_error} when bytes remain past the last field. *)
+end
 
 val column_index : schema -> string -> int
 (** Raises [Not_found]. *)

@@ -66,6 +66,11 @@ let read page slot =
   let off, len = slot_entry page slot in
   if off = 0 then None else Some (Bytes.sub_string page off len)
 
+let with_record page slot f =
+  check_slot page slot "with_record";
+  let off = Codec.get_u16 page (dir_offset slot) in
+  if off = 0 then None else Some (f page off (Codec.get_u16 page (dir_offset slot + 2)))
+
 let delete page slot =
   check_slot page slot "delete";
   Codec.set_u16 page (dir_offset slot) 0;

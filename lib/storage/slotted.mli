@@ -30,6 +30,11 @@ val read : bytes -> int -> string option
 (** [None] for tombstoned slots. Raises [Invalid_argument] on slots never
     allocated. *)
 
+val with_record : bytes -> int -> (bytes -> int -> int -> 'a) -> 'a option
+(** [with_record page slot f] is [f page off len] over the record's bytes
+    in place, with no copy; [None] for a tombstone. Raises
+    [Invalid_argument] on slots never allocated. *)
+
 val delete : bytes -> int -> unit
 (** Tombstone a slot; idempotent. Raises [Invalid_argument] on slots
     never allocated. *)

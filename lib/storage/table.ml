@@ -2,7 +2,7 @@ exception Constraint_violation of string
 
 type index_spec = {
   index_name : string;
-  key_of_row : Record.value array -> string;
+  key_of_row : Record.value array -> string option;
   unique : bool;
 }
 
@@ -18,9 +18,15 @@ let name t = t.name
 let schema t = t.schema
 
 (* Non-unique indexes append the rid, keeping every B+tree key distinct
-   while preserving range order. *)
+   while preserving range order. A row whose key is [None] has no entry
+   in that index. *)
 let stored_key spec key rid =
   if spec.unique then key else Key.cat [ key; Key.int rid ]
+
+let index_row spec btree row rid =
+  match spec.key_of_row row with
+  | Some key -> Btree.insert btree ~key:(stored_key spec key rid) rid
+  | None -> ()
 
 let find_index t ~index =
   match List.find_opt (fun (spec, _) -> String.equal spec.index_name index) t.indexes with
@@ -33,21 +39,16 @@ let insert t row =
   List.iter
     (fun (spec, btree) ->
       if spec.unique then
-        let key = spec.key_of_row row in
-        match Btree.find btree ~key with
-        | Some _ ->
+        match spec.key_of_row row with
+        | Some key when Btree.find btree ~key <> None ->
             raise
               (Constraint_violation
                  (Printf.sprintf "table %s: duplicate key in unique index %s" t.name
                     spec.index_name))
-        | None -> ())
+        | Some _ | None -> ())
     t.indexes;
   let rid = Heap.insert t.heap (Record.encode t.schema row) in
-  List.iter
-    (fun (spec, btree) ->
-      let key = stored_key spec (spec.key_of_row row) rid in
-      Btree.insert btree ~key rid)
-    t.indexes;
+  List.iter (fun (spec, btree) -> index_row spec btree row rid) t.indexes;
   rid
 
 let get t rid =
@@ -57,14 +58,20 @@ let get t rid =
       Some (Record.decode t.schema payload)
   | None -> None
 
+let with_payload t rid f =
+  Heap.with_record t.heap rid (fun page off len ->
+      Crimson_obs.Profile.row_decoded ~bytes:len;
+      f page off len)
+
 let delete t rid =
   match get t rid with
   | None -> false
   | Some row ->
       List.iter
         (fun (spec, btree) ->
-          let key = stored_key spec (spec.key_of_row row) rid in
-          ignore (Btree.delete btree ~key))
+          match spec.key_of_row row with
+          | Some key -> ignore (Btree.delete btree ~key:(stored_key spec key rid))
+          | None -> ())
         t.indexes;
       Heap.delete t.heap rid;
       true
@@ -158,9 +165,7 @@ let rebuild_index t ~index =
       keys := k :: !keys;
       true);
   List.iter (fun k -> ignore (Btree.delete btree ~key:k)) !keys;
-  scan t (fun rid row ->
-      let key = stored_key spec (spec.key_of_row row) rid in
-      Btree.insert btree ~key rid)
+  scan t (fun rid row -> index_row spec btree row rid)
 
 let vacuum t =
   (* Snapshot live payloads, reformat the heap, re-insert, and rebuild
@@ -176,11 +181,7 @@ let vacuum t =
       incr count;
       let rid = Heap.insert t.heap payload in
       let row = Record.decode t.schema payload in
-      List.iter
-        (fun (spec, btree) ->
-          let key = stored_key spec (spec.key_of_row row) rid in
-          Btree.insert btree ~key rid)
-        t.indexes)
+      List.iter (fun (spec, btree) -> index_row spec btree row rid) t.indexes)
     live;
   !count
 

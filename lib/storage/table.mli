@@ -5,14 +5,23 @@
     (computed from the row with the {!Key} encoders) to the row's rid;
     non-unique indexes get the rid appended to the key internally so all
     entries remain distinct and range scans return duplicates in stable
-    order. *)
+    order. An index may be partial: rows whose key is [None] have no
+    entry in it.
+
+    Rows can also be read by rid with no index at all: {!get} decodes a
+    value array, {!with_payload} hands the encoded bytes in place to a
+    {!Record.Reader}. A rid is stable until {!vacuum}, which renumbers
+    every row; callers that keep rids outside the table's own indexes
+    must not vacuum it. *)
 
 exception Constraint_violation of string
 
 type index_spec = {
   index_name : string;
-  key_of_row : Record.value array -> string;
-      (** Order-preserving encoded key; see {!Key}. *)
+  key_of_row : Record.value array -> string option;
+      (** Order-preserving encoded key (see {!Key}), or [None] to leave
+          the row out of this index: in {!insert}, the unique check,
+          {!delete}, {!rebuild_index} and {!vacuum}. *)
   unique : bool;
 }
 
@@ -35,6 +44,12 @@ val insert : t -> Record.value array -> Heap.rid
     holds the key, and {!Record.Type_error} on schema mismatch. *)
 
 val get : t -> Heap.rid -> Record.value array option
+
+val with_payload : t -> Heap.rid -> (bytes -> int -> int -> 'a) -> 'a option
+(** {!Heap.with_record} on the table's heap: [f page off len] runs on the
+    row's encoded bytes while its page is pinned, and must not keep
+    [page]. Charged to the request profile as one decoded row, as {!get}
+    is. [None] for a deleted row. *)
 
 val delete : t -> Heap.rid -> bool
 (** Removes the row and its index entries. [false] when already gone. *)

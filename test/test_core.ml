@@ -243,18 +243,33 @@ let test_stored_queries_match_memory () =
 
 module Node_view = Crimson_core.Node_view
 
-(* Ground truth: decode straight off the nodes table, no cache. *)
-let direct_view repo stored node =
-  match
-    Crimson_storage.Table.find (Repo.nodes repo) ~index:"by_node"
-      ~key:(Crimson_core.Schema.Nodes.key_node ~tree:(Stored_tree.id stored) node)
-  with
-  | Some (_, row) -> Node_view.of_row row
+(* Ground truth: one full scan of the nodes table, each row decoded by
+   the generic [Record.decode] path and keyed by its own (tree, node)
+   columns. It shares no code with the run directory or the cache. *)
+let table_views repo stored =
+  let views = Hashtbl.create 1024 in
+  Table.scan (Repo.nodes repo) (fun _ row ->
+      let v = Node_view.of_row row in
+      if Crimson_storage.Record.get_int row Crimson_core.Schema.Nodes.c_tree
+         = Stored_tree.id stored
+      then begin
+        if Hashtbl.mem views v.Node_view.node then
+          Alcotest.failf "node %d stored twice" v.Node_view.node;
+        Hashtbl.replace views v.Node_view.node v
+      end);
+  views
+
+let direct_view truth node =
+  match Hashtbl.find_opt truth node with
+  | Some v -> v
   | None -> Alcotest.failf "node %d missing from the nodes table" node
 
 let check_views_agree repo stored =
+  let truth = table_views repo stored in
+  check Alcotest.int "one row per node" (Stored_tree.node_count stored)
+    (Hashtbl.length truth);
   for v = 0 to Stored_tree.node_count stored - 1 do
-    if Stored_tree.view stored v <> direct_view repo stored v then
+    if Stored_tree.view stored v <> direct_view truth v then
       Alcotest.failf "cached view differs from the table at node %d" v
   done
 
@@ -267,9 +282,10 @@ let test_node_cache_matches_table () =
   (* Sequential sweep, then random access: both must agree with direct
      table reads under the default capacity (everything stays resident). *)
   check_views_agree repo stored;
+  let truth = table_views repo stored in
   for _ = 1 to 500 do
     let v = Prng.int rng (Stored_tree.node_count stored) in
-    if Stored_tree.view stored v <> direct_view repo stored v then
+    if Stored_tree.view stored v <> direct_view truth v then
       Alcotest.failf "random access mismatch at node %d" v
   done;
   let cs = Stored_tree.cache_stats stored in
@@ -289,9 +305,10 @@ let test_node_cache_tiny_capacity () =
       (Stored_tree.id report.tree)
   in
   check_views_agree repo tiny;
+  let truth = table_views repo tiny in
   for _ = 1 to 500 do
     let v = Prng.int rng (Stored_tree.node_count tiny) in
-    if Stored_tree.view tiny v <> direct_view repo tiny v then
+    if Stored_tree.view tiny v <> direct_view truth v then
       Alcotest.failf "tiny-cache mismatch at node %d" v
   done;
   let cs = Stored_tree.cache_stats tiny in
@@ -1178,8 +1195,9 @@ let test_load_primes_views () =
   let stored = (Loader.load_tree ~f:8 repo ~name:"warm" t).tree in
   let primed = Node_view.default_capacity in
   check Alcotest.bool "tree exceeds the cache" true (Stored_tree.node_count stored > primed);
+  let truth = table_views repo stored in
   for v = 0 to primed - 1 do
-    if Stored_tree.view stored v <> direct_view repo stored v then
+    if Stored_tree.view stored v <> direct_view truth v then
       Alcotest.failf "primed view differs from the stored row at node %d" v
   done;
   let cs = Stored_tree.cache_stats stored in
@@ -1196,12 +1214,13 @@ let test_old_nodes_layout_refused () =
       Table.index_name = "by_parent";
       key_of_row =
         (fun row ->
-          Key.cat
-            [
-              Key.int (Record.get_int row Schema.Nodes.c_tree);
-              Key.int (Record.get_int row Schema.Nodes.c_parent);
-              Key.int (Record.get_int row Schema.Nodes.c_edge_index);
-            ]);
+          Some
+            (Key.cat
+               [
+                 Key.int (Record.get_int row Schema.Nodes.c_tree);
+                 Key.int (Record.get_int row Schema.Nodes.c_parent);
+                 Key.int (Record.get_int row Schema.Nodes.c_edge_index);
+               ]));
       unique = false;
     }
   in
@@ -1242,6 +1261,331 @@ let test_old_nodes_layout_refused () =
       check Alcotest.int "old rows kept" 1 (Table.row_count nodes);
       Database.close db)
 
+let test_by_node_layout_refused () =
+  (* The layout the previous version wrote: subtree_end present, but a
+     [by_node] index beside [by_name] and a [leaves] table. *)
+  let by_node =
+    {
+      Table.index_name = "by_node";
+      key_of_row =
+        (fun row ->
+          Some
+            (Key.cat
+               [
+                 Key.int (Record.get_int row Schema.Nodes.c_tree);
+                 Key.int (Record.get_int row Schema.Nodes.c_node);
+               ]));
+      unique = true;
+    }
+  in
+  let old_indexes = by_node :: Schema.Nodes.indexes in
+  with_temp_dir (fun dir ->
+      (let db = Database.open_dir dir in
+       ignore
+         (Database.table db ~name:"trees" ~schema:Schema.Trees.schema
+            ~indexes:Schema.Trees.indexes);
+       let nodes =
+         Database.table db ~name:"nodes" ~schema:Schema.Nodes.schema ~indexes:old_indexes
+       in
+       ignore
+         (Table.insert nodes
+            Record.
+              [|
+                VInt 0; VInt 0; VInt (-1); VInt 0; VText "root"; VFloat 0.0; VFloat 0.0;
+                VInt 0; VInt 0; VInt 0; VInt 1; VInt 0;
+              |]);
+       Database.close db);
+      let refused mode =
+        match Repo.open_dir ~mode dir with
+        | repo ->
+            Repo.close repo;
+            Alcotest.fail "a nodes table with the by_node index opened"
+        | exception Repo.Open_error msg ->
+            List.iter
+              (fun word ->
+                check Alcotest.bool (Printf.sprintf "%S names %s" msg word) true
+                  (contains msg word))
+              [ dir; "nodes"; "index"; "by_node"; "re-load" ];
+            check Alcotest.bool
+              (Printf.sprintf "%S does not blame subtree_end" msg)
+              false (contains msg "subtree_end")
+      in
+      refused Database.Read_write;
+      refused Database.Read_only;
+      let db = Database.open_dir dir in
+      let nodes =
+        Database.table db ~name:"nodes" ~schema:Schema.Nodes.schema ~indexes:old_indexes
+      in
+      check Alcotest.int "old rows kept" 1 (Table.row_count nodes);
+      check Alcotest.bool "old index kept" true
+        (Table.find nodes ~index:"by_node"
+           ~key:(Key.cat [ Key.int 0; Key.int 0 ])
+         <> None);
+      check Alcotest.bool "no node_runs table created" false
+        (List.mem "node_runs" (Database.table_names db));
+      Database.close db)
+
+(* ---------------------------- Node store ---------------------------- *)
+(* Node rows are located by id and by leaf ordinal through the run
+   directory alone. Each answer is checked against the in-memory tree it
+   was loaded from, and the directory itself against a full scan of the
+   [nodes] heap keyed by each row's own (tree, node) — across several
+   trees in one repository, a delete from the middle, a later load and
+   a reopen. *)
+
+(* [tree] rebuilt in preorder, so its ids are the stored ids, with every
+   third internal node named: [by_name] holds leaves and internal nodes,
+   and unnamed nodes are left out of it. *)
+let preorder_named tree =
+  let b = Tree.Builder.create ~capacity:(Tree.node_count tree) () in
+  let ids = Array.make (Tree.node_count tree) Tree.nil in
+  let internal = ref 0 in
+  Array.iter
+    (fun v ->
+      let name =
+        if Tree.is_leaf tree v then Tree.name tree v
+        else begin
+          incr internal;
+          if !internal mod 3 = 0 then Some (Printf.sprintf "I%d" !internal) else None
+        end
+      in
+      let p = Tree.parent tree v in
+      ids.(v) <-
+        (if p = Tree.nil then Tree.Builder.add_root ?name b
+         else
+           Tree.Builder.add_child ?name ~branch_length:(Tree.branch_length tree v) b
+             ~parent:ids.(p)))
+    (Tree.preorder tree);
+  Tree.Builder.finish b
+
+(* The directory rows of [tree], ascending by first id, from a full scan
+   of [node_runs]. *)
+let directory repo ~tree =
+  let rows = ref [] in
+  Table.scan (Repo.node_runs repo) (fun _ row ->
+      if Record.get_int row Schema.Node_runs.c_tree = tree then
+        rows :=
+          ( Record.get_int row Schema.Node_runs.c_first,
+            Record.get_int row Schema.Node_runs.c_rid )
+          :: !rows);
+  List.sort compare !rows
+
+let check_node_store repo stored mem =
+  let n = Tree.node_count mem and id = Stored_tree.id stored in
+  let fail fmt = Printf.ksprintf (fun s -> Alcotest.failf "tree %d: %s" id s) fmt in
+  if Stored_tree.node_count stored <> n then fail "node count";
+  (* Every row of the tree, by its own (tree, node) columns. *)
+  let rows = Hashtbl.create n in
+  Table.scan (Repo.nodes repo) (fun rid row ->
+      if Record.get_int row Schema.Nodes.c_tree = id then begin
+        let node = Record.get_int row Schema.Nodes.c_node in
+        if Hashtbl.mem rows node then fail "node %d stored twice" node;
+        Hashtbl.replace rows node (rid, Node_view.of_row row)
+      end);
+  if Hashtbl.length rows <> n then fail "%d rows for %d nodes" (Hashtbl.length rows) n;
+  (* The runs cover [0, n-1] exactly once, each id at its row's rid. *)
+  let runs = Array.of_list (directory repo ~tree:id) in
+  if Array.length runs = 0 || fst runs.(0) <> 0 then fail "no run starts at id 0";
+  Array.iteri
+    (fun r (first, _) ->
+      if r > 0 && first <= fst runs.(r - 1) then fail "runs out of order at %d" first;
+      if first >= n then fail "run past the tree at %d" first)
+    runs;
+  let r = ref 0 in
+  for v = 0 to n - 1 do
+    while !r + 1 < Array.length runs && fst runs.(!r + 1) <= v do incr r done;
+    let first, rid = runs.(!r) in
+    if rid + (v - first) <> fst (Hashtbl.find rows v) then fail "run misplaces node %d" v
+  done;
+  (* Every id's view, against the table and against the tree. *)
+  let size = Tree.subtree_sizes mem and rd = Tree.root_distance mem in
+  let ordinal = Array.make n 0 and leaves = ref [] and count = ref 0 in
+  for v = 0 to n - 1 do
+    ordinal.(v) <- !count;
+    if Tree.is_leaf mem v then begin
+      leaves := v :: !leaves;
+      incr count
+    end
+  done;
+  let leaves = Array.of_list (List.rev !leaves) in
+  for v = 0 to n - 1 do
+    let view = Stored_tree.view stored v in
+    if view <> snd (Hashtbl.find rows v) then fail "view %d differs from its row" v;
+    let expect =
+      view.Node_view.parent = Tree.parent mem v
+      && view.Node_view.name = Option.value ~default:"" (Tree.name mem v)
+      && view.Node_view.blen = Tree.branch_length mem v
+      && view.Node_view.root_dist = rd.(v)
+      && view.Node_view.subtree_end = v + size.(v) - 1
+      && view.Node_view.leaf_lo = ordinal.(v)
+      (* A subtree's last preorder node is a leaf. *)
+      && view.Node_view.leaf_hi = ordinal.(v + size.(v) - 1) + 1
+    in
+    if not expect then fail "view %d differs from the tree" v
+  done;
+  (* Every ordinal's leaf, and nothing past either end. *)
+  Array.iteri
+    (fun o leaf ->
+      if Stored_tree.leaf_by_ordinal stored o <> leaf then fail "ordinal %d" o)
+    leaves;
+  List.iter
+    (fun o ->
+      match Stored_tree.leaf_by_ordinal stored o with
+      | exception Stored_tree.Unknown_node _ -> ()
+      | leaf -> fail "ordinal %d answered %d" o leaf)
+    [ -1; Array.length leaves; Array.length leaves + 7 ];
+  (* Clades: leaves in preorder, cut at the limit. *)
+  let rng = Prng.create (n + id) in
+  for _ = 1 to 12 do
+    let inputs =
+      List.init (1 + Prng.int rng 3) (fun _ ->
+          leaves.(Prng.int rng (Array.length leaves)))
+    in
+    let lca = Ops.naive_lca_set mem inputs in
+    let below =
+      List.filter (fun l -> l >= lca && l < lca + size.(lca)) (Array.to_list leaves)
+    in
+    List.iter
+      (fun limit ->
+        let expected = List.filteri (fun i _ -> i < limit) below in
+        if Clade.leaf_ids ~limit stored inputs <> expected then
+          fail "Clade.leaf_ids ~limit:%d under %d" limit lca)
+      [ 0; 1; 2; 1 + Prng.int rng (List.length below); n ]
+  done;
+  (* Every named node by name; the empty name matches nothing. *)
+  for v = 0 to n - 1 do
+    match Tree.name mem v with
+    | Some name ->
+        if Stored_tree.node_by_name stored name <> Some v then fail "node_by_name %S" name
+    | None -> ()
+  done;
+  if Stored_tree.node_by_name stored "" <> None then fail "the empty name resolved"
+
+(* [by_name] entries of one tree. *)
+let named_entries repo ~tree =
+  let count = ref 0 in
+  Table.iter_index (Repo.nodes repo) ~index:"by_name" ~prefix:(Key.int tree) (fun _ _ ->
+      incr count;
+      true);
+  !count
+
+let check_node_store_repo ~f ~pool trees =
+  with_temp_dir (fun dir ->
+      let trees = List.map preorder_named trees in
+      let repo = Repo.open_dir ~pool_size:pool dir in
+      let loaded =
+        List.mapi
+          (fun i t ->
+            ((Loader.load_tree ~f repo ~name:(Printf.sprintf "t%d" i) t).tree, t))
+          trees
+      in
+      (* Delete one from the middle, then load one more behind it. Tree
+         ids are never reused while a later tree is live. *)
+      let doomed, _ = List.nth loaded (List.length loaded / 2) in
+      let doomed_id = Stored_tree.id doomed in
+      Loader.delete_tree repo doomed;
+      let extra = preorder_named (List.hd trees) in
+      let loaded =
+        List.filter (fun (s, _) -> Stored_tree.id s <> doomed_id) loaded
+        @ [ ((Loader.load_tree ~f repo ~name:"extra" extra).tree, extra) ]
+      in
+      (* Handed-over runs and primed views first, then cold handles. *)
+      List.iter (fun (s, t) -> check_node_store repo s t) loaded;
+      Repo.close repo;
+      let repo = Repo.open_dir ~pool_size:pool dir in
+      List.iter
+        (fun (s, t) ->
+          check_node_store repo (Stored_tree.open_name repo (Stored_tree.name s)) t)
+        loaded;
+      (match Stored_tree.open_id repo doomed_id with
+      | exception Stored_tree.Unknown_tree _ -> ()
+      | _ -> Alcotest.fail "the deleted tree still opens");
+      Table.scan (Repo.nodes repo) (fun _ row ->
+          if Record.get_int row Schema.Nodes.c_tree = doomed_id then
+            Alcotest.fail "a deleted tree's node row survived");
+      if directory repo ~tree:doomed_id <> [] then
+        Alcotest.fail "a deleted tree's runs survived";
+      (* Names only: one [by_name] entry per named node, none for the
+         deleted tree. *)
+      List.iter
+        (fun (s, t) ->
+          let named =
+            Array.fold_left
+              (fun acc v -> if Tree.name t v <> None then acc + 1 else acc)
+              0 (Tree.preorder t)
+          in
+          check Alcotest.int "by_name holds named nodes only" named
+            (named_entries repo ~tree:(Stored_tree.id s)))
+        loaded;
+      check Alcotest.int "no by_name entry of the deleted tree" 0
+        (named_entries repo ~tree:doomed_id);
+      Repo.close repo)
+
+let arb_store_case =
+  QCheck.make
+    ~print:(fun (shapes, f, pool, seed) ->
+      Printf.sprintf "[%s], f=%d, pool %d, seed %d"
+        (String.concat "; "
+           (List.map (fun (s, l) -> Printf.sprintf "%s %d" (shape_name s) l) shapes))
+        f pool seed)
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 3 4)
+           (pair (oneofl [ Yule; Birth_death; Caterpillar ]) (int_range 2 300)))
+        (oneofl [ 2; 3; 8; 16 ]) (oneofl [ 8; 256 ]) (int_bound 1_000_000))
+
+let prop_node_store =
+  QCheck.Test.make ~name:"node store = in-memory reference" ~count:25 arb_store_case
+  @@ fun (shapes, f, pool, seed) ->
+  check_node_store_repo ~f ~pool
+    (List.mapi (fun i (shape, leaves) -> gen_tree shape ~seed:(seed + i) ~leaves) shapes);
+  true
+
+let test_node_store_deep () =
+  (* A 10^4-deep caterpillar between two Yule trees, at both ends of the
+     fanout and pool range. *)
+  let trees =
+    [
+      gen_tree Yule ~seed:1 ~leaves:200;
+      gen_tree Caterpillar ~seed:2006 ~leaves:10_000;
+      gen_tree Yule ~seed:3 ~leaves:300;
+    ]
+  in
+  check_node_store_repo ~f:2 ~pool:8 trees;
+  check_node_store_repo ~f:16 ~pool:256 trees
+
+let test_forged_run_refused () =
+  (* A run pointing one row off reads another node's row: every read
+     path must refuse it as corrupt, never answer with that row. *)
+  let repo = Repo.open_mem () in
+  ignore (Loader.load_tree ~f:4 repo ~name:"a" (Helpers.caterpillar 300));
+  let b = (Loader.load_tree ~f:4 repo ~name:"b" (Helpers.caterpillar 300)).tree in
+  let runs = Repo.node_runs repo in
+  let b_runs = ref [] in
+  Table.scan runs (fun rid row ->
+      if Record.get_int row Schema.Node_runs.c_tree = Stored_tree.id b then
+        b_runs := (rid, row) :: !b_runs);
+  (* The run holding the root, shifted back one row. *)
+  let rid, row =
+    List.find (fun (_, row) -> Record.get_int row Schema.Node_runs.c_first = 0) !b_runs
+  in
+  let shifted = Array.copy row in
+  shifted.(Schema.Node_runs.c_rid) <-
+    Record.VInt (Record.get_int row Schema.Node_runs.c_rid - 1);
+  ignore (Table.update runs rid shifted);
+  let corrupt what f =
+    let cold = Stored_tree.open_id repo (Stored_tree.id b) in
+    match f cold with
+    | exception
+        Crimson_storage.Error.Error (Crimson_storage.Error.Corrupt_page { file; _ }) ->
+        check Alcotest.bool (what ^ " names nodes.heap") true (contains file "nodes.heap")
+    | _ -> Alcotest.failf "%s read through a forged run" what
+  in
+  corrupt "view" (fun s -> ignore (Stored_tree.view s 0));
+  corrupt "scan" (fun s ->
+      Stored_tree.scan s ~lo:0 ~hi:0 (fun v -> v.Node_view.node + 1));
+  corrupt "leaf_by_ordinal" (fun s -> ignore (Stored_tree.leaf_by_ordinal s 0))
+
 let test_non_finite_times_refused () =
   (* A NaN or infinite cut time is refused before any read: no frontier
      walk, no pages. *)
@@ -1272,7 +1616,6 @@ let test_explain_names_real_indexes () =
     | "nodes" -> Repo.nodes repo
     | "layers" -> Repo.layers repo
     | "subtrees" -> Repo.subtrees repo
-    | "leaves" -> Repo.leaves repo
     | "species" -> Repo.species repo
     | "summaries" -> Repo.summaries repo
     | "queries" -> Repo.queries repo
@@ -1431,6 +1774,13 @@ let () =
             test_old_nodes_layout_refused;
           Alcotest.test_case "non-finite times refused" `Quick
             test_non_finite_times_refused;
+          Alcotest.test_case "by_node layout refused" `Quick test_by_node_layout_refused;
+        ] );
+      ( "node_store",
+        [
+          QCheck_alcotest.to_alcotest prop_node_store;
+          Alcotest.test_case "10^4-deep caterpillar" `Quick test_node_store_deep;
+          Alcotest.test_case "forged run is corrupt" `Quick test_forged_run_refused;
         ] );
       ( "explain",
         [

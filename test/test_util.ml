@@ -2,9 +2,7 @@
 
 module Prng = Crimson_util.Prng
 module Vec = Crimson_util.Vec
-module Bitset = Crimson_util.Bitset
 module Codec = Crimson_util.Codec
-module Interner = Crimson_util.Interner
 module Stats = Crimson_util.Stats
 
 let check = Alcotest.check
@@ -200,63 +198,6 @@ let vec_model =
     ops;
   Vec.to_list v = !model
 
-(* ------------------------------ Bitset ----------------------------- *)
-
-let test_bitset_basic () =
-  let s = Bitset.create 100 in
-  Bitset.add s 0;
-  Bitset.add s 63;
-  Bitset.add s 99;
-  check Alcotest.bool "mem 0" true (Bitset.mem s 0);
-  check Alcotest.bool "mem 63" true (Bitset.mem s 63);
-  check Alcotest.bool "mem 50" false (Bitset.mem s 50);
-  check Alcotest.int "cardinal" 3 (Bitset.cardinal s);
-  Bitset.remove s 63;
-  check Alcotest.bool "removed" false (Bitset.mem s 63);
-  check Alcotest.int "cardinal" 2 (Bitset.cardinal s)
-
-let test_bitset_bounds () =
-  let s = Bitset.create 10 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitset.add: index 10 out of bounds [0,10)")
-    (fun () -> Bitset.add s 10)
-
-let test_bitset_ops () =
-  let a = Bitset.of_list 10 [ 1; 2; 3 ] in
-  let b = Bitset.of_list 10 [ 2; 3; 4 ] in
-  check (Alcotest.list Alcotest.int) "union" [ 1; 2; 3; 4 ]
-    (Bitset.to_list (Bitset.union a b));
-  check (Alcotest.list Alcotest.int) "inter" [ 2; 3 ] (Bitset.to_list (Bitset.inter a b));
-  check Alcotest.bool "subset" true (Bitset.subset (Bitset.of_list 10 [ 2 ]) a);
-  check Alcotest.bool "not subset" false (Bitset.subset a b)
-
-let test_bitset_complement () =
-  let a = Bitset.of_list 5 [ 0; 2; 4 ] in
-  check (Alcotest.list Alcotest.int) "complement" [ 1; 3 ]
-    (Bitset.to_list (Bitset.complement a));
-  (* Complement twice is identity, and capacity edge bits stay clean. *)
-  check Alcotest.bool "involutive" true
-    (Bitset.equal a (Bitset.complement (Bitset.complement a)))
-
-let bitset_model =
-  QCheck.Test.make ~name:"bitset matches int-set model" ~count:300
-    QCheck.(list (pair bool (int_range 0 61)))
-  @@ fun ops ->
-  let s = Bitset.create 62 in
-  let model = Hashtbl.create 16 in
-  List.iter
-    (fun (add, i) ->
-      if add then begin
-        Bitset.add s i;
-        Hashtbl.replace model i ()
-      end
-      else begin
-        Bitset.remove s i;
-        Hashtbl.remove model i
-      end)
-    ops;
-  Bitset.cardinal s = Hashtbl.length model
-  && List.for_all (fun i -> Hashtbl.mem model i) (Bitset.to_list s)
-
 (* ------------------------------ Codec ------------------------------ *)
 
 let test_codec_roundtrip_ints () =
@@ -325,20 +266,6 @@ let codec_varint_roundtrip =
   Codec.Writer.varint w v;
   let r = Codec.Reader.create (Codec.Writer.contents w) in
   Codec.Reader.varint r = v
-
-(* ----------------------------- Interner ---------------------------- *)
-
-let test_interner () =
-  let i = Interner.create () in
-  let a = Interner.intern i "Bha" in
-  let b = Interner.intern i "Lla" in
-  let a' = Interner.intern i "Bha" in
-  check Alcotest.int "stable" a a';
-  check Alcotest.bool "distinct" true (a <> b);
-  check Alcotest.string "name" "Bha" (Interner.name i a);
-  check Alcotest.int "count" 2 (Interner.count i);
-  check (Alcotest.option Alcotest.int) "find" (Some b) (Interner.find i "Lla");
-  check (Alcotest.option Alcotest.int) "find missing" None (Interner.find i "Spy")
 
 (* ------------------------------ Stats ------------------------------ *)
 
@@ -423,14 +350,6 @@ let () =
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
           qtest vec_model;
         ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          Alcotest.test_case "set ops" `Quick test_bitset_ops;
-          Alcotest.test_case "complement" `Quick test_bitset_complement;
-          qtest bitset_model;
-        ] );
       ( "codec",
         [
           Alcotest.test_case "fixed ints" `Quick test_codec_roundtrip_ints;
@@ -441,7 +360,6 @@ let () =
           Alcotest.test_case "fixed offsets" `Quick test_codec_fixed_offsets;
           qtest codec_varint_roundtrip;
         ] );
-      ("interner", [ Alcotest.test_case "basic" `Quick test_interner ]);
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
