@@ -55,7 +55,8 @@ collection-smoke: build
 # The fleet health plane end to end through the CLI: serve at
 # --workers 1 and 4 with --obs-listen, health-gate the boot via
 # /healthz, push a query burst, and require the merged /metrics
-# server.requests counter to equal the sum of the per-worker slices.
+# server.requests counter to equal the sum of the per-worker slices
+# and the node-cache and pager hit counters to rise over the burst.
 obs-smoke: build
 	sh scripts/obs_smoke.sh 1 4
 

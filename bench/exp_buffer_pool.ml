@@ -11,7 +11,7 @@ open Bench_common
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
 module Stored_tree = Crimson_core.Stored_tree
-module Database = Crimson_storage.Database
+module Cost = Crimson_obs.Cost
 module Prng = Crimson_util.Prng
 
 let run () =
@@ -44,19 +44,16 @@ let run () =
             time_once (fun () ->
                 Array.iter (fun (a, b) -> ignore (Stored_tree.lca stored a b)) pairs)
           in
-          Database.reset_pager_stats (Repo.database repo);
           (* Warm pass over the same working set. *)
+          let c0 = Cost.snapshot () in
           let _, warm_ms =
             time_once (fun () ->
                 Array.iter (fun (a, b) -> ignore (Stored_tree.lca stored a b)) pairs)
           in
-          let stats = Database.pager_stats (Repo.database repo) in
-          let hits, misses, evictions =
-            List.fold_left
-              (fun (h, m, e) (_, (s : Crimson_storage.Pager.stats)) ->
-                (h + s.hits, m + s.misses, e + s.evictions))
-              (0, 0, 0) stats
-          in
+          let c1 = Cost.current () in
+          let hits = c1.pager_hits - c0.pager_hits
+          and misses = c1.pager_misses - c0.pager_misses
+          and evictions = c1.pager_evictions - c0.pager_evictions in
           let hit_rate =
             if hits + misses = 0 then 1.0
             else float_of_int hits /. float_of_int (hits + misses)

@@ -7,7 +7,7 @@
    dropped, and never the node pages — so it stays an order of
    magnitude under the full node scan as the tree grows. The
    in-process sweep measures `Summary.overview` latency and
-   `Repo.measure` page touches at three tree sizes, and contrasts the
+   `Profile.measure` page touches at three tree sizes, and contrasts the
    precomputed path with the node-scan fallback (summary rows deleted)
    at the largest size. The end-to-end phase serves the largest tree
    over a real gateway socket and measures overview GET latency and the
@@ -100,7 +100,9 @@ let run () =
             (Loader.load_tree ~f:8 repo ~name:"bench" (yule leaves)).Loader.tree
           in
           let _, clusters = Summary.overview stored ~depth:1 in
-          let _, _, pages = Repo.measure repo (fun () -> overview_once stored) in
+          let _, _, pages =
+            Crimson_obs.Profile.measure (fun () -> overview_once stored)
+          in
           let ms = time_mean ~reps (fun () -> overview_once stored) in
           T.add_row table
             [

@@ -98,7 +98,7 @@ let rec run () =
 and stored_pages () =
   let module Repo = Crimson_core.Repo in
   let module Stored_tree = Crimson_core.Stored_tree in
-  let module Node_view = Crimson_core.Node_view in
+  let module Cost = Crimson_obs.Cost in
   let module Loader = Crimson_core.Loader in
   let depth = 10_000 in
   let repo = Repo.open_mem () in
@@ -111,20 +111,22 @@ and stored_pages () =
      handle actually serves. *)
   let pass stored =
     let rng = Prng.create 9 in
-    let p0 = Repo.pages_touched repo in
+    let p0 = Cost.pages (Cost.current ()) in
     for _ = 1 to queries do
       ignore (Stored_tree.lca stored (Prng.int rng n) (Prng.int rng n))
     done;
-    Repo.pages_touched repo - p0
+    Cost.pages (Cost.current ()) - p0
   in
   let uncached_handle = Stored_tree.open_id ~cache_capacity:1 ~prefetch:1 repo id in
   let _ = pass uncached_handle in
   let uncached = pass uncached_handle in
+  let c0 = Cost.snapshot () in
   let cached_handle = Stored_tree.open_id repo id in
   let cold = pass cached_handle in
   let steady = pass cached_handle in
-  let cs = Stored_tree.cache_stats cached_handle in
-  let total = cs.Node_view.hits + cs.Node_view.misses in
+  let c1 = Cost.current () in
+  let hits = c1.cache_hits - c0.cache_hits in
+  let total = hits + c1.cache_misses - c0.cache_misses in
   note
     "stored caterpillar depth %d, %d LCA queries per pass:\n\
     \  pages touched without cache:      %d per pass (capacity 1)\n\
@@ -132,7 +134,7 @@ and stored_pages () =
     \  pages touched with cache, steady: %d (%.1f%% lifetime hit rate)" depth
     queries uncached cold steady
     (if total = 0 then 0.0
-     else 100.0 *. float_of_int cs.Node_view.hits /. float_of_int total);
+     else 100.0 *. float_of_int hits /. float_of_int total);
   if steady >= uncached then
     note "WARNING: node view cache did not reduce pages touched";
   Repo.close repo

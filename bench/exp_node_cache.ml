@@ -10,7 +10,7 @@
 open Bench_common
 module Repo = Crimson_core.Repo
 module Stored_tree = Crimson_core.Stored_tree
-module Node_view = Crimson_core.Node_view
+module Cost = Crimson_obs.Cost
 module Loader = Crimson_core.Loader
 module Sampling = Crimson_core.Sampling
 module Projection = Crimson_core.Projection
@@ -19,13 +19,17 @@ let pct hits misses =
   let total = hits + misses in
   if total = 0 then "-" else Printf.sprintf "%.1f%%" (100.0 *. float_of_int hits /. float_of_int total)
 
-(* Stats delta for one workload on one handle. *)
-let with_stats stored f =
-  let before = Stored_tree.cache_stats stored in
-  f ();
-  let after = Stored_tree.cache_stats stored in
-  ( after.Node_view.hits - before.Node_view.hits,
-    after.Node_view.misses - before.Node_view.misses )
+(* Pages per query and node-cache (hits, misses) over [queries] runs of
+   one workload, from the cost record's deltas. *)
+let measure queries f =
+  let c0 = Cost.snapshot () in
+  for _ = 1 to queries do
+    f ()
+  done;
+  let c1 = Cost.current () in
+  ( float_of_int (Cost.pages c1 - Cost.pages c0) /. float_of_int queries,
+    c1.cache_hits - c0.cache_hits,
+    c1.cache_misses - c0.cache_misses )
 
 let run () =
   section "E10" "node view cache: pages touched per query vs cache capacity";
@@ -55,27 +59,15 @@ let run () =
         let queries = 200 in
         (* Root-ward walks: random-pair LCA. *)
         let rng = Prng.create 5 in
-        let p0 = Repo.pages_touched repo in
-        let lca_hits, lca_misses =
-          with_stats stored (fun () ->
-              for _ = 1 to queries do
-                ignore (Stored_tree.lca stored (Prng.int rng n) (Prng.int rng n))
-              done)
+        let lca_pages, lca_hits, lca_misses =
+          measure queries (fun () ->
+              ignore (Stored_tree.lca stored (Prng.int rng n) (Prng.int rng n)))
         in
-        let lca_pages = float_of_int (Repo.pages_touched repo - p0) /. float_of_int queries in
         (* Induced subtrees: sample-and-project, the benchmark manager's
            inner loop. *)
-        let proj_queries = 50 in
-        let p1 = Repo.pages_touched repo in
-        let proj_hits, proj_misses =
-          with_stats stored (fun () ->
-              for _ = 1 to proj_queries do
-                let leaves = Sampling.uniform stored ~rng ~k:20 in
-                ignore (Projection.project stored leaves)
-              done)
-        in
-        let proj_pages =
-          float_of_int (Repo.pages_touched repo - p1) /. float_of_int proj_queries
+        let proj_pages, proj_hits, proj_misses =
+          measure 50 (fun () ->
+              ignore (Projection.project stored (Sampling.uniform stored ~rng ~k:20)))
         in
         T.add_row table
           [

@@ -20,7 +20,7 @@ let experiments =
     ("E10", "node view cache: capacity sweep", Exp_node_cache.run);
     ("E11", "query service: concurrent clients over a served repository", Exp_server.run);
     ("E12", "WAL recovery: replay time vs committed batch size", Exp_recovery.run);
-    ("E13", "profiler overhead: disabled charge points vs full profiling", Exp_profile.run);
+    ("E13", "profiler overhead: plain queries vs full profiling", Exp_profile.run);
     ("E14", "worker fleet: throughput grid and open-loop latency", Exp_workers.run);
     ("E15", "collection store: dictionary size and bulk-query latency", Exp_collection.run);
     ("E16", "health plane: closed-loop overhead with the endpoint scraped live", Exp_obs.run);

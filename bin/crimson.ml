@@ -240,7 +240,7 @@ let lca_cmd =
             | Error n -> fail "unknown species %S" n
             | Ok ids ->
                 let l, elapsed_ms, pages =
-                  Repo.measure repo (fun () -> Stored_tree.lca_set stored ids)
+                  Crimson_obs.Profile.measure (fun () -> Stored_tree.lca_set stored ids)
                 in
                 Printf.printf "LCA(%s) = %s (depth %d, distance from root %g)\n"
                   (String.concat ", " names) (node_label stored l)
@@ -266,7 +266,7 @@ let clade_cmd =
             | Error n -> fail "unknown species %S" n
             | Ok ids ->
                 let (root, size), elapsed_ms, pages =
-                  Repo.measure repo (fun () ->
+                  Crimson_obs.Profile.measure (fun () ->
                       (Clade.root_of stored ids, Clade.size stored ids))
                 in
                 Printf.printf "minimal spanning clade rooted at %s: %d species\n"
@@ -354,7 +354,7 @@ let project_cmd =
             | Error msg -> fail "%s" msg
             | Ok (ids, how) ->
                 let projection, elapsed_ms, pages =
-                  Repo.measure repo (fun () -> Projection.project stored ids)
+                  Crimson_obs.Profile.measure (fun () -> Projection.project stored ids)
                 in
                 emit_tree fmt out projection;
                 ignore
@@ -381,7 +381,7 @@ let match_cmd =
         with_tree dir tree (fun repo stored ->
             let pattern = Newick.parse_file pattern_file in
             let r, elapsed_ms, pages =
-              Repo.measure repo (fun () -> Pattern.match_pattern stored pattern)
+              Crimson_obs.Profile.measure (fun () -> Pattern.match_pattern stored pattern)
             in
             Printf.printf "matched: %b (weights too: %b)\n" r.matched r.weighted_match;
             Printf.printf "clade RF distance vs projection: %d (normalized %.3f)\n"
@@ -1600,7 +1600,7 @@ let collection_consensus_cmd =
         with_repo dir (fun repo ->
             let c = Collection.open_name repo coll in
             let tree, elapsed_ms, pages =
-              Repo.measure repo (fun () -> Collection.consensus ~threshold c)
+              Crimson_obs.Profile.measure (fun () -> Collection.consensus ~threshold c)
             in
             emit_tree fmt out tree;
             ignore
@@ -1621,7 +1621,7 @@ let collection_rf_cmd =
         with_repo dir (fun repo ->
             let c = Collection.open_name repo coll in
             let m, elapsed_ms, pages =
-              Repo.measure repo (fun () -> Collection.rf_matrix c)
+              Crimson_obs.Profile.measure (fun () -> Collection.rf_matrix c)
             in
             let names = Array.of_list (Collection.member_names c) in
             Array.iteri

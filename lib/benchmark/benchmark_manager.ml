@@ -3,7 +3,7 @@ module Metrics = Crimson_tree.Metrics
 module Prng = Crimson_util.Prng
 module Repo = Crimson_core.Repo
 module Stored_tree = Crimson_core.Stored_tree
-module Node_view = Crimson_core.Node_view
+module Cost = Crimson_obs.Cost
 module Loader = Crimson_core.Loader
 module Sampling = Crimson_core.Sampling
 module Projection = Crimson_core.Projection
@@ -124,9 +124,10 @@ let run repo stored config =
   | Named _ | Uniform | With_time _ -> ());
   let rng = Prng.create config.seed in
   let outcomes = ref [] in
+  let cost = Cost.current () and cost0 = Cost.snapshot () in
   for replicate = 1 to config.replicates do
     let replicate_start = Unix.gettimeofday () in
-    let pages_start = Repo.pages_touched repo in
+    let pages_start = Cost.pages cost in
     let leaf_ids = sample_leaves stored config rng in
     let truth =
       try Projection.project stored leaf_ids
@@ -189,18 +190,17 @@ let run repo stored config =
              !outcomes)
       in
       let elapsed_ms = 1000.0 *. (Unix.gettimeofday () -. replicate_start) in
-      let pages = Repo.pages_touched repo - pages_start in
+      let pages = Cost.pages cost - pages_start in
       ignore (Repo.record_query repo ~elapsed_ms ~pages ~text ~result)
     end
   done;
-  let cs = Stored_tree.cache_stats stored in
-  let looked_up = cs.Node_view.hits + cs.Node_view.misses in
-  if looked_up > 0 then
+  let hits = cost.cache_hits - cost0.cache_hits
+  and misses = cost.cache_misses - cost0.cache_misses in
+  if hits + misses > 0 then
     Log.info (fun m ->
-        m "node cache: %d hits / %d misses (%.1f%% hit rate), %d evictions"
-          cs.Node_view.hits cs.Node_view.misses
-          (100.0 *. float_of_int cs.Node_view.hits /. float_of_int looked_up)
-          cs.Node_view.evictions);
+        m "node cache: %d hits / %d misses (%.1f%% hit rate), %d evictions" hits misses
+          (100.0 *. float_of_int hits /. float_of_int (hits + misses))
+          (cost.cache_evictions - cost0.cache_evictions));
   List.rev !outcomes
 
 type summary = {

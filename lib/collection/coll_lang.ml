@@ -108,28 +108,42 @@ let trap f =
   | exception Crimson_obs.Deadline.Expired -> raise Crimson_obs.Deadline.Expired
   | exception e -> Error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
 
-let record_outcome ~record repo ~elapsed_ms ~pages ?cost ~text ~result k =
-  match
-    if record then
-      ignore (Repo.record_query repo ~elapsed_ms ~pages ?cost ~text ~result)
-  with
-  | () -> Ok (k ())
-  | exception Crimson_storage.Error.Error e ->
-      Error (Crimson_storage.Error.to_string e)
-
-let run ?(record = true) repo text =
+let measured ~profiled ?(record = true) repo text =
+  let body () =
+    Crimson_obs.Span.with_ ~name:"coll.query" (fun () ->
+        let call = Profile.stage "parse" (fun () -> parse text) in
+        Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.Call.fn);
+        Profile.stage "execute" (fun () -> execute repo call))
+  in
   match
     trap (fun () ->
-        Repo.measure repo (fun () ->
-            Crimson_obs.Span.with_ ~name:"coll.query" (fun () ->
-                let call = parse text in
-                Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.Call.fn);
-                execute repo call)))
+        if profiled then
+          let result, report = Profile.profile body in
+          (result, report.total.elapsed_ms, Profile.pages_touched report, Some report)
+        else
+          let result, elapsed_ms, pages = Profile.measure body in
+          (result, elapsed_ms, pages, None))
   with
   | Error _ as e -> e
-  | Ok (result, elapsed_ms, pages) ->
-      record_outcome ~record repo ~elapsed_ms ~pages ~text ~result (fun () ->
-          { text; result })
+  | Ok (result, elapsed_ms, pages, report) -> (
+      let cost =
+        Option.map (fun r -> Crimson_obs.Json.to_string (Profile.cost_summary r)) report
+      in
+      match
+        if record then
+          ignore (Repo.record_query repo ~elapsed_ms ~pages ?cost ~text ~result)
+      with
+      | () -> Ok ({ text; result }, elapsed_ms, pages, report)
+      | exception Crimson_storage.Error.Error e ->
+          Error (Crimson_storage.Error.to_string e))
+
+let run ?record repo text =
+  Result.map (fun (o, _, _, _) -> o) (measured ~profiled:false ?record repo text)
+
+let profile ?record repo text =
+  Result.map
+    (fun (o, _, _, report) -> (o, Option.get report))
+    (measured ~profiled:true ?record repo text)
 
 let explain repo text =
   trap (fun () ->
@@ -169,21 +183,6 @@ let explain repo text =
           ]
       | "collstats" -> [ header; dict; "sum encoded row payloads, no decoding" ]
       | _ -> assert false)
-
-let profile ?(record = true) repo text =
-  match
-    trap (fun () ->
-        Repo.measure repo (fun () ->
-            Profile.profile (fun () ->
-                Crimson_obs.Span.with_ ~name:"coll.query" (fun () ->
-                    let call = Profile.stage "parse" (fun () -> parse text) in
-                    Profile.stage "execute" (fun () -> execute repo call)))))
-  with
-  | Error _ as e -> e
-  | Ok ((result, report), elapsed_ms, pages) ->
-      let cost = Crimson_obs.Json.to_string (Profile.cost_summary report) in
-      record_outcome ~record repo ~elapsed_ms ~pages ~cost ~text ~result
-        (fun () -> ({ text; result }, report))
 
 let help =
   {|Collection queries run over a whole tree collection:

@@ -44,8 +44,17 @@ val profile :
   Repo.t ->
   string ->
   (outcome * Crimson_obs.Profile.report, string) result
-(** Like {!run} under a {!Crimson_obs.Profile} context; collection
-    stages ("dict_scan", "consensus_build", "decode_members",
-    "rf_matrix", …) appear in the report. *)
+(** Like {!run} under a {!Crimson_obs.Profile}; collection stages
+    ("dict_scan", "consensus_build", "decode_members", "rf_matrix", …)
+    appear in the report. *)
+
+val measured :
+  profiled:bool ->
+  ?record:bool ->
+  Repo.t ->
+  string ->
+  (outcome * float * int * Crimson_obs.Profile.report option, string) result
+(** The one body {!run} and {!profile} share, as
+    {!Crimson_core.Query_lang.measured}. *)
 
 val help : string

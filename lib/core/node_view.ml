@@ -76,11 +76,9 @@ let layer_of_row row =
     l_local_depth = Record.get_int row Schema.Layers.c_local_depth;
   }
 
-(* Registry telemetry, shared by every cache in the process (the same
-   convention as the pager and btree counters). *)
-let m_hits = Metrics.counter "core.node_cache.hit"
-let m_misses = Metrics.counter "core.node_cache.miss"
-let m_evictions = Metrics.counter "core.node_cache.eviction"
+(* Hits, misses and evictions are charged to the cost record, which
+   backs the core.node_cache counters; prefetch batch sizes are a
+   registry histogram. *)
 let h_prefetch = Metrics.histogram "core.node_cache.prefetch_batch"
 
 (* Cache-miss fetches are the storage-level work a trace wants to see:
@@ -103,7 +101,6 @@ module Lru = struct
     tbl : ('k, ('k, 'v) entry) Hashtbl.t;
     mutable head : ('k, 'v) entry option;
     mutable tail : ('k, 'v) entry option;
-    mutable evictions : int;
   }
 
   let create capacity =
@@ -113,7 +110,6 @@ module Lru = struct
       tbl = Hashtbl.create (min capacity 1024);
       head = None;
       tail = None;
-      evictions = 0;
     }
 
   let unlink t e =
@@ -152,8 +148,7 @@ module Lru = struct
       | Some victim ->
           unlink t victim;
           Hashtbl.remove t.tbl victim.key;
-          t.evictions <- t.evictions + 1;
-          Metrics.Counter.incr m_evictions
+          Crimson_obs.Cost.cache_eviction ()
       | None -> ());
     let e = { key = k; value = v; prev = None; next = None } in
     Hashtbl.replace t.tbl k e;
@@ -249,8 +244,6 @@ type cache = {
   views : (int, t) Lru.t;
   layer_views : (int * int, layer_view) Lru.t; (* (layer, node) *)
   sub_roots : (int * int, int) Lru.t; (* (layer, sub) *)
-  mutable hits : int;
-  mutable misses : int;
   (* Last missed key per table, for sequential-run detection: batching
      only pays when consecutive misses land near each other. *)
   mutable last_node_miss : int;
@@ -274,8 +267,6 @@ let create_cache ?(capacity = default_capacity) ?(prefetch = default_prefetch)
     views = Lru.create capacity;
     layer_views = Lru.create (max 8 (capacity / 4));
     sub_roots = Lru.create (max 8 (capacity / 4));
-    hits = 0;
-    misses = 0;
     last_node_miss = min_int / 2;
     last_layer_miss = (min_int, min_int / 2);
   }
@@ -369,16 +360,6 @@ let read_view c n =
     let rid = rid_of c n in
     if rid < 0 then None else read_row c n rid (decode_view n)
 
-let hit c =
-  c.hits <- c.hits + 1;
-  Metrics.Counter.incr m_hits;
-  Crimson_obs.Profile.cache_hit ()
-
-let miss c =
-  c.misses <- c.misses + 1;
-  Metrics.Counter.incr m_misses;
-  Crimson_obs.Profile.cache_miss ()
-
 (* Adaptive batching: a miss near the previous miss means a sweep or a
    climb is under way (node ids are dense preorder, so both walk the id
    space in short steps), and a [prefetch]-row window is read in the
@@ -426,10 +407,10 @@ let find c n =
   else
     match Lru.find c.views n with
     | Some v ->
-        hit c;
+        Crimson_obs.Cost.cache_hit ();
         Some v
     | None ->
-        miss c;
+        Crimson_obs.Cost.cache_miss ();
         prefetch_nodes c n
 
 let node c n = match find c n with Some v -> v | None -> raise (Unknown_node n)
@@ -477,10 +458,10 @@ let leaf_by_ordinal c o =
       let view =
         match Lru.find c.views leaf with
         | Some v ->
-            hit c;
+            Crimson_obs.Cost.cache_hit ();
             Some v
         | None -> (
-            miss c;
+            Crimson_obs.Cost.cache_miss ();
             match read_view c leaf with
             | Some v ->
                 Lru.add c.views leaf v;
@@ -578,10 +559,10 @@ let layer_view c ~layer n =
   Crimson_obs.Deadline.check ();
   match Lru.find c.layer_views (layer, n) with
   | Some v ->
-      hit c;
+      Crimson_obs.Cost.cache_hit ();
       v
   | None -> (
-      miss c;
+      Crimson_obs.Cost.cache_miss ();
       prefetch_layer c ~layer n;
       match Lru.find c.layer_views (layer, n) with
       | Some v -> v
@@ -600,10 +581,10 @@ let sub_root c ~layer s =
   Crimson_obs.Deadline.check ();
   match Lru.find c.sub_roots (layer, s) with
   | Some root ->
-      hit c;
+      Crimson_obs.Cost.cache_hit ();
       root
   | None -> (
-      miss c;
+      Crimson_obs.Cost.cache_miss ();
       match
         Table.find (Repo.subtrees c.repo) ~index:"by_sub"
           ~key:(Schema.Subtrees.key_sub ~tree:c.tree ~layer s)
@@ -619,20 +600,5 @@ let invalidate c =
   Lru.clear c.layer_views;
   Lru.clear c.sub_roots
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  resident : int;
-}
-
-let stats (c : cache) =
-  {
-    hits = c.hits;
-    misses = c.misses;
-    evictions =
-      c.views.Lru.evictions + c.layer_views.Lru.evictions
-      + c.sub_roots.Lru.evictions;
-    resident =
-      Lru.length c.views + Lru.length c.layer_views + Lru.length c.sub_roots;
-  }
+let resident c =
+  Lru.length c.views + Lru.length c.layer_views + Lru.length c.sub_roots

@@ -19,11 +19,12 @@
     [Table.vacuum] on [nodes] would cause one, because it renumbers rids;
     nothing vacuums [nodes].
 
-    Telemetry: hits, misses and evictions are registered as
-    [core.node_cache.*] counters, prefetch batch sizes as the
-    [core.node_cache.prefetch_batch] histogram, scan times as the
-    [core.node_scan.ms] histogram — visible in [crimson stats] and BENCH
-    lines. *)
+    Telemetry: hits, misses and evictions are charged to the calling
+    domain's {!Crimson_obs.Cost} record, which backs the
+    [core.node_cache.*] counters and every profile. Prefetch batch
+    sizes feed the [core.node_cache.prefetch_batch] histogram and scan
+    times the [core.node_scan.ms] histogram — visible in [crimson stats]
+    and BENCH lines. *)
 
 module Record = Crimson_storage.Record
 
@@ -126,12 +127,5 @@ val invalidate : cache -> unit
 (** Drop every cached view. Only needed if a handle is reused across a
     mutation of its tree's rows, which the loader never does. *)
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  resident : int;
-}
-
-val stats : cache -> stats
-(** Per-cache counters (the registry aggregates across all caches). *)
+val resident : cache -> int
+(** How many views, layer rows and sub-roots the cache holds. *)

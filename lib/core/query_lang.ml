@@ -397,60 +397,57 @@ let trap f =
   | exception Crimson_obs.Deadline.Expired -> raise Crimson_obs.Deadline.Expired
   | exception e -> Error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
 
-let run ?rng ?(record = true) repo stored text =
+module Profile = Crimson_obs.Profile
+
+let measured ~profiled ?rng ?(record = true) repo stored text =
   let rng = match rng with Some r -> r | None -> Prng.create 0 in
+  let body () =
+    Crimson_obs.Span.with_ ~name:"core.query" (fun () ->
+        let call = Profile.stage "parse" (fun () -> parse_query text) in
+        Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.fn);
+        Crimson_obs.Span.attr "args"
+          (Crimson_obs.Json.Num (float_of_int (List.length call.args)));
+        let result = Profile.stage "execute" (fun () -> execute ~rng repo stored call) in
+        Crimson_obs.Span.attr "result_chars"
+          (Crimson_obs.Json.Num (float_of_int (String.length result)));
+        result)
+  in
   match
     trap (fun () ->
-        Repo.measure repo (fun () ->
-            Crimson_obs.Span.with_ ~name:"core.query" (fun () ->
-                let call = parse_query text in
-                Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.fn);
-                Crimson_obs.Span.attr "args"
-                  (Crimson_obs.Json.Num (float_of_int (List.length call.args)));
-                let result = execute ~rng repo stored call in
-                Crimson_obs.Span.attr "result_chars"
-                  (Crimson_obs.Json.Num (float_of_int (String.length result)));
-                result)))
+        if profiled then
+          let result, report = Profile.profile body in
+          (result, report.total.elapsed_ms, Profile.pages_touched report, Some report)
+        else
+          let result, elapsed_ms, pages = Profile.measure body in
+          (result, elapsed_ms, pages, None))
   with
   | Error _ as e -> e
-  | Ok (result, elapsed_ms, pages) -> (
+  | Ok (result, elapsed_ms, pages, report) -> (
       (* Recording is part of the mutating path: on a read-only
          repository it must refuse with the typed error's message, not
          raise past a successful execution. *)
-      match
-        if record then ignore (Repo.record_query repo ~elapsed_ms ~pages ~text ~result)
-      with
-      | () -> Ok { text; result }
-      | exception Crimson_storage.Error.Error e ->
-          Error (Crimson_storage.Error.to_string e))
-
-let explain stored text = trap (fun () -> plan stored (parse_query text))
-
-module Profile = Crimson_obs.Profile
-
-let profile ?rng ?(record = true) repo stored text =
-  let rng = match rng with Some r -> r | None -> Prng.create 0 in
-  match
-    trap (fun () ->
-        Repo.measure repo (fun () ->
-            Profile.profile (fun () ->
-                Crimson_obs.Span.with_ ~name:"core.query" (fun () ->
-                    let call = Profile.stage "parse" (fun () -> parse_query text) in
-                    Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.fn);
-                    Profile.stage "execute" (fun () -> execute ~rng repo stored call)))))
-  with
-  | Error _ as e -> e
-  | Ok ((result, report), elapsed_ms, pages) -> (
+      let cost =
+        Option.map (fun r -> Crimson_obs.Json.to_string (Profile.cost_summary r)) report
+      in
       match
         if record then
-          let cost = Crimson_obs.Json.to_string (Profile.cost_summary report) in
-          ignore (Repo.record_query repo ~elapsed_ms ~pages ~cost ~text ~result)
+          ignore (Repo.record_query repo ~elapsed_ms ~pages ?cost ~text ~result)
       with
-      | () -> Ok ({ text; result }, report)
+      | () -> Ok ({ text; result }, elapsed_ms, pages, report)
       | exception Crimson_storage.Error.Error e ->
           Error (Crimson_storage.Error.to_string e))
-  | exception Crimson_obs.Deadline.Expired -> raise Crimson_obs.Deadline.Expired
-  | exception e -> Error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
+
+let run ?rng ?record repo stored text =
+  Result.map
+    (fun (o, _, _, _) -> o)
+    (measured ~profiled:false ?rng ?record repo stored text)
+
+let profile ?rng ?record repo stored text =
+  Result.map
+    (fun (o, _, _, report) -> (o, Option.get report))
+    (measured ~profiled:true ?rng ?record repo stored text)
+
+let explain stored text = trap (fun () -> plan stored (parse_query text))
 
 let help =
   {|Queries are function calls over species names:

@@ -73,10 +73,22 @@ val profile :
   Stored_tree.t ->
   string ->
   (outcome * Crimson_obs.Profile.report, string) result
-(** Like {!run}, but executes under a {!Crimson_obs.Profile} context
-    with "parse" and "execute" stages and returns the cost report
-    alongside the outcome. When [record] is set the history row's [cost]
-    column carries the report totals as compact JSON. *)
+(** Like {!run}, but executes under a {!Crimson_obs.Profile} with
+    "parse" and "execute" stages and returns the cost report alongside
+    the outcome. When [record] is set the history row's [cost] column
+    carries the report totals as compact JSON. *)
+
+val measured :
+  profiled:bool ->
+  ?rng:Crimson_util.Prng.t ->
+  ?record:bool ->
+  Repo.t ->
+  Stored_tree.t ->
+  string ->
+  (outcome * float * int * Crimson_obs.Profile.report option, string) result
+(** The one body {!run} and {!profile} share: [(outcome, elapsed_ms,
+    pages, report)], the execution measured once (as the history row
+    records it), with the cost report when [profiled]. *)
 
 val help : string
 (** The cheat sheet above, for the CLI. *)

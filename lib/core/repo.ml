@@ -243,22 +243,6 @@ let next_query_id t =
       | Some (_, row) -> Record.get_int row Schema.Queries.c_id + 1
       | None -> 0)
 
-(* Pages touched so far across every buffer pool of this repository:
-   hits + misses = logical page accesses. Deltas of this are the
-   pages-touched cost recorded per query. *)
-let pages_touched t =
-  List.fold_left
-    (fun acc (_, (s : Crimson_storage.Pager.stats)) -> acc + s.hits + s.misses)
-    0
-    (Database.pager_stats t.db)
-
-let measure t f =
-  let pages0 = pages_touched t in
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  let elapsed_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-  (result, elapsed_ms, pages_touched t - pages0)
-
 let record_query ?(elapsed_ms = 0.0) ?(pages = 0) ?(cost = "") t ~text ~result =
   let id = next_query_id t in
   t.next_query_id <- Some (id + 1);

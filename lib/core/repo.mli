@@ -106,7 +106,7 @@ val abandon : t -> unit
 
     Since the telemetry pass, every history row also carries the query's
     measured cost: elapsed wall milliseconds and pages touched (buffer
-    pool hits + misses across the repository's files). Repositories
+    pool hits + misses charged to the domain that ran it). Repositories
     written by older versions migrate transparently on open; their rows
     read back with both costs at 0. *)
 
@@ -119,17 +119,10 @@ val record_query :
   result:string ->
   int
 (** Append to the history; returns the query id. Timestamps come from the
-    system clock; both costs default to 0 (unmeasured). [cost] is a
+    system clock; both costs default to 0 (unmeasured).
+    {!Crimson_obs.Profile.measure} measures the first two; [cost] is a
     compact JSON cost breakdown from {!Crimson_obs.Profile} — [""] (the
     default) means the query was not profiled. *)
-
-val measure : t -> (unit -> 'a) -> 'a * float * int
-(** [measure t f] runs [f] and returns [(result, elapsed_ms,
-    pages_touched)] — the arguments {!record_query} wants. *)
-
-val pages_touched : t -> int
-(** Running total of page accesses (pool hits + misses) over every file
-    of this repository. *)
 
 type query_record = {
   id : int;  (** Dense ascending query id. *)

@@ -70,9 +70,9 @@ let root _ = 0
    that node is an in-memory record access. *)
 
 let view t node =
-  Crimson_obs.Profile.node_view ();
+  Crimson_obs.Cost.node_view ();
   Node_view.node t.cache node
-let cache_stats t = Node_view.stats t.cache
+let cache_resident t = Node_view.resident t.cache
 let invalidate_cache t = Node_view.invalidate t.cache
 let parent t node = (view t node).Node_view.parent
 let edge_index t node = (view t node).Node_view.edge_index

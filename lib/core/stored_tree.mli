@@ -60,8 +60,8 @@ val view : t -> int -> Node_view.t
     sugar over. Use it directly when reading several fields of the same
     node. Raises {!Unknown_node}. *)
 
-val cache_stats : t -> Node_view.stats
-(** This handle's view-cache counters. *)
+val cache_resident : t -> int
+(** How many views this handle's cache holds. *)
 
 val invalidate_cache : t -> unit
 (** Drop the handle's cached views (see {!Node_view.invalidate}). *)

@@ -1,9 +1,9 @@
 module Table_printer = Crimson_util.Table_printer
 
 (* Domain safety: server workers run as OCaml 5 domains and share the
-   metric handles captured at module initialisation (pager read
-   counters, node-cache hit counters, ...). Counters and gauges are
-   single [Atomic.t] cells — lock-free on the hot path. Histograms
+   metric handles captured at module initialisation (request counters,
+   summary hit counters, ...). Counters and gauges are single
+   [Atomic.t] cells — lock-free on the hot path. Histograms
    mutate several fields per observation, so each instance carries its
    own mutex; contention is negligible because observations happen at
    request granularity, not per node. The registry itself is touched
@@ -11,16 +11,28 @@ module Table_printer = Crimson_util.Table_printer
    mutex. *)
 
 module Counter = struct
+  (* A counter named in [Cost.registry] reads the sum of its field over
+     every domain's cost record, plus its cell: resetting records a
+     baseline in the cell instead of writing into live records. Any
+     other counter is its cell alone. *)
   type t = {
     name : string;
     value : int Atomic.t;
+    base : unit -> int;
   }
 
-  let make name = { name; value = Atomic.make 0 }
+  let make name =
+    let base =
+      match List.assoc_opt name Cost.registry with
+      | Some get -> fun () -> Cost.total get
+      | None -> fun () -> 0
+    in
+    { name; value = Atomic.make 0; base }
+
   let incr t = ignore (Atomic.fetch_and_add t.value 1)
   let add t n = ignore (Atomic.fetch_and_add t.value n)
-  let value t = Atomic.get t.value
-  let reset t = Atomic.set t.value 0
+  let value t = t.base () + Atomic.get t.value
+  let reset t = Atomic.set t.value (-t.base ())
   let name t = t.name
 end
 
@@ -227,6 +239,10 @@ let histogram name =
     (fun h -> Histogram h)
     Histogram.make
     (function Histogram h -> Some h | Counter _ | Gauge _ -> None)
+
+(* The cost-record names exist from the start, like every counter a
+   linked module registers at initialisation. *)
+let () = List.iter (fun (name, _) -> ignore (counter name)) Cost.registry
 
 let find name = with_registry (fun () -> Hashtbl.find_opt registry name)
 

@@ -23,16 +23,13 @@
       Histogram names carry a [_ms] suffix or live under [core.*] where
       the unit is milliseconds by convention.
 
-    Counters created with {!Counter.make} are {e local} (unregistered):
-    the pager keeps one per pool so its [stats] accessor can stay a
-    per-instance view while the same increments also feed the global
-    registry counters. *)
+    The storage and node-cache counters listed in {!Cost.registry}
+    ([storage.pager.hit], [core.node_cache.miss], …) are registered
+    from the start and read the sum over every domain's {!Cost} record;
+    nothing increments them directly. *)
 
 module Counter : sig
   type t
-
-  val make : string -> t
-  (** A local counter, not in the registry (per-instance views). *)
 
   val incr : t -> unit
   val add : t -> int -> unit
@@ -133,7 +130,9 @@ val counter_value : string -> int
 
 val reset_all : unit -> unit
 (** Zero every registered metric (registration survives). Tests and the
-    bench harness call this between experiments. *)
+    bench harness call this between experiments. A {!Cost}-backed
+    counter is zeroed by recording a baseline; the records keep
+    counting. *)
 
 val set_help : string -> string -> unit
 (** [set_help name text] attaches a HELP string to a registry name, for

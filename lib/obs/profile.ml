@@ -31,229 +31,95 @@ type report = {
   stages : stage list;
 }
 
-(* Mutable accumulator mirroring [counters]. One per open scope; frozen
-   into the immutable record when the scope closes. *)
-type acc = {
-  mutable a_pages_read : int;
-  mutable a_pages_written : int;
-  mutable a_pager_hits : int;
-  mutable a_pager_misses : int;
-  mutable a_cache_hits : int;
-  mutable a_cache_misses : int;
-  mutable a_node_views : int;
-  mutable a_rows_decoded : int;
-  mutable a_bytes_decoded : int;
-  mutable a_bytes_read : int;
-  mutable a_bytes_written : int;
-  mutable a_btree_finds : int;
-  mutable a_cursor_steps : int;
-  mutable a_fsyncs : int;
-}
-
-let acc_make () =
+(* The report's counters over a set of (entry, exit) record pairs:
+   [delta get] sums [get exit - get entry]. *)
+let counters_of delta =
   {
-    a_pages_read = 0;
-    a_pages_written = 0;
-    a_pager_hits = 0;
-    a_pager_misses = 0;
-    a_cache_hits = 0;
-    a_cache_misses = 0;
-    a_node_views = 0;
-    a_rows_decoded = 0;
-    a_bytes_decoded = 0;
-    a_bytes_read = 0;
-    a_bytes_written = 0;
-    a_btree_finds = 0;
-    a_cursor_steps = 0;
-    a_fsyncs = 0;
+    pages_read = delta (fun (c : Cost.t) -> c.page_reads);
+    pages_written = delta (fun c -> c.page_writes);
+    pager_hits = delta (fun c -> c.pager_hits);
+    pager_misses = delta (fun c -> c.pager_misses);
+    cache_hits = delta (fun c -> c.cache_hits);
+    cache_misses = delta (fun c -> c.cache_misses);
+    node_views = delta (fun c -> c.node_views);
+    rows_decoded = delta (fun c -> c.rows_decoded);
+    bytes_decoded = delta (fun c -> c.bytes_decoded);
+    bytes_read = delta (fun c -> c.bytes_read);
+    bytes_written = delta (fun c -> c.bytes_written);
+    btree_finds = delta (fun c -> c.btree_finds);
+    cursor_steps = delta (fun c -> c.cursor_steps);
+    fsyncs = delta (fun c -> c.pager_fsyncs + c.wal_fsyncs);
   }
 
-let freeze a =
-  {
-    pages_read = a.a_pages_read;
-    pages_written = a.a_pages_written;
-    pager_hits = a.a_pager_hits;
-    pager_misses = a.a_pager_misses;
-    cache_hits = a.a_cache_hits;
-    cache_misses = a.a_cache_misses;
-    node_views = a.a_node_views;
-    rows_decoded = a.a_rows_decoded;
-    bytes_decoded = a.a_bytes_decoded;
-    bytes_read = a.a_bytes_read;
-    bytes_written = a.a_bytes_written;
-    btree_finds = a.a_btree_finds;
-    cursor_steps = a.a_cursor_steps;
-    fsyncs = a.a_fsyncs;
-  }
-
-(* A completed (or merged) stage under construction. *)
-type live_stage = {
-  ls_name : string;
-  ls_acc : acc;
-  mutable ls_calls : int;
-  mutable ls_elapsed : float;
-  mutable ls_minor : float;
-  mutable ls_major : float;
+(* What a scope reads at its entry and at its exit. *)
+type mark = {
+  charged : Cost.t;
+  ms : float;
+  minor : float;
+  major : float;
 }
-
-type ctx = {
-  total : acc;
-  stages : (string, live_stage) Hashtbl.t;
-  mutable order : string list;  (* reverse first-completion order *)
-  mutable open_stages : acc list;  (* innermost first *)
-}
-
-(* Domain-local: each worker domain profiles its own request without
-   seeing (or charging) its siblings. *)
-let active_key : ctx option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let active () = Domain.DLS.get active_key
-let enabled () = !(active ()) <> None
-
-(* ----------------------------- Charging ----------------------------- *)
-
-(* Each charge updates the context total plus the innermost open stage.
-   Charges between stages (or when the caller uses no stages at all)
-   still land in the total, so the report never loses work. *)
-
-let charge f =
-  match !(active ()) with
-  | None -> ()
-  | Some ctx -> (
-      f ctx.total;
-      match ctx.open_stages with [] -> () | a :: _ -> f a)
-
-let page_read () = charge (fun a -> a.a_pages_read <- a.a_pages_read + 1)
-let page_write () = charge (fun a -> a.a_pages_written <- a.a_pages_written + 1)
-let pager_hit () = charge (fun a -> a.a_pager_hits <- a.a_pager_hits + 1)
-let pager_miss () = charge (fun a -> a.a_pager_misses <- a.a_pager_misses + 1)
-let pager_unmiss () = charge (fun a -> a.a_pager_misses <- a.a_pager_misses - 1)
-let cache_hit () = charge (fun a -> a.a_cache_hits <- a.a_cache_hits + 1)
-let cache_miss () = charge (fun a -> a.a_cache_misses <- a.a_cache_misses + 1)
-let node_view () = charge (fun a -> a.a_node_views <- a.a_node_views + 1)
-
-let row_decoded ~bytes =
-  charge (fun a ->
-      a.a_rows_decoded <- a.a_rows_decoded + 1;
-      a.a_bytes_decoded <- a.a_bytes_decoded + bytes)
-
-let node_decoded ~bytes =
-  charge (fun a -> a.a_bytes_decoded <- a.a_bytes_decoded + bytes)
-
-let add_bytes_read n = charge (fun a -> a.a_bytes_read <- a.a_bytes_read + n)
-let add_bytes_written n = charge (fun a -> a.a_bytes_written <- a.a_bytes_written + n)
-let btree_find () = charge (fun a -> a.a_btree_finds <- a.a_btree_finds + 1)
-let cursor_step () = charge (fun a -> a.a_cursor_steps <- a.a_cursor_steps + 1)
-let fsync () = charge (fun a -> a.a_fsyncs <- a.a_fsyncs + 1)
-
-(* ------------------------------ Scoping ------------------------------ *)
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
-let add_acc ~into a =
-  into.a_pages_read <- into.a_pages_read + a.a_pages_read;
-  into.a_pages_written <- into.a_pages_written + a.a_pages_written;
-  into.a_pager_hits <- into.a_pager_hits + a.a_pager_hits;
-  into.a_pager_misses <- into.a_pager_misses + a.a_pager_misses;
-  into.a_cache_hits <- into.a_cache_hits + a.a_cache_hits;
-  into.a_cache_misses <- into.a_cache_misses + a.a_cache_misses;
-  into.a_node_views <- into.a_node_views + a.a_node_views;
-  into.a_rows_decoded <- into.a_rows_decoded + a.a_rows_decoded;
-  into.a_bytes_decoded <- into.a_bytes_decoded + a.a_bytes_decoded;
-  into.a_bytes_read <- into.a_bytes_read + a.a_bytes_read;
-  into.a_bytes_written <- into.a_bytes_written + a.a_bytes_written;
-  into.a_btree_finds <- into.a_btree_finds + a.a_btree_finds;
-  into.a_cursor_steps <- into.a_cursor_steps + a.a_cursor_steps;
-  into.a_fsyncs <- into.a_fsyncs + a.a_fsyncs
+(* [Gc.minor_words] stays exact in native code. [Gc.counters] is the
+   calling domain's own count; [Gc.quick_stat] would add every other
+   domain's major allocation. *)
+let mark () =
+  let minor = Gc.minor_words () in
+  let _, _, major = Gc.counters () in
+  { charged = Cost.snapshot (); ms = now_ms (); minor; major }
+
+(* A stage row from the (entry, exit) marks of its calls. *)
+let stage_of name calls =
+  let sum f = List.fold_left (fun acc (a, b) -> acc +. (f b -. f a)) 0.0 calls in
+  {
+    stage_name = name;
+    calls = List.length calls;
+    elapsed_ms = sum (fun m -> m.ms);
+    minor_words = sum (fun m -> m.minor);
+    major_words = sum (fun m -> m.major);
+    cost =
+      counters_of (fun get ->
+          List.fold_left (fun acc (a, b) -> acc + get b.charged - get a.charged) 0 calls);
+  }
+
+(* The stages of the innermost {!profile} on this domain: each name with
+   its calls' marks (newest first), in reverse order of first
+   completion. *)
+type ctx = { mutable stages : (string * (mark * mark) list ref) list }
+
+let active_key : ctx option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let stage name f =
-  match !(active ()) with
+  match !(Domain.DLS.get active_key) with
   | None -> f ()
   | Some ctx ->
-      let a = acc_make () in
-      ctx.open_stages <- a :: ctx.open_stages;
-      (* [Gc.minor_words] stays exact in native code, where [quick_stat]'s
-         minor_words only refreshes at collection points. *)
-      let minor0 = Gc.minor_words () in
-      let gc0 = Gc.quick_stat () in
-      let t0 = now_ms () in
+      let entry = mark () in
       let close () =
-        let elapsed = now_ms () -. t0 in
-        let minor1 = Gc.minor_words () in
-        let gc1 = Gc.quick_stat () in
-        (* Pop this scope even if an inner scope leaked (it cannot: stage
-           scopes are strictly nested via Fun.protect). *)
-        (match ctx.open_stages with
-        | a' :: rest when a' == a -> ctx.open_stages <- rest
-        | other -> ctx.open_stages <- List.filter (fun x -> x != a) other);
-        let ls =
-          match Hashtbl.find_opt ctx.stages name with
-          | Some ls -> ls
-          | None ->
-              let ls =
-                {
-                  ls_name = name;
-                  ls_acc = acc_make ();
-                  ls_calls = 0;
-                  ls_elapsed = 0.0;
-                  ls_minor = 0.0;
-                  ls_major = 0.0;
-                }
-              in
-              Hashtbl.replace ctx.stages name ls;
-              ctx.order <- name :: ctx.order;
-              ls
-        in
-        ls.ls_calls <- ls.ls_calls + 1;
-        ls.ls_elapsed <- ls.ls_elapsed +. elapsed;
-        ls.ls_minor <- ls.ls_minor +. (minor1 -. minor0);
-        ls.ls_major <- ls.ls_major +. (gc1.Gc.major_words -. gc0.Gc.major_words);
-        add_acc ~into:ls.ls_acc a;
-        (* Nested stages: the enclosing open stage absorbs the charges
-           too, so an outer "execute" stage covers its inner phases. *)
-        match ctx.open_stages with [] -> () | outer :: _ -> add_acc ~into:outer a
+        let call = (entry, mark ()) in
+        match List.assoc_opt name ctx.stages with
+        | Some calls -> calls := call :: !calls
+        | None -> ctx.stages <- (name, ref [ call ]) :: ctx.stages
       in
       Fun.protect ~finally:close f
 
 let profile f =
-  let ctx =
-    { total = acc_make (); stages = Hashtbl.create 8; order = []; open_stages = [] }
-  in
-  let active = active () in
+  let active = Domain.DLS.get active_key in
   let saved = !active in
+  let ctx = { stages = [] } in
   active := Some ctx;
-  let minor0 = Gc.minor_words () in
-  let gc0 = Gc.quick_stat () in
-  let t0 = now_ms () in
+  let entry = mark () in
   let result = Fun.protect ~finally:(fun () -> active := saved) f in
-  let elapsed = now_ms () -. t0 in
-  let minor1 = Gc.minor_words () in
-  let gc1 = Gc.quick_stat () in
-  let freeze_stage ls =
-    {
-      stage_name = ls.ls_name;
-      calls = ls.ls_calls;
-      elapsed_ms = ls.ls_elapsed;
-      minor_words = ls.ls_minor;
-      major_words = ls.ls_major;
-      cost = freeze ls.ls_acc;
-    }
-  in
-  let stages =
-    List.rev_map (fun name -> freeze_stage (Hashtbl.find ctx.stages name)) ctx.order
-  in
-  let total =
-    {
-      stage_name = "total";
-      calls = 1;
-      elapsed_ms = elapsed;
-      minor_words = minor1 -. minor0;
-      major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-      cost = freeze ctx.total;
-    }
-  in
+  let total = stage_of "total" [ (entry, mark ()) ] in
+  let stages = List.rev_map (fun (name, calls) -> stage_of name !calls) ctx.stages in
   (result, { total; stages })
+
+let measure f =
+  let c = Cost.current () in
+  let pages0 = Cost.pages c and t0 = now_ms () in
+  let result = f () in
+  (result, now_ms () -. t0, Cost.pages c - pages0)
 
 (* ------------------------------ Reports ------------------------------ *)
 

@@ -1,24 +1,23 @@
 (** Scoped query cost accounting.
 
-    A profile context is installed around a unit of work (one query, one
-    request) and every instrumented layer below — pager, B+tree, table,
-    WAL, raw I/O, node-view cache — charges the resources it consumes
-    into it: pages read and written, cache hits and misses, bytes
-    decoded, cursor steps, fsyncs. Allocation pressure is sampled from
-    [Gc.quick_stat] deltas per stage.
+    A profile is taken around a unit of work (one query, one request).
+    Every instrumented layer below — pager, B+tree, table, WAL, raw I/O,
+    node-view cache — charges what it consumes to the calling domain's
+    {!Cost} record, always; a profile is the record's delta over its
+    extent: pages read and written, cache hits and misses, bytes
+    decoded, cursor steps, fsyncs. Allocation is the domain's own
+    [Gc.minor_words] and [Gc.counters] delta.
 
-    Design constraints:
-
-    - {b near-zero overhead when disabled.} There is at most one active
-      context per process (the engine is single-threaded); every charge
-      function starts with a [match !active with None -> () | ...] — one
-      load and one branch on the hot path when nobody is profiling.
+    - {b domain-local.} Each domain profiles its own work: a worker's
+      report never includes a sibling's charges or allocation.
     - {b scoped, not global.} Unlike the {!Metrics} registry, which
-      accumulates forever, a context exists only for the dynamic extent
-      of {!profile} and yields an immutable {!report}.
+      reads the records' running totals, a profile exists only for the
+      dynamic extent of {!profile} and yields an immutable {!report}.
     - {b staged.} {!stage} labels phases of the work ("parse",
-      "execute"); charges land in the innermost open stage plus the
-      report total. Repeated stages with the same name merge. *)
+      "execute"); each stage is the delta over its own extent, so a
+      stage includes the stages nested in it. Repeated stages with the
+      same name merge. Outside {!profile} a stage costs one domain-local
+      lookup and takes no readings. *)
 
 (** What one stage (or the whole profiled extent) consumed. *)
 type counters = {
@@ -43,7 +42,7 @@ type stage = {
   calls : int;  (** how many same-named {!stage} scopes merged into this row *)
   elapsed_ms : float;
   minor_words : float;  (** [Gc.minor_words] delta (exact in native code) *)
-  major_words : float;  (** [Gc.quick_stat] major_words delta *)
+  major_words : float;  (** the domain's [Gc.counters] major words delta *)
   cost : counters;
 }
 
@@ -52,49 +51,26 @@ type report = {
   stages : stage list;  (** completion order, same-named stages merged *)
 }
 
-val enabled : unit -> bool
-(** True while a context is installed (inside {!profile}). *)
-
 val profile : (unit -> 'a) -> 'a * report
-(** [profile f] installs a fresh context, runs [f], and returns its
-    result with the cost report. Nested calls stack: the inner context
-    shadows the outer for its extent (charges inside go to the inner
-    one only), and the outer is restored on exit — also on raise. *)
+(** [profile f] runs [f] and returns its result with the cost report.
+    Nested calls are inclusive: the outer report counts the inner
+    extent too (no caller nests them), while stages go to the innermost
+    profile. *)
 
 val stage : string -> (unit -> 'a) -> 'a
 (** [stage name f] opens a named accounting scope for the extent of
-    [f]. No-op passthrough when no context is installed. *)
+    [f]. Passthrough when no profile is being taken on this domain. *)
 
-(** {1 Charge points}
-
-    Called by the instrumented layers. All are no-ops when disabled. *)
-
-val page_read : unit -> unit
-val page_write : unit -> unit
-val pager_hit : unit -> unit
-val pager_miss : unit -> unit
-
-val pager_unmiss : unit -> unit
-(** Retract one pager miss. The pager excludes fresh-page allocation
-    from its miss accounting; this keeps the profile's notion of
-    pages-touched identical to the pager's. *)
-
-val cache_hit : unit -> unit
-val cache_miss : unit -> unit
-val node_view : unit -> unit
-val row_decoded : bytes:int -> unit
-val node_decoded : bytes:int -> unit
-val add_bytes_read : int -> unit
-val add_bytes_written : int -> unit
-val btree_find : unit -> unit
-val cursor_step : unit -> unit
-val fsync : unit -> unit
+val measure : (unit -> 'a) -> 'a * float * int
+(** [measure f] runs [f] and returns [(result, elapsed_ms, pages)],
+    [pages] being the calling domain's pager hits + misses over [f] —
+    the arguments [Repo.record_query] wants. No report is built. *)
 
 (** {1 Reports} *)
 
 val pages_touched : report -> int
-(** [pager_hits + pager_misses] of the total — the same notion of
-    pages-touched that [Repo.measure] computes from pager stats. *)
+(** [pager_hits + pager_misses] of the total — the pages {!measure}
+    reports over the same extent. *)
 
 val counters_to_json : counters -> (string * Json.t) list
 (** Flat field list, only non-zero counters, stable order. *)

@@ -5,7 +5,7 @@
     [Span.with_ ~name f] runs [f ()], records the elapsed wall time in
     milliseconds into [Metrics.histogram name], and emits one debug line
     on the [crimson.obs] log source ([span core.lca 0.041ms depth=1]).
-    Spans nest: the depth is tracked in a process-global stack so trace
+    Spans nest: the depth is tracked in a domain-local stack so trace
     lines show the call structure, and {!current} exposes the innermost
     open span for ad-hoc attribution. The elapsed time is recorded even
     when [f] raises.
@@ -18,10 +18,11 @@
     is installed the attribute path is a no-op and the per-span overhead
     is one ref read.
 
-    The stack is process-global and single-threaded. A forked child
-    inherits the parent's open stack and any installed sink; it must
-    call [Trace.child_reset ()] (which calls {!reset}) before doing any
-    traced work, or its spans would graft onto the parent's tree.
+    The stack and the sink are domain-local: each domain nests and
+    traces its own spans. A forked child inherits the parent's open
+    stack and any installed sink; it must call [Trace.child_reset ()]
+    (which calls {!reset}) before doing any traced work, or its spans
+    would graft onto the parent's tree.
 
     For hot call sites that cannot afford the per-call name lookup and
     trace branch, pre-create the histogram and use {!record}; use

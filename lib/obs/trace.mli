@@ -16,9 +16,11 @@
     span; only the outermost call owns the record. When no trace is
     collecting, instrumented code pays one ref read per span.
 
-    Everything is process-global and single-threaded, like the span
-    stack. Forked children must call {!child_reset} before any traced
-    work. *)
+    Collection state and the rings are domain-local, like the span
+    stack: each worker domain assembles and keeps its own traces. Trace
+    ids come from one process-wide atomic, and the JSONL sink is shared
+    by every domain behind a mutex. Forked children must call
+    {!child_reset} before any traced work. *)
 
 type span = {
   name : string;

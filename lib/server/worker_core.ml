@@ -384,59 +384,63 @@ let use t s name =
           ("leaves", num (Stored_tree.leaf_count stored));
         ]
 
-(* ----------------------- Collection queries ------------------------ *)
+(* ------------------------------ Queries ------------------------------ *)
 
-(* Collection queries need no selected tree: they run straight off the
-   bipartition dictionary. QUERY/EXPLAIN/PROFILE texts that parse as
-   collection calls route here, and the dedicated CONSENSUS/SUPPORT/
-   RFMATRIX/COLLSTATS verbs are sugar that rewrites into the same call
-   syntax. *)
-let coll_query t s text =
-  match
-    Repo.measure t.repo (fun () ->
-        Deadline.with_timeout t.cfg.request_timeout (fun () ->
-            Coll_lang.run ~record:false t.repo text))
-  with
-  | result, elapsed_ms, pages -> (
-      match result with
-      | Ok (Ok outcome) ->
-          record t ~elapsed_ms ~pages ~text ~result:outcome.Coll_lang.result ();
-          s.pages <- s.pages + pages;
-          Metrics.Counter.add t.m_sess_pages pages;
-          Response.ok
-            [
-              ("result", Json.Str outcome.Coll_lang.result);
-              ("elapsed_ms", Json.Num elapsed_ms);
-              ("pages", num pages);
-            ]
-      | Ok (Error msg) -> err t Response.Bad_request msg
-      | Error `Timeout -> timeout_err t)
+(* QUERY and PROFILE, on a tree or — with [stored = None] — on a
+   collection, which needs no selected tree: one measured run under the
+   request deadline, one history row, one reply. A trace gets the
+   request's page and node-cache deltas, read off this domain's cost
+   record only while a trace is collecting. *)
+let measured_query t s ~profiled stored text =
+  let cost0 = if Span.tracing () then Some (Crimson_obs.Cost.snapshot ()) else None in
+  let result =
+    Deadline.with_timeout t.cfg.request_timeout (fun () ->
+        match stored with
+        | None -> Coll_lang.measured ~profiled ~record:false t.repo text
+        | Some stored ->
+            Query_lang.measured ~profiled ~rng:s.rng ~record:false t.repo stored text)
+  in
+  (match (cost0, stored) with
+  | Some c0, Some stored ->
+      let c1 = Crimson_obs.Cost.current () in
+      Span.attr "tree" (num (Stored_tree.id stored));
+      Span.attr "pages" (num (Crimson_obs.Cost.pages c1 - Crimson_obs.Cost.pages c0));
+      Span.attr "cache_hits" (num (c1.cache_hits - c0.cache_hits));
+      Span.attr "cache_misses" (num (c1.cache_misses - c0.cache_misses))
+  | _ -> ());
+  match result with
+  | Ok (Ok ((o : Query_lang.outcome), elapsed_ms, pages, report)) ->
+      if cost0 <> None && stored <> None then
+        Span.attr "result_chars" (num (String.length o.result));
+      let cost =
+        Option.map (fun r -> Json.to_string (Crimson_obs.Profile.cost_summary r)) report
+      in
+      record t ?cost ~elapsed_ms ~pages ~text ~result:o.result ();
+      s.pages <- s.pages + pages;
+      Metrics.Counter.add t.m_sess_pages pages;
+      Response.ok
+        ([
+           ("result", Json.Str o.result);
+           ("elapsed_ms", Json.Num elapsed_ms);
+           ("pages", num pages);
+         ]
+        @
+        match report with
+        | Some r -> [ ("profile", Crimson_obs.Profile.report_to_json r) ]
+        | None -> [])
+  | Ok (Error msg) -> err t Response.Bad_request msg
+  | Error `Timeout -> timeout_err t
 
-let coll_profile t s text =
-  match
-    Repo.measure t.repo (fun () ->
-        Deadline.with_timeout t.cfg.request_timeout (fun () ->
-            Coll_lang.profile ~record:false t.repo text))
-  with
-  | result, elapsed_ms, pages -> (
-      match result with
-      | Ok (Ok (outcome, report)) ->
-          let cost = Json.to_string (Crimson_obs.Profile.cost_summary report) in
-          record t ~elapsed_ms ~pages ~cost ~text ~result:outcome.Coll_lang.result ();
-          s.pages <- s.pages + pages;
-          Metrics.Counter.add t.m_sess_pages pages;
-          Response.ok
-            [
-              ("result", Json.Str outcome.Coll_lang.result);
-              ("elapsed_ms", Json.Num elapsed_ms);
-              ("pages", num pages);
-              ("profile", Crimson_obs.Profile.report_to_json report);
-            ]
-      | Ok (Error msg) -> err t Response.Bad_request msg
-      | Error `Timeout -> timeout_err t)
+let query t s ~profiled text =
+  if Coll_lang.is_collection_query text then measured_query t s ~profiled None text
+  else
+    match s.tree with
+    | None -> err t Response.No_tree_selected "no tree selected (USE <tree> first)"
+    | Some stored -> measured_query t s ~profiled (Some stored) text
 
 (* Rewrite a verb payload ("<collection> [threshold]") into the
-   canonical call text recorded in the Query Repository. *)
+   canonical call text recorded in the Query Repository: the dedicated
+   CONSENSUS/SUPPORT/RFMATRIX/COLLSTATS verbs are sugar for QUERY. *)
 let coll_call_text fn payload =
   let parts =
     String.split_on_char ' ' payload |> List.filter (fun s -> s <> "")
@@ -456,56 +460,8 @@ let coll_call_text fn payload =
 
 let coll_verb t s fn payload =
   match coll_call_text fn payload with
-  | Ok text -> coll_query t s text
+  | Ok text -> measured_query t s ~profiled:false None text
   | Error msg -> err t Response.Bad_request msg
-
-(* ------------------------- Per-tree queries ------------------------- *)
-
-(* The shared execution core for QUERY and POST /v1/trees/:t/query: the
-   tree is already resolved (session state for the wire verb, the URL
-   path for the gateway). *)
-let query_on t s stored text =
-  (* Cache stats before/after give the trace the per-request hit and
-     miss deltas; only sampled while a trace is collecting. *)
-  let cache0 = if Span.tracing () then Some (Stored_tree.cache_stats stored) else None in
-  match
-    Repo.measure t.repo (fun () ->
-        Deadline.with_timeout t.cfg.request_timeout (fun () ->
-            Query_lang.run ~rng:s.rng ~record:false t.repo stored text))
-  with
-  | result, elapsed_ms, pages -> (
-      (match cache0 with
-      | Some c0 ->
-          let c1 = Stored_tree.cache_stats stored in
-          Span.attr "tree" (num (Stored_tree.id stored));
-          Span.attr "pages" (num pages);
-          Span.attr "cache_hits" (num (c1.Crimson_core.Node_view.hits - c0.Crimson_core.Node_view.hits));
-          Span.attr "cache_misses"
-            (num (c1.Crimson_core.Node_view.misses - c0.Crimson_core.Node_view.misses))
-      | None -> ());
-      match result with
-      | Ok (Ok outcome) ->
-          if cache0 <> None then
-            Span.attr "result_chars"
-              (num (String.length outcome.Query_lang.result));
-          record t ~elapsed_ms ~pages ~text ~result:outcome.Query_lang.result ();
-          s.pages <- s.pages + pages;
-          Metrics.Counter.add t.m_sess_pages pages;
-          Response.ok
-            [
-              ("result", Json.Str outcome.Query_lang.result);
-              ("elapsed_ms", Json.Num elapsed_ms);
-              ("pages", num pages);
-            ]
-      | Ok (Error msg) -> err t Response.Bad_request msg
-      | Error `Timeout -> timeout_err t)
-
-let query t s text =
-  if Coll_lang.is_collection_query text then coll_query t s text
-  else
-    match s.tree with
-    | None -> err t Response.No_tree_selected "no tree selected (USE <tree> first)"
-    | Some stored -> query_on t s stored text
 
 let explain_reply t text = function
   | Ok plan ->
@@ -523,37 +479,6 @@ let explain t s text =
     match s.tree with
     | None -> err t Response.No_tree_selected "no tree selected (USE <tree> first)"
     | Some stored -> explain_reply t text (Query_lang.explain stored text)
-
-let profile t s text =
-  if Coll_lang.is_collection_query text then coll_profile t s text
-  else
-  match s.tree with
-  | None -> err t Response.No_tree_selected "no tree selected (USE <tree> first)"
-  | Some stored -> (
-      match
-        Repo.measure t.repo (fun () ->
-            Deadline.with_timeout t.cfg.request_timeout (fun () ->
-                Query_lang.profile ~rng:s.rng ~record:false t.repo stored text))
-      with
-      | result, elapsed_ms, pages -> (
-          match result with
-          | Ok (Ok (outcome, report)) ->
-              let cost =
-                Json.to_string (Crimson_obs.Profile.cost_summary report)
-              in
-              record t ~elapsed_ms ~pages ~cost ~text
-                ~result:outcome.Query_lang.result ();
-              s.pages <- s.pages + pages;
-              Metrics.Counter.add t.m_sess_pages pages;
-              Response.ok
-                [
-                  ("result", Json.Str outcome.Query_lang.result);
-                  ("elapsed_ms", Json.Num elapsed_ms);
-                  ("pages", num pages);
-                  ("profile", Crimson_obs.Profile.report_to_json report);
-                ]
-          | Ok (Error msg) -> err t Response.Bad_request msg
-          | Error `Timeout -> timeout_err t))
 
 let row_to_json now row =
   Json.Obj
@@ -779,11 +704,11 @@ let clade_req t ~tree ~species =
             ])
 
 let tree_query_req t s ~tree ~text =
-  if Coll_lang.is_collection_query text then coll_query t s text
+  if Coll_lang.is_collection_query text then measured_query t s ~profiled:false None text
   else
     match resolve_tree t tree with
     | None -> no_such_tree t tree
-    | Some stored -> query_on t s stored text
+    | Some stored -> measured_query t s ~profiled:false (Some stored) text
 
 let consensus_view t s ~coll ~threshold =
   let colls = Repo.collections t.repo in
@@ -802,7 +727,7 @@ let consensus_view t s ~coll ~threshold =
           | None -> Printf.sprintf "consensus('%s')" coll
           | Some th -> Printf.sprintf "consensus('%s', %g)" coll th
         in
-        match coll_query t s text with
+        match measured_query t s ~profiled:false None text with
         | Response.Reply { fields; close; _ } ->
             (* Re-shape onto deterministic, cacheable fields: drop the
                elapsed_ms/pages noise, keep the Newick consensus both as
@@ -897,9 +822,9 @@ let dispatch t s (req : Request.t) : Response.t =
   | Request.Seed n ->
       s.rng <- Prng.create n;
       Response.ok [ ("seed", num n) ]
-  | Request.Query text -> query t s text
+  | Request.Query text -> query t s ~profiled:false text
   | Request.Explain text -> explain t s text
-  | Request.Profile text -> profile t s text
+  | Request.Profile text -> query t s ~profiled:true text
   | Request.Consensus p -> coll_verb t s "consensus" p
   | Request.Support p -> coll_verb t s "support" p
   | Request.Rfmatrix p -> coll_verb t s "rfmatrix" p

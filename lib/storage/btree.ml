@@ -4,11 +4,11 @@ let magic = "CRIMBTRE"
 let max_key = 512
 
 (* Registry telemetry: logical node traffic and operation mix, across
-   every tree in the process (see Crimson_obs.Metrics). *)
+   every tree in the process (see Crimson_obs.Metrics). Finds and node
+   decodes are charged to the cost record (storage.btree.find,
+   storage.btree.node_decode). *)
 let m_node_reads = Crimson_obs.Metrics.counter "storage.btree.node_read"
-let m_node_decodes = Crimson_obs.Metrics.counter "storage.btree.node_decode"
 let m_node_writes = Crimson_obs.Metrics.counter "storage.btree.node_write"
-let m_finds = Crimson_obs.Metrics.counter "storage.btree.find"
 let m_cursor_opens = Crimson_obs.Metrics.counter "storage.btree.cursor_open"
 let m_inserts = Crimson_obs.Metrics.counter "storage.btree.insert"
 let m_deletes = Crimson_obs.Metrics.counter "storage.btree.delete"
@@ -99,8 +99,7 @@ let read_node t page_id =
   match Hashtbl.find_opt t.node_cache page_id with
   | Some node -> node
   | None ->
-      Crimson_obs.Metrics.Counter.incr m_node_decodes;
-      Crimson_obs.Profile.node_decoded ~bytes:Page.size;
+      Crimson_obs.Cost.node_decoded ~bytes:Page.size;
       let node = Pager.with_page t.pager page_id (decode_node ~pager:t.pager) in
       if Hashtbl.length t.node_cache >= t.cache_limit then
         Hashtbl.reset t.node_cache;
@@ -200,8 +199,7 @@ let search entries key =
   match !found with Some i -> Found i | None -> Insert !lo
 
 let find t ~key =
-  Crimson_obs.Metrics.Counter.incr m_finds;
-  Crimson_obs.Profile.btree_find ();
+  Crimson_obs.Cost.btree_find ();
   let rec go page_id =
     match read_node t page_id with
     | Leaf { entries; _ } -> (
@@ -363,7 +361,7 @@ module Cursor = struct
     if c.pos < Array.length c.entries then begin
       let e = c.entries.(c.pos) in
       c.pos <- c.pos + 1;
-      Crimson_obs.Profile.cursor_step ();
+      Crimson_obs.Cost.cursor_step ();
       Some e
     end
     else if c.next_page = 0 then None

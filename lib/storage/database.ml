@@ -370,17 +370,6 @@ let drop_table t name =
   t.catalog <- List.filter (fun e -> not (String.equal e.table_name name)) t.catalog;
   save_catalog t
 
-let pager_stats t =
-  Hashtbl.fold
-    (fun name (_, pagers) acc ->
-      List.mapi (fun i (_, p) -> (Printf.sprintf "%s/%d" name i, Pager.stats p)) pagers
-      @ acc)
-    t.open_tables []
-
-let reset_pager_stats t =
-  Hashtbl.iter (fun _ (_, pagers) -> List.iter (fun (_, p) -> Pager.reset_stats p) pagers)
-    t.open_tables
-
 let flush t =
   check_open t;
   if t.durable && t.dir <> None then checkpoint t

@@ -76,11 +76,6 @@ val checkpoint : t -> unit
     database WAL, then write them back. No-op when nothing is dirty or
     the database is in-memory. {!flush} calls this when [durable]. *)
 
-val pager_stats : t -> (string * Pager.stats) list
-(** Per-file buffer pool statistics, labelled by file stem. *)
-
-val reset_pager_stats : t -> unit
-
 val flush : t -> unit
 val close : t -> unit
 

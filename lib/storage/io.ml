@@ -88,7 +88,7 @@ let pread f ~off buf ~pos ~len =
         ignore (Unix.lseek f.fd off Unix.SEEK_SET);
         Unix.read f.fd buf pos len)
   in
-  Crimson_obs.Profile.add_bytes_read n;
+  Crimson_obs.Cost.add_bytes_read n;
   n
 
 let pwrite f ~off buf ~pos ~len =
@@ -98,7 +98,7 @@ let pwrite f ~off buf ~pos ~len =
           ignore (Unix.lseek f.fd off Unix.SEEK_SET);
           Unix.write f.fd buf pos n)
     in
-    Crimson_obs.Profile.add_bytes_written written;
+    Crimson_obs.Cost.add_bytes_written written;
     written
   in
   match tick f.io ~file:f.fpath ~op:"write" ~len with

@@ -1,13 +1,8 @@
 module Counter = Crimson_obs.Metrics.Counter
+module Cost = Crimson_obs.Cost
 
-(* Process-global telemetry: every pool in the process feeds these, the
-   per-pager counters below keep the per-instance [stats] view. *)
-let m_reads = Crimson_obs.Metrics.counter "storage.pager.read"
-let m_writes = Crimson_obs.Metrics.counter "storage.pager.write"
-let m_hits = Crimson_obs.Metrics.counter "storage.pager.hit"
-let m_misses = Crimson_obs.Metrics.counter "storage.pager.miss"
-let m_evictions = Crimson_obs.Metrics.counter "storage.pager.eviction"
-let m_fsyncs = Crimson_obs.Metrics.counter "storage.pager.fsync"
+(* Page traffic is charged to the calling domain's cost record, which
+   backs the storage.pager.* registry counters. *)
 let h_fsync = Crimson_obs.Metrics.histogram "storage.pager.fsync_ms"
 
 (* Crash-recovery telemetry: WAL replays applied on open, pages they
@@ -19,8 +14,7 @@ let m_rec_discarded = Crimson_obs.Metrics.counter "storage.recovery.discarded"
 let h_recovery = Crimson_obs.Metrics.histogram "storage.recovery.ms"
 
 let timed_fsync file =
-  Counter.incr m_fsyncs;
-  Crimson_obs.Profile.fsync ();
+  Cost.pager_fsync ();
   Crimson_obs.Span.record_traced h_fsync (fun () -> Io.fsync file)
 
 type backend =
@@ -59,13 +53,6 @@ type t = {
      [Error.Read_only]: worker domains open the same immutable files as
      the coordinator and must never write through them. *)
   read_only : bool;
-  (* Per-instance counters backing the [stats] view; the increments are
-     mirrored into the registry-wide [m_*] counters above. *)
-  reads : Counter.t;
-  writes : Counter.t;
-  hits : Counter.t;
-  misses : Counter.t;
-  evictions : Counter.t;
 }
 
 let make_frames pool_size =
@@ -85,11 +72,6 @@ let create ~pool_size ?(read_only = false) backend ~n_pages =
     n_pages;
     closed = false;
     dirty_pressure = None;
-    reads = Counter.make "reads";
-    writes = Counter.make "writes";
-    hits = Counter.make "hits";
-    misses = Counter.make "misses";
-    evictions = Counter.make "evictions";
   }
 
 let write_page_at file page_id image =
@@ -206,9 +188,7 @@ let lru_touch t i =
 (* ----------------------------- Backend ----------------------------- *)
 
 let backend_read t page_id buf =
-  Counter.incr t.reads;
-  Counter.incr m_reads;
-  Crimson_obs.Profile.page_read ();
+  Cost.page_read ();
   match t.backend with
   | File { file; _ } ->
       let off = page_id * Page.size in
@@ -229,9 +209,7 @@ let backend_read t page_id buf =
   | Mem { pages } -> Bytes.blit (Crimson_util.Vec.get pages page_id) 0 buf 0 Page.size
 
 let backend_write t page_id buf =
-  Counter.incr t.writes;
-  Counter.incr m_writes;
-  Crimson_obs.Profile.page_write ();
+  Cost.page_write ();
   match t.backend with
   | File { file; _ } -> write_page_at file page_id buf
   | Mem { pages } -> Bytes.blit buf 0 (Crimson_util.Vec.get pages page_id) 0 Page.size
@@ -260,8 +238,7 @@ let do_evict t i =
   Hashtbl.remove t.frame_of_page f.page_id;
   lru_unlink t i;
   f.page_id <- -1;
-  Counter.incr t.evictions;
-  Counter.incr m_evictions;
+  Cost.pager_eviction ();
   i
 
 let evict_one t =
@@ -295,15 +272,11 @@ let evict_one t =
 let frame_for t page_id ~load =
   match Hashtbl.find_opt t.frame_of_page page_id with
   | Some i ->
-      Counter.incr t.hits;
-      Counter.incr m_hits;
-      Crimson_obs.Profile.pager_hit ();
+      Cost.pager_hit ();
       lru_touch t i;
       i
   | None ->
-      Counter.incr t.misses;
-      Counter.incr m_misses;
-      Crimson_obs.Profile.pager_miss ();
+      Cost.pager_miss ();
       let i =
         match t.free_frames with
         | i :: rest ->
@@ -333,9 +306,7 @@ let allocate t =
   t.frames.(i).dirty <- true;
   (* A fresh page counts as a cold fetch in miss accounting; undo that to
      keep hit-rate statistics about reads only. *)
-  Counter.add t.misses (-1);
-  Counter.add m_misses (-1);
-  Crimson_obs.Profile.pager_unmiss ();
+  Cost.pager_unmiss ();
   page_id
 
 let with_frame t page_id ~dirty f =
@@ -409,31 +380,9 @@ let abandon t =
   end
 
 type stats = {
-  reads : int;
-  writes : int;
-  hits : int;
-  misses : int;
-  evictions : int;
   pool_size : int;
   resident : int;
 }
 
-let stats (t : t) =
-  {
-    reads = Counter.value t.reads;
-    writes = Counter.value t.writes;
-    hits = Counter.value t.hits;
-    misses = Counter.value t.misses;
-    evictions = Counter.value t.evictions;
-    pool_size = Array.length t.frames;
-    resident = Hashtbl.length t.frame_of_page;
-  }
-
-(* Per-instance only: the process-global registry counters keep running —
-   they are reset via [Crimson_obs.Metrics.reset_all]. *)
-let reset_stats (t : t) =
-  Counter.reset t.reads;
-  Counter.reset t.writes;
-  Counter.reset t.hits;
-  Counter.reset t.misses;
-  Counter.reset t.evictions
+let stats t =
+  { pool_size = Array.length t.frames; resident = Hashtbl.length t.frame_of_page }

@@ -96,24 +96,18 @@ val set_dirty_pressure : t -> (unit -> unit) -> unit
 (** Callback invoked when eviction would have to write back a dirty
     frame; it must make frames clean (by checkpointing the group). *)
 
-(** Per-pool counters. Each increment is mirrored into the process-global
-    metrics registry under [storage.pager.*] ({!Crimson_obs.Metrics}), so
-    this record is a per-instance view of the same accounting; fsync
-    counts and durations are registry-only ([storage.pager.fsync],
-    [storage.pager.fsync_ms]). Crash recovery feeds
-    [storage.recovery.replays]/[.pages]/[.discarded]/[.ms]. *)
+(** Page traffic — reads, writes, hits, misses, evictions, fsyncs — is
+    charged to the calling domain's {!Crimson_obs.Cost} record, which
+    backs the [storage.pager.*] registry counters and every profile;
+    fsync durations feed the [storage.pager.fsync_ms] histogram. Crash
+    recovery feeds [storage.recovery.replays]/[.pages]/[.discarded]/[.ms].
+    A pool itself only reports its state. *)
 type stats = {
-  reads : int;  (** Page fetches from the backend (pool misses). *)
-  writes : int;  (** Page write-backs to the backend. *)
-  hits : int;  (** Pool hits. *)
-  misses : int;  (** Pool misses. *)
-  evictions : int;  (** Frames evicted to make room. *)
   pool_size : int;
   resident : int;  (** Frames currently cached. *)
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 (**/**)
 

@@ -54,13 +54,13 @@ let insert t row =
 let get t rid =
   match Heap.get t.heap rid with
   | Some payload ->
-      Crimson_obs.Profile.row_decoded ~bytes:(String.length payload);
+      Crimson_obs.Cost.row_decoded ~bytes:(String.length payload);
       Some (Record.decode t.schema payload)
   | None -> None
 
 let with_payload t rid f =
   Heap.with_record t.heap rid (fun page off len ->
-      Crimson_obs.Profile.row_decoded ~bytes:len;
+      Crimson_obs.Cost.row_decoded ~bytes:len;
       f page off len)
 
 let delete t rid =

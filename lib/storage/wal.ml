@@ -1,16 +1,15 @@
 let magic_v1 = "CRIMWAL1"
 let magic = "CRIMWAL2"
 
-(* Registry telemetry: WAL traffic and the cost of its durability. *)
+(* Registry telemetry: WAL traffic and the cost of its durability
+   (fsyncs are charged to the cost record, storage.wal.fsync). *)
 let m_appends = Crimson_obs.Metrics.counter "storage.wal.append"
 let m_pages = Crimson_obs.Metrics.counter "storage.wal.pages"
-let m_fsyncs = Crimson_obs.Metrics.counter "storage.wal.fsync"
 let m_torn = Crimson_obs.Metrics.counter "storage.wal.torn_record"
 let h_fsync = Crimson_obs.Metrics.histogram "storage.wal.fsync_ms"
 
 let timed_fsync file =
-  Crimson_obs.Metrics.Counter.incr m_fsyncs;
-  Crimson_obs.Profile.fsync ();
+  Crimson_obs.Cost.wal_fsync ();
   Crimson_obs.Span.record_traced h_fsync (fun () -> Io.fsync file)
 
 type t = {

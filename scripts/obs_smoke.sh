@@ -4,8 +4,9 @@
 # the HTTP observability endpoint, wait for /healthz to answer 200 via
 # `crimson health`, push a small query burst through `crimson connect`,
 # then scrape /metrics and require the merged server.requests counter
-# to equal the sum of the per-worker slices at quiescence. Finishes
-# with a clean SIGTERM drain.
+# to equal the sum of the per-worker slices at quiescence, and the
+# node-cache and pager hit counters to have risen over the burst.
+# Finishes with a clean SIGTERM drain.
 set -eu
 
 BIN=${CRIMSON_BIN:-_build/default/bin/crimson.exe}
@@ -35,6 +36,8 @@ for W in "$@"; do
         fi
         sleep 0.05
     done
+
+    BEFORE=$("$BIN" health --to "unix:$OBS" --get /metrics)
 
     # A burst of real requests spread across the fleet.
     for _ in 1 2 3; do
@@ -66,6 +69,20 @@ for W in "$@"; do
                 w, merged, "worker slices"
         }
     '
+
+    # Storage and node-cache counters are charged on the domain that
+    # serves the query; at --workers 4 that is never the domain that
+    # answers /metrics, so both must read the sum over every domain.
+    for NAME in crimson_core_node_cache_hit crimson_storage_pager_hit; do
+        B=$(printf '%s\n' "$BEFORE" | awk -v n="$NAME" '$1 == n { print $2 }')
+        A=$(printf '%s\n' "$METRICS" | awk -v n="$NAME" '$1 == n { print $2 }')
+        if [ -z "$B" ] || [ -z "$A" ] || [ "$A" -le "$B" ]; then
+            echo "obs-smoke: workers=$W $NAME did not rise" \
+                "over the burst (${B:-?} -> ${A:-?})" >&2
+            exit 1
+        fi
+        echo "obs-smoke: workers=$W $NAME $B -> $A"
+    done
 
     # The other routes answer and carry the expected shapes.
     "$BIN" health --to "unix:$OBS" --get /varz | grep -q '"workers"'

@@ -16,6 +16,7 @@ module Summary = Crimson_core.Summary
 module Query_lang = Crimson_core.Query_lang
 module Table = Crimson_storage.Table
 module Prng = Crimson_util.Prng
+module Cost = Crimson_obs.Cost
 
 let check = Alcotest.check
 
@@ -279,6 +280,7 @@ let test_node_cache_matches_table () =
   let t = Helpers.random_tree rng 300 in
   let report = Loader.load_tree ~f:4 repo ~name:"cached" t in
   let stored = report.tree in
+  let c0 = Cost.snapshot () in
   (* Sequential sweep, then random access: both must agree with direct
      table reads under the default capacity (everything stays resident). *)
   check_views_agree repo stored;
@@ -288,10 +290,11 @@ let test_node_cache_matches_table () =
     if Stored_tree.view stored v <> direct_view truth v then
       Alcotest.failf "random access mismatch at node %d" v
   done;
-  let cs = Stored_tree.cache_stats stored in
-  check Alcotest.int "no evictions at default capacity" 0 cs.Node_view.evictions;
+  let c1 = Cost.current () in
+  check Alcotest.int "no evictions at default capacity" 0
+    (c1.cache_evictions - c0.cache_evictions);
   check Alcotest.bool "hits dominate on re-reads" true
-    (cs.Node_view.hits > cs.Node_view.misses)
+    (c1.cache_hits - c0.cache_hits > c1.cache_misses - c0.cache_misses)
 
 let test_node_cache_tiny_capacity () =
   (* A capacity-4 cache evicts on nearly every access; correctness must
@@ -304,6 +307,7 @@ let test_node_cache_tiny_capacity () =
     Stored_tree.open_id ~cache_capacity:4 ~prefetch:2 repo
       (Stored_tree.id report.tree)
   in
+  let evictions0 = (Cost.current ()).cache_evictions in
   check_views_agree repo tiny;
   let truth = table_views repo tiny in
   for _ = 1 to 500 do
@@ -311,9 +315,9 @@ let test_node_cache_tiny_capacity () =
     if Stored_tree.view tiny v <> direct_view truth v then
       Alcotest.failf "tiny-cache mismatch at node %d" v
   done;
-  let cs = Stored_tree.cache_stats tiny in
-  check Alcotest.bool "evictions occurred" true (cs.Node_view.evictions > 0);
-  check Alcotest.bool "bounded residency" true (cs.Node_view.resident <= 4);
+  check Alcotest.bool "evictions occurred" true
+    ((Cost.current ()).cache_evictions > evictions0);
+  check Alcotest.bool "bounded residency" true (Stored_tree.cache_resident tiny <= 4);
   (* Same answers as a default-capacity handle on structure queries. *)
   let big = Stored_tree.open_id repo (Stored_tree.id report.tree) in
   for _ = 1 to 100 do
@@ -325,8 +329,7 @@ let test_node_cache_tiny_capacity () =
       (Stored_tree.depth tiny a)
   done;
   Stored_tree.invalidate_cache tiny;
-  check Alcotest.int "invalidate empties the cache" 0
-    (Stored_tree.cache_stats tiny).Node_view.resident
+  check Alcotest.int "invalidate empties the cache" 0 (Stored_tree.cache_resident tiny)
 
 let test_node_cache_after_reopen () =
   (* Views served through the cache must match the table after a close
@@ -1196,16 +1199,17 @@ let test_load_primes_views () =
   let primed = Node_view.default_capacity in
   check Alcotest.bool "tree exceeds the cache" true (Stored_tree.node_count stored > primed);
   let truth = table_views repo stored in
+  let c0 = Cost.snapshot () in
   for v = 0 to primed - 1 do
     if Stored_tree.view stored v <> direct_view truth v then
       Alcotest.failf "primed view differs from the stored row at node %d" v
   done;
-  let cs = Stored_tree.cache_stats stored in
-  check Alcotest.int "no misses over the primed ids" 0 cs.Node_view.misses;
-  check Alcotest.int "one hit per primed id" primed cs.Node_view.hits;
+  let c1 = Cost.current () in
+  check Alcotest.int "no misses over the primed ids" 0 (c1.cache_misses - c0.cache_misses);
+  check Alcotest.int "one hit per primed id" primed (c1.cache_hits - c0.cache_hits);
   ignore (Stored_tree.view stored primed);
   check Alcotest.int "the first id past capacity is read" 1
-    (Stored_tree.cache_stats stored).Node_view.misses
+    ((Cost.current ()).cache_misses - c0.cache_misses)
 
 let test_old_nodes_layout_refused () =
   let old_schema = Array.sub Schema.Nodes.schema 0 Schema.Nodes.c_subtree_end in
@@ -1594,12 +1598,12 @@ let test_non_finite_times_refused () =
   let stored = Stored_tree.open_id repo (Stored_tree.id loaded) in
   List.iter
     (fun text ->
-      let before = Repo.pages_touched repo in
+      let before = Cost.pages (Cost.current ()) in
       (match Query_lang.run repo stored text with
       | Error msg ->
           check Alcotest.bool (Printf.sprintf "%s: %S" text msg) true (contains msg "finite")
       | Ok o -> Alcotest.failf "%s answered %S" text o.Query_lang.result);
-      check Alcotest.int (text ^ " reads no page") before (Repo.pages_touched repo))
+      check Alcotest.int (text ^ " reads no page") before (Cost.pages (Cost.current ())))
     [ "frontier(nan)"; "frontier(inf)"; "frontier(-inf)"; "sample(3, nan)"; "sample(3, inf)" ]
 
 (* ------------------------------ EXPLAIN ----------------------------- *)
@@ -1666,6 +1670,137 @@ let test_explain_names_real_indexes () =
     (fun text -> check_plan text (Crimson_collection.Coll_lang.explain repo text))
     [ "consensus('boot')"; "support('boot')"; "rfmatrix('boot')"; "collstats('boot')" ];
   check Alcotest.bool "plans cite indexes" true (!total > 10)
+
+(* ---------------------------- Accounting ---------------------------- *)
+(* Storage and node-cache events are charged on the domain that causes
+   them. Three domains profile the same script on their own read-only
+   handles at once: each must see exactly what one domain alone sees,
+   and the registry must count the sum of what all three were charged. *)
+
+module Profile = Crimson_obs.Profile
+module Metrics = Crimson_obs.Metrics
+
+let accounting_script =
+  let rng = Prng.create 2024 in
+  let leaf () = Printf.sprintf "T%d" (Prng.int rng 2000) in
+  List.init 50 (fun i ->
+      match i mod 5 with
+      | 0 -> Printf.sprintf "lca(%s, %s)" (leaf ()) (leaf ())
+      | 1 -> Printf.sprintf "distance(%s, %s)" (leaf ()) (leaf ())
+      | 2 -> Printf.sprintf "clade(%s, %s, %s)" (leaf ()) (leaf ()) (leaf ())
+      | 3 -> Printf.sprintf "project(%s, %s, %s, %s)" (leaf ()) (leaf ()) (leaf ()) (leaf ())
+      | _ -> "sample(8)")
+
+(* Everything in a report but its clock and allocation readings. *)
+let report_counts (r : Profile.report) =
+  List.map
+    (fun (s : Profile.stage) -> (s.stage_name, s.calls, s.cost))
+    (r.total :: r.stages)
+
+(* One profiled pass of the script on a fresh read-only handle: each
+   query's counts and its request pages. *)
+let accounting_pass repo stored =
+  let rng = Prng.create 5 in
+  List.map
+    (fun text ->
+      match Query_lang.measured ~profiled:true ~rng ~record:false repo stored text with
+      | Ok (_, _, pages, Some report) -> (report, pages)
+      | Ok (_, _, _, None) -> Alcotest.failf "%s: no report" text
+      | Error msg -> Alcotest.failf "%s: %s" text msg)
+    accounting_script
+
+let mapped_counters =
+  [
+    ("storage.pager.hit", fun (c : Profile.counters) -> c.pager_hits);
+    ("storage.pager.miss", fun c -> c.pager_misses);
+    ("core.node_cache.hit", fun c -> c.cache_hits);
+    ("core.node_cache.miss", fun c -> c.cache_misses);
+    ("storage.btree.find", fun c -> c.btree_finds);
+  ]
+
+let test_cross_domain_accounting () =
+  with_temp_dir (fun dir ->
+      let repo = Repo.open_dir dir in
+      ignore
+        (Loader.load_tree ~f:8 repo ~name:"gold"
+           (Models.yule ~rng:(Prng.create 11) ~leaves:2000 ()));
+      Repo.close repo;
+      let open_ro () =
+        let repo = Repo.open_dir ~mode:Database.Read_only ~create:false dir in
+        (repo, Stored_tree.open_name repo "gold")
+      in
+      let reference =
+        let repo, stored = open_ro () in
+        Fun.protect
+          ~finally:(fun () -> Repo.close repo)
+          (fun () -> accounting_pass repo stored)
+      in
+      List.iter
+        (fun (report, pages) ->
+          check Alcotest.int "request pages = pager hits + misses"
+            (Profile.pages_touched report) pages)
+        reference;
+      (* Each domain opens its handle, then all start together once the
+         registry has been read. *)
+      let ready = Atomic.make 0 and go = Atomic.make false in
+      let domains =
+        List.init 3 (fun _ ->
+            Domain.spawn (fun () ->
+                let repo, stored = open_ro () in
+                Atomic.incr ready;
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                (repo, accounting_pass repo stored)))
+      in
+      while Atomic.get ready < 3 do
+        Domain.cpu_relax ()
+      done;
+      let before = List.map (fun (name, _) -> Metrics.counter_value name) mapped_counters in
+      Atomic.set go true;
+      let results = List.map Domain.join domains in
+      let after = List.map (fun (name, _) -> Metrics.counter_value name) mapped_counters in
+      List.iteri
+        (fun d (_, runs) ->
+          List.iter2
+            (fun (ref_report, _) (report, pages) ->
+              if report_counts report <> report_counts ref_report then
+                Alcotest.failf "domain %d: a report differs from the one-domain run" d;
+              check Alcotest.int "request pages = pager hits + misses"
+                (Profile.pages_touched report) pages)
+            reference runs)
+        results;
+      List.iteri
+        (fun i (name, get) ->
+          let charged =
+            List.fold_left
+              (fun acc (_, runs) ->
+                List.fold_left
+                  (fun acc ((r : Profile.report), _) -> acc + get r.total.cost)
+                  acc runs)
+              0 results
+          in
+          check Alcotest.int (name ^ " = sum of the domains' reports") charged
+            (List.nth after i - List.nth before i))
+        mapped_counters;
+      List.iter (fun (repo, _) -> Repo.close repo) results;
+      (* After a reset the names read 0, then count exactly one query. *)
+      let repo, stored = open_ro () in
+      Fun.protect
+        ~finally:(fun () -> Repo.close repo)
+        (fun () ->
+          Metrics.reset_all ();
+          List.iter
+            (fun (name, _) -> check Alcotest.int (name ^ " reset") 0 (Metrics.counter_value name))
+            mapped_counters;
+          match Query_lang.profile ~record:false repo stored "clade(T3, T1500)" with
+          | Error msg -> Alcotest.fail msg
+          | Ok (_, report) ->
+              List.iter
+                (fun (name, get) ->
+                  check Alcotest.int (name ^ " counts the next query") (get report.total.cost)
+                    (Metrics.counter_value name))
+                mapped_counters))
 
 let () =
   Alcotest.run "crimson_core"
@@ -1787,4 +1922,6 @@ let () =
           Alcotest.test_case "plans name real indexes" `Quick
             test_explain_names_real_indexes;
         ] );
+      ( "accounting",
+        [ Alcotest.test_case "cross-domain sums" `Quick test_cross_domain_accounting ] );
     ]

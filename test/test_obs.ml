@@ -27,11 +27,14 @@ let test_counter_semantics () =
   check Alcotest.int "same instance" 41 (Metrics.Counter.value c);
   check Alcotest.int "counter_value helper" 41 (Metrics.counter_value "test.counter.basic");
   check Alcotest.int "missing counter reads 0" 0 (Metrics.counter_value "test.counter.none");
-  (* Local counters stay out of the registry. *)
-  let local = Metrics.Counter.make "test.counter.local" in
-  Metrics.Counter.incr local;
-  check Alcotest.bool "local not registered" true
-    (Metrics.find "test.counter.local" = None)
+  (* A cost-record name is registered from the start, and asking for it
+     returns that counter, not a second one shadowing the record. *)
+  let hits = Metrics.counter "storage.pager.hit" in
+  let before = Metrics.counter_value "storage.pager.hit" in
+  Crimson_obs.Cost.pager_hit ();
+  check Alcotest.int "charge reaches the registry" (before + 1)
+    (Metrics.counter_value "storage.pager.hit");
+  check Alcotest.int "handle reads the record" (before + 1) (Metrics.Counter.value hits)
 
 let test_kind_collision () =
   ignore (Metrics.counter "test.collision");
@@ -795,6 +798,29 @@ let test_events_journal () =
   Sys.remove (path ^ ".1");
   Unix.rmdir dir
 
+(* ------------------------------ Profile ----------------------------- *)
+
+(* A profile's allocation readings belong to the profiled domain: a
+   sibling domain allocating on the major heap meanwhile must not show
+   up in them. The profiled domain empties its minor heap first, so the
+   sibling's collections have none of its objects to promote. *)
+let test_profile_major_words_domain_local () =
+  let stop = Atomic.make false in
+  let allocator =
+    Domain.spawn (fun () ->
+        let keep = ref [||] in
+        while not (Atomic.get stop) do
+          keep := Array.make 100_000 0
+        done;
+        Array.length !keep)
+  in
+  Gc.minor ();
+  let (), report = Crimson_obs.Profile.profile (fun () -> Unix.sleepf 0.2) in
+  Atomic.set stop true;
+  ignore (Domain.join allocator);
+  let major = report.Crimson_obs.Profile.total.Crimson_obs.Profile.major_words in
+  check Alcotest.bool (Printf.sprintf "major words %.0f < 1000" major) true (major < 1000.0)
+
 let () =
   Alcotest.run "crimson_obs"
     [
@@ -841,4 +867,9 @@ let () =
         ] );
       ( "events",
         [ Alcotest.test_case "journal emit + rotation" `Quick test_events_journal ] );
+      ( "profile",
+        [
+          Alcotest.test_case "major words stay per domain" `Quick
+            test_profile_major_words_domain_local;
+        ] );
     ]

@@ -12,6 +12,7 @@ module Record = Crimson_storage.Record
 module Table = Crimson_storage.Table
 module Database = Crimson_storage.Database
 module Prng = Crimson_util.Prng
+module Cost = Crimson_obs.Cost
 
 let check = Alcotest.check
 
@@ -62,6 +63,7 @@ let test_pager_eviction_writes_back () =
       let path = Filename.concat dir "t.pages" in
       (* Pool of 8 frames (minimum), 50 pages: forces evictions. *)
       let p = Pager.create_file ~pool_size:8 path in
+      let c0 = Cost.snapshot () in
       for i = 0 to 49 do
         let id = Pager.allocate p in
         Pager.with_page_mut p id (fun page -> Crimson_util.Codec.set_u32 page 0 (i * 7))
@@ -71,54 +73,51 @@ let test_pager_eviction_writes_back () =
         let v = Pager.with_page p i (fun page -> Crimson_util.Codec.get_u32 page 0) in
         check Alcotest.int (Printf.sprintf "page %d" i) (i * 7) v
       done;
-      let s = Pager.stats p in
-      check Alcotest.bool "evictions happened" true (s.evictions > 0);
-      check Alcotest.bool "misses happened" true (s.misses > 0);
-      check Alcotest.bool "resident bounded" true (s.resident <= 8);
+      let c1 = Cost.current () in
+      check Alcotest.bool "evictions happened" true (c1.pager_evictions > c0.pager_evictions);
+      check Alcotest.bool "misses happened" true (c1.pager_misses > c0.pager_misses);
+      check Alcotest.bool "resident bounded" true ((Pager.stats p).resident <= 8);
       Pager.close p)
 
 let test_pager_hits_vs_misses () =
   let p = Pager.create_mem ~pool_size:8 () in
   let id = Pager.allocate p in
-  Pager.reset_stats p;
+  let c0 = Cost.snapshot () in
   for _ = 1 to 100 do
     ignore (Pager.with_page p id (fun page -> Bytes.get page 0))
   done;
-  let s = Pager.stats p in
-  check Alcotest.int "all hits" 100 s.hits;
-  check Alcotest.int "no misses" 0 s.misses
+  let c1 = Cost.current () in
+  check Alcotest.int "all hits" 100 (c1.pager_hits - c0.pager_hits);
+  check Alcotest.int "no misses" 0 (c1.pager_misses - c0.pager_misses)
 
-(* The per-pager stats are mirrored into the process-global telemetry
-   registry: deltas on the registry counters must track the deltas seen
-   through [Pager.stats], and [reset_stats] must only touch the local
-   view. *)
+(* The process-global registry counters read the cost record: their
+   deltas must equal the deltas of the domain's record, and a fresh
+   page's allocation is no miss in either. *)
 let test_pager_registry_counters () =
   let module Metrics = Crimson_obs.Metrics in
-  let hits0 = Metrics.counter_value "storage.pager.hit" in
+  let names =
+    [
+      ("storage.pager.hit", fun (c : Cost.t) -> c.pager_hits);
+      ("storage.pager.miss", fun c -> c.pager_misses);
+      ("storage.pager.read", fun c -> c.page_reads);
+      ("storage.pager.write", fun c -> c.page_writes);
+    ]
+  in
+  let registry () = List.map (fun (name, _) -> Metrics.counter_value name) names in
   let p = Pager.create_mem ~pool_size:8 () in
+  let c0 = Cost.snapshot () and r0 = registry () in
   let id = Pager.allocate p in
-  Pager.reset_stats p;
-  let hits1 = Metrics.counter_value "storage.pager.hit" in
-  let reads1 = Metrics.counter_value "storage.pager.read" in
-  let misses1 = Metrics.counter_value "storage.pager.miss" in
   for _ = 1 to 50 do
     ignore (Pager.with_page p id (fun page -> Bytes.get page 0))
   done;
-  let s = Pager.stats p in
-  check Alcotest.int "local hits" 50 s.hits;
-  check Alcotest.int "registry hits track local" (hits1 + s.hits)
-    (Metrics.counter_value "storage.pager.hit");
-  check Alcotest.int "registry reads track local" (reads1 + s.reads)
-    (Metrics.counter_value "storage.pager.read");
-  check Alcotest.int "registry misses track local" (misses1 + s.misses)
-    (Metrics.counter_value "storage.pager.miss");
-  (* Resetting the local view leaves the process-wide registry alone. *)
-  Pager.reset_stats p;
-  check Alcotest.int "local reset" 0 (Pager.stats p).hits;
-  check Alcotest.int "registry survives local reset" (hits1 + 50)
-    (Metrics.counter_value "storage.pager.hit");
-  check Alcotest.bool "registry hits only grow" true
-    (Metrics.counter_value "storage.pager.hit" >= hits0);
+  let c1 = Cost.current () and r1 = registry () in
+  check Alcotest.int "record hits" 50 (c1.pager_hits - c0.pager_hits);
+  check Alcotest.int "allocation is no miss" 0 (c1.pager_misses - c0.pager_misses);
+  List.iteri
+    (fun i (name, get) ->
+      check Alcotest.int (name ^ " tracks the record") (get c1 - get c0)
+        (List.nth r1 i - List.nth r0 i))
+    names;
   Pager.close p
 
 let test_pager_out_of_range () =
@@ -898,16 +897,19 @@ let test_database_drop_table () =
       | _ -> Alcotest.fail "double drop");
       Database.close db)
 
+(* A database's pools charge the calling domain: an indexed lookup
+   counts one find, one decoded row and one page — the heap's, as the
+   index root is already held decoded. *)
 let test_database_pager_stats () =
   let db = Database.open_mem () in
   let t = make_table db in
   ignore (Table.insert t [| Record.VText "A"; Record.VInt 1; Record.VFloat 1.0 |]);
-  let stats = Database.pager_stats db in
-  check Alcotest.bool "reports all pagers" true (List.length stats = 3);
-  Database.reset_pager_stats db;
-  List.iter
-    (fun (_, (s : Pager.stats)) -> check Alcotest.int "reset" 0 s.hits)
-    (Database.pager_stats db);
+  let c0 = Cost.snapshot () in
+  ignore (Table.find t ~index:"by_name" ~key:(Key.text "A"));
+  let c1 = Cost.current () in
+  check Alcotest.int "one index find" 1 (c1.btree_finds - c0.btree_finds);
+  check Alcotest.int "one row decoded" 1 (c1.rows_decoded - c0.rows_decoded);
+  check Alcotest.int "one heap page" 1 (Cost.pages c1 - Cost.pages c0);
   Database.close db
 
 (* Big integration: a table spanning many pages with both indexes under
