@@ -100,8 +100,9 @@ bench-snapshot:
 
 # Compare the fresh BENCH_*.json at the repository root (produced by
 # `make bench-snapshot`) against the committed bench/baselines/.
-# Warn-only: a >20% throughput regression prints a WARNING but the
-# target always succeeds — bench containers are too noisy to hard-gate.
+# A changed exact field (E7's nrf_*/triplet_* scores) fails the target;
+# a >20% throughput regression only prints a WARNING — bench containers
+# are too noisy to hard-gate times.
 bench-diff:
 	dune exec bench/diff.exe -- $(CURDIR) $(CURDIR)/bench/baselines
 

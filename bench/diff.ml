@@ -8,17 +8,23 @@
    fields are compared by name convention: [*per_s] and
    [*per_s_<qualifier>] (e.g. [load_nodes_per_s_yule50k_f8]) are
    higher-is-better, [*_ms], [*_ms_<qualifier>] (e.g.
-   [projection_ms_k5000]) and [*_pct] are lower-is-better; everything
-   else (counts, sizes, the raw metrics dump) is informational only.
-   A >20% regression prints a WARNING line, but the exit status is
-   always 0 — benchmark containers are too noisy for a hard gate, so
-   CI surfaces the warning in the log instead of failing the build. *)
+   [projection_ms_k5000]) and [*_pct] are lower-is-better; [nrf_*] and
+   [triplet_*] (E7's scores) are exact; everything else (counts, sizes,
+   the raw metrics dump) is informational only.
+
+   An exact field is a ratio of integer counts fixed by the seeds, so it
+   does not depend on the host: any difference from the baseline, or its
+   absence from the fresh snapshot, prints a FAIL line and the exit
+   status is 1. A >20% regression of a timed field prints a WARNING
+   line only — benchmark containers are too noisy for a hard gate on
+   times, so CI surfaces the warning in the log instead of failing the
+   build. *)
 
 module Json = Crimson_obs.Json
 
 let regression_threshold_pct = 20.0
 
-type direction = Higher_better | Lower_better
+type direction = Higher_better | Lower_better | Exact
 
 let direction_of field =
   let ends_with suffix =
@@ -32,7 +38,9 @@ let direction_of field =
     | _ :: rest -> has_per_s rest
     | [] -> false
   in
-  if ends_with "per_s" || has_per_s parts then Some Higher_better
+  if String.starts_with ~prefix:"nrf_" field || String.starts_with ~prefix:"triplet_" field
+  then Some Exact
+  else if ends_with "per_s" || has_per_s parts then Some Higher_better
   else if has_ms_infix || ends_with "_pct" then Some Lower_better
   else None
 
@@ -83,7 +91,7 @@ let () =
       fresh_dir;
     exit 0
   end;
-  let warnings = ref 0 in
+  let warnings = ref 0 and failures = ref 0 in
   let compared = ref 0 in
   List.iter
     (fun exp ->
@@ -101,16 +109,25 @@ let () =
                 match
                   (direction_of field, List.assoc_opt field (numeric_fields fresh))
                 with
-                | None, _ | _, None -> ()
-                | Some dir, Some fv ->
+                | None, _ -> ()
+                | Some Exact, fresh_value ->
+                    incr compared;
+                    if fresh_value <> Some bv then begin
+                      incr failures;
+                      Printf.printf "%-6s %-28s base %.17g  fresh %s  FAIL: exact field changed\n"
+                        exp field bv
+                        (match fresh_value with
+                        | Some fv -> Printf.sprintf "%.17g" fv
+                        | None -> "missing")
+                    end
+                | _, None -> ()
+                | Some ((Higher_better | Lower_better) as dir), Some fv ->
                     incr compared;
                     (* Positive delta_pct always means "got worse". *)
                     let delta_pct =
                       if bv = 0.0 then 0.0
-                      else
-                        match dir with
-                        | Higher_better -> 100.0 *. (1.0 -. (fv /. bv))
-                        | Lower_better -> 100.0 *. ((fv /. bv) -. 1.0)
+                      else if dir = Higher_better then 100.0 *. (1.0 -. (fv /. bv))
+                      else 100.0 *. ((fv /. bv) -. 1.0)
                     in
                     let flag =
                       if delta_pct > regression_threshold_pct then begin
@@ -124,9 +141,10 @@ let () =
               base_fields
       end)
     base_exps;
-  Printf.printf "bench-diff: %d fields compared, %d warning(s)\n" !compared !warnings;
+  Printf.printf "bench-diff: %d fields compared, %d warning(s), %d failure(s)\n" !compared
+    !warnings !failures;
   if !warnings > 0 then
     Printf.printf
-      "bench-diff: warn-only — threshold is %.0f%%; investigate before trusting the run\n"
+      "bench-diff: warnings are warn-only — threshold is %.0f%%; investigate before trusting the run\n"
       regression_threshold_pct;
-  exit 0
+  exit (if !failures > 0 then 1 else 0)

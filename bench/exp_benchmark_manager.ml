@@ -7,7 +7,12 @@
    competitive only because Yule gold standards are clock-like;
    parsimony is orders of magnitude slower. The correction ablation
    (nj+p vs nj+jc) and the clock sensitivity are design points called
-   out in DESIGN.md. *)
+   out in DESIGN.md.
+
+   The BENCH line pins what the Benchmark Manager computes: every row's
+   mean nRF and triplet distance at full precision, named by k, sites
+   and algorithm. Both are ratios of integer counts fixed by the seeds,
+   so `bench-diff` treats them as exact. *)
 
 open Bench_common
 module Tree = Crimson_tree.Tree
@@ -15,6 +20,19 @@ module Ops = Crimson_tree.Ops
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
 module B = Crimson_benchmark.Benchmark_manager
+
+(* "nj+jc" -> "nj_jc": algorithm names as field-name parts. *)
+let field_name prefix (s : B.summary) =
+  prefix ^ String.map (function '+' -> '_' | c -> c) s.algorithm
+
+let exact_fields prefix summaries =
+  List.concat_map
+    (fun (s : B.summary) ->
+      [
+        (field_name ("nrf_" ^ prefix) s, Json.Num s.mean_rf_normalized);
+        (field_name ("triplet_" ^ prefix) s, Json.Num s.mean_triplet);
+      ])
+    summaries
 
 let run () =
   section "E7" "benchmark manager: algorithm accuracy vs sample size and data";
@@ -33,38 +51,45 @@ let run () =
           ("mean s", T.Right);
         ]
   in
-  List.iter
-    (fun (k, len) ->
-      let algorithms =
-        if k <= 25 then [ B.nj_jc; B.nj_p; B.bionj_jc; B.upgma_jc; B.parsimony ]
-        else [ B.nj_jc; B.nj_p; B.bionj_jc; B.upgma_jc ]
-      in
-      let config =
-        {
-          B.default_config with
-          sample_k = k;
-          sequence_length = len;
-          replicates = 3;
-          algorithms;
-          seed = 1000 + k + len;
-          record_history = false;
-        }
-      in
-      let summaries = B.summarize (B.run repo stored config) in
-      List.iter
-        (fun (s : B.summary) ->
-          T.add_row table
-            [
-              string_of_int k;
-              string_of_int len;
-              s.algorithm;
-              Printf.sprintf "%.3f" s.mean_rf_normalized;
-              Printf.sprintf "%.3f" s.mean_triplet;
-              Printf.sprintf "%.4f" s.mean_seconds;
-            ])
-        summaries;
-      T.add_separator table)
-    [ (10, 250); (10, 1000); (25, 250); (25, 1000); (50, 1000) ];
+  let replicates = ref 0 and run_s = ref 0.0 in
+  let fields =
+    List.concat_map
+      (fun (k, len) ->
+        let algorithms =
+          if k <= 25 then [ B.nj_jc; B.nj_p; B.bionj_jc; B.upgma_jc; B.parsimony ]
+          else [ B.nj_jc; B.nj_p; B.bionj_jc; B.upgma_jc ]
+        in
+        let config =
+          {
+            B.default_config with
+            sample_k = k;
+            sequence_length = len;
+            replicates = 3;
+            algorithms;
+            seed = 1000 + k + len;
+            record_history = false;
+          }
+        in
+        let outcomes, ms = time_once (fun () -> B.run repo stored config) in
+        replicates := !replicates + config.replicates;
+        run_s := !run_s +. (ms /. 1000.0);
+        let summaries = B.summarize outcomes in
+        List.iter
+          (fun (s : B.summary) ->
+            T.add_row table
+              [
+                string_of_int k;
+                string_of_int len;
+                s.algorithm;
+                Printf.sprintf "%.3f" s.mean_rf_normalized;
+                Printf.sprintf "%.3f" s.mean_triplet;
+                Printf.sprintf "%.4f" s.mean_seconds;
+              ])
+          summaries;
+        T.add_separator table;
+        exact_fields (Printf.sprintf "k%d_sites%d_" k len) summaries)
+      [ (10, 250); (10, 1000); (25, 250); (25, 1000); (50, 1000) ]
+  in
   T.print table;
   Repo.close repo;
 
@@ -104,5 +129,11 @@ let run () =
       record_history = false;
     }
   in
-  print_string (B.report (B.summarize (B.run repo stored config)));
-  Repo.close repo
+  let summaries = B.summarize (B.run repo stored config) in
+  print_string (B.report summaries);
+  Repo.close repo;
+  emit_bench ~experiment:"E7"
+    ~fields:
+      ((("replicates_per_s", Json.Num (float_of_int !replicates /. !run_s)) :: fields)
+      @ exact_fields "nonclock_k25_sites1000_" summaries)
+    ()

@@ -174,54 +174,34 @@ let drop ?(flush = true) repo name =
 
 (* The distinct clades of one member, as canonical bitmaps: for every
    internal non-root node, the set of leaf ordinals below it (the same
-   set [Crimson_tree.Metrics.clades] names, deduplicated per tree). *)
+   set [Crimson_tree.Metrics.clades] names, deduplicated per tree). The
+   member must name every taxon exactly once. *)
 let clade_bitmaps t tree =
-  let n = Tree.node_count tree in
-  let len = bitmap_len (Array.length t.taxa) in
-  let masks = Array.make n Bytes.empty in
+  let seen = Array.make (Array.length t.taxa) false in
   let leaves_seen = ref 0 in
-  Array.iter
-    (fun v ->
-      let m = Bytes.make len '\000' in
-      if Tree.is_leaf tree v then begin
+  let ordinal v =
+    let name =
+      match Tree.name tree v with
+      | Some s -> s
+      | None -> err "member tree has an unnamed leaf"
+    in
+    match Hashtbl.find_opt t.ord name with
+    | Some i ->
+        if seen.(i) then err "member repeats leaf %S" name;
+        seen.(i) <- true;
         incr leaves_seen;
-        let name =
-          match Tree.name tree v with
-          | Some s -> s
-          | None -> err "member tree has an unnamed leaf"
-        in
-        match Hashtbl.find_opt t.ord name with
-        | Some i -> set_bit m i
-        | None -> err "leaf %S is not in collection %S's taxon set" name t.name
-      end
-      else
-        Tree.iter_children tree v (fun c ->
-            let src = masks.(c) in
-            for k = 0 to len - 1 do
-              Bytes.set m k
-                (Char.chr (Char.code (Bytes.get m k) lor Char.code (Bytes.get src k)))
-            done);
-      masks.(v) <- m)
-    (Tree.postorder tree);
+        i
+    | None -> err "leaf %S is not in collection %S's taxon set" name t.name
+  in
+  let bitmaps =
+    Crimson_tree.Metrics.clade_bitmaps tree ~leaves:(Array.length t.taxa) ~ordinal
+  in
   if !leaves_seen <> Array.length t.taxa then
     err "member has %d leaves; collection %S has %d taxa" !leaves_seen t.name
       (Array.length t.taxa);
-  let root = Tree.root tree in
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  Array.iteri
-    (fun v m ->
-      if v <> root && not (Tree.is_leaf tree v) then begin
-        let s = Bytes.to_string m in
-        if not (Hashtbl.mem seen s) then begin
-          Hashtbl.replace seen s ();
-          acc := s :: !acc
-        end
-      end)
-    masks;
   (* Sorted bitmaps make dictionary-id assignment order deterministic for
      a given tree, independent of node numbering. *)
-  List.sort String.compare !acc
+  List.sort String.compare bitmaps
 
 (* ----------------------------- Encodings ---------------------------- *)
 

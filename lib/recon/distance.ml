@@ -44,31 +44,73 @@ let validate seqs =
   if !len = 0 then invalid "sequences are empty";
   Array.of_list seqs
 
-(* Site difference fractions of one pair of uppercased sequences:
+(* Two bit planes per sequence, 62 sites per int: site [i] is bit
+   [i mod 62] of word [i / 62] in each plane, coded A=00, C=01, G=10,
+   T=11 as (high, low). The low bit is 0 exactly at the purines, so two
+   sites differ when either plane's bits differ, and by a transversion
+   when the low bits differ. Word [w] of the low plane sits at index
+   [2w], of the high plane at [2w + 1]. 62 sites keep every word and
+   popcount inside OCaml's 63-bit ints. *)
+let sites_per_word = 62
+
+(* Each base's two-bit code, indexed by character code: a lookup, where
+   a match on random bases would mispredict most of its branches. *)
+let base_code =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | 'C' | 'c' -> '\001'
+      | 'G' | 'g' -> '\002'
+      | 'T' | 't' -> '\003'
+      | _ -> '\000')
+
+let planes seq =
+  let len = String.length seq in
+  let words = (len + sites_per_word - 1) / sites_per_word in
+  let p = Array.make (2 * words) 0 in
+  for w = 0 to words - 1 do
+    let lo = ref 0 and hi = ref 0 in
+    let first = w * sites_per_word in
+    for bit = 0 to Int.min sites_per_word (len - first) - 1 do
+      let code = Char.code base_code.[Char.code seq.[first + bit]] in
+      lo := !lo lor ((code land 1) lsl bit);
+      hi := !hi lor ((code lsr 1) lsl bit)
+    done;
+    p.(2 * w) <- !lo;
+    p.((2 * w) + 1) <- !hi
+  done;
+  p
+
+(* Set bits of a non-negative int below 2^62. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+(* Site difference fractions of one pair of [len]-site sequences:
    (transitions, transversions). *)
-let pair_fractions a b =
-  let len = String.length a in
-  let transitions = ref 0 and transversions = ref 0 in
-  let purine = function 'A' | 'G' -> true | _ -> false in
-  for i = 0 to len - 1 do
-    let x = a.[i] and y = b.[i] in
-    if x <> y then
-      if purine x = purine y then incr transitions else incr transversions
+let pair_fractions len a b =
+  let differences = ref 0 and transversions = ref 0 in
+  for w = 0 to (Array.length a / 2) - 1 do
+    let lo = a.(2 * w) lxor b.(2 * w) and hi = a.((2 * w) + 1) lxor b.((2 * w) + 1) in
+    differences := !differences + popcount (lo lor hi);
+    transversions := !transversions + popcount lo
   done;
   let l = float_of_int len in
-  (float_of_int !transitions /. l, float_of_int !transversions /. l)
+  (float_of_int (!differences - !transversions) /. l, float_of_int !transversions /. l)
 
 (* Every pairwise distance model here is symmetric, so each unordered
-   pair is computed once, on sequences uppercased once per taxon. *)
+   pair is computed once, on sequences packed once per taxon. *)
 let of_pairs seqs model =
   let arr = validate seqs in
   let names = Array.map fst arr in
-  let upper = Array.map (fun (_, s) -> String.uppercase_ascii s) arr in
+  let packed = Array.map (fun (_, s) -> planes s) arr in
+  let len = String.length (snd arr.(0)) in
   let n = Array.length arr in
   let d = Array.init n (fun _ -> Array.make n 0.0) in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let p, q = pair_fractions upper.(i) upper.(j) in
+      let p, q = pair_fractions len packed.(i) packed.(j) in
       let v = model p q in
       d.(i).(j) <- v;
       d.(j).(i) <- v

@@ -3,8 +3,17 @@
     Inputs are (taxon name, sequence) pairs of equal length; distances
     feed UPGMA and neighbor joining. Corrections invert the expected
     saturation of observed differences under the corresponding model.
+
     The sequence models are symmetric, so they compute each unordered
-    pair once, on sequences uppercased once per taxon. *)
+    pair once. Each validated sequence is packed once into two bit
+    planes, 62 sites per int, with A=00, C=01, G=10 and T=11 in either
+    case. The low plane is 0 exactly at the purines, so for a pair the
+    differing sites are [popcount ((lo xor) lor (hi xor))] and the
+    transversions [popcount (lo xor)], a word of 62 sites at a time.
+    Those are the same two integer counts a site-by-site comparison
+    finds, and each model still sees the same two integer-over-length
+    fractions, so every matrix is bit-identical to one computed a
+    character at a time. *)
 
 type t = {
   names : string array;

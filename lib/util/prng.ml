@@ -80,18 +80,34 @@ let sample_without_replacement t ~k ~n =
     Array.sub a 0 k
   end
   else begin
-    (* Sparse case: hash-set rejection keeps memory at O(k). *)
-    let seen = Hashtbl.create (2 * k) in
+    (* Sparse case: rejection of repeats keeps memory at O(k). Up to 8
+       picks, a scan of the earlier ones is cheaper than a hash set; both
+       reject the same draws. *)
     let out = Array.make k 0 in
     let filled = ref 0 in
-    while !filled < k do
-      let v = int t n in
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        out.(!filled) <- v;
-        incr filled
-      end
-    done;
+    if k <= 8 then
+      while !filled < k do
+        let v = int t n in
+        let i = ref 0 in
+        while !i < !filled && out.(!i) <> v do
+          incr i
+        done;
+        if !i = !filled then begin
+          out.(!filled) <- v;
+          incr filled
+        end
+      done
+    else begin
+      let seen = Hashtbl.create (2 * k) in
+      while !filled < k do
+        let v = int t n in
+        if not (Hashtbl.mem seen v) then begin
+          Hashtbl.add seen v ();
+          out.(!filled) <- v;
+          incr filled
+        end
+      done
+    end;
     out
   end
 

@@ -67,14 +67,21 @@ let test_create_open_list_drop () =
   | _ -> Alcotest.fail "duplicate name should refuse"
 
 let test_ingest_validates_leaves () =
-  let repo = Repo.open_mem () in
-  let t = yule 1 in
-  let c = Collection.create repo ~name:"boot" ~taxa:(taxa_of t) in
-  let wrong = yule ~leaves:9 2 in
-  (match Collection.ingest c wrong with
-  | exception Collection.Collection_error _ -> ()
-  | _ -> Alcotest.fail "leaf-set mismatch should refuse");
-  check Alcotest.int "nothing ingested" 0 (Collection.n_trees c)
+  (* (taxa, member, the refusal when it is pinned): a smaller leaf set,
+     and a member that repeats a leaf and lacks a taxon. *)
+  List.iter
+    (fun (taxa, wrong, refusal) ->
+      let repo = Repo.open_mem () in
+      let c = Collection.create repo ~name:"boot" ~taxa in
+      (match Collection.ingest c wrong with
+      | exception Collection.Collection_error msg ->
+          Option.iter (fun expected -> check Alcotest.string "refusal" expected msg) refusal
+      | _ -> Alcotest.fail "leaf-set mismatch should refuse");
+      check Alcotest.int "nothing ingested" 0 (Collection.n_trees c))
+    [
+      (taxa_of (yule 1), yule ~leaves:9 2, None);
+      ([ "A"; "B"; "C"; "D" ], Newick.parse "((A,A),(B,C));", Some "member repeats leaf \"A\"");
+    ]
 
 (* ------------------------ Dictionary sharing ------------------------ *)
 

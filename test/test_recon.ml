@@ -82,6 +82,312 @@ let test_path_length_distance () =
   let u = Newick.parse "((A:2,B:2):1,C:2);" in
   check Alcotest.bool "scaled differs" true (Metrics.path_length_distance t u > 0.0)
 
+(* Reference implementations of the metrics: clades and splits as
+   sorted leaf-name lists keyed by their concatenation, name sets merged
+   with [Set.Make (String)], leaf-pair LCAs by parent-pointer walks, and
+   sampling through a hash set of earlier picks. The library's bitmap,
+   sparse-table and ordinal code must match them bit for bit, draw for
+   draw. *)
+module Metrics_oracle = struct
+  exception Incomparable of string
+
+  let incomparable fmt = Printf.ksprintf (fun s -> raise (Incomparable s)) fmt
+
+  let leaf_map t =
+    let map = Hashtbl.create 64 in
+    Array.iter
+      (fun l ->
+        match Tree.name t l with
+        | None -> incomparable "unnamed leaf (node %d)" l
+        | Some name ->
+            if Hashtbl.mem map name then incomparable "duplicate leaf name %S" name;
+            Hashtbl.add map name l)
+      (Tree.leaves t);
+    map
+
+  let prepare a b =
+    let ma = leaf_map a and mb = leaf_map b in
+    if Hashtbl.length ma <> Hashtbl.length mb then incomparable "leaf sets differ in size";
+    Hashtbl.iter
+      (fun name _ -> if not (Hashtbl.mem mb name) then incomparable "leaf %S only in one tree" name)
+      ma;
+    (ma, mb)
+
+  let sorted_names m =
+    Array.of_list (List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) m []))
+
+  let clades t =
+    ignore (leaf_map t);
+    let n = Tree.node_count t in
+    let below = Array.make n [] in
+    Array.iter
+      (fun v ->
+        if Tree.is_leaf t v then below.(v) <- [ Option.get (Tree.name t v) ]
+        else
+          Tree.iter_children t v (fun c -> below.(v) <- List.rev_append below.(c) below.(v)))
+      (Tree.postorder t);
+    let acc = ref [] in
+    for v = 0 to n - 1 do
+      if (not (Tree.is_leaf t v)) && v <> Tree.root t then
+        acc := List.sort String.compare below.(v) :: !acc
+    done;
+    !acc
+
+  let splits t =
+    let all_names = Array.to_list (sorted_names (leaf_map t)) in
+    let n_leaves = List.length all_names in
+    let reference = match all_names with r :: _ -> r | [] -> "" in
+    let module SS = Set.Make (String) in
+    let universe = SS.of_list all_names in
+    let n = Tree.node_count t in
+    let below = Array.make n SS.empty in
+    Array.iter
+      (fun v ->
+        if Tree.is_leaf t v then below.(v) <- SS.singleton (Option.get (Tree.name t v))
+        else Tree.iter_children t v (fun c -> below.(v) <- SS.union below.(c) below.(v)))
+      (Tree.postorder t);
+    let acc = ref [] in
+    for v = 0 to n - 1 do
+      if (not (Tree.is_leaf t v)) && v <> Tree.root t then begin
+        let side = below.(v) in
+        let side = if SS.mem reference side then SS.diff universe side else side in
+        let k = SS.cardinal side in
+        if k >= 2 && k <= n_leaves - 2 then acc := SS.elements side :: !acc
+      end
+    done;
+    List.sort_uniq compare !acc
+
+  let keys sets =
+    let keys = Hashtbl.create 64 in
+    List.iter (fun names -> Hashtbl.replace keys (String.concat "\x00" names) ()) sets;
+    keys
+
+  (* (symmetric difference, total) of two key sets. *)
+  let compare_keys ka kb =
+    let diff = ref 0 in
+    Hashtbl.iter (fun k () -> if not (Hashtbl.mem kb k) then incr diff) ka;
+    Hashtbl.iter (fun k () -> if not (Hashtbl.mem ka k) then incr diff) kb;
+    (!diff, Hashtbl.length ka + Hashtbl.length kb)
+
+  let normalized (diff, total) =
+    if total = 0 then 0.0 else float_of_int diff /. float_of_int total
+
+  let rooted a b =
+    ignore (prepare a b);
+    compare_keys (keys (clades a)) (keys (clades b))
+
+  let unrooted a b =
+    ignore (prepare a b);
+    compare_keys (keys (splits a)) (keys (splits b))
+
+  let robinson_foulds a b = fst (rooted a b)
+  let robinson_foulds_normalized a b = normalized (rooted a b)
+
+  let shared_clades a b =
+    let diff, total = rooted a b in
+    (total - diff) / 2
+
+  let robinson_foulds_unrooted a b = fst (unrooted a b)
+  let robinson_foulds_unrooted_normalized a b = normalized (unrooted a b)
+
+  let sample rng ~k ~n =
+    let seen = Hashtbl.create (2 * k) in
+    let out = Array.make k 0 in
+    let filled = ref 0 in
+    while !filled < k do
+      let v = Prng.int rng n in
+      if not (Hashtbl.mem seen v) then begin
+        Hashtbl.add seen v ();
+        out.(!filled) <- v;
+        incr filled
+      end
+    done;
+    out
+
+  let triplet_topology t depths la lb lc =
+    let dab = depths.(Crimson_tree.Ops.naive_lca t la lb)
+    and dac = depths.(Crimson_tree.Ops.naive_lca t la lc)
+    and dbc = depths.(Crimson_tree.Ops.naive_lca t lb lc) in
+    if dab > dac && dab > dbc then 0
+    else if dac > dab && dac > dbc then 1
+    else if dbc > dab && dbc > dac then 2
+    else 3
+
+  let triplet_distance ~rng a b =
+    let ma, mb = prepare a b in
+    let names = sorted_names ma in
+    let n = Array.length names in
+    if n < 3 then 0.0
+    else begin
+      let da = Tree.depths a and db = Tree.depths b in
+      let disagreements = ref 0 and total = ref 0 in
+      let test i j k =
+        let leaf m x = Hashtbl.find m names.(x) in
+        incr total;
+        if
+          triplet_topology a da (leaf ma i) (leaf ma j) (leaf ma k)
+          <> triplet_topology b db (leaf mb i) (leaf mb j) (leaf mb k)
+        then incr disagreements
+      in
+      if n <= 25 then
+        for i = 0 to n - 3 do
+          for j = i + 1 to n - 2 do
+            for k = j + 1 to n - 1 do
+              test i j k
+            done
+          done
+        done
+      else
+        for _ = 1 to 2000 do
+          let pick = sample rng ~k:3 ~n in
+          test pick.(0) pick.(1) pick.(2)
+        done;
+      float_of_int !disagreements /. float_of_int !total
+    end
+
+  let path_length_distance a b =
+    let ma, mb = prepare a b in
+    let names = sorted_names ma in
+    let n = Array.length names in
+    if n < 2 then 0.0
+    else begin
+      let rda = Tree.root_distance a and rdb = Tree.root_distance b in
+      let dist t rd m x y =
+        let lx = Hashtbl.find m names.(x) and ly = Hashtbl.find m names.(y) in
+        rd.(lx) +. rd.(ly) -. (2.0 *. rd.(Crimson_tree.Ops.naive_lca t lx ly))
+      in
+      let total = ref 0.0 and count = ref 0 in
+      let consider x y =
+        let d = dist a rda ma x y -. dist b rdb mb x y in
+        total := !total +. (d *. d);
+        incr count
+      in
+      if n <= 200 then
+        for x = 0 to n - 2 do
+          for y = x + 1 to n - 1 do
+            consider x y
+          done
+        done
+      else begin
+        let rng = Prng.create 1789 in
+        for _ = 1 to 20_000 do
+          let pick = sample rng ~k:2 ~n in
+          consider pick.(0) pick.(1)
+        done
+      end;
+      sqrt (!total /. float_of_int !count)
+    end
+end
+
+(* Rebuild [t] in preorder, inserting a chain of one or two unary nodes
+   above a quarter of the non-root nodes (their branch length split
+   evenly) and, half the time, one above the root. *)
+let with_unary_chains rng t =
+  let b = Tree.Builder.create () in
+  let ids = Array.make (Tree.node_count t) Tree.nil in
+  Array.iter
+    (fun v ->
+      let name = Tree.name t v in
+      let p = Tree.parent t v in
+      if p = Tree.nil then
+        ids.(v) <-
+          (if Prng.bool rng then Tree.Builder.add_child ?name b ~parent:(Tree.Builder.add_root b)
+           else Tree.Builder.add_root ?name b)
+      else begin
+        let chain = if Prng.int rng 4 = 0 then 1 + Prng.int rng 2 else 0 in
+        let len = Tree.branch_length t v /. float_of_int (chain + 1) in
+        let parent = ref ids.(p) in
+        for _ = 1 to chain do
+          parent := Tree.Builder.add_child ~branch_length:len b ~parent:!parent
+        done;
+        ids.(v) <- Tree.Builder.add_child ?name ~branch_length:len b ~parent:!parent
+      end)
+    (Tree.preorder t);
+  Tree.Builder.finish b
+
+(* A copy of [t] with a few leaf names swapped and every branch length
+   rescaled by a factor in [0.5, 1.5). *)
+let swap_names rng t =
+  let leaves = Tree.leaves t in
+  let names = Array.map (Tree.name t) leaves in
+  for _ = 0 to Prng.int rng 4 do
+    let i = Prng.int rng (Array.length names) and j = Prng.int rng (Array.length names) in
+    let x = names.(i) in
+    names.(i) <- names.(j);
+    names.(j) <- x
+  done;
+  let renamed = Hashtbl.create 64 in
+  Array.iteri (fun i l -> Hashtbl.replace renamed l names.(i)) leaves;
+  let b = Tree.Builder.create () in
+  let ids = Array.make (Tree.node_count t) Tree.nil in
+  Array.iter
+    (fun v ->
+      let name = Option.value ~default:(Tree.name t v) (Hashtbl.find_opt renamed v) in
+      let p = Tree.parent t v in
+      ids.(v) <-
+        (if p = Tree.nil then Tree.Builder.add_root ?name b
+         else
+           Tree.Builder.add_child ?name
+             ~branch_length:(Tree.branch_length t v *. (0.5 +. Prng.float rng 1.0))
+             b ~parent:ids.(p)))
+    (Tree.preorder t);
+  Tree.Builder.finish b
+
+(* Trees of 3–300 leaves, so both sides of the 25-leaf triplet switch
+   and the 200-leaf path-length switch come up: Yule, birth–death,
+   caterpillar, multifurcating random attachment, and random attachment
+   with unary chains. The second tree is a midpoint-rooted NJ estimate
+   from a 60-site alignment, or a copy with leaf names swapped. *)
+let arb_tree_pair =
+  let shapes = [| "yule"; "birth-death"; "caterpillar"; "random attachment"; "unary chains" |] in
+  QCheck.make
+    QCheck.Gen.(quad (int_range 3 300) (int_bound 4) bool (int_bound 1_000_000))
+    ~print:(fun (leaves, shape, nj, seed) ->
+      Printf.sprintf "%d leaves, %s, %s, seed %d" leaves shapes.(shape)
+        (if nj then "vs NJ" else "vs swapped names")
+        seed)
+
+let tree_pair (leaves, shape, nj, seed) =
+  let rng = Prng.create seed in
+  let a =
+    match shape with
+    | 0 -> Models.yule ~rng ~leaves ()
+    | 1 -> Models.birth_death ~rng ~leaves ~birth_rate:1.0 ~death_rate:0.5 ()
+    | 2 -> Models.caterpillar ~rng ~leaves ()
+    | 3 -> Models.random_attachment ~rng ~leaves ()
+    | _ -> with_unary_chains rng (Models.random_attachment ~rng ~leaves ())
+  in
+  let b =
+    if nj then
+      let truth = Crimson_tree.Ops.normalize_height a ~target:0.5 in
+      Reroot.midpoint (Nj.reconstruct (Distance.jc69 (Seqevo.evolve ~rng ~model:Seqevo.JC69 ~length:60 truth)))
+    else swap_names rng a
+  in
+  (a, b)
+
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let prop_metrics_bit_identical =
+  QCheck.Test.make ~name:"metrics match the name-list oracles bit for bit" ~count:100
+    arb_tree_pair (fun case ->
+      let a, b = tree_pair case in
+      let module O = Metrics_oracle in
+      let rng = Prng.create 7 and oracle_rng = Prng.create 7 in
+      Metrics.clades a = O.clades a
+      && Metrics.clades b = O.clades b
+      && Metrics.splits a = O.splits a
+      && Metrics.splits b = O.splits b
+      && Metrics.robinson_foulds a b = O.robinson_foulds a b
+      && same_float (Metrics.robinson_foulds_normalized a b) (O.robinson_foulds_normalized a b)
+      && Metrics.shared_clades a b = O.shared_clades a b
+      && Metrics.robinson_foulds_unrooted a b = O.robinson_foulds_unrooted a b
+      && same_float
+           (Metrics.robinson_foulds_unrooted_normalized a b)
+           (O.robinson_foulds_unrooted_normalized a b)
+      && same_float (Metrics.triplet_distance ~rng a b) (O.triplet_distance ~rng:oracle_rng a b)
+      && Int64.equal (Prng.int64 rng) (Prng.int64 oracle_rng)
+      && same_float (Metrics.path_length_distance a b) (O.path_length_distance a b))
+
 (* ---------------------------- Distances ---------------------------- *)
 
 let test_p_distance () =
@@ -424,14 +730,15 @@ module Oracle = struct
     end
 end
 
-(* Alignments of 2–60 taxa and 1–300 sites in mixed-case ACGT. Each
-   taxon mutates its own share of a common ancestor's sites, so the
-   distances range from identical to saturated. *)
+(* Alignments of 2–60 taxa and 1–300 sites in mixed-case ACGT, half of
+   them at a site count on a 62-site word boundary of the distances' bit
+   planes. Each taxon mutates its own share of a common ancestor's
+   sites, so the distances range from identical to saturated. *)
 let arb_alignment =
   let gen =
     QCheck.Gen.(
       int_range 2 60 >>= fun n ->
-      int_range 1 300 >>= fun sites ->
+      oneof [ int_range 1 300; oneofl [ 1; 61; 62; 63; 124; 125 ] ] >>= fun sites ->
       let base = "ACGTacgt" in
       string_size ~gen:(oneofl (List.init 8 (String.get base))) (return sites)
       >>= fun ancestor ->
@@ -684,6 +991,7 @@ let () =
           Alcotest.test_case "splits" `Quick test_splits;
           Alcotest.test_case "triplet distance" `Quick test_triplet_distance;
           Alcotest.test_case "path length distance" `Quick test_path_length_distance;
+          QCheck_alcotest.to_alcotest prop_metrics_bit_identical;
         ] );
       ( "distance",
         [
