@@ -9,16 +9,18 @@
    [*per_s_<qualifier>] (e.g. [load_nodes_per_s_yule50k_f8]) are
    higher-is-better, [*_ms], [*_ms_<qualifier>] (e.g.
    [projection_ms_k5000]) and [*_pct] are lower-is-better; [nrf_*] and
-   [triplet_*] (E7's scores) are exact; everything else (counts, sizes,
-   the raw metrics dump) is informational only.
+   [triplet_*] (E7's scores) and every field with a [pages] name
+   component ([warm_lca_pages], [overview_pages_l500],
+   [lca_pages_q_cat10k_c4096]) are exact; everything else (other
+   counts, sizes, the raw metrics dump) is informational only.
 
-   An exact field is a ratio of integer counts fixed by the seeds, so it
-   does not depend on the host: any difference from the baseline, or its
-   absence from the fresh snapshot, prints a FAIL line and the exit
-   status is 1. A >20% regression of a timed field prints a WARNING
-   line only — benchmark containers are too noisy for a hard gate on
-   times, so CI surfaces the warning in the log instead of failing the
-   build. *)
+   An exact field is an integer count, or a ratio of counts, fixed by
+   the seeds, so it does not depend on the host: any difference from
+   the baseline, or its absence from the fresh snapshot, prints a FAIL
+   line and the exit status is 1. A >20% regression of a timed field
+   prints a WARNING line only — benchmark containers are too noisy for
+   a hard gate on times, so CI surfaces the warning in the log instead
+   of failing the build. *)
 
 module Json = Crimson_obs.Json
 
@@ -31,14 +33,18 @@ let direction_of field =
     let fl = String.length field and sl = String.length suffix in
     fl >= sl && String.sub field (fl - sl) sl = suffix
   in
-  let parts = List.tl (String.split_on_char '_' field) in
+  let components = String.split_on_char '_' field in
+  let parts = List.tl components in
   let has_ms_infix = List.mem "ms" parts in
   let rec has_per_s = function
     | "per" :: "s" :: _ -> true
     | _ :: rest -> has_per_s rest
     | [] -> false
   in
-  if String.starts_with ~prefix:"nrf_" field || String.starts_with ~prefix:"triplet_" field
+  if
+    String.starts_with ~prefix:"nrf_" field
+    || String.starts_with ~prefix:"triplet_" field
+    || List.mem "pages" components
   then Some Exact
   else if ends_with "per_s" || has_per_s parts then Some Higher_better
   else if has_ms_infix || ends_with "_pct" then Some Lower_better

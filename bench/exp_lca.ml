@@ -92,9 +92,9 @@ let rec run () =
   stored_pages ()
 
 (* Disk-backed counterpart: the same LCA workload against a stored tree,
-   with and without the node view cache. The uncached handle (capacity 1,
-   prefetch 1) reproduces the pre-cache access pattern — one index
-   descent per node touch. *)
+   with and without the node view cache. The uncached handle (capacity 1)
+   reproduces the pre-cache access pattern — one row read per node
+   touch. *)
 and stored_pages () =
   let module Repo = Crimson_core.Repo in
   let module Stored_tree = Crimson_core.Stored_tree in
@@ -117,7 +117,7 @@ and stored_pages () =
     done;
     Cost.pages (Cost.current ()) - p0
   in
-  let uncached_handle = Stored_tree.open_id ~cache_capacity:1 ~prefetch:1 repo id in
+  let uncached_handle = Stored_tree.open_id ~cache_capacity:1 repo id in
   let _ = pass uncached_handle in
   let uncached = pass uncached_handle in
   let c0 = Cost.snapshot () in

@@ -56,9 +56,8 @@ let run () =
     "Per-species cost stays well under a millisecond at every k: the sort\n\
      is an integer sort on preorder ids, so the stored-index work is the\n\
      k-1 adjacent-pair LCAs plus a few cached views per projection node.\n\
-     It peaks in the middle of the sweep, where the LCA paths stop fitting\n\
-     the node cache but sampled leaves are still too sparse to share\n\
-     prefetch windows. Projection touches O(k) index paths of the stored\n\
-     tree and never the other 100k species — the access pattern the paper\n\
-     designed the repository around.";
+     It rises once the LCA paths stop fitting the node cache. Projection\n\
+     touches O(k) index paths of the stored tree and never the other 100k\n\
+     species — the access pattern the paper designed the repository\n\
+     around.";
   emit_bench ~experiment:"E4" ~fields ()

@@ -5,12 +5,12 @@
    A view is the full node row decoded once into an immutable struct.
    Rows are located by id through the tree's run directory (below) and
    decoded straight off their pinned heap page. Views live in a bounded
-   LRU; when the miss pattern looks sequential (node ids are dense
-   preorder, so both downward sweeps — ids ascending — and upward climbs
-   — parents just below — walk the id space in short steps) a miss reads
-   a window of adjacent rows. Isolated misses read one row. Layer rows
-   and subtree roots are cached too, through their tables' indexes, so
-   the Layered engine's whole working set is cached.
+   LRU, and a miss reads its own row and nothing else: what is left on
+   the cached path is layered LCA climbs, whose working set is their
+   label path, not neighbouring ids, so rows read on speculation would
+   go unused and evict the views the next LCA needs. Layer rows and
+   subtree roots are cached too, one index lookup per miss, so the
+   Layered engine's whole working set is cached.
 
    Invalidation: repositories are read-mostly. Loads create new tree ids
    (never touching existing rows), and [Loader.delete_tree] orphans every
@@ -23,7 +23,6 @@
 
 module Table = Crimson_storage.Table
 module Record = Crimson_storage.Record
-module Key = Crimson_storage.Key
 module Heap = Crimson_storage.Heap
 module Error = Crimson_storage.Error
 module Metrics = Crimson_obs.Metrics
@@ -77,13 +76,9 @@ let layer_of_row row =
   }
 
 (* Hits, misses and evictions are charged to the cost record, which
-   backs the core.node_cache counters; prefetch batch sizes are a
-   registry histogram. *)
-let h_prefetch = Metrics.histogram "core.node_cache.prefetch_batch"
-
-(* Cache-miss fetches are the storage-level work a trace wants to see:
-   each one is a span when a trace is collecting, a plain histogram
-   sample otherwise. *)
+   backs the core.node_cache counters. Cache-miss fetches are the
+   storage-level work a trace wants to see: each one is a span when a
+   trace is collecting, a plain histogram sample otherwise. *)
 let h_fetch = Metrics.histogram "core.node_cache.fetch_ms"
 
 (* Bounded polymorphic LRU: hash table plus an intrusive doubly-linked
@@ -238,37 +233,26 @@ type cache = {
   repo : Repo.t;
   tree : int;
   nodes : int; (* ids are [0, nodes) *)
-  prefetch : int;
   mutable runs : runs option; (* loaded on the first read that needs them *)
   mutable run_hint : int; (* the run of the last id located *)
   views : (int, t) Lru.t;
   layer_views : (int * int, layer_view) Lru.t; (* (layer, node) *)
   sub_roots : (int * int, int) Lru.t; (* (layer, sub) *)
-  (* Last missed key per table, for sequential-run detection: batching
-     only pays when consecutive misses land near each other. *)
-  mutable last_node_miss : int;
-  mutable last_layer_miss : int * int;
 }
 
 let default_capacity = 4096
-let default_prefetch = 32
 
-let create_cache ?(capacity = default_capacity) ?(prefetch = default_prefetch)
-    repo ~tree ~nodes =
+let create_cache ?(capacity = default_capacity) repo ~tree ~nodes =
   let capacity = max 1 capacity in
-  let prefetch = max 1 (min prefetch capacity) in
   {
     repo;
     tree;
     nodes;
-    prefetch;
     runs = None;
     run_hint = 0;
     views = Lru.create capacity;
     layer_views = Lru.create (max 8 (capacity / 4));
     sub_roots = Lru.create (max 8 (capacity / 4));
-    last_node_miss = min_int / 2;
-    last_layer_miss = (min_int, min_int / 2);
   }
 
 let runs c =
@@ -360,23 +344,9 @@ let read_view c n =
     let rid = rid_of c n in
     if rid < 0 then None else read_row c n rid (decode_view n)
 
-(* Adaptive batching: a miss near the previous miss means a sweep or a
-   climb is under way (node ids are dense preorder, so both walk the id
-   space in short steps), and a [prefetch]-row window is read in the
-   walk's direction. An isolated miss — random access — reads just its
-   own row; batching there reads rows that are evicted unused and costs
-   more pages than it saves. *)
-let batch_window c n ~last =
-  if abs (n - last) > c.prefetch then (n, 1)
-  else if n < last then (max 0 (n - c.prefetch + 1), c.prefetch) (* rootward climb *)
-  else (n, c.prefetch) (* forward sweep *)
-
-(* Admit the window around [n] and return [n]'s view. *)
-let prefetch_nodes c n =
-  let first, count = batch_window c n ~last:c.last_node_miss in
-  c.last_node_miss <- n;
-  let last = min (c.nodes - 1) (first + count - 1) in
-  let fetched = ref 0 and found = ref None in
+(* A miss reads its own row: one run-directory search, one page pin,
+   one checked decode and one LRU admission. *)
+let fetch_node c n =
   Span.record_traced h_fetch
     ~attrs:(fun () ->
       [
@@ -385,17 +355,9 @@ let prefetch_nodes c n =
         ("node", Json.Num (float_of_int n));
       ])
     (fun () ->
-      for id = first to last do
-        match read_view c id with
-        | Some v ->
-            Lru.add c.views id v;
-            incr fetched;
-            if id = n then found := Some v
-        | None -> ()
-      done;
-      Span.attr "batch" (Json.Num (float_of_int !fetched)));
-  Metrics.Histogram.observe h_prefetch (float_of_int !fetched);
-  !found
+      let v = read_view c n in
+      Option.iter (Lru.add c.views n) v;
+      v)
 
 (* Node resolution is the query path's unit of progress — every lca
    climb, clade expansion or projection touches it — so it is where the
@@ -411,7 +373,7 @@ let find c n =
         Some v
     | None ->
         Crimson_obs.Cost.cache_miss ();
-        prefetch_nodes c n
+        fetch_node c n
 
 let node c n = match find c n with Some v -> v | None -> raise (Unknown_node n)
 
@@ -455,29 +417,15 @@ let leaf_by_ordinal c o =
     if lo > run_end then None
     else
       let leaf = search lo run_end in
-      let view =
-        match Lru.find c.views leaf with
-        | Some v ->
-            Crimson_obs.Cost.cache_hit ();
-            Some v
-        | None -> (
-            Crimson_obs.Cost.cache_miss ();
-            match read_view c leaf with
-            | Some v ->
-                Lru.add c.views leaf v;
-                Some v
-            | None -> None)
-      in
-      match view with
+      match find c leaf with
       | Some v when v.subtree_end = leaf && v.leaf_lo = o -> Some leaf
       | Some _ | None -> None
 
 (* A sequential run — a frontier, a clade, a whole tree — reads each row
    once, so admitting it to the LRU would only evict the working set of
-   the random lookups around it (E3's warm Yule rows ran 2.5x slower
-   when a skip-scan went through 32-row prefetch windows). The scan
-   decodes rows off their pages instead, and a jump past the next id
-   costs nothing: the runs locate any id. *)
+   the random lookups around it. The scan decodes rows off their pages
+   instead, and a jump past the next id costs nothing: the runs locate
+   any id. *)
 let h_scan = Metrics.histogram "core.node_scan.ms"
 
 let scan c ~lo ~hi f =
@@ -520,41 +468,6 @@ let delete_rows repo ~tree ~nodes =
     (fun (rid, _) -> ignore (Table.delete (Repo.node_runs repo) rid))
     (run_rows repo ~tree)
 
-let prefetch_layer c ~layer n =
-  let last_layer, last_n = c.last_layer_miss in
-  let first, count =
-    if layer <> last_layer then (n, 1) else batch_window c n ~last:last_n
-  in
-  c.last_layer_miss <- (layer, n);
-  let fetched = ref 0 in
-  Span.record_traced h_fetch
-    ~attrs:(fun () ->
-      [
-        ("table", Json.Str "layers");
-        ("tree", Json.Num (float_of_int c.tree));
-        ("layer", Json.Num (float_of_int layer));
-        ("node", Json.Num (float_of_int n));
-      ])
-    (fun () ->
-      let cur =
-        Table.cursor (Repo.layers c.repo) ~index:"by_node"
-          ~prefix:(Key.cat [ Key.int c.tree; Key.int layer ])
-          ~start:(Schema.Layers.key_node ~tree:c.tree ~layer first)
-      in
-      (try
-         while !fetched < count do
-           match Table.Cursor.next cur with
-           | None -> raise Exit
-           | Some (_, row) ->
-               Lru.add c.layer_views
-                 (layer, Record.get_int row Schema.Layers.c_node)
-                 (layer_of_row row);
-               incr fetched
-         done
-       with Exit -> ());
-      Span.attr "batch" (Json.Num (float_of_int !fetched)));
-  Metrics.Histogram.observe h_prefetch (float_of_int !fetched)
-
 let layer_view c ~layer n =
   Crimson_obs.Deadline.check ();
   match Lru.find c.layer_views (layer, n) with
@@ -563,19 +476,25 @@ let layer_view c ~layer n =
       v
   | None -> (
       Crimson_obs.Cost.cache_miss ();
-      prefetch_layer c ~layer n;
-      match Lru.find c.layer_views (layer, n) with
-      | Some v -> v
-      | None -> (
-          match
+      let row =
+        Span.record_traced h_fetch
+          ~attrs:(fun () ->
+            [
+              ("table", Json.Str "layers");
+              ("tree", Json.Num (float_of_int c.tree));
+              ("layer", Json.Num (float_of_int layer));
+              ("node", Json.Num (float_of_int n));
+            ])
+          (fun () ->
             Table.find (Repo.layers c.repo) ~index:"by_node"
-              ~key:(Schema.Layers.key_node ~tree:c.tree ~layer n)
-          with
-          | Some (_, row) ->
-              let v = layer_of_row row in
-              Lru.add c.layer_views (layer, n) v;
-              v
-          | None -> raise (Unknown_node n)))
+              ~key:(Schema.Layers.key_node ~tree:c.tree ~layer n))
+      in
+      match row with
+      | Some (_, row) ->
+          let v = layer_of_row row in
+          Lru.add c.layer_views (layer, n) v;
+          v
+      | None -> raise (Unknown_node n))
 
 let sub_root c ~layer s =
   Crimson_obs.Deadline.check ();

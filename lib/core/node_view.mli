@@ -5,9 +5,9 @@
     are located through the tree's run directory ({!runs}, persisted in
     [node_runs]): a binary search on ids, one page pin, and a decode
     straight off the pinned page with no payload copy. The cache bounds
-    how many views stay resident and refills on a miss by reading a
-    window of adjacent ids (node ids are dense preorder, so neighbouring
-    ids are what deep climbs and subtree sweeps touch next).
+    how many views stay resident, and a miss reads its own row and no
+    other: the cached path is layered LCA climbs, whose working set is
+    their label path, not neighbouring ids.
 
     Sequential runs that read each row once — a time-sampling frontier,
     a clade, a whole tree — use {!scan} instead, which streams rows past
@@ -21,10 +21,10 @@
 
     Telemetry: hits, misses and evictions are charged to the calling
     domain's {!Crimson_obs.Cost} record, which backs the
-    [core.node_cache.*] counters and every profile. Prefetch batch
-    sizes feed the [core.node_cache.prefetch_batch] histogram and scan
-    times the [core.node_scan.ms] histogram — visible in [crimson stats]
-    and BENCH lines. *)
+    [core.node_cache.*] counters and every profile. Miss fetch times
+    feed the [core.node_cache.fetch_ms] histogram and scan times the
+    [core.node_scan.ms] histogram — visible in [crimson stats] and BENCH
+    lines. *)
 
 module Record = Crimson_storage.Record
 
@@ -81,15 +81,13 @@ val delete_rows : Repo.t -> tree:int -> nodes:int -> unit
 type cache
 
 val default_capacity : int
-val default_prefetch : int
 
-val create_cache :
-  ?capacity:int -> ?prefetch:int -> Repo.t -> tree:int -> nodes:int -> cache
+val create_cache : ?capacity:int -> Repo.t -> tree:int -> nodes:int -> cache
 (** A cache for one stored tree of [nodes] nodes. [capacity] bounds
     resident node views (layer rows and subtree roots get a quarter
-    each, minimum 8); [prefetch] is the batch size pulled per miss,
-    clamped to [capacity]. The tree's runs are read on the first access
-    that needs them, not here. *)
+    each, minimum 8). A node miss reads and admits its own row; a layer
+    miss is one [layers.by_node] lookup. The tree's runs are read on the
+    first access that needs them, not here. *)
 
 val find : cache -> int -> t option
 (** [None] when the node does not exist. *)

@@ -5,8 +5,7 @@ exception Projection_error of string
 let error fmt = Printf.ksprintf (fun s -> raise (Projection_error s)) fmt
 
 (* Node ids are dense preorder ranks, so preorder order is integer
-   order. Validating in ascending id order also walks the node cache's
-   prefetch windows forward, so neighbouring leaves share a fetch. *)
+   order. *)
 let sorted_distinct_leaves tree leaf_ids =
   if leaf_ids = [] then error "empty leaf set";
   let sorted = List.sort_uniq Int.compare leaf_ids in

@@ -4,14 +4,12 @@
     induced by S: every edge is a subpath of a root-to-S path, unary
     nodes are merged with their child summing the edge weights, and the
     result is rooted at the LCA of S. Stored node ids are dense preorder
-    ranks (see {!Stored_tree}), so the leaves are sorted as integers and
-    validated in ascending id order, which walks the node cache's
-    prefetch windows forward. The projection node set is S plus the
-    layered-index LCAs of the k-1 preorder-adjacent leaf pairs, and
-    parent edges fall out of a single ancestor-stack sweep whose
-    ancestry tests read two cached node views each. Edge weights come
-    from stored cumulative root distances, so no path walking is
-    needed. *)
+    ranks (see {!Stored_tree}), so the leaves are sorted and validated
+    as integers. The projection node set is S plus the layered-index
+    LCAs of the k-1 preorder-adjacent leaf pairs, and parent edges fall
+    out of a single ancestor-stack sweep whose ancestry tests read two
+    cached node views each. Edge weights come from stored cumulative
+    root distances, so no path walking is needed. *)
 
 exception Projection_error of string
 

@@ -275,8 +275,7 @@ let plan stored { fn; args } =
             "each pair climbs the layer decomposition: O(layers) = O(%d) layer rows, \
              each a sub-root lookup in subtrees.by_sub"
             layers;
-          step "node views served by the node-view LRU cache (prefetch window %d rows)"
-            Node_view.default_prefetch;
+          step "node views served by the node-view LRU cache (a miss reads its own row)";
         ]
     | "lca", _ -> bad "lca needs at least two species"
     | "clade", (_ :: _ as species) ->

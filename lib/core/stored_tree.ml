@@ -16,7 +16,7 @@ type t = {
   cache : Node_view.cache;
 }
 
-let of_meta_row ?cache_capacity ?prefetch repo row =
+let of_meta_row ?cache_capacity repo row =
   let id = Record.get_int row Schema.Trees.c_id in
   let node_count = Record.get_int row Schema.Trees.c_nodes in
   {
@@ -28,23 +28,22 @@ let of_meta_row ?cache_capacity ?prefetch repo row =
     node_count;
     leaf_count = Record.get_int row Schema.Trees.c_leaves;
     cache =
-      Node_view.create_cache ?capacity:cache_capacity ?prefetch repo ~tree:id
-        ~nodes:node_count;
+      Node_view.create_cache ?capacity:cache_capacity repo ~tree:id ~nodes:node_count;
   }
 
-let open_id ?cache_capacity ?prefetch repo id =
+let open_id ?cache_capacity repo id =
   match
     Table.find (Repo.trees repo) ~index:"by_id" ~key:(Schema.Trees.key_id id)
   with
-  | Some (_, row) -> of_meta_row ?cache_capacity ?prefetch repo row
+  | Some (_, row) -> of_meta_row ?cache_capacity repo row
   | None -> raise (Unknown_tree (Printf.sprintf "#%d" id))
 
-let open_name ?cache_capacity ?prefetch repo name =
+let open_name ?cache_capacity repo name =
   match
     Table.find (Repo.trees repo) ~index:"by_name"
       ~key:(Schema.Trees.key_name name)
   with
-  | Some (_, row) -> of_meta_row ?cache_capacity ?prefetch repo row
+  | Some (_, row) -> of_meta_row ?cache_capacity repo row
   | None -> raise (Unknown_tree name)
 
 let list_all repo =
@@ -66,8 +65,8 @@ let root _ = 0
 
 (* --------------------------- Node access ---------------------------- *)
 (* Every per-node read goes through the decoded-view cache: one miss
-   fetches (and prefetches around) the row, every further field read of
-   that node is an in-memory record access. *)
+   fetches the row, every further field read of that node is an
+   in-memory record access. *)
 
 let view t node =
   Crimson_obs.Cost.node_view ();

@@ -2,7 +2,7 @@
 
     Node ids are the dense preorder ids assigned at load time. Every
     accessor resolves through the handle's {!Node_view} cache: a node's
-    row is fetched (and its neighbourhood prefetched) once, then further
+    row is fetched once, then further
     field reads are in-memory record accesses — no full mirror of the
     tree is kept, per the paper's design point that simulation trees
     exceed main memory while individual queries touch few pages.
@@ -16,9 +16,8 @@
     each node row: {!compare_preorder} is integer order on ids,
     {!is_ancestor_or_self} is [a <= x <= subtree_end a], {!is_leaf} is
     [subtree_end n = n], and {!children} is arithmetic. The same
-    invariant lets {!Node_view} prefetch runs of adjacent ids, lets
-    {!scan} skip whole subtrees, and lets {!Projection} sort leaves as
-    integers.
+    invariant lets {!scan} skip whole subtrees and lets {!Projection}
+    sort leaves as integers.
 
     Rows are located by id through the tree's run directory, read on
     the handle's first access that needs it, so {!open_id} and
@@ -29,13 +28,11 @@ type t
 exception Unknown_tree of string
 exception Unknown_node of int
 
-val open_id : ?cache_capacity:int -> ?prefetch:int -> Repo.t -> int -> t
+val open_id : ?cache_capacity:int -> Repo.t -> int -> t
 (** Raises {!Unknown_tree}. [cache_capacity] bounds the handle's
-    resident node views, [prefetch] the rows pulled per cache miss
-    (defaults: {!Node_view.default_capacity},
-    {!Node_view.default_prefetch}). *)
+    resident node views (default {!Node_view.default_capacity}). *)
 
-val open_name : ?cache_capacity:int -> ?prefetch:int -> Repo.t -> string -> t
+val open_name : ?cache_capacity:int -> Repo.t -> string -> t
 (** Raises {!Unknown_tree}. *)
 
 val list_all : Repo.t -> (int * string) list

@@ -89,11 +89,19 @@ let midpoint t =
   in
   let diameter = da.(b) in
   let half = diameter /. 2.0 in
+  (* A leaf never becomes the root, or the rooted tree would lose it: a
+     midpoint on a leaf (a zero-diameter tree has its midpoint on every
+     node) roots on the leaf's edge, at the leaf's end. *)
+  let at_node v =
+    match adj.(v) with
+    | [ (p, len) ] when Tree.is_leaf t v -> `Edge (v, p, 0.0, len)
+    | _ -> `Node v
+  in
   (* Walk back from b toward a until the midpoint edge. *)
   let rec walk v =
     let p = pred.(v) in
-    if p = Tree.nil then `Node v
-    else if Float.abs (da.(v) -. half) < 1e-12 then `Node v
+    if p = Tree.nil then at_node v
+    else if Float.abs (da.(v) -. half) < 1e-12 then at_node v
     else if da.(p) < half && da.(v) > half then
       (* Midpoint inside edge (p, v): distance from v's side. *)
       `Edge (v, p, da.(v) -. half, half -. da.(p))
@@ -101,7 +109,7 @@ let midpoint t =
   in
   (* walk recursion depth = path length; paths in reconstruction outputs
      are at most a few thousand nodes. *)
-  let spec = if diameter <= 0.0 then `Node a else walk b in
+  let spec = if diameter <= 0.0 then at_node a else walk b in
   rebuild t adj ~root_spec:spec
 
 let at_outgroup t ~outgroup =

@@ -43,10 +43,10 @@ val iter_all : t -> (string -> int -> bool) -> unit
 (** {1 Cursors}
 
     A cursor pays the root-to-leaf descent once and then streams entries
-    off the chained leaves — the primitive behind batched node-view
-    prefetch and range scans. Cursors snapshot one leaf at a time;
-    mutating the tree while a cursor is live gives the same read-mostly
-    semantics as {!iter_from}. *)
+    off the chained leaves, for range scans that stop early or resume;
+    [Table.cursor] is its only library caller. Cursors snapshot one leaf
+    at a time; mutating the tree while a cursor is live gives the same
+    read-mostly semantics as {!iter_from}. *)
 
 module Cursor : sig
   type t

@@ -76,8 +76,9 @@ val iter_index :
 (** {1 Cursors}
 
     Streaming row access over one index: the B+tree descent is paid once
-    at {!cursor} time, after which {!Cursor.next} walks the leaf chain —
-    the primitive the node-view cache prefetches through. *)
+    at {!cursor} time, after which {!Cursor.next} walks the leaf chain.
+    No library code reads through a cursor today; range reads use
+    {!iter_index}. *)
 
 module Cursor : sig
   type t

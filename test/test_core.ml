@@ -189,10 +189,10 @@ let test_stored_lca_paper () =
    in-memory implementations. [Helpers.random_tree] has unary chains,
    where a leaf-interval ancestry test must still tell a unary node from
    the leaf below it; the caterpillar is deep enough for several layers
-   at f = 3. *)
-let check_stored_against_memory repo rng ~name ~f t0 =
-  let t, _ = Ops.copy_with_mapping t0 in
-  let stored = (Loader.load_tree ~f repo ~name t).tree in
+   at f = 3. The loader's handle is primed with every node of these
+   trees, so the same checks also run on cold handles that must read
+   rows on a miss: one view (every touch is a miss) and 64 views. *)
+let check_handle_against_memory rng ~name t stored =
   let rank = Tree.preorder_rank t in
   (* Stored ids are preorder ranks of t's ids. *)
   let sid v = rank.(v) in
@@ -230,6 +230,17 @@ let check_stored_against_memory repo rng ~name ~f t0 =
       Stored_tree.is_ancestor_or_self stored ~ancestor:n 0);
   unknown "compare_preorder" (fun () -> Stored_tree.compare_preorder stored 0 n);
   unknown "compare_preorder" (fun () -> Stored_tree.compare_preorder stored n 0)
+
+let check_stored_against_memory repo rng ~name ~f t0 =
+  let t, _ = Ops.copy_with_mapping t0 in
+  let primed = (Loader.load_tree ~f repo ~name t).tree in
+  let cold cache_capacity =
+    Stored_tree.open_id ~cache_capacity repo (Stored_tree.id primed)
+  in
+  List.iter
+    (fun (handle, stored) ->
+      check_handle_against_memory rng ~name:(name ^ " " ^ handle) t stored)
+    [ ("primed", primed); ("cold/1", cold 1); ("cold/64", cold 64) ]
 
 let test_stored_queries_match_memory () =
   let repo = Repo.open_mem () in
@@ -303,10 +314,7 @@ let test_node_cache_tiny_capacity () =
   let rng = Prng.create 31 in
   let t = Helpers.random_tree rng 200 in
   let report = Loader.load_tree ~f:4 repo ~name:"thrash" t in
-  let tiny =
-    Stored_tree.open_id ~cache_capacity:4 ~prefetch:2 repo
-      (Stored_tree.id report.tree)
-  in
+  let tiny = Stored_tree.open_id ~cache_capacity:4 repo (Stored_tree.id report.tree) in
   let evictions0 = (Cost.current ()).cache_evictions in
   check_views_agree repo tiny;
   let truth = table_views repo tiny in
@@ -330,6 +338,39 @@ let test_node_cache_tiny_capacity () =
   done;
   Stored_tree.invalidate_cache tiny;
   check Alcotest.int "invalidate empties the cache" 0 (Stored_tree.cache_resident tiny)
+
+(* A miss reads its own row and admits nothing else: not the ids after
+   it, nor the ids before it, nor neighbouring layer rows. The handle is
+   opened cold (the loader's own handle is primed with the whole tree). *)
+let test_node_cache_one_row_miss () =
+  let repo = Repo.open_mem () in
+  let report = Loader.load_tree ~f:3 repo ~name:"spine" (Helpers.caterpillar 600) in
+  let id = Stored_tree.id report.tree in
+  let cold = Stored_tree.open_id repo id in
+  ignore (Stored_tree.view cold 0) (* reads the run directory *);
+  let one_row what ~resident touch =
+    let c0 = Cost.snapshot () and resident0 = resident () in
+    touch ();
+    let c1 = Cost.current () in
+    check Alcotest.int (what ^ ": one miss") 1 (c1.cache_misses - c0.cache_misses);
+    check Alcotest.int (what ^ ": one row decoded") 1 (c1.rows_decoded - c0.rows_decoded);
+    check Alcotest.int (what ^ ": one row admitted") (resident0 + 1) (resident ())
+  in
+  let n = Stored_tree.node_count cold / 2 in
+  List.iter
+    (fun node ->
+      one_row (Printf.sprintf "node %d" node)
+        ~resident:(fun () -> Stored_tree.cache_resident cold)
+        (fun () -> ignore (Stored_tree.view cold node)))
+    [ n; n + 1; n + 2; n - 1 ];
+  check Alcotest.bool "multi-layer fixture" true (Stored_tree.layer_count cold > 1);
+  let cache = Node_view.create_cache repo ~tree:id ~nodes:(Stored_tree.node_count cold) in
+  List.iter
+    (fun node ->
+      one_row (Printf.sprintf "layer 1 node %d" node)
+        ~resident:(fun () -> Node_view.resident cache)
+        (fun () -> ignore (Node_view.layer_view cache ~layer:1 node)))
+    [ 5; 6; 7; 4 ]
 
 let test_node_cache_after_reopen () =
   (* Views served through the cache must match the table after a close
@@ -1832,6 +1873,7 @@ let () =
             test_node_cache_matches_table;
           Alcotest.test_case "tiny capacity still correct" `Quick
             test_node_cache_tiny_capacity;
+          Alcotest.test_case "a miss reads one row" `Quick test_node_cache_one_row_miss;
           Alcotest.test_case "reopen and layers" `Quick test_node_cache_after_reopen;
           Alcotest.test_case "is_leaf on a unary chain" `Quick
             test_is_leaf_unary_chain;

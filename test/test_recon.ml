@@ -919,6 +919,49 @@ let test_midpoint_preserves_topology () =
     check Alcotest.int "same leaves" (Tree.leaf_count t) (Tree.leaf_count r)
   done
 
+let test_midpoint_zero_diameter () =
+  (* Four identical sequences give this NJ tree: every path has length
+     0, so the midpoint is on every node, leaves included. *)
+  let t = Newick.parse "((A:0,B:0):0,D:0,C:0);" in
+  let r = Reroot.midpoint t in
+  check Alcotest.int "four leaves" 4 (Tree.leaf_count r);
+  List.iter
+    (fun name ->
+      match Tree.leaf_by_name r name with
+      | Some l -> check Alcotest.bool (name ^ " is a leaf") true (Tree.is_leaf r l)
+      | None -> Alcotest.failf "midpoint rooting lost leaf %s" name)
+    [ "A"; "B"; "C"; "D" ];
+  check Alcotest.int "same unrooted tree" 0 (Metrics.robinson_foulds_unrooted t r)
+
+module Repo = Crimson_core.Repo
+module Loader = Crimson_core.Loader
+module Bm = Crimson_benchmark.Benchmark_manager
+
+let test_identical_sequences_score () =
+  (* Stored species data that are all one sequence: every estimate has
+     zero-length branches, and each replicate must still score. *)
+  let repo = Repo.open_mem () in
+  let gold = Models.yule ~rng:(Prng.create 5) ~leaves:12 () in
+  let stored = (Loader.load_tree ~f:4 repo ~name:"flat" gold).tree in
+  let seq = String.make 60 'A' in
+  let species =
+    Array.to_list (Tree.leaves gold)
+    |> List.map (fun l -> (Option.get (Tree.name gold l), seq))
+  in
+  ignore (Loader.append_species repo stored species);
+  let config =
+    { Bm.default_config with sample_k = 6; replicates = 2; record_history = false }
+  in
+  let outcomes = Bm.run repo stored config in
+  check Alcotest.int "every replicate scored"
+    (2 * List.length config.algorithms)
+    (List.length outcomes);
+  List.iter
+    (fun (o : Bm.outcome) ->
+      check Alcotest.int "taxa" 6 o.taxa;
+      check Alcotest.bool "triplet in [0,1]" true (o.triplet >= 0.0 && o.triplet <= 1.0))
+    outcomes
+
 let test_outgroup_rooting () =
   let t = Newick.parse "((A:1,B:1):1,(C:1,D:1):1);" in
   let r = Reroot.at_outgroup t ~outgroup:"C" in
@@ -1049,6 +1092,9 @@ let () =
           Alcotest.test_case "midpoint known" `Quick test_midpoint_known;
           Alcotest.test_case "midpoint preserves topology" `Quick
             test_midpoint_preserves_topology;
+          Alcotest.test_case "midpoint zero diameter" `Quick test_midpoint_zero_diameter;
+          Alcotest.test_case "identical sequences score" `Quick
+            test_identical_sequences_score;
           Alcotest.test_case "outgroup" `Quick test_outgroup_rooting;
         ] );
       ( "consensus",
