@@ -100,8 +100,8 @@ bench-snapshot:
 
 # Compare the fresh BENCH_*.json at the repository root (produced by
 # `make bench-snapshot`) against the committed bench/baselines/.
-# A changed exact field (E7's nrf_*/triplet_* scores, every *pages*
-# count) fails the target;
+# A changed exact field (E7's nrf_*/triplet_* scores, E3's
+# frontier_nodes_* sizes, every *pages* count) fails the target;
 # a >20% throughput regression only prints a WARNING — bench containers
 # are too noisy to hard-gate times.
 bench-diff:

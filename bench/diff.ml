@@ -9,10 +9,11 @@
    [*per_s_<qualifier>] (e.g. [load_nodes_per_s_yule50k_f8]) are
    higher-is-better, [*_ms], [*_ms_<qualifier>] (e.g.
    [projection_ms_k5000]) and [*_pct] are lower-is-better; [nrf_*] and
-   [triplet_*] (E7's scores) and every field with a [pages] name
-   component ([warm_lca_pages], [overview_pages_l500],
-   [lca_pages_q_cat10k_c4096]) are exact; everything else (other
-   counts, sizes, the raw metrics dump) is informational only.
+   [triplet_*] (E7's scores), [frontier_nodes_*] (E3's frontier sizes)
+   and every field with a [pages] name component ([warm_lca_pages],
+   [overview_pages_l500], [lca_pages_q_cat10k_c4096]) are exact;
+   everything else (other counts, sizes, the raw metrics dump) is
+   informational only.
 
    An exact field is an integer count, or a ratio of counts, fixed by
    the seeds, so it does not depend on the host: any difference from
@@ -44,6 +45,7 @@ let direction_of field =
   if
     String.starts_with ~prefix:"nrf_" field
     || String.starts_with ~prefix:"triplet_" field
+    || String.starts_with ~prefix:"frontier_nodes_" field
     || List.mem "pages" components
   then Some Exact
   else if ends_with "per_s" || has_per_s parts then Some Higher_better

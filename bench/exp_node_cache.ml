@@ -99,5 +99,6 @@ let run () =
     "Capacity 1 is the pre-cache baseline: every node touch reads a row.\n\
      A working-set-sized cache absorbs repeat traffic and cuts pages per\n\
      query by an order of magnitude on deep LCAs. Projection rows count\n\
-     the ordinal probes that locate each sampled leaf: they decode rows\n\
-     that are not resident without admitting them."
+     the sampled leaves' lookups too: the first ordinal to land in a run\n\
+     reads the run's page once to fill its leaf map, then each leaf is\n\
+     one node view."

@@ -136,7 +136,7 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
           Log.info (fun m -> m "  … %d node rows written" !node_rows);
         rid)
   in
-  let runs = Node_view.runs_of_rids rids ~leaf_lo in
+  let runs = Node_view.runs_of_rids rids ~leaf_lo ~subtree_end in
   Node_view.store_runs repo ~tree:tree_id runs;
   (* Higher layers and subtree roots. *)
   let layer_rows = ref 0 in
@@ -185,9 +185,10 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
          Record.VInt n_leaves;
        |]);
   let stored = Stored_tree.open_id repo tree_id in
-  (* Hand back a warm handle: the runs just built, and views of the
-     lowest ids — the ones species validation and the first queries
-     read — from rows still in memory, so no page is read for either. *)
+  (* Hand back a warm handle: the runs and leaf maps just built, and
+     views of the lowest ids — the ones species validation and the first
+     queries read — from rows still in memory, so no page is read for
+     any of them. *)
   Stored_tree.prime stored ~runs (fun v -> Node_view.of_row (node_row v));
   (* Species data, validated against the stored tree. *)
   let species_rows =

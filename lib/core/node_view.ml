@@ -19,7 +19,9 @@
    and the run directory would then point at other rows. Every decoded
    row is checked against the (tree, node) it was read for, so that
    shows up as [Error.Corrupt_page], never as a wrong answer.
-   [invalidate] exists for belt-and-braces callers. *)
+   [invalidate] exists for belt-and-braces callers; it keeps the runs
+   and their leaf maps, which describe where rows lie and which rows
+   are leaves, and no load or delete changes either under a handle. *)
 
 module Table = Crimson_storage.Table
 module Record = Crimson_storage.Record
@@ -129,9 +131,6 @@ module Lru = struct
             push_front t e);
         Some e.value
 
-  (* A lookup that leaves recency alone. *)
-  let peek t k = match Hashtbl.find_opt t.tbl k with Some e -> Some e.value | None -> None
-
   let add t k v =
     (match Hashtbl.find_opt t.tbl k with
     | Some e ->
@@ -166,15 +165,56 @@ end
    are never reused). One directory entry per run — its first id, that
    row's rid and its [leaf_lo] — is about one entry per heap page, and
    locating id [i] is a binary search plus [rid + (i - first)]: slots
-   are the low bits of a rid. *)
+   are the low bits of a rid.
+
+   Each run also has a leaf map in memory, one bit per row, set where
+   the row is a leaf ([subtree_end = node]). A leaf's ordinal is the
+   number of leaves before it in preorder, so the leaf with ordinal [o]
+   is in the last run whose first [leaf_lo] is at most [o], at the
+   [(o - leaf_lo)]th set bit of that run's map. The maps are not stored:
+   the loader builds them from the [subtree_end] array it wrote, and a
+   handle that read its runs from [node_runs] fills a run's map the
+   first time an ordinal lands in that run. *)
 
 type runs = {
   firsts : int array; (* ascending, [firsts.(0) = 0] *)
   rids : int array;
   leaf_los : int array; (* never decreasing *)
+  leaf_maps : Bytes.t array; (* [Bytes.empty] until filled *)
 }
 
-let runs_of_rids rids ~leaf_lo =
+let empty_map rows = Bytes.make ((rows + 7) / 8) '\000'
+
+let set_bit map i =
+  Bytes.set_uint8 map (i lsr 3) (Bytes.get_uint8 map (i lsr 3) lor (1 lsl (i land 7)))
+
+(* Set bits of each byte value. *)
+let byte_ones =
+  String.init 256 (fun b ->
+      let rec ones b = if b = 0 then 0 else (b land 1) + ones (b lsr 1) in
+      Char.chr (ones b))
+
+(* The index of the [k]th set bit of [map], counting from 0, or -1. *)
+let select map k =
+  let rec in_byte b i k =
+    if b land 1 = 0 then in_byte (b lsr 1) (i + 1) k
+    else if k = 0 then i
+    else in_byte (b lsr 1) (i + 1) (k - 1)
+  in
+  let rec go byte k =
+    if byte >= Bytes.length map then -1
+    else
+      let b = Bytes.get_uint8 map byte in
+      let ones = Char.code byte_ones.[b] in
+      if k < ones then in_byte b (byte * 8) k else go (byte + 1) (k - ones)
+  in
+  if k < 0 then -1 else go 0 k
+
+(* The last id of the run starting at [firsts.(r)]. *)
+let run_last firsts ~nodes r =
+  if r + 1 < Array.length firsts then firsts.(r + 1) - 1 else nodes - 1
+
+let runs_of_rids rids ~leaf_lo ~subtree_end =
   let n = Array.length rids in
   let starts_run i =
     i = 0
@@ -182,10 +222,19 @@ let runs_of_rids rids ~leaf_lo =
     || Heap.rid_slot rids.(i) <> Heap.rid_slot rids.(i - 1) + 1
   in
   let firsts = List.filter starts_run (List.init n Fun.id) |> Array.of_list in
+  let leaf_map r =
+    let first = firsts.(r) and last = run_last firsts ~nodes:n r in
+    let map = empty_map (last - first + 1) in
+    for v = first to last do
+      if subtree_end.(v) = v then set_bit map (v - first)
+    done;
+    map
+  in
   {
     firsts;
     rids = Array.map (fun i -> rids.(i)) firsts;
     leaf_los = Array.map (fun i -> leaf_lo.(i)) firsts;
+    leaf_maps = Array.init (Array.length firsts) leaf_map;
   }
 
 let store_runs repo ~tree runs =
@@ -215,6 +264,7 @@ let load_runs repo ~tree =
     firsts = col Schema.Node_runs.c_first;
     rids = col Schema.Node_runs.c_rid;
     leaf_los = col Schema.Node_runs.c_leaf_lo;
+    leaf_maps = Array.make (Array.length rows) Bytes.empty;
   }
 
 (* The last index [r] with [a.(r) <= x], or -1. *)
@@ -255,6 +305,8 @@ let create_cache ?(capacity = default_capacity) repo ~tree ~nodes =
     sub_roots = Lru.create (max 8 (capacity / 4));
   }
 
+let capacity c = c.views.Lru.capacity
+
 let runs c =
   match c.runs with
   | Some runs -> runs
@@ -291,24 +343,31 @@ let corrupt c fmt =
       Error.fail (Error.Corrupt_page { file; detail }))
     fmt
 
-(* Decode the row at [rid] straight off its pinned page, checking it is
-   the row of ([c.tree], [n]). [decode] reads the fields after the two
-   key columns. [None] for a tombstone (a deleted tree). *)
+(* Decode the row at [rid], held in [page] at [off], checking it is the
+   row of ([c.tree], [n]). [decode] reads the fields after the two key
+   columns. *)
+let check_row c n rid decode page off len =
+  let r = Record.Reader.create page ~off ~len in
+  let tree = Record.Reader.int r in
+  let node = Record.Reader.int r in
+  if tree <> c.tree || node <> n then
+    corrupt c "rid %s holds node %d of tree %d, not node %d of tree %d"
+      (Heap.rid_to_string rid) node tree n c.tree;
+  decode r
+
+(* [f ()] reading the rows of nodes [first .. last] from [rid], with a
+   short or malformed row reported as corrupt. *)
+let reading c ~first ~last rid f =
+  try f ()
+  with Invalid_argument msg | Crimson_util.Codec.Corrupt msg | Record.Type_error msg ->
+    let nodes = if first = last then string_of_int first else Printf.sprintf "%d..%d" first last in
+    corrupt c "node %s of tree %d at rid %s: %s" nodes c.tree (Heap.rid_to_string rid) msg
+
+(* Decode the row of ([c.tree], [n]) at [rid] straight off its pinned
+   page. [None] for a tombstone (a deleted tree). *)
 let read_row c n rid decode =
-  let check page off len =
-    let r = Record.Reader.create page ~off ~len in
-    let tree = Record.Reader.int r in
-    let node = Record.Reader.int r in
-    if tree <> c.tree || node <> n then
-      corrupt c "rid %s holds node %d of tree %d, not node %d of tree %d"
-        (Heap.rid_to_string rid) node tree n c.tree;
-    decode r
-  in
-  match Table.with_payload (Repo.nodes c.repo) rid check with
-  | result -> result
-  | exception
-      (Invalid_argument msg | Crimson_util.Codec.Corrupt msg | Record.Type_error msg) ->
-      corrupt c "node %d of tree %d at rid %s: %s" n c.tree (Heap.rid_to_string rid) msg
+  reading c ~first:n ~last:n rid (fun () ->
+      Table.with_payload (Repo.nodes c.repo) rid (check_row c n rid decode))
 
 (* Columns in [Schema.Nodes] order after (tree, node). *)
 let decode_view node r =
@@ -383,20 +442,28 @@ let prime c ~runs ~count view_of =
     Lru.add c.views n (view_of n)
   done
 
-(* Leaf ordinals rise with preorder: a node's [leaf_lo] is the number of
-   leaves before it, so the leaf with ordinal [o] is the last id whose
-   [leaf_lo <= o]. The runs narrow that to one page; inside it, each
-   step adds at most one leaf, so the search starts [o - leaf_lo] ids
-   past the run's first. Probes read the LRU when resident, else decode
-   off the page without admitting; the leaf's own view is admitted,
-   since callers go on to read it (projection's [is_leaf] check). *)
-let probe_leaf_lo c n =
-  match Lru.peek c.views n with
-  | Some v -> v.leaf_lo
-  | None -> (
-      match read_view c n with
-      | Some v -> v.leaf_lo
-      | None -> max_int (* a deleted tree: nothing to find *))
+(* Run [r]'s leaf map, filled on first use: one page pin, each of the
+   run's rows checked and decoded off it, none admitted. [None] when a
+   row is gone (a deleted tree). *)
+let leaf_map c runs r =
+  let map = runs.leaf_maps.(r) in
+  if Bytes.length map > 0 then Some map
+  else
+    let first = runs.firsts.(r) and last = run_last runs.firsts ~nodes:c.nodes r in
+    let rid = runs.rids.(r) and rows = last - first + 1 in
+    let map = empty_map rows in
+    let live =
+      reading c ~first ~last rid (fun () ->
+          Table.with_payloads (Repo.nodes c.repo) rid ~count:rows (fun i ->
+              let n = first + i in
+              check_row c n (rid + i) (fun r ->
+                  if (decode_view n r).subtree_end = n then set_bit map i)))
+    in
+    if live < rows then None
+    else begin
+      runs.leaf_maps.(r) <- map;
+      Some map
+    end
 
 let leaf_by_ordinal c o =
   Crimson_obs.Deadline.check ();
@@ -404,22 +471,16 @@ let leaf_by_ordinal c o =
   let r = if o < 0 then -1 else last_le runs.leaf_los o in
   if r < 0 then None
   else
-    let run_end =
-      if r + 1 < Array.length runs.firsts then runs.firsts.(r + 1) - 1 else c.nodes - 1
-    in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi + 1) / 2 in
-        if probe_leaf_lo c mid <= o then search mid hi else search lo (mid - 1)
-    in
-    let lo = runs.firsts.(r) + (o - runs.leaf_los.(r)) in
-    if lo > run_end then None
-    else
-      let leaf = search lo run_end in
-      match find c leaf with
-      | Some v when v.subtree_end = leaf && v.leaf_lo = o -> Some leaf
-      | Some _ | None -> None
+    match leaf_map c runs r with
+    | None -> None
+    | Some map -> (
+        let i = select map (o - runs.leaf_los.(r)) in
+        if i < 0 then None
+        else
+          let leaf = runs.firsts.(r) + i in
+          match find c leaf with
+          | Some v when v.subtree_end = leaf && v.leaf_lo = o -> Some leaf
+          | Some _ | None -> None)
 
 (* A sequential run — a frontier, a clade, a whole tree — reads each row
    once, so admitting it to the LRU would only evict the working set of

@@ -13,6 +13,13 @@
     a clade, a whole tree — use {!scan} instead, which streams rows past
     the cache so they do not evict the random-access working set.
 
+    Leaf ordinals resolve through a leaf map per run, one bit per row,
+    held in memory beside the directory ({!leaf_by_ordinal}): a
+    directory search, a select in the map and one {!find}. The loader
+    hands a fresh handle every map; a handle that read its runs from
+    [node_runs] fills a run's map from the run's page the first time an
+    ordinal lands in it.
+
     Every row read is checked to be the (tree, node) it was read for; a
     mismatch raises [Crimson_storage.Error.Error (Corrupt_page _)]
     naming [nodes.heap], never returns another node's row.
@@ -62,11 +69,14 @@ type runs
 (** Where a tree's rows lie in the [nodes] heap: one entry per run of
     consecutive ids in consecutive slots of one page, holding the run's
     first id, that row's rid and its [leaf_lo] (see
-    {!Schema.Node_runs}). *)
+    {!Schema.Node_runs}). Each run also has a leaf map, kept in memory
+    only: one bit per row, set where the row is a leaf. *)
 
-val runs_of_rids : Crimson_storage.Heap.rid array -> leaf_lo:int array -> runs
+val runs_of_rids :
+  Crimson_storage.Heap.rid array -> leaf_lo:int array -> subtree_end:int array -> runs
 (** The runs of rows written for ids [0 .. n-1], given the rid each
-    insert returned and each node's [leaf_lo]. *)
+    insert returned and each node's [leaf_lo] and [subtree_end], with
+    every run's leaf map filled. *)
 
 val store_runs : Repo.t -> tree:int -> runs -> unit
 (** Insert the runs into [node_runs]. *)
@@ -81,6 +91,9 @@ val delete_rows : Repo.t -> tree:int -> nodes:int -> unit
 type cache
 
 val default_capacity : int
+
+val capacity : cache -> int
+(** The bound on resident node views this cache was created with. *)
 
 val create_cache : ?capacity:int -> Repo.t -> tree:int -> nodes:int -> cache
 (** A cache for one stored tree of [nodes] nodes. [capacity] bounds
@@ -97,15 +110,17 @@ val node : cache -> int -> t
 
 val leaf_by_ordinal : cache -> int -> int option
 (** Node id of the leaf with the given preorder ordinal, [None] when out
-    of range: a binary search of the runs on [leaf_lo], then of one
-    run's rows (resident views first). The leaf's view is admitted. *)
+    of range: a binary search of the runs on [leaf_lo], a select in that
+    run's leaf map and one {!find}, which admits the leaf's view. A run
+    whose map is not filled yet is read first: one page pin, every row
+    checked and decoded off the page, none admitted. *)
 
 val prime : cache -> runs:runs -> count:int -> (int -> t) -> unit
-(** [prime c ~runs ~count view_of] adopts the tree's runs and admits
-    [view_of n] for the ids [0 .. min count capacity - 1], with no
-    storage reads. The loader uses it to hand back a warm handle built
-    from the rows it just wrote; the views must equal what {!of_row}
-    decodes from them. *)
+(** [prime c ~runs ~count view_of] adopts the tree's runs, leaf maps
+    included, and admits [view_of n] for the ids
+    [0 .. min count capacity - 1], with no storage reads. The loader
+    uses it to hand back a warm handle built from the rows it just
+    wrote; the views must equal what {!of_row} decodes from them. *)
 
 val scan : cache -> lo:int -> hi:int -> (t -> int) -> unit
 (** Stream the views of ids [lo .. hi] in ascending order, decoded off
@@ -123,7 +138,8 @@ val sub_root : cache -> layer:int -> int -> int
 
 val invalidate : cache -> unit
 (** Drop every cached view. Only needed if a handle is reused across a
-    mutation of its tree's rows, which the loader never does. *)
+    mutation of its tree's rows, which the loader never does. The runs
+    and their leaf maps stay. *)
 
 val resident : cache -> int
 (** How many views, layer rows and sub-roots the cache holds. *)

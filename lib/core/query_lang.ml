@@ -325,17 +325,21 @@ let plan stored { fn; args } =
     | "sample", ([ _ ] | [ _; _ ]) ->
         [
           (if nargs = 2 then
-             step "time-sliced: frontier skip-scan of the node rows at the cut time, \
-                   then k/|frontier| draws per frontier leaf interval"
+             step "time-sliced: the frontier at the cut time (kept by the handle after \
+                   its first skip-scan at that time), then k/|frontier| draws per \
+                   frontier leaf interval"
            else step "uniform draw of k leaf ordinals");
-          step "each ordinal: binary search of the run directory on leaf_lo, then of \
-                one page's rows; names resolved through node views";
+          step "each ordinal: binary search of the run directory on leaf_lo, then a \
+                select in that run's leaf map (filled from the run's page on first \
+                use); names resolved through node views";
         ]
     | "sample", _ -> bad "sample needs (k) or (k, time)"
     | "frontier", [ _ ] ->
         [
-          step "preorder skip-scan of the node rows from the root, located through the \
-                run directory and read past the view cache";
+          step "the handle keeps its last frontier by exact time: a repeated time \
+                reads no row";
+          step "otherwise a preorder skip-scan of the node rows from the root, located \
+                through the run directory and read past the view cache";
           step "a node past the time joins the frontier and the scan jumps to its \
                 subtree_end + 1: reads the cap above the frontier plus the frontier rows";
         ]

@@ -11,23 +11,11 @@ let uniform tree ~rng ~k =
   let ords = Prng.sample_without_replacement rng ~k ~n in
   Array.to_list (Array.map (fun ord -> Stored_tree.leaf_by_ordinal tree ord) ords)
 
-(* A preorder skip-scan from the root: a node past the cut time is on
-   the frontier and its subtree is skipped (root distances grow along
-   every path), anything else steps to the next id. Only the cap above
-   the frontier and the frontier rows themselves are read, in ascending
-   id order, which is the order the paper's DFS would emit them in. *)
+(* The cut time is checked before the handle's frontier is read. *)
 let frontier_views tree ~time =
   if not (Float.is_finite time) then invalid "time %g must be finite" time;
   if time < 0.0 then invalid "time %g must be non-negative" time;
-  let acc = ref [] in
-  Stored_tree.scan tree ~lo:(Stored_tree.root tree)
-    ~hi:(Stored_tree.node_count tree - 1) (fun v ->
-      if v.Node_view.root_dist > time then begin
-        acc := v :: !acc;
-        v.Node_view.subtree_end + 1
-      end
-      else v.Node_view.node + 1);
-  List.rev !acc
+  Stored_tree.frontier tree ~time
 
 let frontier_at tree ~time =
   List.map (fun v -> v.Node_view.node) (frontier_views tree ~time)

@@ -14,6 +14,8 @@ type t = {
   node_count : int;
   leaf_count : int;
   cache : Node_view.cache;
+  mutable frontier : (float * Node_view.t list) option;
+      (* the last frontier scanned, with its cut time *)
 }
 
 let of_meta_row ?cache_capacity repo row =
@@ -29,6 +31,7 @@ let of_meta_row ?cache_capacity repo row =
     leaf_count = Record.get_int row Schema.Trees.c_leaves;
     cache =
       Node_view.create_cache ?capacity:cache_capacity repo ~tree:id ~nodes:node_count;
+    frontier = None;
   }
 
 let open_id ?cache_capacity repo id =
@@ -72,7 +75,11 @@ let view t node =
   Crimson_obs.Cost.node_view ();
   Node_view.node t.cache node
 let cache_resident t = Node_view.resident t.cache
-let invalidate_cache t = Node_view.invalidate t.cache
+
+let invalidate_cache t =
+  Node_view.invalidate t.cache;
+  t.frontier <- None
+
 let parent t node = (view t node).Node_view.parent
 let edge_index t node = (view t node).Node_view.edge_index
 
@@ -101,6 +108,34 @@ let leaf_interval t node =
 let is_leaf t node = subtree_end t node = node
 let scan t ~lo ~hi f = Node_view.scan t.cache ~lo ~hi f
 let prime t ~runs view_of = Node_view.prime t.cache ~runs ~count:t.node_count view_of
+
+(* A preorder skip-scan from the root: a node past the cut time is on
+   the frontier and its subtree is skipped (root distances grow along
+   every path), anything else steps to the next id. Only the cap above
+   the frontier and the frontier rows themselves are read, in ascending
+   id order, which is the order the paper's DFS would emit them in.
+
+   A loaded tree never changes under its handle, so the handle keeps
+   the last frontier it scanned, keyed by the exact time, and the next
+   call at that time reads nothing. It is kept only once the scan has
+   finished (a deadline that expires mid-scan leaves nothing), only if
+   it holds no more views than the cache may, and it goes with the
+   views in [invalidate_cache]. *)
+let frontier t ~time =
+  match t.frontier with
+  | Some (at, views) when Float.equal at time -> views
+  | Some _ | None ->
+      let acc = ref [] in
+      scan t ~lo:(root t) ~hi:(t.node_count - 1) (fun v ->
+          if v.Node_view.root_dist > time then begin
+            acc := v :: !acc;
+            v.Node_view.subtree_end + 1
+          end
+          else v.Node_view.node + 1);
+      let views = List.rev !acc in
+      if List.compare_length_with views (Node_view.capacity t.cache) <= 0 then
+        t.frontier <- Some (time, views);
+      views
 
 let leaf_by_ordinal t ord =
   match Node_view.leaf_by_ordinal t.cache ord with

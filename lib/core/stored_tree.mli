@@ -21,7 +21,10 @@
 
     Rows are located by id through the tree's run directory, read on
     the handle's first access that needs it, so {!open_id} and
-    {!open_name} cost one catalog read. *)
+    {!open_name} cost one catalog read. Beside its views, a handle keeps
+    the leaf map of each run it has resolved an ordinal in (all of them
+    on a handle the loader returns) and the last time-sampling frontier
+    it scanned ({!frontier}). *)
 
 type t
 
@@ -61,7 +64,8 @@ val cache_resident : t -> int
 (** How many views this handle's cache holds. *)
 
 val invalidate_cache : t -> unit
-(** Drop the handle's cached views (see {!Node_view.invalidate}). *)
+(** Drop the handle's cached views (see {!Node_view.invalidate}) and the
+    frontier it keeps (see {!frontier}). *)
 
 val parent : t -> int -> int
 (** [-1] for the root. Raises {!Unknown_node}. *)
@@ -86,8 +90,20 @@ val leaf_interval : t -> int -> int * int
 
 val leaf_by_ordinal : t -> int -> int
 (** Node id of the leaf with the given preorder ordinal, found through
-    the run directory with no index (see {!Node_view.leaf_by_ordinal}).
-    Raises {!Unknown_node} when out of range. *)
+    the run directory and its leaf maps with no index (see
+    {!Node_view.leaf_by_ordinal}). Raises {!Unknown_node} when out of
+    range. *)
+
+val frontier : t -> time:float -> Node_view.t list
+(** The views of the minimal nodes whose root distance strictly exceeds
+    [time], in preorder: one {!scan} from the root that reads the cap
+    above the frontier and the frontier rows, and jumps over each
+    frontier node's subtree. The handle keeps the last frontier it
+    scanned, keyed by the exact time, so a second call at that time
+    reads nothing. It keeps one only after the scan completes, and only
+    if it holds at most {!Node_view.capacity} views; {!invalidate_cache}
+    drops it. [time] is not checked here ({!Sampling.frontier_at}
+    refuses negative and non-finite times). *)
 
 val scan : t -> lo:int -> hi:int -> (Node_view.t -> int) -> unit
 (** Stream the views of ids [lo .. hi] in preorder, past the view cache;

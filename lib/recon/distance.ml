@@ -25,25 +25,6 @@ let of_fun ~names f =
 let size t = Array.length t.names
 let get t i j = t.d.(i).(j)
 
-let is_base = function 'A' | 'C' | 'G' | 'T' | 'a' | 'c' | 'g' | 't' -> true | _ -> false
-
-let validate seqs =
-  let n = List.length seqs in
-  if n < 2 then invalid "need at least 2 sequences (got %d)" n;
-  let seen = Hashtbl.create 16 in
-  let len = ref (-1) in
-  List.iter
-    (fun (name, seq) ->
-      if Hashtbl.mem seen name then invalid "duplicate taxon %S" name;
-      Hashtbl.add seen name ();
-      if !len = -1 then len := String.length seq
-      else if String.length seq <> !len then
-        invalid "taxon %S has length %d, expected %d" name (String.length seq) !len;
-      String.iter (fun c -> if not (is_base c) then invalid "taxon %S has non-DNA character %C" name c) seq)
-    seqs;
-  if !len = 0 then invalid "sequences are empty";
-  Array.of_list seqs
-
 (* Two bit planes per sequence, 62 sites per int: site [i] is bit
    [i mod 62] of word [i / 62] in each plane, coded A=00, C=01, G=10,
    T=11 as (high, low). The low bit is 0 exactly at the purines, so two
@@ -54,31 +35,68 @@ let validate seqs =
 let sites_per_word = 62
 
 (* Each base's two-bit code, indexed by character code: a lookup, where
-   a match on random bases would mispredict most of its branches. *)
+   a match on random bases would mispredict most of its branches. Every
+   other character codes as [non_base]. *)
+let non_base = 4
+
 let base_code =
   String.init 256 (fun c ->
       match Char.chr c with
+      | 'A' | 'a' -> '\000'
       | 'C' | 'c' -> '\001'
       | 'G' | 'g' -> '\002'
       | 'T' | 't' -> '\003'
-      | _ -> '\000')
+      | _ -> Char.chr non_base)
 
-let planes seq =
+let code_of c = Char.code base_code.[Char.code c]
+
+(* Pack taxon [name]'s sequence, checking its characters on the way: a
+   word's codes are or-ed together, and a word holding a non-base is
+   searched for its first one, so the character named is the first in
+   the sequence, as a site-by-site check would find. *)
+let planes name seq =
   let len = String.length seq in
   let words = (len + sites_per_word - 1) / sites_per_word in
   let p = Array.make (2 * words) 0 in
   for w = 0 to words - 1 do
-    let lo = ref 0 and hi = ref 0 in
+    let lo = ref 0 and hi = ref 0 and all = ref 0 in
     let first = w * sites_per_word in
-    for bit = 0 to Int.min sites_per_word (len - first) - 1 do
-      let code = Char.code base_code.[Char.code seq.[first + bit]] in
+    let sites = Int.min sites_per_word (len - first) in
+    for bit = 0 to sites - 1 do
+      let code = code_of seq.[first + bit] in
+      all := !all lor code;
       lo := !lo lor ((code land 1) lsl bit);
       hi := !hi lor ((code lsr 1) lsl bit)
     done;
+    if !all land non_base <> 0 then begin
+      let rec first_non_base i = if code_of seq.[i] = non_base then i else first_non_base (i + 1) in
+      invalid "taxon %S has non-DNA character %C" name seq.[first_non_base first]
+    end;
     p.(2 * w) <- !lo;
     p.((2 * w) + 1) <- !hi
   done;
   p
+
+(* Check the input and pack each sequence, in one pass over each:
+   names, planes and the common length. *)
+let validate seqs =
+  let n = List.length seqs in
+  if n < 2 then invalid "need at least 2 sequences (got %d)" n;
+  let seen = Hashtbl.create 16 in
+  let len = ref (-1) in
+  let packed =
+    List.map
+      (fun (name, seq) ->
+        if Hashtbl.mem seen name then invalid "duplicate taxon %S" name;
+        Hashtbl.add seen name ();
+        if !len = -1 then len := String.length seq
+        else if String.length seq <> !len then
+          invalid "taxon %S has length %d, expected %d" name (String.length seq) !len;
+        planes name seq)
+      seqs
+  in
+  if !len = 0 then invalid "sequences are empty";
+  (Array.of_list (List.map fst seqs), Array.of_list packed, !len)
 
 (* Set bits of a non-negative int below 2^62. *)
 let popcount x =
@@ -102,11 +120,8 @@ let pair_fractions len a b =
 (* Every pairwise distance model here is symmetric, so each unordered
    pair is computed once, on sequences packed once per taxon. *)
 let of_pairs seqs model =
-  let arr = validate seqs in
-  let names = Array.map fst arr in
-  let packed = Array.map (fun (_, s) -> planes s) arr in
-  let len = String.length (snd arr.(0)) in
-  let n = Array.length arr in
+  let names, packed, len = validate seqs in
+  let n = Array.length names in
   let d = Array.init n (fun _ -> Array.make n 0.0) in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do

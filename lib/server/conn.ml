@@ -53,24 +53,51 @@ let clear_stale_socket path =
       (try Sys.remove path with Sys_error _ -> ())
   | _ -> bind_error "%s exists and is not a socket" path
 
+(* A Unix-domain listener binds and listens under a temporary name in
+   the socket's directory, then [link]s the socket into place and drops
+   the temporary name, so the path appears only once it accepts. [link]
+   fails with [EEXIST] rather than replace a file, so a server that took
+   the path since [clear_stale_socket] keeps it. *)
+let temp_names = Atomic.make 0
+
+let temp_path path =
+  Filename.concat (Filename.dirname path)
+    (Printf.sprintf ".%d.%d" (Unix.getpid ()) (Atomic.fetch_and_add temp_names 1))
+
 let listen_on addr =
   let domain, sockaddr =
     match resolve addr with Ok r -> r | Error msg -> raise (Bind_error msg)
   in
-  (match addr with
-  | Wire.Unix_path path -> clear_stale_socket path
-  | Wire.Tcp _ -> ());
+  let temp =
+    match addr with
+    | Wire.Unix_path path ->
+        clear_stale_socket path;
+        Some (path, temp_path path)
+    | Wire.Tcp _ -> None
+  in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  let unlink_temp () =
+    Option.iter (fun (_, t) -> try Unix.unlink t with Unix.Unix_error _ -> ()) temp
+  in
   try
-    if domain <> Unix.PF_UNIX then Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd sockaddr;
+    (match temp with
+    | Some (_, t) -> Unix.bind fd (Unix.ADDR_UNIX t)
+    | None ->
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        Unix.bind fd sockaddr);
     Unix.listen fd 128;
+    Option.iter (fun (path, t) -> Unix.link t path) temp;
+    unlink_temp ();
     Unix.set_nonblock fd;
     fd
   with Unix.Unix_error (e, _, _) ->
+    unlink_temp ();
     close_fd fd;
-    bind_error "cannot listen on %s: %s" (Wire.addr_to_string addr)
-      (Unix.error_message e)
+    if e = Unix.EEXIST then
+      bind_error "cannot listen on %s: address already in use" (Wire.addr_to_string addr)
+    else
+      bind_error "cannot listen on %s: %s" (Wire.addr_to_string addr)
+        (Unix.error_message e)
 
 let accept lfd =
   match Unix.accept lfd with

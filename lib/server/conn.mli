@@ -20,10 +20,14 @@ val resolve : Wire.addr -> (Unix.socket_domain * Unix.sockaddr, string) result
 
 val listen_on : Wire.addr -> Unix.file_descr
 (** Bind and listen (backlog 128), non-blocking. TCP sockets get
-    [SO_REUSEADDR]. An existing Unix-domain socket file is probed with
-    [connect]: a refused probe means its server died, so the file is
-    replaced; an accepted one raises {!Bind_error} ("already in use"),
-    as does any other file at the path. *)
+    [SO_REUSEADDR]. A Unix-domain socket is bound and listening under a
+    temporary name in the same directory before it is hard-linked to its
+    path, so the path appears only once the socket accepts, and no
+    temporary name is left behind. An existing socket file at the path
+    is probed with [connect]: a refused probe means its server died, so
+    the file is replaced; an accepted one raises {!Bind_error}
+    ("already in use"), as does a file that appears at the path before
+    the link, and any other file at the path. *)
 
 val accept : Unix.file_descr -> Unix.file_descr option
 (** One non-blocking accept; the new socket is non-blocking. [None] on

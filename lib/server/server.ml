@@ -175,9 +175,20 @@ let run ?(config = Worker_core.default_config) ?(on_ready = ignore)
     flush_trace ();
     check ()
   in
-  on_ready (Unix.getsockname listen_fd);
-  Option.iter (fun fd -> on_obs_ready (Unix.getsockname fd)) obs_fd;
-  Option.iter (fun fd -> on_http_ready (Unix.getsockname fd)) http_fd;
+  (* A Unix socket reports its path: it was bound under a temporary
+     name (Conn.listen_on). A TCP one reports its bound port. *)
+  let served a fd =
+    match a with
+    | Wire.Unix_path path -> Unix.ADDR_UNIX path
+    | Wire.Tcp _ -> Unix.getsockname fd
+  in
+  on_ready (served addr listen_fd);
+  (match (config.Worker_core.obs_listen, obs_fd) with
+  | Some a, Some fd -> on_obs_ready (served a fd)
+  | _ -> ());
+  (match (config.Worker_core.http_listen, http_fd) with
+  | Some a, Some fd -> on_http_ready (served a fd)
+  | _ -> ());
   Events.emit "server_started"
     ~fields:
       [

@@ -75,6 +75,15 @@ let with_record t rid f =
   Pager.with_page t.pager (rid_page rid) (fun page ->
       Slotted.with_record page (rid_slot rid) f)
 
+let with_records t rid ~count f =
+  check_rid t rid "with_records";
+  Pager.with_page t.pager (rid_page rid) (fun page ->
+      let slot = rid_slot rid and live = ref 0 in
+      for i = 0 to count - 1 do
+        if Slotted.with_record page (slot + i) (f i) <> None then incr live
+      done;
+      !live)
+
 let delete t rid =
   check_rid t rid "delete";
   Pager.with_page_mut t.pager (rid_page rid) (fun page ->

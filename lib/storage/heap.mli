@@ -35,6 +35,13 @@ val with_record : t -> rid -> (bytes -> int -> int -> 'a) -> 'a option
     for deleted records; raises [Invalid_argument] for rids that never
     existed, as {!get} does. *)
 
+val with_records : t -> rid -> count:int -> (int -> bytes -> int -> int -> unit) -> int
+(** [with_records t rid ~count f] pins [rid]'s page once and calls
+    [f i page off len] on each live record of the [count] slots from
+    [rid]'s, in slot order, with [i] counting from 0. Returns how many
+    were live. [f] must not keep [page]. Raises [Invalid_argument] for a
+    rid that never existed or a slot past the page's directory. *)
+
 val delete : t -> rid -> unit
 
 val iter : t -> (rid -> string -> unit) -> unit

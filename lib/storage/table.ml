@@ -63,6 +63,11 @@ let with_payload t rid f =
       Crimson_obs.Cost.row_decoded ~bytes:len;
       f page off len)
 
+let with_payloads t rid ~count f =
+  Heap.with_records t.heap rid ~count (fun i page off len ->
+      Crimson_obs.Cost.row_decoded ~bytes:len;
+      f i page off len)
+
 let delete t rid =
   match get t rid with
   | None -> false

@@ -51,6 +51,11 @@ val with_payload : t -> Heap.rid -> (bytes -> int -> int -> 'a) -> 'a option
     [page]. Charged to the request profile as one decoded row, as {!get}
     is. [None] for a deleted row. *)
 
+val with_payloads : t -> Heap.rid -> count:int -> (int -> bytes -> int -> int -> unit) -> int
+(** {!Heap.with_records} on the table's heap: one page pin for [count]
+    consecutive slots, [f i page off len] on each live row, each charged
+    as one decoded row. Returns how many rows were live. *)
+
 val delete : t -> Heap.rid -> bool
 (** Removes the row and its index entries. [false] when already gone. *)
 

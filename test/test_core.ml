@@ -1115,6 +1115,13 @@ let preorder_below mem root =
   done;
   List.rev !out
 
+(* The nodes past [time] whose parent is not, in id order, from the
+   in-memory tree and its root distances [rd]. *)
+let reference_frontier mem rd ~time =
+  List.filter
+    (fun v -> rd.(v) > time && (v = 0 || time >= rd.(Tree.parent mem v)))
+    (List.init (Tree.node_count mem) Fun.id)
+
 let check_subtree_ranges ~f ~pool tree =
   let repo = Repo.open_mem ~pool_size:pool () in
   let loaded = (Loader.load_tree ~f repo ~name:"t" tree).tree in
@@ -1157,26 +1164,61 @@ let check_subtree_ranges ~f ~pool tree =
   let rd = Tree.root_distance mem in
   let height = Array.fold_left Float.max 0.0 rd in
   let times =
-    (0.0 :: List.init 8 (fun i -> height *. float_of_int (i + 1) /. 9.0)) @ [ height +. 1.0 ]
+    Array.of_list
+      ((0.0 :: List.init 8 (fun i -> height *. float_of_int (i + 1) /. 9.0))
+      @ [ height +. 1.0 ])
   in
+  let nt = Array.length times in
   let leaves = Stored_tree.leaf_count stored in
-  List.iter
-    (fun time ->
-      let expected =
-        List.filter
-          (fun v -> rd.(v) > time && (v = 0 || time >= rd.(Tree.parent mem v)))
-          (List.init n Fun.id)
-      in
-      if Sampling.frontier_at stored ~time <> expected then fail "frontier at %g" time;
-      if dfs_frontier stored ~time <> expected then fail "DFS oracle at %g" time;
-      List.iter
-        (fun k ->
+  let expected time = reference_frontier mem rd ~time in
+  let rows () = (Cost.current ()).rows_decoded in
+  (* The DFS oracle draws through a handle that holds the whole tree, so
+     its walks stay cheap on the 10^4-deep caterpillar. *)
+  let oracle = Stored_tree.open_id ~cache_capacity:n repo (Stored_tree.id loaded) in
+  (* Each time twice, then once at another time. The handle keeps a
+     frontier of at most [capacity] nodes, so the second call reads no
+     row exactly when the first one's frontier fits, and then the call
+     at the other time must read rows. Every frontier equals the
+     reference and every sample the DFS oracle's, draw for draw. *)
+  let check_frontiers what handle ~capacity =
+    Array.iteri
+      (fun i time ->
+        let other = times.((i + 1 + Prng.int rng (nt - 1)) mod nt) in
+        let kept = List.length (expected time) <= capacity in
+        List.iteri
+          (fun call time ->
+            let r0 = rows () in
+            if Sampling.frontier_at handle ~time <> expected time then
+              fail "%s: frontier at %g (call %d)" what time call;
+            let read = rows () - r0 in
+            if (call = 1 && kept <> (read = 0)) || (call = 2 && kept && read = 0) then
+              fail "%s: frontier at %g (call %d) read %d rows" what time call read)
+          [ time; time; other ];
+        let draw (k, time) =
           let seed = Prng.int rng 1_000_000 in
-          let draw with_time () = with_time stored ~rng:(Prng.create seed) ~k ~time in
-          if sampled (draw Sampling.with_time) <> sampled (draw dfs_with_time) then
-            fail "with_time k=%d at %g" k time)
-        [ 1; 3; (leaves / 2) + 1 ])
+          let draw with_time handle () = with_time handle ~rng:(Prng.create seed) ~k ~time in
+          if sampled (draw Sampling.with_time handle) <> sampled (draw dfs_with_time oracle)
+          then fail "%s: with_time k=%d at %g" what k time
+        in
+        List.iter draw [ (1, time); (3, time); ((leaves / 2) + 1, time); (3, other) ])
+      times
+  in
+  Array.iter
+    (fun time ->
+      if dfs_frontier stored ~time <> expected time then fail "DFS oracle at %g" time)
     times;
+  let default = Node_view.default_capacity in
+  check_frontiers "loaded handle" loaded ~capacity:default;
+  check_frontiers "capacity 1" (Stored_tree.open_id ~cache_capacity:1 repo (Stored_tree.id loaded))
+    ~capacity:1;
+  let last = times.(nt - 1) in
+  ignore (Sampling.frontier_at loaded ~time:last);
+  Stored_tree.invalidate_cache loaded;
+  let r0 = rows () in
+  if Sampling.frontier_at loaded ~time:last <> expected last then
+    fail "frontier at %g after invalidate_cache" last;
+  if rows () = r0 then fail "invalidate_cache kept the frontier";
+  check_frontiers "after invalidate_cache" loaded ~capacity:default;
   let leaf_ids = Tree.leaves mem in
   for _ = 1 to 8 do
     let inputs =
@@ -1230,6 +1272,47 @@ let test_subtree_ranges_deep () =
   let tree = gen_tree Caterpillar ~seed:2006 ~leaves:10_000 in
   check_subtree_ranges ~f:2 ~pool:8 tree;
   check_subtree_ranges ~f:16 ~pool:256 tree
+
+let test_deadline_leaves_no_frontier () =
+  (* The deep caterpillar's frontier at half its height is two nodes
+     below a scan of half its rows, and a Yule tree's is hundreds of
+     nodes spread over the scan: a deadline that expires mid-scan must
+     leave no frontier on the handle, whole or partial. *)
+  List.iter
+    (fun shape ->
+      let tree = gen_tree shape ~seed:2006 ~leaves:10_000 in
+      let repo = Repo.open_mem () in
+      let stored = (Loader.load_tree ~f:8 repo ~name:"t" tree).tree in
+      let mem = Loader.fetch_tree stored in
+      let rd = Tree.root_distance mem in
+      let time = Array.fold_left Float.max 0.0 rd /. 2.0 in
+      let expected = reference_frontier mem rd ~time in
+      (* A deadline of half a whole scan's time, halved while the call
+         still finishes inside it, so it expires partway through the
+         scan; each try starts from a handle holding no frontier. *)
+      let expired what f =
+        Stored_tree.invalidate_cache stored;
+        let t0 = Unix.gettimeofday () in
+        ignore (f ());
+        let rec try_ timeout =
+          Stored_tree.invalidate_cache stored;
+          match Crimson_obs.Deadline.with_timeout timeout f with
+          | Error `Timeout -> ()
+          | Ok _ when timeout > 1e-7 -> try_ (timeout /. 2.0)
+          | Ok _ -> Alcotest.failf "%s: %s never expired" (shape_name shape) what
+        in
+        try_ ((Unix.gettimeofday () -. t0) /. 2.0)
+      in
+      let what = Printf.sprintf "%s: %s after the deadline" (shape_name shape) in
+      let frontier () = Sampling.frontier_at stored ~time in
+      expired "frontier_at" frontier;
+      check Alcotest.(list int) (what "frontier") expected (frontier ());
+      let draw () = Sampling.with_time stored ~rng:(Prng.create 5) ~k:12 ~time in
+      expired "with_time" draw;
+      check Alcotest.(list int) (what "with_time")
+        (dfs_with_time stored ~rng:(Prng.create 5) ~k:12 ~time)
+        (draw ()))
+    [ Caterpillar; Yule ]
 
 let test_load_primes_views () =
   (* More nodes than the cache holds: the lowest [capacity] ids come back
@@ -1415,6 +1498,33 @@ let directory repo ~tree =
           :: !rows);
   List.sort compare !rows
 
+(* Every ordinal's leaf, in a random order so that runs are reached out
+   of id order, and nothing past either end. *)
+let check_ordinals stored mem =
+  let fail fmt =
+    Printf.ksprintf (fun s -> Alcotest.failf "tree %d: %s" (Stored_tree.id stored) s) fmt
+  in
+  let leaves =
+    Array.of_list (List.filter (Tree.is_leaf mem) (List.init (Tree.node_count mem) Fun.id))
+  in
+  let count = Array.length leaves in
+  let order = Array.init count Fun.id and rng = Prng.create count in
+  for i = count - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let o = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- o
+  done;
+  Array.iter
+    (fun o -> if Stored_tree.leaf_by_ordinal stored o <> leaves.(o) then fail "ordinal %d" o)
+    order;
+  List.iter
+    (fun o ->
+      match Stored_tree.leaf_by_ordinal stored o with
+      | exception Stored_tree.Unknown_node _ -> ()
+      | leaf -> fail "ordinal %d answered %d" o leaf)
+    [ -1; count; count + 7 ]
+
 let check_node_store repo stored mem =
   let n = Tree.node_count mem and id = Stored_tree.id stored in
   let fail fmt = Printf.ksprintf (fun s -> Alcotest.failf "tree %d: %s" id s) fmt in
@@ -1468,17 +1578,7 @@ let check_node_store repo stored mem =
     in
     if not expect then fail "view %d differs from the tree" v
   done;
-  (* Every ordinal's leaf, and nothing past either end. *)
-  Array.iteri
-    (fun o leaf ->
-      if Stored_tree.leaf_by_ordinal stored o <> leaf then fail "ordinal %d" o)
-    leaves;
-  List.iter
-    (fun o ->
-      match Stored_tree.leaf_by_ordinal stored o with
-      | exception Stored_tree.Unknown_node _ -> ()
-      | leaf -> fail "ordinal %d answered %d" o leaf)
-    [ -1; Array.length leaves; Array.length leaves + 7 ];
+  check_ordinals stored mem;
   (* Clades: leaves in preorder, cut at the limit. *)
   let rng = Prng.create (n + id) in
   for _ = 1 to 12 do
@@ -1528,7 +1628,14 @@ let check_node_store_repo ~f ~pool trees =
          ids are never reused while a later tree is live. *)
       let doomed, _ = List.nth loaded (List.length loaded / 2) in
       let doomed_id = Stored_tree.id doomed in
+      (* A cold handle holding the runs but no leaf map: after the
+         delete, filling a map meets tombstones and answers nothing. *)
+      let orphan = Stored_tree.open_id repo doomed_id in
+      ignore (Stored_tree.view orphan 0);
       Loader.delete_tree repo doomed;
+      (match Stored_tree.leaf_by_ordinal orphan 0 with
+      | exception Stored_tree.Unknown_node _ -> ()
+      | leaf -> Alcotest.failf "a deleted tree's ordinal 0 answered %d" leaf);
       let extra = preorder_named (List.hd trees) in
       let loaded =
         List.filter (fun (s, _) -> Stored_tree.id s <> doomed_id) loaded
@@ -1564,6 +1671,16 @@ let check_node_store_repo ~f ~pool trees =
         loaded;
       check Alcotest.int "no by_name entry of the deleted tree" 0
         (named_entries repo ~tree:doomed_id);
+      Repo.close repo;
+      (* Leaf maps filled one run at a time, as ordinals land in them:
+         reopened handles holding one view, over an 8-page pool. *)
+      let repo = Repo.open_dir ~pool_size:8 dir in
+      List.iter
+        (fun (s, t) ->
+          check_ordinals
+            (Stored_tree.open_name ~cache_capacity:1 repo (Stored_tree.name s))
+            t)
+        loaded;
       Repo.close repo)
 
 let arb_store_case =
@@ -1601,7 +1718,9 @@ let test_node_store_deep () =
 
 let test_forged_run_refused () =
   (* A run pointing one row off reads another node's row: every read
-     path must refuse it as corrupt, never answer with that row. *)
+     path must refuse it as corrupt, never answer with that row. On a
+     cold handle, [leaf_by_ordinal] meets it while filling the run's leaf
+     map. *)
   let repo = Repo.open_mem () in
   ignore (Loader.load_tree ~f:4 repo ~name:"a" (Helpers.caterpillar 300));
   let b = (Loader.load_tree ~f:4 repo ~name:"b" (Helpers.caterpillar 300)).tree in
@@ -1946,6 +2065,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_subtree_ranges;
           Alcotest.test_case "10^4-deep caterpillar" `Quick test_subtree_ranges_deep;
+          Alcotest.test_case "a deadline mid-scan leaves no frontier" `Quick
+            test_deadline_leaves_no_frontier;
           Alcotest.test_case "load primes the handle" `Quick test_load_primes_views;
           Alcotest.test_case "old nodes layout refused" `Quick
             test_old_nodes_layout_refused;

@@ -397,18 +397,40 @@ let test_p_distance () =
   check (Alcotest.float 1e-9) "diag" 0.0 (Distance.get dm 1 1)
 
 let test_distance_validation () =
-  (match Distance.p_distance [ ("A", "ACGT") ] with
-  | exception Distance.Invalid_input _ -> ()
-  | _ -> Alcotest.fail "single taxon accepted");
-  (match Distance.p_distance [ ("A", "ACGT"); ("B", "AC") ] with
-  | exception Distance.Invalid_input _ -> ()
-  | _ -> Alcotest.fail "length mismatch accepted");
-  (match Distance.p_distance [ ("A", "ACGT"); ("A", "ACGT") ] with
-  | exception Distance.Invalid_input _ -> ()
-  | _ -> Alcotest.fail "duplicate name accepted");
-  match Distance.p_distance [ ("A", "ACGX"); ("B", "ACGT") ] with
-  | exception Distance.Invalid_input _ -> ()
-  | _ -> Alcotest.fail "non-DNA accepted"
+  (* Every message, and the first error when an input has several. *)
+  let refused what seqs expected =
+    List.iter
+      (fun (model, distance) ->
+        match distance seqs with
+        | exception Distance.Invalid_input msg ->
+            check Alcotest.string (Printf.sprintf "%s (%s)" what model) expected msg
+        | _ -> Alcotest.failf "%s accepted (%s)" what model)
+      [ ("p", Distance.p_distance); ("jc69", Distance.jc69); ("k2p", Distance.k2p) ]
+  in
+  refused "no taxon" [] "need at least 2 sequences (got 0)";
+  refused "single taxon" [ ("A", "ACGT") ] "need at least 2 sequences (got 1)";
+  refused "duplicate name" [ ("A", "ACGT"); ("B", "ACGT"); ("A", "ACGT") ]
+    "duplicate taxon \"A\"";
+  refused "length mismatch" [ ("A", "ACGT"); ("B", "AC") ]
+    "taxon \"B\" has length 2, expected 4";
+  refused "non-DNA" [ ("A", "ACGX"); ("B", "ACGT") ] "taxon \"A\" has non-DNA character 'X'";
+  refused "empty" [ ("A", ""); ("B", "") ] "sequences are empty";
+  (* Sites 61, 62 and 123 end and start the 62-site words the sequences
+     are packed in; the first bad site is named, and a taxon's bad
+     character is found before a later taxon's length. *)
+  List.iter
+    (fun site ->
+      let seq = Bytes.make 130 'a' in
+      Bytes.set seq site 'N';
+      if site + 5 < 130 then Bytes.set seq (site + 5) '-';
+      refused
+        (Printf.sprintf "non-DNA at site %d" site)
+        [ ("A", String.make 130 'C'); ("B", Bytes.to_string seq); ("C", "AC") ]
+        "taxon \"B\" has non-DNA character 'N'")
+    [ 0; 61; 62; 123; 129 ];
+  refused "duplicate before length" [ ("A", "ACGT"); ("A", "AC") ] "duplicate taxon \"A\"";
+  refused "length before characters" [ ("A", "ACGT"); ("B", "ACGTX") ]
+    "taxon \"B\" has length 5, expected 4"
 
 let test_jc_correction () =
   (* JC correction exceeds p and inverts the expected saturation. *)

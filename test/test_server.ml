@@ -474,10 +474,38 @@ let test_listen_stale_socket () =
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
+          check Alcotest.(list string) "only the new socket" [ "stale.sock" ]
+            (Array.to_list (Sys.readdir dir));
           let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Fun.protect
             ~finally:(fun () -> Unix.close client)
             (fun () -> Unix.connect client (Unix.ADDR_UNIX path))))
+
+(* The socket listens under a temporary name before it is linked to its
+   path: once [listen_on] returns the path accepts, with no retry, and
+   the directory holds the socket and nothing else, after a refused
+   second listener too. *)
+let test_listen_no_temp_left () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "s.sock" in
+      let only what =
+        check Alcotest.(list string) what [ "s.sock" ] (Array.to_list (Sys.readdir dir))
+      in
+      let fd = Conn.listen_on (Wire.Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          only "after listen";
+          let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close client)
+            (fun () -> Unix.connect client (Unix.ADDR_UNIX path));
+          (match Conn.listen_on (Wire.Unix_path path) with
+          | second ->
+              Unix.close second;
+              Alcotest.fail "a second listener took over a live socket"
+          | exception Conn.Bind_error _ -> ());
+          only "after a refused listener"))
 
 (* Anything but a socket at the path is left alone. *)
 let test_listen_regular_file () =
@@ -1701,6 +1729,7 @@ let () =
         [
           Alcotest.test_case "live socket refused" `Quick test_listen_live_socket;
           Alcotest.test_case "stale socket rebound" `Quick test_listen_stale_socket;
+          Alcotest.test_case "no temporary name left" `Quick test_listen_no_temp_left;
           Alcotest.test_case "regular file refused" `Quick test_listen_regular_file;
         ] );
       ( "repo",
