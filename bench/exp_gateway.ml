@@ -2,24 +2,23 @@
    size, plus the HTTP caching path.
 
    The design claim: `/v1/trees/:id/overview?depth=k` is one short
-   range scan over the summary table whose cost is the cluster count at
+   scan over the summary table whose cost is the cluster count at
    the requested layer — f-fold fewer rows per resolution level
    dropped, and never the node pages — so it stays an order of
    magnitude under the full node scan as the tree grows. The
    in-process sweep measures `Summary.overview` latency and
-   `Profile.measure` page touches at three tree sizes, and contrasts the
-   precomputed path with the node-scan fallback (summary rows deleted)
-   at the largest size. The end-to-end phase serves the largest tree
-   over a real gateway socket and measures overview GET latency and the
-   conditional-GET path: after the first 200, every revalidation must
-   come back 304 Not Modified. *)
+   `Profile.measure` page touches at three tree sizes: after a handle's
+   first overview has read the layer's runs, one pin per summary page.
+   The end-to-end phase serves the largest tree over a real gateway
+   socket and measures overview GET latency and the conditional-GET
+   path: after the first 200, every revalidation must come back 304 Not
+   Modified. *)
 
 open Bench_common
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
 module Stored_tree = Crimson_core.Stored_tree
 module Summary = Crimson_core.Summary
-module Table = Crimson_storage.Table
 module Wire = Crimson_server.Wire
 module Worker_core = Crimson_server.Worker_core
 module Server = Crimson_server.Server
@@ -30,12 +29,6 @@ let reps = 40
 let conditional_gets = 50
 
 let overview_once stored = ignore (Summary.overview stored ~depth:1)
-
-let drop_summaries repo =
-  let table = Repo.summaries repo in
-  let doomed = ref [] in
-  Table.scan table (fun rid _ -> doomed := rid :: !doomed);
-  List.iter (fun rid -> ignore (Table.delete table rid)) !doomed
 
 let wait_for_socket path =
   let deadline = Unix.gettimeofday () +. 10.0 in
@@ -76,7 +69,7 @@ let stop_server pid =
   | _, _ -> Printf.eprintf "E17: server did not exit cleanly\n%!"
 
 let run () =
-  section "E17" "gateway: overview latency vs tree size, summary hits, 304 rate";
+  section "E17" "gateway: overview latency vs tree size, 304 rate";
   with_scratch_dir (fun dir ->
       (* In-process sweep: overview cost as the tree grows 16x. *)
       let table =
@@ -91,7 +84,6 @@ let run () =
             ]
       in
       let fields = ref [] in
-      let largest = ref None in
       List.iter
         (fun leaves ->
           let repo_dir = Filename.concat dir (Printf.sprintf "r%d" leaves) in
@@ -116,47 +108,13 @@ let run () =
             (Printf.sprintf "overview_pages_l%d" leaves, Json.Num (float_of_int pages))
             :: (Printf.sprintf "overview_ms_l%d" leaves, Json.Num ms)
             :: !fields;
-          if leaves = List.fold_left max 0 sizes then
-            largest := Some (repo_dir, repo, stored)
-          else Repo.close repo)
+          Repo.close repo)
         sizes;
       print_string (T.render table);
-      (* Hit ratio so far, then the fallback contrast on the largest
-         tree: drop its summary rows and measure the node-scan path. *)
-      let counter = Crimson_obs.Metrics.counter_value in
-      let hits = counter "core.summary.hit" and misses = counter "core.summary.miss" in
-      let hit_ratio =
-        if hits + misses = 0 then 0.0
-        else float_of_int hits /. float_of_int (hits + misses)
-      in
-      let repo_dir, repo, stored =
-        match !largest with Some x -> x | None -> failwith "no largest tree"
-      in
-      let fallback_ms =
-        drop_summaries repo;
-        time_mean ~reps:5 (fun () -> overview_once stored)
-      in
-      let served_ms =
-        match List.assoc_opt (Printf.sprintf "overview_ms_l%d" (List.fold_left max 0 sizes)) !fields with
-        | Some (Json.Num v) -> v
-        | _ -> 0.0
-      in
-      note "summary hit ratio %.3f; fallback scan %.3f ms vs served %.4f ms (%.0fx)"
-        hit_ratio fallback_ms served_ms
-        (if served_ms > 0.0 then fallback_ms /. served_ms else 0.0);
-      Repo.close repo;
-      (* Rebuild the largest repository (the fallback contrast deleted
-         its summary rows) and measure the gateway end to end. *)
-      let repo_dir2 = Filename.concat dir "served" in
-      let repo = Repo.open_dir repo_dir2 in
-      ignore
-        (Loader.load_tree ~f:8 repo ~name:"bench"
-           (yule (List.fold_left max 0 sizes)));
-      Repo.close repo;
-      ignore repo_dir;
+      let served_dir = Filename.concat dir (Printf.sprintf "r%d" (List.fold_left max 0 sizes)) in
       let sock = Filename.concat dir "e17.sock" in
       let hsock = Filename.concat dir "e17_http.sock" in
-      let server = fork_server ~repo_dir:repo_dir2 ~sock ~hsock in
+      let server = fork_server ~repo_dir:served_dir ~sock ~hsock in
       let http_ms, rate_304 =
         let conn =
           match Http_client.connect (Wire.Unix_path hsock) with
@@ -207,8 +165,6 @@ let run () =
         ~fields:
           (List.rev !fields
           @ [
-              ("summary_hit_ratio", Json.Num hit_ratio);
-              ("fallback_scan_ms", Json.Num fallback_ms);
               ("http_overview_ms", Json.Num http_ms);
               ("etag_304_rate", Json.Num rate_304);
             ])

@@ -1,9 +1,13 @@
 (* E6 — Loading throughput (paper §3 "Loading Data").
 
    Bulk-load trees (with and without species data) into the relational
-   repositories, including layered-index construction and all B+tree
-   index maintenance. The f ablation shows the indexing cost knob. Each
-   table row is emitted as a [load_nodes_per_s_<row>] headline field. *)
+   repositories, including layered-index construction and all index and
+   run-directory maintenance. The f ablation shows the indexing cost
+   knob. Each table row is emitted as a [load_nodes_per_s_<row>]
+   headline field. Two rows are loaded again into an on-disk repository,
+   and the pages of its paged files after close are emitted as exact
+   [disk_pages_<row>] fields, so a layout change that grows the store
+   fails bench-diff. *)
 
 open Bench_common
 module Tree = Crimson_tree.Tree
@@ -46,6 +50,24 @@ let run () =
     Repo.close repo;
     ("load_nodes_per_s_" ^ key, Json.Num rate)
   in
+  (* Pages of every heap and index file of a repository holding only
+     [tree], after close. *)
+  let disk_pages ~key tree ~f =
+    with_scratch_dir (fun dir ->
+        let repo = Repo.open_dir dir in
+        ignore (Loader.load_tree ~f repo ~name:key tree);
+        Repo.close repo;
+        let pages =
+          Array.fold_left
+            (fun acc file ->
+              if Filename.check_suffix file ".heap" || Filename.check_suffix file ".idx"
+              then acc + ((Unix.stat (Filename.concat dir file)).Unix.st_size / Crimson_storage.Page.size)
+              else acc)
+            0 (Sys.readdir dir)
+        in
+        note "%s: %d pages on disk" key pages;
+        ("disk_pages_" ^ key, Json.Num (float_of_int pages)))
+  in
   let t10k = yule 10_000 in
   let t5k = yule 5_000 in
   let seqs =
@@ -65,11 +87,15 @@ let run () =
       ]
   in
   T.print table;
+  let pages =
+    List.map
+      (fun (key, tree) -> disk_pages ~key tree ~f:8)
+      [ ("yule10k_f8", t10k); ("caterpillar50k_f8", caterpillar 50_000) ]
+  in
   note
-    "Node rows are heap appends in id order: the only per-row index work\n\
-     is a by_name entry for each named node, plus one node_runs row per\n\
-     heap page. The layers, subtrees and summaries tables carry the rest\n\
-     of the B+tree maintenance; f barely matters since higher layers\n\
-     shrink geometrically. Species data adds one chunk row per 2 KiB of\n\
-     sequence.";
-  emit_bench ~experiment:"E6" ~fields ()
+    "Node, layer, subtree and summary rows are heap appends in id order,\n\
+     with one node_runs row per heap page of each: the only per-row index\n\
+     work is a by_name entry for each named node. f barely matters since\n\
+     higher layers shrink geometrically. Species data adds one chunk row\n\
+     (and one by_chunk entry) per 2 KiB of sequence.";
+  emit_bench ~experiment:"E6" ~fields:(fields @ pages) ()

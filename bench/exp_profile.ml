@@ -1,7 +1,7 @@
 (* E13 — profiler overhead on the E11 query mix.
 
    The charge points sit on the hottest storage paths (pager frame
-   lookups, cursor steps, row decodes). Each bumps one field of the
+   lookups, B+tree finds, row decodes). Each bumps one field of the
    calling domain's cost record, always: that is all a plain query
    (Query_lang.run) pays. A profiled query (Query_lang.profile) also
    snapshots the record and the GC counters at every stage boundary.

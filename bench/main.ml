@@ -24,7 +24,7 @@ let experiments =
     ("E14", "worker fleet: throughput grid and open-loop latency", Exp_workers.run);
     ("E15", "collection store: dictionary size and bulk-query latency", Exp_collection.run);
     ("E16", "health plane: closed-loop overhead with the endpoint scraped live", Exp_obs.run);
-    ("E17", "gateway: overview latency vs tree size, summary hits, 304 rate", Exp_gateway.run);
+    ("E17", "gateway: overview latency vs tree size, 304 rate", Exp_gateway.run);
     ("micro", "bechamel micro-benchmarks", Micro.run);
   ]
 

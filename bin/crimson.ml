@@ -733,7 +733,7 @@ let profile_cmd =
       `S Manpage.s_description;
       `P "Run queries under the cost profiler and print a per-stage breakdown: \
           elapsed time, pages read/written, pager and node-cache hits/misses, \
-          bytes decoded, cursor steps, fsyncs and GC allocation. The history row \
+          bytes decoded, B+tree finds, fsyncs and GC allocation. The history row \
           records the cost summary, so $(b,crimson history) shows which past \
           queries were expensive and why. With $(b,--explain), print the plan \
           instead of executing.";

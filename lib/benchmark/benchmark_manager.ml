@@ -146,8 +146,7 @@ let run repo stored config =
         let t0 = Unix.gettimeofday () in
         let estimate = algo.infer seqs in
         let seconds = Unix.gettimeofday () -. t0 in
-        let rf = Metrics.robinson_foulds_unrooted truth estimate in
-        let rf_normalized = Metrics.robinson_foulds_unrooted_normalized truth estimate in
+        let rf, rf_normalized = Metrics.robinson_foulds_unrooted_scores truth estimate in
         (* Triplet distance is a rooted metric; root the estimate at its
            midpoint so algorithms with arbitrary output rooting (NJ) are
            not penalised for it. *)

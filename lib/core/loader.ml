@@ -3,6 +3,8 @@ module Ops = Crimson_tree.Ops
 module Layered = Crimson_label.Layered
 module Table = Crimson_storage.Table
 module Record = Crimson_storage.Record
+module Key = Crimson_storage.Key
+module Clustered = Crimson_storage.Clustered
 
 let src = Logs.Src.create "crimson.loader" ~doc:"Crimson data loader"
 
@@ -124,55 +126,45 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
       Record.VInt subtree_end.(v);
     |]
   in
-  (* Rows go in id order, so the rids the inserts return form runs of
-     consecutive slots: the run directory that locates rows by id. *)
-  let nodes_table = Repo.nodes repo in
-  let node_rows = ref 0 in
-  let rids =
-    Array.init n (fun v ->
-        let rid = Table.insert nodes_table (node_row v) in
-        incr node_rows;
-        if !node_rows mod 100_000 = 0 then
-          Log.info (fun m -> m "  … %d node rows written" !node_rows);
-        rid)
+  (* Every table below is clustered: rows go in id order, one group per
+     tree or per (tree, layer), and the directory records where each
+     run of them landed. A [nodes] run keeps its first row's [leaf_lo]
+     as its mark, for leaf ordinals. *)
+  let clustered = Repo.clustered repo in
+  let nodes =
+    Clustered.write (clustered Repo.nodes) [ tree_id ] ~rows:n
+      ~mark:(fun v -> leaf_lo.(v))
+      (fun v ->
+        if v > 0 && v mod 100_000 = 0 then
+          Log.info (fun m -> m "  … %d node rows written" v);
+        node_row v)
   in
-  let runs = Node_view.runs_of_rids rids ~leaf_lo ~subtree_end in
-  Node_view.store_runs repo ~tree:tree_id runs;
   (* Higher layers and subtree roots. *)
   let layer_rows = ref 0 in
   let subtree_rows = ref 0 in
-  for layer = 1 to Layered.layer_count ix - 1 do
-    for v = 0 to Layered.layer_node_count ix ~layer - 1 do
-      ignore
-        (Table.insert (Repo.layers repo)
-           [|
-             Record.VInt tree_id;
-             Record.VInt layer;
-             Record.VInt v;
-             Record.VInt (Layered.raw_parent ix ~layer v);
-             Record.VInt (Layered.raw_edge_index ix ~layer v);
-             Record.VInt (Layered.raw_sub ix ~layer v);
-             Record.VInt (Layered.raw_local_depth ix ~layer v);
-           |]);
-      incr layer_rows
-    done
-  done;
   for layer = 0 to Layered.layer_count ix - 1 do
-    for s = 0 to Layered.subtree_count ix ~layer - 1 do
+    let rows = Layered.layer_node_count ix ~layer in
+    if layer > 0 then begin
       ignore
-        (Table.insert (Repo.subtrees repo)
-           [|
-             Record.VInt tree_id;
-             Record.VInt layer;
-             Record.VInt s;
-             Record.VInt (Layered.raw_sub_root ix ~layer s);
-           |]);
-      incr subtree_rows
-    done
+        (Clustered.write (clustered Repo.layers) [ tree_id; layer ] ~rows (fun v ->
+             Record.
+               [|
+                 VInt tree_id; VInt layer; VInt v; VInt (Layered.raw_parent ix ~layer v);
+                 VInt (Layered.raw_edge_index ix ~layer v);
+                 VInt (Layered.raw_sub ix ~layer v);
+                 VInt (Layered.raw_local_depth ix ~layer v);
+               |]));
+      layer_rows := !layer_rows + rows
+    end;
+    let subs = Layered.subtree_count ix ~layer in
+    ignore
+      (Clustered.write (clustered Repo.subtrees) [ tree_id; layer ] ~rows:subs (fun s ->
+           Record.[| VInt tree_id; VInt layer; VInt s; VInt (Layered.raw_sub_root ix ~layer s) |]));
+    subtree_rows := !subtree_rows + subs
   done;
   (* Summary clusters ride in the same batch, before the catalog row:
      a visible tree always has its rollups. *)
-  let summary_rows = Summary.insert_all repo ~tree_id (Summary.build ix t) in
+  let summary_rows = Summary.write repo ~tree_id (Summary.build ix t) in
   (* Tree metadata last, so a crash mid-load leaves no visible tree. *)
   ignore
     (Table.insert (Repo.trees repo)
@@ -185,11 +177,11 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
          Record.VInt n_leaves;
        |]);
   let stored = Stored_tree.open_id repo tree_id in
-  (* Hand back a warm handle: the runs and leaf maps just built, and
-     views of the lowest ids — the ones species validation and the first
-     queries read — from rows still in memory, so no page is read for
-     any of them. *)
-  Stored_tree.prime stored ~runs (fun v -> Node_view.of_row (node_row v));
+  (* Hand back a warm handle: the node runs just written, their leaf
+     maps, and views of the lowest ids — the ones species validation and
+     the first queries read — from rows still in memory, so no page is
+     read for any of them. *)
+  Stored_tree.prime stored nodes ~subtree_end (fun v -> Node_view.of_row (node_row v));
   (* Species data, validated against the stored tree. *)
   let species_rows =
     match species with
@@ -201,10 +193,10 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
   Repo.flush repo;
   Log.info (fun m ->
       m "loaded %S: %d node rows, %d layer rows, %d subtree rows, %d summary rows, %d species rows"
-        name !node_rows !layer_rows !subtree_rows summary_rows species_rows);
+        name n !layer_rows !subtree_rows summary_rows species_rows);
   {
     tree = stored;
-    node_rows = !node_rows;
+    node_rows = n;
     layer_rows = !layer_rows;
     subtree_rows = !subtree_rows;
     species_rows;
@@ -283,22 +275,75 @@ let fetch_tree stored =
 
 let delete_tree repo stored =
   let tree_id = Stored_tree.id stored in
-  let drop table =
-    let rids = ref [] in
-    Table.scan table (fun rid row ->
-        if Record.get_int row 0 = tree_id then rids := rid :: !rids);
-    List.iter (fun rid -> ignore (Table.delete table rid)) !rids
-  in
   (* Metadata first so the tree disappears atomically from listings. *)
   (match
      Table.find (Repo.trees repo) ~index:"by_id" ~key:(Schema.Trees.key_id tree_id)
    with
   | Some (rid, _) -> ignore (Table.delete (Repo.trees repo) rid)
   | None -> ());
-  Node_view.delete_rows repo ~tree:tree_id ~nodes:(Stored_tree.node_count stored);
-  drop (Repo.layers repo);
-  drop (Repo.subtrees repo);
-  drop (Repo.summaries repo);
-  drop (Repo.species repo);
+  let clustered = Repo.clustered repo in
+  Clustered.delete (clustered Repo.nodes) [ tree_id ];
+  for layer = 0 to Stored_tree.layer_count stored - 1 do
+    if layer > 0 then Clustered.delete (clustered Repo.layers) [ tree_id; layer ];
+    Clustered.delete (clustered Repo.subtrees) [ tree_id; layer ];
+    Clustered.delete (clustered Repo.summaries) [ tree_id; layer ]
+  done;
+  let species = ref [] in
+  Table.iter_index (Repo.species repo) ~index:"by_chunk" ~prefix:(Key.int tree_id)
+    (fun rid _ ->
+      species := rid :: !species;
+      true);
+  List.iter (fun rid -> ignore (Table.delete (Repo.species repo) rid)) !species;
   Repo.flush repo;
   Log.info (fun m -> m "deleted tree %S" (Stored_tree.name stored))
+
+(* The groups each live tree must have, with their row counts: its node
+   count from the catalog; a layer's rows are the subtrees of the layer
+   below, and a layer's summary rows its subtrees. *)
+let check_runs repo =
+  let clustered = Repo.clustered repo in
+  let tables = [ Repo.nodes; Repo.layers; Repo.subtrees; Repo.summaries ] in
+  let expected = Hashtbl.create 64 in
+  List.iter
+    (fun (id, _) ->
+      let stored = Stored_tree.open_id repo id in
+      let expect table key rows =
+        Hashtbl.replace expected (Table.name (table repo), key) rows
+      in
+      expect Repo.nodes [ id ] (Stored_tree.node_count stored);
+      let subtrees = ref 0 in
+      for layer = 0 to Stored_tree.layer_count stored - 1 do
+        if layer > 0 then expect Repo.layers [ id; layer ] !subtrees;
+        subtrees := Clustered.size (Stored_tree.group stored Repo.subtrees ~layer);
+        if layer = Stored_tree.layer_count stored - 1 then subtrees := 1;
+        expect Repo.subtrees [ id; layer ] !subtrees;
+        expect Repo.summaries [ id; layer ] !subtrees
+      done)
+    (Stored_tree.list_all repo);
+  let problems = ref [] in
+  List.iter
+    (fun table ->
+      let c = clustered table and name = Table.name (table repo) in
+      List.iter
+        (fun key ->
+          match Hashtbl.find_opt expected (name, key) with
+          | None ->
+              problems :=
+                Printf.sprintf "%s: runs of a group no live tree has: %s" name
+                  (String.concat ", " (List.map string_of_int key))
+                :: !problems
+          | Some rows -> (
+              Hashtbl.remove expected (name, key);
+              match Clustered.check (Clustered.open_group c key) ~rows with
+              | Ok () -> ()
+              | Error e -> problems := e :: !problems))
+        (Clustered.groups c))
+    tables;
+  Hashtbl.iter
+    (fun (name, key) _ ->
+      problems :=
+        Printf.sprintf "%s: no runs for group %s" name
+          (String.concat ", " (List.map string_of_int key))
+        :: !problems)
+    expected;
+  List.sort compare !problems

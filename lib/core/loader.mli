@@ -2,11 +2,11 @@
     Data Loader, §3 "Loading Data").
 
     A tree is renumbered to dense preorder ids, its hierarchical layered
-    index is built in memory, and everything is written to the [nodes]
-    (in id order), [node_runs], [layers], [subtrees] and [summaries]
-    tables, before the tree's catalog row. Species sequences are chunked
-    into the [species] table and may also be appended to an
-    already-loaded tree. *)
+    index is built in memory, and everything is written to the clustered
+    [nodes], [layers], [subtrees] and [summaries] tables — in id order,
+    with their runs in [node_runs] — before the tree's catalog row.
+    Species sequences are chunked into the [species] table and may also
+    be appended to an already-loaded tree. *)
 
 exception Load_error of string
 
@@ -31,8 +31,8 @@ val load_tree :
     {!Load_error} on duplicate tree names or unknown species names, and
     logs progress on the [crimson.loader] source (the GUI's "messages
     about the loading status"). The returned handle already holds the
-    tree's run directory and views of its lowest ids, so its first
-    reads need no page. *)
+    tree's node runs, their leaf maps and views of its lowest ids, so
+    its first reads need no page. *)
 
 val load_structure_only :
   ?f:int -> Repo.t -> name:string -> Crimson_tree.Tree.t -> report
@@ -61,5 +61,13 @@ val fetch_tree : Stored_tree.t -> Crimson_tree.Tree.t
 
 val delete_tree : Repo.t -> Stored_tree.t -> unit
 (** Remove the tree's rows from every repository table: its catalog row
-    first, then its node rows through its runs, then the runs and the
-    rest. *)
+    first, then each of its clustered groups through its runs, then its
+    species rows through their index. No table is scanned. *)
+
+val check_runs : Repo.t -> string list
+(** The directory check, one line per problem ([[]] when none): for each
+    clustered table, the runs cover ids [0 .. n-1] of every group of
+    every live tree exactly once — [n] the tree's node count, a layer's
+    subtree count below it, one top cluster — every row decodes at its
+    own rid with its key, and no runs are left of a group that no live
+    tree has. *)

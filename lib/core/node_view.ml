@@ -3,30 +3,31 @@
    field.
 
    A view is the full node row decoded once into an immutable struct.
-   Rows are located by id through the tree's run directory (below) and
-   decoded straight off their pinned heap page. Views live in a bounded
-   LRU, and a miss reads its own row and nothing else: what is left on
-   the cached path is layered LCA climbs, whose working set is their
-   label path, not neighbouring ids, so rows read on speculation would
-   go unused and evict the views the next LCA needs. Layer rows and
-   subtree roots are cached too, one index lookup per miss, so the
-   Layered engine's whole working set is cached.
+   Rows of [nodes], [layers] and [subtrees] are clustered tables (see
+   [Crimson_storage.Clustered]): located by id through their run
+   directory and decoded straight off their pinned heap page. Views live
+   in a bounded LRU, and a miss reads its own row and nothing else: what
+   is left on the cached path is layered LCA climbs, whose working set
+   is their label path, not neighbouring ids, so rows read on
+   speculation would go unused and evict the views the next LCA needs.
+   Layer rows and subtree roots are cached too, one directory read per
+   miss, so the Layered engine's whole working set is cached.
 
    Invalidation: repositories are read-mostly. Loads create new tree ids
    (never touching existing rows), and [Loader.delete_tree] orphans every
    open handle of that tree: its rows become tombstones, which read as
-   missing. [Table.vacuum] must never run on [nodes]: it renumbers rids,
-   and the run directory would then point at other rows. Every decoded
-   row is checked against the (tree, node) it was read for, so that
+   missing. [Table.vacuum] must never run on a clustered table: it
+   renumbers rids, and the directory would then point at other rows.
+   Every decoded row is checked against the key it was read for, so that
    shows up as [Error.Corrupt_page], never as a wrong answer.
-   [invalidate] exists for belt-and-braces callers; it keeps the runs
-   and their leaf maps, which describe where rows lie and which rows
-   are leaves, and no load or delete changes either under a handle. *)
+   [invalidate] exists for belt-and-braces callers; it keeps the
+   directory groups and the leaf maps, which describe where rows lie and
+   which rows are leaves, and no load or delete changes either under a
+   handle. *)
 
 module Table = Crimson_storage.Table
 module Record = Crimson_storage.Record
-module Heap = Crimson_storage.Heap
-module Error = Crimson_storage.Error
+module Clustered = Crimson_storage.Clustered
 module Metrics = Crimson_obs.Metrics
 module Span = Crimson_obs.Span
 module Json = Crimson_obs.Json
@@ -67,14 +68,6 @@ let of_row row =
     leaf_lo = Record.get_int row Schema.Nodes.c_leaf_lo;
     leaf_hi = Record.get_int row Schema.Nodes.c_leaf_hi;
     subtree_end = Record.get_int row Schema.Nodes.c_subtree_end;
-  }
-
-let layer_of_row row =
-  {
-    l_parent = Record.get_int row Schema.Layers.c_parent;
-    l_edge_index = Record.get_int row Schema.Layers.c_edge_index;
-    l_sub = Record.get_int row Schema.Layers.c_sub;
-    l_local_depth = Record.get_int row Schema.Layers.c_local_depth;
   }
 
 (* Hits, misses and evictions are charged to the cost record, which
@@ -156,32 +149,16 @@ module Lru = struct
   let length t = Hashtbl.length t.tbl
 end
 
-(* ---------------------------- Node runs ---------------------------- *)
-(* The loader writes a tree's rows for ids 0 .. n-1 in order, so each
-   heap page holds consecutive ids in consecutive slots. A run starts
-   wherever the page changes or the slot is not the previous slot + 1
-   (a tree's first run may share its page with the previous tree's
-   last rows; tombstones never split a live tree's runs because slots
-   are never reused). One directory entry per run — its first id, that
-   row's rid and its [leaf_lo] — is about one entry per heap page, and
-   locating id [i] is a binary search plus [rid + (i - first)]: slots
-   are the low bits of a rid.
-
-   Each run also has a leaf map in memory, one bit per row, set where
-   the row is a leaf ([subtree_end = node]). A leaf's ordinal is the
-   number of leaves before it in preorder, so the leaf with ordinal [o]
-   is in the last run whose first [leaf_lo] is at most [o], at the
-   [(o - leaf_lo)]th set bit of that run's map. The maps are not stored:
+(* ---------------------------- Leaf maps ---------------------------- *)
+(* Each run of the tree's [nodes] group has a leaf map in memory, one
+   bit per row, set where the row is a leaf ([subtree_end = node]). The
+   directory keeps each run's first [leaf_lo] as its mark. A leaf's
+   ordinal is the number of leaves before it in preorder, so the leaf
+   with ordinal [o] is in the last run whose mark is at most [o], at the
+   [(o - mark)]th set bit of that run's map. The maps are not stored:
    the loader builds them from the [subtree_end] array it wrote, and a
-   handle that read its runs from [node_runs] fills a run's map the
+   handle that read its runs from the directory fills a run's map the
    first time an ordinal lands in that run. *)
-
-type runs = {
-  firsts : int array; (* ascending, [firsts.(0) = 0] *)
-  rids : int array;
-  leaf_los : int array; (* never decreasing *)
-  leaf_maps : Bytes.t array; (* [Bytes.empty] until filled *)
-}
 
 let empty_map rows = Bytes.make ((rows + 7) / 8) '\000'
 
@@ -210,72 +187,16 @@ let select map k =
   in
   if k < 0 then -1 else go 0 k
 
-(* The last id of the run starting at [firsts.(r)]. *)
-let run_last firsts ~nodes r =
-  if r + 1 < Array.length firsts then firsts.(r + 1) - 1 else nodes - 1
-
-let runs_of_rids rids ~leaf_lo ~subtree_end =
-  let n = Array.length rids in
-  let starts_run i =
-    i = 0
-    || Heap.rid_page rids.(i) <> Heap.rid_page rids.(i - 1)
-    || Heap.rid_slot rids.(i) <> Heap.rid_slot rids.(i - 1) + 1
-  in
-  let firsts = List.filter starts_run (List.init n Fun.id) |> Array.of_list in
-  let leaf_map r =
-    let first = firsts.(r) and last = run_last firsts ~nodes:n r in
-    let map = empty_map (last - first + 1) in
-    for v = first to last do
-      if subtree_end.(v) = v then set_bit map (v - first)
-    done;
-    map
-  in
-  {
-    firsts;
-    rids = Array.map (fun i -> rids.(i)) firsts;
-    leaf_los = Array.map (fun i -> leaf_lo.(i)) firsts;
-    leaf_maps = Array.init (Array.length firsts) leaf_map;
-  }
-
-let store_runs repo ~tree runs =
-  Array.iteri
-    (fun r first ->
-      ignore
-        (Table.insert (Repo.node_runs repo)
-           [|
-             Record.VInt tree; Record.VInt first; Record.VInt runs.rids.(r);
-             Record.VInt runs.leaf_los.(r);
-           |]))
-    runs.firsts
-
-(* The tree's directory rows, ascending by first id, with their rids. *)
-let run_rows repo ~tree =
-  let acc = ref [] in
-  Table.iter_index (Repo.node_runs repo) ~index:"by_first"
-    ~prefix:(Schema.Node_runs.key_tree tree) (fun rid row ->
-      acc := (rid, row) :: !acc;
-      true);
-  List.rev !acc
-
-let load_runs repo ~tree =
-  let rows = Array.of_list (List.map snd (run_rows repo ~tree)) in
-  let col c = Array.map (fun row -> Record.get_int row c) rows in
-  {
-    firsts = col Schema.Node_runs.c_first;
-    rids = col Schema.Node_runs.c_rid;
-    leaf_los = col Schema.Node_runs.c_leaf_lo;
-    leaf_maps = Array.make (Array.length rows) Bytes.empty;
-  }
-
-(* The last index [r] with [a.(r) <= x], or -1. *)
-let last_le a x =
-  let rec go lo hi = (* a.(lo) <= x < a.(hi + 1), answer in [lo, hi] *)
+(* The last run whose mark is at most [x], or -1. *)
+let run_by_mark (runs : Clustered.run array) x =
+  let rec go lo hi = (* runs.(lo).mark <= x < runs.(hi + 1).mark *)
     if lo >= hi then lo
     else
       let mid = (lo + hi + 1) / 2 in
-      if a.(mid) <= x then go mid hi else go lo (mid - 1)
+      if runs.(mid).mark <= x then go mid hi else go lo (mid - 1)
   in
-  if Array.length a = 0 || a.(0) > x then -1 else go 0 (Array.length a - 1)
+  if Array.length runs = 0 || runs.(0).mark > x then -1
+  else go 0 (Array.length runs - 1)
 
 (* ------------------------------ Cache ------------------------------ *)
 
@@ -283,8 +204,9 @@ type cache = {
   repo : Repo.t;
   tree : int;
   nodes : int; (* ids are [0, nodes) *)
-  mutable runs : runs option; (* loaded on the first read that needs them *)
-  mutable run_hint : int; (* the run of the last id located *)
+  mutable node_group : Clustered.group option; (* read on first use *)
+  mutable leaf_maps : Bytes.t array; (* per run; [Bytes.empty] until filled *)
+  groups : (string * int, Clustered.group) Hashtbl.t; (* (table, layer) *)
   views : (int, t) Lru.t;
   layer_views : (int * int, layer_view) Lru.t; (* (layer, node) *)
   sub_roots : (int * int, int) Lru.t; (* (layer, sub) *)
@@ -298,8 +220,9 @@ let create_cache ?(capacity = default_capacity) repo ~tree ~nodes =
     repo;
     tree;
     nodes;
-    runs = None;
-    run_hint = 0;
+    node_group = None;
+    leaf_maps = [||];
+    groups = Hashtbl.create 8;
     views = Lru.create capacity;
     layer_views = Lru.create (max 8 (capacity / 4));
     sub_roots = Lru.create (max 8 (capacity / 4));
@@ -307,67 +230,23 @@ let create_cache ?(capacity = default_capacity) repo ~tree ~nodes =
 
 let capacity c = c.views.Lru.capacity
 
-let runs c =
-  match c.runs with
-  | Some runs -> runs
+let node_group c =
+  match c.node_group with
+  | Some g -> g
   | None ->
-      let runs = load_runs c.repo ~tree:c.tree in
-      c.runs <- Some runs;
-      runs
+      let g = Clustered.open_group (Repo.clustered c.repo Repo.nodes) [ c.tree ] in
+      c.node_group <- Some g;
+      c.leaf_maps <- Array.make (Array.length (Clustered.runs g)) Bytes.empty;
+      g
 
-(* The rid of id [n] (in [0, nodes)), or -1 when the directory has no
-   run for it. Sequential reads stay in the hinted run: no search. *)
-let rid_of c n =
-  let runs = runs c in
-  let count = Array.length runs.firsts in
-  let r = c.run_hint in
-  let r =
-    if r < count && runs.firsts.(r) <= n && (r + 1 = count || n < runs.firsts.(r + 1))
-    then r
-    else begin
-      let r = last_le runs.firsts n in
-      if r >= 0 then c.run_hint <- r;
-      r
-    end
-  in
-  if r < 0 then -1 else runs.rids.(r) + (n - runs.firsts.(r))
-
-let corrupt c fmt =
-  Printf.ksprintf
-    (fun detail ->
-      let file =
-        match Repo.dir c.repo with
-        | Some dir -> Filename.concat dir "nodes.heap"
-        | None -> "nodes.heap"
-      in
-      Error.fail (Error.Corrupt_page { file; detail }))
-    fmt
-
-(* Decode the row at [rid], held in [page] at [off], checking it is the
-   row of ([c.tree], [n]). [decode] reads the fields after the two key
-   columns. *)
-let check_row c n rid decode page off len =
-  let r = Record.Reader.create page ~off ~len in
-  let tree = Record.Reader.int r in
-  let node = Record.Reader.int r in
-  if tree <> c.tree || node <> n then
-    corrupt c "rid %s holds node %d of tree %d, not node %d of tree %d"
-      (Heap.rid_to_string rid) node tree n c.tree;
-  decode r
-
-(* [f ()] reading the rows of nodes [first .. last] from [rid], with a
-   short or malformed row reported as corrupt. *)
-let reading c ~first ~last rid f =
-  try f ()
-  with Invalid_argument msg | Crimson_util.Codec.Corrupt msg | Record.Type_error msg ->
-    let nodes = if first = last then string_of_int first else Printf.sprintf "%d..%d" first last in
-    corrupt c "node %s of tree %d at rid %s: %s" nodes c.tree (Heap.rid_to_string rid) msg
-
-(* Decode the row of ([c.tree], [n]) at [rid] straight off its pinned
-   page. [None] for a tombstone (a deleted tree). *)
-let read_row c n rid decode =
-  reading c ~first:n ~last:n rid (fun () ->
-      Table.with_payload (Repo.nodes c.repo) rid (check_row c n rid decode))
+let group c table ~layer =
+  let key = (Table.name (table c.repo), layer) in
+  match Hashtbl.find_opt c.groups key with
+  | Some g -> g
+  | None ->
+      let g = Clustered.open_group (Repo.clustered c.repo table) [ c.tree; layer ] in
+      Hashtbl.replace c.groups key g;
+      g
 
 (* Columns in [Schema.Nodes] order after (tree, node). *)
 let decode_view node r =
@@ -397,14 +276,8 @@ let decode_view node r =
     subtree_end;
   }
 
-let read_view c n =
-  if n < 0 || n >= c.nodes then None
-  else
-    let rid = rid_of c n in
-    if rid < 0 then None else read_row c n rid (decode_view n)
-
-(* A miss reads its own row: one run-directory search, one page pin,
-   one checked decode and one LRU admission. *)
+(* A miss reads its own row: one directory search, one page pin, one
+   checked decode and one LRU admission. *)
 let fetch_node c n =
   Span.record_traced h_fetch
     ~attrs:(fun () ->
@@ -414,7 +287,7 @@ let fetch_node c n =
         ("node", Json.Num (float_of_int n));
       ])
     (fun () ->
-      let v = read_view c n in
+      let v = Clustered.find (node_group c) n (decode_view n) in
       Option.iter (Lru.add c.views n) v;
       v)
 
@@ -436,48 +309,54 @@ let find c n =
 
 let node c n = match find c n with Some v -> v | None -> raise (Unknown_node n)
 
-let prime c ~runs ~count view_of =
-  c.runs <- Some runs;
-  for n = 0 to min count c.views.Lru.capacity - 1 do
+let prime c group ~subtree_end view_of =
+  c.node_group <- Some group;
+  c.leaf_maps <-
+    Array.map
+      (fun (run : Clustered.run) ->
+        let map = empty_map run.rows in
+        for i = 0 to run.rows - 1 do
+          if subtree_end.(run.first + i) = run.first + i then set_bit map i
+        done;
+        map)
+      (Clustered.runs group);
+  for n = 0 to min c.nodes c.views.Lru.capacity - 1 do
     Lru.add c.views n (view_of n)
   done
 
 (* Run [r]'s leaf map, filled on first use: one page pin, each of the
    run's rows checked and decoded off it, none admitted. [None] when a
    row is gone (a deleted tree). *)
-let leaf_map c runs r =
-  let map = runs.leaf_maps.(r) in
+let leaf_map c g r =
+  let map = c.leaf_maps.(r) in
   if Bytes.length map > 0 then Some map
   else
-    let first = runs.firsts.(r) and last = run_last runs.firsts ~nodes:c.nodes r in
-    let rid = runs.rids.(r) and rows = last - first + 1 in
-    let map = empty_map rows in
-    let live =
-      reading c ~first ~last rid (fun () ->
-          Table.with_payloads (Repo.nodes c.repo) rid ~count:rows (fun i ->
-              let n = first + i in
-              check_row c n (rid + i) (fun r ->
-                  if (decode_view n r).subtree_end = n then set_bit map i)))
-    in
-    if live < rows then None
+    let run = (Clustered.runs g).(r) in
+    let map = empty_map run.rows and seen = ref 0 in
+    Clustered.scan g ~lo:run.first ~hi:(run.first + run.rows - 1) decode_view (fun v ->
+        incr seen;
+        if v.subtree_end = v.node then set_bit map (v.node - run.first);
+        v.node + 1);
+    if !seen < run.rows then None
     else begin
-      runs.leaf_maps.(r) <- map;
+      c.leaf_maps.(r) <- map;
       Some map
     end
 
 let leaf_by_ordinal c o =
   Crimson_obs.Deadline.check ();
-  let runs = runs c in
-  let r = if o < 0 then -1 else last_le runs.leaf_los o in
+  let g = node_group c in
+  let runs = Clustered.runs g in
+  let r = if o < 0 then -1 else run_by_mark runs o in
   if r < 0 then None
   else
-    match leaf_map c runs r with
+    match leaf_map c g r with
     | None -> None
     | Some map -> (
-        let i = select map (o - runs.leaf_los.(r)) in
+        let i = select map (o - runs.(r).mark) in
         if i < 0 then None
         else
-          let leaf = runs.firsts.(r) + i in
+          let leaf = runs.(r).first + i in
           match find c leaf with
           | Some v when v.subtree_end = leaf && v.leaf_lo = o -> Some leaf
           | Some _ | None -> None)
@@ -485,8 +364,8 @@ let leaf_by_ordinal c o =
 (* A sequential run — a frontier, a clade, a whole tree — reads each row
    once, so admitting it to the LRU would only evict the working set of
    the random lookups around it. The scan decodes rows off their pages
-   instead, and a jump past the next id costs nothing: the runs locate
-   any id. *)
+   instead, pinning each page once, and a jump past the next id costs
+   nothing: the directory locates any id. *)
 let h_scan = Metrics.histogram "core.node_scan.ms"
 
 let scan c ~lo ~hi f =
@@ -499,36 +378,17 @@ let scan c ~lo ~hi f =
         ("hi", Json.Num (float_of_int hi));
       ])
     (fun () ->
-      let hi = min hi (c.nodes - 1) in
-      let rec go n =
-        if n <= hi then begin
+      Clustered.scan (node_group c) ~lo ~hi:(min hi (c.nodes - 1)) decode_view (fun v ->
           Crimson_obs.Deadline.check ();
-          match read_view c n with
-          | None -> ()
-          | Some v ->
-              incr rows;
-              let next = f v in
-              if next > n + 1 then incr jumps;
-              go (max next (n + 1))
-        end
-      in
-      go (max lo 0);
+          incr rows;
+          let next = f v in
+          if next > v.node + 1 then incr jumps;
+          next);
       Span.attr "rows" (Json.Num (float_of_int !rows));
       Span.attr "jumps" (Json.Num (float_of_int !jumps)))
 
-(* Every node row of the tree, through its runs, then the runs. Each row
-   is checked to be the tree's before it goes. *)
-let delete_rows repo ~tree ~nodes =
-  let c = create_cache repo ~tree ~nodes ~capacity:1 in
-  let table = Repo.nodes repo in
-  for n = 0 to nodes - 1 do
-    let rid = rid_of c n in
-    if rid >= 0 && read_row c n rid ignore <> None then ignore (Table.delete table rid)
-  done;
-  List.iter
-    (fun (rid, _) -> ignore (Table.delete (Repo.node_runs repo) rid))
-    (run_rows repo ~tree)
-
+(* Layer rows and subtree roots: one cached directory group per
+   (table, layer), then one checked read per miss. *)
 let layer_view c ~layer n =
   Crimson_obs.Deadline.check ();
   match Lru.find c.layer_views (layer, n) with
@@ -537,6 +397,15 @@ let layer_view c ~layer n =
       v
   | None -> (
       Crimson_obs.Cost.cache_miss ();
+      let decode r =
+        let module R = Record.Reader in
+        let l_parent = R.int r in
+        let l_edge_index = R.int r in
+        let l_sub = R.int r in
+        let l_local_depth = R.int r in
+        R.finish r;
+        { l_parent; l_edge_index; l_sub; l_local_depth }
+      in
       let row =
         Span.record_traced h_fetch
           ~attrs:(fun () ->
@@ -546,13 +415,10 @@ let layer_view c ~layer n =
               ("layer", Json.Num (float_of_int layer));
               ("node", Json.Num (float_of_int n));
             ])
-          (fun () ->
-            Table.find (Repo.layers c.repo) ~index:"by_node"
-              ~key:(Schema.Layers.key_node ~tree:c.tree ~layer n))
+          (fun () -> Clustered.find (group c Repo.layers ~layer) n decode)
       in
       match row with
-      | Some (_, row) ->
-          let v = layer_of_row row in
+      | Some v ->
           Lru.add c.layer_views (layer, n) v;
           v
       | None -> raise (Unknown_node n))
@@ -565,12 +431,13 @@ let sub_root c ~layer s =
       root
   | None -> (
       Crimson_obs.Cost.cache_miss ();
-      match
-        Table.find (Repo.subtrees c.repo) ~index:"by_sub"
-          ~key:(Schema.Subtrees.key_sub ~tree:c.tree ~layer s)
-      with
-      | Some (_, row) ->
-          let root = Record.get_int row Schema.Subtrees.c_root in
+      let decode r =
+        let root = Record.Reader.int r in
+        Record.Reader.finish r;
+        root
+      in
+      match Clustered.find (group c Repo.subtrees ~layer) s decode with
+      | Some root ->
           Lru.add c.sub_roots (layer, s) root;
           root
       | None -> raise (Unknown_node s))

@@ -2,29 +2,33 @@
     {!Stored_tree} accessor.
 
     A view is one node row decoded once into an immutable struct. Rows
-    are located through the tree's run directory ({!runs}, persisted in
-    [node_runs]): a binary search on ids, one page pin, and a decode
-    straight off the pinned page with no payload copy. The cache bounds
-    how many views stay resident, and a miss reads its own row and no
-    other: the cached path is layered LCA climbs, whose working set is
-    their label path, not neighbouring ids.
+    of [nodes], [layers] and [subtrees] live in clustered tables (see
+    [Crimson_storage.Clustered]): a directory search, one page pin, and
+    a decode straight off the pinned page with no payload copy. A cache
+    reads each directory group it needs — the tree's [nodes] group, a
+    (tree, layer) group of the others — once. It bounds how many views
+    stay resident, and a miss reads its own row and no other: the cached
+    path is layered LCA climbs, whose working set is their label path,
+    not neighbouring ids.
 
     Sequential runs that read each row once — a time-sampling frontier,
     a clade, a whole tree — use {!scan} instead, which streams rows past
-    the cache so they do not evict the random-access working set.
+    the cache, pinning each page once, so they do not evict the
+    random-access working set.
 
     Leaf ordinals resolve through a leaf map per run, one bit per row,
     held in memory beside the directory ({!leaf_by_ordinal}): a
     directory search, a select in the map and one {!find}. The loader
-    hands a fresh handle every map; a handle that read its runs from
-    [node_runs] fills a run's map from the run's page the first time an
+    hands a fresh handle every map; a handle that read its runs from the
+    directory fills a run's map from the run's page the first time an
     ordinal lands in it.
 
-    Every row read is checked to be the (tree, node) it was read for; a
-    mismatch raises [Crimson_storage.Error.Error (Corrupt_page _)]
-    naming [nodes.heap], never returns another node's row.
-    [Table.vacuum] on [nodes] would cause one, because it renumbers rids;
-    nothing vacuums [nodes].
+    Every row read is checked to be the (tree, node) — or (tree, layer,
+    id) — it was read for; a mismatch raises
+    [Crimson_storage.Error.Error (Corrupt_page _)] naming the table's
+    heap file, never returns another row. [Table.vacuum] on a clustered
+    table would cause one, because it renumbers rids; nothing vacuums
+    them.
 
     Telemetry: hits, misses and evictions are charged to the calling
     domain's {!Crimson_obs.Cost} record, which backs the
@@ -63,29 +67,6 @@ type layer_view = {
 val of_row : Record.value array -> t
 (** Decode a [Schema.Nodes] row. *)
 
-(** {1 The run directory} *)
-
-type runs
-(** Where a tree's rows lie in the [nodes] heap: one entry per run of
-    consecutive ids in consecutive slots of one page, holding the run's
-    first id, that row's rid and its [leaf_lo] (see
-    {!Schema.Node_runs}). Each run also has a leaf map, kept in memory
-    only: one bit per row, set where the row is a leaf. *)
-
-val runs_of_rids :
-  Crimson_storage.Heap.rid array -> leaf_lo:int array -> subtree_end:int array -> runs
-(** The runs of rows written for ids [0 .. n-1], given the rid each
-    insert returned and each node's [leaf_lo] and [subtree_end], with
-    every run's leaf map filled. *)
-
-val store_runs : Repo.t -> tree:int -> runs -> unit
-(** Insert the runs into [node_runs]. *)
-
-val delete_rows : Repo.t -> tree:int -> nodes:int -> unit
-(** Delete the tree's [nodes] rows through its runs, then the runs.
-    Raises [Corrupt_page] rather than delete a row that is not the
-    tree's. *)
-
 (** {1 The cache} *)
 
 type cache
@@ -98,9 +79,15 @@ val capacity : cache -> int
 val create_cache : ?capacity:int -> Repo.t -> tree:int -> nodes:int -> cache
 (** A cache for one stored tree of [nodes] nodes. [capacity] bounds
     resident node views (layer rows and subtree roots get a quarter
-    each, minimum 8). A node miss reads and admits its own row; a layer
-    miss is one [layers.by_node] lookup. The tree's runs are read on the
-    first access that needs them, not here. *)
+    each, minimum 8). A miss of any of them reads and admits its own
+    row. Directory groups are read on the first access that needs them,
+    not here. *)
+
+val group :
+  cache -> (Repo.t -> Crimson_storage.Table.t) -> layer:int -> Crimson_storage.Clustered.group
+(** [group c table ~layer] is the tree's (tree, layer) group of a
+    clustered table other than [nodes] ([Repo.layers], [Repo.subtrees],
+    [Repo.summaries]), its directory rows read on first use and kept. *)
 
 val find : cache -> int -> t option
 (** [None] when the node does not exist. *)
@@ -110,17 +97,19 @@ val node : cache -> int -> t
 
 val leaf_by_ordinal : cache -> int -> int option
 (** Node id of the leaf with the given preorder ordinal, [None] when out
-    of range: a binary search of the runs on [leaf_lo], a select in that
-    run's leaf map and one {!find}, which admits the leaf's view. A run
+    of range: a binary search of the runs on their first [leaf_lo], a
+    select in that run's leaf map and one {!find}, which admits the leaf's view. A run
     whose map is not filled yet is read first: one page pin, every row
     checked and decoded off the page, none admitted. *)
 
-val prime : cache -> runs:runs -> count:int -> (int -> t) -> unit
-(** [prime c ~runs ~count view_of] adopts the tree's runs, leaf maps
-    included, and admits [view_of n] for the ids
-    [0 .. min count capacity - 1], with no storage reads. The loader
-    uses it to hand back a warm handle built from the rows it just
-    wrote; the views must equal what {!of_row} decodes from them. *)
+val prime :
+  cache -> Crimson_storage.Clustered.group -> subtree_end:int array -> (int -> t) -> unit
+(** [prime c nodes ~subtree_end view_of] adopts the tree's [nodes]
+    group, builds every run's leaf map from [subtree_end], and admits
+    [view_of n] for the ids [0 .. min nodes capacity - 1], with no
+    storage reads. The loader uses it to hand back a warm handle built
+    from the rows it just wrote; the views must equal what {!of_row}
+    decodes from them. *)
 
 val scan : cache -> lo:int -> hi:int -> (t -> int) -> unit
 (** Stream the views of ids [lo .. hi] in ascending order, decoded off
@@ -138,8 +127,8 @@ val sub_root : cache -> layer:int -> int -> int
 
 val invalidate : cache -> unit
 (** Drop every cached view. Only needed if a handle is reused across a
-    mutation of its tree's rows, which the loader never does. The runs
-    and their leaf maps stay. *)
+    mutation of its tree's rows, which the loader never does. The
+    directory groups and the leaf maps stay. *)
 
 val resident : cache -> int
 (** How many views, layer rows and sub-roots the cache holds. *)

@@ -272,8 +272,8 @@ let plan stored { fn; args } =
           resolve_step (List.length species);
           step "layered LCA: fold pairwise over %d nodes" (List.length species);
           step
-            "each pair climbs the layer decomposition: O(layers) = O(%d) layer rows, \
-             each a sub-root lookup in subtrees.by_sub"
+            "each pair climbs the layer decomposition: O(layers) = O(%d) layer rows \
+             and sub-roots, each a miss read through the run directory"
             layers;
           step "node views served by the node-view LRU cache (a miss reads its own row)";
         ]
@@ -363,9 +363,8 @@ let plan stored { fn; args } =
         [
           step "pick the serving layer from catalog metadata (%d layers)" layers;
           step
-            "range scan of summaries.by_sub over one (tree, layer) prefix: \
-             O(clusters) rows, independent of tree size";
-          step "fallback for pre-summary trees: full scan of the tree's node rows";
+            "scan of the summaries rows of one (tree, layer), through the run \
+             directory, each page pinned once: O(clusters) rows, independent of tree size";
         ]
     | "overview", _ -> bad "overview needs () or (depth)"
     | fn, _ -> bad "unknown function %S (see 'crimson query --help')" fn

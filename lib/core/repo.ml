@@ -1,6 +1,7 @@
 module Database = Crimson_storage.Database
 module Table = Crimson_storage.Table
 module Record = Crimson_storage.Record
+module Clustered = Crimson_storage.Clustered
 
 type t = {
   db : Database.t;
@@ -20,139 +21,44 @@ type t = {
 
 let dir_label db = match Database.dir db with Some d -> d | None -> "<mem>"
 
-(* Open the Query Repository, migrating repositories written before the
-   telemetry columns existed: their rows re-insert under the new schema
-   with elapsed_ms = 0 and pages = 0 (cost unknown, not free — but zero
-   is the honest sentinel the decoder can promise). *)
-let open_queries db =
-  let open_with schema =
-    Database.table db ~name:"queries" ~schema ~indexes:Schema.Queries.indexes
-  in
-  (* Reopen under [schema], re-inserting every row padded out to the
-     current layout. Rows from before a column existed read as zero-cost
-     (the honest sentinel the decoder can promise). *)
-  let migrate_from schema ~pad =
-    let legacy = open_with schema in
-    let rows = ref [] in
-    Table.scan legacy (fun _ row -> rows := row :: !rows);
-    Database.drop_table db "queries";
-    let tbl = open_with Schema.Queries.schema in
-    List.iter
-      (fun row -> ignore (Table.insert tbl (Array.append row pad)))
-      (List.rev !rows);
-    tbl
-  in
-  match open_with Schema.Queries.schema with
-  | tbl -> tbl
-  | exception Database.Schema_mismatch _ when Database.mode db = Database.Read_only
-    ->
-      (* Migration re-inserts every row under the new layout — a write.
-         A read-only open cannot do it; one read-write open migrates the
-         repository for every subsequent reader. *)
-      Crimson_storage.Error.fail
-        (Crimson_storage.Error.Read_only
-           {
-             file = dir_label db;
-             op = "migrate legacy queries schema (open read-write once)";
-           })
-  | exception Database.Schema_mismatch _ -> (
-      match migrate_from Schema.Queries.legacy_schema_v1 ~pad:[| Record.VText "" |] with
-      | tbl -> tbl
-      | exception Database.Schema_mismatch _ ->
-          migrate_from Schema.Queries.legacy_schema
-            ~pad:[| Record.VFloat 0.0; Record.VInt 0; Record.VText "" |])
-
 exception Open_error of string
 
 let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
 
+(* The layout of every table below. A repository records it in its
+   catalog when created; any other version is refused, not migrated. *)
+let format_version = 1
+
+let check_version db =
+  match Database.version db with
+  | v when v = format_version -> ()
+  | 0 when Database.table_names db = [] -> Database.set_version db format_version
+  | v ->
+      open_error
+        "cannot open repository %s: it has format version %d, and this version reads \
+         format version %d only; re-load its trees with this version"
+        (dir_label db) v format_version
+
 let open_tables db =
-  let trees =
-    Database.table db ~name:"trees" ~schema:Schema.Trees.schema
-      ~indexes:Schema.Trees.indexes
-  in
-  let nodes =
-    match
-      Database.table db ~name:"nodes" ~schema:Schema.Nodes.schema
-        ~indexes:Schema.Nodes.indexes
-    with
-    | tbl -> tbl
-    | exception Database.Schema_mismatch _ ->
-        (* Node rows in an older layout are refused, not migrated: a
-           rewrite would drop the table before re-inserting its rows, and
-           without an atomic table swap a crash half-way would lose every
-           tree. The message names what the catalog holds. *)
-        let schema, indexes = Option.get (Database.stored_layout db "nodes") in
-        let found =
-          if not (Array.exists (fun (c, _) -> c = "subtree_end") schema) then
-            "lacks the subtree_end column"
-          else
-            Printf.sprintf "has the index set [%s], not [%s]"
-              (String.concat ", " indexes)
-              (String.concat ", "
-                 (List.map (fun (s : Table.index_spec) -> s.index_name)
-                    Schema.Nodes.indexes))
-        in
-        open_error
-          "cannot open repository %s: table nodes %s (written by an older version); \
-           re-load its trees with this version"
-          (dir_label db) found
-  in
+  check_version db;
+  let table name schema indexes = Database.table db ~name ~schema ~indexes in
+  (* One at a time: a new repository lists them in its catalog in this
+     order. *)
+  let trees = table "trees" Schema.Trees.schema Schema.Trees.indexes in
+  let nodes = table "nodes" Schema.Nodes.schema Schema.Nodes.indexes in
   let node_runs =
-    Database.table db ~name:"node_runs" ~schema:Schema.Node_runs.schema
-      ~indexes:Schema.Node_runs.indexes
+    table "node_runs" Clustered.directory_schema Clustered.directory_indexes
   in
-  let layers =
-    Database.table db ~name:"layers" ~schema:Schema.Layers.schema
-      ~indexes:Schema.Layers.indexes
-  in
-  let subtrees =
-    Database.table db ~name:"subtrees" ~schema:Schema.Subtrees.schema
-      ~indexes:Schema.Subtrees.indexes
-  in
-  let species =
-    Database.table db ~name:"species" ~schema:Schema.Species.schema
-      ~indexes:Schema.Species.indexes
-  in
-  let queries = open_queries db in
-  (* The collection and summary tables arrived after repositories
-     already existed in the wild. A read-write open creates them (empty)
-     on the spot; a read-only open of an older repository cannot, and
-     refuses with the same typed advice the queries migration gives. *)
-  (if Database.mode db = Database.Read_only then
-     let existing = Database.table_names db in
-     let missing =
-       List.filter
-         (fun t -> not (List.mem t existing))
-         [ "collections"; "summaries" ]
-     in
-     match missing with
-     | [] -> ()
-     | names ->
-         Crimson_storage.Error.fail
-           (Crimson_storage.Error.Read_only
-              {
-                file = dir_label db;
-                op =
-                  Printf.sprintf "create %s tables (open read-write once)"
-                    (String.concat "/" names);
-              }));
-  let summaries =
-    Database.table db ~name:"summaries" ~schema:Schema.Summaries.schema
-      ~indexes:Schema.Summaries.indexes
-  in
+  let layers = table "layers" Schema.Layers.schema [] in
+  let subtrees = table "subtrees" Schema.Subtrees.schema [] in
+  let species = table "species" Schema.Species.schema Schema.Species.indexes in
+  let queries = table "queries" Schema.Queries.schema Schema.Queries.indexes in
+  let summaries = table "summaries" Schema.Summaries.schema [] in
   let collections =
-    Database.table db ~name:"collections" ~schema:Schema.Collections.schema
-      ~indexes:Schema.Collections.indexes
+    table "collections" Schema.Collections.schema Schema.Collections.indexes
   in
-  let bips =
-    Database.table db ~name:"bips" ~schema:Schema.Bips.schema
-      ~indexes:Schema.Bips.indexes
-  in
-  let members =
-    Database.table db ~name:"members" ~schema:Schema.Members.schema
-      ~indexes:Schema.Members.indexes
-  in
+  let bips = table "bips" Schema.Bips.schema Schema.Bips.indexes in
+  let members = table "members" Schema.Members.schema Schema.Members.indexes in
   {
     db;
     trees;
@@ -225,6 +131,7 @@ let queries t = t.queries
 let collections t = t.collections
 let bips t = t.bips
 let members t = t.members
+let clustered t table = Clustered.create (table t) ~directory:t.node_runs
 
 let flush t = Database.flush t.db
 let close t = Database.close t.db

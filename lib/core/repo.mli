@@ -15,13 +15,15 @@ exception Open_error of string
     [Unix_error] escapes, so servers and the CLI can report startup
     failures cleanly.
 
-    A repository whose [nodes] table is in an older layout (see
-    {!Schema.Nodes}) is refused in either mode, with a message that
-    names the table, what it found — a missing [subtree_end] column, or
-    the index set of an older version ([by_node], with the [leaves]
-    table beside it) — and the remedy: re-load the trees with this
-    version. It is not migrated in place, because the rewrite would drop
-    the table before re-inserting its rows. *)
+    A repository records the {!format_version} of its tables in its
+    catalog when it is created. One of any other version — an older
+    one, or one written before versions were recorded (version 0) — is
+    refused in either mode, with a message that names both versions and
+    the remedy: re-load its trees with this version. It is not migrated
+    in place. *)
+
+val format_version : int
+(** The layout this version reads and writes. *)
 
 val open_dir :
   ?pool_size:int ->
@@ -45,7 +47,7 @@ val open_dir :
     [~create:false]), WAL replay is skipped — a committed WAL left by a
     crash makes the open fail with {!Open_error} until one read-write
     open replays it — and every mutating operation (recording queries,
-    creating tables, legacy-schema migration) fails with the typed
+    creating tables) fails with the typed
     [Crimson_storage.Error.Read_only]. Server worker domains each hold
     a read-only handle over the same immutable files while the
     coordinator keeps the only read-write one. *)
@@ -66,8 +68,12 @@ val trees : t -> Table.t
 val nodes : t -> Table.t
 
 val node_runs : t -> Table.t
-(** The run directory of the [nodes] heap (see {!Schema.Node_runs});
-    read and written through {!Node_view}. *)
+(** The run directory of the clustered tables: [nodes], [layers],
+    [subtrees] and [summaries] (see {!clustered}). *)
+
+val clustered : t -> (t -> Table.t) -> Crimson_storage.Clustered.t
+(** [clustered repo table] is one of the clustered tables, with the
+    repository's run directory: [clustered repo layers]. *)
 
 val layers : t -> Table.t
 val subtrees : t -> Table.t
@@ -76,8 +82,8 @@ val species : t -> Table.t
 val summaries : t -> Table.t
 (** Precomputed per-clade rollups (see {!Schema.Summaries} and
     {!Summary}): one row per bounded-depth subtree of every layer,
-    written in the tree's load batch and range-scanned by overview
-    queries instead of the nodes table. *)
+    written in the tree's load batch and scanned, one (tree, layer) at a
+    time, by overview queries instead of the nodes table. *)
 
 val queries : t -> Table.t
 
@@ -106,9 +112,7 @@ val abandon : t -> unit
 
     Since the telemetry pass, every history row also carries the query's
     measured cost: elapsed wall milliseconds and pages touched (buffer
-    pool hits + misses charged to the domain that ran it). Repositories
-    written by older versions migrate transparently on open; their rows
-    read back with both costs at 0. *)
+    pool hits + misses charged to the domain that ran it). *)
 
 val record_query :
   ?elapsed_ms:float ->

@@ -80,31 +80,6 @@ module Nodes = struct
     ]
 end
 
-module Node_runs = struct
-  let schema : Record.schema =
-    [|
-      ("tree", Record.Int);
-      ("first", Record.Int);
-      ("rid", Record.Int);
-      ("leaf_lo", Record.Int);
-    |]
-
-  let c_tree = 0
-  let c_first = 1
-  let c_rid = 2
-  let c_leaf_lo = 3
-  let key_tree tree = Key.int tree
-
-  let indexes =
-    [
-      ix "by_first"
-        (fun row ->
-          Key.cat
-            [ key_tree (Record.get_int row c_tree); Key.int (Record.get_int row c_first) ])
-        true;
-    ]
-end
-
 module Layers = struct
   let schema : Record.schema =
     [|
@@ -116,25 +91,6 @@ module Layers = struct
       ("sub", Record.Int);
       ("local_depth", Record.Int);
     |]
-
-  let c_tree = 0
-  let c_layer = 1
-  let c_node = 2
-  let c_parent = 3
-  let c_edge_index = 4
-  let c_sub = 5
-  let c_local_depth = 6
-
-  let key_node ~tree ~layer node = Key.cat [ Key.int tree; Key.int layer; Key.int node ]
-
-  let indexes =
-    [
-      ix "by_node"
-        (fun row ->
-          key_node ~tree:(Record.get_int row c_tree)
-            ~layer:(Record.get_int row c_layer) (Record.get_int row c_node))
-        true;
-    ]
 end
 
 module Subtrees = struct
@@ -145,21 +101,6 @@ module Subtrees = struct
       ("sub", Record.Int);
       ("root", Record.Int);
     |]
-
-  let c_tree = 0
-  let c_layer = 1
-  let c_sub = 2
-  let c_root = 3
-  let key_sub ~tree ~layer sub = Key.cat [ Key.int tree; Key.int layer; Key.int sub ]
-
-  let indexes =
-    [
-      ix "by_sub"
-        (fun row ->
-          key_sub ~tree:(Record.get_int row c_tree)
-            ~layer:(Record.get_int row c_layer) (Record.get_int row c_sub))
-        true;
-    ]
 end
 
 module Species = struct
@@ -203,7 +144,7 @@ end
    the same WAL batch as the tree itself — before its catalog row, so a
    crash mid-load leaves no tree whose summaries are missing — and
    dropped with [Loader.delete_tree]. Low-resolution "overview" views
-   range-scan one (tree, layer) prefix instead of the nodes table. *)
+   scan one (tree, layer) group instead of the nodes table. *)
 
 module Summaries = struct
   let schema : Record.schema =
@@ -219,28 +160,6 @@ module Summaries = struct
       ("height", Record.Int);
       ("blen", Record.Float);
     |]
-
-  let c_tree = 0
-  let c_layer = 1
-  let c_sub = 2
-  let c_root = 3
-  let c_parent_sub = 4
-  let c_name = 5
-  let c_nodes = 6
-  let c_leaves = 7
-  let c_height = 8
-  let c_blen = 9
-  let key_sub ~tree ~layer sub = Key.cat [ Key.int tree; Key.int layer; Key.int sub ]
-  let key_layer ~tree ~layer = Key.cat [ Key.int tree; Key.int layer ]
-
-  let indexes =
-    [
-      ix "by_sub"
-        (fun row ->
-          key_sub ~tree:(Record.get_int row c_tree)
-            ~layer:(Record.get_int row c_layer) (Record.get_int row c_sub))
-        true;
-    ]
 end
 
 (* ------------------------- Tree collections ------------------------- *)
@@ -370,15 +289,6 @@ module Queries = struct
       ("pages", Record.Int);
       ("cost", Record.Text);
     |]
-
-  (* Pre-telemetry layout (id, time, text, result): repositories written
-     before elapsed_ms/pages existed are migrated on open, old rows
-     reading as zero-cost (see Repo.open_dir). *)
-  let legacy_schema : Record.schema = Array.sub schema 0 4
-
-  (* First telemetry generation (…, elapsed_ms, pages) but no cost
-     breakdown column; migrates with cost = "". *)
-  let legacy_schema_v1 : Record.schema = Array.sub schema 0 6
 
   let c_id = 0
   let c_time = 1

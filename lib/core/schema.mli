@@ -6,18 +6,20 @@
     - [trees] — one row per loaded tree (metadata, labeling parameters);
     - [nodes] — layer-0 rows: structure, branch length, cumulative
       root distance, layered-label fields, descendant-leaf interval and
-      the last preorder id of the node's subtree, written in id order
-      and indexed by name only;
-    - [node_runs] — the per-tree run directory that locates a node row
-      by id, and a leaf by ordinal, without an index descent;
+      the last preorder id of the node's subtree, indexed by name only;
     - [layers] — nodes of layers >= 1 of the hierarchical index;
     - [subtrees] — per (layer, subtree id): the subtree's root node;
-    - [species] — sequence data, chunked to fit pages;
     - [summaries] — precomputed per-clade rollups;
+    - [node_runs] — the run directory of those four clustered tables
+      (see [Crimson_storage.Clustered]): their rows are written in key
+      order, one group per tree ([nodes]) or per (tree, layer), and
+      found by id with no B+tree;
+    - [species] — sequence data, chunked to fit pages;
     - [queries] — the Query Repository (history of user queries).
 
     Column positions are exposed as integer constants so the query layer
-    decodes rows without string lookups. *)
+    decodes rows without string lookups; the clustered tables are
+    decoded column by column, in schema order. *)
 
 module Record = Crimson_storage.Record
 module Table = Crimson_storage.Table
@@ -44,11 +46,9 @@ end
     ([subtree_end = n]) and ancestry without a parent index. It is the
     last column, appended after the leaf interval.
 
-    There is no index on (tree, node): the loader writes a tree's rows
-    in id order, and {!Node_runs} locates them. Every row keeps its
-    [tree] and [node] columns so a read can check it got the row it
-    asked for. Repositories written before [subtree_end] existed, or
-    with the older [by_node] index, fail to open (see {!Repo.open_dir}). *)
+    There is no index on (tree, node): a clustered table, one group
+    per tree, written in id order. Every row keeps its [tree] and [node]
+    columns so a read can check it got the row it asked for. *)
 module Nodes : sig
   val schema : Record.schema
   val c_tree : int
@@ -71,52 +71,17 @@ module Nodes : sig
   val key_name : tree:int -> string -> string
 end
 
-(** [node_runs] columns — the run directory of the [nodes] heap.
-
-    A tree's rows are written for ids [0 .. n-1] in order, so each heap
-    page holds a run of consecutive ids in consecutive slots. One row per
-    run: the run's [first] id, that row's [rid], and its [leaf_lo]. The
-    run of id [i] is the last with [first <= i], and its rid is the
-    first rid plus [i - first]; leaf ordinals search the same rows on
-    [leaf_lo], which never decreases as ids rise. The format (building,
-    storing, loading) belongs to [Crimson_core.Node_view]. *)
-module Node_runs : sig
-  val schema : Record.schema
-  val c_tree : int
-  val c_first : int
-  val c_rid : int
-  val c_leaf_lo : int
-
-  val indexes : Table.index_spec list
-  (** [by_first] (tree, first), unique. *)
-
-  val key_tree : int -> string
-  (** Prefix of every key of one tree. *)
-end
-
-(** [layers] columns (layers >= 1). *)
+(** [layers] columns (layers >= 1): (tree, layer, node, parent,
+    edge_index, sub, local_depth). A clustered table, one group per
+    (tree, layer) (see [Crimson_storage.Clustered]). *)
 module Layers : sig
   val schema : Record.schema
-  val c_tree : int
-  val c_layer : int
-  val c_node : int
-  val c_parent : int
-  val c_edge_index : int
-  val c_sub : int
-  val c_local_depth : int
-  val indexes : Table.index_spec list
-  val key_node : tree:int -> layer:int -> int -> string
 end
 
-(** [subtrees] columns. *)
+(** [subtrees] columns: (tree, layer, sub, root), the root node of each
+    subtree of each layer. Clustered, one group per (tree, layer). *)
 module Subtrees : sig
   val schema : Record.schema
-  val c_tree : int
-  val c_layer : int
-  val c_sub : int
-  val c_root : int
-  val indexes : Table.index_spec list
-  val key_sub : tree:int -> layer:int -> int -> string
 end
 
 (** [species] columns; long sequences are split into fixed-size chunks. *)
@@ -133,28 +98,16 @@ module Species : sig
 end
 
 (** [summaries] columns — precomputed per-clade rollups, one row per
-    bounded-depth subtree of every layer of the layered decomposition.
-    [root] is the cluster root as an original (layer-0) node id;
+    bounded-depth subtree of every layer of the layered decomposition:
+    (tree, layer, sub, root, parent_sub, name, nodes, leaves, height,
+    blen). [root] is the cluster root as an original (layer-0) node id;
     [parent_sub] the containing cluster id one layer up ([-1] at the
     top); the rollup columns cover the full original subtree under
     [root]. Built at load time in the same WAL batch as the tree (see
-    [Crimson_core.Summary]); an overview at resolution [k] range-scans
-    one (tree, layer) prefix via {!Summaries.key_layer}. *)
+    [Crimson_core.Summary]). Clustered, one group per (tree, layer): an
+    overview at resolution [k] scans one group. *)
 module Summaries : sig
   val schema : Record.schema
-  val c_tree : int
-  val c_layer : int
-  val c_sub : int
-  val c_root : int
-  val c_parent_sub : int
-  val c_name : int
-  val c_nodes : int
-  val c_leaves : int
-  val c_height : int
-  val c_blen : int
-  val indexes : Table.index_spec list
-  val key_sub : tree:int -> layer:int -> int -> string
-  val key_layer : tree:int -> layer:int -> string
 end
 
 (** [collections] columns — the tree-collection catalog. One row per
@@ -214,15 +167,6 @@ end
 (** [queries] columns — the Query Repository. *)
 module Queries : sig
   val schema : Record.schema
-
-  val legacy_schema : Record.schema
-  (** The pre-telemetry 4-column layout, kept for the on-open migration
-      of old repositories. *)
-
-  val legacy_schema_v1 : Record.schema
-  (** The first telemetry layout (elapsed_ms/pages, no cost breakdown),
-      kept for the on-open migration as well. *)
-
   val c_id : int
   val c_time : int
   val c_text : int

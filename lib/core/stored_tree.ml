@@ -107,7 +107,8 @@ let leaf_interval t node =
 
 let is_leaf t node = subtree_end t node = node
 let scan t ~lo ~hi f = Node_view.scan t.cache ~lo ~hi f
-let prime t ~runs view_of = Node_view.prime t.cache ~runs ~count:t.node_count view_of
+let prime t nodes ~subtree_end view_of = Node_view.prime t.cache nodes ~subtree_end view_of
+let group t table ~layer = Node_view.group t.cache table ~layer
 
 (* A preorder skip-scan from the root: a node past the cut time is on
    the frontier and its subtree is skipped (root distances grow along

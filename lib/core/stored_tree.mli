@@ -19,9 +19,9 @@
     invariant lets {!scan} skip whole subtrees and lets {!Projection}
     sort leaves as integers.
 
-    Rows are located by id through the tree's run directory, read on
-    the handle's first access that needs it, so {!open_id} and
-    {!open_name} cost one catalog read. Beside its views, a handle keeps
+    Rows are located by id through the directory of the clustered
+    tables, each group read on the handle's first access that needs it,
+    so {!open_id} and {!open_name} cost one catalog read. Beside its views, a handle keeps
     the leaf map of each run it has resolved an ordinal in (all of them
     on a handle the loader returns) and the last time-sampling frontier
     it scanned ({!frontier}). *)
@@ -110,10 +110,16 @@ val scan : t -> lo:int -> hi:int -> (Node_view.t -> int) -> unit
     the callback returns the next id wanted, so returning
     [v.subtree_end + 1] skips [v]'s subtree. See {!Node_view.scan}. *)
 
-val prime : t -> runs:Node_view.runs -> (int -> Node_view.t) -> unit
-(** Hand the handle the tree's runs and admit views of the lowest ids to
-    its cache, up to its capacity, without storage reads (see
-    {!Node_view.prime}). *)
+val prime :
+  t -> Crimson_storage.Clustered.group -> subtree_end:int array -> (int -> Node_view.t) -> unit
+(** Hand the handle the tree's [nodes] group and its leaf maps, and admit
+    views of the lowest ids to its cache, up to its capacity, without
+    storage reads (see {!Node_view.prime}). *)
+
+val group :
+  t -> (Repo.t -> Crimson_storage.Table.t) -> layer:int -> Crimson_storage.Clustered.group
+(** The handle's (tree, layer) group of a clustered table other than
+    [nodes], kept after its first read (see {!Node_view.group}). *)
 
 val node_by_name : t -> string -> int option
 (** First node carrying the name (index lookup, not a scan). [None] for

@@ -8,14 +8,13 @@
     written in the same WAL batch, before the tree's catalog row — a
     crash mid-load can never leave a visible tree without its summaries.
 
-    An overview at resolution [k] ([{!overview} ~depth:k]) serves the
-    clusters of the layer [k] steps below the top of the decomposition:
-    one range scan of the summary table whose cost is the cluster count
-    at that layer — [f]-fold fewer rows per level of resolution given
-    up, and never the node pages.
-    Trees loaded before this table existed fall back to a full node-table
-    scan (counted by the [core.summary.miss] metric; served reads count
-    as [core.summary.hit]). *)
+    The table is clustered (see [Crimson_storage.Clustered]), one group
+    per (tree, layer) in [sub] order. An overview at resolution [k]
+    ([{!overview} ~depth:k]) serves the clusters of the layer [k] steps
+    below the top of the decomposition: one scan of that group, pinning
+    each of its pages once, whose cost is the cluster count at that
+    layer — [f]-fold fewer rows per level of resolution given up, and
+    never the node pages. Each call counts as [core.summary.hit]. *)
 
 type entry = {
   sub : int;  (** Cluster (subtree) id within its layer. *)
@@ -28,15 +27,13 @@ type entry = {
   blen : float;  (** Total branch length of the edges inside the clade. *)
 }
 
-type row = { layer : int; entry : entry }
+val build : Crimson_label.Layered.t -> Crimson_tree.Tree.t -> entry array array
+(** Every summary row of a tree, by layer, then by [sub], computed in one
+    postorder pass over the in-memory tree (the loader calls this before
+    it writes the catalog row). *)
 
-val build : Crimson_label.Layered.t -> Crimson_tree.Tree.t -> row list
-(** All summary rows of a tree, every layer, computed in one postorder
-    pass over the in-memory tree (the loader calls this before it writes
-    the catalog row). *)
-
-val insert_all : Repo.t -> tree_id:int -> row list -> int
-(** Insert the rows; returns how many. *)
+val write : Repo.t -> tree_id:int -> entry array array -> int
+(** Write {!build}'s rows, one group per layer; returns how many. *)
 
 val layer_for : layer_count:int -> depth:int -> int
 (** The decomposition layer serving resolution [depth]: [depth = 0] is
@@ -45,6 +42,5 @@ val layer_for : layer_count:int -> depth:int -> int
 
 val overview : Stored_tree.t -> depth:int -> int * entry list
 (** [(layer, clusters)] at the given resolution, clusters in ascending
-    [sub] order. Served from the summary table when the tree has rows
-    (one range scan over the (tree, layer) prefix), else recomputed by
-    scanning the tree's node rows. *)
+    [sub] order: one scan of the tree's (tree, layer) group, whose
+    directory rows the handle reads once. *)

@@ -16,7 +16,6 @@ type t = {
   mutable bytes_decoded : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  mutable cursor_steps : int;
 }
 
 (* Every domain's record, newest first. Records are never removed: a
@@ -48,7 +47,6 @@ let key =
           bytes_decoded = 0;
           bytes_read = 0;
           bytes_written = 0;
-          cursor_steps = 0;
         }
       in
       enlist r;
@@ -109,4 +107,3 @@ let row_decoded ~bytes =
 
 let add_bytes_read n = let r = current () in r.bytes_read <- r.bytes_read + n
 let add_bytes_written n = let r = current () in r.bytes_written <- r.bytes_written + n
-let cursor_step () = let r = current () in r.cursor_steps <- r.cursor_steps + 1

@@ -32,7 +32,6 @@ type t = private {
   mutable bytes_decoded : int;  (** row payloads + B+tree node pages *)
   mutable bytes_read : int;  (** bytes read from the I/O backend *)
   mutable bytes_written : int;  (** bytes written to the I/O backend *)
-  mutable cursor_steps : int;  (** B+tree cursor advances *)
 }
 
 val current : unit -> t
@@ -80,4 +79,3 @@ val node_view : unit -> unit
 val row_decoded : bytes:int -> unit
 val add_bytes_read : int -> unit
 val add_bytes_written : int -> unit
-val cursor_step : unit -> unit

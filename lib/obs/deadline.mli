@@ -3,7 +3,7 @@
     Replaces the server's SIGALRM request timer: signals neither
     compose with OCaml 5 domains nor interrupt requests blocked in C
     code. Each domain carries one absolute deadline; hot paths (node
-    resolution, cursor walks) call {!check}, which raises {!Expired}
+    resolution, row scans) call {!check}, which raises {!Expired}
     once the wall clock passes it. The clock read is counter-gated so a
     call costs a load, a decrement and a branch when no deadline is
     armed or the countdown has not elapsed. *)

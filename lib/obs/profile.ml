@@ -13,7 +13,6 @@ type counters = {
   bytes_read : int;
   bytes_written : int;
   btree_finds : int;
-  cursor_steps : int;
   fsyncs : int;
 }
 
@@ -47,7 +46,6 @@ let counters_of delta =
     bytes_read = delta (fun c -> c.bytes_read);
     bytes_written = delta (fun c -> c.bytes_written);
     btree_finds = delta (fun c -> c.btree_finds);
-    cursor_steps = delta (fun c -> c.cursor_steps);
     fsyncs = delta (fun c -> c.pager_fsyncs + c.wal_fsyncs);
   }
 
@@ -141,7 +139,6 @@ let dimensions =
     ("bytes_read", fun c -> c.bytes_read);
     ("bytes_written", fun c -> c.bytes_written);
     ("btree_finds", fun c -> c.btree_finds);
-    ("cursor_steps", fun c -> c.cursor_steps);
     ("fsyncs", fun c -> c.fsyncs);
   ]
 

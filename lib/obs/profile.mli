@@ -5,7 +5,7 @@
     node-view cache — charges what it consumes to the calling domain's
     {!Cost} record, always; a profile is the record's delta over its
     extent: pages read and written, cache hits and misses, bytes
-    decoded, cursor steps, fsyncs. Allocation is the domain's own
+    decoded, B+tree finds, fsyncs. Allocation is the domain's own
     [Gc.minor_words] and [Gc.counters] delta.
 
     - {b domain-local.} Each domain profiles its own work: a worker's
@@ -33,7 +33,6 @@ type counters = {
   bytes_read : int;  (** bytes read from the I/O backend *)
   bytes_written : int;  (** bytes written to the I/O backend *)
   btree_finds : int;  (** point lookups in B+trees *)
-  cursor_steps : int;  (** B+tree cursor advances *)
   fsyncs : int;  (** fsync calls (WAL + pager) *)
 }
 

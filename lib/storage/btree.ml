@@ -9,7 +9,6 @@ let max_key = 512
    storage.btree.node_decode). *)
 let m_node_reads = Crimson_obs.Metrics.counter "storage.btree.node_read"
 let m_node_writes = Crimson_obs.Metrics.counter "storage.btree.node_write"
-let m_cursor_opens = Crimson_obs.Metrics.counter "storage.btree.cursor_open"
 let m_inserts = Crimson_obs.Metrics.counter "storage.btree.insert"
 let m_deletes = Crimson_obs.Metrics.counter "storage.btree.delete"
 let m_splits = Crimson_obs.Metrics.counter "storage.btree.split"
@@ -340,53 +339,6 @@ let iter_from t ~key f =
       | Internal _ -> corrupt t.pager "btree: leaf chain hit an internal node"
   in
   walk (descend t.root) ~start:true
-
-(* ----------------------------- Cursors ----------------------------- *)
-
-(* A cursor pays the root-to-leaf descent once, then streams entries off
-   the leaf chain. It snapshots one leaf's entry array at a time, so
-   concurrent inserts into an already-yielded region are not replayed —
-   the same read-mostly contract as [iter_from]. *)
-module Cursor = struct
-  type btree = t
-
-  type t = {
-    btree : btree;
-    mutable entries : (string * int) array;
-    mutable pos : int;
-    mutable next_page : int; (* 0 = end of the leaf chain *)
-  }
-
-  let rec next c =
-    if c.pos < Array.length c.entries then begin
-      let e = c.entries.(c.pos) in
-      c.pos <- c.pos + 1;
-      Crimson_obs.Cost.cursor_step ();
-      Some e
-    end
-    else if c.next_page = 0 then None
-    else
-      match read_node c.btree c.next_page with
-      | Leaf { next = np; entries } ->
-          (* Deletions can leave empty leaves in the chain; loop past. *)
-          c.entries <- entries;
-          c.pos <- 0;
-          c.next_page <- np;
-          next c
-      | Internal _ -> corrupt c.btree.pager "btree: leaf chain hit an internal node"
-end
-
-let cursor t ~key =
-  Crimson_obs.Metrics.Counter.incr m_cursor_opens;
-  let rec descend page_id =
-    match read_node t page_id with
-    | Leaf { next; entries } ->
-        let pos = match search entries key with Found i -> i | Insert i -> i in
-        { Cursor.btree = t; entries; pos; next_page = next }
-    | Internal { first; entries } ->
-        descend (child_of first entries (child_slot entries key))
-  in
-  descend t.root
 
 let scan_range t ~lo ~hi f =
   iter_from t ~key:lo (fun k v -> if String.compare k hi < 0 then f k v else false)

@@ -40,24 +40,6 @@ val iter_prefix : t -> prefix:string -> (string -> int -> bool) -> unit
 
 val iter_all : t -> (string -> int -> bool) -> unit
 
-(** {1 Cursors}
-
-    A cursor pays the root-to-leaf descent once and then streams entries
-    off the chained leaves, for range scans that stop early or resume;
-    [Table.cursor] is its only library caller. Cursors snapshot one leaf
-    at a time; mutating the tree while a cursor is live gives the same
-    read-mostly semantics as {!iter_from}. *)
-
-module Cursor : sig
-  type t
-
-  val next : t -> (string * int) option
-  (** The next entry in ascending key order, [None] when exhausted. *)
-end
-
-val cursor : t -> key:string -> Cursor.t
-(** Cursor positioned at the first entry with key >= [key]. *)
-
 val scan_range : t -> lo:string -> hi:string -> (string -> int -> bool) -> unit
 (** In-order visit of entries with [lo] <= key < [hi]; stop on [false]. *)
 

@@ -1,0 +1,92 @@
+(** Clustered tables: rows kept in key order and located through a run
+    directory instead of a B+tree.
+
+    A clustered table holds its rows in groups. A group is named by a
+    short list of ints — in Crimson a tree id, or a tree id and a layer —
+    and every row of a group begins with those ints as its leading [Int]
+    columns, then the row's id. Ids are dense within a group: [0 .. n-1].
+    A group is written once, in id order ({!write}), so the rids its
+    inserts return form runs of consecutive slots of one heap page. The
+    directory holds one row per run: the run's first id, its row count,
+    its first rid and a mark the writer chooses (Crimson's [nodes] runs
+    keep their first row's leaf ordinal there). Every clustered table of
+    a database shares one directory table ({!directory_schema}).
+
+    A point lookup is a binary search of the group's runs, one page pin
+    and a decode checked against the group and the id. A range scan
+    pins each page once. Both read the directory rows once per
+    {!group} handle ({!open_group}), one B+tree prefix scan.
+
+    Rids are kept in the directory, so a clustered table must never be
+    vacuumed. A row read at a rid that does not hold the group's row for
+    that id, or that does not decode, raises
+    [Error.Error (Corrupt_page _)] naming the table's heap file; no read
+    returns another row. *)
+
+type t
+(** A clustered table: its heap table and the directory it shares. *)
+
+val create : Table.t -> directory:Table.t -> t
+
+val directory_schema : Record.schema
+(** The directory's columns: [table] (the clustered table's name),
+    [group] (its ints, {!Key}-encoded), [first], [rows], [rid], [mark]. *)
+
+val directory_indexes : Table.index_spec list
+(** [by_first] (table, group, first), unique. *)
+
+type group
+(** One group of one clustered table, with its runs read. A group never
+    changes once written, so a handle stays valid until the group is
+    deleted; its rows then read as missing. *)
+
+type run = {
+  first : int;  (** The run's first id. *)
+  rows : int;  (** Ids [first .. first + rows - 1]. *)
+  rid : Heap.rid;  (** The rid of id [first]; the others follow slot by slot. *)
+  mark : int;  (** The writer's value for the run's first row. *)
+}
+
+val write :
+  t -> int list -> ?mark:(int -> int) -> rows:int -> (int -> Record.value array) -> group
+(** [write t key ~rows row] inserts [row 0 .. row (rows - 1)] in id order
+    and one directory row per run of the rids they land at; [mark id]
+    (default 0) is stored with each run that starts at [id]. Raises
+    [Invalid_argument] when a row does not begin with [key] and its id. *)
+
+val open_group : t -> int list -> group
+(** The group's runs, read from the directory: no rows, hence no ids,
+    when it has none. *)
+
+val size : group -> int
+(** The group's row count: its ids are [0 .. size - 1]. *)
+
+val runs : group -> run array
+(** In id order, covering [0 .. size - 1]. Do not mutate. *)
+
+val find : group -> int -> (Record.Reader.t -> 'a) -> 'a option
+(** [find g id decode] locates [id], pins its page and checks the row's
+    key, then [decode]s the columns after it off the pinned page. [None]
+    when [id] is outside the group or its row was deleted. *)
+
+val scan :
+  group -> lo:int -> hi:int -> (int -> Record.Reader.t -> 'a) -> ('a -> int) -> unit
+(** [scan g ~lo ~hi decode f] reads the rows of ids [lo .. hi] in
+    ascending order, pinning each page once: each row is checked and
+    [decode id]d off its page as {!find} does, then passed to [f], which
+    returns the next id it wants. [id + 1] steps to the next row, a
+    larger id jumps there without reading the rows between, an id past
+    [hi] ends the scan. A deleted row ends it too. [f] runs while the
+    page is pinned. *)
+
+val delete : t -> int list -> unit
+(** Delete the group's rows, each checked to be the group's first, then
+    its directory rows. *)
+
+val groups : t -> int list list
+(** Every group of this table the directory holds, in key order. *)
+
+val check : group -> rows:int -> (unit, string) result
+(** The directory check: the runs cover ids [0 .. rows - 1] exactly
+    once, in order, and every row decodes in full at its own rid with
+    the group's key and its id. *)

@@ -25,6 +25,7 @@ type t = {
   pool_size : int;
   durable : bool;
   mode : mode;
+  mutable version : int; (* the format version the catalog records; 0 = none *)
   mutable catalog : catalog_entry list;
   (* Table handle plus (relative file name, pager) for each of its
      files — the names tag WAL records at checkpoint time. *)
@@ -40,9 +41,13 @@ type t = {
 let catalog_path dir = Filename.concat dir "catalog.crim"
 let db_wal_name = "crimson.wal"
 
-let encode_catalog entries =
+(* A catalog begins with its magic: "CRIMCATV" and the format version,
+   or "CRIMCATL" for a catalog written before versions were recorded,
+   which reads as version 0. *)
+let encode_catalog ~version entries =
   let w = Codec.Writer.create () in
-  Codec.Writer.bytes w "CRIMCATL";
+  Codec.Writer.bytes w "CRIMCATV";
+  Codec.Writer.varint w version;
   Codec.Writer.varint w (List.length entries);
   List.iter
     (fun e ->
@@ -59,8 +64,12 @@ let encode_catalog entries =
 
 let decode_catalog payload =
   let r = Codec.Reader.create payload in
-  if Codec.Reader.bytes r 8 <> "CRIMCATL" then
-    raise (Codec.Corrupt "catalog: bad magic");
+  let version =
+    match Codec.Reader.bytes r 8 with
+    | "CRIMCATV" -> Codec.Reader.varint r
+    | "CRIMCATL" -> 0
+    | _ -> raise (Codec.Corrupt "catalog: bad magic")
+  in
   let n = Codec.Reader.varint r in
   (* Explicit accumulation: decoding must proceed left to right. *)
   let entries = ref [] in
@@ -76,17 +85,19 @@ let decode_catalog payload =
     done;
     entries := { table_name; schema; index_meta = List.rev !index_meta } :: !entries
   done;
-  List.rev !entries
+  (version, List.rev !entries)
 
 let load_catalog io dir =
   match Io.read_file io (catalog_path dir) with
-  | None -> []
+  | None -> (0, [])
   | Some payload -> decode_catalog payload
 
 let save_catalog t =
   match t.dir with
   | None -> ()
-  | Some dir -> Io.write_file_atomic t.io (catalog_path dir) (encode_catalog t.catalog)
+  | Some dir ->
+      Io.write_file_atomic t.io (catalog_path dir)
+        (encode_catalog ~version:t.version t.catalog)
 
 (* ------------------------- Directory recovery ----------------------- *)
 
@@ -165,13 +176,15 @@ let open_dir ?(pool_size = 256) ?(durable = false) ?(io = Io.real)
   (match mode with
   | Read_write -> recover_dir io dir
   | Read_only -> check_wal_read_only io dir);
+  let version, catalog = load_catalog io dir in
   {
     dir = Some dir;
     io;
     pool_size;
     durable = (durable && mode = Read_write);
     mode;
-    catalog = load_catalog io dir;
+    version;
+    catalog;
     open_tables = Hashtbl.create 8;
     db_wal = None;
     closed = false;
@@ -184,6 +197,7 @@ let open_mem ?(pool_size = 256) () =
     pool_size;
     durable = false;
     mode = Read_write;
+    version = 0;
     catalog = [];
     open_tables = Hashtbl.create 8;
     db_wal = None;
@@ -339,13 +353,13 @@ let table t ~name ~schema ~indexes =
       tbl
 
 let table_names t = List.map (fun e -> e.table_name) t.catalog
+let version t = t.version
 
-let stored_layout t name =
-  List.find_map
-    (fun e ->
-      if String.equal e.table_name name then Some (e.schema, List.map fst e.index_meta)
-      else None)
-    t.catalog
+let set_version t version =
+  check_open t;
+  if t.mode = Read_only then fail_read_only t "record the format version";
+  t.version <- version;
+  save_catalog t
 
 let drop_table t name =
   check_open t;

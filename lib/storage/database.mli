@@ -63,10 +63,14 @@ val table :
 val table_names : t -> string list
 (** Tables recorded in the catalog. *)
 
-val stored_layout : t -> string -> (Record.schema * string list) option
-(** The schema and index names the catalog records for a table ([None]
-    when it has none): what {!table} compares a request against, for
-    callers that must say which part of a {!Schema_mismatch} differs. *)
+val version : t -> int
+(** The format version the catalog records: 0 for a new database, or
+    for a catalog written before versions were recorded. The database
+    gives it no meaning; the repository layer above it does. *)
+
+val set_version : t -> int -> unit
+(** Record a format version in the catalog. Refused with
+    [Error.Read_only] on a read-only database. *)
 
 val drop_table : t -> string -> unit
 (** Remove a table and its files. Raises [Not_found] for unknown names. *)

@@ -78,11 +78,15 @@ let with_record t rid f =
 let with_records t rid ~count f =
   check_rid t rid "with_records";
   Pager.with_page t.pager (rid_page rid) (fun page ->
-      let slot = rid_slot rid and live = ref 0 in
-      for i = 0 to count - 1 do
-        if Slotted.with_record page (slot + i) (f i) <> None then incr live
-      done;
-      !live)
+      let slot = rid_slot rid in
+      let rec walk i =
+        if i >= count then i
+        else
+          match Slotted.with_record page (slot + i) (f i) with
+          | Some next -> walk (max next (i + 1))
+          | None -> i
+      in
+      walk 0)
 
 let delete t rid =
   check_rid t rid "delete";

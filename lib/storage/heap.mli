@@ -35,11 +35,13 @@ val with_record : t -> rid -> (bytes -> int -> int -> 'a) -> 'a option
     for deleted records; raises [Invalid_argument] for rids that never
     existed, as {!get} does. *)
 
-val with_records : t -> rid -> count:int -> (int -> bytes -> int -> int -> unit) -> int
-(** [with_records t rid ~count f] pins [rid]'s page once and calls
-    [f i page off len] on each live record of the [count] slots from
-    [rid]'s, in slot order, with [i] counting from 0. Returns how many
-    were live. [f] must not keep [page]. Raises [Invalid_argument] for a
+val with_records : t -> rid -> count:int -> (int -> bytes -> int -> int -> int) -> int
+(** [with_records t rid ~count f] pins [rid]'s page once and walks the
+    [count] slots from [rid]'s in slot order. [f i page off len] runs on
+    slot [i], counting from 0, and returns the next slot it wants: the
+    slots in between are passed over unread. The walk ends at the first
+    index [>= count], which it returns, or at a deleted slot, whose index
+    it returns. [f] must not keep [page]. Raises [Invalid_argument] for a
     rid that never existed or a slot past the page's directory. *)
 
 val delete : t -> rid -> unit

@@ -68,6 +68,11 @@ let with_payloads t rid ~count f =
       Crimson_obs.Cost.row_decoded ~bytes:len;
       f i page off len)
 
+let heap_file t =
+  match Pager.file_path (Heap.pager t.heap) with
+  | Some path -> path
+  | None -> t.name ^ ".heap"
+
 let delete t rid =
   match get t rid with
   | None -> false
@@ -107,44 +112,6 @@ let iter_index t ~index ~prefix f =
       match get t rid with
       | Some row -> f rid row
       | None -> true)
-
-(* ----------------------------- Cursors ----------------------------- *)
-
-let is_prefix p s =
-  String.length p <= String.length s && String.sub s 0 (String.length p) = p
-
-module Cursor = struct
-  type table = t
-
-  type t = {
-    table : table;
-    btc : Btree.Cursor.t;
-    prefix : string;
-    mutable exhausted : bool;
-  }
-
-  let rec next c =
-    if c.exhausted then None
-    else
-      match Btree.Cursor.next c.btc with
-      | None ->
-          c.exhausted <- true;
-          None
-      | Some (key, rid) ->
-          if not (is_prefix c.prefix key) then begin
-            c.exhausted <- true;
-            None
-          end
-          else (
-            match get c.table rid with
-            | Some row -> Some (rid, row)
-            | None -> next c (* dangling index entry: skip, as iter_index does *))
-end
-
-let cursor ?start t ~index ~prefix =
-  let _, btree = find_index t ~index in
-  let key = match start with Some k -> k | None -> prefix in
-  { Cursor.table = t; btc = Btree.cursor btree ~key; prefix; exhausted = false }
 
 let scan_range t ~index ~lo ~hi f =
   let _, btree = find_index t ~index in

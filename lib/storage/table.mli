@@ -12,7 +12,7 @@
     value array, {!with_payload} hands the encoded bytes in place to a
     {!Record.Reader}. A rid is stable until {!vacuum}, which renumbers
     every row; callers that keep rids outside the table's own indexes
-    must not vacuum it. *)
+    must not vacuum it ({!Clustered} tables are such callers). *)
 
 exception Constraint_violation of string
 
@@ -51,10 +51,16 @@ val with_payload : t -> Heap.rid -> (bytes -> int -> int -> 'a) -> 'a option
     [page]. Charged to the request profile as one decoded row, as {!get}
     is. [None] for a deleted row. *)
 
-val with_payloads : t -> Heap.rid -> count:int -> (int -> bytes -> int -> int -> unit) -> int
-(** {!Heap.with_records} on the table's heap: one page pin for [count]
-    consecutive slots, [f i page off len] on each live row, each charged
-    as one decoded row. Returns how many rows were live. *)
+val with_payloads : t -> Heap.rid -> count:int -> (int -> bytes -> int -> int -> int) -> int
+(** {!Heap.with_records} on the table's heap: one page pin for up to
+    [count] consecutive slots, [f i page off len] on each row the walk
+    reaches, each charged as one decoded row; [f] returns the next slot
+    it wants. Returns where the walk ended: [>= count], or the index of
+    a deleted row. *)
+
+val heap_file : t -> string
+(** The heap's file path ([<name>.heap] for an in-memory table): the
+    file a [Corrupt_page] error about one of its rows names. *)
 
 val delete : t -> Heap.rid -> bool
 (** Removes the row and its index entries. [false] when already gone. *)
@@ -77,26 +83,6 @@ val iter_index :
   t -> index:string -> prefix:string -> (Heap.rid -> Record.value array -> bool) -> unit
 (** All rows whose index key starts with [prefix], in key order; stop on
     [false]. Works on unique and non-unique indexes. *)
-
-(** {1 Cursors}
-
-    Streaming row access over one index: the B+tree descent is paid once
-    at {!cursor} time, after which {!Cursor.next} walks the leaf chain.
-    No library code reads through a cursor today; range reads use
-    {!iter_index}. *)
-
-module Cursor : sig
-  type t
-
-  val next : t -> (Heap.rid * Record.value array) option
-  (** Next live row in index-key order; [None] once the prefix is left
-      or the index is exhausted. Dangling index entries are skipped. *)
-end
-
-val cursor : ?start:string -> t -> index:string -> prefix:string -> Cursor.t
-(** Rows whose index key starts with [prefix], streamed in key order.
-    [start] (an encoded key >= [prefix]) positions the cursor mid-range;
-    it defaults to the start of the prefix. *)
 
 val scan_range :
   t ->

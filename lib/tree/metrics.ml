@@ -191,6 +191,10 @@ let shared_clades a b =
 let robinson_foulds_unrooted a b = fst (compare_sets split_set a b)
 let robinson_foulds_unrooted_normalized a b = normalized (compare_sets split_set a b)
 
+let robinson_foulds_unrooted_scores a b =
+  let sets = compare_sets split_set a b in
+  (fst sets, normalized sets)
+
 (* ------------------------- Leaf-pair LCAs -------------------------- *)
 
 (* The LCA of the leaves at preorder leaf positions p and p + 1 is the

@@ -62,6 +62,11 @@ val robinson_foulds_unrooted_normalized : Tree.t -> Tree.t -> float
 (** Unrooted RF divided by the total split count of both trees; 0 when
     neither has a split. Each RF call builds each tree's bitmaps once. *)
 
+val robinson_foulds_unrooted_scores : Tree.t -> Tree.t -> int * float
+(** [(robinson_foulds_unrooted a b, robinson_foulds_unrooted_normalized
+    a b)] from one comparison: each tree's split bitmaps are built once
+    for both numbers. *)
+
 val triplet_distance :
   ?samples:int -> rng:Crimson_util.Prng.t -> Tree.t -> Tree.t -> float
 (** Fraction of leaf triplets on which the two rooted trees disagree.

@@ -20,6 +20,11 @@ module Cost = Crimson_obs.Cost
 
 let check = Alcotest.check
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
 let with_temp_dir f =
   let dir = Filename.temp_file "crimson" ".repo" in
   Sys.remove dir;
@@ -365,6 +370,7 @@ let test_node_cache_one_row_miss () =
     [ n; n + 1; n + 2; n - 1 ];
   check Alcotest.bool "multi-layer fixture" true (Stored_tree.layer_count cold > 1);
   let cache = Node_view.create_cache repo ~tree:id ~nodes:(Stored_tree.node_count cold) in
+  ignore (Node_view.layer_view cache ~layer:1 0) (* reads the layer's run directory *);
   List.iter
     (fun node ->
       one_row (Printf.sprintf "layer 1 node %d" node)
@@ -759,89 +765,52 @@ let test_query_history () =
       check Alcotest.int "entry pages" 7 q.Repo.pages
   | None -> Alcotest.fail "entry missing"
 
-(* A repository written before the telemetry columns existed must open
-   cleanly, its old rows reading as zero-cost, and keep accepting new
-   measured rows. *)
-let test_query_history_legacy_migration () =
+(* A repository in any other format version is refused, not migrated:
+   one written before versions were recorded (here with the
+   pre-telemetry [queries] layout), and one from a newer version. The
+   message names both versions; the old rows stay as they were. *)
+let test_query_history_legacy_refused () =
+  let legacy = Array.sub Crimson_core.Schema.Queries.schema 0 4 in
+  let refused dir ~found =
+    List.iter
+      (fun mode ->
+        match Repo.open_dir ~mode dir with
+        | repo ->
+            Repo.close repo;
+            Alcotest.failf "a repository of format version %d opened" found
+        | exception Repo.Open_error msg ->
+            List.iter
+              (fun word ->
+                if not (contains msg word) then Alcotest.failf "%S does not name %s" msg word)
+              [
+                dir; Printf.sprintf "format version %d" found;
+                Printf.sprintf "format version %d" Repo.format_version; "re-load";
+              ])
+      [ Crimson_storage.Database.Read_write; Crimson_storage.Database.Read_only ]
+  in
   with_temp_dir (fun dir ->
       (let db = Crimson_storage.Database.open_dir dir in
-       let legacy =
-         Crimson_storage.Database.table db ~name:"queries"
-           ~schema:Crimson_core.Schema.Queries.legacy_schema
+       let queries =
+         Crimson_storage.Database.table db ~name:"queries" ~schema:legacy
            ~indexes:Crimson_core.Schema.Queries.indexes
        in
        ignore
-         (Crimson_storage.Table.insert legacy
-            [|
-              Crimson_storage.Record.VInt 0;
-              Crimson_storage.Record.VFloat 123.5;
-              Crimson_storage.Record.VText "lca Bha,Lla";
-              Crimson_storage.Record.VText "x";
-            |]);
+         (Crimson_storage.Table.insert queries
+            Crimson_storage.Record.[| VInt 0; VFloat 123.5; VText "lca Bha,Lla"; VText "x" |]);
        Crimson_storage.Database.close db);
-      let repo = Repo.open_dir dir in
-      (match Repo.history repo with
-      | [ ({ id = 0; _ } as q) ] ->
-          check (Alcotest.float 1e-9) "timestamp preserved" 123.5 q.Repo.time;
-          check Alcotest.string "text preserved" "lca Bha,Lla" q.Repo.text;
-          check Alcotest.string "result preserved" "x" q.Repo.result;
-          check (Alcotest.float 1e-9) "old rows read zero elapsed" 0.0 q.Repo.elapsed_ms;
-          check Alcotest.int "old rows read zero pages" 0 q.Repo.pages
-      | _ -> Alcotest.fail "expected the migrated legacy row");
-      let id = Repo.record_query repo ~elapsed_ms:2.0 ~pages:3 ~text:"new" ~result:"y" in
-      check Alcotest.int "ids continue after migration" 1 id;
-      Repo.close repo;
-      (* Reopen: the migrated table now carries the new schema. *)
-      let repo = Repo.open_dir dir in
-      (match Repo.history_entry repo id with
-      | Some q ->
-          check Alcotest.string "new row text" "new" q.Repo.text;
-          check (Alcotest.float 1e-9) "new row elapsed" 2.0 q.Repo.elapsed_ms;
-          check Alcotest.int "new row pages" 3 q.Repo.pages
-      | None -> Alcotest.fail "new row missing after reopen");
-      Repo.close repo)
-
-(* The first telemetry generation (elapsed_ms/pages but no cost column)
-   must also migrate: old rows read with an empty cost, new rows carry
-   the profiler's cost JSON across a reopen. *)
-let test_query_history_v1_migration () =
+      refused dir ~found:0;
+      let db = Crimson_storage.Database.open_dir dir in
+      check Alcotest.int "old rows kept" 1
+        (Crimson_storage.Table.row_count
+           (Crimson_storage.Database.table db ~name:"queries" ~schema:legacy
+              ~indexes:Crimson_core.Schema.Queries.indexes));
+      Crimson_storage.Database.close db);
   with_temp_dir (fun dir ->
-      (let db = Crimson_storage.Database.open_dir dir in
-       let v1 =
-         Crimson_storage.Database.table db ~name:"queries"
-           ~schema:Crimson_core.Schema.Queries.legacy_schema_v1
-           ~indexes:Crimson_core.Schema.Queries.indexes
-       in
-       ignore
-         (Crimson_storage.Table.insert v1
-            [|
-              Crimson_storage.Record.VInt 0;
-              Crimson_storage.Record.VFloat 50.25;
-              Crimson_storage.Record.VText "lca a,b";
-              Crimson_storage.Record.VText "x";
-              Crimson_storage.Record.VFloat 1.5;
-              Crimson_storage.Record.VInt 4;
-            |]);
-       Crimson_storage.Database.close db);
-      let repo = Repo.open_dir dir in
-      (match Repo.history repo with
-      | [ q ] ->
-          check Alcotest.string "text preserved" "lca a,b" q.Repo.text;
-          check (Alcotest.float 1e-9) "elapsed preserved" 1.5 q.Repo.elapsed_ms;
-          check Alcotest.int "pages preserved" 4 q.Repo.pages;
-          check Alcotest.string "old rows read empty cost" "" q.Repo.cost
-      | _ -> Alcotest.fail "expected the migrated v1 row");
-      let cost = {|{"pages_read":2,"cursor_steps":9}|} in
-      let id =
-        Repo.record_query repo ~elapsed_ms:2.0 ~pages:3 ~cost ~text:"new" ~result:"y"
-      in
-      check Alcotest.int "ids continue after migration" 1 id;
-      Repo.close repo;
-      let repo = Repo.open_dir dir in
-      (match Repo.history_entry repo id with
-      | Some q -> check Alcotest.string "cost survives reopen" cost q.Repo.cost
-      | None -> Alcotest.fail "new row missing after reopen");
-      Repo.close repo)
+      Repo.close (Repo.open_dir dir);
+      let db = Crimson_storage.Database.open_dir dir in
+      Crimson_storage.Database.set_version db (Repo.format_version + 1);
+      Crimson_storage.Database.close db;
+      refused dir ~found:(Repo.format_version + 1))
 
 (* --------------------------- Persistence --------------------------- *)
 
@@ -853,7 +822,9 @@ let test_persistence_across_reopen () =
          Loader.load_tree ~f:2 repo ~name:"figure1" ~species:[ ("Bha", "ACGT") ]
            fx.tree
        in
-       ignore (Repo.record_query repo ~text:"q" ~result:"r");
+       ignore
+         (Repo.record_query repo ~elapsed_ms:1.5 ~pages:4 ~cost:{|{"pages_read":2}|}
+            ~text:"q" ~result:"r");
        Repo.close repo);
       let repo = Repo.open_dir dir in
       let stored = Stored_tree.open_name repo "figure1" in
@@ -863,7 +834,13 @@ let test_persistence_across_reopen () =
       check Alcotest.int "projection works" 5 (Tree.node_count proj);
       check (Alcotest.option Alcotest.string) "species survive" (Some "ACGT")
         (Loader.species_sequence repo stored "Bha");
-      check Alcotest.int "history survives" 1 (List.length (Repo.history repo));
+      (match Repo.history repo with
+      | [ q ] ->
+          check (Alcotest.float 1e-9) "elapsed survives" 1.5 q.Repo.elapsed_ms;
+          check Alcotest.int "pages survive" 4 q.Repo.pages;
+          check Alcotest.string "cost survives" {|{"pages_read":2}|} q.Repo.cost
+      | h -> Alcotest.failf "history holds %d rows, not 1" (List.length h));
+      check Alcotest.int "ids continue" 1 (Repo.record_query repo ~text:"q2" ~result:"r2");
       Repo.close repo)
 
 let test_small_pool_queries () =
@@ -942,50 +919,47 @@ let test_summary_matches_brute () =
         e.Summary.leaves
   | _ -> Alcotest.failf "expected one top cluster, got %d" (List.length top)
 
-let test_summary_fallback_scan () =
-  (* A tree whose summary rows are gone (loaded before the table
-     existed) still answers overview — recomputed from the node table —
-     with identical clusters, and the miss metric counts it. *)
-  let repo = Repo.open_mem () in
-  let rng = Prng.create 23 in
-  let t0 = Helpers.random_tree rng 120 in
-  let t, _ = Ops.copy_with_mapping t0 in
-  let stored = (Loader.load_tree ~f:3 repo ~name:"old" t).Loader.tree in
-  let served = Summary.overview stored ~depth:1 in
-  let table = Repo.summaries repo in
-  let doomed = ref [] in
-  Table.scan table (fun rid _ -> doomed := rid :: !doomed);
-  check Alcotest.bool "summary rows existed" true (!doomed <> []);
-  List.iter (fun rid -> ignore (Table.delete table rid)) !doomed;
-  let misses_before =
-    Crimson_obs.Metrics.counter_value "core.summary.miss"
-  in
-  let recomputed = Summary.overview stored ~depth:1 in
-  check Alcotest.int "same layer" (fst served) (fst recomputed);
-  check Alcotest.int "same cluster count"
-    (List.length (snd served))
-    (List.length (snd recomputed));
-  List.iter2
-    (fun (a : Summary.entry) (b : Summary.entry) ->
-      check Alcotest.int "sub" a.Summary.sub b.Summary.sub;
-      check Alcotest.int "root" a.Summary.root b.Summary.root;
-      check Alcotest.int "parent_sub" a.Summary.parent_sub b.Summary.parent_sub;
-      check Alcotest.string "name" a.Summary.name b.Summary.name;
-      check Alcotest.int "nodes" a.Summary.nodes b.Summary.nodes;
-      check Alcotest.int "leaves" a.Summary.leaves b.Summary.leaves;
-      check Alcotest.int "height" a.Summary.height b.Summary.height;
-      (* The scan sums branch lengths in a different order; allow for
-         float re-association. *)
-      check (Alcotest.float 1e-6) "blen" a.Summary.blen b.Summary.blen)
-    (snd served) (snd recomputed);
-  check Alcotest.int "miss counted" (misses_before + 1)
-    (Crimson_obs.Metrics.counter_value "core.summary.miss")
+(* An overview is one scan of a (tree, layer) group of [summaries]: on a
+   handle that has read the group's runs, each call pins each of the
+   group's pages once and decodes each cluster once, in [sub] order, at
+   every depth. *)
+let test_summary_overview_one_scan () =
+  let repo = Repo.open_mem ~pool_size:8 () in
+  let t, _ = Ops.copy_with_mapping (Helpers.random_tree (Prng.create 23) 3000) in
+  let id = Stored_tree.id (Loader.load_tree ~f:3 repo ~name:"big" t).Loader.tree in
+  let stored = Stored_tree.open_id repo id in
+  let layer_count = Stored_tree.layer_count stored in
+  let module Clustered = Crimson_storage.Clustered in
+  check Alcotest.bool "layer 0 spans several pages" true
+    (Array.length (Clustered.runs (Stored_tree.group stored Repo.summaries ~layer:0)) > 2);
+  for depth = 0 to layer_count do
+    let group =
+      Stored_tree.group stored Repo.summaries ~layer:(Summary.layer_for ~layer_count ~depth)
+    in
+    let hits = Crimson_obs.Metrics.counter_value "core.summary.hit" in
+    let before = Cost.snapshot () in
+    let _, entries = Summary.overview stored ~depth in
+    let after = Cost.current () in
+    let what = Printf.sprintf "depth %d: %s" depth in
+    check
+      Alcotest.(list int)
+      (what "every cluster, in sub order")
+      (List.init (Clustered.size group) Fun.id)
+      (List.map (fun (e : Summary.entry) -> e.Summary.sub) entries);
+    check Alcotest.int (what "one decode per cluster") (List.length entries)
+      (after.rows_decoded - before.rows_decoded);
+    check Alcotest.int (what "one pin per page")
+      (Array.length (Clustered.runs group))
+      (Cost.pages after - Cost.pages before);
+    check Alcotest.int (what "one hit") (hits + 1)
+      (Crimson_obs.Metrics.counter_value "core.summary.hit")
+  done
 
 let test_overview_pages_sublinear () =
   (* The acceptance claim: an overview touches only the top of the
      summary table, not o(tree size) pages. PROFILE a small and a large
      tree; page touches must stay flat while the tree grows 16x, and the
-     precomputed path must beat the fallback scan on the same tree. *)
+     precomputed path must beat a scan of the same tree's node rows. *)
   let pages_of (report : Crimson_obs.Profile.report) =
     report.Crimson_obs.Profile.total.Crimson_obs.Profile.cost
       .Crimson_obs.Profile.pager_hits
@@ -1013,18 +987,15 @@ let test_overview_pages_sublinear () =
        p_small p_big)
     true
     (p_big <= (4 * p_small) + 8);
-  (* Same tree, summary rows dropped: the node-scan fallback must cost
-     strictly more page touches than the precomputed path. *)
-  let table = Repo.summaries big_repo in
-  let doomed = ref [] in
-  Table.scan table (fun rid _ -> doomed := rid :: !doomed);
-  List.iter (fun rid -> ignore (Table.delete table rid)) !doomed;
-  let p_fallback = overview_pages big_repo big in
+  (* The same tree's node rows, scanned once, cost strictly more page
+     touches than the precomputed path. *)
+  let before = Cost.pages (Cost.current ()) in
+  Stored_tree.scan big ~lo:0 ~hi:(Stored_tree.node_count big - 1) (fun v ->
+      v.Node_view.node + 1);
+  let p_scan = Cost.pages (Cost.current ()) - before in
   check Alcotest.bool
-    (Printf.sprintf "precomputed (%d pages) beats fallback (%d pages)"
-       p_big p_fallback)
-    true
-    (p_big < p_fallback)
+    (Printf.sprintf "precomputed (%d pages) beats a node scan (%d pages)" p_big p_scan)
+    true (p_big < p_scan)
 
 (* -------------------------- Subtree ranges -------------------------- *)
 (* Stored ids are dense preorder ranks and every node row carries
@@ -1038,11 +1009,6 @@ module Database = Crimson_storage.Database
 module Record = Crimson_storage.Record
 module Key = Crimson_storage.Key
 module Schema = Crimson_core.Schema
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  at 0
 
 (* The recursive frontier walk and quota draw that [Sampling.with_time]
    ran before the skip-scan, kept as the oracle for its samples: for one
@@ -1375,11 +1341,12 @@ let test_old_nodes_layout_refused () =
             Repo.close repo;
             Alcotest.fail "a nodes table without subtree_end opened"
         | exception Repo.Open_error msg ->
+            (* Written before format versions: version 0. *)
             List.iter
               (fun word ->
                 check Alcotest.bool (Printf.sprintf "%S names %s" msg word) true
                   (contains msg word))
-              [ dir; "nodes"; "subtree_end"; "re-load" ]
+              [ dir; "format version 0"; "re-load" ]
       in
       refused Database.Read_write;
       refused Database.Read_only;
@@ -1433,10 +1400,7 @@ let test_by_node_layout_refused () =
               (fun word ->
                 check Alcotest.bool (Printf.sprintf "%S names %s" msg word) true
                   (contains msg word))
-              [ dir; "nodes"; "index"; "by_node"; "re-load" ];
-            check Alcotest.bool
-              (Printf.sprintf "%S does not blame subtree_end" msg)
-              false (contains msg "subtree_end")
+              [ dir; "format version 0"; "re-load" ]
       in
       refused Database.Read_write;
       refused Database.Read_only;
@@ -1486,17 +1450,24 @@ let preorder_named tree =
     (Tree.preorder tree);
   Tree.Builder.finish b
 
-(* The directory rows of [tree], ascending by first id, from a full scan
-   of [node_runs]. *)
-let directory repo ~tree =
+(* The directory rows of [tree]'s [nodes] group, ascending by first id,
+   with their rids, from a full scan of [node_runs]. *)
+let run_column = Record.column_index Crimson_storage.Clustered.directory_schema
+
+let node_runs repo ~tree =
   let rows = ref [] in
-  Table.scan (Repo.node_runs repo) (fun _ row ->
-      if Record.get_int row Schema.Node_runs.c_tree = tree then
-        rows :=
-          ( Record.get_int row Schema.Node_runs.c_first,
-            Record.get_int row Schema.Node_runs.c_rid )
-          :: !rows);
-  List.sort compare !rows
+  Table.scan (Repo.node_runs repo) (fun rid row ->
+      if
+        Record.get_text row (run_column "table") = "nodes"
+        && Record.get_blob row (run_column "group") = Key.int tree
+      then rows := (Record.get_int row (run_column "first"), (rid, row)) :: !rows);
+  List.map snd (List.sort compare !rows)
+
+(* (first id, first rid) of each of those runs. *)
+let directory repo ~tree =
+  List.map
+    (fun (_, row) -> (Record.get_int row (run_column "first"), Record.get_int row (run_column "rid")))
+    (node_runs repo ~tree)
 
 (* Every ordinal's leaf, in a random order so that runs are reached out
    of id order, and nothing past either end. *)
@@ -1657,6 +1628,7 @@ let check_node_store_repo ~f ~pool trees =
             Alcotest.fail "a deleted tree's node row survived");
       if directory repo ~tree:doomed_id <> [] then
         Alcotest.fail "a deleted tree's runs survived";
+      check Alcotest.(list string) "directory check" [] (Loader.check_runs repo);
       (* Names only: one [by_name] entry per named node, none for the
          deleted tree. *)
       List.iter
@@ -1716,6 +1688,125 @@ let test_node_store_deep () =
   check_node_store_repo ~f:2 ~pool:8 trees;
   check_node_store_repo ~f:16 ~pool:256 trees
 
+(* ------------------------ Differential suite ------------------------ *)
+(* Everything the clustered tables serve — every layer view, sub root
+   and summary row, [Summary.overview] at each depth — and the LCAs and
+   projections built on them, read back through a reopened repository
+   with the minimum pool (8 pages per file) and one-view node caches,
+   against the in-memory answers of [Layered], [Summary.build] and
+   [Ops.induced_subtree]. The repository must also pass the directory
+   check. A failing case shrinks its leaf count. *)
+
+module Layered = Crimson_label.Layered
+
+let differential ~f ~seed t0 =
+  let t, _ = Ops.copy_with_mapping t0 in
+  let ix = Layered.build ~f t and n = Tree.node_count t in
+  let summary = Summary.build ix t in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  with_temp_dir (fun dir ->
+      (let repo = Repo.open_dir dir in
+       ignore (Loader.load_tree ~f repo ~name:"d" t);
+       Repo.close repo);
+      let repo = Repo.open_dir ~pool_size:8 dir in
+      Fun.protect ~finally:(fun () -> Repo.close repo) @@ fun () ->
+      (match Loader.check_runs repo with
+      | [] -> ()
+      | problems -> fail "directory check: %s" (String.concat "; " problems));
+      let stored = Stored_tree.open_name ~cache_capacity:1 repo "d" in
+      let cache =
+        Node_view.create_cache ~capacity:1 repo ~tree:(Stored_tree.id stored) ~nodes:n
+      in
+      let lc = Layered.layer_count ix in
+      if Stored_tree.layer_count stored <> lc then fail "layer count";
+      for layer = 0 to lc - 1 do
+        for v = 0 to Layered.layer_node_count ix ~layer - 1 do
+          let parent, edge, sub, depth =
+            if layer = 0 then
+              let v = Stored_tree.view stored v in
+              Node_view.(v.parent, v.edge_index, v.sub, v.local_depth)
+            else
+              let l = Node_view.layer_view cache ~layer v in
+              Node_view.(l.l_parent, l.l_edge_index, l.l_sub, l.l_local_depth)
+          in
+          if
+            (parent, edge, sub, depth)
+            <> Layered.
+                 ( raw_parent ix ~layer v, raw_edge_index ix ~layer v, raw_sub ix ~layer v,
+                   raw_local_depth ix ~layer v )
+          then fail "layer %d row %d" layer v
+        done;
+        for s = 0 to Layered.subtree_count ix ~layer - 1 do
+          if Node_view.sub_root cache ~layer s <> Layered.raw_sub_root ix ~layer s then
+            fail "layer %d sub root %d" layer s
+        done
+      done;
+      (match Node_view.layer_view cache ~layer:(max 1 (lc - 1)) (n + 1) with
+      | exception Node_view.Unknown_node _ -> ()
+      | _ -> fail "a layer row past the end");
+      for depth = 0 to lc do
+        let layer, entries = Summary.overview stored ~depth in
+        if layer <> Summary.layer_for ~layer_count:lc ~depth then fail "overview(%d) layer" depth;
+        if entries <> Array.to_list summary.(layer) then fail "overview(%d) rows" depth
+      done;
+      let rng = Prng.create seed in
+      let leaves = Tree.leaves t in
+      for _ = 1 to 60 do
+        let a = Prng.int rng n and b = Prng.int rng n in
+        if Stored_tree.lca stored a b <> Layered.lca ix a b then fail "lca(%d, %d)" a b
+      done;
+      List.iter
+        (fun k ->
+          let k = min k (Array.length leaves) in
+          let picked =
+            Array.to_list
+              (Array.map (fun i -> leaves.(i))
+                 (Prng.sample_without_replacement rng ~k ~n:(Array.length leaves)))
+          in
+          if
+            not
+              (Tree.equal_unordered ~tolerance:1e-9
+                 (Ops.induced_subtree t picked)
+                 (Projection.project stored picked))
+          then fail "projection of %d leaves" k)
+        [ 2; 3; 10 ];
+      true)
+
+let arb_differential gen =
+  QCheck.make gen
+    ~print:(fun (shape, leaves, f, seed) ->
+      Printf.sprintf "%s, %d leaves, f=%d, seed %d" (shape_name shape) leaves f seed)
+    ~shrink:(fun (shape, leaves, f, seed) ->
+      QCheck.Iter.map
+        (fun leaves -> (shape, leaves, f, seed))
+        (QCheck.Iter.filter (fun l -> l >= 2) (QCheck.Shrink.int leaves)))
+
+let differential_case (shape, leaves, f, seed) =
+  differential ~f ~seed (gen_tree shape ~seed ~leaves)
+
+let prop_differential =
+  QCheck.Test.make ~name:"clustered rows = in-memory reference" ~count:40
+    (arb_differential
+       QCheck.Gen.(
+         quad
+           (oneofl [ Yule; Birth_death; Caterpillar ])
+           (int_range 2 300) (oneofl [ 2; 3; 8 ]) (int_bound 1_000_000)))
+    differential_case
+
+(* The large cases, one QCheck test each so that a failure shrinks too:
+   10^4-deep caterpillars, and bushy trees of 10^4 leaves. *)
+let prop_differential_large =
+  List.map
+    (fun ((shape, leaves, f, _) as case) ->
+      QCheck.Test.make ~count:1
+        ~name:(Printf.sprintf "%s of %d leaves, f=%d" (shape_name shape) leaves f)
+        (arb_differential (QCheck.Gen.return case))
+        differential_case)
+    [
+      (Caterpillar, 10_000, 2, 7); (Caterpillar, 10_000, 8, 8); (Yule, 10_000, 3, 9);
+      (Birth_death, 3_000, 8, 10);
+    ]
+
 let test_forged_run_refused () =
   (* A run pointing one row off reads another node's row: every read
      path must refuse it as corrupt, never answer with that row. On a
@@ -1724,19 +1815,11 @@ let test_forged_run_refused () =
   let repo = Repo.open_mem () in
   ignore (Loader.load_tree ~f:4 repo ~name:"a" (Helpers.caterpillar 300));
   let b = (Loader.load_tree ~f:4 repo ~name:"b" (Helpers.caterpillar 300)).tree in
-  let runs = Repo.node_runs repo in
-  let b_runs = ref [] in
-  Table.scan runs (fun rid row ->
-      if Record.get_int row Schema.Node_runs.c_tree = Stored_tree.id b then
-        b_runs := (rid, row) :: !b_runs);
   (* The run holding the root, shifted back one row. *)
-  let rid, row =
-    List.find (fun (_, row) -> Record.get_int row Schema.Node_runs.c_first = 0) !b_runs
-  in
+  let rid, row = List.hd (node_runs repo ~tree:(Stored_tree.id b)) in
   let shifted = Array.copy row in
-  shifted.(Schema.Node_runs.c_rid) <-
-    Record.VInt (Record.get_int row Schema.Node_runs.c_rid - 1);
-  ignore (Table.update runs rid shifted);
+  shifted.(run_column "rid") <- Record.VInt (Record.get_int row (run_column "rid") - 1);
+  ignore (Table.update (Repo.node_runs repo) rid shifted);
   let corrupt what f =
     let cold = Stored_tree.open_id repo (Stored_tree.id b) in
     match f cold with
@@ -2042,17 +2125,15 @@ let () =
       ( "history",
         [
           Alcotest.test_case "record and recall" `Quick test_query_history;
-          Alcotest.test_case "legacy schema migration" `Quick
-            test_query_history_legacy_migration;
-          Alcotest.test_case "v1 schema migration (no cost column)" `Quick
-            test_query_history_v1_migration;
+          Alcotest.test_case "legacy schema refused" `Quick
+            test_query_history_legacy_refused;
         ] );
       ( "summary",
         [
           Alcotest.test_case "rollups match brute force" `Quick
             test_summary_matches_brute;
-          Alcotest.test_case "fallback scan for legacy trees" `Quick
-            test_summary_fallback_scan;
+          Alcotest.test_case "overview is one scan" `Quick
+            test_summary_overview_one_scan;
           Alcotest.test_case "overview pages stay flat" `Slow
             test_overview_pages_sublinear;
         ] );
@@ -2080,6 +2161,8 @@ let () =
           Alcotest.test_case "10^4-deep caterpillar" `Quick test_node_store_deep;
           Alcotest.test_case "forged run is corrupt" `Quick test_forged_run_refused;
         ] );
+      ( "reference",
+        List.map QCheck_alcotest.to_alcotest (prop_differential :: prop_differential_large) );
       ( "explain",
         [
           Alcotest.test_case "plans name real indexes" `Quick

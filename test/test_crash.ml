@@ -128,6 +128,11 @@ let verify ~label ~observed dir =
   Fun.protect
     ~finally:(fun () -> Repo.close repo)
     (fun () ->
+      (* The clustered tables' runs cover every live tree's rows, each
+         at its own rid, and nothing else. *)
+      (match Loader.check_runs repo with
+      | [] -> ()
+      | problems -> Alcotest.failf "%s: %s" label (String.concat "; " problems));
       let step1 =
         List.exists (fun (_, name) -> name = "figure1") (Stored_tree.list_all repo)
       in

@@ -11,6 +11,7 @@ module Key = Crimson_storage.Key
 module Record = Crimson_storage.Record
 module Table = Crimson_storage.Table
 module Database = Crimson_storage.Database
+module Clustered = Crimson_storage.Clustered
 module Prng = Crimson_util.Prng
 module Cost = Crimson_obs.Cost
 
@@ -437,60 +438,6 @@ let btree_model =
   ignore (Btree.validate bt = Ok ());
   got = expected && Btree.validate bt = Ok ()
 
-let test_btree_cursor_ordering () =
-  let bt = Btree.create (Pager.create_mem ()) in
-  let n = 2500 in
-  let rng = Prng.create 77 in
-  let ids = Array.init n (fun i -> i) in
-  Prng.shuffle rng ids;
-  Array.iter (fun i -> Btree.insert bt ~key:(Printf.sprintf "c%06d" i) i) ids;
-  (* From the very beginning: every entry, ascending. *)
-  let cur = Btree.cursor bt ~key:"" in
-  let count = ref 0 in
-  let prev = ref "" in
-  let rec drain () =
-    match Btree.Cursor.next cur with
-    | None -> ()
-    | Some (k, _) ->
-        if String.compare !prev k >= 0 then Alcotest.failf "order violation at %s" k;
-        prev := k;
-        incr count;
-        drain ()
-  in
-  drain ();
-  check Alcotest.int "streamed all" n !count;
-  check Alcotest.bool "multi-leaf tree" true (Btree.height bt >= 2);
-  (* Mid-range start: positioned at the first key >= the seek key, even
-     when the seek key itself is absent. *)
-  let cur = Btree.cursor bt ~key:"c001233x" in
-  (match Btree.Cursor.next cur with
-  | Some (k, v) ->
-      check Alcotest.string "seek lands after" "c001234" k;
-      check Alcotest.int "value" 1234 v
-  | None -> Alcotest.fail "cursor empty mid-range");
-  (* Beyond the last key: immediately exhausted, and stays so. *)
-  let cur = Btree.cursor bt ~key:"d" in
-  check Alcotest.bool "past end" true (Btree.Cursor.next cur = None);
-  check Alcotest.bool "still exhausted" true (Btree.Cursor.next cur = None)
-
-let test_btree_cursor_skips_emptied_leaves () =
-  let bt = Btree.create (Pager.create_mem ()) in
-  for i = 0 to 1999 do
-    Btree.insert bt ~key:(Printf.sprintf "e%06d" i) i
-  done;
-  (* Empty out a middle run long enough to cover whole leaves — deletes
-     never rebalance, so the chain retains empty leaves to skip. *)
-  for i = 500 to 1499 do
-    ignore (Btree.delete bt ~key:(Printf.sprintf "e%06d" i))
-  done;
-  let cur = Btree.cursor bt ~key:"e000499" in
-  (match Btree.Cursor.next cur with
-  | Some (k, _) -> check Alcotest.string "last before gap" "e000499" k
-  | None -> Alcotest.fail "cursor empty");
-  (match Btree.Cursor.next cur with
-  | Some (k, _) -> check Alcotest.string "first after gap" "e001500" k
-  | None -> Alcotest.fail "gap not crossed")
-
 let test_btree_scan_range () =
   let bt = Btree.create (Pager.create_mem ()) in
   for i = 0 to 99 do
@@ -728,74 +675,6 @@ let test_table_scan () =
   Table.scan t (fun _ _ -> incr n);
   check Alcotest.int "scanned" 10 !n
 
-let test_table_cursor_duplicates () =
-  let db = Database.open_mem () in
-  let t = make_table db in
-  (* Several rows under the same non-unique key, plus neighbours. *)
-  ignore (Table.insert t [| Record.VText "A"; Record.VInt 1; Record.VFloat 1.0 |]);
-  ignore (Table.insert t [| Record.VText "B"; Record.VInt 1; Record.VFloat 1.0 |]);
-  ignore (Table.insert t [| Record.VText "C"; Record.VInt 1; Record.VFloat 1.0 |]);
-  ignore (Table.insert t [| Record.VText "D"; Record.VInt 1; Record.VFloat 0.5 |]);
-  ignore (Table.insert t [| Record.VText "E"; Record.VInt 1; Record.VFloat 2.0 |]);
-  (* The cursor must agree with iter_index on a duplicate-key prefix:
-     every duplicate, in stable (insertion-rid) order, nothing else. *)
-  let via_iter = ref [] in
-  Table.iter_index t ~index:"by_dist" ~prefix:(Key.float 1.0) (fun _ row ->
-      via_iter := Record.get_text row 0 :: !via_iter;
-      true);
-  let cur = Table.cursor t ~index:"by_dist" ~prefix:(Key.float 1.0) in
-  let via_cursor = ref [] in
-  let rec drain () =
-    match Table.Cursor.next cur with
-    | None -> ()
-    | Some (_, row) ->
-        via_cursor := Record.get_text row 0 :: !via_cursor;
-        drain ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "duplicates in rid order" [ "A"; "B"; "C" ]
-    (List.rev !via_cursor);
-  check (Alcotest.list Alcotest.string) "matches iter_index" (List.rev !via_iter)
-    (List.rev !via_cursor);
-  (* A unique-index cursor with an empty prefix streams the whole table
-     in key order. *)
-  let cur = Table.cursor t ~index:"by_name" ~prefix:"" in
-  let names = ref [] in
-  let rec drain () =
-    match Table.Cursor.next cur with
-    | None -> ()
-    | Some (_, row) ->
-        names := Record.get_text row 0 :: !names;
-        drain ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "full order" [ "A"; "B"; "C"; "D"; "E" ]
-    (List.rev !names)
-
-let test_table_cursor_start_and_deletes () =
-  let db = Database.open_mem () in
-  let t = make_table db in
-  for i = 0 to 9 do
-    ignore
-      (Table.insert t
-         [| Record.VText (Printf.sprintf "S%d" i); Record.VInt i; Record.VFloat 0.0 |])
-  done;
-  (* Mid-range start key inside the prefix. Text encodings are
-     terminated, so the byte prefix covering every S* key is the raw
-     "S", not [Key.text "S"]. *)
-  let cur = Table.cursor t ~index:"by_name" ~prefix:"S" ~start:(Key.text "S7") in
-  (match Table.Cursor.next cur with
-  | Some (_, row) -> check Alcotest.string "start honoured" "S7" (Record.get_text row 0)
-  | None -> Alcotest.fail "cursor empty at start key");
-  (* Rows deleted after index entries were yielded are skipped, not
-     surfaced as ghosts. *)
-  (match Table.find t ~index:"by_name" ~key:(Key.text "S8") with
-  | Some (rid, _) -> ignore (Table.delete t rid)
-  | None -> Alcotest.fail "S8 missing");
-  (match Table.Cursor.next cur with
-  | Some (_, row) -> check Alcotest.string "delete skipped" "S9" (Record.get_text row 0)
-  | None -> Alcotest.fail "cursor ended early")
-
 let test_table_scan_range_and_last_entry () =
   let db = Database.open_mem () in
   let t = make_table db in
@@ -824,6 +703,188 @@ let test_table_scan_range_and_last_entry () =
   | None -> Alcotest.fail "last_entry lost after delete"
 
 (* ----------------------------- Database ---------------------------- *)
+
+(* ---------------------------- Clustered ----------------------------- *)
+
+(* A clustered table of (tree, layer, id, payload) rows beside its
+   directory, over a small pool. Payloads are long enough that a group
+   spans several pages. *)
+let clustered_schema : Record.schema =
+  [| ("tree", Record.Int); ("layer", Record.Int); ("id", Record.Int); ("text", Record.Text) |]
+
+let clustered_db () =
+  let db = Database.open_mem ~pool_size:8 () in
+  let directory =
+    Database.table db ~name:"runs" ~schema:Clustered.directory_schema
+      ~indexes:Clustered.directory_indexes
+  in
+  let table = Database.table db ~name:"rows" ~schema:clustered_schema ~indexes:[] in
+  (table, directory, Clustered.create table ~directory)
+
+let payload tree layer id = Printf.sprintf "%d/%d/%d:%s" tree layer id (String.make 90 'x')
+
+let write_group c ~tree ~layer rows =
+  Clustered.write c [ tree; layer ] ~rows ~mark:(fun id -> 10 * id) (fun id ->
+      Record.[| VInt tree; VInt layer; VInt id; VText (payload tree layer id) |])
+
+let decode_text r =
+  let s = Record.Reader.text r in
+  Record.Reader.finish r;
+  s
+
+let id_of_payload text = Scanf.sscanf text "%d/%d/%d:" (fun _ _ id -> id)
+
+(* The directory rows of group [key], ascending by first id. *)
+let directory_of directory key =
+  let col = Record.column_index Clustered.directory_schema in
+  let rows = ref [] in
+  Table.scan directory (fun rid row ->
+      if Record.get_blob row (col "group") = Key.cat (List.map Key.int key) then
+        rows := (Record.get_int row (col "first"), (rid, row)) :: !rows);
+  List.map snd (List.sort compare !rows)
+
+let test_clustered_find_and_scan () =
+  let _, _, c = clustered_db () in
+  (* Three groups, the middle one spanning several pages and sharing its
+     first and last pages with its neighbours. *)
+  ignore (write_group c ~tree:1 ~layer:0 7);
+  let g = write_group c ~tree:1 ~layer:1 300 in
+  ignore (write_group c ~tree:2 ~layer:0 5);
+  let reopened = Clustered.open_group c [ 1; 1 ] in
+  check Alcotest.bool "several runs" true (Array.length (Clustered.runs g) > 3);
+  check Alcotest.bool "the directory holds the written runs" true
+    (Clustered.runs g = Clustered.runs reopened);
+  Array.iter
+    (fun (r : Clustered.run) -> check Alcotest.int "mark" (10 * r.first) r.mark)
+    (Clustered.runs g);
+  List.iter
+    (fun g ->
+      check Alcotest.int "size" 300 (Clustered.size g);
+      for id = 299 downto 0 do
+        check (Alcotest.option Alcotest.string) "find" (Some (payload 1 1 id))
+          (Clustered.find g id decode_text)
+      done;
+      List.iter
+        (fun id ->
+          check Alcotest.bool "out of range" true (Clustered.find g id decode_text = None))
+        [ -1; 300 ])
+    [ g; reopened ];
+  check Alcotest.int "an absent group has no rows" 0
+    (Clustered.size (Clustered.open_group c [ 3; 0 ]));
+  check
+    (Alcotest.list (Alcotest.list Alcotest.int))
+    "groups" [ [ 1; 0 ]; [ 1; 1 ]; [ 2; 0 ] ] (Clustered.groups c);
+  (* A full scan pins each page once and decodes each row once. *)
+  let seen = ref [] in
+  let before = Cost.snapshot () in
+  Clustered.scan reopened ~lo:0 ~hi:max_int (fun _ -> decode_text) (fun text ->
+      seen := id_of_payload text :: !seen;
+      id_of_payload text + 1);
+  let after = Cost.current () in
+  check (Alcotest.list Alcotest.int) "every row, in order" (List.init 300 Fun.id)
+    (List.rev !seen);
+  check Alcotest.int "one page pin per run"
+    (Array.length (Clustered.runs reopened))
+    (Cost.pages after - Cost.pages before);
+  check Alcotest.int "one decode per row" 300 (after.rows_decoded - before.rows_decoded);
+  (* A jumping scan reads only the rows it asks for. *)
+  let next id = if id mod 2 = 0 then id + 37 else id + 1 in
+  let rec expect id acc = if id > 250 then List.rev acc else expect (next id) (id :: acc) in
+  let seen = ref [] in
+  let before = Cost.snapshot () in
+  Clustered.scan reopened ~lo:5 ~hi:250 (fun _ -> decode_text) (fun text ->
+      let id = id_of_payload text in
+      seen := id :: !seen;
+      next id);
+  check (Alcotest.list Alcotest.int) "jumps" (expect 5 []) (List.rev !seen);
+  check Alcotest.int "no decode of a row jumped over" (List.length !seen)
+    ((Cost.current ()).rows_decoded - before.rows_decoded)
+
+let test_clustered_key_checked () =
+  let table, directory, c = clustered_db () in
+  ignore (write_group c ~tree:1 ~layer:0 40);
+  ignore (write_group c ~tree:1 ~layer:1 40);
+  (match
+     Clustered.write c [ 1; 2 ] ~rows:1 (fun _ ->
+         Record.[| VInt 1; VInt 2; VInt 5; VText "" |])
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a row with the wrong id was written");
+  (* Shift group (1, 1)'s first run back one row: it now starts on group
+     (1, 0)'s last row. Every read path refuses it. *)
+  let rid_col = Record.column_index Clustered.directory_schema "rid" in
+  let rid, row = List.hd (directory_of directory [ 1; 1 ]) in
+  let forged = Array.copy row in
+  forged.(rid_col) <- Record.VInt (Record.get_int row rid_col - 1);
+  ignore (Table.update directory rid forged);
+  let g = Clustered.open_group c [ 1; 1 ] in
+  let corrupt what f =
+    match f () with
+    | exception Error.Error (Error.Corrupt_page { file; detail }) ->
+        check Alcotest.string (what ^ " names the heap") (Table.heap_file table) file;
+        check Alcotest.bool (what ^ ": " ^ detail) true (String.length detail > 0)
+    | _ -> Alcotest.failf "%s read a row that is not the group's" what
+  in
+  corrupt "find" (fun () -> ignore (Clustered.find g 0 decode_text));
+  corrupt "scan" (fun () -> Clustered.scan g ~lo:0 ~hi:3 (fun _ -> decode_text) (fun _ -> max_int));
+  check Alcotest.bool "check reports it" true
+    (Result.is_error (Clustered.check g ~rows:40));
+  (* What the consumer raises is its own, not a corrupt row. *)
+  let g0 = Clustered.open_group c [ 1; 0 ] in
+  match Clustered.scan g0 ~lo:0 ~hi:3 (fun _ -> decode_text) (fun _ -> invalid_arg "mine") with
+  | exception Invalid_argument msg -> check Alcotest.string "the consumer's own" "mine" msg
+  | _ -> Alcotest.fail "the consumer's exception was lost"
+
+let test_clustered_delete_and_check () =
+  let table, directory, c = clustered_db () in
+  ignore (write_group c ~tree:1 ~layer:0 40);
+  let g = write_group c ~tree:1 ~layer:1 120 in
+  ignore (write_group c ~tree:2 ~layer:0 40);
+  check Alcotest.bool "a written group checks" true (Clustered.check g ~rows:120 = Ok ());
+  check Alcotest.bool "a count it does not cover" true
+    (Result.is_error (Clustered.check g ~rows:121));
+  (* A directory with a gap. *)
+  let rid, _ = List.nth (directory_of directory [ 1; 1 ]) 1 in
+  let row = Option.get (Table.get directory rid) in
+  ignore (Table.delete directory rid);
+  (match Clustered.check (Clustered.open_group c [ 1; 1 ]) ~rows:120 with
+  | Error msg -> check Alcotest.bool msg true true
+  | Ok () -> Alcotest.fail "a gap in the runs passed the check");
+  ignore (Table.insert directory row);
+  check Alcotest.bool "mended" true
+    (Clustered.check (Clustered.open_group c [ 1; 1 ]) ~rows:120 = Ok ());
+  (* Delete: its rows and its runs go; an old handle reads nothing. *)
+  Clustered.delete c [ 1; 1 ];
+  check Alcotest.bool "rows gone" true (Clustered.find g 0 decode_text = None);
+  let seen = ref 0 in
+  Clustered.scan g ~lo:0 ~hi:max_int (fun _ -> decode_text) (fun _ ->
+      incr seen;
+      max_int);
+  check Alcotest.int "a scan of a deleted group reads nothing" 0 !seen;
+  check Alcotest.int "no runs" 0 (Clustered.size (Clustered.open_group c [ 1; 1 ]));
+  check Alcotest.int "other rows kept" 80 (Table.row_count table);
+  check
+    (Alcotest.list (Alcotest.list Alcotest.int))
+    "groups" [ [ 1; 0 ]; [ 2; 0 ] ] (Clustered.groups c);
+  List.iter
+    (fun key ->
+      check Alcotest.bool "others still check" true
+        (Clustered.check (Clustered.open_group c key) ~rows:40 = Ok ()))
+    [ [ 1; 0 ]; [ 2; 0 ] ]
+
+let test_database_version () =
+  with_temp_dir (fun dir ->
+      let db = Database.open_dir dir in
+      check Alcotest.int "a new database records none" 0 (Database.version db);
+      Database.set_version db 3;
+      ignore (Database.table db ~name:"t" ~schema:clustered_schema ~indexes:[]);
+      Database.close db;
+      let db = Database.open_dir ~mode:Database.Read_only dir in
+      check Alcotest.int "kept across a reopen" 3 (Database.version db);
+      (match Database.set_version db 4 with
+      | exception Error.Error (Error.Read_only _) -> ()
+      | () -> Alcotest.fail "a read-only database recorded a version");
+      Database.close db)
 
 let test_database_persistence_and_reopen () =
   with_temp_dir (fun dir ->
@@ -981,9 +1042,6 @@ let () =
           Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           Alcotest.test_case "key validation" `Quick test_btree_key_validation;
-          Alcotest.test_case "cursor ordering" `Quick test_btree_cursor_ordering;
-          Alcotest.test_case "cursor skips emptied leaves" `Quick
-            test_btree_cursor_skips_emptied_leaves;
           Alcotest.test_case "scan_range" `Quick test_btree_scan_range;
           Alcotest.test_case "max_binding" `Quick test_btree_max_binding;
           QCheck_alcotest.to_alcotest btree_model;
@@ -1017,14 +1075,18 @@ let () =
             test_table_delete_maintains_indexes;
           Alcotest.test_case "update" `Quick test_table_update;
           Alcotest.test_case "scan" `Quick test_table_scan;
-          Alcotest.test_case "cursor duplicates" `Quick test_table_cursor_duplicates;
-          Alcotest.test_case "cursor start and deletes" `Quick
-            test_table_cursor_start_and_deletes;
           Alcotest.test_case "scan_range and last_entry" `Quick
             test_table_scan_range_and_last_entry;
         ] );
+      ( "clustered",
+        [
+          Alcotest.test_case "find and scan" `Quick test_clustered_find_and_scan;
+          Alcotest.test_case "keys checked" `Quick test_clustered_key_checked;
+          Alcotest.test_case "delete and check" `Quick test_clustered_delete_and_check;
+        ] );
       ( "database",
         [
+          Alcotest.test_case "format version" `Quick test_database_version;
           Alcotest.test_case "persistence and reopen" `Quick
             test_database_persistence_and_reopen;
           Alcotest.test_case "schema mismatch" `Quick test_database_schema_mismatch;
