@@ -3,10 +3,10 @@
 
    "On" means everything the plane costs at once: an HTTP endpoint
    bound on a second Unix socket, the event journal, a slowlog
-   threshold of 0 so every request is traced into the fleet-merge
-   rings, and a live scraper process hammering /metrics and /healthz
-   for the whole run (each scrape triggers the snapshot-request
-   round-trip to all four workers). "Off" is the default config —
+   threshold of 0 so every request is traced into its worker's slowlog
+   ring, and a live scraper process hammering /metrics and /healthz
+   for the whole run (each scrape renders the registry in place and
+   runs a watchdog pass). "Off" is the default config —
    heartbeats and the per-request watchdog bracketing still run, since
    they are unconditionally part of the server now.
 

@@ -158,27 +158,6 @@ module Histogram = struct
         done;
         List.rev !out)
 
-  (* Raw mergeable view for the fleet layer: sparse (bucket index,
-     count) pairs plus the scalar moments, captured under one lock so a
-     dump is internally consistent. [d_min]/[d_max] keep their raw
-     sentinel values (+Inf/-Inf) when empty so merging two dumps is a
-     plain min/max. *)
-  type dump = {
-    d_buckets : (int * int) list;
-    d_count : int;
-    d_sum : float;
-    d_min : float;
-    d_max : float;
-  }
-
-  let dump t =
-    locked t (fun () ->
-        let out = ref [] in
-        for i = n_buckets - 1 downto 0 do
-          if t.buckets.(i) > 0 then out := (i, t.buckets.(i)) :: !out
-        done;
-        { d_buckets = !out; d_count = t.count; d_sum = t.sum; d_min = t.min; d_max = t.max })
-
   let reset t =
     locked t (fun () ->
         Array.fill t.buckets 0 n_buckets 0;
@@ -360,25 +339,13 @@ let prometheus_float v =
   else Printf.sprintf "%.9g" v
 
 (* HELP text escaping per the exposition format: backslash and newline
-   only. Label values additionally escape the double quote. *)
+   only. *)
 let prometheus_escape_help text =
   let buf = Buffer.create (String.length text) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    text;
-  Buffer.contents buf
-
-let prometheus_escape_label text =
-  let buf = Buffer.create (String.length text) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
     text;

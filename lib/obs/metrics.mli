@@ -50,10 +50,6 @@ end
 module Histogram : sig
   type t
 
-  val make : string -> t
-  (** A local histogram, not in the registry (scratch accumulation —
-      e.g. building a union-stream reference in tests). *)
-
   val observe : t -> float -> unit
   (** Record one sample (>= 0; negatives clamp to 0). Unit is up to the
       caller — by convention milliseconds. *)
@@ -78,29 +74,6 @@ module Histogram : sig
       pairs, ascending; the last cumulative count equals {!count}.
       Empty list when no samples. Feeds the Prometheus [_bucket{le=…}]
       exposition. *)
-
-  val n_buckets : int
-  (** Number of log-scale buckets (shared by every histogram). *)
-
-  val bucket_lo : int -> float
-  (** Lower bound (exclusive) of bucket [i]; 0 for bucket 0. *)
-
-  val bucket_hi : int -> float
-  (** Upper bound (inclusive) of bucket [i]. *)
-
-  type dump = {
-    d_buckets : (int * int) list;
-        (** non-empty buckets as (index, count), ascending by index *)
-    d_count : int;
-    d_sum : float;
-    d_min : float;  (** [+Inf] when empty — mergeable as plain min *)
-    d_max : float;  (** [-Inf] when empty — mergeable as plain max *)
-  }
-
-  val dump : t -> dump
-  (** Raw mergeable snapshot, captured under one lock (internally
-      consistent). The fleet layer merges dumps bucket-wise so fleet
-      percentiles come from merged buckets, not averaged quantiles. *)
 
   val name : t -> string
 end
@@ -139,8 +112,6 @@ val set_help : string -> string -> unit
     the Prometheus exposition. May be called before or after the metric
     itself is registered; later calls replace earlier ones. *)
 
-val help_of : string -> string option
-
 (** {1 Exporters} *)
 
 val to_text : unit -> string
@@ -158,10 +129,6 @@ val prometheus_float : float -> string
 val prometheus_escape_help : string -> string
 (** Escape a HELP text per the exposition format: backslash doubles,
     newline becomes a literal backslash-n. *)
-
-val prometheus_escape_label : string -> string
-(** Escape a label value: backslash doubles, double quote gains a
-    backslash, newline becomes a literal backslash-n. *)
 
 val to_prometheus : unit -> string
 (** Prometheus text exposition format (0.0.4): every metric renamed via

@@ -10,12 +10,13 @@
    while unwinding. A nested [timed] joins the enclosing trace as an
    ordinary span instead of starting a second one.
 
-   Domain model: collection state and the ring buffers are domain-local
-   (each server worker assembles and retains its own traces — a worker
-   answering SLOWLOG reports its own ring), trace ids come from one
-   process-global atomic so ids stay unique across workers, and the
-   JSONL sink is process-global behind a mutex so all workers append to
-   the same file. *)
+   Domain model: collection state and the trace ring are domain-local
+   (each server worker assembles and retains its own traces). Each
+   domain's slowlog ring sits behind its own mutex on one process-wide
+   list, so a reader on any domain walks every domain's entries. Trace
+   ids come from one process-global atomic so ids stay unique across
+   workers, and the JSONL sink is process-global behind a mutex so all
+   workers append to the same file. *)
 
 type span = {
   name : string;
@@ -94,20 +95,33 @@ let default_buffer_capacity = 128
 let default_slowlog_capacity = 64
 let default_max_events = 4096
 
-(* Ring capacities are process-wide settings; the rings themselves are
-   per-domain so workers never contend (and never see each other's
-   traces — fleet-wide slowlog aggregation is the server layer's job). *)
+(* Ring capacities are process-wide settings. The trace ring is
+   domain-local and unlocked. A domain's slowlog ring is written only by
+   that domain but read by any, so it sits behind its own mutex on one
+   process-wide list, like the cost records: a reader walks the list and
+   never waits on a busy domain for longer than one push. Rings stay
+   listed after their domain exits. *)
 let buffer_capacity = Atomic.make default_buffer_capacity
 let slowlog_capacity = Atomic.make default_slowlog_capacity
+
+type slow_ring = { lock : Mutex.t; mutable ring : record Ring.t }
+
+let slow_rings : slow_ring list Atomic.t = Atomic.make []
+
+let rec enlist r =
+  let l = Atomic.get slow_rings in
+  if not (Atomic.compare_and_set slow_rings l (r :: l)) then enlist r
 
 let buffer_key : record Ring.t ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Ring.create (Atomic.get buffer_capacity)))
 
-let slow_buffer_key : record Ring.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (Ring.create (Atomic.get slowlog_capacity)))
+let slow_key : slow_ring Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let r = { lock = Mutex.create (); ring = Ring.create (Atomic.get slowlog_capacity) } in
+      enlist r;
+      r)
 
 let buffer () = Domain.DLS.get buffer_key
-let slow_buffer () = Domain.DLS.get slow_buffer_key
 let slow_threshold : float option Atomic.t = Atomic.make None
 let max_events = Atomic.make default_max_events
 
@@ -117,14 +131,39 @@ let set_buffer_capacity n =
 
 let set_slowlog_capacity n =
   Atomic.set slowlog_capacity (max 1 n);
-  slow_buffer () := Ring.create (max 1 n)
+  let r = Domain.DLS.get slow_key in
+  Mutex.protect r.lock (fun () -> r.ring <- Ring.create (max 1 n))
 
 let set_slowlog_ms t = Atomic.set slow_threshold t
 let slowlog_threshold () = Atomic.get slow_threshold
 let set_max_events n = Atomic.set max_events (max 1 n)
 let recent ?n () = Ring.recent ?n !(buffer ())
-let slowlog ?n () = Ring.recent ?n !(slow_buffer ())
-let slowlog_reset () = slow_buffer () := Ring.clear !(slow_buffer ())
+
+(* Interleave rings into one timeline, newest first. The order is
+   total (started_at desc, then trace id desc), so repeated reads never
+   flap. *)
+let merge_records ?n rings =
+  let sorted =
+    List.sort
+      (fun (a : record) (b : record) ->
+        match Float.compare b.started_at a.started_at with
+        | 0 -> compare b.id a.id
+        | c -> c)
+      (List.concat rings)
+  in
+  match n with
+  | None -> sorted
+  | Some k -> List.filteri (fun i _ -> i < k) sorted
+
+let slowlog ?n () =
+  Atomic.get slow_rings
+  |> List.map (fun r -> Mutex.protect r.lock (fun () -> Ring.recent r.ring))
+  |> merge_records ?n
+
+let slowlog_reset () =
+  List.iter
+    (fun r -> Mutex.protect r.lock (fun () -> r.ring <- Ring.clear r.ring))
+    (Atomic.get slow_rings)
 
 (* ------------------------------- JSON -------------------------------- *)
 
@@ -256,11 +295,6 @@ let current_id () =
 
 let sink_installed () = Jsonl_sink.installed sink
 
-(* Bumped whenever this domain's rings gain a record: lets the server
-   layer publish ring snapshots to peers only when something changed. *)
-let generation_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-let generation () = !(Domain.DLS.get generation_key)
-
 let finalize st root =
   Span.set_sink None;
   current () := None;
@@ -271,13 +305,15 @@ let finalize st root =
   in
   let record = { id = st.trace_id; started_at = st.started_at; meta; root } in
   Metrics.Counter.incr m_records;
-  incr (Domain.DLS.get generation_key);
   if Ring.push !(buffer ()) record then Metrics.Counter.incr m_ring_dropped;
   (match Atomic.get slow_threshold with
   | Some t when root.elapsed_ms >= t ->
       Metrics.Counter.incr m_slow;
-      if Ring.push !(slow_buffer ()) record then
-        Metrics.Counter.incr m_slowlog_dropped
+      let r = Domain.DLS.get slow_key in
+      Mutex.lock r.lock;
+      let displaced = Ring.push r.ring record in
+      Mutex.unlock r.lock;
+      if displaced then Metrics.Counter.incr m_slowlog_dropped
   | Some _ | None -> ());
   if sink_installed () then
     sink_write (Json.to_string (record_to_json record) ^ "\n")
@@ -377,6 +413,5 @@ let child_reset () =
      it (close only decrements the kernel refcount — the parent's sink
      is untouched) and starts with tracing outputs disabled. *)
   close_sink ();
-  incr (Domain.DLS.get generation_key);
   buffer () := Ring.clear !(buffer ());
-  slow_buffer () := Ring.clear !(slow_buffer ())
+  slowlog_reset ()

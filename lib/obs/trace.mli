@@ -16,10 +16,12 @@
     span; only the outermost call owns the record. When no trace is
     collecting, instrumented code pays one ref read per span.
 
-    Collection state and the rings are domain-local, like the span
-    stack: each worker domain assembles and keeps its own traces. Trace
-    ids come from one process-wide atomic, and the JSONL sink is shared
-    by every domain behind a mutex. Forked children must call
+    Collection state and the trace ring are domain-local, like the span
+    stack: each worker domain assembles and keeps its own traces. Each
+    domain's slowlog ring sits behind its own mutex on one process-wide
+    list, so {!slowlog} on any domain reads every domain's entries.
+    Trace ids come from one process-wide atomic, and the JSONL sink is
+    shared by every domain behind a mutex. Forked children must call
     {!child_reset} before any traced work. *)
 
 type span = {
@@ -58,23 +60,33 @@ val current_id : unit -> int option
 (** {1 Ring buffers} *)
 
 val recent : ?n:int -> unit -> record list
-(** Most recent completed traces, newest first (default: whole ring). *)
+(** This domain's most recent completed traces, newest first (default:
+    whole ring). *)
 
 val slowlog : ?n:int -> unit -> record list
-(** Slow-query log entries, newest first. *)
+(** Every domain's slow-query log entries, merged newest first
+    ({!merge_records}); [n] caps the result. Each domain's ring is read
+    under its own mutex, which its owner holds only to push one record,
+    so a domain busy inside a request never delays the read. A domain's
+    entries stay listed after it exits. Each record's provenance rides
+    in its meta (the server tags request traces with their worker). *)
+
+val merge_records : ?n:int -> record list list -> record list
+(** Interleave rings into one timeline, newest first: [started_at]
+    descending, trace id descending as tie-break, so the order is total.
+    [n] caps the result. *)
 
 val slowlog_reset : unit -> unit
-
-val generation : unit -> int
-(** Bumped whenever this domain's rings gain a record (or are cleared):
-    lets the server layer republish ring snapshots to peers only when
-    something changed. Domain-local, like the rings. *)
+(** Empty every domain's slowlog ring. *)
 
 val set_buffer_capacity : int -> unit
-(** Resize the trace ring (drops current contents). Default 128. *)
+(** Resize this domain's trace ring (drops current contents). Default
+    128. *)
 
 val set_slowlog_capacity : int -> unit
-(** Resize the slowlog ring (drops current contents). Default 64. *)
+(** Resize this domain's slowlog ring (drops current contents); domains
+    that record their first slow trace later start at this size.
+    Default 64. *)
 
 val set_slowlog_ms : float option -> unit
 (** Slow threshold in milliseconds. [None] disables the slowlog;
@@ -118,5 +130,6 @@ val reset : unit -> unit
 
 val child_reset : unit -> unit
 (** For forked children: {!reset}, drop the inherited sink fd (the
-    parent's sink is unaffected), and clear both ring buffers so the
-    child never writes or reports the parent's traces. *)
+    parent's sink is unaffected), and clear the trace ring and every
+    slowlog ring so the child never writes or reports the parent's
+    traces. *)

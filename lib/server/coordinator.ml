@@ -16,16 +16,15 @@
      with a pipe-byte wakeup;
    - query-history rows, queued on a serialized channel the calling
      domain drains into its repository;
-   - the admission count (an atomic charged at accept);
-   - published per-session rows and trace-ring slices, so TOP and
-     SLOWLOG answer fleet-wide.
+   - the fleet's sessions: the admission count (an atomic charged at
+     accept) and the live-session table TOP reads, behind one mutex.
 
-   Metrics need no aggregation step: counters are atomic and
+   Telemetry needs no step of its own: counters are atomic and
    process-global, so the server.* family already sums across workers,
-   while server.worker.<id>.* exposes each worker's slice. *)
+   while server.worker.<id>.* exposes each worker's slice, and SLOWLOG
+   reads every domain's slowlog ring in place. *)
 
 module Repo = Crimson_core.Repo
-module Trace = Crimson_obs.Trace
 module Log = (val Logs.src_log Worker_core.src : Logs.LOG)
 
 type t = {
@@ -33,19 +32,17 @@ type t = {
   place : Unix.file_descr -> id:int -> Conn.kind -> unit;
   sources : (Unix.file_descr * (unit -> unit)) list;
   tick : unit -> unit;
-  slowlog : unit -> Trace.record list list;
   stop : unit -> unit;
 }
 
-let local ~config ~active set repo =
+let local ~config ~sessions set repo =
   let beat = Watchdog.make_beat ~worker:1 in
-  let core = Worker_core.create ~config (Worker_core.local_ctx ~active repo) repo in
+  let core = Worker_core.create ~config (Worker_core.local_ctx ~sessions repo) repo in
   {
     beats = [| beat |];
     place = (fun fd ~id kind -> Conn.adopt set core beat fd ~id kind);
     sources = [];
     tick = (fun () -> Watchdog.tick beat);
-    slowlog = (fun () -> [ Trace.slowlog () ]);
     stop = ignore;
   }
 
@@ -58,19 +55,8 @@ type slot = {
   w_inbox : (Unix.file_descr * int * Conn.kind) Queue.t;  (* fd, session id, kind *)
   w_wake_r : Unix.file_descr;
   w_wake_w : Unix.file_descr;
-  w_rows_lock : Mutex.t;
-  mutable w_rows : Worker_core.session_row list;  (* latest published *)
   (* Heartbeat slot: written by the worker, read by the watchdog. *)
   w_beat : Watchdog.beat;
-  (* Published trace/slowlog ring slice, plus the snapshot-request
-     handshake counters: a requester bumps [w_obs_req] and rings the
-     wake pipe; the worker republishes and acks at its next loop
-     iteration. The requester waits briefly, then falls back to the
-     last published slice (a busy worker is allowed to be stale). *)
-  w_obs_lock : Mutex.t;
-  mutable w_obs : Worker_core.obs_slice;
-  w_obs_req : int Atomic.t;
-  w_obs_ack : int Atomic.t;
 }
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -110,37 +96,6 @@ let take_all lock queue =
       Queue.clear queue;
       items)
 
-(* Ask every slot (except [except]) for a fresh ring slice over the
-   wake-pipe channel: bump its request counter, ring its pipe, wait up
-   to [timeout_s] for the acks, then read whatever each slot last
-   published — fresh for responsive workers, last-known for a worker
-   wedged inside a request (exactly the one that cannot answer). *)
-let request_obs ?except ?(timeout_s = 0.05) slots =
-  let peers =
-    Array.to_list slots |> List.filter (fun s -> Some s.w_id <> except)
-  in
-  let wants =
-    List.map (fun p -> (p, 1 + Atomic.fetch_and_add p.w_obs_req 1)) peers
-  in
-  List.iter (fun (p, _) -> wake p.w_wake_w) wants;
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec await () =
-    let pending =
-      List.exists (fun (p, want) -> Atomic.get p.w_obs_ack < want) wants
-    in
-    if pending && Unix.gettimeofday () < deadline then begin
-      Unix.sleepf 0.001;
-      await ()
-    end
-  in
-  await ();
-  List.filter_map
-    (fun (p, _) ->
-      let slice = locked p.w_obs_lock (fun () -> p.w_obs) in
-      (* generation -1 marks "never published" *)
-      if slice.Worker_core.o_generation >= 0 then Some slice else None)
-    wants
-
 (* One worker domain: open the repository read-only, then run the
    connection loop over whatever the calling domain hands it. *)
 let worker ~config ~dir ~stop ~ready ~boot_failed ctx slot () =
@@ -149,9 +104,7 @@ let worker ~config ~dir ~stop ~ready ~boot_failed ctx slot () =
      this open sees a quiescent directory. *)
   let repo =
     match Repo.open_dir ~mode:Crimson_storage.Database.Read_only ~create:false dir with
-    | repo ->
-        Atomic.incr ready;
-        repo
+    | repo -> repo
     | exception e ->
         Atomic.set boot_failed true;
         Log.err (fun m ->
@@ -159,7 +112,10 @@ let worker ~config ~dir ~stop ~ready ~boot_failed ctx slot () =
               (Printexc.to_string e));
         raise e
   in
+  (* Ready once the core exists: its server.worker.<id>.* slices are
+     registered before the first scrape can be answered. *)
   let core = Worker_core.create ~config ctx repo in
+  Atomic.incr ready;
   let set = Conn.create_set () in
   let adopt_inbox () =
     List.iter
@@ -171,10 +127,6 @@ let worker ~config ~dir ~stop ~ready ~boot_failed ctx slot () =
     ~timeout:0.25
     ~tick:(fun () ->
       Watchdog.tick slot.w_beat;
-      (* Answer pending obs snapshot requests (STATS/SLOWLOG on a peer,
-         the calling domain's /slowlog): force a republish. *)
-      if Atomic.get slot.w_obs_req > Atomic.get slot.w_obs_ack then
-        Worker_core.publish_obs ~force:true core;
       adopt_inbox ())
     ~sources:[ (slot.w_wake_r, fun () -> drain_pipe slot.w_wake_r) ];
   (* Connections still in the inbox are adopted so their admission
@@ -184,7 +136,7 @@ let worker ~config ~dir ~stop ~ready ~boot_failed ctx slot () =
   Repo.close repo;
   Log.info (fun m -> m "worker %d: drained and closed" slot.w_id)
 
-let spawn ~(config : Worker_core.config) ~active ~stop repo =
+let spawn ~(config : Worker_core.config) ~sessions ~stop repo =
   let workers = config.Worker_core.workers in
   let dir =
     match Repo.dir repo with
@@ -209,14 +161,7 @@ let spawn ~(config : Worker_core.config) ~active ~stop repo =
           w_inbox = Queue.create ();
           w_wake_r = r;
           w_wake_w = w;
-          w_rows_lock = Mutex.create ();
-          w_rows = [];
           w_beat = Watchdog.make_beat ~worker:(i + 1);
-          w_obs_lock = Mutex.create ();
-          w_obs =
-            { Worker_core.o_worker = i + 1; o_generation = -1; o_slow = []; o_recent = [] };
-          w_obs_req = Atomic.make 0;
-          w_obs_ack = Atomic.make 0;
         })
   in
   let started_at = Unix.gettimeofday () in
@@ -225,7 +170,7 @@ let spawn ~(config : Worker_core.config) ~active ~stop repo =
       Worker_core.worker_id = slot.w_id;
       workers;
       started_at;
-      active;
+      sessions;
       record_query =
         (fun ~elapsed_ms ~pages ~cost ~text ~result ->
           (* Runs later, on the calling domain, against its handle. *)
@@ -234,25 +179,6 @@ let spawn ~(config : Worker_core.config) ~active ~stop repo =
           in
           locked history_lock (fun () -> Queue.push row history);
           wake history_w);
-      publish_sessions =
-        (fun rows ->
-          let rows = rows () in
-          locked slot.w_rows_lock (fun () -> slot.w_rows <- rows));
-      peer_sessions =
-        (fun () ->
-          Array.fold_left
-            (fun acc peer ->
-              if peer.w_id = slot.w_id then acc
-              else locked peer.w_rows_lock (fun () -> peer.w_rows) @ acc)
-            [] slots);
-      publish_obs =
-        (fun slice ->
-          let slice = slice () in
-          locked slot.w_obs_lock (fun () -> slot.w_obs <- slice);
-          (* Publishing acks any pending snapshot request: the data is
-             as fresh as a forced republish would make it. *)
-          Atomic.set slot.w_obs_ack (Atomic.get slot.w_obs_req));
-      peer_obs = (fun () -> request_obs ~except:slot.w_id slots);
     }
   in
   let ready = Atomic.make 0 in
@@ -302,7 +228,5 @@ let spawn ~(config : Worker_core.config) ~active ~stop repo =
     (* The history channel drains every loop iteration; the wake pipe
        only bounds the latency while the loop is idle. *)
     tick = write_history;
-    slowlog =
-      (fun () -> List.map (fun s -> s.Worker_core.o_slow) (request_obs slots));
     stop = stop_fleet;
   }

@@ -11,9 +11,9 @@
       of the repository directory and the connections handed to it
       round-robin. The calling domain keeps the only read-write handle
       and inserts every query-history row the workers send over a
-      serialized channel. TOP merges the answering worker's live
-      sessions with every peer's published rows; SLOWLOG merges ring
-      slices the same way. *)
+      serialized channel. The workers' cores share one
+      {!Worker_core.sessions}, so TOP on any worker reads every live
+      session in place. *)
 
 type t = {
   beats : Watchdog.beat array;  (** One heartbeat per worker, for the watchdog. *)
@@ -22,20 +22,22 @@ type t = {
   sources : (Unix.file_descr * (unit -> unit)) list;
       (** Extra read sources for the calling domain's loop. *)
   tick : unit -> unit;  (** Run every loop iteration of the calling domain. *)
-  slowlog : unit -> Crimson_obs.Trace.record list list;
-      (** Every worker's slowlog ring, for [/slowlog]. *)
   stop : unit -> unit;
       (** Shutdown: drain and join the workers, write out queued
           history. *)
 }
 
 val local :
-  config:Worker_core.config -> active:int Atomic.t -> Conn.set -> Crimson_core.Repo.t -> t
+  config:Worker_core.config ->
+  sessions:Worker_core.sessions ->
+  Conn.set ->
+  Crimson_core.Repo.t ->
+  t
 (** Worker 1 of 1 on the calling domain, serving in the given set. *)
 
 val spawn :
   config:Worker_core.config ->
-  active:int Atomic.t ->
+  sessions:Worker_core.sessions ->
   stop:bool Atomic.t ->
   Crimson_core.Repo.t ->
   t

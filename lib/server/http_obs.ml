@@ -1,11 +1,13 @@
 (* The observability endpoint's route table: GET /metrics, /healthz,
    /varz and /slowlog. The server's accept loop serves it over the
    gateway's HTTP codec, one request per connection, without a session
-   slot. *)
+   slot. Every route reads the process's state in place: the registry
+   already sums every domain's counts, and the slowlog reads every
+   domain's ring. *)
 
 module Http = Crimson_gateway.Http
 module Json = Crimson_obs.Json
-module Fleet = Crimson_obs.Fleet
+module Metrics = Crimson_obs.Metrics
 module Runtime = Crimson_obs.Runtime
 
 type response = { status : int; content_type : string; body : string }
@@ -20,10 +22,10 @@ let render r =
 
 let index_body =
   "crimson observability endpoint\n\
-   /metrics  merged Prometheus exposition\n\
+   /metrics  Prometheus exposition (the METRICS verb's text)\n\
    /healthz  watchdog health (200 healthy / 503 stalled), per-worker JSON\n\
    /varz     stats --json equivalent\n\
-   /slowlog  fleet-merged slow-query log\n"
+   /slowlog  every worker's slow-query log, newest first\n"
 
 let routes ~healthz ~varz ~slowlog path =
   match path with
@@ -33,7 +35,7 @@ let routes ~healthz ~varz ~slowlog path =
       {
         status = 200;
         content_type = "text/plain; version=0.0.4; charset=utf-8";
-        body = Fleet.to_prometheus (Fleet.capture ());
+        body = Metrics.to_prometheus ();
       }
   | "/healthz" ->
       let ok, detail = healthz () in

@@ -4,10 +4,12 @@
     ({!Crimson_gateway.Http}): one request per connection, then close,
     at most 64 connections at once, none holding a session slot.
 
-    Routes: [/metrics] (merged Prometheus exposition from
-    {!Crimson_obs.Fleet}), [/healthz] (200/503 from the watchdog,
-    per-worker JSON detail), [/varz] ([stats --json] equivalent),
-    [/slowlog] (fleet-merged slow-query log). *)
+    Routes: [/metrics] (the registry's Prometheus exposition,
+    {!Crimson_obs.Metrics.to_prometheus}, the same text METRICS
+    returns), [/healthz] (200/503 from the watchdog, per-worker JSON
+    detail), [/varz] ([stats --json] equivalent), [/slowlog] (every
+    worker's slow-query log, newest first). Each reads the process's
+    state in place. *)
 
 type response = { status : int; content_type : string; body : string }
 

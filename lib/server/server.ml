@@ -69,12 +69,13 @@ let run ?(config = Worker_core.default_config) ?(on_ready = ignore)
     Sys.set_signal Sys.sigint old_int;
     Sys.set_signal Sys.sigterm old_term
   in
-  let active = Atomic.make 0 in
+  let sessions = Worker_core.create_sessions () in
+  let active = Worker_core.admitted sessions in
   let set = Conn.create_set () in
   let fleet =
     try
-      if workers = 1 then Coordinator.local ~config ~active set repo
-      else Coordinator.spawn ~config ~active ~stop repo
+      if workers = 1 then Coordinator.local ~config ~sessions set repo
+      else Coordinator.spawn ~config ~sessions ~stop repo
     with e ->
       release ();
       restore ();
@@ -101,18 +102,7 @@ let run ?(config = Worker_core.default_config) ?(on_ready = ignore)
         ("metrics", Metrics.to_json ());
       ]
   in
-  let slowlog () =
-    let entries = Crimson_obs.Fleet.merge_records (fleet.Coordinator.slowlog ()) in
-    Json.Obj
-      [
-        ( "threshold_ms",
-          match Trace.slowlog_threshold () with
-          | Some th -> Json.Num th
-          | None -> Json.Null );
-        ("workers", Json.Num (float_of_int workers));
-        ("entries", Json.List (List.map Trace.record_to_json entries));
-      ]
-  in
+  let slowlog () = Json.Obj (Worker_core.slowlog_fields ~workers None) in
   let answer = Http_obs.answer (Http_obs.routes ~healthz ~varz ~slowlog) in
   (* Admission, at accept for every fleet size: charge the slot, then
      place the connection; closing its session releases the slot. *)

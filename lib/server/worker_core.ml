@@ -74,8 +74,12 @@ let default_config =
    coordinator's accept loop, never less than one worker. *)
 let auto_workers () = max 1 (Domain.recommended_domain_count () - 1)
 
+(* The TOP fields (tree, requests, ms, pages, bytes_out, last_line) are
+   written by the owning core under the fleet's session lock, which any
+   core answering TOP holds while it reads them. *)
 type session = {
   id : int;
+  worker : int;
   started_at : float;
   mutable tree : Stored_tree.t option;
   mutable rng : Prng.t;
@@ -89,10 +93,20 @@ type session = {
   mutable closed : bool;
 }
 
-(* A published snapshot of one session's accounting: pure data, safe to
-   hand across domains. Workers publish their rows after every handled
-   request; whichever worker answers TOP merges its own live table with
-   the peers' latest snapshots. *)
+(* Every core's live sessions, shared by the fleet: the admission count
+   charged at accept, and the table TOP reads, behind one mutex. *)
+type sessions = {
+  admitted : int Atomic.t;
+  lock : Mutex.t;
+  live : (int, session) Hashtbl.t;
+}
+
+let create_sessions () =
+  { admitted = Atomic.make 0; lock = Mutex.create (); live = Hashtbl.create 16 }
+
+let admitted sessions = sessions.admitted
+
+(* One session's TOP fields, copied under the session lock. *)
 type session_row = {
   r_worker : int;
   r_session : int;
@@ -105,27 +119,14 @@ type session_row = {
   r_last : string;
 }
 
-(* A published snapshot of one worker's trace/slowlog rings: pure data
-   (immutable record lists), safe to hand across domains. Workers
-   republish when their ring generation moves; a peer answering SLOWLOG
-   merges its own live rings with these, interleaved by timestamp. *)
-type obs_slice = {
-  o_worker : int;
-  o_generation : int;
-  o_slow : Trace.record list;
-  o_recent : Trace.record list;
-}
-
 (* The fleet context every core runs in. All mutation crossing domain
-   boundaries goes through it: the Query Repository write path, the
-   shared admission count, and TOP/SLOWLOG visibility through
-   publish/peers. Publications are thunks, so a fleet without peers
-   never builds them. *)
+   boundaries goes through it: the Query Repository write path and the
+   shared sessions (admission count and TOP's table). *)
 type ctx = {
   worker_id : int; (* 1-based within the fleet *)
   workers : int;
   started_at : float;
-  active : int Atomic.t;
+  sessions : sessions;
   record_query :
     elapsed_ms:float ->
     pages:int ->
@@ -133,30 +134,19 @@ type ctx = {
     text:string ->
     result:string ->
     unit;
-  publish_sessions : (unit -> session_row list) -> unit;
-  peer_sessions : unit -> session_row list;
-  publish_obs : (unit -> obs_slice) -> unit;
-  peer_obs : unit -> obs_slice list;
-      (* Snapshot-request to every peer over the wake pipes: nudge them
-         to republish, wait briefly, fall back to their last published
-         slice when one is mid-request. *)
 }
 
 (* The one-worker fleet: history goes straight into [repo], which the
-   core serves, and there are no peers to publish to. *)
-let local_ctx ?(active = Atomic.make 0) repo =
+   core serves. *)
+let local_ctx ?(sessions = create_sessions ()) repo =
   {
     worker_id = 1;
     workers = 1;
     started_at = Unix.gettimeofday ();
-    active;
+    sessions;
     record_query =
       (fun ~elapsed_ms ~pages ~cost ~text ~result ->
         ignore (Repo.record_query repo ~elapsed_ms ~pages ~cost ~text ~result));
-    publish_sessions = ignore;
-    peer_sessions = (fun () -> []);
-    publish_obs = ignore;
-    peer_obs = (fun () -> []);
   }
 
 type t = {
@@ -164,7 +154,6 @@ type t = {
   repo : Repo.t;
   ctx : ctx;
   trees : (int, Stored_tree.t) Hashtbl.t;  (* warm handles, by tree id *)
-  sessions : (int, session) Hashtbl.t;  (* live sessions, for TOP *)
   mutable active : int;
   (* Pre-created metric handles: the per-request path does no name
      lookups. The server.* family is process-global — counters are
@@ -187,12 +176,10 @@ type t = {
   mw_requests : Metrics.Counter.t;
   mw_errors : Metrics.Counter.t;
   mw_timeouts : Metrics.Counter.t;
-  (* Per-worker latency slice: merging these bucket-wise across workers
-     reproduces the fleet server.request_ms histogram exactly (the
-     fleet-quantile unit tests assert it), and makes per-worker skew
-     visible to E16. *)
+  (* Per-worker latency slice: its sample counts sum to the fleet
+     server.request_ms histogram's (the observability e2e test asserts
+     it at quiescence), and it makes per-worker skew visible to E16. *)
   mw_request_ms : Metrics.Histogram.t;
-  mutable last_obs_gen : int; (* ring generation last published *)
 }
 
 let create ?(config = default_config) ctx repo =
@@ -206,7 +193,6 @@ let create ?(config = default_config) ctx repo =
     repo;
     ctx;
     trees = Hashtbl.create 8;
-    sessions = Hashtbl.create 16;
     active = 0;
     m_requests = Metrics.counter "server.requests";
     m_errors = Metrics.counter "server.errors";
@@ -222,7 +208,6 @@ let create ?(config = default_config) ctx repo =
     mw_errors = Metrics.counter (wname "errors");
     mw_timeouts = Metrics.counter (wname "timeouts");
     mw_request_ms = Metrics.histogram (wname "request_ms");
-    last_obs_gen = -1;
   }
 
 let config t = t.cfg
@@ -247,11 +232,15 @@ let render_wire (resp : Response.t) =
 
 (* ----------------------------- Sessions ---------------------------- *)
 
-let fleet_active t = Atomic.get t.ctx.active
+let fleet_active t = Atomic.get t.ctx.sessions.admitted
 
-let row_of_session t s =
+(* The owning core writes a session's TOP fields between these. *)
+let lock t = Mutex.lock t.ctx.sessions.lock
+let unlock t = Mutex.unlock t.ctx.sessions.lock
+
+let row_of_session s =
   {
-    r_worker = t.ctx.worker_id;
+    r_worker = s.worker;
     r_session = s.id;
     r_tree = Option.map Stored_tree.name s.tree;
     r_requests = s.requests;
@@ -262,13 +251,12 @@ let row_of_session t s =
     r_last = s.last_line;
   }
 
+(* Every core's live sessions, read under the session lock: a session
+   whose request is still running shows with that request as its last
+   line. *)
 let live_rows t =
-  Hashtbl.fold (fun _ s acc -> row_of_session t s :: acc) t.sessions []
-
-(* Offer this worker's current accounting to its peers so any sibling
-   answering TOP sees it. Called after every handled request and on
-   session close; rows per worker are bounded by its session count. *)
-let publish t = t.ctx.publish_sessions (fun () -> live_rows t)
+  Mutex.protect t.ctx.sessions.lock (fun () ->
+      Hashtbl.fold (fun _ s acc -> row_of_session s :: acc) t.ctx.sessions.live [])
 
 (* Admission control and id allocation already happened at accept
    (against the shared atomic), so the core just materialises the
@@ -282,6 +270,7 @@ let accept_session t ~id =
   let s =
     {
       id;
+      worker = t.ctx.worker_id;
       started_at = Unix.gettimeofday ();
       tree = None;
       rng = Prng.create 0;
@@ -293,18 +282,21 @@ let accept_session t ~id =
       closed = false;
     }
   in
-  Hashtbl.replace t.sessions id s;
+  lock t;
+  Hashtbl.replace t.ctx.sessions.live id s;
+  unlock t;
   s
 
 let close_session t s =
   if not s.closed then begin
     s.closed <- true;
-    Hashtbl.remove t.sessions s.id;
+    lock t;
+    Hashtbl.remove t.ctx.sessions.live s.id;
+    unlock t;
     t.active <- t.active - 1;
     Metrics.Counter.incr t.m_closed;
-    Atomic.decr t.ctx.active;
+    Atomic.decr t.ctx.sessions.admitted;
     Metrics.Gauge.set t.m_active (float_of_int (fleet_active t));
-    publish t;
     Log.debug (fun m -> m "session=%d closed after %d requests" s.id s.requests)
   end
 
@@ -376,7 +368,9 @@ let use t s name =
         (Printf.sprintf "no tree named %S (HELLO lists the stored trees)" name)
   | fresh ->
       let stored = warm t fresh in
+      lock t;
       s.tree <- Some stored;
+      unlock t;
       Response.ok
         [
           ("tree", Json.Str (Stored_tree.name stored));
@@ -416,7 +410,9 @@ let measured_query t s ~profiled stored text =
         Option.map (fun r -> Json.to_string (Crimson_obs.Profile.cost_summary r)) report
       in
       record t ?cost ~elapsed_ms ~pages ~text ~result:o.result ();
+      lock t;
       s.pages <- s.pages + pages;
+      unlock t;
       Metrics.Counter.add t.m_sess_pages pages;
       Response.ok
         ([
@@ -506,10 +502,7 @@ let compare_rows a b =
 let top t =
   Crimson_obs.Runtime.refresh ();
   let now = Unix.gettimeofday () in
-  (* This worker's rows come from the live session table (so the TOP
-     request itself is already visible as a session's last line); peers
-     contribute their most recently published snapshots. *)
-  let rows = live_rows t @ t.ctx.peer_sessions () |> List.sort compare_rows in
+  let rows = List.sort compare_rows (live_rows t) in
   Response.ok
     [
       ("uptime_s", Json.Num (now -. t.ctx.started_at));
@@ -523,37 +516,15 @@ let stats _t =
   Crimson_obs.Runtime.refresh ();
   Response.ok [ ("metrics", Metrics.to_json ()) ]
 
-(* Fleet merge: this worker's live slowlog ring interleaved with every
-   peer's published ring by timestamp (newest first). Each record's
-   per-worker provenance rides in its meta ("worker": id). *)
-let slowlog t n =
-  let peers = t.ctx.peer_obs () in
-  let rings = Trace.slowlog () :: List.map (fun s -> s.o_slow) peers in
-  let entries = Crimson_obs.Fleet.merge_records ?n rings in
-  Response.ok
-    [
-      ( "threshold_ms",
-        match Trace.slowlog_threshold () with
-        | Some th -> Json.Num th
-        | None -> Json.Null );
-      ("workers", num (1 + List.length peers));
-      ("entries", Json.List (List.map Trace.record_to_json entries));
-    ]
-
-(* Republish this worker's ring slice when (or, [force]d by a peer's
-   snapshot request, whether or not) the rings changed. *)
-let publish_obs ?(force = false) t =
-  let g = Trace.generation () in
-  if force || g <> t.last_obs_gen then begin
-    t.last_obs_gen <- g;
-    t.ctx.publish_obs (fun () ->
-        {
-          o_worker = t.ctx.worker_id;
-          o_generation = g;
-          o_slow = Trace.slowlog ();
-          o_recent = Trace.recent ();
-        })
-  end
+(* Every domain's slowlog entries, newest first; each record's worker
+   rides in its meta. SLOWLOG and /slowlog both render this. *)
+let slowlog_fields ~workers n =
+  [
+    ( "threshold_ms",
+      match Trace.slowlog_threshold () with Some th -> Json.Num th | None -> Json.Null );
+    ("workers", num workers);
+    ("entries", Json.List (List.map Trace.record_to_json (Trace.slowlog ?n ())));
+  ]
 
 let metrics_reply _t =
   Crimson_obs.Runtime.refresh ();
@@ -831,7 +802,7 @@ let dispatch t s (req : Request.t) : Response.t =
   | Request.Collstats p -> coll_verb t s "collstats" p
   | Request.Top -> top t
   | Request.Stats -> stats t
-  | Request.Slowlog n -> slowlog t n
+  | Request.Slowlog n -> Response.ok (slowlog_fields ~workers:t.ctx.workers n)
   | Request.Metrics -> metrics_reply t
   | Request.Sleep ms -> sleep_verb t ms
   | Request.Quit -> Response.ok ~close:true [ ("bye", Json.Bool true) ]
@@ -855,8 +826,11 @@ let dispatch t s (req : Request.t) : Response.t =
    byte bookkeeping. [line] is the request's display text — the wire
    line verbatim, or "GET /v1/..." for gateway requests. *)
 let accounted t s ~line f =
+  let last_line = truncate_line line in
+  lock t;
   s.requests <- s.requests + 1;
-  s.last_line <- truncate_line line;
+  s.last_line <- last_line;
+  unlock t;
   (* Slice before global (see [err]): keeps sum(slices) >= global for
      concurrent scrapes. *)
   Metrics.Counter.incr t.mw_requests;
@@ -873,11 +847,13 @@ let accounted t s ~line f =
           ("worker", num t.ctx.worker_id);
           ("session", num s.id);
           ("request", num s.requests);
-          ("line", Json.Str (truncate_line line));
+          ("line", Json.Str last_line);
         ]
       f
   in
+  lock t;
   s.ms <- s.ms +. elapsed_ms;
+  unlock t;
   Metrics.Histogram.observe t.mw_request_ms elapsed_ms;
   Metrics.Gauge.add t.m_sess_ms elapsed_ms;
   Log.debug (fun m ->
@@ -886,10 +862,10 @@ let accounted t s ~line f =
   resp
 
 let account_bytes t s n =
+  lock t;
   s.bytes_out <- s.bytes_out + n;
-  Metrics.Counter.add t.m_sess_bytes n;
-  publish t;
-  publish_obs t
+  unlock t;
+  Metrics.Counter.add t.m_sess_bytes n
 
 let handle_line t s line =
   let resp =

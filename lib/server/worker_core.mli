@@ -7,11 +7,12 @@
     Every core is worker [ctx.worker_id] of a fleet of [ctx.workers].
     Admission happens at accept, before a session reaches the core
     ({!accept_session}); everything that crosses domains — the Query
-    Repository write path, the shared admission count, TOP and SLOWLOG
-    visibility — goes through the {!ctx}. A one-worker fleet
-    ({!local_ctx}) serves the caller's read-write repository on the
-    calling domain; in a larger fleet ({!Coordinator}) each core serves
-    a private read-only open.
+    Repository write path and the fleet's {!sessions} — goes through
+    the {!ctx}. SLOWLOG reads every domain's ring in place
+    ({!Crimson_obs.Trace.slowlog}). A one-worker fleet ({!local_ctx})
+    serves the caller's read-write repository on the calling domain; in
+    a larger fleet ({!Coordinator}) each core serves a private
+    read-only open.
 
     Telemetry: every handled request counts into [server.requests] and
     the worker's [server.worker.<id>.requests] slice, and times into
@@ -77,6 +78,19 @@ type session
 (** One client session: selected tree, RNG seed, request counter and
     cumulative cost accounting. *)
 
+type sessions
+(** The fleet's sessions, shared by every core: the admission count and
+    the table of every core's live sessions. The table sits behind one
+    mutex; a core writes its sessions' TOP fields under it, and TOP
+    reads the whole table under it. *)
+
+val create_sessions : unit -> sessions
+(** No sessions admitted or live. *)
+
+val admitted : sessions -> int Atomic.t
+(** Fleet-wide admitted sessions: charged at accept, released by
+    {!close_session}. *)
+
 type session_row = {
   r_worker : int;
   r_session : int;
@@ -88,35 +102,20 @@ type session_row = {
   r_started_at : float;
   r_last : string;
 }
-(** A published snapshot of one session's accounting: plain data, safe
-    to hand across domains. Workers publish their rows after every
-    handled request; whichever worker answers TOP merges its own live
-    table with the peers' latest snapshots. *)
+(** One session's TOP fields, copied under the sessions' mutex. A
+    session whose request is still running shows that request as
+    [r_last]. *)
 
 val compare_rows : session_row -> session_row -> int
 (** TOP's sort order: cumulative milliseconds descending, ties broken
-    by (worker, session) id so the order is total — merged fleet rows
-    never flap between scrapes. *)
-
-type obs_slice = {
-  o_worker : int;
-  o_generation : int;
-      (** The worker's {!Crimson_obs.Trace.generation} when the slice
-          was taken; [-1] marks a slot never published. *)
-  o_slow : Crimson_obs.Trace.record list;
-  o_recent : Crimson_obs.Trace.record list;
-}
-(** A worker's published trace-ring slice: plain data, safe to hand
-    across domains. Trace rings are domain-local ({!Domain.DLS}), so
-    fleet SLOWLOG/[/slowlog] answers merge these published slices. *)
+    by (worker, session) id so the order is total — fleet rows never
+    flap between scrapes. *)
 
 type ctx = {
   worker_id : int;  (** 1-based id of this worker within the fleet. *)
   workers : int;  (** Fleet size. *)
   started_at : float;  (** Server start time, for TOP uptime. *)
-  active : int Atomic.t;
-      (** Fleet-wide live sessions: charged at accept, released by
-          {!close_session}. *)
+  sessions : sessions;  (** Shared by every core of the fleet. *)
   record_query :
     elapsed_ms:float ->
     pages:int ->
@@ -125,24 +124,12 @@ type ctx = {
     result:string ->
     unit;
       (** The Query Repository write path: one history row. *)
-  publish_sessions : (unit -> session_row list) -> unit;
-      (** Offer this worker's current session rows for fleet TOP. *)
-  peer_sessions : unit -> session_row list;
-      (** The other workers' most recently published rows. *)
-  publish_obs : (unit -> obs_slice) -> unit;
-      (** Offer this worker's trace/slowlog ring slice (and ack any
-          pending snapshot request). *)
-  peer_obs : unit -> obs_slice list;
-      (** Request fresh ring slices from the other workers (bounded
-          wait; a wedged worker contributes its last published
-          slice). *)
 }
-(** The fleet context of one core. Publications are thunks: a fleet
-    without peers never forces them. *)
+(** The fleet context of one core. *)
 
-val local_ctx : ?active:int Atomic.t -> Crimson_core.Repo.t -> ctx
+val local_ctx : ?sessions:sessions -> Crimson_core.Repo.t -> ctx
 (** The one-worker fleet: worker 1 of 1, history rows written straight
-    into the given (read-write) repository, no peers. [active] is the
+    into the given (read-write) repository. [sessions] holds the
     admission count to release sessions into (fresh by default). *)
 
 val create : ?config:config -> ctx -> Crimson_core.Repo.t -> t
@@ -160,12 +147,11 @@ type reply = {
 }
 
 val accept_session : t -> id:int -> session
-(** Materialise session [id]. Admission happened at accept: the caller
-    already charged [ctx.active]. *)
+(** Materialise session [id] and list it in [ctx.sessions]. Admission
+    happened at accept: the caller already charged {!admitted}. *)
 
 val close_session : t -> session -> unit
-(** Idempotent; releases the session and its admission slot in
-    [ctx.active]. *)
+(** Idempotent; unlists the session and releases its admission slot. *)
 
 val session_id : session -> int
 val session_requests : session -> int
@@ -204,10 +190,10 @@ val protocol_error : t -> session -> string -> reply
 (** Reply for transport-level violations (oversized line, NUL byte):
     counted as an error, [close = true]. *)
 
-val publish_obs : ?force:bool -> t -> unit
-(** Publish this worker's ring slice through [ctx.publish_obs] when the
-    rings changed since the last publication (tracked by
-    {!Crimson_obs.Trace.generation}); [~force:true] republishes — and
-    thereby acks a pending snapshot request — even when unchanged. *)
+val slowlog_fields : workers:int -> int option -> (string * Crimson_obs.Json.t) list
+(** [slowlog_fields ~workers n]: the SLOWLOG reply's fields, which
+    [/slowlog] renders too — the threshold, [workers] (the fleet size)
+    and every domain's slowlog entries, newest first, at most [n] of
+    them when [n] is given. *)
 
 val src : Logs.src

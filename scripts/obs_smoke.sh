@@ -3,10 +3,12 @@
 # on the command line (`obs_smoke.sh 1 4`): boot `crimson serve` with
 # the HTTP observability endpoint, wait for /healthz to answer 200 via
 # `crimson health`, push a small query burst through `crimson connect`,
-# then scrape /metrics and require the merged server.requests counter
-# to equal the sum of the per-worker slices at quiescence, and the
-# node-cache and pager hit counters to have risen over the burst.
-# Finishes with a clean SIGTERM drain.
+# then scrape /metrics and require the server.requests counter to equal
+# the sum of the per-worker slices at quiescence, the node-cache and
+# pager hit counters to have risen over the burst, and /slowlog (every
+# request is slow at --slowlog-ms 0) to report the fleet size and, from
+# two workers up, entries from more than one worker. Finishes with a
+# clean SIGTERM drain.
 set -eu
 
 BIN=${CRIMSON_BIN:-_build/default/bin/crimson.exe}
@@ -20,7 +22,7 @@ for W in "$@"; do
     SOCK="$WORK/s$W.sock"
     OBS="$WORK/obs$W.sock"
     "$BIN" serve -r "$WORK/repo" --listen "unix:$SOCK" --workers "$W" \
-        --obs-listen "unix:$OBS" --max-sessions 8 &
+        --obs-listen "unix:$OBS" --max-sessions 8 --slowlog-ms 0 &
     PID=$!
 
     # Health-gate the boot: the endpoint answers as soon as the socket
@@ -39,7 +41,8 @@ for W in "$@"; do
 
     BEFORE=$("$BIN" health --to "unix:$OBS" --get /metrics)
 
-    # A burst of real requests spread across the fleet.
+    # A burst of real requests spread across the fleet: the three
+    # connections land on the workers round-robin.
     for _ in 1 2 3; do
         "$BIN" connect --to "unix:$SOCK" \
             'HELLO' 'USE smoke' 'QUERY lca(T0, T7)' 'QUERY distance(T0, T9)' \
@@ -48,10 +51,10 @@ for W in "$@"; do
 
     METRICS=$("$BIN" health --to "unix:$OBS" --get /metrics)
 
-    # The merged counter must equal the sum of the per-worker slices
+    # The fleet counter must equal the sum of the per-worker slices
     # once the burst has drained (slices increment before the fleet
-    # total, so anything else means the merge lost or invented
-    # requests).
+    # total, so anything else means a request was lost or counted
+    # twice).
     printf '%s\n' "$METRICS" | awk -v w="$W" '
         $1 == "crimson_server_requests" { merged = $2 }
         $1 ~ /^crimson_server_worker_[0-9]+_requests$/ { slices += $2 }
@@ -86,7 +89,21 @@ for W in "$@"; do
 
     # The other routes answer and carry the expected shapes.
     "$BIN" health --to "unix:$OBS" --get /varz | grep -q '"workers"'
-    "$BIN" health --to "unix:$OBS" --get /slowlog | grep -q '"entries"'
+    SLOWLOG=$("$BIN" health --to "unix:$OBS" --get /slowlog)
+    printf '%s\n' "$SLOWLOG" | grep -q '"entries"'
+    SW=$(printf '%s\n' "$SLOWLOG" | grep -o '"workers":[0-9]*' | head -1 | cut -d: -f2)
+    if [ "$SW" != "$W" ]; then
+        echo "obs-smoke: /slowlog reports workers=${SW:-?}, expected $W" >&2
+        exit 1
+    fi
+    # Every worker's ring is read in place, so entries from each worker
+    # the burst reached are listed.
+    SEEN=$(printf '%s\n' "$SLOWLOG" | grep -o '"meta":{"worker":[0-9]*' | sort -u | wc -l)
+    if [ "$W" -ge 2 ] && [ "$SEEN" -lt 2 ]; then
+        echo "obs-smoke: /slowlog lists entries from $SEEN worker(s) at workers=$W" >&2
+        exit 1
+    fi
+    echo "obs-smoke: workers=$W /slowlog workers=$SW, entries from $SEEN worker(s)"
     "$BIN" health --to "unix:$OBS" --json | grep -q '"healthy":true'
 
     kill -TERM "$PID"

@@ -5,7 +5,7 @@
 module Metrics = Crimson_obs.Metrics
 module Span = Crimson_obs.Span
 module Json = Crimson_obs.Json
-module Fleet = Crimson_obs.Fleet
+module Trace = Crimson_obs.Trace
 module Events = Crimson_obs.Events
 
 let check = Alcotest.check
@@ -560,15 +560,13 @@ let test_prometheus_buckets () =
     "empty histogram has no buckets" []
     (Metrics.Histogram.cumulative_buckets (Metrics.histogram "test.prom.empty"))
 
-(* Name mangling and HELP/label escaping. *)
+(* Name mangling and HELP escaping. *)
 let test_prometheus_escaping () =
   check Alcotest.string "name mangling"
     "crimson_storage_pager_read_ms"
     (Metrics.prometheus_name "storage.pager/read-ms");
   check Alcotest.string "help escaping" {|a\\b\nc "quoted"|}
     (Metrics.prometheus_escape_help "a\\b\nc \"quoted\"");
-  check Alcotest.string "label escaping" {|a\\b\nc \"quoted\"|}
-    (Metrics.prometheus_escape_label "a\\b\nc \"quoted\"");
   Metrics.Counter.incr (Metrics.counter "test.prom.helped");
   Metrics.set_help "test.prom.helped" "line one\nline two \\ done";
   let text = Metrics.to_prometheus () in
@@ -593,139 +591,14 @@ let test_reset_all () =
 
 (* ------------------------------ Fleet ------------------------------ *)
 
-(* True percentile over the raw sample stream, same nearest-rank +
-   interpolation convention is irrelevant here: the histogram estimate
-   only promises to land within one log-scale bucket, so the reference
-   just sorts and indexes. *)
-let exact_percentile samples p =
-  match List.sort compare samples with
-  | [] -> 0.0
-  | sorted ->
-      let arr = Array.of_list sorted in
-      let n = Array.length arr in
-      let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      arr.(max 0 (min (n - 1) idx))
-
-let test_fleet_merge_empty () =
-  let m = Fleet.merge_hist Fleet.empty_hist Fleet.empty_hist in
-  check Alcotest.int "empty+empty count" 0 (Fleet.hist_count m);
-  check (Alcotest.float 0.0) "empty+empty p99" 0.0 (Fleet.percentile m 99.0);
-  check (Alcotest.float 0.0) "empty+empty min sanitized" 0.0 (Fleet.hist_min m);
-  let one = Fleet.hist_of_samples [ 3.5 ] in
-  let m1 = Fleet.merge_hist Fleet.empty_hist one in
-  let m2 = Fleet.merge_hist one Fleet.empty_hist in
-  check Alcotest.int "empty+one count" 1 (Fleet.hist_count m1);
-  check (Alcotest.float 1e-9) "empty+one min" 3.5 (Fleet.hist_min m1);
-  check (Alcotest.float 1e-9) "empty+one max" 3.5 (Fleet.hist_max m1);
-  check (Alcotest.float 1e-9) "empty+one p50 clamps to sample" 3.5
-    (Fleet.percentile m1 50.0);
-  check Alcotest.bool "merge commutes on empties" true (m1 = m2)
-
-let test_fleet_merge_disjoint_ranges () =
-  (* Two populated histograms whose buckets don't overlap at all: the
-     merge must keep both populations, not lose or double either. *)
-  let lo = Fleet.hist_of_samples [ 0.001; 0.002; 0.004 ] in
-  let hi = Fleet.hist_of_samples [ 500.0; 900.0 ] in
-  let m = Fleet.merge_hist lo hi in
-  check Alcotest.int "count sums" 5 (Fleet.hist_count m);
-  check (Alcotest.float 1e-9) "sum sums"
-    (Fleet.hist_sum lo +. Fleet.hist_sum hi)
-    (Fleet.hist_sum m);
-  check (Alcotest.float 1e-9) "min from lo" (Fleet.hist_min lo) (Fleet.hist_min m);
-  check (Alcotest.float 1e-9) "max from hi" (Fleet.hist_max hi) (Fleet.hist_max m);
-  check Alcotest.bool "p20 in the low population" true
-    (Fleet.percentile m 20.0 < 0.01);
-  check Alcotest.bool "p99 in the high population" true
-    (Fleet.percentile m 99.0 > 400.0);
-  (* Overlapping buckets sum their counts: total bucket mass matches. *)
-  let mass h =
-    List.fold_left (fun a (_, c) -> a + c) 0 h.Fleet.h_buckets
-  in
-  let both = Fleet.merge_hist lo lo in
-  check Alcotest.int "overlapping buckets sum" (2 * mass lo) (mass both);
-  check Alcotest.int "overlapping count" 6 (Fleet.hist_count both)
-
-let test_fleet_merge_property () =
-  (* merge a b must observe exactly count a + count b samples, and its
-     p50/p99 must land within one log-scale bucket (relative width
-     2^0.25) of the same percentile over the union sample stream. *)
-  let gen =
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 0 200) (float_range 1e-5 1e4))
-        (list_size (int_range 0 200) (float_range 1e-5 1e4)))
-  in
-  let prop (xs, ys) =
-    let a = Fleet.hist_of_samples xs and b = Fleet.hist_of_samples ys in
-    let m = Fleet.merge_hist a b in
-    let union = xs @ ys in
-    if Fleet.hist_count m <> List.length union then false
-    else if union = [] then Fleet.percentile m 99.0 = 0.0
-    else
-      let width = Float.pow 2.0 0.25 in
-      List.for_all
-        (fun p ->
-          let est = Fleet.percentile m p in
-          let exact = exact_percentile union p in
-          est <= (exact *. width) +. 1e-9 && est >= (exact /. width) -. 1e-9)
-        [ 50.0; 99.0 ]
-  in
-  let cell =
-    QCheck.Test.make ~count:200 ~name:"fleet merge vs union stream"
-      (QCheck.make gen) prop
-  in
-  QCheck_alcotest.to_alcotest cell |> fun (_, _, f) -> f ()
-
-let test_fleet_snapshot_merge () =
-  Metrics.reset_all ();
-  Metrics.Counter.add (Metrics.counter "test.fleet.reqs") 7;
-  Metrics.Gauge.set (Metrics.gauge "test.fleet.active") 3.0;
-  Metrics.Histogram.observe (Metrics.histogram "test.fleet.ms") 2.0;
-  let a = Fleet.capture () in
-  let b =
-    {
-      Fleet.s_counters = [ ("test.fleet.other", 5); ("test.fleet.reqs", 4) ];
-      s_gauges = [ ("test.fleet.active", 2.0) ];
-      s_hists = [ ("test.fleet.ms", Fleet.hist_of_samples [ 8.0; 16.0 ]) ];
-    }
-  in
-  let m = Fleet.merge a b in
-  check Alcotest.int "counters sum" 11 (Fleet.counter_value m "test.fleet.reqs");
-  check Alcotest.int "counter only in b" 5
-    (Fleet.counter_value m "test.fleet.other");
-  check (Alcotest.float 1e-9) "gauges sum" 5.0
-    (List.assoc "test.fleet.active" m.Fleet.s_gauges);
-  (match Fleet.find_hist m "test.fleet.ms" with
-  | Some h ->
-      check Alcotest.int "hists merge" 3 (Fleet.hist_count h);
-      check (Alcotest.float 1e-9) "hist max" 16.0 (Fleet.hist_max h)
-  | None -> Alcotest.fail "merged histogram missing");
-  (* Snapshot JSON round-trips so slices can cross process borders. *)
-  (match Fleet.of_json (Fleet.to_json m) with
-  | Ok m' -> check Alcotest.bool "json round-trip" true (m = m')
-  | Error e -> Alcotest.fail ("snapshot of_json: " ^ e));
-  (* The merged exposition carries summed counters and bucket-derived
-     quantiles. *)
-  let prom = Fleet.to_prometheus m in
-  check Alcotest.bool "prometheus has summed counter" true
-    (List.mem "crimson_test_fleet_reqs 11" (String.split_on_char '\n' prom));
-  check Alcotest.bool "prometheus has quantile family" true
-    (let needle = "crimson_test_fleet_ms_summary{quantile=\"0.99\"}" in
-     let n = String.length needle in
-     let rec find i =
-       i + n <= String.length prom && (String.sub prom i n = needle || find (i + 1))
-     in
-     find 0);
-  Metrics.reset_all ()
-
-let test_fleet_merge_records () =
+let test_trace_merge_records () =
   let rec_at ~trace t =
     {
-      Crimson_obs.Trace.id = trace;
+      Trace.id = trace;
       started_at = t;
       root =
         {
-          Crimson_obs.Trace.name = "r";
+          Trace.name = "r";
           depth = 0;
           start_ms = 0.0;
           elapsed_ms = 1.0;
@@ -737,19 +610,54 @@ let test_fleet_merge_records () =
   in
   let w1 = [ rec_at ~trace:5 30.0; rec_at ~trace:3 10.0 ] in
   let w2 = [ rec_at ~trace:4 20.0 ] in
-  let merged = Fleet.merge_records [ w1; w2 ] in
+  let merged = Trace.merge_records [ w1; w2 ] in
   check
     (Alcotest.list (Alcotest.float 0.0))
     "newest first across rings" [ 30.0; 20.0; 10.0 ]
-    (List.map (fun r -> r.Crimson_obs.Trace.started_at) merged);
-  check Alcotest.int "n caps" 2 (List.length (Fleet.merge_records ~n:2 [ w1; w2 ]));
+    (List.map (fun r -> r.Trace.started_at) merged);
+  check Alcotest.int "n caps" 2 (List.length (Trace.merge_records ~n:2 [ w1; w2 ]));
   (* Equal timestamps break ties by trace id, descending — the order is
      total, so repeated merges never flap. *)
-  let tie = Fleet.merge_records [ [ rec_at ~trace:1 5.0 ]; [ rec_at ~trace:2 5.0 ] ] in
+  let tie = Trace.merge_records [ [ rec_at ~trace:1 5.0 ]; [ rec_at ~trace:2 5.0 ] ] in
   check
     (Alcotest.list Alcotest.int)
     "tie-break by id" [ 2; 1 ]
-    (List.map (fun r -> r.Crimson_obs.Trace.id) tie)
+    (List.map (fun r -> r.Trace.id) tie)
+
+(* Every domain's slowlog ring is readable from any domain, in place: a
+   spawned domain records a slow trace and then blocks on a mutex the
+   main domain holds, so it cannot hand anything over; the main
+   domain's slowlog already lists that trace, merged newest first with
+   its own entries. *)
+let test_slowlog_across_domains () =
+  Trace.set_slowlog_ms (Some 0.0);
+  Trace.slowlog_reset ();
+  let traced name = Trace.with_ ~name (fun () -> ()) in
+  traced "test.main.before";
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let recorded = Atomic.make false in
+  let peer =
+    Domain.spawn (fun () ->
+        traced "test.peer";
+        Atomic.set recorded true;
+        Mutex.lock gate;
+        Mutex.unlock gate)
+  in
+  while not (Atomic.get recorded) do
+    Domain.cpu_relax ()
+  done;
+  traced "test.main.after";
+  let names = List.map (fun r -> r.Trace.root.Trace.name) (Trace.slowlog ()) in
+  Mutex.unlock gate;
+  Domain.join peer;
+  Trace.set_slowlog_ms None;
+  Trace.slowlog_reset ();
+  check
+    (Alcotest.list Alcotest.string)
+    "both domains, newest first"
+    [ "test.main.after"; "test.peer"; "test.main.before" ]
+    names
 
 (* ------------------------------ Events ----------------------------- *)
 
@@ -855,15 +763,10 @@ let () =
         ] );
       ( "fleet",
         [
-          Alcotest.test_case "merge empties" `Quick test_fleet_merge_empty;
-          Alcotest.test_case "merge disjoint ranges" `Quick
-            test_fleet_merge_disjoint_ranges;
-          Alcotest.test_case "merge vs union stream" `Quick
-            test_fleet_merge_property;
-          Alcotest.test_case "snapshot merge + exposition" `Quick
-            test_fleet_snapshot_merge;
           Alcotest.test_case "trace ring interleave" `Quick
-            test_fleet_merge_records;
+            test_trace_merge_records;
+          Alcotest.test_case "slowlog across domains" `Quick
+            test_slowlog_across_domains;
         ] );
       ( "events",
         [ Alcotest.test_case "journal emit + rotation" `Quick test_events_journal ] );

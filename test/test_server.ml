@@ -132,11 +132,11 @@ let load_test_repo () =
    happens at accept in the server; [open_session] charges the slot the
    same way before the core materialises the session. *)
 let core ?config repo =
-  let active = Atomic.make 0 in
-  let t = Worker_core.create ?config (Worker_core.local_ctx ~active repo) repo in
+  let sessions = Worker_core.create_sessions () in
+  let t = Worker_core.create ?config (Worker_core.local_ctx ~sessions repo) repo in
   let next_id = ref 0 in
   let open_session () =
-    Atomic.incr active;
+    Atomic.incr (Worker_core.admitted sessions);
     incr next_id;
     Worker_core.accept_session t ~id:!next_id
   in
@@ -980,8 +980,8 @@ let test_multiworker_e2e () =
           Client.close over;
           let first = List.hd held in
           (* TOP answered by one worker must see every worker's sessions:
-             each held session already published rows, so the reply has 3
-             rows spanning at least 2 distinct worker ids. *)
+             the cores share one session table, so the reply has 3 rows
+             spanning at least 2 distinct worker ids. *)
           let top = Client.request first "TOP" in
           (match Json.member "sessions" top with
           | Some (Json.List rows) ->
@@ -1116,6 +1116,32 @@ let test_sleep_verb_gated () =
   | Json.Num v -> check (Alcotest.float 1e-9) "echoes duration" 5.0 v
   | _ -> Alcotest.fail "slept_ms not a number");
   Worker_core.close_session t s
+
+(* /metrics and METRICS render the one registry through one function:
+   once requests have registered counters, gauges and histograms, the
+   route's text equals a render of the quiescent registry, byte for
+   byte. *)
+let test_metrics_route_is_registry () =
+  let repo, _ = load_test_repo () in
+  let t, open_session = core repo in
+  let s = open_session () in
+  List.iter
+    (fun line -> ignore (expect_ok (Worker_core.handle_line t s line)))
+    [ "USE gold"; "QUERY lca(T0, T7)"; "PROFILE clade(T1, T2)"; "METRICS" ];
+  Worker_core.close_session t s;
+  let route =
+    Crimson_server.Http_obs.routes
+      ~healthz:(fun () -> (true, Json.Null))
+      ~varz:(fun () -> Json.Null)
+      ~slowlog:(fun () -> Json.Null)
+      "/metrics"
+  in
+  check Alcotest.int "/metrics answers" 200 route.Crimson_server.Http_obs.status;
+  let registry = Metrics.to_prometheus () in
+  check Alcotest.bool "registry has histograms" true
+    (contains "# TYPE crimson_server_request_ms histogram" registry);
+  check Alcotest.string "/metrics = Metrics.to_prometheus" registry
+    route.Crimson_server.Http_obs.body
 
 let prom_value text name =
   String.split_on_char '\n' text
@@ -1480,6 +1506,99 @@ let test_healthz_fault_e2e () =
           check Alcotest.bool "worker_recovered follows the stall" true
             (List.mem "worker_recovered" (after "worker_stalled" kinds))))
 
+(* TOP reads every core's sessions in place. At two workers, a session
+   whose first request (SLEEP 1500) is still running shows in a TOP that
+   the other worker answers, with that request as its last line. *)
+let test_top_lists_running_session () =
+  with_tmp_dir (fun dir ->
+      let repo_dir = Filename.concat dir "repo" in
+      let sock = Filename.concat dir "top.sock" in
+      (let repo = Repo.open_dir repo_dir in
+       let tree = Models.yule ~rng:(Prng.create 11) ~leaves:20 () in
+       ignore (Loader.load_tree ~f:4 repo ~name:"gold" tree);
+       Repo.close repo);
+      flush stdout;
+      flush stderr;
+      let server_pid =
+        match Unix.fork () with
+        | 0 ->
+            Crimson_obs.Trace.child_reset ();
+            Crimson_obs.Events.child_reset ();
+            Crimson_obs.Metrics.reset_all ();
+            let repo = Repo.open_dir ~create:false repo_dir in
+            let config =
+              {
+                Worker_core.default_config with
+                Worker_core.max_sessions = 4;
+                request_timeout = 10.0;
+                workers = 2;
+                debug_verbs = true;
+              }
+            in
+            Fun.protect
+              ~finally:(fun () -> Repo.close repo)
+              (fun () -> Server.run ~config repo (Wire.Unix_path sock));
+            Unix._exit 0
+        | pid -> pid
+      in
+      wait_until_listening sock;
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] server_pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          (* Consecutive connects land on the two workers in turn. The
+             sleeper's request goes out without waiting for its reply. *)
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          let sleep_line = "SLEEP 1500\n" in
+          ignore (Unix.write_substring fd sleep_line 0 (String.length sleep_line));
+          let sent_at = Unix.gettimeofday () in
+          let sleeper = Client.of_fd fd in
+          let other = Client.connect (Wire.Unix_path sock) in
+          let worker row =
+            match Json.member "worker" row with
+            | Some (Json.Num w) -> int_of_float w
+            | _ -> Alcotest.fail "TOP row lacks worker"
+          in
+          let last row = Json.member "last" row in
+          (* Poll TOP for at most 1 s of the 1.5 s sleep. *)
+          let rec poll () =
+            let rows =
+              match Json.member "sessions" (Client.request other "TOP") with
+              | Some (Json.List rows) -> rows
+              | _ -> Alcotest.fail "TOP lacks sessions"
+            in
+            match List.find_opt (fun r -> last r = Some (Json.Str "SLEEP 1500")) rows with
+            | Some row -> (row, rows)
+            | None when Unix.gettimeofday () -. sent_at < 1.0 ->
+                ignore (Unix.select [] [] [] 0.02);
+                poll ()
+            | None -> Alcotest.fail "TOP never listed the session inside SLEEP 1500"
+          in
+          let row, rows = poll () in
+          check Alcotest.bool "answered while the sleep ran" true
+            (Unix.gettimeofday () -. sent_at < 1.5);
+          check Alcotest.bool "sleeping session counts its running request" true
+            (Json.member "requests" row = Some (Json.Num 1.0));
+          (match List.find_opt (fun r -> last r = Some (Json.Str "TOP")) rows with
+          | Some own ->
+              check Alcotest.bool "TOP answered by the other worker" true
+                (worker own <> worker row)
+          | None -> Alcotest.fail "TOP lacks its own session");
+          (match Client.read_line sleeper with
+          | Some reply -> check Alcotest.bool "SLEEP replies ok" true (Client.ok (Json.parse reply))
+          | None -> Alcotest.fail "sleeper saw EOF");
+          ignore (Client.request other "QUIT");
+          Client.close other;
+          ignore (Client.request sleeper "QUIT");
+          Client.close sleeper;
+          Unix.kill server_pid Sys.sigterm;
+          match Unix.waitpid [] server_pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _, Unix.WEXITED n -> Alcotest.failf "server exited %d on SIGTERM" n
+          | _, _ -> Alcotest.fail "server stopped"))
+
 (* The observability endpoint at one worker and at four: the four
    routes answer 200, an unknown path 404, a POST 405 and a malformed
    request line 400, and /healthz still answers while every session
@@ -1722,6 +1841,8 @@ let () =
           Alcotest.test_case "top comparator is total" `Quick
             test_compare_rows_total;
           Alcotest.test_case "sleep verb gated" `Quick test_sleep_verb_gated;
+          Alcotest.test_case "metrics route is the registry" `Quick
+            test_metrics_route_is_registry;
         ] );
       ( "parity",
         [ Alcotest.test_case "wire replay vs golden" `Quick test_wire_parity ] );
@@ -1745,6 +1866,8 @@ let () =
             test_obs_fleet_e2e;
           Alcotest.test_case "healthz fault injection" `Slow
             test_healthz_fault_e2e;
+          Alcotest.test_case "top lists a running session" `Slow
+            test_top_lists_running_session;
           Alcotest.test_case "observability routes (1 worker)" `Slow
             test_obs_routes_single;
           Alcotest.test_case "observability routes (4 workers)" `Slow
