@@ -12,8 +12,8 @@
    [triplet_*] (E7's scores), [frontier_nodes_*] (E3's frontier sizes)
    and every field with a [pages] name component ([warm_lca_pages],
    [overview_pages_l500], [lca_pages_q_cat10k_c4096]) are exact;
-   everything else (other counts, sizes, the raw metrics dump) is
-   informational only.
+   everything else (other counts, sizes such as E14's [rss_mb_w4_k8],
+   the raw metrics dump) is informational only.
 
    An exact field is an integer count, or a ratio of counts, fixed by
    the seeds, so it does not depend on the host: any difference from

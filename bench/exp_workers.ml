@@ -127,12 +127,19 @@ let scrape_stats sock =
     | Some (Num v) -> v
     | _ -> 0.0
   in
+  let gauge name =
+    match Option.bind (member "gauges" metrics) (member name) with
+    | Some (Num v) -> v
+    | _ -> 0.0
+  in
   ( counter "server.requests",
     hist_field "server.request_ms" "p50",
-    hist_field "server.request_ms" "p99" )
+    hist_field "server.request_ms" "p99",
+    gauge "runtime.rss_bytes" /. 1048576.0 )
 
 (* One closed-loop round: a fresh fleet, k scripted clients, wall-clock
-   throughput plus the server's own latency percentiles. *)
+   throughput plus the server's own latency percentiles and its resident
+   set size (MiB) once the clients are done. *)
 let closed_loop ~dir ~repo_dir ~workers ~clients:k =
   let sock = Filename.concat dir (Printf.sprintf "e14_w%d_k%d.sock" workers k) in
   let server = fork_server ~workers ~repo_dir ~sock in
@@ -150,9 +157,9 @@ let closed_loop ~dir ~repo_dir ~workers ~clients:k =
             | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
     clients;
   let wall = Unix.gettimeofday () -. t0 in
-  let requests, p50, p99 = scrape_stats sock in
+  let requests, p50, p99, rss_mb = scrape_stats sock in
   stop_server server;
-  (requests, wall, float_of_int requests /. wall, p50, p99)
+  (requests, wall, float_of_int requests /. wall, p50, p99, rss_mb)
 
 (* Replay one seeded script and return every query's result payload. *)
 let results_of_round ~dir ~repo_dir ~workers =
@@ -228,16 +235,17 @@ let run () =
               ("req/s", T.Right);
               ("server p50 ms", T.Right);
               ("server p99 ms", T.Right);
+              ("server RSS MiB", T.Right);
             ]
       in
       List.iter
         (fun workers ->
           List.iter
             (fun k ->
-              let requests, wall, rps, p50, p99 =
+              let requests, wall, rps, p50, p99, rss_mb =
                 closed_loop ~dir ~repo_dir ~workers ~clients:k
               in
-              Hashtbl.replace grid (workers, k) rps;
+              Hashtbl.replace grid (workers, k) (rps, rss_mb);
               T.add_row table
                 [
                   string_of_int workers;
@@ -247,11 +255,13 @@ let run () =
                   Printf.sprintf "%.0f" rps;
                   Printf.sprintf "%.3f" p50;
                   Printf.sprintf "%.3f" p99;
+                  Printf.sprintf "%.1f" rss_mb;
                 ])
             [ 1; 4; 8 ])
         [ 1; 2; 4 ];
       print_string (T.render table);
-      let rps w k = try Hashtbl.find grid (w, k) with Not_found -> 0.0 in
+      let rps w k = try fst (Hashtbl.find grid (w, k)) with Not_found -> 0.0 in
+      let rss_mb w k = try snd (Hashtbl.find grid (w, k)) with Not_found -> 0.0 in
       let speedup = rps 4 8 /. rps 1 8 in
       note "speedup at k=8: %.2fx (4 workers vs 1)" speedup;
       (* Parity: the fleet must not change a single answer. *)
@@ -304,6 +314,9 @@ let run () =
             ("rps_w2_k8", Json.Num (rps 2 8));
             ("rps_w4_k8", Json.Num (rps 4 8));
             ("speedup_w4_k8", Json.Num speedup);
+            ("rss_mb_w1_k8", Json.Num (rss_mb 1 8));
+            ("rss_mb_w2_k8", Json.Num (rss_mb 2 8));
+            ("rss_mb_w4_k8", Json.Num (rss_mb 4 8));
             ("parity_mismatches", Json.Num (float_of_int mismatches));
             ("openloop_w1_r2000_p99_ms", Json.Num (ol_p99 1 2000));
             ("openloop_w4_r2000_p99_ms", Json.Num (ol_p99 4 2000));

@@ -103,16 +103,22 @@ let sample_leaves stored config rng =
 (* Sequences for the sampled species: stored data when every sampled
    species has some, otherwise simulation on the projected true tree
    (equivalent in distribution to simulating on the full tree and
-   restricting, because the substitution process is Markov along paths). *)
+   restricting, because the substitution process is Markov along paths).
+   The lookups stop at the first species without a stored sequence; they
+   draw nothing from [rng]. *)
 let sequences_for repo stored config rng truth names =
-  let stored_seqs =
-    List.map (fun name -> (name, Loader.species_sequence repo stored name)) names
+  let rec stored_seqs acc = function
+    | [] -> Some (List.rev acc)
+    | name :: rest -> (
+        match Loader.species_sequence repo stored name with
+        | Some s -> stored_seqs ((name, s) :: acc) rest
+        | None -> None)
   in
-  if List.for_all (fun (_, s) -> s <> None) stored_seqs then
-    List.map (fun (name, s) -> (name, Option.get s)) stored_seqs
-  else
-    Seqevo.evolve ~rng ~model:config.model ~site_rates:config.site_rates
-      ~length:config.sequence_length truth
+  match stored_seqs [] names with
+  | Some seqs -> seqs
+  | None ->
+      Seqevo.evolve ~rng ~model:config.model ~site_rates:config.site_rates
+        ~length:config.sequence_length truth
 
 let run repo stored config =
   if config.algorithms = [] then error "no algorithms to benchmark";

@@ -219,17 +219,14 @@ let reason = function
    (even for 304/empty bodies), Connection always stated. *)
 let render ?(status = 200) ?(content_type = "application/json")
     ?(extra = []) ?(keep_alive = false) body =
-  let buf = Buffer.create (String.length body + 160) in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string buf (Printf.sprintf "Content-Type: %s\r\n" content_type);
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-    extra;
-  Buffer.add_string buf
-    (Printf.sprintf "Connection: %s\r\n\r\n"
-       (if keep_alive then "keep-alive" else "close"));
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  (* One allocation: the body is copied once, behind its head. *)
+  String.concat ""
+    (Printf.sprintf "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n"
+       status (reason status) content_type (String.length body)
+    :: List.concat_map (fun (k, v) -> [ k; ": "; v; "\r\n" ]) extra
+    @ [
+        "Connection: ";
+        (if keep_alive then "keep-alive" else "close");
+        "\r\n\r\n";
+        body;
+      ])

@@ -57,8 +57,7 @@ let add_number buf x =
   end
   else Buffer.add_string buf (format_float "%.17g" x)
 
-let to_string v =
-  let buf = Buffer.create 256 in
+let to_buffer buf v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -83,7 +82,11 @@ let to_string v =
           fields;
         Buffer.add_char buf '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  to_buffer buf v;
   Buffer.contents buf
 
 (* ------------------------------ Parsing ----------------------------- *)

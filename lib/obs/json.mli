@@ -30,6 +30,9 @@ val to_string : t -> string
       with lowercase hex digits; bytes >= 0x80 are copied verbatim (no
       UTF-8 validation). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes to a buffer. *)
+
 val parse : string -> t
 (** Strict parser for the subset above. Raises {!Parse_error} with the
     byte offset of the offending character. A [\u] escape needs four

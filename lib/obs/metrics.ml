@@ -37,19 +37,23 @@ module Counter = struct
 end
 
 module Gauge = struct
+  (* A gauge is its cell, unless it was made to read state its owner
+     keeps: then [value] is that reading, and [set], [add] and resets
+     only move the unread cell. *)
   type t = {
     name : string;
     value : float Atomic.t;
+    read : (unit -> float) option;
   }
 
-  let make name = { name; value = Atomic.make 0.0 }
+  let make ?read name = { name; value = Atomic.make 0.0; read }
   let set t v = Atomic.set t.value v
 
   let rec add t v =
     let cur = Atomic.get t.value in
     if not (Atomic.compare_and_set t.value cur (cur +. v)) then add t v
 
-  let value t = Atomic.get t.value
+  let value t = match t.read with Some read -> read () | None -> Atomic.get t.value
   let name t = t.name
 end
 
@@ -211,6 +215,12 @@ let gauge name =
   register name
     (fun g -> Gauge g)
     Gauge.make
+    (function Gauge g -> Some g | Counter _ | Histogram _ -> None)
+
+let gauge_reading name read =
+  register name
+    (fun g -> Gauge g)
+    (Gauge.make ~read)
     (function Gauge g -> Some g | Counter _ | Histogram _ -> None)
 
 let histogram name =

@@ -85,6 +85,12 @@ val counter : string -> Counter.t
     [Invalid_argument] when the name is already a gauge or histogram. *)
 
 val gauge : string -> Gauge.t
+
+val gauge_reading : string -> (unit -> float) -> Gauge.t
+(** Register a gauge whose value is [read ()] at every read, for a
+    quantity its owner already keeps (the pagers' frame bytes). {!reset_all}
+    leaves its reading alone. *)
+
 val histogram : string -> Histogram.t
 
 type metric =

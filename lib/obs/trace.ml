@@ -1,8 +1,8 @@
 (* The trace pipeline: assemble Span enter/exit events into span trees,
    one tree per top-level request, and fan completed trace records out
-   to (a) a bounded in-memory ring buffer, (b) the slow-query log when
-   the root span exceeds a threshold, and (c) an optional JSONL sink
-   with crash-safe appends and size-capped rotation.
+   to (a) the slow-query log when the root span exceeds a threshold and
+   (b) an optional JSONL sink with crash-safe appends and size-capped
+   rotation.
 
    Collection is scoped: [timed ~name ~meta f] installs the Span sink,
    opens the root span, and finalises the record when that root exits —
@@ -10,13 +10,13 @@
    while unwinding. A nested [timed] joins the enclosing trace as an
    ordinary span instead of starting a second one.
 
-   Domain model: collection state and the trace ring are domain-local
-   (each server worker assembles and retains its own traces). Each
-   domain's slowlog ring sits behind its own mutex on one process-wide
-   list, so a reader on any domain walks every domain's entries. Trace
-   ids come from one process-global atomic so ids stay unique across
-   workers, and the JSONL sink is process-global behind a mutex so all
-   workers append to the same file. *)
+   Domain model: collection state is domain-local (each server worker
+   assembles its own traces). Each domain's slowlog ring sits behind its
+   own mutex on one process-wide list, so a reader on any domain walks
+   every domain's entries. Trace ids come from one process-global atomic
+   so ids stay unique across workers, and the JSONL sink is
+   process-global behind a mutex so all workers append to the same
+   file. *)
 
 type span = {
   name : string;
@@ -45,28 +45,25 @@ let m_sink_writes = Metrics.counter "obs.trace.sink.writes"
 let m_sink_rotations = Metrics.counter "obs.trace.sink.rotations"
 let m_sink_errors = Metrics.counter "obs.trace.sink.errors"
 
-(* Records silently displaced from the bounded rings. Nonzero means the
-   scrape/inspection cadence is slower than the request rate — visible
-   in [crimson stats --json] so trace loss never goes unnoticed. *)
-let m_ring_dropped = Metrics.counter "obs.trace.ring.dropped"
+(* Slow-query records displaced from a full slowlog ring, whether or
+   not SLOWLOG had returned them — visible in [crimson stats --json]. *)
 let m_slowlog_dropped = Metrics.counter "obs.trace.slowlog.dropped"
 
 let () =
-  Metrics.set_help "obs.trace.ring.dropped"
-    "Trace records overwritten in the in-memory ring before being read.";
   Metrics.set_help "obs.trace.slowlog.dropped"
-    "Slow-query records overwritten in the slowlog ring before being read.";
+    "Slow-query records displaced from a full slowlog ring, whether or not \
+     SLOWLOG had returned them.";
   Metrics.set_help "obs.trace.sink.rotations"
     "JSONL trace sink rotations (previous generation renamed to .1)."
 
-(* --------------------------- Ring buffers --------------------------- *)
+(* ---------------------------- Slowlog rings -------------------------- *)
 
 module Ring = struct
   type 'a t = { mutable slots : 'a option array; mutable next : int }
 
   let create n = { slots = Array.make (max 1 n) None; next = 0 }
 
-  (* Returns true when an unread slot was overwritten (ring full). *)
+  (* Returns true when a record was displaced (ring full). *)
   let push r x =
     let displaced = r.slots.(r.next) <> None in
     r.slots.(r.next) <- Some x;
@@ -74,12 +71,11 @@ module Ring = struct
     displaced
 
   (* Newest first. *)
-  let recent ?n r =
+  let recent r =
     let cap = Array.length r.slots in
-    let limit = match n with Some k -> max 0 (min k cap) | None -> cap in
     let out = ref [] in
     (try
-       for i = 0 to limit - 1 do
+       for i = 0 to cap - 1 do
          let idx = (((r.next - 1 - i) mod cap) + cap) mod cap in
          match r.slots.(idx) with
          | None -> raise Exit
@@ -91,17 +87,14 @@ module Ring = struct
   let clear r = { slots = Array.make (Array.length r.slots) None; next = 0 }
 end
 
-let default_buffer_capacity = 128
 let default_slowlog_capacity = 64
 let default_max_events = 4096
 
-(* Ring capacities are process-wide settings. The trace ring is
-   domain-local and unlocked. A domain's slowlog ring is written only by
-   that domain but read by any, so it sits behind its own mutex on one
-   process-wide list, like the cost records: a reader walks the list and
-   never waits on a busy domain for longer than one push. Rings stay
-   listed after their domain exits. *)
-let buffer_capacity = Atomic.make default_buffer_capacity
+(* The ring capacity is a process-wide setting. A domain's slowlog ring
+   is written only by that domain but read by any, so it sits behind its
+   own mutex on one process-wide list, like the cost records: a reader
+   walks the list and never waits on a busy domain for longer than one
+   push. Rings stay listed after their domain exits. *)
 let slowlog_capacity = Atomic.make default_slowlog_capacity
 
 type slow_ring = { lock : Mutex.t; mutable ring : record Ring.t }
@@ -112,22 +105,14 @@ let rec enlist r =
   let l = Atomic.get slow_rings in
   if not (Atomic.compare_and_set slow_rings l (r :: l)) then enlist r
 
-let buffer_key : record Ring.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (Ring.create (Atomic.get buffer_capacity)))
-
 let slow_key : slow_ring Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let r = { lock = Mutex.create (); ring = Ring.create (Atomic.get slowlog_capacity) } in
       enlist r;
       r)
 
-let buffer () = Domain.DLS.get buffer_key
 let slow_threshold : float option Atomic.t = Atomic.make None
 let max_events = Atomic.make default_max_events
-
-let set_buffer_capacity n =
-  Atomic.set buffer_capacity (max 1 n);
-  buffer () := Ring.create (max 1 n)
 
 let set_slowlog_capacity n =
   Atomic.set slowlog_capacity (max 1 n);
@@ -137,7 +122,6 @@ let set_slowlog_capacity n =
 let set_slowlog_ms t = Atomic.set slow_threshold t
 let slowlog_threshold () = Atomic.get slow_threshold
 let set_max_events n = Atomic.set max_events (max 1 n)
-let recent ?n () = Ring.recent ?n !(buffer ())
 
 (* Interleave rings into one timeline, newest first. The order is
    total (started_at desc, then trace id desc), so repeated reads never
@@ -305,7 +289,6 @@ let finalize st root =
   in
   let record = { id = st.trace_id; started_at = st.started_at; meta; root } in
   Metrics.Counter.incr m_records;
-  if Ring.push !(buffer ()) record then Metrics.Counter.incr m_ring_dropped;
   (match Atomic.get slow_threshold with
   | Some t when root.elapsed_ms >= t ->
       Metrics.Counter.incr m_slow;
@@ -413,5 +396,4 @@ let child_reset () =
      it (close only decrements the kernel refcount — the parent's sink
      is untouched) and starts with tracing outputs disabled. *)
   close_sink ();
-  buffer () := Ring.clear !(buffer ());
   slowlog_reset ()

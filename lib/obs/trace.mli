@@ -7,7 +7,6 @@
     structured attributes ([Span.attr]). When the root span exits — on
     return or while unwinding an exception — the finished {!record} is:
 
-    - pushed into a bounded in-memory ring buffer ({!recent});
     - pushed into the slow-query ring when the root's elapsed time
       reaches the {!set_slowlog_ms} threshold ({!slowlog});
     - appended as one JSON line to the optional {!set_sink} file.
@@ -16,13 +15,13 @@
     span; only the outermost call owns the record. When no trace is
     collecting, instrumented code pays one ref read per span.
 
-    Collection state and the trace ring are domain-local, like the span
-    stack: each worker domain assembles and keeps its own traces. Each
-    domain's slowlog ring sits behind its own mutex on one process-wide
-    list, so {!slowlog} on any domain reads every domain's entries.
-    Trace ids come from one process-wide atomic, and the JSONL sink is
-    shared by every domain behind a mutex. Forked children must call
-    {!child_reset} before any traced work. *)
+    Collection state is domain-local, like the span stack: each worker
+    domain assembles its own traces. Each domain's slowlog ring sits
+    behind its own mutex on one process-wide list, so {!slowlog} on any
+    domain reads every domain's entries. Trace ids come from one
+    process-wide atomic, and the JSONL sink is shared by every domain
+    behind a mutex. Forked children must call {!child_reset} before any
+    traced work. *)
 
 type span = {
   name : string;
@@ -57,11 +56,7 @@ val with_ : name:string -> ?meta:(string * Json.t) list -> (unit -> 'a) -> 'a
 val collecting : unit -> bool
 val current_id : unit -> int option
 
-(** {1 Ring buffers} *)
-
-val recent : ?n:int -> unit -> record list
-(** This domain's most recent completed traces, newest first (default:
-    whole ring). *)
+(** {1 Slow-query log} *)
 
 val slowlog : ?n:int -> unit -> record list
 (** Every domain's slow-query log entries, merged newest first
@@ -78,10 +73,6 @@ val merge_records : ?n:int -> record list list -> record list
 
 val slowlog_reset : unit -> unit
 (** Empty every domain's slowlog ring. *)
-
-val set_buffer_capacity : int -> unit
-(** Resize this domain's trace ring (drops current contents). Default
-    128. *)
 
 val set_slowlog_capacity : int -> unit
 (** Resize this domain's slowlog ring (drops current contents); domains
@@ -130,6 +121,5 @@ val reset : unit -> unit
 
 val child_reset : unit -> unit
 (** For forked children: {!reset}, drop the inherited sink fd (the
-    parent's sink is unaffected), and clear the trace ring and every
-    slowlog ring so the child never writes or reports the parent's
-    traces. *)
+    parent's sink is unaffected), and clear every slowlog ring so the
+    child never writes or reports the parent's traces. *)

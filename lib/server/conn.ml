@@ -112,10 +112,24 @@ let accept lfd =
 
 (* ----------------------------- Connections -------------------------- *)
 
+(* Replies waiting for the socket, oldest first, each written from where
+   it lies. A reply of [direct_min] bytes or more waits as its own
+   string. Shorter ones are copied once into a batch buffer, so a burst
+   of pipelined replies leaves in one write; a drained batch's buffer is
+   kept for the next batch. *)
+type batch = { buf : bytes; mutable len : int }
+type chunk = Reply of string | Batch of batch
+
+let direct_min = 4096
+let batch_size = 16384
+
 type t = {
   fd : Unix.file_descr;
-  out : Buffer.t;  (* bytes not yet written, from [out_pos] *)
-  mutable out_pos : int;
+  out : chunk Queue.t;
+  mutable out_pos : int;  (* bytes of the head chunk already written *)
+  mutable pending : int;  (* bytes queued and not yet written *)
+  mutable open_batch : batch option;  (* the newest chunk, while it takes more *)
+  mutable spare : bytes;  (* a drained batch's buffer, or empty *)
   mutable closing : bool;  (* no more reads; close once [out] drains *)
   on_input : t -> string -> unit;
   on_close : unit -> unit;
@@ -123,12 +137,27 @@ type t = {
       (* a rejection held until its request arrives or the time passes *)
 }
 
-type set = { mutable conns : t list }
+(* A set's connections share one read buffer: the set is confined to
+   its domain and a read is handed on as a fresh string. *)
+type set = { mutable conns : t list; rbuf : bytes }
 
-let create_set () = { conns = [] }
+let create_set () = { conns = []; rbuf = Bytes.create 4096 }
 
 let make ?parked ?(on_close = ignore) ~on_input fd =
-  { fd; out = Buffer.create 256; out_pos = 0; closing = false; on_input; on_close; parked }
+  {
+    fd;
+    out = Queue.create ();
+    out_pos = 0;
+    pending = 0;
+    open_batch = None;
+    spare = Bytes.empty;
+    closing = false;
+    on_input;
+    on_close;
+    parked;
+  }
+
+let connection fd = make ~on_input:(fun _ _ -> ()) fd
 
 (* Oldest first, the order [serve] visits connections in. *)
 let add set c = set.conns <- set.conns @ [ c ]
@@ -138,40 +167,77 @@ let close set c =
   close_fd c.fd;
   set.conns <- List.filter (fun c' -> c' != c) set.conns
 
-let pending_out c = Buffer.length c.out - c.out_pos
+let pending_out c = c.pending
+
+let new_batch c =
+  let buf =
+    if Bytes.length c.spare > 0 then c.spare else Bytes.create batch_size
+  in
+  c.spare <- Bytes.empty;
+  let b = { buf; len = 0 } in
+  Queue.add (Batch b) c.out;
+  c.open_batch <- Some b;
+  b
 
 let enqueue c s =
-  (* Compact once everything written so the buffer cannot grow without
-     bound across a long session. *)
-  if pending_out c = 0 then begin
-    Buffer.clear c.out;
-    c.out_pos <- 0
-  end;
-  Buffer.add_string c.out s
+  let n = String.length s in
+  c.pending <- c.pending + n;
+  if n >= direct_min then begin
+    Queue.add (Reply s) c.out;
+    c.open_batch <- None
+  end
+  else if n > 0 then begin
+    let b =
+      match c.open_batch with
+      | Some b when b.len + n <= Bytes.length b.buf -> b
+      | Some _ | None -> new_batch c
+    in
+    Bytes.blit_string s 0 b.buf b.len n;
+    b.len <- b.len + n
+  end
 
 let reply_and_close c s =
   enqueue c s;
   c.closing <- true
 
-(* One non-blocking write attempt; false when the connection died. *)
+(* One non-blocking write of the head chunk; false when the connection
+   died. *)
 let flush c =
-  let n = pending_out c in
-  if n = 0 then true
-  else
-    match Unix.write_substring c.fd (Buffer.contents c.out) c.out_pos n with
-    | written ->
-        c.out_pos <- c.out_pos + written;
-        true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        true
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
+  match Queue.peek_opt c.out with
+  | None -> true
+  | Some chunk -> (
+      let len = match chunk with Reply s -> String.length s | Batch b -> b.len in
+      let n = len - c.out_pos in
+      match
+        match chunk with
+        | Reply s -> Unix.write_substring c.fd s c.out_pos n
+        | Batch b -> Unix.write c.fd b.buf c.out_pos n
+      with
+      | written ->
+          c.pending <- c.pending - written;
+          c.out_pos <- c.out_pos + written;
+          if c.out_pos = len then begin
+            ignore (Queue.pop c.out);
+            c.out_pos <- 0;
+            match chunk with
+            | Batch b ->
+                (match c.open_batch with
+                | Some o when o == b -> c.open_batch <- None
+                | Some _ | None -> ());
+                c.spare <- b.buf
+            | Reply _ -> ()
+          end;
+          true
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          true
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false)
 
 (* One non-blocking read attempt, handed to the connection's handler. *)
 let read set c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 (Bytes.length buf) with
+  match Unix.read c.fd set.rbuf 0 (Bytes.length set.rbuf) with
   | 0 -> close set c
-  | n -> c.on_input c (Bytes.sub_string buf 0 n)
+  | n -> c.on_input c (Bytes.sub_string set.rbuf 0 n)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close set c
 

@@ -34,8 +34,14 @@ val accept : Unix.file_descr -> Unix.file_descr option
     a spurious wakeup. *)
 
 type t
-(** One connection: its socket, buffered reply bytes and the handler
-    its kind was given at accept. *)
+(** One connection: its socket, queued reply bytes and the handler its
+    kind was given at accept.
+
+    Queued replies are written from where they lie, one write per
+    flush. A reply of 4 KiB or more waits as its own string and is never
+    copied; shorter replies are copied once into a 16 KiB batch buffer,
+    so a burst of pipelined replies leaves in one write. A drained
+    batch's buffer is kept for the connection's next batch. *)
 
 type set
 (** The connections one domain serves. Confined to that domain. *)
@@ -95,3 +101,18 @@ val serve :
 val drain : set -> unit
 (** Shutdown: give buffered replies at most 2 s to leave, then close
     every connection. *)
+
+(**/**)
+
+val connection : Unix.file_descr -> t
+(** A connection over a socket with no handler, outside any set. *)
+
+val enqueue : t -> string -> unit
+(** Queue a reply. *)
+
+val flush : t -> bool
+(** One non-blocking write of the oldest queued chunk; [false] when the
+    peer is gone. *)
+
+val pending_out : t -> int
+(** Bytes queued and not yet written. *)

@@ -171,7 +171,12 @@ end
 
 (* ------------------------------ Replies ---------------------------- *)
 
-let render fields = Json.to_string (Json.Obj fields) ^ "\n"
+let render fields =
+  let buf = Buffer.create 256 in
+  Json.to_buffer buf (Json.Obj fields);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 let ok fields = render (("ok", Json.Bool true) :: fields)
 
 let error code msg =

@@ -13,6 +13,19 @@ let m_rec_pages = Crimson_obs.Metrics.counter "storage.recovery.pages"
 let m_rec_discarded = Crimson_obs.Metrics.counter "storage.recovery.discarded"
 let h_recovery = Crimson_obs.Metrics.histogram "storage.recovery.ms"
 
+(* Bytes of page buffers held by the frames of every open pager in the
+   process. A frame gets its buffer the first time it holds a page and
+   gives it back when its pager closes. *)
+let frame_bytes = Atomic.make 0
+
+let _ =
+  Crimson_obs.Metrics.gauge_reading "storage.pager.frame_bytes" (fun () ->
+      float_of_int (Atomic.get frame_bytes))
+
+let () =
+  Crimson_obs.Metrics.set_help "storage.pager.frame_bytes"
+    "Bytes of page buffers allocated by the frames of the open pagers."
+
 let timed_fsync file =
   Cost.pager_fsync ();
   Crimson_obs.Span.record_traced h_fsync (fun () -> Io.fsync file)
@@ -25,7 +38,7 @@ type backend =
   | Mem of { pages : bytes Crimson_util.Vec.t }
 
 type frame = {
-  buf : bytes;
+  mutable buf : bytes; (* empty until the frame first holds a page *)
   mutable page_id : int;
   mutable dirty : bool;
   mutable pins : int;
@@ -42,6 +55,7 @@ type t = {
   mutable lru_head : int;
   mutable lru_tail : int;
   mutable free_frames : int list;
+  mutable allocated : int; (* frames that have their page buffer *)
   mutable n_pages : int;
   mutable closed : bool;
   (* Database-managed pagers get a checkpoint-the-whole-group callback:
@@ -57,7 +71,7 @@ type t = {
 
 let make_frames pool_size =
   Array.init pool_size (fun _ ->
-      { buf = Page.fresh (); page_id = -1; dirty = false; pins = 0; prev = -1; next = -1 })
+      { buf = Bytes.empty; page_id = -1; dirty = false; pins = 0; prev = -1; next = -1 })
 
 let create ~pool_size ?(read_only = false) backend ~n_pages =
   let pool_size = max 8 pool_size in
@@ -69,6 +83,7 @@ let create ~pool_size ?(read_only = false) backend ~n_pages =
     lru_head = -1;
     lru_tail = -1;
     free_frames = List.init pool_size Fun.id;
+    allocated = 0;
     n_pages;
     closed = false;
     dirty_pressure = None;
@@ -280,7 +295,12 @@ let frame_for t page_id ~load =
       let i =
         match t.free_frames with
         | i :: rest ->
+            (* Frames leave the free list once, in index order, so this
+               is the frame's first page: it gets its buffer now. *)
             t.free_frames <- rest;
+            t.frames.(i).buf <- Bytes.create Page.size;
+            t.allocated <- t.allocated + 1;
+            ignore (Atomic.fetch_and_add frame_bytes Page.size);
             i
         | [] -> evict_one t
       in
@@ -358,31 +378,36 @@ let flush t =
     Array.iter (fun f -> if f.page_id >= 0 then f.dirty <- false) t.frames
   end
 
+(* Close the backend and give the frames' buffers back, so a closed
+   pager that is still referenced holds none of them. *)
+let release t =
+  (match t.backend with
+  | File { file; wal } ->
+      Io.close file;
+      Option.iter Wal.close wal
+  | Mem _ -> ());
+  Array.iter (fun f -> f.buf <- Bytes.empty) t.frames;
+  ignore (Atomic.fetch_and_add frame_bytes (-t.allocated * Page.size));
+  t.allocated <- 0;
+  t.closed <- true
+
 let close t =
   if not t.closed then begin
     flush t;
-    (match t.backend with
-    | File { file; wal } ->
-        Io.close file;
-        Option.iter Wal.close wal
-    | Mem _ -> ());
-    t.closed <- true
+    release t
   end
 
-let abandon t =
-  if not t.closed then begin
-    (match t.backend with
-    | File { file; wal } ->
-        Io.close file;
-        Option.iter Wal.close wal
-    | Mem _ -> ());
-    t.closed <- true
-  end
+let abandon t = if not t.closed then release t
 
 type stats = {
   pool_size : int;
   resident : int;
+  allocated : int;
 }
 
 let stats t =
-  { pool_size = Array.length t.frames; resident = Hashtbl.length t.frame_of_page }
+  {
+    pool_size = Array.length t.frames;
+    resident = Hashtbl.length t.frame_of_page;
+    allocated = t.allocated;
+  }

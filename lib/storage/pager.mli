@@ -6,6 +6,15 @@
     frames being written back first. Pages accessed inside {!with_page}
     are pinned and never evicted mid-callback.
 
+    A frame allocates its {!Page.size} buffer the first time it holds a
+    page, so a pool costs memory in proportion to the distinct pages it
+    has held, at most [pool_size] buffers; opening a file allocates
+    none. Frames are taken in a fixed order and evicted only once all of
+    them hold pages, so when buffers are allocated never changes which
+    pages hit, miss or are evicted. {!close} and {!abandon} give every
+    buffer back. The process-wide gauge [storage.pager.frame_bytes] sums
+    the buffers held by open pagers.
+
     This is the component that realises the paper's storage argument:
     simulation trees are far larger than memory, queries touch few pages,
     so index-directed random access through a small pool must perform —
@@ -105,6 +114,9 @@ val set_dirty_pressure : t -> (unit -> unit) -> unit
 type stats = {
   pool_size : int;
   resident : int;  (** Frames currently cached. *)
+  allocated : int;
+      (** Frames that have their page buffer: min(distinct pages held so
+          far, [pool_size]); 0 once closed. *)
 }
 
 val stats : t -> stats

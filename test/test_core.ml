@@ -861,6 +861,81 @@ let test_small_pool_queries () =
       (Stored_tree.lca stored rank.(a) rank.(b))
   done
 
+(* [storage.pager.frame_bytes] sums the page buffers held by the open
+   pagers' frames. Opening a repository reads at most page 0 of each
+   paged file; a query adds one buffer per page it first touches until
+   a pool is full, after which each eviction hands its buffer on; closing
+   gives every buffer back. *)
+let test_frame_bytes () =
+  let module Metrics = Crimson_obs.Metrics in
+  let frame_pages () =
+    match Metrics.find "storage.pager.frame_bytes" with
+    | Some (Metrics.Gauge g) ->
+        int_of_float (Metrics.Gauge.value g) / Crimson_storage.Page.size
+    | Some _ | None -> Alcotest.fail "storage.pager.frame_bytes is not a gauge"
+  in
+  with_temp_dir (fun dir ->
+      let rng = Prng.create 77 in
+      let t, _ = Ops.copy_with_mapping (Helpers.random_tree rng 3000) in
+      (let repo = Repo.open_dir dir in
+       ignore (Loader.load_tree ~f:8 repo ~name:"big" t);
+       Repo.close repo);
+      let paged_files =
+        Array.to_list (Sys.readdir dir)
+        |> List.filter (fun f ->
+               Filename.check_suffix f ".heap" || Filename.check_suffix f ".idx")
+        |> List.length
+      in
+      let rank = Tree.preorder_rank t in
+      let leaves = Tree.leaves t in
+      let queries stored =
+        for _ = 1 to 40 do
+          let a = Prng.int rng (Tree.node_count t) and b = Prng.int rng (Tree.node_count t) in
+          ignore (Stored_tree.lca stored rank.(a) rank.(b))
+        done;
+        ignore
+          (Projection.project stored
+             (List.init 30 (fun _ -> rank.(leaves.(Prng.int rng (Array.length leaves))))))
+      in
+      (* Each miss takes a fresh buffer unless it evicted a page. *)
+      let grows_by_first_touches what f =
+        let f0 = frame_pages () and c0 = Cost.snapshot () in
+        f ();
+        let c1 = Cost.current () in
+        let evictions = c1.pager_evictions - c0.pager_evictions in
+        check Alcotest.int what
+          (f0 + (c1.pager_misses - c0.pager_misses) - evictions)
+          (frame_pages ());
+        evictions
+      in
+      List.iter
+        (fun pool_size ->
+          let before = frame_pages () in
+          let repo = Repo.open_dir ~pool_size dir in
+          let opened = frame_pages () - before in
+          check Alcotest.bool
+            (Printf.sprintf "open holds at most one frame per paged file (%d, %d files)"
+               opened paged_files)
+            true
+            (opened > 0 && opened <= paged_files);
+          let stored = Stored_tree.open_name repo "big" in
+          let evictions =
+            grows_by_first_touches "queries add their first touches" (fun () ->
+                queries stored)
+          in
+          (* The large pools never fill, so every miss was a first
+             touch; the small ones fill and then only hand buffers on. *)
+          check Alcotest.bool
+            (Printf.sprintf "pools of %d fill: %d evictions" pool_size evictions)
+            (pool_size = 8) (evictions > 0);
+          Stored_tree.invalidate_cache stored;
+          ignore (grows_by_first_touches "repeated queries too" (fun () -> queries stored));
+          check Alcotest.bool "at most a pool per file" true
+            (frame_pages () - before <= paged_files * pool_size);
+          Repo.close repo;
+          check Alcotest.int "close returns every frame" before (frame_pages ()))
+        [ 256; 8 ])
+
 (* ------------------------------ Summary ----------------------------- *)
 
 (* Brute-force rollup of the full clade under [v]: (nodes, leaves,
@@ -2141,6 +2216,7 @@ let () =
         [
           Alcotest.test_case "reopen" `Quick test_persistence_across_reopen;
           Alcotest.test_case "tiny buffer pool" `Slow test_small_pool_queries;
+          Alcotest.test_case "frame bytes follow first touches" `Quick test_frame_bytes;
         ] );
       ( "ranges",
         [

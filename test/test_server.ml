@@ -433,6 +433,67 @@ let test_open_dir_errors () =
       let repo = Repo.open_dir ~create:false repo_dir in
       Repo.close repo)
 
+(* ------------------------------ Conn -------------------------------- *)
+
+(* Queued replies leave whole and in order however the socket takes
+   them: a small reply, a 1 MiB reply and 50 pipelined small replies
+   (half queued behind the large one at once, half while it is half
+   written) drain through [Conn.flush] over a socketpair with a small
+   send buffer, the peer reading what has arrived between flushes. Once
+   the large reply is out, the 50 small ones leave in one write. *)
+let test_conn_flush_order () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Unix.setsockopt_int a Unix.SO_SNDBUF 4096;
+      Unix.set_nonblock a;
+      Unix.set_nonblock b;
+      let c = Conn.connection a in
+      let small i = Printf.sprintf "{\"ok\":true,\"reply\":%d}\n" i in
+      let large = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+      let received = Buffer.create (1 lsl 21) in
+      let rbuf = Bytes.create 65536 in
+      let rec read_available () =
+        match Unix.read b rbuf 0 (Bytes.length rbuf) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes received rbuf 0 n;
+            read_available ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      in
+      let flush () = check Alcotest.bool "peer alive" true (Conn.flush c) in
+      let pipelined = List.init 50 (fun i -> small (i + 1)) in
+      Conn.enqueue c (small 0);
+      Conn.enqueue c large;
+      List.iteri (fun i r -> if i < 25 then Conn.enqueue c r) pipelined;
+      flush ();
+      flush ();
+      check Alcotest.bool "large reply half written" true
+        (Conn.pending_out c > 0 && Conn.pending_out c < String.length large);
+      List.iteri (fun i r -> if i >= 25 then Conn.enqueue c r) pipelined;
+      let pipelined_bytes = String.length (String.concat "" pipelined) in
+      let rounds = ref 0 in
+      while Conn.pending_out c > pipelined_bytes do
+        read_available ();
+        flush ();
+        incr rounds;
+        if !rounds > 100_000 then Alcotest.fail "the large reply never drained"
+      done;
+      check Alcotest.int "the pipelined replies wait whole" pipelined_bytes
+        (Conn.pending_out c);
+      read_available ();
+      flush ();
+      check Alcotest.int "the pipelined replies leave in one write" 0 (Conn.pending_out c);
+      check Alcotest.bool "an empty queue flushes" true (Conn.flush c);
+      read_available ();
+      let expected = String.concat "" ((small 0 :: large :: pipelined)) in
+      let got = Buffer.contents received in
+      check Alcotest.int "bytes received" (String.length expected) (String.length got);
+      check Alcotest.bool "the replies' bytes, in order" true (String.equal expected got))
+
 (* -------------------------- Listening sockets ------------------------ *)
 
 (* A Unix socket path with a live server behind it is never taken over:
@@ -1846,6 +1907,9 @@ let () =
         ] );
       ( "parity",
         [ Alcotest.test_case "wire replay vs golden" `Quick test_wire_parity ] );
+      ( "conn",
+        [ Alcotest.test_case "queued replies arrive in order" `Quick test_conn_flush_order ]
+      );
       ( "listen",
         [
           Alcotest.test_case "live socket refused" `Quick test_listen_live_socket;

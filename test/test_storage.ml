@@ -143,6 +143,162 @@ let test_pager_corrupt_file () =
       | exception Error.Error (Error.Corrupt_page _) -> ()
       | _ -> Alcotest.fail "expected Corrupt_page")
 
+(* A pool allocates a frame's buffer the first time the frame holds a
+   page. Against a model LRU kept here, random traces of reads, writes,
+   nested pins and allocations over files smaller and larger than pools
+   of 8-32 pages must give the same hits, misses, evictions, backend
+   reads and write-backs at every step, with min(distinct pages held,
+   pool) buffers allocated and [storage.pager.frame_bytes] that many
+   pages above its value before the open, back to it after close. *)
+
+type pager_op = Read of int | Write of int | Nested of int * int | Alloc
+
+let frame_bytes () =
+  match Crimson_obs.Metrics.find "storage.pager.frame_bytes" with
+  | Some (Crimson_obs.Metrics.Gauge g) ->
+      int_of_float (Crimson_obs.Metrics.Gauge.value g)
+  | Some _ | None -> Alcotest.fail "storage.pager.frame_bytes is not a gauge"
+
+(* The pool's replacement rule: a free frame while any is left, else
+   the least recently used unpinned clean page, else the least recently
+   used unpinned page, written back first. [lru] is most recent first. *)
+type pool_model = {
+  cap : int;
+  mutable lru : (int * bool ref) list;  (* page, dirty *)
+  held : (int, unit) Hashtbl.t;  (* distinct pages ever held *)
+}
+
+(* One page access: returns (hits, misses, evictions, write-backs). *)
+let model_access m ~pinned page ~dirty =
+  match List.assoc_opt page m.lru with
+  | Some d ->
+      m.lru <- (page, d) :: List.remove_assoc page m.lru;
+      if dirty then d := true;
+      (1, 0, 0, 0)
+  | None ->
+      let evictions, writes =
+        if List.length m.lru < m.cap then (0, 0)
+        else
+          let candidates =
+            List.filter (fun (p, _) -> not (List.mem p pinned)) (List.rev m.lru)
+          in
+          let victim, d =
+            match List.find_opt (fun (_, d) -> not !d) candidates with
+            | Some v -> v
+            | None -> List.hd candidates
+          in
+          m.lru <- List.remove_assoc victim m.lru;
+          (1, if !d then 1 else 0)
+      in
+      m.lru <- (page, ref dirty) :: m.lru;
+      Hashtbl.replace m.held page ();
+      (0, 1, evictions, writes)
+
+let pager_lru_prop =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun i -> Read i) nat);
+          (2, map (fun i -> Write i) nat);
+          (1, map2 (fun i j -> Nested (i, j)) nat nat);
+          (1, return Alloc);
+        ])
+  in
+  let print_op = function
+    | Read i -> Printf.sprintf "Read %d" i
+    | Write i -> Printf.sprintf "Write %d" i
+    | Nested (i, j) -> Printf.sprintf "Nested (%d, %d)" i j
+    | Alloc -> "Alloc"
+  in
+  let case =
+    QCheck.make
+      ~print:(fun (pool, pages, ops) ->
+        Printf.sprintf "pool %d, file %d pages, ops [%s]" pool pages
+          (String.concat "; " (List.map print_op ops)))
+      ~shrink:(fun (pool, pages, ops) yield ->
+        QCheck.Shrink.list ops (fun ops -> yield (pool, pages, ops)))
+      QCheck.Gen.(
+        int_range 8 32 >>= fun pool ->
+        int_range 1 (3 * pool) >>= fun pages ->
+        list_size (int_range 1 200) op_gen >|= fun ops -> (pool, pages, ops))
+  in
+  QCheck.Test.make ~name:"pager matches an LRU model" ~count:60 case
+    (fun (pool, pages, ops) ->
+      with_temp_dir (fun dir ->
+          let path = Filename.concat dir "t.pages" in
+          let init = Pager.create_file path in
+          for i = 0 to pages - 1 do
+            let id = Pager.allocate init in
+            Pager.with_page_mut init id (fun b -> Crimson_util.Codec.set_u32 b 0 (i + 1))
+          done;
+          Pager.close init;
+          let content = Hashtbl.create 64 in
+          for i = 0 to pages - 1 do
+            Hashtbl.replace content i (i + 1)
+          done;
+          let g0 = frame_bytes () in
+          let p = Pager.create_file ~pool_size:pool path in
+          let m = { cap = pool; lru = []; held = Hashtbl.create 64 } in
+          let stamp = ref 1000 in
+          let step op =
+            let n = Pager.page_count p in
+            let expect = ref (0, 0, 0, 0, 0) in
+            let add (h, mi, e, w) =
+              let h0, m0, e0, r0, w0 = !expect in
+              expect := (h0 + h, m0 + mi, e0 + e, r0 + mi, w0 + w)
+            in
+            let read_checked ~pinned page =
+              add (model_access m ~pinned page ~dirty:false);
+              Pager.with_page p page (fun b ->
+                  check Alcotest.int "page content" (Hashtbl.find content page)
+                    (Crimson_util.Codec.get_u32 b 0))
+            in
+            let c0 = Cost.snapshot () in
+            (match op with
+            | Read i -> read_checked ~pinned:[] (i mod n)
+            | Write i ->
+                let page = i mod n in
+                incr stamp;
+                add (model_access m ~pinned:[] page ~dirty:true);
+                Pager.with_page_mut p page (fun b ->
+                    Crimson_util.Codec.set_u32 b 0 !stamp);
+                Hashtbl.replace content page !stamp
+            | Nested (i, j) ->
+                let a = i mod n and b = j mod n in
+                add (model_access m ~pinned:[] a ~dirty:false);
+                Pager.with_page p a (fun _ -> read_checked ~pinned:[ a ] b)
+            | Alloc ->
+                let page = Pager.allocate p in
+                check Alcotest.int "allocated id" n page;
+                let _, _, e, w = model_access m ~pinned:[] page ~dirty:true in
+                add (0, 0, e, w);
+                Hashtbl.replace content page 0);
+            let c1 = Cost.current () in
+            let got =
+              ( c1.pager_hits - c0.pager_hits,
+                c1.pager_misses - c0.pager_misses,
+                c1.pager_evictions - c0.pager_evictions,
+                c1.page_reads - c0.page_reads,
+                c1.page_writes - c0.page_writes )
+            in
+            let pp (h, mi, e, r, w) =
+              Printf.sprintf "hits %d misses %d evictions %d reads %d writes %d" h mi e r w
+            in
+            check Alcotest.string "hits, misses, evictions, reads, writes" (pp !expect)
+              (pp got);
+            let frames = min (Hashtbl.length m.held) pool in
+            let st = Pager.stats p in
+            check Alcotest.int "frames allocated" frames st.allocated;
+            check Alcotest.int "resident" (List.length m.lru) st.resident;
+            check Alcotest.int "frame bytes" (g0 + (frames * Page.size)) (frame_bytes ())
+          in
+          List.iter step ops;
+          Pager.close p;
+          check Alcotest.int "closed pager holds no frames" 0 (Pager.stats p).allocated;
+          check Alcotest.int "frame bytes after close" g0 (frame_bytes ());
+          true))
+
 (* ----------------------------- Slotted ----------------------------- *)
 
 let test_slotted_insert_read () =
@@ -1011,6 +1167,7 @@ let () =
           Alcotest.test_case "out of range" `Quick test_pager_out_of_range;
           Alcotest.test_case "closed pager" `Quick test_pager_closed;
           Alcotest.test_case "corrupt file" `Quick test_pager_corrupt_file;
+          QCheck_alcotest.to_alcotest pager_lru_prop;
         ] );
       ( "slotted",
         [

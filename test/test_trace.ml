@@ -1,9 +1,9 @@
-(* Tests for the trace pipeline: span-tree assembly, ring-buffer
-   bounds, slowlog threshold semantics, the event cap, JSONL sink
-   rotation, record JSON round-trips, fork hygiene — and the end-to-end
-   trace smoke test the acceptance criteria name: a forked server with
-   [--slowlog-ms 0 --trace-out t.jsonl] whose SLOWLOG and METRICS
-   replies parse and whose sink file rotates. *)
+(* Tests for the trace pipeline: span-tree assembly (read back through
+   the slowlog at threshold 0), slowlog threshold semantics, the event
+   cap, JSONL sink rotation, record JSON round-trips, fork hygiene — and
+   the end-to-end trace smoke test the acceptance criteria name: a forked
+   server with [--slowlog-ms 0 --trace-out t.jsonl] whose SLOWLOG and
+   METRICS replies parse and whose sink file rotates. *)
 
 module Json = Crimson_obs.Json
 module Metrics = Crimson_obs.Metrics
@@ -31,7 +31,7 @@ let fresh () =
   Trace.reset ();
   Trace.set_sink None;
   Trace.set_slowlog_ms None;
-  Trace.set_buffer_capacity 128;
+  Trace.slowlog_reset ();
   Trace.set_slowlog_capacity 64;
   Trace.set_max_events 4096
 
@@ -46,8 +46,13 @@ let rec find_span pred (s : Trace.span) =
 
 (* ----------------------------- Assembly ----------------------------- *)
 
-let test_assembly () =
+(* The cases that read completed records back log every trace. *)
+let fresh_logging_all () =
   fresh ();
+  Trace.set_slowlog_ms (Some 0.0)
+
+let test_assembly () =
+  fresh_logging_all ();
   let v, ms =
     Trace.timed ~name:"test.trace.req" ~meta:[ ("q", Json.Str "lca(A, B)") ]
       (fun () ->
@@ -62,8 +67,8 @@ let test_assembly () =
   check Alcotest.int "value threads through" 42 v;
   check Alcotest.bool "elapsed non-negative" true (ms >= 0.0);
   check Alcotest.bool "not collecting after" false (Trace.collecting ());
-  match Trace.recent () with
-  | [] -> Alcotest.fail "trace record missing from the ring"
+  match Trace.slowlog () with
+  | [] -> Alcotest.fail "trace record missing from the slowlog"
   | r :: _ ->
       let open Trace in
       check Alcotest.string "root name" "test.trace.req" r.root.name;
@@ -91,20 +96,24 @@ let test_assembly () =
       | _ -> Alcotest.fail "root children malformed");
       (* Ids are monotonic across traces. *)
       Trace.with_ ~name:"test.trace.req2" (fun () -> ());
-      match Trace.recent () with
+      let records = Trace.slowlog () in
+      fresh ();
+      match records with
       | r2 :: r1 :: _ ->
           check Alcotest.bool "ids increase" true (r2.id > r1.id)
       | _ -> Alcotest.fail "second record missing"
 
 let test_nested_timed_joins () =
-  fresh ();
+  fresh_logging_all ();
   let outer_result =
     Trace.with_ ~name:"join.outer" (fun () ->
         let v, _ms = Trace.timed ~name:"join.inner" (fun () -> 7) in
         v)
   in
   check Alcotest.int "inner value" 7 outer_result;
-  match Trace.recent () with
+  let records = Trace.slowlog () in
+  fresh ();
+  match records with
   | [ r ] ->
       check Alcotest.string "one record, outer root" "join.outer" r.Trace.root.Trace.name;
       check (Alcotest.list Alcotest.string) "inner joined as a span" [ "join.inner" ]
@@ -112,29 +121,13 @@ let test_nested_timed_joins () =
   | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
 
 let test_untraced_spans_are_free () =
-  fresh ();
+  fresh_logging_all ();
   (* Span instrumentation outside any trace must not record anything
      (and Span.attr must be a no-op, not an error). *)
   Span.with_ ~name:"free.span" (fun () -> Span.attr "x" (Json.Num 1.0));
-  check (Alcotest.list Alcotest.pass) "ring stays empty" [] (Trace.recent ())
-
-(* --------------------------- Ring buffers --------------------------- *)
-
-let test_ring_bounds () =
+  let records = Trace.slowlog () in
   fresh ();
-  Trace.set_buffer_capacity 4;
-  for i = 0 to 5 do
-    Trace.with_ ~name:(Printf.sprintf "ring.%d" i) (fun () -> ())
-  done;
-  let names = List.map (fun r -> r.Trace.root.Trace.name) (Trace.recent ()) in
-  check
-    (Alcotest.list Alcotest.string)
-    "capacity bounds, newest first"
-    [ "ring.5"; "ring.4"; "ring.3"; "ring.2" ]
-    names;
-  let top2 = List.map (fun r -> r.Trace.root.Trace.name) (Trace.recent ~n:2 ()) in
-  check (Alcotest.list Alcotest.string) "recent ?n" [ "ring.5"; "ring.4" ] top2;
-  fresh ()
+  check (Alcotest.list Alcotest.pass) "slowlog stays empty" [] records
 
 (* ----------------------------- Slowlog ------------------------------ *)
 
@@ -176,7 +169,7 @@ let test_slowlog_thresholds () =
 (* ---------------------------- Event cap ----------------------------- *)
 
 let test_event_cap () =
-  fresh ();
+  fresh_logging_all ();
   Trace.set_max_events 3;
   Trace.with_ ~name:"cap.root" (fun () ->
       for i = 0 to 9 do
@@ -184,7 +177,7 @@ let test_event_cap () =
         Span.with_ ~name:(Printf.sprintf "cap.child.%d" i) (fun () ->
             Span.with_ ~name:"cap.grandchild" (fun () -> ()))
       done);
-  (match Trace.recent () with
+  (match Trace.slowlog () with
   | r :: _ ->
       let rec count (s : Trace.span) =
         1 + List.fold_left (fun acc c -> acc + count c) 0 s.Trace.children
@@ -197,7 +190,7 @@ let test_event_cap () =
   (* The cap is per trace: the next trace collects normally. *)
   Trace.set_max_events 4096;
   Trace.with_ ~name:"cap.after" (fun () -> Span.with_ ~name:"cap.ok" (fun () -> ()));
-  (match Trace.recent () with
+  (match Trace.slowlog () with
   | r :: _ ->
       check Alcotest.bool "no dropped_events afterwards" true
         (List.assoc_opt "dropped_events" r.Trace.meta = None)
@@ -276,7 +269,7 @@ let test_sink_write_and_rotation () =
 (* --------------------------- JSON codecs ---------------------------- *)
 
 let test_record_round_trip () =
-  fresh ();
+  fresh_logging_all ();
   Trace.with_ ~name:"codec.root"
     ~meta:[ ("line", Json.Str "QUERY lca(\"A\", \"B\")\n"); ("session", Json.Num 3.0) ]
     (fun () ->
@@ -284,7 +277,8 @@ let test_record_round_trip () =
           Span.attr "pages" (Json.Num 12.0);
           Span.attr "table" (Json.Str "nodes");
           Span.with_ ~name:"codec.leaf" (fun () -> ())));
-  let r = List.hd (Trace.recent ()) in
+  let r = List.hd (Trace.slowlog ()) in
+  fresh ();
   let json = Trace.record_to_json r in
   let round = Json.parse (Json.to_string json) in
   check Alcotest.bool "json survives render/parse" true (Json.equal json round);
@@ -312,20 +306,20 @@ let test_child_reset () =
       Trace.set_sink (Some path);
       Trace.set_slowlog_ms (Some 0.0);
       Trace.with_ ~name:"parent.trace" (fun () -> ());
-      check Alcotest.bool "parent has records" true (Trace.recent () <> []);
+      check Alcotest.bool "parent has records" true (Trace.slowlog () <> []);
       check Alcotest.bool "parent has slowlog" true (Trace.slowlog () <> []);
       (* Simulate the forked child: inherited sink dropped, rings
          cleared, but configuration still usable afterwards. *)
       Trace.child_reset ();
       check Alcotest.bool "sink dropped" true (Trace.sink_path () = None);
-      check Alcotest.int "trace ring cleared" 0 (List.length (Trace.recent ()));
+      check Alcotest.int "records cleared" 0 (List.length (Trace.slowlog ()));
       check Alcotest.int "slowlog cleared" 0 (List.length (Trace.slowlog ()));
       let lines_before = List.length (read_lines path) in
       Trace.with_ ~name:"child.trace" (fun () -> ());
       check Alcotest.int "child never writes parent's file" lines_before
         (List.length (read_lines path));
       check Alcotest.int "child still collects in memory" 1
-        (List.length (Trace.recent ())));
+        (List.length (Trace.slowlog ())));
   fresh ()
 
 (* --------------------------- End-to-end ----------------------------- *)
@@ -542,7 +536,6 @@ let () =
         ] );
       ( "rings",
         [
-          Alcotest.test_case "ring bounds" `Quick test_ring_bounds;
           Alcotest.test_case "slowlog thresholds" `Quick test_slowlog_thresholds;
         ] );
       ( "sink",
