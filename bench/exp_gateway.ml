@@ -21,7 +21,6 @@ module Stored_tree = Crimson_core.Stored_tree
 module Summary = Crimson_core.Summary
 module Wire = Crimson_server.Wire
 module Worker_core = Crimson_server.Worker_core
-module Server = Crimson_server.Server
 module Http_client = Crimson_server.Http_client
 
 let sizes = [ 500; 2000; 8000 ]
@@ -29,44 +28,6 @@ let reps = 40
 let conditional_gets = 50
 
 let overview_once stored = ignore (Summary.overview stored ~depth:1)
-
-let wait_for_socket path =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
-    ignore (Unix.select [] [] [] 0.02)
-  done;
-  if not (Sys.file_exists path) then failwith "gateway socket never appeared"
-
-let fork_server ~repo_dir ~sock ~hsock =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      Crimson_obs.Trace.child_reset ();
-      Crimson_obs.Events.child_reset ();
-      Crimson_obs.Metrics.reset_all ();
-      let repo = Repo.open_dir ~create:false repo_dir in
-      let config =
-        {
-          Worker_core.default_config with
-          Worker_core.max_sessions = 8;
-          request_timeout = 10.0;
-          http_listen = Some (Wire.Unix_path hsock);
-        }
-      in
-      Fun.protect
-        ~finally:(fun () -> Repo.close repo)
-        (fun () -> Server.run ~config repo (Wire.Unix_path sock));
-      Unix._exit 0
-  | pid ->
-      wait_for_socket hsock;
-      pid
-
-let stop_server pid =
-  Unix.kill pid Sys.sigterm;
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, _ -> Printf.eprintf "E17: server did not exit cleanly\n%!"
 
 let run () =
   section "E17" "gateway: overview latency vs tree size, 304 rate";
@@ -114,8 +75,14 @@ let run () =
       let served_dir = Filename.concat dir (Printf.sprintf "r%d" (List.fold_left max 0 sizes)) in
       let sock = Filename.concat dir "e17.sock" in
       let hsock = Filename.concat dir "e17_http.sock" in
-      let server = fork_server ~repo_dir:served_dir ~sock ~hsock in
+      let config =
+        {
+          (Serve_load.config ~workers:1) with
+          Worker_core.http_listen = Some (Wire.Unix_path hsock);
+        }
+      in
       let http_ms, rate_304 =
+        Serve_load.with_server ~tag:"E17" ~config ~repo_dir:served_dir sock @@ fun () ->
         let conn =
           match Http_client.connect (Wire.Unix_path hsock) with
           | Ok c -> c
@@ -125,40 +92,29 @@ let run () =
           ~finally:(fun () -> Http_client.close conn)
           (fun () ->
             let path = "/v1/trees/bench/overview?depth=1" in
-            let first =
-              match Http_client.request conn path with
-              | Ok r when r.Http_client.status = 200 -> r
-              | Ok r ->
-                  failwith (Printf.sprintf "E17: HTTP %d" r.Http_client.status)
+            let get ?headers () =
+              match Http_client.request conn ?headers path with
+              | Ok r -> r
               | Error e -> failwith ("E17 GET: " ^ e)
             in
+            let first = get () in
+            if first.Http_client.status <> 200 then
+              failwith (Printf.sprintf "E17: HTTP %d" first.Http_client.status);
             let etag =
               match Http_client.header first "etag" with
               | Some t -> t
               | None -> failwith "E17: overview reply without ETag"
             in
             (* Uncached GET latency. *)
-            let http_ms =
-              time_mean ~reps:20 (fun () ->
-                  match Http_client.request conn path with
-                  | Ok _ -> ()
-                  | Error e -> failwith ("E17 GET: " ^ e))
-            in
+            let http_ms = time_mean ~reps:20 (fun () -> ignore (get ())) in
             (* Conditional GETs: every one must revalidate to 304. *)
             let not_modified = ref 0 in
             for _ = 1 to conditional_gets do
-              match
-                Http_client.request conn
-                  ~headers:[ ("If-None-Match", etag) ]
-                  path
-              with
-              | Ok r when r.Http_client.status = 304 -> incr not_modified
-              | Ok _ -> ()
-              | Error e -> failwith ("E17 conditional GET: " ^ e)
+              let r = get ~headers:[ ("If-None-Match", etag) ] () in
+              if r.Http_client.status = 304 then incr not_modified
             done;
             (http_ms, float_of_int !not_modified /. float_of_int conditional_gets))
       in
-      stop_server server;
       note "gateway: overview GET %.3f ms, conditional 304 rate %.2f" http_ms
         rate_304;
       emit_bench ~experiment:"E17"

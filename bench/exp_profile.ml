@@ -16,20 +16,9 @@ module Stored_tree = Crimson_core.Stored_tree
 module Query_lang = Crimson_core.Query_lang
 module Profile = Crimson_obs.Profile
 
-let leaves = 2000
+let leaves = Serve_load.leaves
 let queries_per_round = 400
 let rounds = 5
-
-(* The E11 scripted mix: lca / distance / clade / sample. *)
-let script seed =
-  let rng = Prng.create (1000 + seed) in
-  List.init queries_per_round (fun i ->
-      let leaf () = Printf.sprintf "T%d" (Prng.int rng leaves) in
-      match i mod 4 with
-      | 0 -> Printf.sprintf "lca(%s, %s)" (leaf ()) (leaf ())
-      | 1 -> Printf.sprintf "distance(%s, %s)" (leaf ()) (leaf ())
-      | 2 -> Printf.sprintf "clade(%s, %s, %s)" (leaf ()) (leaf ()) (leaf ())
-      | _ -> "sample(8)")
 
 let run_round ~profiled repo stored queries =
   let rng = Prng.create 7 in
@@ -59,7 +48,7 @@ let run () =
       let repo = Repo.open_dir (Filename.concat dir "repo") in
       ignore (Loader.load_tree ~f:8 repo ~name:"bench" (yule leaves));
       let stored = Stored_tree.open_name repo "bench" in
-      let queries = script 0 in
+      let queries = Serve_load.script ~n:queries_per_round 0 in
       note "tree: yule %d leaves; %d queries/round (E11 mix), %d rounds each mode"
         leaves queries_per_round rounds;
       (* One warm-up round so both modes run against a hot cache. *)

@@ -18,12 +18,12 @@ let experiments =
     ("E8", "indexed vs path-based structure queries", Exp_vs_path.run);
     ("E9", "buffer pool size vs query latency", Exp_buffer_pool.run);
     ("E10", "node view cache: capacity sweep", Exp_node_cache.run);
-    ("E11", "query service: concurrent clients over a served repository", Exp_server.run);
+    ("E11", "query service: concurrent clients over a served repository", Exp_workers.run_e11);
     ("E12", "WAL recovery: replay time vs committed batch size", Exp_recovery.run);
     ("E13", "profiler overhead: plain queries vs full profiling", Exp_profile.run);
-    ("E14", "worker fleet: throughput grid and open-loop latency", Exp_workers.run);
+    ("E14", "worker fleet: throughput grid and open-loop latency", Exp_workers.run_e14);
     ("E15", "collection store: dictionary size and bulk-query latency", Exp_collection.run);
-    ("E16", "health plane: closed-loop overhead with the endpoint scraped live", Exp_obs.run);
+    ("E16", "health plane: closed-loop overhead with the endpoint scraped live", Exp_workers.run_e16);
     ("E17", "gateway: overview latency vs tree size, 304 rate", Exp_gateway.run);
     ("micro", "bechamel micro-benchmarks", Micro.run);
   ]

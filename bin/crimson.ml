@@ -856,13 +856,25 @@ let serve_cmd =
                     $(b,/healthz), $(b,/varz), $(b,/slowlog)) on $(docv): "
                    ^ listen_doc ^ " Disabled by default."))
   in
+  (* The gateway's routes as "METHOD /path", read from the /v1/doc
+     listing so the help cannot drift from the router. *)
+  let routes =
+    let module Json = Crimson_obs.Json in
+    match Crimson_gateway.Router.doc_routes with
+    | Json.List rs ->
+        List.filter_map
+          (fun r ->
+            match (Json.member "method" r, Json.member "path" r) with
+            | Some (Json.Str m), Some (Json.Str p) -> Some (Printf.sprintf "$(b,%s %s)" m p)
+            | _ -> None)
+          rs
+    | _ -> []
+  in
   let http_listen =
     Arg.(value & opt (some string) None
          & info [ "http-listen" ] ~docv:"ADDR"
              ~doc:("Serve the HTTP/JSON data-service gateway (the versioned \
-                    $(b,/v1) resource API: $(b,/v1/trees), \
-                    $(b,/v1/trees/NAME/overview), $(b,/v1/trees/NAME/clade), \
-                    $(b,/v1/collections/NAME/consensus), $(b,/v1/doc)) on \
+                    $(b,/v1) resource API: " ^ String.concat ", " routes ^ ") on \
                     $(docv): " ^ listen_doc ^ " Disabled by default."))
   in
   let stall_after =
@@ -976,8 +988,9 @@ let serve_cmd =
       `P "Run the Crimson query service: one resident repository served to many \
           concurrent sessions over a line-oriented protocol with JSON replies. \
           Drive it with $(b,crimson connect), netcat, or any socket client.";
-      `P "Requests: HELLO, USE <tree>, SEED <n>, QUERY <text>, STATS, SLOWLOG [n], \
-          METRICS, QUIT. SIGINT/SIGTERM drain in-flight replies and exit cleanly.";
+      `P ("Requests, as HELLO lists them: "
+          ^ String.concat ", " Crimson_gateway.Request.wire_verbs
+          ^ ". SIGINT/SIGTERM drain in-flight replies and exit cleanly.");
     ]
   in
   Cmd.v

@@ -3,8 +3,9 @@
    The original Crimson delegated durability to its host RDBMS; this
    reproduction ships its own write-ahead log. The example opens a
    durable repository, loads a gold standard, then simulates a crash
-   that leaves a committed-but-unapplied WAL batch next to a page file —
-   and shows the next open repairing it transparently.
+   that leaves a committed-but-unapplied checkpoint batch in the
+   repository's crimson.wal — and shows the next open repairing it
+   transparently.
 
    Run with: dune exec examples/durability.exe *)
 
@@ -40,10 +41,11 @@ let () =
   Repo.close repo;
   Printf.printf "loaded 150-species gold standard into a durable repository\n";
 
-  (* 2. Simulate a crash: a checkpoint wrote its WAL and died before
-     applying it to the main file. We fabricate that state directly:
-     capture a page's current ("new") content, revert the page file to
-     an "old" value, and leave the new image committed in the WAL. *)
+  (* 2. Simulate a crash: a checkpoint committed its batch to the WAL
+     and died before applying it to the page files. We fabricate that
+     state directly: capture a page's current ("new") content, revert
+     the page file to an "old" value, and leave the new image committed
+     in crimson.wal, tagged with the file it belongs to. *)
   let heap_file = Filename.concat dir "nodes.heap" in
   let p = Pager.create_file heap_file in
   let victim_page = 1 in
@@ -52,12 +54,12 @@ let () =
   Pager.with_page_mut p victim_page (fun b -> Bytes.fill b 0 Page.size '\xAA');
   Pager.flush p;
   Pager.close p;
-  (* Undo any WAL our own flush just left, then plant the crash WAL. *)
-  let wal = Wal.open_for heap_file in
-  Wal.append_batch wal [ (victim_page, new_image) ];
+  let wal_file = Filename.concat dir "crimson.wal" in
+  let wal = Wal.open_path wal_file in
+  Wal.append_entries wal [ { Wal.file = "nodes.heap"; page_id = victim_page; image = new_image } ];
   Wal.close wal;
-  Printf.printf "simulated crash: page %d is stale on disk, repair lives in %s.wal\n"
-    victim_page heap_file;
+  Printf.printf "simulated crash: page %d of nodes.heap is stale on disk, repair lives in %s\n"
+    victim_page wal_file;
 
   (* 3. Reopen: recovery replays the committed batch before anything
      reads the file, and queries see consistent data. *)
@@ -67,6 +69,6 @@ let () =
   let truth = Projection.project stored sample in
   Printf.printf "after recovery: tree has %d nodes; projected %d species into %d nodes\n"
     (Stored_tree.node_count stored) 8 (Tree.node_count truth);
-  let wal_size = (Unix.stat (heap_file ^ ".wal")).Unix.st_size in
+  let wal_size = (Unix.stat wal_file).Unix.st_size in
   Printf.printf "WAL after recovery: %d bytes (cleared)\n" wal_size;
   Repo.close repo

@@ -205,9 +205,6 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
 let load_tree ?f ?(species = []) repo ~name tree =
   load_tree_internal ?f repo ~name tree ~species
 
-let load_structure_only ?f repo ~name tree =
-  load_tree_internal ?f repo ~name tree ~species:[]
-
 let append_species repo tree pairs =
   validate_species_names tree pairs ~check_duplicates:true repo;
   let rows = insert_species_rows repo ~tree_id:(Stored_tree.id tree) pairs in

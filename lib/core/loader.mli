@@ -34,10 +34,6 @@ val load_tree :
     tree's node runs, their leaf maps and views of its lowest ids, so
     its first reads need no page. *)
 
-val load_structure_only :
-  ?f:int -> Repo.t -> name:string -> Crimson_tree.Tree.t -> report
-(** The paper's "load a phylogenetic tree structure only" option. *)
-
 val append_species : Repo.t -> Stored_tree.t -> (string * string) list -> int
 (** Append species data to an existing tree ("append species data to an
     existing phylogenetic tree"); returns rows written. Raises

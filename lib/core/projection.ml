@@ -65,12 +65,6 @@ let project tree leaf_ids =
 
 let fattr key v = Crimson_obs.Span.attr key (Crimson_obs.Json.Num (float_of_int v))
 
-let projection_nodes tree leaf_ids =
-  Crimson_obs.Span.with_ ~name:"core.projection.nodes" (fun () ->
-      fattr "tree" (Stored_tree.id tree);
-      fattr "leaves" (List.length leaf_ids);
-      projection_nodes tree leaf_ids)
-
 let project tree leaf_ids =
   Crimson_obs.Span.with_ ~name:"core.projection.project" (fun () ->
       fattr "tree" (Stored_tree.id tree);

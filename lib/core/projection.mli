@@ -23,7 +23,3 @@ val project_names : Stored_tree.t -> string list -> Crimson_tree.Tree.t
 (** Convenience: resolve leaf names first. Raises {!Projection_error} on
     unknown names. *)
 
-val projection_nodes : Stored_tree.t -> int list -> int list
-(** The stored-tree node ids that appear in the projection (leaves and
-    branching ancestors), in preorder — exposed for tests and for the
-    minimal-spanning-clade machinery. *)

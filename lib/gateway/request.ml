@@ -27,31 +27,6 @@ type t =
   | Consensus_view of { coll : string; threshold : float option }
   | Doc
 
-let describe = function
-  | Hello -> "HELLO"
-  | Use _ -> "USE"
-  | Seed _ -> "SEED"
-  | Query _ -> "QUERY"
-  | Explain _ -> "EXPLAIN"
-  | Profile _ -> "PROFILE"
-  | Consensus _ -> "CONSENSUS"
-  | Support _ -> "SUPPORT"
-  | Rfmatrix _ -> "RFMATRIX"
-  | Collstats _ -> "COLLSTATS"
-  | Top -> "TOP"
-  | Stats -> "STATS"
-  | Slowlog _ -> "SLOWLOG"
-  | Metrics -> "METRICS"
-  | Sleep _ -> "SLEEP"
-  | Quit -> "QUIT"
-  | List_trees _ -> "GET /v1/trees"
-  | Tree_info _ -> "GET /v1/trees/:tree"
-  | Overview _ -> "GET /v1/trees/:tree/overview"
-  | Clade _ -> "GET /v1/trees/:tree/clade"
-  | Tree_query _ -> "POST /v1/trees/:tree/query"
-  | Consensus_view _ -> "GET /v1/collections/:name/consensus"
-  | Doc -> "GET /v1/doc"
-
 (* The verb list HELLO advertises: every line-protocol verb a client may
    send (SLEEP is debug-gated and deliberately not advertised). *)
 let wire_verbs =

@@ -38,8 +38,5 @@ type t =
   | Consensus_view of { coll : string; threshold : float option }
   | Doc
 
-val describe : t -> string
-(** Stable verb label (watchdog in-flight tags, metrics, logs). *)
-
 val wire_verbs : string list
 (** The verbs HELLO advertises, in canonical order. *)

@@ -60,4 +60,3 @@ let error_json code message =
       ("code", Json.Str (code_string code)); ("message", Json.Str message);
     ]
 
-let closes = function Reply { close; _ } -> close | Err { close; _ } -> close

@@ -48,4 +48,3 @@ val err : ?close:bool -> code -> string -> t
 val error_json : code -> string -> Json.t
 (** The [{"code":…,"message":…}] object both front ends embed. *)
 
-val closes : t -> bool

@@ -41,10 +41,6 @@ let check () =
     if st.countdown <= 0 then expire_check st
   end
 
-let check_now () =
-  let st = state () in
-  if st.limit < Float.infinity && Unix.gettimeofday () > st.limit then raise Expired
-
 let remaining () =
   let st = state () in
   if st.limit < Float.infinity then Some (st.limit -. Unix.gettimeofday ())

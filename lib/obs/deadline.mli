@@ -9,17 +9,13 @@
     armed or the countdown has not elapsed. *)
 
 exception Expired
-(** Raised by {!check}/{!check_now} when the armed deadline has passed.
+(** Raised by {!check} when the armed deadline has passed.
     Only {!with_timeout} should catch it — intermediate handlers (query
     wrappers with catch-all error conversion) must re-raise. *)
 
 val check : unit -> unit
 (** Cheap poll for hot loops: reads the clock every [poll_every]-th
     call while a deadline is armed; no-op otherwise. *)
-
-val check_now : unit -> unit
-(** Unconditional clock read; for coarse checkpoints (between pipeline
-    stages, before expensive setup). *)
 
 val active : unit -> bool
 (** Whether the calling domain currently has a deadline armed. *)

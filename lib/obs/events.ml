@@ -30,7 +30,6 @@ let sink =
     }
 
 let set_journal ?max_bytes path = Jsonl_sink.set ?max_bytes sink path
-let journal_path () = Jsonl_sink.path sink
 let installed () = Jsonl_sink.installed sink
 
 let event_to_json ~ts ~kind fields =

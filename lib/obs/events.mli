@@ -11,7 +11,6 @@ val set_journal : ?max_bytes:int -> string option -> unit
 (** Install (or with [None] remove) the journal file. Rotates to
     [path.1] when it would exceed [max_bytes] (default 64 MiB). *)
 
-val journal_path : unit -> string option
 val installed : unit -> bool
 
 val emit : ?fields:(string * Json.t) list -> string -> unit

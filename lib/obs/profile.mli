@@ -71,14 +71,10 @@ val pages_touched : report -> int
 (** [pager_hits + pager_misses] of the total — the pages {!measure}
     reports over the same extent. *)
 
-val counters_to_json : counters -> (string * Json.t) list
-(** Flat field list, only non-zero counters, stable order. *)
-
 val cost_summary : report -> Json.t
 (** Compact object of the total's non-zero counters — what the Query
     Repository stores in its [cost] column. *)
 
-val stage_to_json : stage -> Json.t
 val report_to_json : report -> Json.t
 (** [{"total": {...}, "stages": [{...}, ...]}]. *)
 

@@ -107,7 +107,6 @@ val flush : unit -> unit
 
 (** {1 JSON codecs} *)
 
-val span_to_json : span -> Json.t
 val record_to_json : record -> Json.t
 
 val record_of_json : Json.t -> (record, string) result

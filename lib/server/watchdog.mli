@@ -39,7 +39,6 @@ val check : t -> unit
     events, update [server.watchdog.*]. *)
 
 val healthy : t -> bool
-val stalled_ids : t -> int list
 
 val to_json : t -> Crimson_obs.Json.t
 (** Per-worker detail for [/healthz]: heartbeat age, in-flight request,

@@ -214,7 +214,6 @@ let config t = t.cfg
 let repo t = t.repo
 let active_sessions t = t.active
 let session_id s = s.id
-let session_requests s = s.requests
 
 type reply = {
   body : string;

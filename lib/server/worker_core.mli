@@ -20,8 +20,8 @@
     into [server.timeouts], session churn into
     [server.sessions.accepted]/[closed] and the
     [server.sessions.active] gauge. Every request runs under
-    [Trace.timed], so its span tree lands in the trace ring, the
-    slowlog past [slowlog_ms], and any JSONL sink. *)
+    [Trace.timed]: its span tree reaches the slowlog when it passes
+    [slowlog_ms], and the JSONL sink when one is installed. *)
 
 type config = {
   max_sessions : int;  (** Reject new sessions beyond this many, fleet-wide. *)
@@ -154,7 +154,6 @@ val close_session : t -> session -> unit
 (** Idempotent; unlists the session and releases its admission slot. *)
 
 val session_id : session -> int
-val session_requests : session -> int
 
 val active_sessions : t -> int
 (** Live sessions on {e this} core (not fleet-wide). *)

@@ -210,9 +210,6 @@ let find t ~key =
   in
   go t.root
 
-let find_exn t ~key =
-  match find t ~key with Some v -> v | None -> raise Not_found
-
 (* ----------------------------- Insert ------------------------------ *)
 
 let check_key key op =

@@ -25,9 +25,6 @@ val insert : t -> key:string -> int -> unit
 val find : t -> key:string -> int option
 (** The value under [key], [None] when absent. *)
 
-val find_exn : t -> key:string -> int
-(** Like {!find}; raises [Not_found] when the key is absent. *)
-
 val delete : t -> key:string -> bool
 (** [true] when the key was present. *)
 

@@ -204,7 +204,6 @@ let open_mem ?(pool_size = 256) () =
     closed = false;
   }
 
-let is_persistent t = t.dir <> None
 let mode t = t.mode
 let dir t = t.dir
 
@@ -261,10 +260,8 @@ let checkpoint t =
 let make_pager t file =
   match t.dir with
   | Some dir ->
-      (* Durability is provided at the database level (one WAL for the
-         whole directory), so the per-file WAL stays off; committed
-         per-file WALs left by older versions still replay inside
-         [Pager.create_file]. *)
+      (* Durability is provided at the database level: one WAL for the
+         whole directory, replayed by [recover_dir] before this open. *)
       let pager =
         Pager.create_file ~pool_size:t.pool_size ~io:t.io
           ~read_only:(t.mode = Read_only)

@@ -45,8 +45,6 @@ val open_mem : ?pool_size:int -> unit -> t
 (** Fully in-memory database with identical behaviour (tests,
     benchmarks). *)
 
-val is_persistent : t -> bool
-
 val mode : t -> mode
 (** The mode this database was opened with ([Read_write] for
     in-memory databases). *)

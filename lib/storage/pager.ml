@@ -5,13 +5,10 @@ module Cost = Crimson_obs.Cost
    backs the storage.pager.* registry counters. *)
 let h_fsync = Crimson_obs.Metrics.histogram "storage.pager.fsync_ms"
 
-(* Crash-recovery telemetry: WAL replays applied on open, pages they
-   restored, and torn/uncommitted logs discarded (see also
-   storage.wal.torn_record for checksum-level detail). *)
+(* Crash-recovery telemetry: WAL replays applied on open and the pages
+   they restored (Database counts discarded logs and times recovery). *)
 let m_rec_replays = Crimson_obs.Metrics.counter "storage.recovery.replays"
 let m_rec_pages = Crimson_obs.Metrics.counter "storage.recovery.pages"
-let m_rec_discarded = Crimson_obs.Metrics.counter "storage.recovery.discarded"
-let h_recovery = Crimson_obs.Metrics.histogram "storage.recovery.ms"
 
 (* Bytes of page buffers held by the frames of every open pager in the
    process. A frame gets its buffer the first time it holds a page and
@@ -31,10 +28,7 @@ let timed_fsync file =
   Crimson_obs.Span.record_traced h_fsync (fun () -> Io.fsync file)
 
 type backend =
-  | File of {
-      file : Io.file;
-      wal : Wal.t option; (* present when the pager is durable standalone *)
-    }
+  | File of { file : Io.file }
   | Mem of { pages : bytes Crimson_util.Vec.t }
 
 type frame = {
@@ -97,59 +91,18 @@ let write_page_at file page_id image =
   in
   drain 0
 
-(* Apply a committed WAL batch to the main file (crash recovery). The
-   same replay primitive serves the database-level WAL (Database). *)
+(* Apply a committed WAL batch to the main file: the replay primitive
+   of the database-level WAL's crash recovery (Database). *)
 let replay_batch file batch =
   Counter.incr m_rec_replays;
   Counter.add m_rec_pages (List.length batch);
   List.iter (fun (page_id, image) -> write_page_at file page_id image) batch;
   timed_fsync file
 
-let recover io file path =
-  let wal_file = Wal.wal_path path in
-  if Io.file_exists io wal_file then begin
-    let wal = Wal.open_for ~io path in
-    Fun.protect
-      ~finally:(fun () -> Wal.close wal)
-      (fun () ->
-        Crimson_obs.Span.record_traced h_recovery (fun () ->
-            (match Wal.read wal with
-            | Wal.Committed entries ->
-                replay_batch file
-                  (List.map (fun (e : Wal.entry) -> (e.page_id, e.image)) entries)
-            | Wal.Torn _ ->
-                (* Crash before commit: pre-checkpoint state is intact. *)
-                Counter.incr m_rec_discarded
-            | Wal.Empty -> ());
-            Wal.clear wal))
-  end
-
-(* Read-only open must not replay (writes) or clear the WAL; it may only
-   classify it. A committed batch means the main file is stale until
-   someone replays it — refuse, directing the caller to one read-write
-   open. Torn or empty logs leave the main file authoritative. *)
-let check_wal_read_only io path =
-  let wal_file = Wal.wal_path path in
-  if Io.file_exists io wal_file then begin
-    let wal = Wal.open_for ~io path in
-    Fun.protect
-      ~finally:(fun () -> Wal.close wal)
-      (fun () ->
-        match Wal.read wal with
-        | Wal.Committed _ ->
-            Error.fail (Error.Read_only { file = path; op = "WAL replay" })
-        | Wal.Torn _ | Wal.Empty -> ())
-  end
-
-let create_file ?(pool_size = 256) ?(durable = false) ?(io = Io.real)
-    ?(read_only = false) path =
+let create_file ?(pool_size = 256) ?(io = Io.real) ?(read_only = false) path =
   if read_only && not (Io.file_exists io path) then
     Error.fail (Error.Read_only { file = path; op = "create" });
   let file = Io.open_file io path in
-  (try if read_only then check_wal_read_only io path else recover io file path
-   with e ->
-     Io.close file;
-     raise e);
   let len = Io.size file in
   if len mod Page.size <> 0 then begin
     Io.close file;
@@ -157,8 +110,7 @@ let create_file ?(pool_size = 256) ?(durable = false) ?(io = Io.real)
       (Error.Corrupt_page
          { file = path; detail = Printf.sprintf "unaligned length %d" len })
   end;
-  let wal = if durable && not read_only then Some (Wal.open_for ~io path) else None in
-  create ~pool_size ~read_only (File { file; wal }) ~n_pages:(len / Page.size)
+  create ~pool_size ~read_only (File { file }) ~n_pages:(len / Page.size)
 
 let create_mem ?(pool_size = 256) () =
   create ~pool_size (Mem { pages = Crimson_util.Vec.create () }) ~n_pages:0
@@ -229,25 +181,12 @@ let backend_write t page_id buf =
   | File { file; _ } -> write_page_at file page_id buf
   | Mem { pages } -> Bytes.blit buf 0 (Crimson_util.Vec.get pages page_id) 0 Page.size
 
-(* Route a batch of dirty pages through the WAL (when durable) before
-   writing them back: the checkpoint becomes all-or-nothing. *)
-let write_back_batch t batch =
-  (match t.backend with
-  | File { wal = Some wal; _ } -> Wal.append_batch wal batch
-  | File { wal = None; _ } | Mem _ -> ());
-  List.iter (fun (page_id, buf) -> backend_write t page_id buf) batch;
-  match t.backend with
-  | File { file; wal = Some wal } ->
-      timed_fsync file;
-      Wal.clear wal
-  | File { wal = None; _ } | Mem _ -> ()
-
 (* ------------------------------ Frames ----------------------------- *)
 
 let do_evict t i =
   let f = t.frames.(i) in
   if f.dirty then begin
-    write_back_batch t [ (f.page_id, f.buf) ];
+    backend_write t f.page_id f.buf;
     f.dirty <- false
   end;
   Hashtbl.remove t.frame_of_page f.page_id;
@@ -374,18 +313,14 @@ let flush t =
   check_open t;
   let dirty = collect_dirty t in
   if dirty <> [] then begin
-    write_back_batch t dirty;
+    List.iter (fun (page_id, buf) -> backend_write t page_id buf) dirty;
     Array.iter (fun f -> if f.page_id >= 0 then f.dirty <- false) t.frames
   end
 
 (* Close the backend and give the frames' buffers back, so a closed
    pager that is still referenced holds none of them. *)
 let release t =
-  (match t.backend with
-  | File { file; wal } ->
-      Io.close file;
-      Option.iter Wal.close wal
-  | Mem _ -> ());
+  (match t.backend with File { file } -> Io.close file | Mem _ -> ());
   Array.iter (fun f -> f.buf <- Bytes.empty) t.frames;
   ignore (Atomic.fetch_and_add frame_bytes (-t.allocated * Page.size));
   t.allocated <- 0;

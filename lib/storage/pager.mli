@@ -26,24 +26,18 @@
 
 type t
 
-val create_file :
-  ?pool_size:int -> ?durable:bool -> ?io:Io.t -> ?read_only:bool -> string -> t
+val create_file : ?pool_size:int -> ?io:Io.t -> ?read_only:bool -> string -> t
 (** Open or create a page file. [pool_size] (default 256 frames, minimum
-    8) bounds resident pages. With [durable] (default false) every dirty
-    write-back is routed through a write-ahead log ([<path>.wal]) so
-    checkpoints are atomic under crashes, at the cost of an fsync per
-    flush/eviction batch. Opening always replays a committed sibling WAL
-    left by a crash, durable or not (torn logs are discarded; see
-    [storage.recovery.*] metrics). Raises {!Error.Error}
-    ([Io_failed] on backend failure, [Corrupt_page] when the file length
-    is not page-aligned).
+    8) bounds resident pages. Crash atomicity is the {!Database}'s: its
+    one WAL commits every file's dirty pages together (see {e Group
+    checkpoints} below), and it replays a committed batch before any
+    pager opens. Raises {!Error.Error} ([Io_failed] on backend failure,
+    [Corrupt_page] when the file length is not page-aligned).
 
-    With [read_only] (default false) the file must already exist, the
-    sibling WAL is only classified — a committed batch raises
-    [Error.Read_only] directing the caller to one read-write open first;
-    torn/empty logs are left untouched — and every mutating operation
-    ({!allocate}, {!with_page_mut}) raises [Error.Read_only]. Multiple
-    read-only pools may share the same immutable files across domains. *)
+    With [read_only] (default false) the file must already exist, and
+    every mutating operation ({!allocate}, {!with_page_mut}) raises
+    [Error.Read_only]. Multiple read-only pools may share the same
+    immutable files across domains. *)
 
 val create_mem : ?pool_size:int -> unit -> t
 (** Volatile pager backed by memory — same code paths and pool behaviour
@@ -69,8 +63,7 @@ val with_page_mut : t -> int -> (bytes -> 'a) -> 'a
 (** Like {!with_page} but marks the page dirty. *)
 
 val flush : t -> unit
-(** Write back all dirty frames (no-op for memory pagers), through this
-    pager's own WAL when durable. *)
+(** Write back all dirty frames (no-op for memory pagers). *)
 
 val close : t -> unit
 (** Flush and release the backing file. Using a closed pager raises
@@ -108,9 +101,9 @@ val set_dirty_pressure : t -> (unit -> unit) -> unit
 (** Page traffic — reads, writes, hits, misses, evictions, fsyncs — is
     charged to the calling domain's {!Crimson_obs.Cost} record, which
     backs the [storage.pager.*] registry counters and every profile;
-    fsync durations feed the [storage.pager.fsync_ms] histogram. Crash
-    recovery feeds [storage.recovery.replays]/[.pages]/[.discarded]/[.ms].
-    A pool itself only reports its state. *)
+    fsync durations feed the [storage.pager.fsync_ms] histogram.
+    {!replay_batch} feeds [storage.recovery.replays]/[.pages]. A pool
+    itself only reports its state. *)
 type stats = {
   pool_size : int;
   resident : int;  (** Frames currently cached. *)

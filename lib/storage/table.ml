@@ -103,9 +103,6 @@ let find t ~index ~key =
       | Some row -> Some (rid, row)
       | None -> None)
 
-let find_exn t ~index ~key =
-  match find t ~index ~key with Some x -> x | None -> raise Not_found
-
 let iter_index t ~index ~prefix f =
   let _, btree = find_index t ~index in
   Btree.iter_prefix btree ~prefix (fun _key rid ->

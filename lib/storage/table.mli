@@ -76,9 +76,6 @@ val find : t -> index:string -> key:string -> (Heap.rid * Record.value array) op
     Raises [Invalid_argument] for an unknown or non-unique index name —
     a programming error, unlike a missing key. *)
 
-val find_exn : t -> index:string -> key:string -> Heap.rid * Record.value array
-(** Like {!find}; raises [Not_found] when the key is absent. *)
-
 val iter_index :
   t -> index:string -> prefix:string -> (Heap.rid -> Record.value array -> bool) -> unit
 (** All rows whose index key starts with [prefix], in key order; stop on

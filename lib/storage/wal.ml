@@ -1,4 +1,3 @@
-let magic_v1 = "CRIMWAL1"
 let magic = "CRIMWAL2"
 
 (* Registry telemetry: WAL traffic and the cost of its durability
@@ -33,10 +32,7 @@ type read_result =
   | Committed of entry list
   | Torn of torn
 
-let wal_path page_file = page_file ^ ".wal"
-
 let open_path ?(io = Io.real) path = { handle = Io.open_file io path; closed = false }
-let open_for ?io page_file = open_path ?io (wal_path page_file)
 let path (t : t) = Io.path t.handle
 
 let check_open t = if t.closed then invalid_arg "Wal: already closed"
@@ -52,15 +48,6 @@ let write_all file bytes =
 let checksum file page_id image =
   let acc = ref ((page_id * 2654435761) land 0x3FFFFFFF) in
   String.iter (fun c -> acc := ((!acc * 31) + Char.code c) land 0x3FFFFFFF) file;
-  for i = 0 to Bytes.length image - 1 do
-    acc := ((!acc * 31) + Char.code (Bytes.get image i)) land 0x3FFFFFFF
-  done;
-  !acc
-
-(* V1 checksum (no file tag) — kept so logs written before the format
-   bump still replay on upgrade. *)
-let checksum_v1 page_id image =
-  let acc = ref (page_id * 2654435761) in
   for i = 0 to Bytes.length image - 1 do
     acc := ((!acc * 31) + Char.code (Bytes.get image i)) land 0x3FFFFFFF
   done;
@@ -101,10 +88,6 @@ let append_entries t entries =
   write_all t.handle buf;
   timed_fsync t.handle
 
-let append_batch t batch =
-  append_entries t
-    (List.map (fun (page_id, image) -> { file = ""; page_id; image }) batch)
-
 let read_raw t =
   let len = Io.size t.handle in
   if len = 0 then None
@@ -123,28 +106,7 @@ let torn ~intact detail =
   Crimson_obs.Metrics.Counter.incr m_torn;
   Torn { intact; detail }
 
-(* V1 layout: magic | n(u32) | n x [page_id(u32) image] | batch_cksum. *)
-let decode_v1 buf len =
-  let n = Crimson_util.Codec.get_u32 buf 8 in
-  let expected = 12 + (n * (4 + Page.size)) + 4 in
-  if len < expected then torn ~intact:0 "v1 log truncated before commit"
-  else begin
-    let entries = ref [] in
-    let sum = ref 0 in
-    let pos = ref 12 in
-    for _ = 1 to n do
-      let page_id = Crimson_util.Codec.get_u32 buf !pos in
-      let image = Bytes.sub buf (!pos + 4) Page.size in
-      sum := (!sum + checksum_v1 page_id image) land 0x3FFFFFFF;
-      entries := { file = ""; page_id; image } :: !entries;
-      pos := !pos + 4 + Page.size
-    done;
-    if Crimson_util.Codec.get_u32 buf !pos <> !sum then
-      torn ~intact:0 "v1 commit checksum mismatch"
-    else Committed (List.rev !entries)
-  end
-
-let decode_v2 buf len =
+let decode buf len =
   let n = Crimson_util.Codec.get_u32 buf 8 in
   let entries = ref [] in
   let sum = ref 0 in
@@ -195,15 +157,8 @@ let read t =
       if len < 12 then torn ~intact:0 "shorter than a header"
       else begin
         let m = Bytes.sub_string buf 0 8 in
-        if m = magic then decode_v2 buf len
-        else if m = magic_v1 then decode_v1 buf len
-        else torn ~intact:0 "bad magic"
+        if m = magic then decode buf len else torn ~intact:0 "bad magic"
       end
-
-let read_committed t =
-  match read t with
-  | Committed entries -> Some (List.map (fun e -> (e.page_id, e.image)) entries)
-  | Empty | Torn _ -> None
 
 let clear t =
   check_open t;

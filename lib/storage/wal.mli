@@ -12,8 +12,7 @@
     Records carry a file tag so one WAL can cover several page files:
     {!Database} routes every file's dirty pages through a single
     [crimson.wal] per directory, making the checkpoint atomic {e
-    across} heap and index files. A standalone durable {!Pager} uses a
-    sibling [<path>.wal] with empty tags.
+    across} heap and index files.
 
     On-disk layout (version 2):
     {v
@@ -27,13 +26,12 @@
     or bit-flipped tail record from a valid one; the trailing commit
     checksum (the masked sum of the record checksums) doubles as the
     commit record — a torn write cannot produce both the right length
-    and the right value. Version-1 logs (whole-batch checksum, no file
-    tags) are still decoded for upgrades. *)
+    and the right value. *)
 
 type t
 
 type entry = {
-  file : string;  (** Path relative to the WAL's directory; "" = the sibling page file. *)
+  file : string;  (** Path relative to the WAL's directory. *)
   page_id : int;
   image : bytes;  (** Exactly {!Page.size} bytes. *)
 }
@@ -50,12 +48,6 @@ type read_result =
       (** No valid commit record: normal after a crash mid-append — the
           batch must be discarded. *)
 
-val wal_path : string -> string
-(** [wal_path page_file] is the sibling WAL path ([page_file ^ ".wal"]). *)
-
-val open_for : ?io:Io.t -> string -> t
-(** [open_for page_file_path] opens/creates the sibling WAL. *)
-
 val open_path : ?io:Io.t -> string -> t
 (** Open/create a WAL at exactly this path (the database-level WAL). *)
 
@@ -65,16 +57,9 @@ val append_entries : t -> entry list -> unit
 (** Replace the WAL's contents with these records and a commit record,
     then fsync. Images must be {!Page.size} bytes. *)
 
-val append_batch : t -> (int * bytes) list -> unit
-(** {!append_entries} with empty file tags (single-file WALs). *)
-
 val read : t -> read_result
 (** Classify and decode the WAL. Never raises on torn or corrupt
     content. *)
-
-val read_committed : t -> (int * bytes) list option
-(** Single-file view of {!read}: [Some batch] only for a committed
-    batch, file tags dropped. *)
 
 val clear : t -> unit
 (** Truncate to empty and fsync — called once the batch has been

@@ -241,7 +241,6 @@ let subtree_sizes t =
     order;
   sizes
 
-let fold_preorder t ~init ~f = Array.fold_left f init (preorder t)
 
 let find_by_name t target =
   let order = preorder t in

@@ -84,8 +84,6 @@ val subtree_sizes : t -> int array
 
 val iter_children : t -> node -> (node -> unit) -> unit
 
-val fold_preorder : t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
-
 val find_by_name : t -> string -> node option
 (** First node (in preorder) carrying the given name. O(n). *)
 

@@ -40,9 +40,6 @@ val exponential : t -> rate:float -> float
 (** Exponentially distributed waiting time with the given rate.
     Raises [Invalid_argument] when [rate <= 0]. *)
 
-val gaussian : t -> float
-(** Standard normal via Box–Muller. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

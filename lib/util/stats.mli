@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance; 0 for arrays of length < 2. *)
 
-val stddev : float array -> float
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in \[0,100\], linear interpolation between
     order statistics. Raises [Invalid_argument] on empty input or [p]

@@ -210,6 +210,29 @@ let test_stats_and_metrics () =
       check Alcotest.bool "no registry by default" true
         (not (contains "telemetry registry" out)))
 
+(* serve's help names every verb HELLO advertises and every gateway
+   route /v1/doc lists. *)
+let test_serve_help () =
+  let module Json = Crimson_obs.Json in
+  let out = expect_success [ "serve"; "--help=plain" ] in
+  let words =
+    String.split_on_char ' '
+      (String.map (fun c -> if String.contains "\n\t,()." c then ' ' else c) out)
+  in
+  let paths =
+    match Crimson_gateway.Router.doc_routes with
+    | Json.List routes ->
+        List.filter_map
+          (fun r ->
+            match Json.member "path" r with Some (Json.Str p) -> Some p | _ -> None)
+          routes
+    | _ -> []
+  in
+  check Alcotest.bool "/v1/doc lists routes" true (paths <> []);
+  List.iter
+    (fun w -> check Alcotest.bool ("help names " ^ w) true (List.mem w words))
+    (Crimson_gateway.Request.wire_verbs @ paths)
+
 let () =
   if not (Sys.file_exists crimson_binary) then begin
     print_endline "crimson binary not found; skipping CLI tests";
@@ -223,5 +246,6 @@ let () =
           Alcotest.test_case "error reporting" `Quick test_error_reporting;
           Alcotest.test_case "append species" `Quick test_append_species_cli;
           Alcotest.test_case "stats and metrics" `Quick test_stats_and_metrics;
+          Alcotest.test_case "serve help lists verbs and routes" `Quick test_serve_help;
         ] );
     ]
