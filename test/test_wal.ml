@@ -5,6 +5,7 @@
 
 module Page = Crimson_storage.Page
 module Pager = Crimson_storage.Pager
+module Heap = Crimson_storage.Heap
 module Wal = Crimson_storage.Wal
 module Database = Crimson_storage.Database
 module Table = Crimson_storage.Table
@@ -259,6 +260,30 @@ let test_durable_repo_survives_wal_replay () =
         (Crimson_tree.Tree.node_count proj);
       Repo.close repo)
 
+(* Five hundred short rows on a durable database whose files have 8
+   frames each: the heap file, reopened on its own after the last
+   checkpoint, holds every record, and a durable reopen reads each row
+   back by its rid. *)
+let test_heap_on_durable_pager () =
+  with_temp_dir (fun dir ->
+      let schema = [| ("s", Record.Text) |] in
+      let row i = Printf.sprintf "r%04d" i in
+      let table db = Database.table db ~name:"h" ~schema ~indexes:[] in
+      let db = Database.open_dir ~durable:true ~pool_size:8 dir in
+      let rids = Array.init 500 (fun i -> Table.insert (table db) [| Record.VText (row i) |]) in
+      Database.close db;
+      let p = Pager.create_file ~pool_size:8 (Filename.concat dir "h.heap") in
+      check Alcotest.int "heap records" 500 (Heap.record_count (Heap.create p));
+      Pager.close p;
+      let db = Database.open_dir ~durable:true ~pool_size:8 dir in
+      let t = table db in
+      Array.iteri
+        (fun i rid ->
+          check (Alcotest.option Alcotest.string) "durable record" (Some (row i))
+            (Option.map (fun r -> Record.get_text r 0) (Table.get t rid)))
+        rids;
+      Database.close db)
+
 let () =
   Alcotest.run "crimson_wal"
     [
@@ -281,6 +306,8 @@ let () =
           Alcotest.test_case "durable full cycle" `Quick test_durable_full_cycle;
         ] );
       ( "durable_repo",
-        [ Alcotest.test_case "load and reopen" `Quick test_durable_repo_survives_wal_replay ]
-      );
+        [
+          Alcotest.test_case "load and reopen" `Quick test_durable_repo_survives_wal_replay;
+          Alcotest.test_case "heap on durable pager" `Quick test_heap_on_durable_pager;
+        ] );
     ]
