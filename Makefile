@@ -92,20 +92,25 @@ serve-demo:
 bench:
 	dune exec bench/main.exe
 
-# Persist each experiment's BENCH payload as BENCH_<exp>.json at the
-# repository root (CI uploads them as artifacts). BENCH selects a
-# subset, e.g. `make bench-snapshot BENCH="E1 E6"`.
-bench-snapshot:
-	CRIMSON_BENCH_SNAPSHOT=$(CURDIR) dune exec bench/main.exe -- $(BENCH)
+# Persist each experiment's BENCH payload as BENCH_<exp>.json in
+# $(BENCH_DIR) (CI uploads them as artifacts), which is first emptied of
+# earlier snapshots, so `make bench-diff` judges only this run. BENCH
+# selects a subset, e.g. `make bench-snapshot BENCH="E1 E6"`.
+BENCH_DIR := $(CURDIR)/_bench
 
-# Compare the fresh BENCH_*.json at the repository root (produced by
+bench-snapshot:
+	mkdir -p $(BENCH_DIR)
+	rm -f $(BENCH_DIR)/BENCH_*.json
+	CRIMSON_BENCH_SNAPSHOT=$(BENCH_DIR) dune exec bench/main.exe -- $(BENCH)
+
+# Compare the fresh BENCH_*.json in $(BENCH_DIR) (written by the last
 # `make bench-snapshot`) against the committed bench/baselines/.
 # A changed exact field (E7's nrf_*/triplet_* scores, E3's
 # frontier_nodes_* sizes, every *pages* count) fails the target;
 # a >20% throughput regression only prints a WARNING — bench containers
 # are too noisy to hard-gate times.
 bench-diff:
-	dune exec bench/diff.exe -- $(CURDIR) $(CURDIR)/bench/baselines
+	dune exec bench/diff.exe -- $(BENCH_DIR) $(CURDIR)/bench/baselines
 
 clean:
 	dune clean

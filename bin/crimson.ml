@@ -15,7 +15,7 @@ module Stored_tree = Crimson_core.Stored_tree
 module Loader = Crimson_core.Loader
 module Sampling = Crimson_core.Sampling
 module Projection = Crimson_core.Projection
-module Clade = Crimson_core.Clade
+module Query_lang = Crimson_core.Query_lang
 module Pattern = Crimson_core.Pattern
 module Models = Crimson_sim.Models
 module Seqevo = Crimson_sim.Seqevo
@@ -25,6 +25,7 @@ module Wire = Crimson_server.Wire
 module Server = Crimson_server.Server
 module Worker_core = Crimson_server.Worker_core
 module Http_client = Crimson_server.Http_client
+module Http_obs = Crimson_server.Http_obs
 module Client = Crimson_server.Client
 
 open Cmdliner
@@ -112,16 +113,6 @@ let guarded f =
   | Server.Bind_error msg -> fail "%s" msg
   | Client.Connection_error msg -> fail "%s" msg
   | Sys_error msg -> fail "%s" msg
-
-let resolve_names stored names =
-  match Stored_tree.leaf_ids_by_names stored names with
-  | Ok ids -> Ok ids
-  | Error name -> Error name
-
-let node_label stored n =
-  match Stored_tree.node_name stored n with
-  | Some s -> s
-  | None -> Printf.sprintf "#%d" n
 
 (* ------------------------------- load ------------------------------ *)
 
@@ -227,64 +218,38 @@ let delete_cmd =
   Cmd.v (Cmd.info "delete" ~doc:"Remove a tree from the repository")
     Term.(ret (const run $ logging $ repo_arg $ tree_arg))
 
-(* ------------------------------- lca ------------------------------- *)
+(* ---------------------------- lca, clade ---------------------------- *)
 
 let species_pos =
   Arg.(non_empty & pos_all string [] & info [] ~docv:"SPECIES" ~doc:"Species names.")
 
-let lca_cmd =
+(* [lca] and [clade] run the query functions of the same names, as
+   `crimson query` and the wire's QUERY do: the same answer, errors and
+   history text. Each name is quoted, so any name resolves. *)
+let call_text fn names =
+  let quote name = "'" ^ String.concat "''" (String.split_on_char '\'' name) ^ "'" in
+  Printf.sprintf "%s(%s)" fn (String.concat ", " (List.map quote names))
+
+let call_cmd fn ~doc print =
   let run _ dir tree names =
     guarded (fun () ->
         with_tree dir tree (fun repo stored ->
-            match resolve_names stored names with
-            | Error n -> fail "unknown species %S" n
-            | Ok ids ->
-                let l, elapsed_ms, pages =
-                  Crimson_obs.Profile.measure (fun () -> Stored_tree.lca_set stored ids)
-                in
-                Printf.printf "LCA(%s) = %s (depth %d, distance from root %g)\n"
-                  (String.concat ", " names) (node_label stored l)
-                  (Stored_tree.depth stored l)
-                  (Stored_tree.root_distance stored l);
-                ignore
-                  (Repo.record_query repo ~elapsed_ms ~pages
-                     ~text:(Printf.sprintf "lca %s" (String.concat "," names))
-                     ~result:(node_label stored l));
-                `Ok ()))
+            match Query_lang.run repo stored (call_text fn names) with
+            | Ok { result; _ } ->
+                print names result;
+                `Ok ()
+            | Error msg -> fail "%s" msg))
   in
-  Cmd.v
-    (Cmd.info "lca" ~doc:"Least common ancestor of a set of species")
+  Cmd.v (Cmd.info fn ~doc)
     Term.(ret (const run $ logging $ repo_arg $ tree_arg $ species_pos))
 
-(* ------------------------------ clade ------------------------------ *)
+let lca_cmd =
+  call_cmd "lca" ~doc:"Least common ancestor of a set of species" (fun names result ->
+      Printf.printf "LCA(%s) = %s\n" (String.concat ", " names) result)
 
 let clade_cmd =
-  let run _ dir tree names =
-    guarded (fun () ->
-        with_tree dir tree (fun repo stored ->
-            match resolve_names stored names with
-            | Error n -> fail "unknown species %S" n
-            | Ok ids ->
-                let (root, size), elapsed_ms, pages =
-                  Crimson_obs.Profile.measure (fun () ->
-                      (Clade.root_of stored ids, Clade.size stored ids))
-                in
-                Printf.printf "minimal spanning clade rooted at %s: %d species\n"
-                  (node_label stored root) size;
-                if size <= 50 then begin
-                  let members = Clade.leaf_ids stored ids in
-                  Printf.printf "  members: %s\n"
-                    (String.concat ", " (List.map (node_label stored) members))
-                end;
-                ignore
-                  (Repo.record_query repo ~elapsed_ms ~pages
-                     ~text:(Printf.sprintf "clade %s" (String.concat "," names))
-                     ~result:(Printf.sprintf "%d species" size));
-                `Ok ()))
-  in
-  Cmd.v
-    (Cmd.info "clade" ~doc:"Minimal spanning clade of a set of species")
-    Term.(ret (const run $ logging $ repo_arg $ tree_arg $ species_pos))
+  call_cmd "clade" ~doc:"Minimal spanning clade of a set of species" (fun _ result ->
+      print_endline result)
 
 (* ----------------------------- project ----------------------------- *)
 
@@ -334,7 +299,7 @@ let project_cmd =
             let selection =
               match (names, sample_k) with
               | Some ns, None -> (
-                  match resolve_names stored ns with
+                  match Stored_tree.leaf_ids_by_names stored ns with
                   | Ok ids -> Ok (ids, Printf.sprintf "names=%s" (String.concat "," ns))
                   | Error n -> Error (Printf.sprintf "unknown species %S" n))
               | None, Some k ->
@@ -629,6 +594,23 @@ let stats_cmd =
 
 (* ------------------------------- query ----------------------------- *)
 
+(* Run [f] on each query; a failed one prints its error, and any
+   failure fails the command. *)
+let each_query queries f =
+  let failed =
+    List.filter
+      (fun q ->
+        match f q with
+        | Ok () -> false
+        | Error msg ->
+            Printf.printf "%s\n  ! %s\n" q msg;
+            true)
+      queries
+    |> List.length
+  in
+  if failed = 0 then `Ok ()
+  else fail "%d quer%s failed" failed (if failed = 1 then "y" else "ies")
+
 let query_cmd =
   let queries =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"QUERY"
@@ -638,30 +620,20 @@ let query_cmd =
     guarded (fun () ->
         with_tree dir tree (fun repo stored ->
             let rng = Prng.create seed in
-            let errors = ref 0 in
-            List.iter
-              (fun q ->
-                match
-                  (* One trace per query, so --trace-out captures CLI
-                     runs the same way the server captures requests. *)
-                  Crimson_obs.Trace.with_ ~name:"cli.query"
-                    ~meta:[ ("line", Crimson_obs.Json.Str q) ]
-                    (fun () -> Crimson_core.Query_lang.run ~rng repo stored q)
-                with
-                | Ok { result; _ } -> Printf.printf "%s\n  = %s\n" q result
-                | Error msg ->
-                    incr errors;
-                    Printf.printf "%s\n  ! %s\n" q msg)
-              queries;
-            if !errors > 0 then fail "%d quer%s failed" !errors
-                (if !errors = 1 then "y" else "ies")
-            else `Ok ()))
+            each_query queries (fun q ->
+                (* One trace per query, so --trace-out captures CLI
+                   runs the same way the server captures requests. *)
+                Crimson_obs.Trace.with_ ~name:"cli.query"
+                  ~meta:[ ("line", Crimson_obs.Json.Str q) ]
+                  (fun () -> Query_lang.run ~rng repo stored q)
+                |> Result.map (fun { Query_lang.result; _ } ->
+                       Printf.printf "%s\n  = %s\n" q result))))
   in
   let man =
     [
       `S Manpage.s_description;
       `P "Run one or more textual queries against a stored tree.";
-      `Pre Crimson_core.Query_lang.help;
+      `Pre Query_lang.help;
     ]
   in
   Cmd.v
@@ -692,41 +664,28 @@ let profile_cmd =
             let module Json = Crimson_obs.Json in
             let module Profile = Crimson_obs.Profile in
             let rng = Prng.create seed in
-            let errors = ref 0 in
-            List.iter
-              (fun q ->
+            each_query queries (fun q ->
                 if explain then
-                  match Crimson_core.Query_lang.explain stored q with
-                  | Ok plan ->
-                      Printf.printf "%s\n" q;
-                      List.iter (fun l -> Printf.printf "  %s\n" l) plan
-                  | Error msg ->
-                      incr errors;
-                      Printf.printf "%s\n  ! %s\n" q msg
+                  Query_lang.explain stored q
+                  |> Result.map (fun plan ->
+                         Printf.printf "%s\n" q;
+                         List.iter (fun l -> Printf.printf "  %s\n" l) plan)
                 else
-                  match Crimson_core.Query_lang.profile ~rng repo stored q with
-                  | Ok (outcome, report) ->
-                      if json then
-                        print_endline
-                          (Json.to_string
-                             (Json.Obj
-                                [
-                                  ("query", Json.Str q);
-                                  ("result", Json.Str outcome.Crimson_core.Query_lang.result);
-                                  ("profile", Profile.report_to_json report);
-                                ]))
-                      else begin
-                        Printf.printf "%s\n  = %s\n" q
-                          outcome.Crimson_core.Query_lang.result;
-                        print_string (Profile.report_to_text report)
-                      end
-                  | Error msg ->
-                      incr errors;
-                      Printf.printf "%s\n  ! %s\n" q msg)
-              queries;
-            if !errors > 0 then
-              fail "%d quer%s failed" !errors (if !errors = 1 then "y" else "ies")
-            else `Ok ()))
+                  Query_lang.profile ~rng repo stored q
+                  |> Result.map (fun ({ Query_lang.result; _ }, report) ->
+                         if json then
+                           print_endline
+                             (Json.to_string
+                                (Json.Obj
+                                   [
+                                     ("query", Json.Str q);
+                                     ("result", Json.Str result);
+                                     ("profile", Profile.report_to_json report);
+                                   ]))
+                         else begin
+                           Printf.printf "%s\n  = %s\n" q result;
+                           print_string (Profile.report_to_text report)
+                         end))))
   in
   let man =
     [
@@ -786,7 +745,24 @@ let show_cmd =
 (* ------------------------------- serve ----------------------------- *)
 
 let listen_doc = "HOST:PORT, :PORT, PORT, or unix:PATH."
-let default_listen = "127.0.0.1:7151"
+
+(* Every address option parses through [Wire.parse_addr]: Cmdliner
+   rejects a bad one with its message. *)
+let addr_conv =
+  Arg.conv' ~docv:"ADDR"
+    (Wire.parse_addr, fun ppf a -> Format.pp_print_string ppf (Wire.addr_to_string a))
+
+let default_listen = Wire.Tcp ("127.0.0.1", 7151)
+
+(* --to of the wire clients: connect, slowlog and top. *)
+let server_addr =
+  Arg.(value & opt addr_conv default_listen
+       & info [ "to"; "listen" ] ~docv:"ADDR" ~doc:("Server address: " ^ listen_doc))
+
+(* The observability endpoint's paths, as help text. *)
+let obs_paths =
+  String.concat ", "
+    (List.map (fun (path, _) -> Printf.sprintf "$(b,%s)" path) Http_obs.paths)
 
 let serve_cmd =
   let db =
@@ -796,7 +772,7 @@ let serve_cmd =
                    $(b,--create) is given).")
   in
   let listen =
-    Arg.(value & opt string default_listen
+    Arg.(value & opt addr_conv default_listen
          & info [ "listen" ] ~docv:"ADDR" ~doc:("Listen address: " ^ listen_doc))
   in
   let max_sessions =
@@ -850,11 +826,11 @@ let serve_cmd =
                    domain count.")
   in
   let obs_listen =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some addr_conv) None
          & info [ "obs-listen" ] ~docv:"ADDR"
-             ~doc:("Serve the HTTP observability endpoint ($(b,/metrics), \
-                    $(b,/healthz), $(b,/varz), $(b,/slowlog)) on $(docv): "
-                   ^ listen_doc ^ " Disabled by default."))
+             ~doc:("Serve the HTTP observability endpoint ("
+                   ^ obs_paths
+                   ^ ") on $(docv): " ^ listen_doc ^ " Disabled by default."))
   in
   (* The gateway's routes as "METHOD /path", read from the /v1/doc
      listing so the help cannot drift from the router. *)
@@ -871,7 +847,7 @@ let serve_cmd =
     | _ -> []
   in
   let http_listen =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some addr_conv) None
          & info [ "http-listen" ] ~docv:"ADDR"
              ~doc:("Serve the HTTP/JSON data-service gateway (the versioned \
                     $(b,/v1) resource API: " ^ String.concat ", " routes ^ ") on \
@@ -917,29 +893,9 @@ let serve_cmd =
               | None ->
                   Error (Printf.sprintf "--workers expects a count or 'auto' (got %S)" s))
         in
-        let obs_listen =
-          match obs_listen with
-          | None -> Ok None
-          | Some s -> (
-              match Wire.parse_addr s with
-              | Ok a -> Ok (Some a)
-              | Error msg ->
-                  Error (Printf.sprintf "bad --obs-listen address: %s" msg))
-        in
-        let http_listen =
-          match http_listen with
-          | None -> Ok None
-          | Some s -> (
-              match Wire.parse_addr s with
-              | Ok a -> Ok (Some a)
-              | Error msg ->
-                  Error (Printf.sprintf "bad --http-listen address: %s" msg))
-        in
-        match (Wire.parse_addr listen, workers, obs_listen, http_listen) with
-        | Error msg, _, _, _ -> fail "bad --listen address: %s" msg
-        | _, Error msg, _, _ | _, _, Error msg, _ | _, _, _, Error msg ->
-            fail "%s" msg
-        | Ok addr, Ok workers, Ok obs_listen, Ok http_listen ->
+        match workers with
+        | Error msg -> fail "%s" msg
+        | Ok workers ->
             let repo = Repo.open_dir ~create db in
             Fun.protect
               ~finally:(fun () -> Repo.close repo)
@@ -979,7 +935,7 @@ let serve_cmd =
                   ~on_http_ready:(fun sockaddr ->
                     Printf.printf "crimson: http gateway on %s\n%!"
                       (show_addr sockaddr))
-                  repo addr;
+                  repo listen;
                 `Ok ()))
   in
   let man =
@@ -1004,10 +960,6 @@ let serve_cmd =
 (* ------------------------------ connect ---------------------------- *)
 
 let connect_cmd =
-  let to_addr =
-    Arg.(value & opt string default_listen
-         & info [ "to"; "listen" ] ~docv:"ADDR" ~doc:("Server address: " ^ listen_doc))
-  in
   let commands =
     Arg.(value & pos_all string []
          & info [] ~docv:"COMMAND"
@@ -1015,33 +967,30 @@ let connect_cmd =
                    'QUERY lca(T0,T7)'). With none, lines are read from standard \
                    input until EOF.")
   in
-  let run _ to_addr commands =
+  let run _ addr commands =
     guarded (fun () ->
-        match Wire.parse_addr to_addr with
-        | Error msg -> fail "bad --to address: %s" msg
-        | Ok addr ->
-            let client = Client.connect addr in
-            Fun.protect
-              ~finally:(fun () -> Client.close client)
-              (fun () ->
-                let alive = ref true in
-                let send line =
-                  if !alive && String.trim line <> "" then
-                    match Client.request_line client line with
-                    | Some reply -> print_endline reply
-                    | None ->
-                        alive := false;
-                        prerr_endline "crimson: server closed the connection"
-                in
-                (match commands with
-                | [] -> (
-                    try
-                      while true do
-                        send (input_line stdin)
-                      done
-                    with End_of_file -> ())
-                | lines -> List.iter send lines);
-                `Ok ()))
+        let client = Client.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () ->
+            let alive = ref true in
+            let send line =
+              if !alive && String.trim line <> "" then
+                match Client.request_line client line with
+                | Some reply -> print_endline reply
+                | None ->
+                    alive := false;
+                    prerr_endline "crimson: server closed the connection"
+            in
+            (match commands with
+            | [] -> (
+                try
+                  while true do
+                    send (input_line stdin)
+                  done
+                with End_of_file -> ())
+            | lines -> List.iter send lines);
+            `Ok ()))
   in
   let man =
     [
@@ -1052,7 +1001,7 @@ let connect_cmd =
   in
   Cmd.v
     (Cmd.info "connect" ~doc:"Send protocol commands to a running crimson server" ~man)
-    Term.(ret (const run $ logging $ to_addr $ commands))
+    Term.(ret (const run $ logging $ server_addr $ commands))
 
 (* ------------------------------ slowlog ---------------------------- *)
 
@@ -1087,10 +1036,6 @@ let print_trace_record r =
   pp "  " r.Trace.root
 
 let slowlog_cmd =
-  let to_addr =
-    Arg.(value & opt string default_listen
-         & info [ "to"; "listen" ] ~docv:"ADDR" ~doc:("Server address: " ^ listen_doc))
-  in
   let count =
     Arg.(value & opt (some int) None
          & info [ "n"; "count" ] ~docv:"N"
@@ -1100,50 +1045,47 @@ let slowlog_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Print raw trace records, one JSON line per entry.")
   in
-  let run _ to_addr count json =
+  let run _ addr count json =
     guarded (fun () ->
-        match Wire.parse_addr to_addr with
-        | Error msg -> fail "bad --to address: %s" msg
-        | Ok addr ->
-            let client = Client.connect addr in
-            Fun.protect
-              ~finally:(fun () -> Client.close client)
-              (fun () ->
-                let module Json = Crimson_obs.Json in
-                let module Trace = Crimson_obs.Trace in
-                let cmd =
-                  match count with
-                  | None -> "SLOWLOG"
-                  | Some n -> Printf.sprintf "SLOWLOG %d" n
-                in
-                let reply = Client.request client cmd in
-                if not (Client.ok reply) then
-                  fail "server error: %s"
-                    (Option.value ~default:"(no error message)"
-                       (Client.str_field "error" reply))
-                else
-                  match Json.member "entries" reply with
-                  | Some (Json.List entries) when json ->
-                      List.iter (fun e -> print_endline (Json.to_string e)) entries;
-                      `Ok ()
-                  | Some (Json.List entries) ->
-                      (match Json.member "threshold_ms" reply with
-                      | Some (Json.Num t) ->
-                          Printf.printf "slowlog threshold: %gms\n" t
-                      | _ ->
-                          print_endline
-                            "slowlog threshold: (disabled — serve with --slowlog-ms)");
-                      if entries = [] then print_endline "(no slow queries recorded)"
-                      else
-                        List.iter
-                          (fun e ->
-                            match Trace.record_of_json e with
-                            | Ok r -> print_trace_record r
-                            | Error msg ->
-                                Printf.printf "(unparseable entry: %s)\n" msg)
-                          entries;
-                      `Ok ()
-                  | _ -> fail "malformed SLOWLOG reply"))
+        let client = Client.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () ->
+            let module Json = Crimson_obs.Json in
+            let module Trace = Crimson_obs.Trace in
+            let cmd =
+              match count with
+              | None -> "SLOWLOG"
+              | Some n -> Printf.sprintf "SLOWLOG %d" n
+            in
+            let reply = Client.request client cmd in
+            if not (Client.ok reply) then
+              fail "server error: %s"
+                (Option.value ~default:"(no error message)"
+                   (Client.str_field "error" reply))
+            else
+              match Json.member "entries" reply with
+              | Some (Json.List entries) when json ->
+                  List.iter (fun e -> print_endline (Json.to_string e)) entries;
+                  `Ok ()
+              | Some (Json.List entries) ->
+                  (match Json.member "threshold_ms" reply with
+                  | Some (Json.Num t) ->
+                      Printf.printf "slowlog threshold: %gms\n" t
+                  | _ ->
+                      print_endline
+                        "slowlog threshold: (disabled — serve with --slowlog-ms)");
+                  if entries = [] then print_endline "(no slow queries recorded)"
+                  else
+                    List.iter
+                      (fun e ->
+                        match Trace.record_of_json e with
+                        | Ok r -> print_trace_record r
+                        | Error msg ->
+                            Printf.printf "(unparseable entry: %s)\n" msg)
+                      entries;
+                  `Ok ()
+              | _ -> fail "malformed SLOWLOG reply"))
   in
   let man =
     [
@@ -1157,15 +1099,11 @@ let slowlog_cmd =
   Cmd.v
     (Cmd.info "slowlog" ~doc:"Show a running server's slow-query log (span trees)"
        ~man)
-    Term.(ret (const run $ logging $ to_addr $ count $ json_flag))
+    Term.(ret (const run $ logging $ server_addr $ count $ json_flag))
 
 (* -------------------------------- top ------------------------------ *)
 
 let top_cmd =
-  let to_addr =
-    Arg.(value & opt string default_listen
-         & info [ "to"; "listen" ] ~docv:"ADDR" ~doc:("Server address: " ^ listen_doc))
-  in
   let interval =
     Arg.(value & opt float 2.0
          & info [ "interval"; "i" ] ~docv:"SECONDS" ~doc:"Refresh interval.")
@@ -1175,149 +1113,146 @@ let top_cmd =
          & info [ "iterations"; "n" ] ~docv:"N"
              ~doc:"Render N frames and exit (0 = run until interrupted).")
   in
-  let run _ to_addr interval iterations =
+  let run _ addr interval iterations =
     guarded (fun () ->
-        match Wire.parse_addr to_addr with
-        | Error msg -> fail "bad --to address: %s" msg
-        | Ok addr ->
-            let client = Client.connect addr in
-            Fun.protect
-              ~finally:(fun () -> Client.close client)
-              (fun () ->
-                let module Json = Crimson_obs.Json in
-                let module TP = Crimson_util.Table_printer in
-                let module Trace = Crimson_obs.Trace in
-                let clear = Unix.isatty Unix.stdout in
-                let path obj keys =
-                  let rec go j = function
-                    | [] -> Some j
-                    | k :: rest -> Option.bind (Json.member k j) (fun v -> go v rest)
-                  in
-                  go obj keys
+        let client = Client.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () ->
+            let module Json = Crimson_obs.Json in
+            let module TP = Crimson_util.Table_printer in
+            let module Trace = Crimson_obs.Trace in
+            let clear = Unix.isatty Unix.stdout in
+            let path obj keys =
+              let rec go j = function
+                | [] -> Some j
+                | k :: rest -> Option.bind (Json.member k j) (fun v -> go v rest)
+              in
+              go obj keys
+            in
+            let metric obj keys =
+              match path obj keys with Some (Json.Num v) -> Some v | _ -> None
+            in
+            let fnum = function Some v -> Printf.sprintf "%.0f" v | None -> "-" in
+            let mib = function
+              | Some v -> Printf.sprintf "%.1f MiB" (v /. (1024.0 *. 1024.0))
+              | None -> "-"
+            in
+            (* requests at the previous frame, for a req/s estimate *)
+            let prev_requests = ref None in
+            let frame () =
+              let top = Client.request client "TOP" in
+              let stats = Client.request client "STATS" in
+              let slow = Client.request client "SLOWLOG 5" in
+              if not (Client.ok top) then
+                fail "server error: %s"
+                  (Option.value ~default:"(no error message)"
+                     (Client.str_field "error" top))
+              else begin
+                if clear then print_string "\027[H\027[2J";
+                let requests = Client.num_field "requests" top in
+                let rps =
+                  match (requests, !prev_requests) with
+                  | Some now, Some prev when interval > 0.0 ->
+                      Printf.sprintf "%.1f req/s" ((now -. prev) /. interval)
+                  | _ -> "-"
                 in
-                let metric obj keys =
-                  match path obj keys with Some (Json.Num v) -> Some v | _ -> None
-                in
-                let fnum = function Some v -> Printf.sprintf "%.0f" v | None -> "-" in
-                let mib = function
-                  | Some v -> Printf.sprintf "%.1f MiB" (v /. (1024.0 *. 1024.0))
-                  | None -> "-"
-                in
-                (* requests at the previous frame, for a req/s estimate *)
-                let prev_requests = ref None in
-                let frame () =
-                  let top = Client.request client "TOP" in
-                  let stats = Client.request client "STATS" in
-                  let slow = Client.request client "SLOWLOG 5" in
-                  if not (Client.ok top) then
-                    fail "server error: %s"
-                      (Option.value ~default:"(no error message)"
-                         (Client.str_field "error" top))
-                  else begin
-                    if clear then print_string "\027[H\027[2J";
-                    let requests = Client.num_field "requests" top in
-                    let rps =
-                      match (requests, !prev_requests) with
-                      | Some now, Some prev when interval > 0.0 ->
-                          Printf.sprintf "%.1f req/s" ((now -. prev) /. interval)
-                      | _ -> "-"
+                prev_requests := requests;
+                Printf.printf "crimson top — %s   uptime %ss   active %s   requests %s   %s\n"
+                  (Wire.addr_to_string addr)
+                  (fnum (Client.num_field "uptime_s" top))
+                  (fnum (Client.num_field "active" top))
+                  (fnum requests) rps;
+                let gauges = [ "metrics"; "gauges" ] in
+                let counters = [ "metrics"; "counters" ] in
+                Printf.printf
+                  "runtime: rss %s   heap %s   gc %s minor / %s major   fds %s   errors %s\n\n"
+                  (mib (metric stats (gauges @ [ "runtime.rss_bytes" ])))
+                  (match metric stats (gauges @ [ "runtime.gc.heap_words" ]) with
+                  | Some w -> mib (Some (w *. float_of_int (Sys.word_size / 8)))
+                  | None -> "-")
+                  (fnum (metric stats (gauges @ [ "runtime.gc.minor_collections" ])))
+                  (fnum (metric stats (gauges @ [ "runtime.gc.major_collections" ])))
+                  (fnum (metric stats (gauges @ [ "runtime.fds.open" ])))
+                  (fnum (metric stats (counters @ [ "server.errors" ])));
+                (match Json.member "sessions" top with
+                | Some (Json.List []) -> print_endline "(no live sessions)"
+                | Some (Json.List sessions) ->
+                    let t =
+                      TP.create
+                        ~columns:
+                          [
+                            ("session", TP.Right); ("worker", TP.Right);
+                            ("tree", TP.Left); ("req", TP.Right);
+                            ("ms", TP.Right); ("pages", TP.Right);
+                            ("bytes", TP.Right); ("age", TP.Right);
+                            ("last", TP.Left);
+                          ]
                     in
-                    prev_requests := requests;
-                    Printf.printf "crimson top — %s   uptime %ss   active %s   requests %s   %s\n"
-                      (Wire.addr_to_string addr)
-                      (fnum (Client.num_field "uptime_s" top))
-                      (fnum (Client.num_field "active" top))
-                      (fnum requests) rps;
-                    let gauges = [ "metrics"; "gauges" ] in
-                    let counters = [ "metrics"; "counters" ] in
-                    Printf.printf
-                      "runtime: rss %s   heap %s   gc %s minor / %s major   fds %s   errors %s\n\n"
-                      (mib (metric stats (gauges @ [ "runtime.rss_bytes" ])))
-                      (match metric stats (gauges @ [ "runtime.gc.heap_words" ]) with
-                      | Some w -> mib (Some (w *. float_of_int (Sys.word_size / 8)))
-                      | None -> "-")
-                      (fnum (metric stats (gauges @ [ "runtime.gc.minor_collections" ])))
-                      (fnum (metric stats (gauges @ [ "runtime.gc.major_collections" ])))
-                      (fnum (metric stats (gauges @ [ "runtime.fds.open" ])))
-                      (fnum (metric stats (counters @ [ "server.errors" ])));
-                    (match Json.member "sessions" top with
-                    | Some (Json.List []) -> print_endline "(no live sessions)"
-                    | Some (Json.List sessions) ->
-                        let t =
-                          TP.create
-                            ~columns:
-                              [
-                                ("session", TP.Right); ("worker", TP.Right);
-                                ("tree", TP.Left); ("req", TP.Right);
-                                ("ms", TP.Right); ("pages", TP.Right);
-                                ("bytes", TP.Right); ("age", TP.Right);
-                                ("last", TP.Left);
-                              ]
+                    List.iter
+                      (fun s ->
+                        let str keys =
+                          match path s keys with
+                          | Some (Json.Str v) -> v
+                          | Some (Json.Num v) -> Printf.sprintf "%.0f" v
+                          | _ -> "-"
                         in
-                        List.iter
-                          (fun s ->
-                            let str keys =
-                              match path s keys with
-                              | Some (Json.Str v) -> v
-                              | Some (Json.Num v) -> Printf.sprintf "%.0f" v
-                              | _ -> "-"
+                        let ms =
+                          match metric s [ "ms" ] with
+                          | Some v -> Printf.sprintf "%.1f" v
+                          | None -> "-"
+                        in
+                        let age =
+                          match metric s [ "age_s" ] with
+                          | Some v -> Printf.sprintf "%.0fs" v
+                          | None -> "-"
+                        in
+                        let last = str [ "last" ] in
+                        let last =
+                          if String.length last > 40 then String.sub last 0 40 ^ "…"
+                          else last
+                        in
+                        TP.add_row t
+                          [
+                            str [ "session" ]; str [ "worker" ]; str [ "tree" ];
+                            str [ "requests" ]; ms; str [ "pages" ];
+                            str [ "bytes_out" ]; age; last;
+                          ])
+                      sessions;
+                    print_string (TP.render t)
+                | _ -> print_endline "(malformed TOP reply)");
+                (match Json.member "entries" slow with
+                | Some (Json.List (_ :: _ as entries)) ->
+                    print_endline "\nslowlog (most recent):";
+                    List.iter
+                      (fun e ->
+                        match Trace.record_of_json e with
+                        | Ok r ->
+                            let line =
+                              match List.assoc_opt "line" r.Trace.meta with
+                              | Some (Json.Str s) -> s
+                              | _ -> "(?)"
                             in
-                            let ms =
-                              match metric s [ "ms" ] with
-                              | Some v -> Printf.sprintf "%.1f" v
-                              | None -> "-"
-                            in
-                            let age =
-                              match metric s [ "age_s" ] with
-                              | Some v -> Printf.sprintf "%.0fs" v
-                              | None -> "-"
-                            in
-                            let last = str [ "last" ] in
-                            let last =
-                              if String.length last > 40 then String.sub last 0 40 ^ "…"
-                              else last
-                            in
-                            TP.add_row t
-                              [
-                                str [ "session" ]; str [ "worker" ]; str [ "tree" ];
-                                str [ "requests" ]; ms; str [ "pages" ];
-                                str [ "bytes_out" ]; age; last;
-                              ])
-                          sessions;
-                        print_string (TP.render t)
-                    | _ -> print_endline "(malformed TOP reply)");
-                    (match Json.member "entries" slow with
-                    | Some (Json.List (_ :: _ as entries)) ->
-                        print_endline "\nslowlog (most recent):";
-                        List.iter
-                          (fun e ->
-                            match Trace.record_of_json e with
-                            | Ok r ->
-                                let line =
-                                  match List.assoc_opt "line" r.Trace.meta with
-                                  | Some (Json.Str s) -> s
-                                  | _ -> "(?)"
-                                in
-                                Printf.printf "  %8.3fms  %s\n"
-                                  (Trace.root_elapsed_ms r) line
-                            | Error _ -> ())
-                          entries
-                    | _ -> ());
-                    `Ok ()
+                            Printf.printf "  %8.3fms  %s\n"
+                              (Trace.root_elapsed_ms r) line
+                        | Error _ -> ())
+                      entries
+                | _ -> ());
+                `Ok ()
+              end
+            in
+            let rec loop n =
+              match frame () with
+              | `Ok () ->
+                  if iterations > 0 && n + 1 >= iterations then `Ok ()
+                  else begin
+                    flush stdout;
+                    Unix.sleepf (Float.max 0.1 interval);
+                    loop (n + 1)
                   end
-                in
-                let rec loop n =
-                  match frame () with
-                  | `Ok () ->
-                      if iterations > 0 && n + 1 >= iterations then `Ok ()
-                      else begin
-                        flush stdout;
-                        Unix.sleepf (Float.max 0.1 interval);
-                        loop (n + 1)
-                      end
-                  | other -> other
-                in
-                loop 0))
+              | other -> other
+            in
+            loop 0))
   in
   let man =
     [
@@ -1330,13 +1265,13 @@ let top_cmd =
   in
   Cmd.v
     (Cmd.info "top" ~doc:"Live session/cost monitor for a running crimson server" ~man)
-    Term.(ret (const run $ logging $ to_addr $ interval $ iterations))
+    Term.(ret (const run $ logging $ server_addr $ interval $ iterations))
 
 (* ------------------------------ health ------------------------------ *)
 
 let health_cmd =
   let to_addr =
-    Arg.(required & opt (some string) None
+    Arg.(required & opt (some addr_conv) None
          & info [ "to"; "obs" ] ~docv:"ADDR"
              ~doc:("Observability endpoint address (what the server was given \
                     as $(b,--obs-listen)): " ^ listen_doc))
@@ -1347,67 +1282,63 @@ let health_cmd =
   let get_path =
     Arg.(value & opt (some string) None
          & info [ "get" ] ~docv:"PATH"
-             ~doc:"Fetch an arbitrary endpoint path ($(b,/metrics), $(b,/varz), \
-                   $(b,/slowlog)) and print the body verbatim instead of probing \
-                   $(b,/healthz).")
+             ~doc:("Fetch another endpoint path (" ^ obs_paths
+                   ^ ") and print the body verbatim instead of probing $(b,/healthz)."))
   in
-  let run _ to_addr json get_path =
+  let run _ addr json get_path =
     guarded (fun () ->
-        match Wire.parse_addr to_addr with
-        | Error msg -> fail "bad --to address: %s" msg
-        | Ok addr -> (
-            match get_path with
-            | Some path -> (
-                match Http_client.get addr path with
-                | Error msg -> fail "cannot reach %s: %s" path msg
-                | Ok { Http_client.status; body; _ } ->
-                    print_string body;
-                    if status = 200 then `Ok ()
-                    else fail "HTTP %d from %s" status path)
-            | None -> (
-                match Http_client.get addr "/healthz" with
-                | Error msg -> fail "cannot reach /healthz: %s" msg
-                | Ok { Http_client.status; body; _ } ->
-                    let module Json = Crimson_obs.Json in
-                    (if json then print_string body
-                     else
-                       match Json.parse body with
-                       | exception Json.Parse_error _ -> print_string body
-                       | detail ->
-                           let num_of = function
-                             | Some (Json.Num v) -> Printf.sprintf "%.3f" v
-                             | _ -> "-"
-                           in
-                           Printf.printf "healthy: %b\n" (status = 200);
-                           (match Json.member "workers" detail with
-                           | Some (Json.List ws) ->
-                               List.iter
-                                 (fun w ->
-                                   let wid =
-                                     match Json.member "worker" w with
-                                     | Some (Json.Num v) ->
-                                         Printf.sprintf "%.0f" v
-                                     | _ -> "?"
-                                   in
-                                   let stalled =
-                                     match Json.member "stalled" w with
-                                     | Some (Json.Bool true) -> "STALLED"
-                                     | _ -> "ok"
-                                   in
-                                   let reason =
-                                     match Json.member "reason" w with
-                                     | Some (Json.Str r) -> "  (" ^ r ^ ")"
-                                     | _ -> ""
-                                   in
-                                   Printf.printf
-                                     "worker %s: %s  last beat %ss ago%s\n" wid
-                                     stalled
-                                     (num_of (Json.member "last_beat_s" w))
-                                     reason)
-                                 ws
-                           | _ -> ()));
-                    if status = 200 then `Ok ()
-                    else fail "unhealthy (HTTP %d from /healthz)" status)))
+        match get_path with
+        | Some path -> (
+            match Http_client.get addr path with
+            | Error msg -> fail "cannot reach %s: %s" path msg
+            | Ok { Http_client.status; body; _ } ->
+                print_string body;
+                if status = 200 then `Ok ()
+                else fail "HTTP %d from %s" status path)
+        | None -> (
+            match Http_client.get addr "/healthz" with
+            | Error msg -> fail "cannot reach /healthz: %s" msg
+            | Ok { Http_client.status; body; _ } ->
+                let module Json = Crimson_obs.Json in
+                (if json then print_string body
+                 else
+                   match Json.parse body with
+                   | exception Json.Parse_error _ -> print_string body
+                   | detail ->
+                       let num_of = function
+                         | Some (Json.Num v) -> Printf.sprintf "%.3f" v
+                         | _ -> "-"
+                       in
+                       Printf.printf "healthy: %b\n" (status = 200);
+                       (match Json.member "workers" detail with
+                       | Some (Json.List ws) ->
+                           List.iter
+                             (fun w ->
+                               let wid =
+                                 match Json.member "worker" w with
+                                 | Some (Json.Num v) ->
+                                     Printf.sprintf "%.0f" v
+                                 | _ -> "?"
+                               in
+                               let stalled =
+                                 match Json.member "stalled" w with
+                                 | Some (Json.Bool true) -> "STALLED"
+                                 | _ -> "ok"
+                               in
+                               let reason =
+                                 match Json.member "reason" w with
+                                 | Some (Json.Str r) -> "  (" ^ r ^ ")"
+                                 | _ -> ""
+                               in
+                               Printf.printf
+                                 "worker %s: %s  last beat %ss ago%s\n" wid
+                                 stalled
+                                 (num_of (Json.member "last_beat_s" w))
+                                 reason)
+                             ws
+                       | _ -> ()));
+                if status = 200 then `Ok ()
+                else fail "unhealthy (HTTP %d from /healthz)" status))
   in
   let man =
     [
@@ -1428,7 +1359,7 @@ let health_cmd =
 
 let http_get_cmd =
   let to_addr =
-    Arg.(required & opt (some string) None
+    Arg.(required & opt (some addr_conv) None
          & info [ "to" ] ~docv:"ADDR"
              ~doc:("Gateway address (what the server was given as \
                     $(b,--http-listen)): " ^ listen_doc))
@@ -1452,41 +1383,38 @@ let http_get_cmd =
              ~doc:"Print the status line and response headers before each \
                    body.")
   in
-  let run _ to_addr etag include_headers paths =
+  let run _ addr etag include_headers paths =
     guarded (fun () ->
-        match Wire.parse_addr to_addr with
-        | Error msg -> fail "bad --to address: %s" msg
-        | Ok addr -> (
-            match Http_client.connect addr with
-            | Error msg -> fail "cannot connect: %s" msg
-            | Ok conn ->
-                Fun.protect
-                  ~finally:(fun () -> Http_client.close conn)
-                  (fun () ->
-                    let headers =
-                      match etag with
-                      | Some tag -> [ ("If-None-Match", tag) ]
-                      | None -> []
-                    in
-                    let failures = ref 0 in
-                    List.iter
-                      (fun path ->
-                        match Http_client.request conn ~headers path with
-                        | Error msg ->
-                            incr failures;
-                            Printf.eprintf "crimson: %s: %s\n" path msg
-                        | Ok r ->
-                            if include_headers then begin
-                              Printf.printf "HTTP %d\n" r.Http_client.status;
-                              List.iter
-                                (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-                                r.Http_client.headers;
-                              print_newline ()
-                            end;
-                            print_string r.Http_client.body)
-                      paths;
-                    if !failures = 0 then `Ok ()
-                    else fail "%d request(s) failed" !failures)))
+        match Http_client.connect addr with
+        | Error msg -> fail "cannot connect: %s" msg
+        | Ok conn ->
+            Fun.protect
+              ~finally:(fun () -> Http_client.close conn)
+              (fun () ->
+                let headers =
+                  match etag with
+                  | Some tag -> [ ("If-None-Match", tag) ]
+                  | None -> []
+                in
+                let failures = ref 0 in
+                List.iter
+                  (fun path ->
+                    match Http_client.request conn ~headers path with
+                    | Error msg ->
+                        incr failures;
+                        Printf.eprintf "crimson: %s: %s\n" path msg
+                    | Ok r ->
+                        if include_headers then begin
+                          Printf.printf "HTTP %d\n" r.Http_client.status;
+                          List.iter
+                            (fun (k, v) -> Printf.printf "%s: %s\n" k v)
+                            r.Http_client.headers;
+                          print_newline ()
+                        end;
+                        print_string r.Http_client.body)
+                  paths;
+                if !failures = 0 then `Ok ()
+                else fail "%d request(s) failed" !failures))
   in
   let man =
     [
@@ -1690,8 +1618,9 @@ let collection_cmd =
           bipartition dictionary plus per-tree dictionary-id lists \
           (delta-encoded against the first member when that is smaller). \
           Consensus, support and Robinson-Foulds queries run off the \
-          dictionary without materialising member trees; the same queries are \
-          served over the wire as CONSENSUS/SUPPORT/RFMATRIX/COLLSTATS.";
+          dictionary without materialising member trees. $(b,crimson serve) \
+          answers the same queries as these query functions:";
+      `Pre Crimson_collection.Coll_lang.help;
     ]
   in
   Cmd.group (Cmd.info "collection" ~doc ~man)

@@ -1,39 +1,13 @@
 module Repo = Crimson_core.Repo
 module Query_lang = Crimson_core.Query_lang
-module Call = Query_lang.Call
 module Profile = Crimson_obs.Profile
 module Newick = Crimson_formats.Newick
 
 type outcome = Query_lang.outcome = { text : string; result : string }
 
-exception Bad_query of string
+let bad fmt = Printf.ksprintf (fun s -> raise (Query_lang.Bad_query s)) fmt
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad_query s)) fmt
-
-let verbs = [ "consensus"; "support"; "rfmatrix"; "collstats" ]
-
-let is_collection_query text =
-  match Call.parse text with
-  | Ok { Call.fn; _ } -> List.mem fn verbs
-  | Error _ -> false
-
-let parse text =
-  match Call.parse text with Ok c -> c | Error msg -> raise (Bad_query msg)
-
-(* ----------------------------- Execution ---------------------------- *)
-
-let coll_arg fn = function
-  | { Call.args = Call.Name n :: _; _ } -> n
-  | _ -> bad "%s needs a collection name as its first argument" fn
-
-let open_coll repo call fn =
-  let name = coll_arg fn call in
-  (name, Collection.open_name repo name)
-
-let threshold_arg = function
-  | [ Call.Name _ ] -> 0.5
-  | [ Call.Name _; Call.Number t ] -> t
-  | _ -> bad "consensus takes a collection name and an optional threshold"
+(* ----------------------------- Rendering ---------------------------- *)
 
 let render_support coll entries =
   let n = Collection.n_trees coll in
@@ -70,72 +44,96 @@ let render_stats name (s : Collection.stats) =
     name s.Collection.s_trees s.s_taxa s.s_dict_entries s.s_shared_entries
     s.s_dict_bytes s.s_member_bytes s.s_naive_bytes (Collection.ratio s)
 
-let execute repo call =
-  match call.Call.fn with
-  | "consensus" ->
-      let _, coll = open_coll repo call "consensus" in
-      let threshold = threshold_arg call.Call.args in
-      let tree = Collection.consensus ~threshold coll in
-      Newick.to_string ~include_lengths:false tree
-  | "support" ->
-      let name, coll = open_coll repo call "support" in
-      if call.Call.args <> [ Call.Name name ] then
-        bad "support takes exactly one collection name";
-      render_support coll (Collection.support coll)
-  | "rfmatrix" ->
-      let name, coll = open_coll repo call "rfmatrix" in
-      if call.Call.args <> [ Call.Name name ] then
-        bad "rfmatrix takes exactly one collection name";
-      render_matrix (Collection.rf_matrix coll)
-  | "collstats" ->
-      let name, coll = open_coll repo call "collstats" in
-      if call.Call.args <> [ Call.Name name ] then
-        bad "collstats takes exactly one collection name";
-      render_stats name (Profile.stage "stats" (fun () -> Collection.stats coll))
-  | fn -> bad "unknown collection function %S" fn
+(* --------------------------- Declarations --------------------------- *)
 
-(* Same no-escape contract as the per-tree language: the server feeds
-   this untrusted input. *)
-let trap f =
-  match f () with
-  | v -> Ok v
-  | exception Bad_query msg -> Error msg
-  | exception Collection.Collection_error msg -> Error msg
-  | exception Crimson_storage.Error.Error e ->
-      Error (Crimson_storage.Error.to_string e)
-  | exception Stack_overflow -> Error "query too deeply nested"
-  | exception Out_of_memory -> raise Out_of_memory
-  | exception Crimson_obs.Deadline.Expired -> raise Crimson_obs.Deadline.Expired
-  | exception e -> Error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
-
-let measured ~profiled ?(record = true) repo text =
-  let body () =
-    Crimson_obs.Span.with_ ~name:"coll.query" (fun () ->
-        let call = Profile.stage "parse" (fun () -> parse text) in
-        Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.Call.fn);
-        Profile.stage "execute" (fun () -> execute repo call))
+(* A collection function's first argument names its collection, which
+   is opened before the function runs or plans; a plan opens with the
+   collection's dictionary. A collection error is a language error. *)
+let collection name ~arity ~usage ~help ~run ~plan =
+  let opened repo args f =
+    match args with
+    | Query_lang.Name n :: _ -> (
+        match f n (Collection.open_name repo n) with
+        | v -> v
+        | exception Collection.Collection_error msg -> raise (Query_lang.Bad_query msg))
+    | _ -> bad "%s needs a collection name as its first argument" name
   in
-  match
-    trap (fun () ->
-        if profiled then
-          let result, report = Profile.profile body in
-          (result, report.total.elapsed_ms, Profile.pages_touched report, Some report)
-        else
-          let result, elapsed_ms, pages = Profile.measure body in
-          (result, elapsed_ms, pages, None))
-  with
-  | Error _ as e -> e
-  | Ok (result, elapsed_ms, pages, report) -> (
-      let cost =
-        Option.map (fun r -> Crimson_obs.Json.to_string (Profile.cost_summary r)) report
-      in
-      match
-        if record then
-          ignore (Repo.record_query repo ~elapsed_ms ~pages ?cost ~text ~result)
-      with
-      | () -> Ok ({ text; result }, elapsed_ms, pages, report)
-      | exception Crimson_storage.Error.Error e ->
-          Error (Crimson_storage.Error.to_string e))
+  let plan repo args =
+    opened repo args (fun n coll ->
+        let dict =
+          Printf.sprintf "scan bips.by_id prefix coll=%d: %d dictionary rows, %d member rows"
+            (Collection.id coll)
+            (Collection.stats coll).Collection.s_dict_entries
+            (Collection.n_trees coll)
+        in
+        Printf.sprintf "plan for %s over collection %S" name n :: dict :: plan coll args)
+  in
+  let run repo args = opened repo args (fun n coll -> run n coll args) in
+  { Query_lang.name; arity; usage; help; run; plan }
+
+let consensus_usage = "consensus takes a collection name and an optional threshold"
+
+let threshold = function
+  | [ _ ] -> 0.5
+  | [ _; Query_lang.Number t ] -> t
+  | _ -> bad "%s" consensus_usage
+
+let table =
+  {
+    Query_lang.span = "coll.query";
+    unknown = Printf.sprintf "unknown collection function %S";
+    fns =
+      [
+        collection "consensus" ~arity:(1, 2) ~usage:consensus_usage
+          ~help:
+            [
+              ("consensus(boot)", "majority-rule consensus, as Newick");
+              ("consensus(boot, 0.8)", "keep clades with support > 0.8 (1.0 = strict)");
+            ]
+          ~run:(fun _ coll args ->
+            let threshold = threshold args in
+            Newick.to_string ~include_lengths:false (Collection.consensus ~threshold coll))
+          ~plan:(fun coll args ->
+            let threshold = threshold args in
+            [
+              Printf.sprintf "filter: count/%d > %.2f%s" (Collection.n_trees coll) threshold
+                (if threshold >= 1.0 then " (strict: count = n)" else "");
+              "nest survivors by cardinality (no member tree materialised)";
+            ]);
+        collection "support" ~arity:(1, 1)
+          ~usage:"support takes exactly one collection name"
+          ~help:[ ("support(boot)", "per-bipartition occurrence counts") ]
+          ~run:(fun _ coll _ -> render_support coll (Collection.support coll))
+          ~plan:(fun _ _ -> [ "sort by count desc, decode bitmaps to leaf names" ]);
+        collection "rfmatrix" ~arity:(1, 1)
+          ~usage:"rfmatrix takes exactly one collection name"
+          ~help:[ ("rfmatrix(boot)", "pairwise Robinson-Foulds matrix") ]
+          ~run:(fun _ coll _ -> render_matrix (Collection.rf_matrix coll))
+          ~plan:(fun coll _ ->
+            [
+              Printf.sprintf "decode %d member id lists (deltas resolve through member 0)"
+                (Collection.n_trees coll);
+              "pairwise sorted-merge intersections: RF = |a|+|b|-2|a∩b|";
+            ]);
+        collection "collstats" ~arity:(1, 1)
+          ~usage:"collstats takes exactly one collection name"
+          ~help:[ ("collstats(boot)", "dictionary / storage statistics") ]
+          ~run:(fun name coll _ ->
+            render_stats name (Profile.stage "stats" (fun () -> Collection.stats coll)))
+          ~plan:(fun _ _ -> [ "sum encoded row payloads, no decoding" ]);
+      ];
+  }
+
+(* ------------------------------ Entry ------------------------------- *)
+
+let is_collection_query text =
+  match Query_lang.parse text with
+  | Ok { Query_lang.fn; _ } -> Query_lang.mem table fn
+  | Error _ -> false
+
+let measured ~profiled ?record repo text =
+  Result.bind (Query_lang.parse text)
+    (Query_lang.measured_in table repo ~profiled ?record repo ~text)
 
 let run ?record repo text =
   Result.map (fun (o, _, _, _) -> o) (measured ~profiled:false ?record repo text)
@@ -146,48 +144,7 @@ let profile ?record repo text =
     (measured ~profiled:true ?record repo text)
 
 let explain repo text =
-  trap (fun () ->
-      let call = parse text in
-      let fn = call.Call.fn in
-      if not (List.mem fn verbs) then bad "unknown collection function %S" fn;
-      let name, coll = open_coll repo call fn in
-      let dict =
-        Printf.sprintf
-          "scan bips.by_id prefix coll=%d: %d dictionary rows, %d member rows"
-          (Collection.id coll)
-          (Collection.stats coll).Collection.s_dict_entries
-          (Collection.n_trees coll)
-      in
-      let header = Printf.sprintf "plan for %s over collection %S" fn name in
-      match fn with
-      | "consensus" ->
-          let threshold = threshold_arg call.Call.args in
-          [
-            header;
-            dict;
-            Printf.sprintf
-              "filter: count/%d > %.2f%s" (Collection.n_trees coll) threshold
-              (if threshold >= 1.0 then " (strict: count = n)" else "");
-            "nest survivors by cardinality (no member tree materialised)";
-          ]
-      | "support" ->
-          [ header; dict; "sort by count desc, decode bitmaps to leaf names" ]
-      | "rfmatrix" ->
-          [
-            header;
-            dict;
-            Printf.sprintf
-              "decode %d member id lists (deltas resolve through member 0)"
-              (Collection.n_trees coll);
-            "pairwise sorted-merge intersections: RF = |a|+|b|-2|a∩b|";
-          ]
-      | "collstats" -> [ header; dict; "sum encoded row payloads, no decoding" ]
-      | _ -> assert false)
+  Result.bind (Query_lang.parse text) (Query_lang.explain_in table repo)
 
 let help =
-  {|Collection queries run over a whole tree collection:
-  consensus(boot)            majority-rule consensus, as Newick
-  consensus(boot, 0.8)       keep clades with support > 0.8 (1.0 = strict)
-  support(boot)              per-bipartition occurrence counts
-  rfmatrix(boot)             pairwise Robinson-Foulds matrix
-  collstats(boot)            dictionary / storage statistics|}
+  "Collection queries run over a whole tree collection:\n" ^ Query_lang.cheat_sheet table

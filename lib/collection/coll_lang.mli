@@ -1,21 +1,13 @@
 (** The collection query surface: bulk queries over a whole tree
     collection, in the same [fn(arg, …)] call syntax as
-    {!Crimson_core.Query_lang} — parsed with the shared
-    {!Crimson_core.Query_lang.Call} parser, recorded in the same Query
-    Repository, profiled with the same stages machinery.
-
-    {v
-    consensus(boot)            majority-rule consensus, as Newick
-    consensus(boot, 0.8)       keep clades with support > 0.8
-    consensus(boot, 1.0)       strict consensus
-    support(boot)              per-bipartition occurrence counts
-    rfmatrix(boot)             pairwise Robinson–Foulds matrix
-    collstats(boot)            dictionary / storage statistics
-    v}
+    {!Crimson_core.Query_lang}. Its functions are a second
+    {!Crimson_core.Query_lang.table}, declared the same way and run
+    through the same measured body: recorded in the same Query
+    Repository, profiled with the same stages. {!help} lists them.
 
     Unlike tree queries these need no selected tree — only a repository.
-    The worker fleet routes a query here when {!is_collection_query}
-    says so, and falls back to the per-tree language otherwise. *)
+    The worker fleet parses a query once and runs it here when {!table}
+    declares its function name. *)
 
 module Repo = Crimson_core.Repo
 
@@ -24,9 +16,13 @@ type outcome = Crimson_core.Query_lang.outcome = {
   result : string;
 }
 
+val table : Repo.t Crimson_core.Query_lang.table
+(** [consensus], [support], [rfmatrix] and [collstats], under the span
+    [coll.query]. A collection's errors are language errors. *)
+
 val is_collection_query : string -> bool
-(** Whether the text parses as a call to one of the collection verbs
-    ([consensus], [support], [rfmatrix], [collstats]). Never raises. *)
+(** Whether the text parses as a call to a function of {!table}. Never
+    raises. *)
 
 val run : ?record:bool -> Repo.t -> string -> (outcome, string) result
 (** Parse and execute one collection query. [record] (default true)
@@ -48,13 +44,5 @@ val profile :
     ("dict_scan", "consensus_build", "decode_members", "rf_matrix", …)
     appear in the report. *)
 
-val measured :
-  profiled:bool ->
-  ?record:bool ->
-  Repo.t ->
-  string ->
-  (outcome * float * int * Crimson_obs.Profile.report option, string) result
-(** The one body {!run} and {!profile} share, as
-    {!Crimson_core.Query_lang.measured}. *)
-
 val help : string
+(** The cheat sheet of {!table}, for [crimson collection --help]. *)

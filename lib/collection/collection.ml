@@ -24,7 +24,6 @@ type t = {
 }
 
 let id t = t.id
-let name t = t.name
 let n_trees t = t.n_trees
 let n_taxa t = Array.length t.taxa
 let taxa t = Array.copy t.taxa

@@ -54,7 +54,6 @@ val drop : ?flush:bool -> Repo.t -> string -> unit
     {!Collection_error} when absent. One checkpoint. *)
 
 val id : t -> int
-val name : t -> string
 val n_trees : t -> int
 val n_taxa : t -> int
 

@@ -18,7 +18,7 @@
 
     Leaf ordinals resolve through a leaf map per run, one bit per row,
     held in memory beside the directory ({!leaf_by_ordinal}): a
-    directory search, a select in the map and one {!find}. The loader
+    directory search, a select in the map and one {!node}. The loader
     hands a fresh handle every map; a handle that read its runs from the
     directory fills a run's map from the run's page the first time an
     ordinal lands in it.
@@ -89,16 +89,13 @@ val group :
     clustered table other than [nodes] ([Repo.layers], [Repo.subtrees],
     [Repo.summaries]), its directory rows read on first use and kept. *)
 
-val find : cache -> int -> t option
-(** [None] when the node does not exist. *)
-
 val node : cache -> int -> t
 (** Raises {!Unknown_node}. *)
 
 val leaf_by_ordinal : cache -> int -> int option
 (** Node id of the leaf with the given preorder ordinal, [None] when out
     of range: a binary search of the runs on their first [leaf_lo], a
-    select in that run's leaf map and one {!find}, which admits the leaf's view. A run
+    select in that run's leaf map and one {!node}, which admits the leaf's view. A run
     whose map is not filled yet is read first: one page pin, every row
     checked and decoded off the page, none admitted. *)
 
@@ -116,7 +113,7 @@ val scan : cache -> lo:int -> hi:int -> (t -> int) -> unit
     their pages without admitting them to the LRU. The callback returns
     the next id it wants: [v.node + 1] steps to the next row, a larger id
     jumps there at no extra cost, an id past [hi] ends the scan. Polls
-    the request deadline per row, as {!find} does. *)
+    the request deadline per row, as {!node} does. *)
 
 val layer_view : cache -> layer:int -> int -> layer_view
 (** Raises {!Unknown_node}. Valid for layers >= 1. *)

@@ -69,5 +69,3 @@ let match_pattern stored pattern =
       Crimson_obs.Span.attr "rf"
         (Crimson_obs.Json.Num (float_of_int result.rf_distance));
       result)
-
-let matches stored pattern = (match_pattern stored pattern).matched

@@ -21,6 +21,3 @@ type result = {
 val match_pattern : Stored_tree.t -> Crimson_tree.Tree.t -> result
 (** Raises {!Pattern_error} when the pattern has unnamed leaves, duplicate
     leaf names, or leaves not present in the stored tree. *)
-
-val matches : Stored_tree.t -> Crimson_tree.Tree.t -> bool
-(** [matched] of {!match_pattern}. *)

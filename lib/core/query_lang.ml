@@ -1,4 +1,3 @@
-module Tree = Crimson_tree.Tree
 module Newick = Crimson_formats.Newick
 module Prng = Crimson_util.Prng
 
@@ -107,26 +106,55 @@ let parse_query s =
   if !pos <> n then bad "trailing input after ')'";
   { fn; args = List.rev !args }
 
-(* The call syntax is shared with the collection query surface
-   ([Crimson_collection.Coll_lang] parses the same fn(args) texts), so
-   the parser is exported behind a small stable facade. *)
-module Call = struct
-  type nonrec arg = arg =
-    | Name of string
-    | Number of float
+let parse text =
+  match parse_query text with
+  | call -> Ok call
+  | exception Bad_query msg -> Error msg
 
-  type t = call = {
-    fn : string;
-    args : arg list;
-  }
+(* --------------------------- Declarations --------------------------- *)
 
-  let parse text =
-    match parse_query text with
-    | call -> Ok call
-    | exception Bad_query msg -> Error msg
-end
+(* Each query function is declared once: its name, arity, usage error,
+   cheat-sheet lines, how it runs and how EXPLAIN plans it. Execution,
+   EXPLAIN, the arity check and [help] all read the declaration. *)
+type 'env fn = {
+  name : string;
+  arity : int * int;  (* fewest and most arguments *)
+  usage : string;
+  help : (string * string) list;
+  run : 'env -> arg list -> string;
+  plan : 'env -> arg list -> string list;
+}
 
-(* ---------------------------- Execution ---------------------------- *)
+type 'env table = {
+  span : string;
+  unknown : string -> string;
+  fns : 'env fn list;
+}
+
+let mem table name = List.exists (fun f -> f.name = name) table.fns
+
+(* The one arity check, shared by execution and EXPLAIN: a function
+   runs or plans only with an argument count its declaration admits. *)
+let lookup table { fn; args } =
+  match List.find_opt (fun f -> f.name = fn) table.fns with
+  | None -> raise (Bad_query (table.unknown fn))
+  | Some f ->
+      let n = List.length args in
+      if n < fst f.arity || n > snd f.arity then raise (Bad_query f.usage);
+      f
+
+let cheat_sheet table =
+  List.concat_map
+    (fun f -> List.map (fun (call, what) -> Printf.sprintf "  %-26s %s" call what) f.help)
+    table.fns
+  |> String.concat "\n"
+
+(* ---------------------------- Tree queries -------------------------- *)
+
+type on_tree = {
+  stored : Stored_tree.t;
+  rng : Prng.t;
+}
 
 let node_label stored n =
   match (Stored_tree.view stored n).Node_view.name with
@@ -158,218 +186,231 @@ let string_arg = function
 
 let names_of stored nodes = String.concat ", " (List.map (node_label stored) nodes)
 
-let execute ~rng repo stored { fn; args } =
-  match (fn, args) with
-  | "lca", (_ :: _ :: _ as species) ->
-      let nodes = List.map (resolve stored) species in
-      let l = Stored_tree.lca_set stored nodes in
-      Printf.sprintf "%s (depth %d, distance from root %g)" (node_label stored l)
-        (Stored_tree.depth stored l)
-        (Stored_tree.view stored l).Node_view.root_dist
-  | "lca", _ -> bad "lca needs at least two species"
-  | "clade", (_ :: _ as species) ->
-      let nodes = List.map (resolve stored) species in
-      let root = Clade.root_of stored nodes in
-      let size = Clade.size stored nodes in
-      if size <= 20 then
-        Printf.sprintf "root %s, %d species: %s" (node_label stored root) size
-          (names_of stored (Clade.leaf_ids stored nodes))
-      else Printf.sprintf "root %s, %d species" (node_label stored root) size
-  | "clade", [] -> bad "clade needs at least one species"
-  | "distance", [ a; b ] ->
-      Printf.sprintf "%g"
-        (Stored_tree.path_distance stored (resolve stored a) (resolve stored b))
-  | "distance", _ -> bad "distance needs exactly two species"
-  | "path", [ a; b ] ->
-      names_of stored
-        (Stored_tree.path_nodes stored (resolve stored a) (resolve stored b))
-  | "path", _ -> bad "path needs exactly two species"
-  | "depth", [ a ] -> string_of_int (Stored_tree.depth stored (resolve stored a))
-  | "depth", _ -> bad "depth needs exactly one species"
-  | "parent", [ a ] -> (
-      match Stored_tree.parent stored (resolve stored a) with
-      | -1 -> "(root has no parent)"
-      | p -> node_label stored p)
-  | "parent", _ -> bad "parent needs exactly one species"
-  | "children", [ a ] -> (
-      match Stored_tree.children stored (resolve stored a) with
-      | [] -> "(leaf)"
-      | kids -> names_of stored kids)
-  | "children", _ -> bad "children needs exactly one node"
-  | "project", (_ :: _ as species) ->
-      let nodes = List.map (resolve stored) species in
-      Newick.to_string (Projection.project stored nodes)
-  | "project", [] -> bad "project needs at least one species"
-  | "sample", [ k ] ->
-      let k = int_of_float (number k) in
-      names_of stored (Sampling.uniform stored ~rng ~k)
-  | "sample", [ k; t ] ->
-      let k = int_of_float (number k) in
-      names_of stored (Sampling.with_time stored ~rng ~k ~time:(number t))
-  | "sample", _ -> bad "sample needs (k) or (k, time)"
-  | "frontier", [ t ] ->
-      let nodes = Sampling.frontier_at stored ~time:(number t) in
-      Printf.sprintf "%d nodes: %s" (List.length nodes) (names_of stored nodes)
-  | "frontier", _ -> bad "frontier needs exactly one time"
-  | "match", [ p ] ->
-      let pattern = Newick.parse (string_arg p) in
-      let r = Pattern.match_pattern stored pattern in
-      Printf.sprintf "matched=%b rf=%d" r.Pattern.matched r.Pattern.rf_distance
-  | "match", _ -> bad "match needs exactly one quoted Newick pattern"
-  | "seq", [ a ] -> (
-      let name =
-        match a with
-        | Name s -> s
-        | Number _ -> bad "seq needs a species name"
-      in
-      match Loader.species_sequence repo stored name with
-      | None -> Printf.sprintf "(no sequence stored for %s)" name
-      | Some s when String.length s <= 60 -> s
-      | Some s -> Printf.sprintf "%s… (%d sites)" (String.sub s 0 60) (String.length s))
-  | "seq", _ -> bad "seq needs exactly one species"
-  | "info", [] ->
-      Printf.sprintf "tree %S: %d nodes, %d species, f=%d, %d layers"
-        (Stored_tree.name stored)
-        (Stored_tree.node_count stored)
-        (Stored_tree.leaf_count stored) (Stored_tree.f stored)
-        (Stored_tree.layer_count stored)
-  | "info", _ -> bad "info takes no arguments"
-  | "overview", ([] | [ _ ]) ->
-      let depth = match args with [ k ] -> int_of_float (number k) | _ -> 1 in
-      if depth < 0 then bad "overview depth must be >= 0";
-      let layer, entries = Summary.overview stored ~depth in
-      let cluster (e : Summary.entry) =
-        Printf.sprintf "%s[nodes=%d leaves=%d height=%d blen=%g]"
-          (if e.name = "" then Printf.sprintf "#%d" e.root else e.name)
-          e.nodes e.leaves e.height e.blen
-      in
-      let shown = List.filteri (fun i _ -> i < 12) entries in
-      let suffix = if List.length entries > 12 then ", …" else "" in
-      Printf.sprintf "layer %d, %d clusters: %s%s" layer (List.length entries)
-        (String.concat ", " (List.map cluster shown))
-        suffix
-  | "overview", _ -> bad "overview needs () or (depth)"
-  | fn, _ -> bad "unknown function %S (see 'crimson query --help')" fn
+let step = Printf.sprintf
 
-(* ----------------------------- Planning ----------------------------- *)
+let resolve_step k =
+  step "resolve %d name(s): 1 B+tree find each in nodes.by_name (node ids pass through)" k
 
-(* [plan] mirrors [execute]'s dispatch — same arity checks, same error
-   messages — but describes the access path instead of walking it. Keep
-   the two matches in sync when adding a query function. *)
-let plan stored { fn; args } =
-  let nargs = List.length args in
-  let layers = Stored_tree.layer_count stored in
-  let step fmt = Printf.ksprintf (fun s -> s) fmt in
-  let resolve_step k =
-    step "resolve %d name(s): 1 B+tree find each in nodes.by_name (node ids pass through)"
-      k
+let layers e = Stored_tree.layer_count e.stored
+
+(* A tree function's plan opens with the call and the tree it runs on. *)
+let tree name ~arity ~usage ~help ~run ~plan =
+  let plan e args =
+    step "query %s/%d on tree %S" name (List.length args) (Stored_tree.name e.stored)
+    :: plan e args
   in
-  let header = step "query %s/%d on tree %S" fn nargs (Stored_tree.name stored) in
-  let body =
-    match (fn, args) with
-    | "lca", (_ :: _ :: _ as species) ->
-        [
-          resolve_step (List.length species);
-          step "layered LCA: fold pairwise over %d nodes" (List.length species);
-          step
-            "each pair climbs the layer decomposition: O(layers) = O(%d) layer rows \
-             and sub-roots, each a miss read through the run directory"
-            layers;
-          step "node views served by the node-view LRU cache (a miss reads its own row)";
-        ]
-    | "lca", _ -> bad "lca needs at least two species"
-    | "clade", (_ :: _ as species) ->
-        [
-          resolve_step (List.length species);
-          step "clade root: layered LCA over %d nodes, O(%d) layer rows per pair"
-            (List.length species) layers;
-          step "clade size: the root's leaf interval, 1 node view";
-          step "clade leaves: stream the id range [root, subtree_end root] through the \
-                run directory, keeping rows with subtree_end = id";
-        ]
-    | "clade", [] -> bad "clade needs at least one species"
-    | "distance", [ _; _ ] ->
-        [
-          resolve_step 2;
-          step "LCA via the layer decomposition: O(%d) layer rows" layers;
-          step "distance = root_dist(a) + root_dist(b) - 2*root_dist(lca): 3 node views";
-        ]
-    | "distance", _ -> bad "distance needs exactly two species"
-    | "path", [ _; _ ] ->
-        [
-          resolve_step 2;
-          step "LCA via the layer decomposition: O(%d) layer rows" layers;
-          step "collect both climbs to the LCA: O(depth) node views, cache-batched";
-        ]
-    | "path", _ -> bad "path needs exactly two species"
-    | "depth", [ _ ] ->
-        [ resolve_step 1; step "climb parent pointers to the root: O(depth) node views" ]
-    | "depth", _ -> bad "depth needs exactly one species"
-    | "parent", [ _ ] -> [ resolve_step 1; step "1 node view (parent field)" ]
-    | "parent", _ -> bad "parent needs exactly one species"
-    | "children", [ _ ] ->
-        [
-          resolve_step 1;
-          step "first child at id + 1, each next sibling at subtree_end + 1: one node \
-                view per child, no index scan";
-        ]
-    | "children", _ -> bad "children needs exactly one node"
-    | "project", (_ :: _ as species) ->
-        [
-          resolve_step (List.length species);
-          step "pairwise LCAs of %d nodes: O(%d) layer rows per pair"
-            (List.length species) layers;
-          step "build the induced subtree in memory and render Newick (no writes)";
-        ]
-    | "project", [] -> bad "project needs at least one species"
-    | "sample", ([ _ ] | [ _; _ ]) ->
-        [
-          (if nargs = 2 then
-             step "time-sliced: the frontier at the cut time (kept by the handle after \
-                   its first skip-scan at that time), then k/|frontier| draws per \
-                   frontier leaf interval"
-           else step "uniform draw of k leaf ordinals");
-          step "each ordinal: binary search of the run directory on leaf_lo, then a \
-                select in that run's leaf map (filled from the run's page on first \
-                use); names resolved through node views";
-        ]
-    | "sample", _ -> bad "sample needs (k) or (k, time)"
-    | "frontier", [ _ ] ->
-        [
-          step "the handle keeps its last frontier by exact time: a repeated time \
-                reads no row";
-          step "otherwise a preorder skip-scan of the node rows from the root, located \
-                through the run directory and read past the view cache";
-          step "a node past the time joins the frontier and the scan jumps to its \
-                subtree_end + 1: reads the cap above the frontier plus the frontier rows";
-        ]
-    | "frontier", _ -> bad "frontier needs exactly one time"
-    | "match", [ _ ] ->
-        [
-          step "parse the Newick pattern (in memory)";
-          step "resolve pattern leaves, project the induced subtree, compare shapes";
-          step "RF distance over the two splits sets";
-        ]
-    | "match", _ -> bad "match needs exactly one quoted Newick pattern"
-    | "seq", [ _ ] ->
-        [
-          resolve_step 1;
-          step "sequence chunks: prefix scan of species.by_chunk, decode + concatenate";
-        ]
-    | "seq", _ -> bad "seq needs exactly one species"
-    | "info", [] -> [ step "catalog metadata only: 1 row from trees.by_id" ]
-    | "info", _ -> bad "info takes no arguments"
-    | "overview", ([] | [ _ ]) ->
-        [
-          step "pick the serving layer from catalog metadata (%d layers)" layers;
-          step
-            "scan of the summaries rows of one (tree, layer), through the run \
-             directory, each page pinned once: O(clusters) rows, independent of tree size";
-        ]
-    | "overview", _ -> bad "overview needs () or (depth)"
-    | fn, _ -> bad "unknown function %S (see 'crimson query --help')" fn
-  in
-  header :: body
+  { name; arity; usage; help; run; plan }
+
+let table =
+  {
+    span = "core.query";
+    unknown = Printf.sprintf "unknown function %S (see 'crimson query --help')";
+    fns =
+      [
+        tree "lca" ~arity:(2, max_int) ~usage:"lca needs at least two species"
+          ~help:[ ("lca(Lla, Spy)", "least common ancestor") ]
+          ~run:(fun { stored; _ } species ->
+            let l = Stored_tree.lca_set stored (List.map (resolve stored) species) in
+            Printf.sprintf "%s (depth %d, distance from root %g)" (node_label stored l)
+              (Stored_tree.depth stored l)
+              (Stored_tree.view stored l).Node_view.root_dist)
+          ~plan:(fun e species ->
+            let k = List.length species in
+            [
+              resolve_step k;
+              step "layered LCA: fold pairwise over %d nodes" k;
+              step
+                "each pair climbs the layer decomposition: O(layers) = O(%d) layer rows \
+                 and sub-roots, each a miss read through the run directory"
+                (layers e);
+              "node views served by the node-view LRU cache (a miss reads its own row)";
+            ]);
+        tree "clade" ~arity:(1, max_int) ~usage:"clade needs at least one species"
+          ~help:[ ("clade(Lla, Syn)", "minimal spanning clade") ]
+          ~run:(fun { stored; _ } species ->
+            let nodes = List.map (resolve stored) species in
+            let root = Clade.root_of stored nodes in
+            let size = Clade.size stored nodes in
+            if size <= 20 then
+              Printf.sprintf "root %s, %d species: %s" (node_label stored root) size
+                (names_of stored (Clade.leaf_ids stored nodes))
+            else Printf.sprintf "root %s, %d species" (node_label stored root) size)
+          ~plan:(fun e species ->
+            let k = List.length species in
+            [
+              resolve_step k;
+              step "clade root: layered LCA over %d nodes, O(%d) layer rows per pair" k
+                (layers e);
+              "clade size: the root's leaf interval, 1 node view";
+              "clade leaves: stream the id range [root, subtree_end root] through the \
+               run directory, keeping rows with subtree_end = id";
+            ]);
+        tree "distance" ~arity:(2, 2) ~usage:"distance needs exactly two species"
+          ~help:[ ("distance(Bha, Syn)", "path length between two species") ]
+          ~run:(fun { stored; _ } args ->
+            Printf.sprintf "%g"
+              (Stored_tree.path_distance stored
+                 (resolve stored (List.hd args))
+                 (resolve stored (List.nth args 1))))
+          ~plan:(fun e _ ->
+            [
+              resolve_step 2;
+              step "LCA via the layer decomposition: O(%d) layer rows" (layers e);
+              "distance = root_dist(a) + root_dist(b) - 2*root_dist(lca): 3 node views";
+            ]);
+        tree "path" ~arity:(2, 2) ~usage:"path needs exactly two species"
+          ~help:[ ("path(Lla, Bsu)", "node path between two species") ]
+          ~run:(fun { stored; _ } args ->
+            names_of stored
+              (Stored_tree.path_nodes stored
+                 (resolve stored (List.hd args))
+                 (resolve stored (List.nth args 1))))
+          ~plan:(fun e _ ->
+            [
+              resolve_step 2;
+              step "LCA via the layer decomposition: O(%d) layer rows" (layers e);
+              "collect both climbs to the LCA: O(depth) node views, cache-batched";
+            ]);
+        tree "depth" ~arity:(1, 1) ~usage:"depth needs exactly one species"
+          ~help:[ ("depth(Spy)", "node depth") ]
+          ~run:(fun { stored; _ } args ->
+            string_of_int (Stored_tree.depth stored (resolve stored (List.hd args))))
+          ~plan:(fun _ _ ->
+            [ resolve_step 1; "climb parent pointers to the root: O(depth) node views" ]);
+        tree "parent" ~arity:(1, 1) ~usage:"parent needs exactly one species"
+          ~help:[ ("parent(Spy)", "parent node") ]
+          ~run:(fun { stored; _ } args ->
+            match Stored_tree.parent stored (resolve stored (List.hd args)) with
+            | -1 -> "(root has no parent)"
+            | p -> node_label stored p)
+          ~plan:(fun _ _ -> [ resolve_step 1; "1 node view (parent field)" ]);
+        tree "children" ~arity:(1, 1) ~usage:"children needs exactly one node"
+          ~help:[ ("children(x)", "child nodes") ]
+          ~run:(fun { stored; _ } args ->
+            match Stored_tree.children stored (resolve stored (List.hd args)) with
+            | [] -> "(leaf)"
+            | kids -> names_of stored kids)
+          ~plan:(fun _ _ ->
+            [
+              resolve_step 1;
+              "first child at id + 1, each next sibling at subtree_end + 1: one node \
+               view per child, no index scan";
+            ]);
+        tree "project" ~arity:(1, max_int) ~usage:"project needs at least one species"
+          ~help:[ ("project(Bha, Lla, Syn)", "induced subtree, as Newick") ]
+          ~run:(fun { stored; _ } species ->
+            let nodes = List.map (resolve stored) species in
+            Newick.to_string (Projection.project stored nodes))
+          ~plan:(fun e species ->
+            let k = List.length species in
+            [
+              resolve_step k;
+              step "pairwise LCAs of %d nodes: O(%d) layer rows per pair" k (layers e);
+              "build the induced subtree in memory and render Newick (no writes)";
+            ]);
+        tree "sample" ~arity:(1, 2) ~usage:"sample needs (k) or (k, time)"
+          ~help:
+            [
+              ("sample(4)", "uniform random sample");
+              ("sample(4, 1.0)", "sample w.r.t. evolutionary time 1.0");
+            ]
+          ~run:(fun { stored; rng } args ->
+            let k = int_of_float (number (List.hd args)) in
+            names_of stored
+              (match args with
+              | [ _; t ] -> Sampling.with_time stored ~rng ~k ~time:(number t)
+              | _ -> Sampling.uniform stored ~rng ~k))
+          ~plan:(fun _ args ->
+            [
+              (if List.length args = 2 then
+                 "time-sliced: the frontier at the cut time (kept by the handle after \
+                  its first skip-scan at that time), then k/|frontier| draws per \
+                  frontier leaf interval"
+               else "uniform draw of k leaf ordinals");
+              "each ordinal: binary search of the run directory on leaf_lo, then a \
+               select in that run's leaf map (filled from the run's page on first \
+               use); names resolved through node views";
+            ]);
+        tree "frontier" ~arity:(1, 1) ~usage:"frontier needs exactly one time"
+          ~help:[ ("frontier(1.0)", "minimal nodes beyond time 1.0") ]
+          ~run:(fun { stored; _ } args ->
+            let nodes = Sampling.frontier_at stored ~time:(number (List.hd args)) in
+            Printf.sprintf "%d nodes: %s" (List.length nodes) (names_of stored nodes))
+          ~plan:(fun _ _ ->
+            [
+              "the handle keeps its last frontier by exact time: a repeated time reads \
+               no row";
+              "otherwise a preorder skip-scan of the node rows from the root, located \
+               through the run directory and read past the view cache";
+              "a node past the time joins the frontier and the scan jumps to its \
+               subtree_end + 1: reads the cap above the frontier plus the frontier rows";
+            ]);
+        tree "match" ~arity:(1, 1) ~usage:"match needs exactly one quoted Newick pattern"
+          ~help:[ ("match('(Bha,(Lla,Syn));')", "tree pattern match") ]
+          ~run:(fun { stored; _ } args ->
+            let pattern = Newick.parse (string_arg (List.hd args)) in
+            let r = Pattern.match_pattern stored pattern in
+            Printf.sprintf "matched=%b rf=%d" r.Pattern.matched r.Pattern.rf_distance)
+          ~plan:(fun _ _ ->
+            [
+              "parse the Newick pattern (in memory)";
+              "resolve pattern leaves, project the induced subtree, compare shapes";
+              "RF distance over the two splits sets";
+            ]);
+        tree "seq" ~arity:(1, 1) ~usage:"seq needs exactly one species"
+          ~help:[ ("seq(Bha)", "stored sequence (preview)") ]
+          ~run:(fun { stored; _ } args ->
+            let name =
+              match List.hd args with
+              | Name s -> s
+              | Number _ -> bad "seq needs a species name"
+            in
+            match Loader.species_sequence (Stored_tree.repo stored) stored name with
+            | None -> Printf.sprintf "(no sequence stored for %s)" name
+            | Some s when String.length s <= 60 -> s
+            | Some s ->
+                Printf.sprintf "%s… (%d sites)" (String.sub s 0 60) (String.length s))
+          ~plan:(fun _ _ ->
+            [
+              resolve_step 1;
+              "sequence chunks: prefix scan of species.by_chunk, decode + concatenate";
+            ]);
+        tree "info" ~arity:(0, 0) ~usage:"info takes no arguments"
+          ~help:[ ("info()", "tree metadata") ]
+          ~run:(fun { stored; _ } _ ->
+            Printf.sprintf "tree %S: %d nodes, %d species, f=%d, %d layers"
+              (Stored_tree.name stored)
+              (Stored_tree.node_count stored)
+              (Stored_tree.leaf_count stored) (Stored_tree.f stored)
+              (Stored_tree.layer_count stored))
+          ~plan:(fun _ _ -> [ "catalog metadata only: 1 row from trees.by_id" ]);
+        tree "overview" ~arity:(0, 1) ~usage:"overview needs () or (depth)"
+          ~help:[ ("overview(1)", "summary clusters at resolution 1") ]
+          ~run:(fun { stored; _ } args ->
+            let depth = match args with [ k ] -> int_of_float (number k) | _ -> 1 in
+            if depth < 0 then bad "overview depth must be >= 0";
+            let layer, entries = Summary.overview stored ~depth in
+            let cluster (e : Summary.entry) =
+              Printf.sprintf "%s[nodes=%d leaves=%d height=%d blen=%g]"
+                (if e.name = "" then Printf.sprintf "#%d" e.root else e.name)
+                e.nodes e.leaves e.height e.blen
+            in
+            let shown = List.filteri (fun i _ -> i < 12) entries in
+            let suffix = if List.length entries > 12 then ", …" else "" in
+            Printf.sprintf "layer %d, %d clusters: %s%s" layer (List.length entries)
+              (String.concat ", " (List.map cluster shown))
+              suffix)
+          ~plan:(fun e _ ->
+            [
+              step "pick the serving layer from catalog metadata (%d layers)" (layers e);
+              "scan of the summaries rows of one (tree, layer), through the run \
+               directory, each page pinned once: O(clusters) rows, independent of tree \
+               size";
+            ]);
+      ];
+  }
+
+(* ------------------------- The measured body ------------------------ *)
 
 (* The query service feeds these functions untrusted network input, so
    no failure on arbitrary bytes may escape as an exception. The named
@@ -400,18 +441,20 @@ let trap f =
   | exception e -> Error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
 
 module Profile = Crimson_obs.Profile
+module Span = Crimson_obs.Span
+module Json = Crimson_obs.Json
 
-let measured ~profiled ?rng ?(record = true) repo stored text =
-  let rng = match rng with Some r -> r | None -> Prng.create 0 in
+(* Every query of every table runs through this body: one span named by
+   the table, the "parse" stage (the call resolved against its
+   declaration) then the "execute" stage, one trap, one history row. *)
+let measured_in table env ~profiled ?(record = true) repo ~text call =
   let body () =
-    Crimson_obs.Span.with_ ~name:"core.query" (fun () ->
-        let call = Profile.stage "parse" (fun () -> parse_query text) in
-        Crimson_obs.Span.attr "fn" (Crimson_obs.Json.Str call.fn);
-        Crimson_obs.Span.attr "args"
-          (Crimson_obs.Json.Num (float_of_int (List.length call.args)));
-        let result = Profile.stage "execute" (fun () -> execute ~rng repo stored call) in
-        Crimson_obs.Span.attr "result_chars"
-          (Crimson_obs.Json.Num (float_of_int (String.length result)));
+    Span.with_ ~name:table.span (fun () ->
+        let f = Profile.stage "parse" (fun () -> lookup table call) in
+        Span.attr "fn" (Json.Str call.fn);
+        Span.attr "args" (Json.Num (float_of_int (List.length call.args)));
+        let result = Profile.stage "execute" (fun () -> f.run env call.args) in
+        Span.attr "result_chars" (Json.Num (float_of_int (String.length result)));
         result)
   in
   match
@@ -428,9 +471,7 @@ let measured ~profiled ?rng ?(record = true) repo stored text =
       (* Recording is part of the mutating path: on a read-only
          repository it must refuse with the typed error's message, not
          raise past a successful execution. *)
-      let cost =
-        Option.map (fun r -> Crimson_obs.Json.to_string (Profile.cost_summary r)) report
-      in
+      let cost = Option.map (fun r -> Json.to_string (Profile.cost_summary r)) report in
       match
         if record then
           ignore (Repo.record_query repo ~elapsed_ms ~pages ?cost ~text ~result)
@@ -438,6 +479,13 @@ let measured ~profiled ?rng ?(record = true) repo stored text =
       | () -> Ok ({ text; result }, elapsed_ms, pages, report)
       | exception Crimson_storage.Error.Error e ->
           Error (Crimson_storage.Error.to_string e))
+
+let explain_in table env call = trap (fun () -> (lookup table call).plan env call.args)
+
+let measured ~profiled ?rng ?record repo stored text =
+  let rng = match rng with Some r -> r | None -> Prng.create 0 in
+  Result.bind (parse text)
+    (measured_in table { stored; rng } ~profiled ?record repo ~text)
 
 let run ?rng ?record repo stored text =
   Result.map
@@ -449,22 +497,9 @@ let profile ?rng ?record repo stored text =
     (fun (o, _, _, report) -> (o, Option.get report))
     (measured ~profiled:true ?rng ?record repo stored text)
 
-let explain stored text = trap (fun () -> plan stored (parse_query text))
+let explain stored text =
+  Result.bind (parse text) (explain_in table { stored; rng = Prng.create 0 })
 
 let help =
-  {|Queries are function calls over species names:
-  lca(Lla, Spy)              least common ancestor
-  clade(Lla, Syn)            minimal spanning clade
-  distance(Bha, Syn)         path length between two species
-  path(Lla, Bsu)             node path between two species
-  depth(Spy)                 node depth
-  parent(Spy), children(x)   navigation
-  project(Bha, Lla, Syn)     induced subtree, as Newick
-  sample(4)                  uniform random sample
-  sample(4, 1.0)             sample w.r.t. evolutionary time 1.0
-  frontier(1.0)              minimal nodes beyond time 1.0
-  match('(Bha,(Lla,Syn));')  tree pattern match
-  seq(Bha)                   stored sequence (preview)
-  info()                     tree metadata
-  overview(1)                summary clusters at resolution 1
-Names may be bare or 'single-quoted'; #123 addresses a node by id.|}
+  "Queries are function calls over species names:\n" ^ cheat_sheet table
+  ^ "\nNames may be bare or 'single-quoted'; #123 addresses a node by id."

@@ -3,48 +3,86 @@
     The paper's GUI offers a query wizard and a Python scripting
     interface; this module is the equivalent surface for the CLI and for
     programmatic use. Queries are function-call expressions over species
-    names:
+    names, such as [lca(Lla, Spy)]; {!help} lists every function. Names
+    may be bare (letters, digits, [_-.#]) or single-quoted. Every
+    successful query is recorded in the Query Repository.
 
-    {v
-    lca(Lla, Spy)              least common ancestor
-    clade(Lla, Syn)            minimal spanning clade
-    distance(Bha, Syn)         path length between two species
-    path(Lla, Bsu)             node path between two species
-    depth(Spy)                 node depth
-    parent(Spy)  children(x)   navigation
-    project(Bha, Lla, Syn)     induced subtree, as Newick
-    sample(4)                  uniform random sample
-    sample(4, 1.0)             sample w.r.t. evolutionary time 1.0
-    frontier(1.0)              the minimal nodes beyond time 1.0
-    match('(Bha,(Lla,Syn));')  tree pattern match
-    seq(Bha)                   stored sequence (preview)
-    info()                     tree metadata
-    v}
-
-    Names may be bare (letters, digits, [_-.]) or single-quoted. Every
-    successful query is recorded in the Query Repository. *)
+    Each function is declared once, in a {!table}: its name, arity,
+    usage error, help lines, how it runs and how EXPLAIN plans it. The
+    collection functions ([Crimson_collection.Coll_lang]) are a second
+    table of the same kind, run through the same measured body. *)
 
 type outcome = {
   text : string;  (** The normalised query text. *)
   result : string;  (** Human-readable result. *)
 }
 
-(** The shared [fn(arg, …)] call syntax. The collection query surface
-    ([Crimson_collection.Coll_lang]) parses the same texts, so the
-    parser is exported here instead of duplicated. *)
-module Call : sig
-  type arg =
-    | Name of string  (** Bare or single-quoted word. *)
-    | Number of float
+(** {1 The [fn(arg, …)] call syntax} *)
 
-  type t = {
-    fn : string;  (** Lowercased function name. *)
-    args : arg list;
-  }
+type arg =
+  | Name of string  (** Bare or single-quoted word. *)
+  | Number of float
 
-  val parse : string -> (t, string) result
-  (** Parse one call expression; never raises. *)
-end
+type call = {
+  fn : string;  (** Lowercased function name. *)
+  args : arg list;
+}
+
+val parse : string -> (call, string) result
+(** Parse one call expression; never raises. *)
+
+(** {1 Declarations} *)
+
+exception Bad_query of string
+(** A language error: unknown function, wrong arity, bad argument. *)
+
+type 'env fn = {
+  name : string;
+  arity : int * int;  (** Fewest and most arguments. *)
+  usage : string;  (** The error for any other argument count. *)
+  help : (string * string) list;  (** Cheat-sheet lines: example call, meaning. *)
+  run : 'env -> arg list -> string;
+  plan : 'env -> arg list -> string list;  (** EXPLAIN's lines. *)
+}
+(** One query function over an environment ['env]; it may raise
+    {!Bad_query}. *)
+
+type 'env table = {
+  span : string;  (** The span every query of the table runs under. *)
+  unknown : string -> string;  (** The error for a name not in [fns]. *)
+  fns : 'env fn list;
+}
+
+val mem : 'env table -> string -> bool
+val cheat_sheet : 'env table -> string
+
+type on_tree = { stored : Stored_tree.t; rng : Crimson_util.Prng.t }
+
+val table : on_tree table
+(** The tree functions, under the span [core.query]; [rng] feeds the
+    sampling functions. *)
+
+val measured_in :
+  'env table ->
+  'env ->
+  profiled:bool ->
+  ?record:bool ->
+  Repo.t ->
+  text:string ->
+  call ->
+  (outcome * float * int * Crimson_obs.Profile.report option, string) result
+(** The one body every query runs through, under the table's span: the
+    "parse" stage resolves the call against its declaration (lookup and
+    arity check), the "execute" stage runs it. Returns [(outcome,
+    elapsed_ms, pages, report)], measured once as the history row
+    records it, with the cost report when [profiled]; [record] (default
+    true) appends [text] and the result to the history. Never raises,
+    but for [Out_of_memory] and a request deadline's expiry. *)
+
+val explain_in : 'env table -> 'env -> call -> (string list, string) result
+(** The call's plan, after the same lookup and arity check. *)
+
+(** {1 Tree queries} *)
 
 val run :
   ?rng:Crimson_util.Prng.t ->
@@ -86,9 +124,7 @@ val measured :
   Stored_tree.t ->
   string ->
   (outcome * float * int * Crimson_obs.Profile.report option, string) result
-(** The one body {!run} and {!profile} share: [(outcome, elapsed_ms,
-    pages, report)], the execution measured once (as the history row
-    records it), with the cost report when [profiled]. *)
+(** {!measured_in} over {!table}, for a query text. *)
 
 val help : string
-(** The cheat sheet above, for the CLI. *)
+(** The cheat sheet of {!table}, for the CLI. *)

@@ -19,8 +19,6 @@ type t = {
   mutable next_query_id : int option; (* lazily initialised from storage *)
 }
 
-let dir_label db = match Database.dir db with Some d -> d | None -> "<mem>"
-
 exception Open_error of string
 
 let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
@@ -29,18 +27,17 @@ let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
    catalog when created; any other version is refused, not migrated. *)
 let format_version = 1
 
-let check_version db =
-  match Database.version db with
-  | v when v = format_version -> ()
-  | 0 when Database.table_names db = [] -> Database.set_version db format_version
-  | v ->
-      open_error
-        "cannot open repository %s: it has format version %d, and this version reads \
-         format version %d only; re-load its trees with this version"
-        (dir_label db) v format_version
+(* Checked before the log is read, so a refused open leaves it as it
+   was. A new repository (version 0, no tables) takes this version. *)
+let check_version dir ~version ~tables =
+  if version <> format_version && not (version = 0 && tables = []) then
+    open_error
+      "cannot open repository %s: it has format version %d, and this version reads \
+       format version %d only; re-load its trees with this version"
+      dir version format_version
 
 let open_tables db =
-  check_version db;
+  if Database.version db <> format_version then Database.set_version db format_version;
   let table name schema indexes = Database.table db ~name ~schema ~indexes in
   (* One at a time: a new repository lists them in its catalog in this
      order. *)
@@ -87,7 +84,9 @@ let open_dir ?pool_size ?durable ?io ?(create = true) ?(mode = Database.Read_wri
       open_error "%s: not a crimson repository (no catalog.crim)" dir
   end;
   let opened =
-    match Database.open_dir ?pool_size ?durable ?io ~mode dir with
+    match
+      Database.open_dir ?pool_size ?durable ?io ~mode ~check:(check_version dir) dir
+    with
     | db -> (
         (* Opening half the tables and then failing must not leak the
            descriptors of the ones that did open — the crash matrix
@@ -117,7 +116,6 @@ let open_dir ?pool_size ?durable ?io ?(create = true) ?(mode = Database.Read_wri
 
 let open_mem ?pool_size () = open_tables (Database.open_mem ?pool_size ())
 
-let database t = t.db
 let dir t = Database.dir t.db
 let mode t = Database.mode t.db
 let trees t = t.trees

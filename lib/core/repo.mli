@@ -55,8 +55,6 @@ val open_dir :
 val open_mem : ?pool_size:int -> unit -> t
 (** Volatile repositories (tests, benchmarks). *)
 
-val database : t -> Database.t
-
 val dir : t -> string option
 (** The backing directory ([None] for in-memory repositories). The
     coordinator uses it to point worker domains at the same files. *)

@@ -188,7 +188,6 @@ module Collections = struct
   let c_n_trees = 3
   let c_next_bip = 4
   let c_taxa = 5
-  let c_created = 6
   let key_id id = Key.int id
   let key_name name = Key.text name
 

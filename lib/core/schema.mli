@@ -90,10 +90,8 @@ module Species : sig
   val schema : Record.schema
   val c_tree : int
   val c_name : int
-  val c_chunk : int
   val c_seq : int
   val indexes : Table.index_spec list
-  val key_chunk : tree:int -> name:string -> int -> string
   val key_name : tree:int -> name:string -> string
 end
 
@@ -122,7 +120,6 @@ module Collections : sig
   val c_n_trees : int
   val c_next_bip : int
   val c_taxa : int
-  val c_created : int
   val indexes : Table.index_spec list
   val key_id : int -> string
   val key_name : string -> string
@@ -132,7 +129,6 @@ end
     bitmaps with occurrence counts, keyed by dense id and by bitmap. *)
 module Bips : sig
   val schema : Record.schema
-  val c_coll : int
   val c_bip : int
   val c_count : int
   val c_bitmap : int
@@ -151,7 +147,6 @@ module Members : sig
   val kind_full : int
   val kind_delta : int
   val schema : Record.schema
-  val c_coll : int
   val c_member : int
   val c_name : int
   val c_kind : int

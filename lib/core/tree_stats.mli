@@ -22,5 +22,4 @@ val compute : Stored_tree.t -> t
 (** One streaming scan of the tree's node rows, past the view cache
     (see {!Stored_tree.scan}). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -87,7 +87,6 @@ let create_decoder ?(max_head = default_max_head) ?(max_body = default_max_body)
     () =
   { max_head; max_body; buf = Buffer.create 512; broken = false }
 
-let pending p = Buffer.length p.buf
 
 let find_sub s sub from =
   let n = String.length s and m = String.length sub in

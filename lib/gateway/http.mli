@@ -43,12 +43,7 @@ val feed : decoder -> string -> (request list, string) result
     unrecoverable (malformed head, cap exceeded): send one error
     response and close; further feeds keep failing. *)
 
-val pending : decoder -> int
-(** Buffered bytes not yet forming a complete request. *)
-
 (** {1 Responses} *)
-
-val reason : int -> string
 
 val render :
   ?status:int ->

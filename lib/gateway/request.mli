@@ -1,13 +1,15 @@
 (** Transport-agnostic requests.
 
     One typed request variant per verb, whichever front end it arrived
-    on: the line protocol parses into these (see [Crimson_server.Wire]),
-    and the HTTP router maps resource paths onto the same type — so the
-    worker fleet implements every verb exactly once.
+    on: the line protocol parses into these through {!wire_table} (see
+    [Crimson_server.Wire]), and the HTTP router maps resource paths onto
+    the same type — so the worker fleet implements every verb exactly
+    once.
 
-    The wire-only verbs carry their historical payloads verbatim; the
-    resource-style variants ([List_trees] onward) are produced only by
-    the HTTP router. *)
+    The wire verbs carry their payloads verbatim, except the collection
+    verbs (CONSENSUS, SUPPORT, RFMATRIX, COLLSTATS), which parse into a
+    {!Query} of the call text; the resource-style variants
+    ([List_trees] onward) are produced only by the HTTP router. *)
 
 type format =
   | Json  (** The default reply rendering. *)
@@ -20,10 +22,6 @@ type t =
   | Query of string
   | Explain of string
   | Profile of string
-  | Consensus of string  (** Payload ["<collection> [threshold]"]. *)
-  | Support of string
-  | Rfmatrix of string
-  | Collstats of string
   | Top
   | Stats
   | Slowlog of int option
@@ -38,5 +36,17 @@ type t =
   | Consensus_view of { coll : string; threshold : float option }
   | Doc
 
+type wire_verb = {
+  verb : string;  (** Upper case; the wire matches it case-insensitively. *)
+  parse : string -> (t, string) result;
+      (** The payload (the trimmed text after the verb) to a request, or
+          the [Bad_request] message. *)
+  advertised : bool;  (** Listed by HELLO; false only for SLEEP. *)
+}
+
+val wire_table : wire_verb list
+(** Every line-protocol verb, the one list the wire parser, HELLO's
+    inventory and the unknown-command hint read. *)
+
 val wire_verbs : string list
-(** The verbs HELLO advertises, in canonical order. *)
+(** The advertised verbs of {!wire_table}, in its order. *)

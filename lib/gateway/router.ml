@@ -6,7 +6,6 @@ module Json = Crimson_obs.Json
 
 let max_per_page = 500
 let default_per_page = 20
-let default_depth = 1
 
 let bad fmt = Printf.ksprintf (fun m -> Error (Response.Bad_request, m)) fmt
 
@@ -53,94 +52,101 @@ let negotiated r =
 let segments path =
   String.split_on_char '/' path |> List.filter (fun s -> s <> "")
 
-let not_found =
-  Error
-    ( Response.Not_found,
-      "no such route (GET /v1/doc lists the API)" )
+(* One route: its method, its path pattern (a ":name" segment binds any
+   segment), the query parameters it documents, its doc line, and the
+   builder of its request from the HTTP request and the bound segments.
+   [route] matches this list and [doc_routes] renders it. *)
+type route = {
+  meth : string;
+  pattern : string list;
+  params : string list;
+  doc : string;
+  build : Http.request -> (string -> string) -> (Request.t, Response.code * string) result;
+}
 
-let method_not_allowed meth allowed =
-  Error
-    ( Response.Method_not_allowed,
-      Printf.sprintf "%s not allowed here (expected %s)" meth allowed )
+let on meth path ?(params = []) doc build =
+  { meth; pattern = segments path; params; doc; build }
 
+let routes =
+  [
+    on "GET" "/v1/doc" "this route listing" (fun _ _ -> Ok Request.Doc);
+    on "GET" "/v1/trees" ~params:[ "page"; "per_page" ] "paginated tree catalog"
+      (fun r _ ->
+        (* Pages are 1-based, the web convention. *)
+        Result.bind (int_param r "page" ~default:1 ~min:1 ~max:max_int) (fun page ->
+            Result.map
+              (fun per_page -> Request.List_trees { page; per_page })
+              (int_param r "per_page" ~default:default_per_page ~min:1 ~max:max_per_page)));
+    on "GET" "/v1/trees/:tree" "one tree's metadata (name or numeric id)" (fun _ seg ->
+        Ok (Request.Tree_info (seg "tree")));
+    on "GET" "/v1/trees/:tree/overview" ~params:[ "depth" ]
+      "precomputed summary clusters at the given resolution" (fun r seg ->
+        Result.map
+          (fun depth -> Request.Overview { tree = seg "tree"; depth })
+          (int_param r "depth" ~default:1 ~min:0 ~max:64));
+    on "GET" "/v1/trees/:tree/clade" ~params:[ "species"; "format" ]
+      "minimal clade spanning the species (format=newick for the induced subtree)"
+      (fun r seg ->
+        let species =
+          Option.value ~default:"" (Http.query_param r "species")
+          |> String.split_on_char ','
+          |> List.map String.trim
+          |> List.filter (fun s -> s <> "")
+        in
+        if species = [] then bad "clade needs ?species=a,b,c"
+        else Ok (Request.Clade { tree = seg "tree"; species }));
+    on "POST" "/v1/trees/:tree/query"
+      "run a query-language call (request body is the query text)" (fun r seg ->
+        match String.trim r.Http.body with
+        | "" -> bad "query needs the query text as the request body"
+        | text -> Ok (Request.Tree_query { tree = seg "tree"; text }));
+    on "GET" "/v1/collections/:name/consensus" ~params:[ "threshold"; "format" ]
+      "consensus tree of a collection (format=newick for bare Newick)" (fun r seg ->
+        Result.map
+          (fun threshold -> Request.Consensus_view { coll = seg "name"; threshold })
+          (float_param r "threshold"));
+  ]
+
+(* The ":name" bindings of [pattern] over [path], if it matches. *)
+let rec bind pattern path acc =
+  match (pattern, path) with
+  | [], [] -> Some acc
+  | p :: ps, s :: ss when p.[0] = ':' ->
+      bind ps ss ((String.sub p 1 (String.length p - 1), s) :: acc)
+  | p :: ps, s :: ss when p = s -> bind ps ss acc
+  | _ -> None
+
+(* Format negotiation first, then 404, then 405 naming the route's
+   method, then the builder's 400s. Each path pattern has one method. *)
 let route (r : Http.request) =
   match negotiated r with
   | Error _ as e -> e
   | Ok fmt -> (
-      let ok req = Ok (req, fmt) in
-      match (r.Http.meth, segments r.Http.path) with
-      | "GET", [ "v1"; "doc" ] -> ok Request.Doc
-      | m, [ "v1"; "doc" ] -> method_not_allowed m "GET"
-      | "GET", [ "v1"; "trees" ] -> (
-          (* Pages are 1-based, the web convention. *)
-          match int_param r "page" ~default:1 ~min:1 ~max:max_int with
-          | Error _ as e -> e
-          | Ok page -> (
-              match
-                int_param r "per_page" ~default:default_per_page ~min:1
-                  ~max:max_per_page
-              with
-              | Error _ as e -> e
-              | Ok per_page -> ok (Request.List_trees { page; per_page })))
-      | m, [ "v1"; "trees" ] -> method_not_allowed m "GET"
-      | "GET", [ "v1"; "trees"; t ] -> ok (Request.Tree_info t)
-      | m, [ "v1"; "trees"; _ ] -> method_not_allowed m "GET"
-      | "GET", [ "v1"; "trees"; t; "overview" ] -> (
-          match int_param r "depth" ~default:default_depth ~min:0 ~max:64 with
-          | Error _ as e -> e
-          | Ok depth -> ok (Request.Overview { tree = t; depth }))
-      | m, [ "v1"; "trees"; _; "overview" ] -> method_not_allowed m "GET"
-      | "GET", [ "v1"; "trees"; t; "clade" ] -> (
-          match Http.query_param r "species" with
-          | None | Some "" -> bad "clade needs ?species=a,b,c"
-          | Some csv ->
-              let species =
-                String.split_on_char ',' csv
-                |> List.map String.trim
-                |> List.filter (fun s -> s <> "")
-              in
-              if species = [] then bad "clade needs ?species=a,b,c"
-              else ok (Request.Clade { tree = t; species }))
-      | m, [ "v1"; "trees"; _; "clade" ] -> method_not_allowed m "GET"
-      | "POST", [ "v1"; "trees"; t; "query" ] ->
-          let text = String.trim r.Http.body in
-          if text = "" then bad "query needs the query text as the request body"
-          else ok (Request.Tree_query { tree = t; text })
-      | m, [ "v1"; "trees"; _; "query" ] -> method_not_allowed m "POST"
-      | "GET", [ "v1"; "collections"; c; "consensus" ] -> (
-          match float_param r "threshold" with
-          | Error _ as e -> e
-          | Ok threshold -> ok (Request.Consensus_view { coll = c; threshold }))
-      | m, [ "v1"; "collections"; _; "consensus" ] -> method_not_allowed m "GET"
-      | _ -> not_found)
+      let path = segments r.Http.path in
+      match
+        List.find_map
+          (fun rt -> Option.map (fun bound -> (rt, bound)) (bind rt.pattern path []))
+          routes
+      with
+      | None -> Error (Response.Not_found, "no such route (GET /v1/doc lists the API)")
+      | Some (rt, _) when rt.meth <> r.Http.meth ->
+          Error
+            ( Response.Method_not_allowed,
+              Printf.sprintf "%s not allowed here (expected %s)" r.Http.meth rt.meth )
+      | Some (rt, bound) ->
+          rt.build r (fun name -> List.assoc name bound)
+          |> Result.map (fun req -> (req, fmt)))
 
 (* GET /v1/doc: the machine-readable route list. *)
 let doc_routes =
-  let route ~meth ~path ~params ~doc =
-    Json.Obj
-      [
-        ("method", Json.Str meth);
-        ("path", Json.Str path);
-        ("params", Json.List (List.map (fun p -> Json.Str p) params));
-        ("doc", Json.Str doc);
-      ]
-  in
   Json.List
-    [
-      route ~meth:"GET" ~path:"/v1/doc" ~params:[] ~doc:"this route listing";
-      route ~meth:"GET" ~path:"/v1/trees"
-        ~params:[ "page"; "per_page" ]
-        ~doc:"paginated tree catalog";
-      route ~meth:"GET" ~path:"/v1/trees/:tree" ~params:[]
-        ~doc:"one tree's metadata (name or numeric id)";
-      route ~meth:"GET" ~path:"/v1/trees/:tree/overview" ~params:[ "depth" ]
-        ~doc:"precomputed summary clusters at the given resolution";
-      route ~meth:"GET" ~path:"/v1/trees/:tree/clade"
-        ~params:[ "species"; "format" ]
-        ~doc:"minimal clade spanning the species (format=newick for the induced subtree)";
-      route ~meth:"POST" ~path:"/v1/trees/:tree/query" ~params:[]
-        ~doc:"run a query-language call (request body is the query text)";
-      route ~meth:"GET" ~path:"/v1/collections/:name/consensus"
-        ~params:[ "threshold"; "format" ]
-        ~doc:"consensus tree of a collection (format=newick for bare Newick)";
-    ]
+    (List.map
+       (fun rt ->
+         Json.Obj
+           [
+             ("method", Json.Str rt.meth);
+             ("path", Json.Str ("/" ^ String.concat "/" rt.pattern));
+             ("params", Json.List (List.map (fun p -> Json.Str p) rt.params));
+             ("doc", Json.Str rt.doc);
+           ])
+       routes)

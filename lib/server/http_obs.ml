@@ -1,7 +1,6 @@
-(* The observability endpoint's route table: GET /metrics, /healthz,
-   /varz and /slowlog. The server's accept loop serves it over the
-   gateway's HTTP codec, one request per connection, without a session
-   slot. Every route reads the process's state in place: the registry
+(* The observability endpoint's route table, [endpoints] below. The
+   server's accept loop serves it over the gateway's HTTP codec, one
+   request per connection, without a session slot. Every route reads the process's state in place: the registry
    already sums every domain's counts, and the slowlog reads every
    domain's ring. *)
 
@@ -20,31 +19,54 @@ let json status j = { status; content_type = "application/json"; body = Json.to_
 let render r =
   Http.render ~status:r.status ~content_type:r.content_type ~keep_alive:false r.body
 
+type sources = {
+  healthz : unit -> bool * Json.t;
+  varz : unit -> Json.t;
+  slowlog : unit -> Json.t;
+}
+
+(* Every route, with the line the index page gives it; the routing, the
+   index, the 404 hint and the CLI's help read this list. *)
+let endpoints =
+  [
+    ( "/metrics",
+      "Prometheus exposition (the METRICS verb's text)",
+      fun _ ->
+        Runtime.refresh ();
+        {
+          status = 200;
+          content_type = "text/plain; version=0.0.4; charset=utf-8";
+          body = Metrics.to_prometheus ();
+        } );
+    ( "/healthz",
+      "watchdog health (200 healthy / 503 stalled), per-worker JSON",
+      fun s ->
+        let ok, detail = s.healthz () in
+        json (if ok then 200 else 503) detail );
+    ( "/varz",
+      "stats --json equivalent",
+      fun s ->
+        Runtime.refresh ();
+        json 200 (s.varz ()) );
+    ( "/slowlog",
+      "every worker's slow-query log, newest first",
+      fun s -> json 200 (s.slowlog ()) );
+  ]
+
+let paths = List.map (fun (path, doc, _) -> (path, doc)) endpoints
+
 let index_body =
-  "crimson observability endpoint\n\
-   /metrics  Prometheus exposition (the METRICS verb's text)\n\
-   /healthz  watchdog health (200 healthy / 503 stalled), per-worker JSON\n\
-   /varz     stats --json equivalent\n\
-   /slowlog  every worker's slow-query log, newest first\n"
+  String.concat ""
+    ("crimson observability endpoint\n"
+    :: List.map (fun (path, doc) -> Printf.sprintf "%-9s %s\n" path doc) paths)
 
 let routes ~healthz ~varz ~slowlog path =
-  match path with
-  | "/" -> text 200 index_body
-  | "/metrics" ->
-      Runtime.refresh ();
-      {
-        status = 200;
-        content_type = "text/plain; version=0.0.4; charset=utf-8";
-        body = Metrics.to_prometheus ();
-      }
-  | "/healthz" ->
-      let ok, detail = healthz () in
-      json (if ok then 200 else 503) detail
-  | "/varz" ->
-      Runtime.refresh ();
-      json 200 (varz ())
-  | "/slowlog" -> json 200 (slowlog ())
-  | _ -> text 404 "not found (try /metrics, /healthz, /varz, /slowlog)\n"
+  match List.find_opt (fun (p, _, _) -> p = path) endpoints with
+  | Some (_, _, handler) -> handler { healthz; varz; slowlog }
+  | None when path = "/" -> text 200 index_body
+  | None ->
+      text 404
+        (Printf.sprintf "not found (try %s)\n" (String.concat ", " (List.map fst paths)))
 
 let answer route = function
   | Error msg -> render (text 400 (msg ^ "\n"))

@@ -4,17 +4,17 @@
     ({!Crimson_gateway.Http}): one request per connection, then close,
     at most 64 connections at once, none holding a session slot.
 
-    Routes: [/metrics] (the registry's Prometheus exposition,
-    {!Crimson_obs.Metrics.to_prometheus}, the same text METRICS
-    returns), [/healthz] (200/503 from the watchdog, per-worker JSON
-    detail), [/varz] ([stats --json] equivalent), [/slowlog] (every
-    worker's slow-query log, newest first). Each reads the process's
-    state in place. *)
+    Its GET routes are {!paths}. Each reads the process's state in
+    place. *)
 
 type response = { status : int; content_type : string; body : string }
 
 val text : int -> string -> response
-val json : int -> Crimson_obs.Json.t -> response
+
+val paths : (string * string) list
+(** Every route's path and one-line doc ([/metrics] serves the same
+    Prometheus text as METRICS). The routing, the index page at [/],
+    the 404 hint and the CLI's help read this list. *)
 
 val render : response -> string
 (** The complete HTTP response, [Connection: close]. *)

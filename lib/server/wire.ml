@@ -56,66 +56,25 @@ let split_verb line =
       ( String.sub line 0 i,
         String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
 
+(* "HELLO, USE, … METRICS or QUIT": the advertised verbs, for the
+   unknown-command hint. *)
+let expected =
+  match List.rev Request.wire_verbs with
+  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | [] -> ""
+
 let parse_command line : (Request.t, Response.code * string) result =
-  let bad msg = Error (Response.Bad_request, msg) in
   let line = String.trim line in
-  if line = "" then bad "empty command"
+  if line = "" then Error (Response.Bad_request, "empty command")
   else
     let verb, payload = split_verb line in
-    match (String.uppercase_ascii verb, payload) with
-    | "HELLO", "" -> Ok Request.Hello
-    | "HELLO", _ -> bad "HELLO takes no argument"
-    | "USE", "" -> bad "USE needs a tree name"
-    | "USE", name -> Ok (Request.Use name)
-    | "SEED", p -> (
-        match int_of_string_opt p with
-        | Some n -> Ok (Request.Seed n)
-        | None -> bad "SEED needs an integer")
-    | "QUERY", "" -> bad "QUERY needs a query text"
-    | "QUERY", text -> Ok (Request.Query text)
-    | "EXPLAIN", "" -> bad "EXPLAIN needs a query text"
-    | "EXPLAIN", text -> Ok (Request.Explain text)
-    | "PROFILE", "" -> bad "PROFILE needs a query text"
-    | "PROFILE", text -> Ok (Request.Profile text)
-    (* Collection verbs: the payload is "<collection> [threshold]" —
-       the worker rewrites it into the canonical call syntax. *)
-    | "CONSENSUS", "" -> bad "CONSENSUS needs a collection name"
-    | "CONSENSUS", p -> Ok (Request.Consensus p)
-    | "SUPPORT", "" -> bad "SUPPORT needs a collection name"
-    | "SUPPORT", p -> Ok (Request.Support p)
-    | "RFMATRIX", "" -> bad "RFMATRIX needs a collection name"
-    | "RFMATRIX", p -> Ok (Request.Rfmatrix p)
-    | "COLLSTATS", "" -> bad "COLLSTATS needs a collection name"
-    | "COLLSTATS", p -> Ok (Request.Collstats p)
-    | "TOP", "" -> Ok Request.Top
-    | "TOP", _ -> bad "TOP takes no argument"
-    | "STATS", "" -> Ok Request.Stats
-    | "STATS", _ -> bad "STATS takes no argument"
-    | "SLOWLOG", "" -> Ok (Request.Slowlog None)
-    | "SLOWLOG", p -> (
-        match int_of_string_opt p with
-        | Some n when n >= 0 -> Ok (Request.Slowlog (Some n))
-        | Some _ | None -> bad "SLOWLOG takes an optional non-negative count")
-    | "METRICS", "" -> Ok Request.Metrics
-    | "METRICS", _ -> bad "METRICS takes no argument"
-    (* Debug verb (undocumented in the unknown-command hint): freeze the
-       serving worker for N ms. Workers reject it unless the server was
-       configured with debug verbs on — it exists to fault-inject stalls
-       for watchdog tests. *)
-    | "SLEEP", p -> (
-        match float_of_string_opt p with
-        | Some ms when ms >= 0.0 -> Ok (Request.Sleep ms)
-        | Some _ | None -> bad "SLEEP takes a non-negative duration in ms")
-    | "QUIT", "" -> Ok Request.Quit
-    | "QUIT", _ -> bad "QUIT takes no argument"
-    | verb, _ ->
+    let verb = String.uppercase_ascii verb in
+    match List.find_opt (fun v -> v.Request.verb = verb) Request.wire_table with
+    | Some v -> Result.map_error (fun msg -> (Response.Bad_request, msg)) (v.parse payload)
+    | None ->
         Error
           ( Response.Unknown_command,
-            Printf.sprintf
-              "unknown command %S (expected HELLO, USE, SEED, QUERY, EXPLAIN, PROFILE, \
-               CONSENSUS, SUPPORT, RFMATRIX, COLLSTATS, TOP, STATS, SLOWLOG, METRICS \
-               or QUIT)"
-              verb )
+            Printf.sprintf "unknown command %S (expected %s)" verb expected )
 
 (* ------------------------------ Framing ---------------------------- *)
 

@@ -5,29 +5,12 @@
     and CRLF clients work), and each reply is exactly one line of JSON
     rendered by {!Crimson_obs.Json} — [{"ok":true, ...}] on success,
     [{"ok":false,"error":{"code":…,"message":…}}] on failure (the same
-    structured error object the HTTP gateway serves). Request grammar:
-
-    {v
-    HELLO                 server banner, session id, stored tree names
-    USE <tree>            select the session's tree
-    SEED <n>              reseed the session RNG (sampling determinism)
-    QUERY <text>          run a Query_lang expression on the session tree
-    EXPLAIN <text>        describe the query's plan without executing it
-    PROFILE <text>        run the query with a per-stage cost breakdown
-    CONSENSUS <coll> [t]  collection consensus (threshold t, default 0.5)
-    SUPPORT <coll>        per-bipartition support counts of a collection
-    RFMATRIX <coll>       pairwise Robinson-Foulds matrix of a collection
-    COLLSTATS <coll>      collection dictionary / storage statistics
-    TOP                   per-session cumulative accounting, cost hogs first
-    STATS                 telemetry registry snapshot as JSON
-    SLOWLOG [n]           most recent slow-query trace records (all by default)
-    METRICS               Prometheus text exposition, in the "text" field
-    QUIT                  close the session
-    v}
-
-    Verbs are case-insensitive; everything after the first space is the
-    payload, verbatim. This module is pure (no sockets): the server and
-    the client share it, and tests drive it directly. *)
+    structured error object the HTTP gateway serves). A request line is
+    a verb, case-insensitive, then everything after the first space as
+    its payload, verbatim; {!Crimson_gateway.Request.wire_table} lists
+    the verbs and parses their payloads (DESIGN.md §10 gives the
+    grammar). This module is pure (no sockets): the server and the
+    client share it, and tests drive it directly. *)
 
 (** {1 Addresses} *)
 
@@ -51,9 +34,10 @@ val addr_to_string : addr -> string
 val parse_command :
   string ->
   (Crimson_gateway.Request.t, Crimson_gateway.Response.code * string) result
-(** Parse one request line (already stripped of its terminator). Never
-    raises; the error pairs a structured code ([Unknown_command] for an
-    unrecognised verb, [Bad_request] for a malformed payload) with a
+(** Parse one request line (already stripped of its terminator) through
+    the verb table. Never raises; the error pairs a structured code
+    ([Unknown_command] for an unrecognised verb, whose message lists the
+    advertised verbs; [Bad_request] for a malformed payload) with a
     human-readable protocol diagnostic. *)
 
 (** {1 Framing} *)

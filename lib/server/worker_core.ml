@@ -211,7 +211,6 @@ let create ?(config = default_config) ctx repo =
   }
 
 let config t = t.cfg
-let repo t = t.repo
 let active_sessions t = t.active
 let session_id s = s.id
 
@@ -379,19 +378,16 @@ let use t s name =
 
 (* ------------------------------ Queries ------------------------------ *)
 
-(* QUERY and PROFILE, on a tree or — with [stored = None] — on a
-   collection, which needs no selected tree: one measured run under the
-   request deadline, one history row, one reply. A trace gets the
-   request's page and node-cache deltas, read off this domain's cost
-   record only while a trace is collecting. *)
-let measured_query t s ~profiled stored text =
+(* One measured run under the request deadline, one history row, one
+   reply, for a call of either table: a tree function's call carries the
+   tree as [stored]. A trace gets the request's page and node-cache
+   deltas, read off this domain's cost record only while a trace is
+   collecting. *)
+let measured_query t s ~profiled ?stored table env ~text call =
   let cost0 = if Span.tracing () then Some (Crimson_obs.Cost.snapshot ()) else None in
   let result =
     Deadline.with_timeout t.cfg.request_timeout (fun () ->
-        match stored with
-        | None -> Coll_lang.measured ~profiled ~record:false t.repo text
-        | Some stored ->
-            Query_lang.measured ~profiled ~rng:s.rng ~record:false t.repo stored text)
+        Query_lang.measured_in table env ~profiled ~record:false t.repo ~text call)
   in
   (match (cost0, stored) with
   | Some c0, Some stored ->
@@ -426,54 +422,47 @@ let measured_query t s ~profiled stored text =
   | Ok (Error msg) -> err t Response.Bad_request msg
   | Error `Timeout -> timeout_err t
 
-let query t s ~profiled text =
-  if Coll_lang.is_collection_query text then measured_query t s ~profiled None text
-  else
-    match s.tree with
-    | None -> err t Response.No_tree_selected "no tree selected (USE <tree> first)"
-    | Some stored -> measured_query t s ~profiled (Some stored) text
+let session_tree t s () =
+  match s.tree with
+  | Some stored -> Ok stored
+  | None -> Error (err t Response.No_tree_selected "no tree selected (USE <tree> first)")
 
-(* Rewrite a verb payload ("<collection> [threshold]") into the
-   canonical call text recorded in the Query Repository: the dedicated
-   CONSENSUS/SUPPORT/RFMATRIX/COLLSTATS verbs are sugar for QUERY. *)
-let coll_call_text fn payload =
-  let parts =
-    String.split_on_char ' ' payload |> List.filter (fun s -> s <> "")
-  in
-  match parts with
-  | [ name ] when not (String.contains name '\'') ->
-      Ok (Printf.sprintf "%s('%s')" fn name)
-  | [ name; th ] when fn = "consensus" && not (String.contains name '\'') -> (
-      match float_of_string_opt th with
-      | Some _ -> Ok (Printf.sprintf "%s('%s', %s)" fn name th)
-      | None -> Error "CONSENSUS threshold must be a number")
-  | _ ->
-      Error
-        (Printf.sprintf "%s takes a collection name%s"
-           (String.uppercase_ascii fn)
-           (if fn = "consensus" then " and an optional threshold" else ""))
+(* A query text is parsed once, and its function name picks the table:
+   a collection function needs no tree; a tree function, or a text that
+   does not parse, needs the one [tree] finds, or answers its error. *)
+let with_call t text ~tree ~coll ~on_tree =
+  match Query_lang.parse text with
+  | Ok call when Query_lang.mem Coll_lang.table call.Query_lang.fn -> coll call
+  | parsed -> (
+      match (tree (), parsed) with
+      | Error resp, _ -> resp
+      | Ok _, Error msg -> err t Response.Bad_request msg
+      | Ok stored, Ok call -> on_tree stored call)
 
-let coll_verb t s fn payload =
-  match coll_call_text fn payload with
-  | Ok text -> measured_query t s ~profiled:false None text
-  | Error msg -> err t Response.Bad_request msg
-
-let explain_reply t text = function
-  | Ok plan ->
-      Response.ok
-        [
-          ("query", Json.Str text);
-          ("plan", Json.List (List.map (fun l -> Json.Str l) plan));
-        ]
-  | Error msg -> err t Response.Bad_request msg
+(* QUERY and PROFILE on the session's tree, POST /v1/trees/:tree/query
+   on the named one. *)
+let query t s ~profiled ?(tree = session_tree t s) text =
+  with_call t text ~tree
+    ~coll:(measured_query t s ~profiled Coll_lang.table t.repo ~text)
+    ~on_tree:(fun stored ->
+      measured_query t s ~profiled ~stored Query_lang.table
+        { Query_lang.stored; rng = s.rng } ~text)
 
 let explain t s text =
-  if Coll_lang.is_collection_query text then
-    explain_reply t text (Coll_lang.explain t.repo text)
-  else
-    match s.tree with
-    | None -> err t Response.No_tree_selected "no tree selected (USE <tree> first)"
-    | Some stored -> explain_reply t text (Query_lang.explain stored text)
+  let reply = function
+    | Ok plan ->
+        Response.ok
+          [
+            ("query", Json.Str text);
+            ("plan", Json.List (List.map (fun l -> Json.Str l) plan));
+          ]
+    | Error msg -> err t Response.Bad_request msg
+  in
+  with_call t text ~tree:(session_tree t s)
+    ~coll:(fun call -> reply (Query_lang.explain_in Coll_lang.table t.repo call))
+    ~on_tree:(fun stored call ->
+      let env = { Query_lang.stored; rng = s.rng } in
+      reply (Query_lang.explain_in Query_lang.table env call))
 
 let row_to_json now row =
   Json.Obj
@@ -674,11 +663,10 @@ let clade_req t ~tree ~species =
             ])
 
 let tree_query_req t s ~tree ~text =
-  if Coll_lang.is_collection_query text then measured_query t s ~profiled:false None text
-  else
-    match resolve_tree t tree with
-    | None -> no_such_tree t tree
-    | Some stored -> measured_query t s ~profiled:false (Some stored) text
+  query t s ~profiled:false text ~tree:(fun () ->
+      match resolve_tree t tree with
+      | Some stored -> Ok stored
+      | None -> Error (no_such_tree t tree))
 
 let consensus_view t s ~coll ~threshold =
   let colls = Repo.collections t.repo in
@@ -697,7 +685,7 @@ let consensus_view t s ~coll ~threshold =
           | None -> Printf.sprintf "consensus('%s')" coll
           | Some th -> Printf.sprintf "consensus('%s', %g)" coll th
         in
-        match measured_query t s ~profiled:false None text with
+        match query t s ~profiled:false text with
         | Response.Reply { fields; close; _ } ->
             (* Re-shape onto deterministic, cacheable fields: drop the
                elapsed_ms/pages noise, keep the Newick consensus both as
@@ -785,6 +773,10 @@ let guarded t f =
   | exception Stack_overflow -> raise Stack_overflow
   | exception e -> err t Response.Internal (Printexc.to_string e)
 
+(* The transport-agnostic verb core both front ends share: [handle_line]
+   parses a wire line into a request and renders the response as one
+   JSON line; [handle_http] routes an HTTP exchange through the gateway
+   onto the same function. Never raises. *)
 let dispatch t s (req : Request.t) : Response.t =
   match req with
   | Request.Hello -> hello t s
@@ -795,10 +787,6 @@ let dispatch t s (req : Request.t) : Response.t =
   | Request.Query text -> query t s ~profiled:false text
   | Request.Explain text -> explain t s text
   | Request.Profile text -> query t s ~profiled:true text
-  | Request.Consensus p -> coll_verb t s "consensus" p
-  | Request.Support p -> coll_verb t s "support" p
-  | Request.Rfmatrix p -> coll_verb t s "rfmatrix" p
-  | Request.Collstats p -> coll_verb t s "collstats" p
   | Request.Top -> top t
   | Request.Stats -> stats t
   | Request.Slowlog n -> Response.ok (slowlog_fields ~workers:t.ctx.workers n)

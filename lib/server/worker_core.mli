@@ -139,7 +139,6 @@ val create : ?config:config -> ctx -> Crimson_core.Repo.t -> t
     are the server's to install. *)
 
 val config : t -> config
-val repo : t -> Crimson_core.Repo.t
 
 type reply = {
   body : string;  (** Complete response line(s), newline-terminated. *)
@@ -165,25 +164,13 @@ val handle_line : t -> session -> string -> reply
     ({!Crimson_obs.Deadline}) woven through node resolution — no
     signals, so N workers can time out independently. *)
 
-val dispatch :
-  t -> session -> Crimson_gateway.Request.t -> Crimson_gateway.Response.t
-(** The transport-agnostic verb core both front ends share:
-    {!handle_line} parses a wire line into a request and renders the
-    response as one JSON line; {!handle_http} routes an HTTP exchange
-    through the gateway onto the same function. Never raises. *)
-
 val handle_http :
   t -> session -> Crimson_gateway.Http.request -> string * bool
 (** Serve one decoded HTTP request through the gateway (routing,
-    conditional GETs, content negotiation) and the shared {!dispatch},
-    with the same per-request accounting as a wire line. Returns the
+    conditional GETs, content negotiation) and the dispatch a wire line
+    goes through, with the same per-request accounting as a wire line. Returns the
     fully rendered response bytes and whether the connection must close
     after writing them. *)
-
-val validator : t -> Crimson_gateway.Request.t -> string option
-(** The gateway's resource fingerprint for conditional GETs: catalog-row
-    derived for tree resources, collection-row derived for consensus
-    views, [None] for dynamic requests. *)
 
 val protocol_error : t -> session -> string -> reply
 (** Reply for transport-level violations (oversized line, NUL byte):

@@ -164,7 +164,7 @@ let check_wal_read_only io dir =
   end
 
 let open_dir ?(pool_size = 256) ?(durable = false) ?(io = Io.real)
-    ?(mode = Read_write) dir =
+    ?(mode = Read_write) ?(check = fun ~version:_ ~tables:_ -> ()) dir =
   (match mode with
   | Read_write ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -173,10 +173,13 @@ let open_dir ?(pool_size = 256) ?(durable = false) ?(io = Io.real)
   | Read_only ->
       if not (Sys.file_exists dir && Sys.is_directory dir) then
         Error.fail (Error.Read_only { file = dir; op = "create directory" }));
+  (* The catalog is written whole ([write_file_atomic]), never through
+     the log, so it reads the same before recovery as after. *)
+  let version, catalog = load_catalog io dir in
+  check ~version ~tables:(List.map (fun e -> e.table_name) catalog);
   (match mode with
   | Read_write -> recover_dir io dir
   | Read_only -> check_wal_read_only io dir);
-  let version, catalog = load_catalog io dir in
   {
     dir = Some dir;
     io;

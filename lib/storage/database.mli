@@ -29,7 +29,13 @@ type mode =
           never touch. *)
 
 val open_dir :
-  ?pool_size:int -> ?durable:bool -> ?io:Io.t -> ?mode:mode -> string -> t
+  ?pool_size:int ->
+  ?durable:bool ->
+  ?io:Io.t ->
+  ?mode:mode ->
+  ?check:(version:int -> tables:string list -> unit) ->
+  string ->
+  t
 (** Open or create a database in a directory (created if absent).
     [pool_size] is the per-file buffer-pool size in pages; [durable]
     (default false) makes checkpoints crash-atomic across all files via
@@ -39,7 +45,9 @@ val open_dir :
     regardless of the flag; torn ones are discarded
     ([storage.recovery.*] metrics). Raises {!Error.Error} on backend
     failure or corrupt page files. [mode] defaults to [Read_write];
-    see {!mode}. *)
+    see {!mode}. [check] sees the catalog's version and table names
+    before the log is read; whatever it raises leaves the log as it
+    was. *)
 
 val open_mem : ?pool_size:int -> unit -> t
 (** Fully in-memory database with identical behaviour (tests,

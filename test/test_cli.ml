@@ -233,6 +233,55 @@ let test_serve_help () =
     (fun w -> check Alcotest.bool ("help names " ^ w) true (List.mem w words))
     (Crimson_gateway.Request.wire_verbs @ paths)
 
+(* lca and clade are the query functions of the same names: the same
+   answer and the same history row as `crimson query`, for any leaf name
+   (here one with a space and one with a quote), and the language's
+   error for one name. *)
+let test_lca_clade_are_queries () =
+  with_workspace (fun dir ->
+      let repo = Filename.concat dir "repo" in
+      let nwk = Filename.concat dir "apes.nwk" in
+      Out_channel.with_open_bin nwk (fun oc ->
+          output_string oc "((('Homo sapiens':1,Pan:1):1,'G''s':2):1,(Mus:2,Rattus:2):1);");
+      ignore (expect_success [ "load"; "-r"; repo; nwk; "-n"; "apes" ]);
+      (* The newest history row, from its text column on. *)
+      let last_row () =
+        let rows =
+          String.split_on_char '\n' (expect_success [ "history"; "-r"; repo ])
+          |> List.filter (fun l -> contains "pages  " l)
+        in
+        let row = List.nth rows (List.length rows - 1) in
+        let rec from i = if String.sub row i 7 = "pages  " then i + 7 else from (i + 1) in
+        String.sub row (from 0) (String.length row - from 0)
+      in
+      let query call =
+        let out = expect_success [ "query"; "-r"; repo; "-t"; "apes"; call ] in
+        let prefix = call ^ "\n  = " in
+        check Alcotest.bool (call ^ " answers") true
+          (String.starts_with ~prefix out);
+        let n = String.length prefix in
+        let result = String.sub out n (String.length out - n) in
+        (result, last_row ())
+      in
+      let result, row = query "lca('Homo sapiens', 'Pan')" in
+      check Alcotest.string "lca prints the query's result"
+        ("LCA(Homo sapiens, Pan) = " ^ result)
+        (expect_success [ "lca"; "-r"; repo; "-t"; "apes"; "Homo sapiens"; "Pan" ]);
+      check Alcotest.string "lca records the query's row" row (last_row ());
+      let result, row = query "clade('Homo sapiens', 'G''s')" in
+      check Alcotest.string "clade prints the query's result" result
+        (expect_success [ "clade"; "-r"; repo; "-t"; "apes"; "Homo sapiens"; "G's" ]);
+      check Alcotest.string "clade records the query's row" row (last_row ());
+      let err = expect_failure [ "lca"; "-r"; repo; "-t"; "apes"; "Pan" ] in
+      check Alcotest.bool "one name is the language's error" true
+        (contains "lca needs at least two species" err))
+
+(* Every address option parses through one converter: a bad --to is
+   refused before any connection, and the error names it. *)
+let test_bad_address () =
+  let err = expect_failure [ "connect"; "--to"; "nowhere:x"; "HELLO" ] in
+  check Alcotest.bool "names the address" true (contains "nowhere:x" err)
+
 let () =
   if not (Sys.file_exists crimson_binary) then begin
     print_endline "crimson binary not found; skipping CLI tests";
@@ -247,5 +296,7 @@ let () =
           Alcotest.test_case "append species" `Quick test_append_species_cli;
           Alcotest.test_case "stats and metrics" `Quick test_stats_and_metrics;
           Alcotest.test_case "serve help lists verbs and routes" `Quick test_serve_help;
+          Alcotest.test_case "lca and clade are queries" `Quick test_lca_clade_are_queries;
+          Alcotest.test_case "bad address refused" `Quick test_bad_address;
         ] );
     ]

@@ -768,25 +768,47 @@ let test_query_history () =
 (* A repository in any other format version is refused, not migrated:
    one written before versions were recorded (here with the
    pre-telemetry [queries] layout), and one from a newer version. The
-   message names both versions; the old rows stay as they were. *)
+   message names both versions; the old rows stay as they were, and so
+   does the log beside them: a committed batch is not replayed, and a
+   log of the format before CRIMWAL2 is not cleared as torn. *)
 let test_query_history_legacy_refused () =
   let legacy = Array.sub Crimson_core.Schema.Queries.schema 0 4 in
-  let refused dir ~found =
+  let wal dir = Filename.concat dir "crimson.wal" in
+  let committed dir =
+    let w = Crimson_storage.Wal.open_path (wal dir) in
+    Crimson_storage.Wal.append_entries w
+      [ { Crimson_storage.Wal.file = "planted.heap"; page_id = 0;
+          image = Crimson_storage.Page.fresh () } ];
+    Crimson_storage.Wal.close w
+  in
+  let v1 dir =
+    Out_channel.with_open_bin (wal dir) (fun oc ->
+        output_string oc ("CRIMWAL1" ^ String.make 4100 'x'))
+  in
+  let refused ?(logs = [ committed ]) dir ~found =
     List.iter
-      (fun mode ->
-        match Repo.open_dir ~mode dir with
-        | repo ->
-            Repo.close repo;
-            Alcotest.failf "a repository of format version %d opened" found
-        | exception Repo.Open_error msg ->
-            List.iter
-              (fun word ->
-                if not (contains msg word) then Alcotest.failf "%S does not name %s" msg word)
-              [
-                dir; Printf.sprintf "format version %d" found;
-                Printf.sprintf "format version %d" Repo.format_version; "re-load";
-              ])
-      [ Crimson_storage.Database.Read_write; Crimson_storage.Database.Read_only ]
+      (fun plant ->
+        plant dir;
+        let log = In_channel.with_open_bin (wal dir) In_channel.input_all in
+        List.iter
+          (fun mode ->
+            (match Repo.open_dir ~mode dir with
+            | repo ->
+                Repo.close repo;
+                Alcotest.failf "a repository of format version %d opened" found
+            | exception Repo.Open_error msg ->
+                List.iter
+                  (fun word ->
+                    if not (contains msg word) then
+                      Alcotest.failf "%S does not name %s" msg word)
+                  [
+                    dir; Printf.sprintf "format version %d" found;
+                    Printf.sprintf "format version %d" Repo.format_version; "re-load";
+                  ]);
+            if In_channel.with_open_bin (wal dir) In_channel.input_all <> log then
+              Alcotest.failf "a refused open of format version %d changed the log" found)
+          [ Crimson_storage.Database.Read_write; Crimson_storage.Database.Read_only ])
+      logs
   in
   with_temp_dir (fun dir ->
       (let db = Crimson_storage.Database.open_dir dir in
@@ -798,7 +820,7 @@ let test_query_history_legacy_refused () =
          (Crimson_storage.Table.insert queries
             Crimson_storage.Record.[| VInt 0; VFloat 123.5; VText "lca Bha,Lla"; VText "x" |]);
        Crimson_storage.Database.close db);
-      refused dir ~found:0;
+      refused dir ~found:0 ~logs:[ committed; v1 ];
       let db = Crimson_storage.Database.open_dir dir in
       check Alcotest.int "old rows kept" 1
         (Crimson_storage.Table.row_count

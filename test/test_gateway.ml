@@ -158,6 +158,124 @@ let test_router_errors () =
   check Alcotest.string "query needs POST" "method_not_allowed"
     (route_err "/v1/trees/gold/query")
 
+(* ------------------------------ Fuzzing ----------------------------- *)
+
+(* Bytes a client may send: random ones, every prefix of a valid
+   request, over-long heads, and valid requests pipelined with garbage.
+   Decoding and routing never raise: a failure is the decoder's error
+   string or a typed route error. *)
+let http_valid =
+  [
+    "GET /v1/trees?page=2&per_page=5 HTTP/1.1\r\nHost: x\r\n\r\n";
+    "POST /v1/trees/gold/query HTTP/1.1\r\nContent-Length: 11\r\n\r\nlca(T1, T2)";
+    "GET /v1/doc HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
+    "GET /v1/trees/gold/clade?species=a%2Cb&format=newick HTTP/1.1\r\n\r\n";
+    "DELETE /v1/collections/boot/consensus?threshold=x HTTP/1.1\r\n\r\n";
+  ]
+
+let http_input =
+  QCheck.Gen.(
+    let garbage = string_size ~gen:char (0 -- 120) in
+    let prefix = oneofl http_valid >>= fun v -> map (String.sub v 0) (0 -- String.length v) in
+    (* A well-framed request whose target is made of route words and
+       random printable bytes, so that it reaches the router. *)
+    let word =
+      oneof
+        [
+          oneofl
+            [
+              "v1"; "trees"; "gold"; "7"; "overview"; "clade"; "query"; "doc";
+              "collections"; "consensus"; "%2F"; "";
+            ];
+          string_size ~gen:printable (0 -- 8);
+        ]
+    in
+    let framed =
+      map3
+        (fun meth path query ->
+          Printf.sprintf "%s /%s?%s HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc" meth
+            (String.concat "/" path) (String.concat "&" query))
+        (oneofl [ "GET"; "POST"; "PUT"; "HEAD" ])
+        (list_size (0 -- 5) word)
+        (list_size (0 -- 3)
+           (map2 (fun k v -> k ^ "=" ^ v)
+              (oneofl [ "page"; "per_page"; "depth"; "species"; "threshold"; "format" ])
+              (oneof [ word; map string_of_int (-3 -- 600) ])))
+    in
+    oneof
+      [
+        garbage;
+        prefix;
+        framed;
+        map (fun n -> "GET /" ^ String.make n 'x' ^ " HTTP/1.1\r\n\r\n") (200 -- 400);
+        map (String.concat "")
+          (list_size (1 -- 4) (oneof [ oneofl http_valid; framed; prefix; garbage ]));
+      ])
+
+let prop_http_never_raises =
+  QCheck.Test.make ~name:"decoder and router never raise" ~count:500
+    (QCheck.make ~print:(fun cs -> String.escaped (String.concat "|" cs))
+       QCheck.Gen.(list_size (1 -- 4) http_input))
+    (fun chunks ->
+      let dec = Http.create_decoder ~max_head:256 ~max_body:64 () in
+      List.for_all
+        (fun chunk ->
+          match Http.feed dec chunk with
+          | Error msg -> msg <> ""
+          | Ok reqs ->
+              List.for_all
+                (fun r ->
+                  match Router.route r with
+                  | Ok _ -> true
+                  | Error (code, msg) -> Response.code_string code <> "" && msg <> "")
+                reqs)
+        chunks)
+
+(* Every route /v1/doc lists, sent with its documented method and a
+   sample of each documented parameter, whatever its path segments are,
+   routes to a request. *)
+let prop_every_route_routes =
+  let sample = function
+    | "page" -> "2"
+    | "per_page" -> "5"
+    | "depth" -> "1"
+    | "species" -> "a,b"
+    | "threshold" -> "0.5"
+    | "format" -> "newick"
+    | p -> QCheck.Test.fail_reportf "no sample value for parameter %s" p
+  in
+  let routes () =
+    match Router.doc_routes with
+    | Json.List rs ->
+        List.map
+          (fun r ->
+            match (Json.member "method" r, Json.member "path" r, Json.member "params" r) with
+            | Some (Json.Str m), Some (Json.Str p), Some (Json.List ps) ->
+                (m, p, List.map (function Json.Str s -> s | _ -> "") ps)
+            | _ -> QCheck.Test.fail_report "malformed /v1/doc entry")
+          rs
+    | _ -> QCheck.Test.fail_report "/v1/doc is not a list"
+  in
+  QCheck.Test.make ~name:"every documented route routes" ~count:100
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'Z'; '7'; '_'; '-'; '.' ]) (1 -- 12)))
+    (fun segment ->
+      List.for_all
+        (fun (meth, path, params) ->
+          let path =
+            String.split_on_char '/' path
+            |> List.map (fun s -> if s <> "" && s.[0] = ':' then segment else s)
+            |> String.concat "/"
+          in
+          let query = List.map (fun p -> p ^ "=" ^ sample p) params in
+          let target = if query = [] then path else path ^ "?" ^ String.concat "&" query in
+          match Router.route (http_req ~meth ~body:"lca(a, b)" target) with
+          | Ok _ -> true
+          | Error (code, msg) ->
+              QCheck.Test.fail_reportf "%s %s: %s %s" meth target
+                (Response.code_string code) msg)
+        (routes ()))
+
 (* ------------------------------- Etag ------------------------------- *)
 
 let test_etag () =
@@ -589,6 +707,8 @@ let () =
         [
           Alcotest.test_case "routes" `Quick test_router_routes;
           Alcotest.test_case "errors" `Quick test_router_errors;
+          QCheck_alcotest.to_alcotest prop_http_never_raises;
+          QCheck_alcotest.to_alcotest prop_every_route_routes;
         ] );
       ("etag", [ Alcotest.test_case "tags and matching" `Quick test_etag ]);
       ( "gateway",

@@ -101,6 +101,76 @@ let test_parse_command () =
       "SLOWLOG x"; "SLOWLOG -1"; "METRICS now";
     ]
 
+(* Bytes a client may send: random ones, every prefix of a valid
+   request line, over-long lines, and valid lines pipelined with
+   garbage. Framing and parsing never raise: a failure is the framing
+   error string or a typed parse error. *)
+let wire_valid =
+  [
+    "HELLO"; "use gold"; "QUERY lca(T0, 'T 7')"; "CONSENSUS boot 0.8"; "SUPPORT boot";
+    "SLOWLOG 5"; "SLEEP 10"; "EXPLAIN sample(3, 1.0)"; "QUIT";
+  ]
+
+let wire_input =
+  QCheck.Gen.(
+    let garbage = string_size ~gen:char (0 -- 80) in
+    let prefix = oneofl wire_valid >>= fun v -> map (String.sub v 0) (0 -- String.length v) in
+    oneof
+      [
+        garbage;
+        map (fun p -> p ^ "\n") prefix;
+        map (fun n -> String.make n 'Q' ^ "\n") (60 -- 200);
+        map
+          (fun parts -> String.concat "\r\n" parts ^ "\n")
+          (list_size (1 -- 5) (oneof [ oneofl wire_valid; prefix; garbage ]));
+      ])
+
+let prop_wire_never_raises =
+  let module Response = Crimson_gateway.Response in
+  QCheck.Test.make ~name:"framing and parsing never raise" ~count:500
+    (QCheck.make ~print:(fun cs -> String.escaped (String.concat "|" cs))
+       QCheck.Gen.(list_size (1 -- 4) wire_input))
+    (fun chunks ->
+      let lb = Wire.Line_buffer.create ~max_line:64 in
+      List.for_all
+        (fun chunk ->
+          match Wire.Line_buffer.feed lb chunk with
+          | Error msg -> msg <> ""
+          | Ok lines ->
+              List.for_all
+                (fun line ->
+                  match Wire.parse_command line with
+                  | Ok _ -> true
+                  | Error (code, msg) -> Response.code_string code <> "" && msg <> "")
+                lines)
+        chunks)
+
+(* Every verb HELLO advertises parses, in any letter case, with a sample
+   payload. *)
+let prop_every_verb_parses =
+  let sample = function
+    | "USE" -> "gold"
+    | "SEED" -> "7"
+    | "QUERY" | "EXPLAIN" | "PROFILE" -> "lca(T0, T7)"
+    | "CONSENSUS" | "SUPPORT" | "RFMATRIX" | "COLLSTATS" -> "boot"
+    | "SLOWLOG" -> "3"
+    | _ -> ""
+  in
+  QCheck.Test.make ~name:"every advertised verb parses" ~count:50
+    (QCheck.make QCheck.Gen.(list_repeat 16 bool))
+    (fun cases ->
+      List.for_all
+        (fun verb ->
+          let cased =
+            String.mapi
+              (fun i c -> if List.nth cases (i mod 16) then Char.lowercase_ascii c else c)
+              verb
+          in
+          match Wire.parse_command (cased ^ " " ^ sample verb) with
+          | Ok _ -> true
+          | Error (_, msg) -> QCheck.Test.fail_reportf "%s: %s" cased msg)
+        Crimson_gateway.Request.wire_verbs)
+
 let test_line_buffer () =
   let lb = Wire.Line_buffer.create ~max_line:32 in
   let feed s = match Wire.Line_buffer.feed lb s with
@@ -1888,6 +1958,8 @@ let () =
           Alcotest.test_case "parse_addr" `Quick test_parse_addr;
           Alcotest.test_case "parse_command" `Quick test_parse_command;
           Alcotest.test_case "line buffer framing" `Quick test_line_buffer;
+          QCheck_alcotest.to_alcotest prop_wire_never_raises;
+          QCheck_alcotest.to_alcotest prop_every_verb_parses;
         ] );
       ( "engine",
         [
