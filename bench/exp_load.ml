@@ -4,10 +4,12 @@
    repositories, including layered-index construction and all index and
    run-directory maintenance. The f ablation shows the indexing cost
    knob. Each table row is emitted as a [load_nodes_per_s_<row>]
-   headline field. Two rows are loaded again into an on-disk repository,
-   and the pages of its paged files after close are emitted as exact
-   [disk_pages_<row>] fields, so a layout change that grows the store
-   fails bench-diff. *)
+   headline field, with the major-heap words its load allocated per node
+   ([load_major_words_per_node_<row>], from [Gc.counters], which counts
+   promoted words too) beside it. Two rows are loaded again into an
+   on-disk repository, and the pages of its paged files after close are
+   emitted as exact [disk_pages_<row>] fields, so a layout change that
+   grows the store fails bench-diff. *)
 
 open Bench_common
 module Tree = Crimson_tree.Tree
@@ -28,16 +30,20 @@ let run () =
           ("f", T.Right);
           ("seconds", T.Right);
           ("nodes/s", T.Right);
+          ("major words/node", T.Right);
         ]
   in
   let bench name ~key tree ~f ~species =
     let repo = Repo.open_mem ~pool_size:2048 () in
     let report = ref None in
+    let _, _, major0 = Gc.counters () in
     let _, ms =
       time_once (fun () -> report := Some (Loader.load_tree ~f ~species repo ~name tree))
     in
+    let _, _, major1 = Gc.counters () in
     let r = Option.get !report in
     let rate = float_of_int r.Loader.node_rows /. (ms /. 1000.0) in
+    let major = (major1 -. major0) /. float_of_int r.Loader.node_rows in
     T.add_row table
       [
         name;
@@ -46,9 +52,13 @@ let run () =
         string_of_int f;
         Printf.sprintf "%.2f" (ms /. 1000.0);
         Printf.sprintf "%.0f" rate;
+        Printf.sprintf "%.0f" major;
       ];
     Repo.close repo;
-    ("load_nodes_per_s_" ^ key, Json.Num rate)
+    [
+      ("load_nodes_per_s_" ^ key, Json.Num rate);
+      ("load_major_words_per_node_" ^ key, Json.Num major);
+    ]
   in
   (* Pages of every heap and index file of a repository holding only
      [tree], after close. *)
@@ -75,7 +85,7 @@ let run () =
   in
   (* Rows run in table order: [List.map] applies left to right. *)
   let fields =
-    List.map
+    List.concat_map
       (fun (name, key, tree, f, species) -> bench name ~key tree ~f ~species)
       [
         ("yule 10k, structure", "yule10k_f4", t10k, 4, []);
@@ -94,8 +104,9 @@ let run () =
   in
   note
     "Node, layer, subtree and summary rows are heap appends in id order,\n\
-     with one node_runs row per heap page of each: the only per-row index\n\
-     work is a by_name entry for each named node. f barely matters since\n\
-     higher layers shrink geometrically. Species data adds one chunk row\n\
-     (and one by_chunk entry) per 2 KiB of sequence.";
+     with one node_runs row per heap page of each, and the named nodes are\n\
+     sorted once and written as front-coded name blocks, about one page per\n\
+     few hundred names: no table takes a per-row index entry. f barely\n\
+     matters since higher layers shrink geometrically. Species data adds\n\
+     one chunk row (and one by_chunk entry) per 2 KiB of sequence.";
   emit_bench ~experiment:"E6" ~fields:(fields @ pages) ()

@@ -66,7 +66,9 @@ let collection name ~arity ~usage ~help ~run ~plan =
             (Collection.stats coll).Collection.s_dict_entries
             (Collection.n_trees coll)
         in
-        Printf.sprintf "plan for %s over collection %S" name n :: dict :: plan coll args)
+        Printf.sprintf "plan for %s over collection %S, opened by 1 find in \
+                        collections.by_name" name n
+        :: dict :: plan coll args)
   in
   let run repo args = opened repo args (fun n coll -> run n coll args) in
   { Query_lang.name; arity; usage; help; run; plan }
@@ -111,7 +113,9 @@ let table =
           ~run:(fun _ coll _ -> render_matrix (Collection.rf_matrix coll))
           ~plan:(fun coll _ ->
             [
-              Printf.sprintf "decode %d member id lists (deltas resolve through member 0)"
+              Printf.sprintf
+                "decode %d member id lists, 1 find each in members.by_id (deltas resolve \
+                 through member 0)"
                 (Collection.n_trees coll);
               "pairwise sorted-merge intersections: RF = |a|+|b|-2|a∩b|";
             ]);
@@ -120,7 +124,11 @@ let table =
           ~help:[ ("collstats(boot)", "dictionary / storage statistics") ]
           ~run:(fun name coll _ ->
             render_stats name (Profile.stage "stats" (fun () -> Collection.stats coll)))
-          ~plan:(fun _ _ -> [ "sum encoded row payloads, no decoding" ]);
+          ~plan:(fun _ _ ->
+            [
+              "prefix scan of members.by_id; sum encoded row payloads of the dictionary \
+               and the members, no decoding";
+            ]);
       ];
   }
 

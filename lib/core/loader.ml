@@ -5,6 +5,7 @@ module Table = Crimson_storage.Table
 module Record = Crimson_storage.Record
 module Key = Crimson_storage.Key
 module Clustered = Crimson_storage.Clustered
+module Btree = Crimson_storage.Btree
 
 let src = Logs.Src.create "crimson.loader" ~doc:"Crimson data loader"
 
@@ -65,24 +66,65 @@ let has_species repo ~tree_id ~name =
       false);
   !found
 
-let validate_species_names tree pairs ~check_duplicates repo =
+let validate_species_names tree pairs repo =
   List.iter
     (fun (name, _) ->
       (match Stored_tree.node_by_name tree name with
       | Some node when Stored_tree.is_leaf tree node -> ()
       | Some _ -> load_error "species %S names an internal node" name
       | None -> load_error "species %S is not a leaf of tree %S" name (Stored_tree.name tree));
-      if check_duplicates && has_species repo ~tree_id:(Stored_tree.id tree) ~name then
+      if has_species repo ~tree_id:(Stored_tree.id tree) ~name then
         load_error "species %S already has sequence data" name)
     pairs
+
+(* Every way a load can be refused, checked against the in-memory tree
+   [t] (preorder ids, its names [sorted] as the run will hold them)
+   before the first insert, so that a refused load writes nothing. The
+   species checks read no page: a species resolves, as the stored
+   lookup would, to the lowest id carrying its name. *)
+let check_load ~name ~tree_id t sorted species =
+  let too_long what bytes key limit =
+    load_error "%s of %d bytes is too long: its key takes %d bytes, at most %d" what bytes
+      key limit
+  in
+  let key = Schema.Trees.key_name name in
+  if String.length key > Btree.max_key then
+    too_long "the tree name" (String.length name) (String.length key) Btree.max_key;
+  Array.iter
+    (fun v ->
+      let bytes = String.length (Option.get (Tree.name t v)) in
+      if bytes > Name_run.max_name then
+        load_error "node %d's name of %d bytes is too long: at most %d" v bytes
+          Name_run.max_name)
+    sorted;
+  List.iter
+    (fun (species, _) ->
+      (match Name_run.lowest t sorted species with
+      | Some v when Tree.is_leaf t v -> ()
+      | Some _ -> load_error "species %S names an internal node" species
+      | None -> load_error "species %S is not a leaf of tree %S" species name);
+      (* A chunk's key ends with its 8-byte number. *)
+      let key = String.length (Schema.Species.key_name ~tree:tree_id ~name:species) + 8 in
+      if key > Btree.max_key then
+        too_long "a species name" (String.length species) key Btree.max_key)
+    species;
+  let rec distinct = function
+    | a :: (b :: _ as rest) ->
+        if String.equal a b then load_error "species %S is given twice" a;
+        distinct rest
+    | [ _ ] | [] -> ()
+  in
+  distinct (List.sort String.compare (List.map fst species))
 
 let load_tree_internal ?(f = 8) repo ~name tree ~species =
   if name_taken repo name then load_error "a tree named %S is already loaded" name;
   let tree_id = next_tree_id repo in
-  Log.info (fun m ->
-      m "loading tree %S (#%d): %d nodes, f=%d" name tree_id (Tree.node_count tree) f);
   (* Renumber to dense preorder ids so that parents precede children. *)
   let t, _mapping = Ops.copy_with_mapping tree in
+  let sorted = Name_run.sort t in
+  check_load ~name ~tree_id t sorted species;
+  Log.info (fun m ->
+      m "loading tree %S (#%d): %d nodes, f=%d" name tree_id (Tree.node_count tree) f);
   let ix = Layered.build ~f t in
   let root_dist = Tree.root_distance t in
   (* Leaf ordinal intervals per node: leaves numbered in preorder. Ids
@@ -129,7 +171,7 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
   (* Every table below is clustered: rows go in id order, one group per
      tree or per (tree, layer), and the directory records where each
      run of them landed. A [nodes] run keeps its first row's [leaf_lo]
-     as its mark, for leaf ordinals. *)
+     as its mark, for leaf ordinals; a [names] block its first name. *)
   let clustered = Repo.clustered repo in
   let nodes =
     Clustered.write (clustered Repo.nodes) [ tree_id ] ~rows:n
@@ -139,6 +181,7 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
           Log.info (fun m -> m "  … %d node rows written" v);
         node_row v)
   in
+  let names = Name_run.write repo ~tree:tree_id t sorted in
   (* Higher layers and subtree roots. *)
   let layer_rows = ref 0 in
   let subtree_rows = ref 0 in
@@ -177,19 +220,13 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
          Record.VInt n_leaves;
        |]);
   let stored = Stored_tree.open_id repo tree_id in
-  (* Hand back a warm handle: the node runs just written, their leaf
-     maps, and views of the lowest ids — the ones species validation and
-     the first queries read — from rows still in memory, so no page is
-     read for any of them. *)
-  Stored_tree.prime stored nodes ~subtree_end (fun v -> Node_view.of_row (node_row v));
-  (* Species data, validated against the stored tree. *)
-  let species_rows =
-    match species with
-    | [] -> 0
-    | pairs ->
-        validate_species_names stored pairs ~check_duplicates:false repo;
-        insert_species_rows repo ~tree_id pairs
-  in
+  (* Hand back a warm handle: the node runs and the name run just
+     written, the leaf maps, and views of the lowest ids — the ones the
+     first queries read — from rows still in memory, so no page is read
+     for any of them. *)
+  Stored_tree.prime stored nodes ~names ~subtree_end (fun v ->
+      Node_view.of_row (node_row v));
+  let species_rows = insert_species_rows repo ~tree_id species in
   Repo.flush repo;
   Log.info (fun m ->
       m "loaded %S: %d node rows, %d layer rows, %d subtree rows, %d summary rows, %d species rows"
@@ -206,7 +243,7 @@ let load_tree ?f ?(species = []) repo ~name tree =
   load_tree_internal ?f repo ~name tree ~species
 
 let append_species repo tree pairs =
-  validate_species_names tree pairs ~check_duplicates:true repo;
+  validate_species_names tree pairs repo;
   let rows = insert_species_rows repo ~tree_id:(Stored_tree.id tree) pairs in
   Repo.flush repo;
   Log.info (fun m -> m "appended %d species rows to %S" rows (Stored_tree.name tree));
@@ -280,6 +317,7 @@ let delete_tree repo stored =
   | None -> ());
   let clustered = Repo.clustered repo in
   Clustered.delete (clustered Repo.nodes) [ tree_id ];
+  Clustered.delete (clustered Repo.names) [ tree_id ];
   for layer = 0 to Stored_tree.layer_count stored - 1 do
     if layer > 0 then Clustered.delete (clustered Repo.layers) [ tree_id; layer ];
     Clustered.delete (clustered Repo.subtrees) [ tree_id; layer ];
@@ -300,6 +338,7 @@ let delete_tree repo stored =
 let check_runs repo =
   let clustered = Repo.clustered repo in
   let tables = [ Repo.nodes; Repo.layers; Repo.subtrees; Repo.summaries ] in
+  let live = Stored_tree.list_all repo in
   let expected = Hashtbl.create 64 in
   List.iter
     (fun (id, _) ->
@@ -316,7 +355,7 @@ let check_runs repo =
         expect Repo.subtrees [ id; layer ] !subtrees;
         expect Repo.summaries [ id; layer ] !subtrees
       done)
-    (Stored_tree.list_all repo);
+    live;
   let problems = ref [] in
   List.iter
     (fun table ->
@@ -343,4 +382,32 @@ let check_runs repo =
           (String.concat ", " (List.map string_of_int key))
         :: !problems)
     expected;
+  (* Each live tree's name run, against the names its node rows hold. *)
+  List.iter
+    (fun key ->
+      match key with
+      | [ id ] when List.mem_assoc id live -> ()
+      | _ ->
+          problems :=
+            Printf.sprintf "names: runs of a group no live tree has: %s"
+              (String.concat ", " (List.map string_of_int key))
+            :: !problems)
+    (Clustered.groups (clustered Repo.names));
+  List.iter
+    (fun (id, _) ->
+      let stored = Stored_tree.open_id repo id in
+      let names = Array.make (Stored_tree.node_count stored) "" in
+      match
+        Stored_tree.scan stored ~lo:0 ~hi:(Array.length names - 1) (fun v ->
+            names.(v.Node_view.node) <- v.Node_view.name;
+            v.Node_view.node + 1);
+        Name_run.check (Name_run.open_run repo ~tree:id) ~names
+      with
+      | Ok () -> ()
+      | Error e -> problems := e :: !problems
+      | exception Crimson_storage.Error.Error e ->
+          problems :=
+            Printf.sprintf "names (%d): %s" id (Crimson_storage.Error.to_string e)
+            :: !problems)
+    live;
   List.sort compare !problems

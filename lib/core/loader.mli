@@ -4,9 +4,10 @@
     A tree is renumbered to dense preorder ids, its hierarchical layered
     index is built in memory, and everything is written to the clustered
     [nodes], [layers], [subtrees] and [summaries] tables — in id order,
-    with their runs in [node_runs] — before the tree's catalog row.
-    Species sequences are chunked into the [species] table and may also
-    be appended to an already-loaded tree. *)
+    with their runs in [node_runs] — and its named nodes to its name run
+    ({!Name_run}), before the tree's catalog row. Species sequences are
+    chunked into the [species] table and may also be appended to an
+    already-loaded tree. *)
 
 exception Load_error of string
 
@@ -27,12 +28,15 @@ val load_tree :
   report
 (** Load a tree under a unique name. [f] (default 8) is the layered-index
     depth bound. [species] are (leaf name, sequence) pairs stored in the
-    Species Repository; names must match leaves of the tree. Raises
-    {!Load_error} on duplicate tree names or unknown species names, and
-    logs progress on the [crimson.loader] source (the GUI's "messages
-    about the loading status"). The returned handle already holds the
-    tree's node runs, their leaf maps and views of its lowest ids, so
-    its first reads need no page. *)
+    Species Repository; names must match leaves of the tree, each once.
+    Raises {!Load_error}, having written nothing, on a duplicate tree
+    name, a tree name too long for its index key, a node name longer
+    than {!Name_run.max_name}, and a species name that is not a leaf's,
+    is given twice or is too long for its index key. Logs progress on
+    the [crimson.loader] source (the GUI's "messages about the loading
+    status"). The returned handle already holds the tree's node runs,
+    their leaf maps and views of its lowest ids, so its first reads need
+    no page. *)
 
 val append_species : Repo.t -> Stored_tree.t -> (string * string) list -> int
 (** Append species data to an existing tree ("append species data to an
@@ -57,8 +61,9 @@ val fetch_tree : Stored_tree.t -> Crimson_tree.Tree.t
 
 val delete_tree : Repo.t -> Stored_tree.t -> unit
 (** Remove the tree's rows from every repository table: its catalog row
-    first, then each of its clustered groups through its runs, then its
-    species rows through their index. No table is scanned. *)
+    first, then each of its clustered groups — its name run among them —
+    through their runs, then its species rows through their index. No
+    table is scanned. *)
 
 val check_runs : Repo.t -> string list
 (** The directory check, one line per problem ([[]] when none): for each
@@ -66,4 +71,5 @@ val check_runs : Repo.t -> string list
     every live tree exactly once — [n] the tree's node count, a layer's
     subtree count below it, one top cluster — every row decodes at its
     own rid with its key, and no runs are left of a group that no live
-    tree has. *)
+    tree has. Each live tree's name run passes {!Name_run.check} against
+    the names of its node rows. *)

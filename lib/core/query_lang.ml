@@ -189,7 +189,10 @@ let names_of stored nodes = String.concat ", " (List.map (node_label stored) nod
 let step = Printf.sprintf
 
 let resolve_step k =
-  step "resolve %d name(s): 1 B+tree find each in nodes.by_name (node ids pass through)" k
+  step
+    "resolve %d name(s): each a search of the names run's directory in memory, 1 page pin \
+     and at most 16 entries decoded (node ids pass through)"
+    k
 
 let layers e = Stored_tree.layer_count e.stored
 

@@ -7,6 +7,7 @@ type t = {
   db : Database.t;
   trees : Table.t;
   nodes : Table.t;
+  names : Table.t;
   layers : Table.t;
   node_runs : Table.t;
   subtrees : Table.t;
@@ -25,7 +26,7 @@ let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
 
 (* The layout of every table below. A repository records it in its
    catalog when created; any other version is refused, not migrated. *)
-let format_version = 1
+let format_version = 2
 
 (* Checked before the log is read, so a refused open leaves it as it
    was. A new repository (version 0, no tables) takes this version. *)
@@ -42,10 +43,11 @@ let open_tables db =
   (* One at a time: a new repository lists them in its catalog in this
      order. *)
   let trees = table "trees" Schema.Trees.schema Schema.Trees.indexes in
-  let nodes = table "nodes" Schema.Nodes.schema Schema.Nodes.indexes in
+  let nodes = table "nodes" Schema.Nodes.schema [] in
   let node_runs =
     table "node_runs" Clustered.directory_schema Clustered.directory_indexes
   in
+  let names = table "names" Schema.Names.schema [] in
   let layers = table "layers" Schema.Layers.schema [] in
   let subtrees = table "subtrees" Schema.Subtrees.schema [] in
   let species = table "species" Schema.Species.schema Schema.Species.indexes in
@@ -60,6 +62,7 @@ let open_tables db =
     db;
     trees;
     nodes;
+    names;
     node_runs;
     layers;
     subtrees;
@@ -120,6 +123,7 @@ let dir t = Database.dir t.db
 let mode t = Database.mode t.db
 let trees t = t.trees
 let nodes t = t.nodes
+let names t = t.names
 let node_runs t = t.node_runs
 let layers t = t.layers
 let subtrees t = t.subtrees

@@ -23,7 +23,9 @@ exception Open_error of string
     in place. *)
 
 val format_version : int
-(** The layout this version reads and writes. *)
+(** The layout this version reads and writes: 2, where each tree's names
+    are a sorted run of the [names] table (see {!Name_run}). Version 1
+    found them through a [nodes.by_name] B+tree. *)
 
 val open_dir :
   ?pool_size:int ->
@@ -65,9 +67,12 @@ val mode : t -> Database.mode
 val trees : t -> Table.t
 val nodes : t -> Table.t
 
+val names : t -> Table.t
+(** Each tree's name run (see {!Schema.Names} and {!Name_run}). *)
+
 val node_runs : t -> Table.t
-(** The run directory of the clustered tables: [nodes], [layers],
-    [subtrees] and [summaries] (see {!clustered}). *)
+(** The run directory of the clustered tables: [nodes], [names],
+    [layers], [subtrees] and [summaries] (see {!clustered}). *)
 
 val clustered : t -> (t -> Table.t) -> Crimson_storage.Clustered.t
 (** [clustered repo table] is one of the clustered tables, with the

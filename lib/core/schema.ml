@@ -3,7 +3,7 @@ module Table = Crimson_storage.Table
 module Key = Crimson_storage.Key
 
 let ix name key unique : Table.index_spec =
-  { Table.index_name = name; key_of_row = (fun row -> Some (key row)); unique }
+  { Table.index_name = name; key_of_row = key; unique }
 
 module Trees = struct
   let schema : Record.schema =
@@ -62,22 +62,11 @@ module Nodes = struct
   let c_leaf_lo = 9
   let c_leaf_hi = 10
   let c_subtree_end = 11
-  let key_name ~tree name = Key.cat [ Key.int tree; Key.text name ]
+end
 
-  (* Names only: an unnamed node has no entry, since no lookup asks for
-     the empty name. *)
-  let indexes =
-    [
-      {
-        Table.index_name = "by_name";
-        key_of_row =
-          (fun row ->
-            match Record.get_text row c_name with
-            | "" -> None
-            | name -> Some (key_name ~tree:(Record.get_int row c_tree) name));
-        unique = false;
-      };
-    ]
+module Names = struct
+  let schema : Record.schema =
+    [| ("tree", Record.Int); ("block", Record.Int); ("entries", Record.Blob) |]
 end
 
 module Layers = struct

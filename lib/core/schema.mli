@@ -6,14 +6,16 @@
     - [trees] — one row per loaded tree (metadata, labeling parameters);
     - [nodes] — layer-0 rows: structure, branch length, cumulative
       root distance, layered-label fields, descendant-leaf interval and
-      the last preorder id of the node's subtree, indexed by name only;
+      the last preorder id of the node's subtree;
+    - [names] — each tree's named nodes sorted by (name, id),
+      front-coded into page-sized blocks (see {!Name_run});
     - [layers] — nodes of layers >= 1 of the hierarchical index;
     - [subtrees] — per (layer, subtree id): the subtree's root node;
     - [summaries] — precomputed per-clade rollups;
-    - [node_runs] — the run directory of those four clustered tables
+    - [node_runs] — the run directory of those five clustered tables
       (see [Crimson_storage.Clustered]): their rows are written in key
-      order, one group per tree ([nodes]) or per (tree, layer), and
-      found by id with no B+tree;
+      order, one group per tree ([nodes], [names]) or per (tree,
+      layer), and found by id, or by first name, with no B+tree;
     - [species] — sequence data, chunked to fit pages;
     - [queries] — the Query Repository (history of user queries).
 
@@ -46,9 +48,10 @@ end
     ([subtree_end = n]) and ancestry without a parent index. It is the
     last column, appended after the leaf interval.
 
-    There is no index on (tree, node): a clustered table, one group
-    per tree, written in id order. Every row keeps its [tree] and [node]
-    columns so a read can check it got the row it asked for. *)
+    There is no index on the table: a clustered table, one group per
+    tree, written in id order. Every row keeps its [tree] and [node]
+    columns so a read can check it got the row it asked for. Names are
+    found through the tree's [names] run. *)
 module Nodes : sig
   val schema : Record.schema
   val c_tree : int
@@ -63,12 +66,15 @@ module Nodes : sig
   val c_leaf_lo : int
   val c_leaf_hi : int
   val c_subtree_end : int
+end
 
-  val indexes : Table.index_spec list
-  (** [by_name] (tree, name), non-unique and partial: unnamed nodes have
-      no entry. *)
-
-  val key_name : tree:int -> string -> string
+(** [names] columns: (tree, block, entries). A clustered table, one
+    sorted group per tree: block [b] holds a page-sized run of the
+    tree's named nodes in (name, id) order, and its directory row holds
+    the block's first (name, id). {!Name_run} writes and reads the
+    entries. *)
+module Names : sig
+  val schema : Record.schema
 end
 
 (** [layers] columns (layers >= 1): (tree, layer, node, parent,

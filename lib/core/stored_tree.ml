@@ -16,6 +16,7 @@ type t = {
   cache : Node_view.cache;
   mutable frontier : (float * Node_view.t list) option;
       (* the last frontier scanned, with its cut time *)
+  mutable names : Name_run.t option; (* read on the first lookup by name *)
 }
 
 let of_meta_row ?cache_capacity repo row =
@@ -32,6 +33,7 @@ let of_meta_row ?cache_capacity repo row =
     cache =
       Node_view.create_cache ?capacity:cache_capacity repo ~tree:id ~nodes:node_count;
     frontier = None;
+    names = None;
   }
 
 let open_id ?cache_capacity repo id =
@@ -107,7 +109,9 @@ let leaf_interval t node =
 
 let is_leaf t node = subtree_end t node = node
 let scan t ~lo ~hi f = Node_view.scan t.cache ~lo ~hi f
-let prime t nodes ~subtree_end view_of = Node_view.prime t.cache nodes ~subtree_end view_of
+let prime t nodes ~names ~subtree_end view_of =
+  t.names <- Some names;
+  Node_view.prime t.cache nodes ~subtree_end view_of
 let group t table ~layer = Node_view.group t.cache table ~layer
 
 (* A preorder skip-scan from the root: a node past the cut time is on
@@ -145,14 +149,16 @@ let leaf_by_ordinal t ord =
 
 let node_by_name t name =
   if name = "" then None
-  else begin
-    let found = ref None in
-    Table.iter_index (Repo.nodes t.repo) ~index:"by_name"
-      ~prefix:(Schema.Nodes.key_name ~tree:t.id name) (fun _ row ->
-        found := Some (Record.get_int row Schema.Nodes.c_node);
-        false);
-    !found
-  end
+  else
+    let run =
+      match t.names with
+      | Some run -> run
+      | None ->
+          let run = Name_run.open_run t.repo ~tree:t.id in
+          t.names <- Some run;
+          run
+    in
+    Name_run.find run name
 
 let leaf_ids_by_names t names =
   let rec go acc = function

@@ -19,9 +19,9 @@
     invariant lets {!scan} skip whole subtrees and lets {!Projection}
     sort leaves as integers.
 
-    Rows are located by id through the directory of the clustered
-    tables, each group read on the handle's first access that needs it,
-    so {!open_id} and {!open_name} cost one catalog read. Beside its views, a handle keeps
+    Rows are located by id, and nodes by name, through the directory of
+    the clustered tables, each group read on the handle's first access
+    that needs it, so {!open_id} and {!open_name} cost one catalog read. Beside its views, a handle keeps
     the leaf map of each run it has resolved an ordinal in (all of them
     on a handle the loader returns) and the last time-sampling frontier
     it scanned ({!frontier}). *)
@@ -111,10 +111,15 @@ val scan : t -> lo:int -> hi:int -> (Node_view.t -> int) -> unit
     [v.subtree_end + 1] skips [v]'s subtree. See {!Node_view.scan}. *)
 
 val prime :
-  t -> Crimson_storage.Clustered.group -> subtree_end:int array -> (int -> Node_view.t) -> unit
-(** Hand the handle the tree's [nodes] group and its leaf maps, and admit
-    views of the lowest ids to its cache, up to its capacity, without
-    storage reads (see {!Node_view.prime}). *)
+  t ->
+  Crimson_storage.Clustered.group ->
+  names:Name_run.t ->
+  subtree_end:int array ->
+  (int -> Node_view.t) ->
+  unit
+(** Hand the handle the tree's [nodes] group and its leaf maps, and its
+    name run, and admit views of the lowest ids to its cache, up to its
+    capacity, without storage reads (see {!Node_view.prime}). *)
 
 val group :
   t -> (Repo.t -> Crimson_storage.Table.t) -> layer:int -> Crimson_storage.Clustered.group
@@ -122,8 +127,10 @@ val group :
     [nodes], kept after its first read (see {!Node_view.group}). *)
 
 val node_by_name : t -> string -> int option
-(** First node carrying the name (index lookup, not a scan). [None] for
-    [""] without a read: unnamed nodes are not indexed. *)
+(** The lowest id carrying the name, found through the tree's name run
+    (see {!Name_run}): a search of its directory, read on the handle's
+    first lookup, then at most one page pin. [None] for [""] without a
+    read: unnamed nodes have no entry. *)
 
 val leaf_ids_by_names : t -> string list -> (int list, string) result
 (** Resolve leaf names; [Error name] on the first unknown or non-leaf

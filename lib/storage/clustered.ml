@@ -5,7 +5,9 @@
    tombstones never split a live group's runs because slots are never
    reused). One directory row per run is about one row per heap page,
    and locating id [i] is a binary search plus [rid + (i - first)]:
-   slots are the low bits of a rid. *)
+   slots are the low bits of a rid. A sorted group's rows are page-sized
+   blocks, so giving each its own run, with its first key, keeps that
+   one directory row per page. *)
 
 module R = Record.Reader
 
@@ -13,7 +15,7 @@ type t = { table : Table.t; directory : Table.t }
 
 let create table ~directory = { table; directory }
 
-type run = { first : int; rows : int; rid : Heap.rid; mark : int }
+type run = { first : int; rows : int; rid : Heap.rid; mark : int; key : string }
 
 type group = {
   c : t;
@@ -33,6 +35,7 @@ let directory_schema : Record.schema =
     ("rows", Record.Int);
     ("rid", Record.Int);
     ("mark", Record.Int);
+    ("key", Record.Blob);
   |]
 
 let encode_group key = Key.cat (List.map Key.int key)
@@ -43,12 +46,11 @@ let directory_indexes =
       Table.index_name = "by_first";
       key_of_row =
         (fun row ->
-          Some
-            (Key.cat
-               [
-                 Key.text (Record.get_text row 0); Record.get_blob row 1;
-                 Key.int (Record.get_int row 2);
-               ]));
+          Key.cat
+            [
+              Key.text (Record.get_text row 0); Record.get_blob row 1;
+              Key.int (Record.get_int row 2);
+            ]);
       unique = true;
     };
   ]
@@ -77,7 +79,7 @@ let group_of c key runs =
 let open_group t key =
   let run_of (_, row) =
     let int = Record.get_int row in
-    { first = int 2; rows = int 3; rid = int 4; mark = int 5 }
+    { first = int 2; rows = int 3; rid = int 4; mark = int 5; key = Record.get_blob row 6 }
   in
   group_of t key (Array.of_list (List.map run_of (directory_rows t key)))
 
@@ -88,7 +90,7 @@ let show_key ints = "(" ^ String.concat ", " (List.map string_of_int ints) ^ ")"
 
 (* ------------------------------ Write ------------------------------ *)
 
-let write t key ?(mark = fun _ -> 0) ~rows row =
+let write t key ?(mark = fun _ -> 0) ?first_key ~rows row =
   let rids =
     Array.init rows (fun id ->
         let values = row id in
@@ -105,11 +107,14 @@ let write t key ?(mark = fun _ -> 0) ~rows row =
   let runs = ref [] and first = ref 0 in
   for i = 1 to rows do
     if
-      i = rows
+      i = rows || first_key <> None
       || Heap.rid_page rids.(i) <> Heap.rid_page rids.(i - 1)
       || Heap.rid_slot rids.(i) <> Heap.rid_slot rids.(i - 1) + 1
     then begin
-      let run = { first = !first; rows = i - !first; rid = rids.(!first); mark = mark !first } in
+      let key = match first_key with Some k -> k !first | None -> "" in
+      let run =
+        { first = !first; rows = i - !first; rid = rids.(!first); mark = mark !first; key }
+      in
       runs := run :: !runs;
       first := i
     end
@@ -122,7 +127,7 @@ let write t key ?(mark = fun _ -> 0) ~rows row =
            Record.
              [|
                VText (Table.name t.table); VBlob (encode_group key); VInt r.first;
-               VInt r.rows; VInt r.rid; VInt r.mark;
+               VInt r.rows; VInt r.rid; VInt r.mark; VBlob r.key;
              |]))
     runs;
   group_of t key runs
@@ -152,6 +157,18 @@ let run_index g id =
     let r = search 0 (Array.length runs - 1) in
     g.hint <- r;
     r
+
+let below g key =
+  let runs = g.runs in
+  (* runs.(lo).key < key <= runs.(hi + 1).key *)
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if String.compare runs.(mid).key key < 0 then search mid hi else search lo (mid - 1)
+  in
+  if Array.length runs = 0 || String.compare runs.(0).key key >= 0 then -1
+  else runs.(search 0 (Array.length runs - 1)).first
 
 let rid_of g id =
   let run = g.runs.(run_index g id) in
@@ -263,6 +280,12 @@ let check g ~rows =
       let run = g.runs.(r) in
       if run.first <> next then fail "run %d starts at id %d, not %d" r run.first next
       else if run.rows <= 0 then fail "run %d holds %d rows" r run.rows
+      else if run.key <> "" && run.rows <> 1 then
+        fail "run %d of a sorted group holds %d rows" r run.rows
+      else if r > 0 && (run.key = "") <> (g.runs.(0).key = "") then
+        fail "run %d has a key where run 0 has none, or none where it has one" r
+      else if r > 0 && run.key <> "" && String.compare g.runs.(r - 1).key run.key >= 0 then
+        fail "run %d's first key does not follow run %d's" r (r - 1)
       else runs_ok (r + 1) (next + run.rows)
   in
   match runs_ok 0 0 with

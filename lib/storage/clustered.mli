@@ -8,9 +8,17 @@
     A group is written once, in id order ({!write}), so the rids its
     inserts return form runs of consecutive slots of one heap page. The
     directory holds one row per run: the run's first id, its row count,
-    its first rid and a mark the writer chooses (Crimson's [nodes] runs
-    keep their first row's leaf ordinal there). Every clustered table of
-    a database shares one directory table ({!directory_schema}).
+    its first rid, a mark the writer chooses (Crimson's [nodes] runs
+    keep their first row's leaf ordinal there) and a first key. Every
+    clustered table of a database shares one directory table
+    ({!directory_schema}).
+
+    A group is dense or sorted. A dense group is found by id alone, and
+    its runs' keys are empty. A sorted group's rows also ascend by a
+    byte-string key the writer gives ([~first_key]): each row is then a
+    run of its own, with its first key in the directory, so {!below}
+    finds the row that can hold a key with no read. Crimson's [names]
+    table is sorted: one page-sized block of names per row.
 
     A point lookup is a binary search of the group's runs, one page pin
     and a decode checked against the group and the id. A range scan
@@ -30,7 +38,8 @@ val create : Table.t -> directory:Table.t -> t
 
 val directory_schema : Record.schema
 (** The directory's columns: [table] (the clustered table's name),
-    [group] (its ints, {!Key}-encoded), [first], [rows], [rid], [mark]. *)
+    [group] (its ints, {!Key}-encoded), [first], [rows], [rid], [mark],
+    [key]. *)
 
 val directory_indexes : Table.index_spec list
 (** [by_first] (table, group, first), unique. *)
@@ -45,13 +54,22 @@ type run = {
   rows : int;  (** Ids [first .. first + rows - 1]. *)
   rid : Heap.rid;  (** The rid of id [first]; the others follow slot by slot. *)
   mark : int;  (** The writer's value for the run's first row. *)
+  key : string;  (** A sorted group's key for the run's one row; [""] in a dense group. *)
 }
 
 val write :
-  t -> int list -> ?mark:(int -> int) -> rows:int -> (int -> Record.value array) -> group
+  t ->
+  int list ->
+  ?mark:(int -> int) ->
+  ?first_key:(int -> string) ->
+  rows:int ->
+  (int -> Record.value array) ->
+  group
 (** [write t key ~rows row] inserts [row 0 .. row (rows - 1)] in id order
     and one directory row per run of the rids they land at; [mark id]
-    (default 0) is stored with each run that starts at [id]. Raises
+    (default 0) is stored with each run that starts at [id]. With
+    [first_key] the group is sorted: every row is a run of its own,
+    stored with [first_key id], and the keys must ascend. Raises
     [Invalid_argument] when a row does not begin with [key] and its id. *)
 
 val open_group : t -> int list -> group
@@ -63,6 +81,11 @@ val size : group -> int
 
 val runs : group -> run array
 (** In id order, covering [0 .. size - 1]. Do not mutate. *)
+
+val below : group -> string -> int
+(** [below g key] is the last row of a sorted group whose first key sorts
+    before [key] ([String.compare]), or [-1] when none does: a binary
+    search of the keys in memory. *)
 
 val find : group -> int -> (Record.Reader.t -> 'a) -> 'a option
 (** [find g id decode] locates [id], pins its page and checks the row's
@@ -89,4 +112,5 @@ val groups : t -> int list list
 val check : group -> rows:int -> (unit, string) result
 (** The directory check: the runs cover ids [0 .. rows - 1] exactly
     once, in order, and every row decodes in full at its own rid with
-    the group's key and its id. *)
+    the group's key and its id. In a sorted group every run holds one
+    row and the first keys ascend strictly. *)

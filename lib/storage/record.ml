@@ -95,6 +95,13 @@ module Reader = struct
     r.pos <- r.pos + n;
     s
 
+  let in_place r f =
+    let n = varint r in
+    need r n;
+    let off = r.pos in
+    r.pos <- r.pos + n;
+    f r.buf off n
+
   let finish r =
     if r.pos <> r.limit then type_error "payload has %d trailing bytes" (r.limit - r.pos)
 end

@@ -46,6 +46,11 @@ module Reader : sig
   val text : t -> string
   (** A [Text] or [Blob] field, copied out of the buffer. *)
 
+  val in_place : t -> (bytes -> int -> int -> 'a) -> 'a
+  (** A [Text] or [Blob] field with no copy: [in_place r f] is
+      [f buf off len] over the field's bytes where they lie. [f] must not
+      keep [buf]. *)
+
   val finish : t -> unit
   (** Raises {!Type_error} when bytes remain past the last field. *)
 end

@@ -2,7 +2,7 @@ exception Constraint_violation of string
 
 type index_spec = {
   index_name : string;
-  key_of_row : Record.value array -> string option;
+  key_of_row : Record.value array -> string;
   unique : bool;
 }
 
@@ -18,15 +18,12 @@ let name t = t.name
 let schema t = t.schema
 
 (* Non-unique indexes append the rid, keeping every B+tree key distinct
-   while preserving range order. A row whose key is [None] has no entry
-   in that index. *)
+   while preserving range order. *)
 let stored_key spec key rid =
   if spec.unique then key else Key.cat [ key; Key.int rid ]
 
 let index_row spec btree row rid =
-  match spec.key_of_row row with
-  | Some key -> Btree.insert btree ~key:(stored_key spec key rid) rid
-  | None -> ()
+  Btree.insert btree ~key:(stored_key spec (spec.key_of_row row) rid) rid
 
 let find_index t ~index =
   match List.find_opt (fun (spec, _) -> String.equal spec.index_name index) t.indexes with
@@ -38,14 +35,11 @@ let insert t row =
   (* Check unique constraints before touching storage. *)
   List.iter
     (fun (spec, btree) ->
-      if spec.unique then
-        match spec.key_of_row row with
-        | Some key when Btree.find btree ~key <> None ->
-            raise
-              (Constraint_violation
-                 (Printf.sprintf "table %s: duplicate key in unique index %s" t.name
-                    spec.index_name))
-        | Some _ | None -> ())
+      if spec.unique && Btree.find btree ~key:(spec.key_of_row row) <> None then
+        raise
+          (Constraint_violation
+             (Printf.sprintf "table %s: duplicate key in unique index %s" t.name
+                spec.index_name)))
     t.indexes;
   let rid = Heap.insert t.heap (Record.encode t.schema row) in
   List.iter (fun (spec, btree) -> index_row spec btree row rid) t.indexes;
@@ -79,9 +73,7 @@ let delete t rid =
   | Some row ->
       List.iter
         (fun (spec, btree) ->
-          match spec.key_of_row row with
-          | Some key -> ignore (Btree.delete btree ~key:(stored_key spec key rid))
-          | None -> ())
+          ignore (Btree.delete btree ~key:(stored_key spec (spec.key_of_row row) rid)))
         t.indexes;
       Heap.delete t.heap rid;
       true

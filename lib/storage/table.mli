@@ -5,8 +5,7 @@
     (computed from the row with the {!Key} encoders) to the row's rid;
     non-unique indexes get the rid appended to the key internally so all
     entries remain distinct and range scans return duplicates in stable
-    order. An index may be partial: rows whose key is [None] have no
-    entry in it.
+    order. Every row has an entry in every index of its table.
 
     Rows can also be read by rid with no index at all: {!get} decodes a
     value array, {!with_payload} hands the encoded bytes in place to a
@@ -18,10 +17,8 @@ exception Constraint_violation of string
 
 type index_spec = {
   index_name : string;
-  key_of_row : Record.value array -> string option;
-      (** Order-preserving encoded key (see {!Key}), or [None] to leave
-          the row out of this index: in {!insert}, the unique check,
-          {!delete}, {!rebuild_index} and {!vacuum}. *)
+  key_of_row : Record.value array -> string;
+      (** Order-preserving encoded key (see {!Key}). *)
   unique : bool;
 }
 

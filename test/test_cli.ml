@@ -145,6 +145,29 @@ let test_error_reporting () =
       let err = expect_failure [ "match"; "-r"; repo; "-t"; "t"; bad ] in
       check Alcotest.bool "parse error reported" true (contains "Newick" err))
 
+(* A refused load writes nothing: a tree name too long for its index is
+   a load error, reported and exited like a duplicate tree name, and the
+   repository then lists no tree. *)
+let test_refused_load () =
+  with_workspace (fun dir ->
+      let repo = Filename.concat dir "repo" in
+      let nexus = Filename.concat dir "t.nex" in
+      ignore
+        (expect_success
+           [ "simulate"; "--model"; "yule"; "--leaves"; "10"; "--seed"; "1"; "-o"; nexus ]);
+      let status, _, err =
+        run_cli [ "load"; "-r"; repo; nexus; "-n"; String.make 600 'n' ]
+      in
+      check Alcotest.int "exit status" 124 status;
+      check Alcotest.bool "a load error" true (contains "crimson: load failed: " err);
+      let out = expect_success [ "list"; "-r"; repo ] in
+      check Alcotest.bool "no tree listed" true (contains "no trees" out);
+      ignore (expect_success [ "load"; "-r"; repo; nexus; "-n"; "t" ]);
+      let status, _, err = run_cli [ "load"; "-r"; repo; nexus; "-n"; "t" ] in
+      check Alcotest.int "a duplicate name exits the same" 124 status;
+      check Alcotest.bool "a duplicate name is a load error" true
+        (contains "crimson: load failed: " err))
+
 let test_append_species_cli () =
   with_workspace (fun dir ->
       let repo = Filename.concat dir "repo" in
@@ -294,6 +317,7 @@ let () =
           Alcotest.test_case "full workflow" `Slow test_full_workflow;
           Alcotest.test_case "error reporting" `Quick test_error_reporting;
           Alcotest.test_case "append species" `Quick test_append_species_cli;
+          Alcotest.test_case "refused load writes nothing" `Quick test_refused_load;
           Alcotest.test_case "stats and metrics" `Quick test_stats_and_metrics;
           Alcotest.test_case "serve help lists verbs and routes" `Quick test_serve_help;
           Alcotest.test_case "lca and clade are queries" `Quick test_lca_clade_are_queries;

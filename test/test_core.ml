@@ -14,6 +14,7 @@ module Clade = Crimson_core.Clade
 module Pattern = Crimson_core.Pattern
 module Summary = Crimson_core.Summary
 module Query_lang = Crimson_core.Query_lang
+module Name_run = Crimson_core.Name_run
 module Table = Crimson_storage.Table
 module Prng = Crimson_util.Prng
 module Cost = Crimson_obs.Cost
@@ -75,6 +76,85 @@ let test_load_duplicate_name () =
   match Loader.load_tree repo ~name:"figure1" fx.tree with
   | exception Loader.Load_error _ -> ()
   | _ -> Alcotest.fail "duplicate name accepted"
+
+(* A refused load writes nothing: each refusal raises [Load_error] before
+   the first insert, so afterwards the catalog, every table's rows and
+   the run directory are as they were, and the next load takes the next
+   tree id. The repository is on disk and reopened, so nothing written
+   by the refused load could hide in the pool. *)
+let refused_load_writes_nothing load () =
+  with_temp_dir (fun dir ->
+      let repo = Repo.open_dir dir in
+      let fx = Helpers.figure1 () in
+      ignore (Loader.load_tree repo ~name:"a" fx.tree);
+      let rows repo =
+        List.map
+          (fun table -> Table.row_count (table repo))
+          Repo.[ trees; nodes; names; node_runs; layers; subtrees; summaries; species ]
+      in
+      let before = (Stored_tree.list_all repo, rows repo) in
+      (match load repo with
+      | _ -> Alcotest.fail "the load was not refused"
+      | exception Loader.Load_error _ -> ());
+      Repo.close repo;
+      let repo = Repo.open_dir dir in
+      check
+        Alcotest.(pair (list (pair int string)) (list int))
+        "catalog and rows unchanged" before
+        (Stored_tree.list_all repo, rows repo);
+      check Alcotest.(list string) "directory check" [] (Loader.check_runs repo);
+      let next = Loader.load_tree repo ~name:"b" fx.tree in
+      check Alcotest.int "the next load takes the next id" 1 (Stored_tree.id next.tree);
+      check Alcotest.(list string) "directory check after it" [] (Loader.check_runs repo);
+      Repo.close repo)
+
+let load_named_leaf repo ?species name =
+  let species = Option.map (fun seq -> [ (name, seq) ]) species in
+  Loader.load_tree repo ?species ~name:"b"
+    (Newick.parse (Printf.sprintf "((%s,B)x,C);" name))
+
+let test_refused_unknown_species =
+  refused_load_writes_nothing (fun repo ->
+      let fx = Helpers.figure1 () in
+      Loader.load_tree repo ~name:"b"
+        ~species:[ ("Bha", "ACGT"); ("nope", "ACGT") ]
+        fx.tree)
+
+let test_refused_long_tree_name =
+  refused_load_writes_nothing (fun repo ->
+      let fx = Helpers.figure1 () in
+      Loader.load_tree repo ~name:(String.make 600 'n') fx.tree)
+
+let test_refused_long_node_name =
+  refused_load_writes_nothing (fun repo ->
+      load_named_leaf repo (String.make (Name_run.max_name + 1) 'x'))
+
+let test_refused_species_twice =
+  refused_load_writes_nothing (fun repo ->
+      let fx = Helpers.figure1 () in
+      Loader.load_tree repo ~name:"b"
+        ~species:[ ("Bha", "ACGT"); ("Bha", "TTTT") ]
+        fx.tree)
+
+let test_refused_long_species_name =
+  refused_load_writes_nothing (fun repo ->
+      load_named_leaf repo ~species:"ACGT" (String.make 600 's'))
+
+(* Node names up to [Name_run.max_name] bytes load, and resolve. *)
+let test_long_node_names () =
+  let repo = Repo.open_mem () in
+  List.iteri
+    (fun i bytes ->
+      let name = String.make bytes 'x' in
+      let stored =
+        (Loader.load_tree repo ~name:(Printf.sprintf "t%d" i)
+           (Newick.parse (Printf.sprintf "((%s,B)x,C);" name)))
+          .tree
+      in
+      check (Alcotest.option Alcotest.int) (Printf.sprintf "a %d-byte name resolves" bytes)
+        (Some 2) (Stored_tree.node_by_name stored name))
+    [ 600; Name_run.max_name ];
+  check Alcotest.(list string) "directory check" [] (Loader.check_runs repo)
 
 let test_fetch_roundtrip () =
   let repo = Repo.open_mem () in
@@ -765,12 +845,31 @@ let test_query_history () =
       check Alcotest.int "entry pages" 7 q.Repo.pages
   | None -> Alcotest.fail "entry missing"
 
+(* The [nodes.by_name] index that format versions before 2 kept. *)
+let old_by_name =
+  let module Record = Crimson_storage.Record in
+  let module Key = Crimson_storage.Key in
+  let module Nodes = Crimson_core.Schema.Nodes in
+  {
+    Table.index_name = "by_name";
+    key_of_row =
+      (fun row ->
+        Key.cat
+          [
+            Key.int (Record.get_int row Nodes.c_tree);
+            Key.text (Record.get_text row Nodes.c_name);
+          ]);
+    unique = false;
+  }
+
 (* A repository in any other format version is refused, not migrated:
    one written before versions were recorded (here with the
-   pre-telemetry [queries] layout), and one from a newer version. The
-   message names both versions; the old rows stay as they were, and so
-   does the log beside them: a committed batch is not replayed, and a
-   log of the format before CRIMWAL2 is not cleared as torn. *)
+   pre-telemetry [queries] layout), one of format version 1 (nodes found
+   by name through [nodes.by_name], and a run directory without first
+   keys), and one from a newer version. The message names both
+   versions; the old rows stay as they were, and so does the log beside
+   them: a committed batch is not replayed, and a log of the format
+   before CRIMWAL2 is not cleared as torn. *)
 let test_query_history_legacy_refused () =
   let legacy = Array.sub Crimson_core.Schema.Queries.schema 0 4 in
   let wal dir = Filename.concat dir "crimson.wal" in
@@ -827,6 +926,40 @@ let test_query_history_legacy_refused () =
            (Crimson_storage.Database.table db ~name:"queries" ~schema:legacy
               ~indexes:Crimson_core.Schema.Queries.indexes));
       Crimson_storage.Database.close db);
+  with_temp_dir (fun dir ->
+      let module Database = Crimson_storage.Database in
+      let module Schema = Crimson_core.Schema in
+      let module Clustered = Crimson_storage.Clustered in
+      let old_directory = Array.sub Clustered.directory_schema 0 6 in
+      let tables db =
+        ignore
+          (Database.table db ~name:"trees" ~schema:Schema.Trees.schema
+             ~indexes:Schema.Trees.indexes);
+        ( Database.table db ~name:"nodes" ~schema:Schema.Nodes.schema
+            ~indexes:[ old_by_name ],
+          Database.table db ~name:"node_runs" ~schema:old_directory
+            ~indexes:Clustered.directory_indexes )
+      in
+      (let db = Database.open_dir dir in
+       let nodes, _ = tables db in
+       ignore
+         (Crimson_storage.Table.insert nodes
+            Crimson_storage.Record.
+              [|
+                VInt 0; VInt 0; VInt (-1); VInt 0; VText "root"; VFloat 0.0; VFloat 0.0;
+                VInt 0; VInt 0; VInt 0; VInt 1; VInt 0;
+              |]);
+       Database.set_version db 1;
+       Database.close db);
+      refused dir ~found:1;
+      let db = Database.open_dir dir in
+      let nodes, node_runs = tables db in
+      check Alcotest.int "version 1 kept" 1 (Database.version db);
+      check Alcotest.int "version 1 rows kept" 1 (Crimson_storage.Table.row_count nodes);
+      check Alcotest.int "no run rows written" 0 (Crimson_storage.Table.row_count node_runs);
+      check Alcotest.bool "no names table created" false
+        (List.mem "names" (Database.table_names db));
+      Database.close db);
   with_temp_dir (fun dir ->
       Repo.close (Repo.open_dir dir);
       let db = Crimson_storage.Database.open_dir dir in
@@ -1405,17 +1538,16 @@ let test_old_nodes_layout_refused () =
       Table.index_name = "by_parent";
       key_of_row =
         (fun row ->
-          Some
-            (Key.cat
-               [
-                 Key.int (Record.get_int row Schema.Nodes.c_tree);
-                 Key.int (Record.get_int row Schema.Nodes.c_parent);
-                 Key.int (Record.get_int row Schema.Nodes.c_edge_index);
-               ]));
+          Key.cat
+            [
+              Key.int (Record.get_int row Schema.Nodes.c_tree);
+              Key.int (Record.get_int row Schema.Nodes.c_parent);
+              Key.int (Record.get_int row Schema.Nodes.c_edge_index);
+            ]);
       unique = false;
     }
   in
-  let old_indexes = Schema.Nodes.indexes @ [ by_parent ] in
+  let old_indexes = [ old_by_name; by_parent ] in
   with_temp_dir (fun dir ->
       (* The layout the previous version wrote: no subtree_end, plus a
          parent index. *)
@@ -1461,16 +1593,15 @@ let test_by_node_layout_refused () =
       Table.index_name = "by_node";
       key_of_row =
         (fun row ->
-          Some
-            (Key.cat
-               [
-                 Key.int (Record.get_int row Schema.Nodes.c_tree);
-                 Key.int (Record.get_int row Schema.Nodes.c_node);
-               ]));
+          Key.cat
+            [
+              Key.int (Record.get_int row Schema.Nodes.c_tree);
+              Key.int (Record.get_int row Schema.Nodes.c_node);
+            ]);
       unique = true;
     }
   in
-  let old_indexes = by_node :: Schema.Nodes.indexes in
+  let old_indexes = [ by_node; old_by_name ] in
   with_temp_dir (fun dir ->
       (let db = Database.open_dir dir in
        ignore
@@ -1523,20 +1654,31 @@ let test_by_node_layout_refused () =
    a reopen. *)
 
 (* [tree] rebuilt in preorder, so its ids are the stored ids, with every
-   third internal node named: [by_name] holds leaves and internal nodes,
-   and unnamed nodes are left out of it. *)
+   third internal node named: the name run holds leaves and internal
+   nodes, and unnamed nodes are left out of it. Some nodes take names
+   that stress the run instead: 1-byte names and names of the maximum
+   length, both shared by many nodes, so that in larger trees one
+   name's entries straddle a block boundary; unique names sharing a
+   300-byte prefix; and names with NUL and other non-ASCII bytes. *)
 let preorder_named tree =
   let b = Tree.Builder.create ~capacity:(Tree.node_count tree) () in
   let ids = Array.make (Tree.node_count tree) Tree.nil in
   let internal = ref 0 in
-  Array.iter
-    (fun v ->
+  let longest = String.make Name_run.max_name 'z' in
+  Array.iteri
+    (fun i v ->
       let name =
-        if Tree.is_leaf tree v then Tree.name tree v
-        else begin
-          incr internal;
-          if !internal mod 3 = 0 then Some (Printf.sprintf "I%d" !internal) else None
-        end
+        match i mod 17 with
+        | 3 -> Some longest
+        | 7 -> Some (Printf.sprintf "%s%d" (String.make 300 'p') i)
+        | 11 -> Some (Printf.sprintf "\xc3\xa9\x00\xff%d" (i mod 5))
+        | 13 -> Some (String.make 1 (Char.chr (33 + (i mod 3))))
+        | _ ->
+            if Tree.is_leaf tree v then Tree.name tree v
+            else begin
+              incr internal;
+              if !internal mod 3 = 0 then Some (Printf.sprintf "I%d" !internal) else None
+            end
       in
       let p = Tree.parent tree v in
       ids.(v) <-
@@ -1665,21 +1807,30 @@ let check_node_store repo stored mem =
           fail "Clade.leaf_ids ~limit:%d under %d" limit lca)
       [ 0; 1; 2; 1 + Prng.int rng (List.length below); n ]
   done;
-  (* Every named node by name; the empty name matches nothing. *)
-  for v = 0 to n - 1 do
-    match Tree.name mem v with
-    | Some name ->
-        if Stored_tree.node_by_name stored name <> Some v then fail "node_by_name %S" name
-    | None -> ()
+  (* Every named node by name, answered with the lowest id carrying the
+     name; names next to them in order that no node carries, and the
+     empty name, match nothing. *)
+  let lowest = Hashtbl.create n in
+  for v = n - 1 downto 0 do
+    Option.iter (fun name -> Hashtbl.replace lowest name v) (Tree.name mem v)
   done;
+  let show name = if String.length name > 40 then String.sub name 0 40 ^ "..." else name in
+  Hashtbl.iter
+    (fun name v ->
+      if Stored_tree.node_by_name stored name <> Some v then
+        fail "node_by_name %S (%d bytes) is not %d" (show name) (String.length name) v;
+      List.iter
+        (fun absent ->
+          if (not (Hashtbl.mem lowest absent)) && Stored_tree.node_by_name stored absent <> None
+          then fail "node_by_name %S resolved" (show absent))
+        [ name ^ "\x00"; String.sub name 0 (String.length name - 1) ])
+    lowest;
   if Stored_tree.node_by_name stored "" <> None then fail "the empty name resolved"
 
-(* [by_name] entries of one tree. *)
+(* Name-run entries of one tree. *)
 let named_entries repo ~tree =
   let count = ref 0 in
-  Table.iter_index (Repo.nodes repo) ~index:"by_name" ~prefix:(Key.int tree) (fun _ _ ->
-      incr count;
-      true);
+  Name_run.iter (Name_run.open_run repo ~tree) (fun _ _ -> incr count);
   !count
 
 let check_node_store_repo ~f ~pool trees =
@@ -2149,6 +2300,13 @@ let () =
         [
           Alcotest.test_case "load figure 1" `Quick test_load_reports;
           Alcotest.test_case "duplicate name" `Quick test_load_duplicate_name;
+          Alcotest.test_case "refused: unknown species" `Quick test_refused_unknown_species;
+          Alcotest.test_case "refused: long tree name" `Quick test_refused_long_tree_name;
+          Alcotest.test_case "refused: long node name" `Quick test_refused_long_node_name;
+          Alcotest.test_case "refused: species given twice" `Quick test_refused_species_twice;
+          Alcotest.test_case "refused: long species name" `Quick
+            test_refused_long_species_name;
+          Alcotest.test_case "long node names load" `Quick test_long_node_names;
           Alcotest.test_case "fetch round trip" `Quick test_fetch_roundtrip;
           Alcotest.test_case "fetch round trip (random)" `Quick
             test_fetch_roundtrip_random;

@@ -26,7 +26,7 @@ let species_schema : Record.schema =
 let name_ix : Table.index_spec =
   {
     Table.index_name = "by_name";
-    key_of_row = (fun row -> Some (Key.text (Record.get_text row 0)));
+    key_of_row = (fun row -> Key.text (Record.get_text row 0));
     unique = true;
   }
 

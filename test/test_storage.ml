@@ -748,14 +748,14 @@ let species_schema : Record.schema =
 let name_ix : Table.index_spec =
   {
     Table.index_name = "by_name";
-    key_of_row = (fun row -> Some (Key.text (Record.get_text row 0)));
+    key_of_row = (fun row -> Key.text (Record.get_text row 0));
     unique = true;
   }
 
 let dist_ix : Table.index_spec =
   {
     Table.index_name = "by_dist";
-    key_of_row = (fun row -> Some (Key.float (Record.get_float row 2)));
+    key_of_row = (fun row -> Key.float (Record.get_float row 2));
     unique = false;
   }
 
