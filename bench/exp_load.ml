@@ -6,10 +6,10 @@
    knob. Each table row is emitted as a [load_nodes_per_s_<row>]
    headline field, with the major-heap words its load allocated per node
    ([load_major_words_per_node_<row>], from [Gc.counters], which counts
-   promoted words too) beside it. Two rows are loaded again into an
-   on-disk repository, and the pages of its paged files after close are
-   emitted as exact [disk_pages_<row>] fields, so a layout change that
-   grows the store fails bench-diff. *)
+   promoted words too) beside it. Three rows, one with sequences, are
+   loaded again into an on-disk repository, and the pages of its paged
+   files after close are emitted as exact [disk_pages_<row>] fields, so
+   a layout change that grows the store fails bench-diff. *)
 
 open Bench_common
 module Tree = Crimson_tree.Tree
@@ -61,11 +61,11 @@ let run () =
     ]
   in
   (* Pages of every heap and index file of a repository holding only
-     [tree], after close. *)
-  let disk_pages ~key tree ~f =
+     [tree] and its [species], after close. *)
+  let disk_pages ~key tree ~f ~species =
     with_scratch_dir (fun dir ->
         let repo = Repo.open_dir dir in
-        ignore (Loader.load_tree ~f repo ~name:key tree);
+        ignore (Loader.load_tree ~f ~species repo ~name:key tree);
         Repo.close repo;
         let pages =
           Array.fold_left
@@ -99,8 +99,11 @@ let run () =
   T.print table;
   let pages =
     List.map
-      (fun (key, tree) -> disk_pages ~key tree ~f:8)
-      [ ("yule10k_f8", t10k); ("caterpillar50k_f8", caterpillar 50_000) ]
+      (fun (key, tree, species) -> disk_pages ~key tree ~f:8 ~species)
+      [
+        ("yule10k_f8", t10k, []); ("caterpillar50k_f8", caterpillar 50_000, []);
+        ("yule5k_seq_f8", t5k, seqs);
+      ]
   in
   note
     "Node, layer, subtree and summary rows are heap appends in id order,\n\
@@ -108,5 +111,6 @@ let run () =
      sorted once and written as front-coded name blocks, about one page per\n\
      few hundred names: no table takes a per-row index entry. f barely\n\
      matters since higher layers shrink geometrically. Species data adds\n\
-     one chunk row (and one by_chunk entry) per 2 KiB of sequence.";
+     one row per chunk of at most 2 KiB, sorted by (name, chunk) into the\n\
+     tree's species run, and one node_runs row per heap page of them.";
   emit_bench ~experiment:"E6" ~fields:(fields @ pages) ()

@@ -34,55 +34,83 @@ let name_taken repo name =
   Table.find (Repo.trees repo) ~index:"by_name" ~key:(Schema.Trees.key_name name)
   <> None
 
-(* Split a sequence into page-sized chunks. *)
-let chunks_of seq =
-  let n = String.length seq in
-  let size = Schema.Species.chunk_size in
-  let count = max 1 ((n + size - 1) / size) in
-  List.init count (fun i -> (i, String.sub seq (i * size) (min size (n - (i * size)))))
+(* ------------------------------ Species ----------------------------- *)
 
-let insert_species_rows repo ~tree_id pairs =
-  let rows = ref 0 in
-  List.iter
+(* A tree's species sequences are one sorted group of the clustered
+   [species] table: rows (tree, row, name, chunk, seq) in (name, chunk)
+   order, each run of them keyed in the directory by its first row. *)
+
+module R = Record.Reader
+
+let species_key name chunk = Key.cat [ Key.text name; Key.int chunk ]
+
+let compare_piece (a, i, _) (b, j, _) =
+  match String.compare a b with 0 -> Int.compare i j | c -> c
+
+(* The (name, chunk, piece) rows of distinct (name, sequence) pairs, in
+   run order: each sequence cut into pieces that fit a row beside its
+   name. A sequence that fits one row is not copied. *)
+let species_pieces pairs =
+  List.concat_map
     (fun (name, seq) ->
-      List.iter
-        (fun (chunk, piece) ->
-          ignore
-            (Table.insert (Repo.species repo)
-               [|
-                 Record.VInt tree_id; Record.VText name; Record.VInt chunk;
-                 Record.VBlob piece;
-               |]);
-          incr rows)
-        (chunks_of seq))
-    pairs;
-  !rows
+      let size = Schema.Species.chunk_bytes name and n = String.length seq in
+      if n <= size then [ (name, 0, seq) ]
+      else
+        List.init ((n + size - 1) / size) (fun i ->
+            (name, i, String.sub seq (i * size) (min size (n - (i * size))))))
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) pairs)
 
-let has_species repo ~tree_id ~name =
-  let found = ref false in
-  Table.iter_index (Repo.species repo) ~index:"by_chunk"
-    ~prefix:(Schema.Species.key_name ~tree:tree_id ~name) (fun _ _ ->
-      found := true;
-      false);
-  !found
+(* Write [pieces], in run order, as tree [tree]'s group: heap appends in
+   key order, one directory row per run of them. *)
+let write_species repo ~tree pieces =
+  let pieces = Array.of_list pieces in
+  ignore
+    (Clustered.write (Repo.clustered repo Repo.species) [ tree ] ~rows:(Array.length pieces)
+       ~first_key:(fun i ->
+         let name, chunk, _ = pieces.(i) in
+         species_key name chunk)
+       (fun i ->
+         let name, chunk, piece = pieces.(i) in
+         Record.[| VInt tree; VInt i; VText name; VInt chunk; VBlob piece |]));
+  Array.length pieces
 
-let validate_species_names tree pairs repo =
-  List.iter
-    (fun (name, _) ->
-      (match Stored_tree.node_by_name tree name with
-      | Some node when Stored_tree.is_leaf tree node -> ()
-      | Some _ -> load_error "species %S names an internal node" name
-      | None -> load_error "species %S is not a leaf of tree %S" name (Stored_tree.name tree));
-      if has_species repo ~tree_id:(Stored_tree.id tree) ~name then
-        load_error "species %S already has sequence data" name)
-    pairs
+(* Opened on every call: an append replaces the group. *)
+let species_group repo ~tree =
+  Clustered.open_group (Repo.clustered repo Repo.species) [ tree ]
+
+(* [f name chunk piece] on the group's rows from row [lo], in order, while
+   it answers [true]; [piece] is [""] for a name [wanted] refuses. *)
+let scan_species ?(wanted = fun _ -> true) g ~lo f =
+  let size = Clustered.size g in
+  Clustered.scan g ~lo ~hi:(size - 1)
+    (fun id r ->
+      let name = R.text r in
+      let chunk = R.int r in
+      (id, name, chunk, if wanted name then R.text r else ""))
+    (fun (id, name, chunk, piece) -> if f name chunk piece then id + 1 else size)
+
+let rows_of g =
+  let rows = ref [] in
+  scan_species g ~lo:0 (fun name chunk piece ->
+      rows := (name, chunk, piece) :: !rows;
+      true);
+  List.rev !rows
+
+let refuse_twice names =
+  let rec distinct = function
+    | a :: (b :: _ as rest) ->
+        if String.equal a b then load_error "species %S is given twice" a;
+        distinct rest
+    | [ _ ] | [] -> ()
+  in
+  distinct (List.sort String.compare names)
 
 (* Every way a load can be refused, checked against the in-memory tree
    [t] (preorder ids, its names [sorted] as the run will hold them)
    before the first insert, so that a refused load writes nothing. The
    species checks read no page: a species resolves, as the stored
    lookup would, to the lowest id carrying its name. *)
-let check_load ~name ~tree_id t sorted species =
+let check_load repo ~name ~tree_id t sorted species =
   let too_long what bytes key limit =
     load_error "%s of %d bytes is too long: its key takes %d bytes, at most %d" what bytes
       key limit
@@ -90,31 +118,34 @@ let check_load ~name ~tree_id t sorted species =
   let key = Schema.Trees.key_name name in
   if String.length key > Btree.max_key then
     too_long "the tree name" (String.length name) (String.length key) Btree.max_key;
+  (* A name with its node id keys a name block's directory row, and a
+     species name with a chunk number a species run's. *)
+  let bound =
+    List.fold_left
+      (fun acc table -> min acc (Clustered.max_key (Repo.clustered repo table) [ tree_id ]))
+      max_int [ Repo.names; Repo.species ]
+  in
   Array.iter
     (fun v ->
-      let bytes = String.length (Option.get (Tree.name t v)) in
+      let node_name = Option.get (Tree.name t v) in
+      let bytes = String.length node_name in
       if bytes > Name_run.max_name then
         load_error "node %d's name of %d bytes is too long: at most %d" v bytes
-          Name_run.max_name)
+          Name_run.max_name;
+      (* Escaping at most doubles a name. *)
+      if (2 * bytes) + 10 > bound then begin
+        let key = String.length (Key.cat [ Key.text node_name; Key.int v ]) in
+        if key > bound then too_long (Printf.sprintf "node %d's name" v) bytes key bound
+      end)
     sorted;
   List.iter
     (fun (species, _) ->
-      (match Name_run.lowest t sorted species with
+      match Name_run.lowest t sorted species with
       | Some v when Tree.is_leaf t v -> ()
       | Some _ -> load_error "species %S names an internal node" species
-      | None -> load_error "species %S is not a leaf of tree %S" species name);
-      (* A chunk's key ends with its 8-byte number. *)
-      let key = String.length (Schema.Species.key_name ~tree:tree_id ~name:species) + 8 in
-      if key > Btree.max_key then
-        too_long "a species name" (String.length species) key Btree.max_key)
+      | None -> load_error "species %S is not a leaf of tree %S" species name)
     species;
-  let rec distinct = function
-    | a :: (b :: _ as rest) ->
-        if String.equal a b then load_error "species %S is given twice" a;
-        distinct rest
-    | [ _ ] | [] -> ()
-  in
-  distinct (List.sort String.compare (List.map fst species))
+  refuse_twice (List.map fst species)
 
 let load_tree_internal ?(f = 8) repo ~name tree ~species =
   if name_taken repo name then load_error "a tree named %S is already loaded" name;
@@ -122,7 +153,7 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
   (* Renumber to dense preorder ids so that parents precede children. *)
   let t, _mapping = Ops.copy_with_mapping tree in
   let sorted = Name_run.sort t in
-  check_load ~name ~tree_id t sorted species;
+  check_load repo ~name ~tree_id t sorted species;
   Log.info (fun m ->
       m "loading tree %S (#%d): %d nodes, f=%d" name tree_id (Tree.node_count tree) f);
   let ix = Layered.build ~f t in
@@ -226,7 +257,11 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
      for any of them. *)
   Stored_tree.prime stored nodes ~names ~subtree_end (fun v ->
       Node_view.of_row (node_row v));
-  let species_rows = insert_species_rows repo ~tree_id species in
+  (* The species run goes last, in the same batch. Written before the
+     catalog row instead, it left the primed views young at the end of
+     the load, and the first reads on the handle paid their promotion:
+     ingest_mixed's read p99 doubled. *)
+  let species_rows = write_species repo ~tree:tree_id (species_pieces species) in
   Repo.flush repo;
   Log.info (fun m ->
       m "loaded %S: %d node rows, %d layer rows, %d subtree rows, %d summary rows, %d species rows"
@@ -243,34 +278,59 @@ let load_tree ?f ?(species = []) repo ~name tree =
   load_tree_internal ?f repo ~name tree ~species
 
 let append_species repo tree pairs =
-  validate_species_names tree pairs repo;
-  let rows = insert_species_rows repo ~tree_id:(Stored_tree.id tree) pairs in
+  let tree_id = Stored_tree.id tree in
+  let old = rows_of (species_group repo ~tree:tree_id) in
+  let stored = Hashtbl.create 16 in
+  List.iter (fun (name, _, _) -> Hashtbl.replace stored name ()) old;
+  List.iter
+    (fun (name, _) ->
+      (match Stored_tree.node_by_name tree name with
+      | Some node when Stored_tree.is_leaf tree node -> ()
+      | Some _ -> load_error "species %S names an internal node" name
+      | None -> load_error "species %S is not a leaf of tree %S" name (Stored_tree.name tree));
+      if Hashtbl.mem stored name then load_error "species %S already has sequence data" name)
+    pairs;
+  refuse_twice (List.map fst pairs);
+  (* The merged run replaces the old one in the same batch: a crash
+     leaves one or the other. *)
+  let added = species_pieces pairs in
+  Clustered.delete (Repo.clustered repo Repo.species) [ tree_id ];
+  ignore (write_species repo ~tree:tree_id (List.merge compare_piece old added));
   Repo.flush repo;
+  let rows = List.length added in
   Log.info (fun m -> m "appended %d species rows to %S" rows (Stored_tree.name tree));
   rows
 
+(* A scan from the run that can hold the name's first chunk: the rows
+   before it in that run are skipped, and its chunks, which may straddle
+   runs, are joined until the name changes. *)
 let species_sequence repo tree name =
+  let g = species_group repo ~tree:(Stored_tree.id tree) in
   let parts = ref [] in
-  Table.iter_index (Repo.species repo) ~index:"by_chunk"
-    ~prefix:(Schema.Species.key_name ~tree:(Stored_tree.id tree) ~name) (fun _ row ->
-      parts := Record.get_blob row Schema.Species.c_seq :: !parts;
-      true);
+  scan_species g
+    ~lo:(max 0 (Clustered.below g (species_key name 0)))
+    ~wanted:(String.equal name)
+    (fun n _ piece ->
+      let c = String.compare n name in
+      if c = 0 then parts := piece :: !parts;
+      c <= 0);
   match !parts with
   | [] -> None
+  | [ s ] -> Some s
   | parts -> Some (String.concat "" (List.rev parts))
 
 let species_names repo tree =
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  Table.scan (Repo.species repo) (fun _ row ->
-      if Record.get_int row Schema.Species.c_tree = Stored_tree.id tree then begin
-        let name = Record.get_text row Schema.Species.c_name in
-        if not (Hashtbl.mem seen name) then begin
-          Hashtbl.add seen name ();
-          acc := name :: !acc
-        end
-      end);
-  List.sort String.compare !acc
+  let names = ref [] in
+  scan_species
+    (species_group repo ~tree:(Stored_tree.id tree))
+    ~lo:0
+    ~wanted:(fun _ -> false)
+    (fun name _ _ ->
+      (match !names with
+      | last :: _ when String.equal last name -> ()
+      | _ -> names := name :: !names);
+      true);
+  List.rev !names
 
 let load_nexus ?f repo (doc : Crimson_formats.Nexus.t) =
   if doc.trees = [] then load_error "NEXUS document contains no trees";
@@ -323,14 +383,45 @@ let delete_tree repo stored =
     Clustered.delete (clustered Repo.subtrees) [ tree_id; layer ];
     Clustered.delete (clustered Repo.summaries) [ tree_id; layer ]
   done;
-  let species = ref [] in
-  Table.iter_index (Repo.species repo) ~index:"by_chunk" ~prefix:(Key.int tree_id)
-    (fun rid _ ->
-      species := rid :: !species;
-      true);
-  List.iter (fun rid -> ignore (Table.delete (Repo.species repo) rid)) !species;
+  Clustered.delete (clustered Repo.species) [ tree_id ];
   Repo.flush repo;
   Log.info (fun m -> m "deleted tree %S" (Stored_tree.name stored))
+
+exception Bad_run of string
+
+(* The species run check: the group's directory check; rows in strictly
+   ascending (name, chunk) order, each name's chunks numbered from 0;
+   each run keyed by its first row; each name a leaf of the tree. *)
+let check_species stored g =
+  match Clustered.check g ~rows:(Clustered.size g) with
+  | Error _ as e -> e
+  | Ok () -> (
+      let fail fmt = Printf.ksprintf (fun s -> raise (Bad_run s)) fmt in
+      let runs = Clustered.runs g in
+      let row = ref 0 and run = ref 0 and prev = ref None in
+      try
+        scan_species g ~lo:0 ~wanted:(fun _ -> false) (fun name chunk _ ->
+            if !run < Array.length runs && runs.(!run).first = !row then begin
+              if runs.(!run).key <> species_key name chunk then
+                fail "run %d's key is not its first row's" !run;
+              incr run
+            end;
+            (match !prev with
+            | Some (p, c) when String.equal p name ->
+                if chunk <> c + 1 then
+                  fail "row %d: chunk %d of %S follows chunk %d" !row chunk name c
+            | Some (p, _) when String.compare p name > 0 ->
+                fail "row %d: %S does not follow %S" !row name p
+            | Some _ | None -> (
+                if chunk <> 0 then fail "row %d: %S starts at chunk %d" !row name chunk;
+                match Stored_tree.node_by_name stored name with
+                | Some v when Stored_tree.is_leaf stored v -> ()
+                | Some _ | None -> fail "%S is not a leaf of the tree" name));
+            prev := Some (name, chunk);
+            incr row;
+            true);
+        Ok ()
+      with Bad_run s -> Error (Printf.sprintf "species (%d): %s" (Stored_tree.id stored) s))
 
 (* The groups each live tree must have, with their row counts: its node
    count from the catalog; a layer's rows are the subtrees of the layer
@@ -382,32 +473,41 @@ let check_runs repo =
           (String.concat ", " (List.map string_of_int key))
         :: !problems)
     expected;
-  (* Each live tree's name run, against the names its node rows hold. *)
+  (* Name runs and species runs: one group per live tree at most. *)
   List.iter
-    (fun key ->
-      match key with
-      | [ id ] when List.mem_assoc id live -> ()
-      | _ ->
-          problems :=
-            Printf.sprintf "names: runs of a group no live tree has: %s"
-              (String.concat ", " (List.map string_of_int key))
-            :: !problems)
-    (Clustered.groups (clustered Repo.names));
+    (fun table ->
+      List.iter
+        (fun key ->
+          match key with
+          | [ id ] when List.mem_assoc id live -> ()
+          | _ ->
+              problems :=
+                Printf.sprintf "%s: runs of a group no live tree has: %s"
+                  (Table.name (table repo))
+                  (String.concat ", " (List.map string_of_int key))
+                :: !problems)
+        (Clustered.groups (clustered table)))
+    [ Repo.names; Repo.species ];
+  (* Each live tree's name run, against the names its node rows hold,
+     and its species run. *)
   List.iter
     (fun (id, _) ->
       let stored = Stored_tree.open_id repo id in
       let names = Array.make (Stored_tree.node_count stored) "" in
-      match
-        Stored_tree.scan stored ~lo:0 ~hi:(Array.length names - 1) (fun v ->
-            names.(v.Node_view.node) <- v.Node_view.name;
-            v.Node_view.node + 1);
-        Name_run.check (Name_run.open_run repo ~tree:id) ~names
-      with
-      | Ok () -> ()
-      | Error e -> problems := e :: !problems
-      | exception Crimson_storage.Error.Error e ->
-          problems :=
-            Printf.sprintf "names (%d): %s" id (Crimson_storage.Error.to_string e)
-            :: !problems)
+      let checked what check =
+        match check () with
+        | Ok () -> ()
+        | Error e -> problems := e :: !problems
+        | exception Crimson_storage.Error.Error e ->
+            problems :=
+              Printf.sprintf "%s (%d): %s" what id (Crimson_storage.Error.to_string e)
+              :: !problems
+      in
+      checked "names" (fun () ->
+          Stored_tree.scan stored ~lo:0 ~hi:(Array.length names - 1) (fun v ->
+              names.(v.Node_view.node) <- v.Node_view.name;
+              v.Node_view.node + 1);
+          Name_run.check (Name_run.open_run repo ~tree:id) ~names);
+      checked "species" (fun () -> check_species stored (species_group repo ~tree:id)))
     live;
   List.sort compare !problems

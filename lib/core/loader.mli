@@ -5,8 +5,12 @@
     index is built in memory, and everything is written to the clustered
     [nodes], [layers], [subtrees] and [summaries] tables — in id order,
     with their runs in [node_runs] — and its named nodes to its name run
-    ({!Name_run}), before the tree's catalog row. Species sequences are
-    chunked into the [species] table and may also be appended to an
+    ({!Name_run}) and its species sequences to its species run, before
+    the tree's catalog row. A species run is one sorted group of the
+    clustered [species] table: each sequence cut into chunks that fit a
+    page beside its name, the rows in (name, chunk) order, and each run
+    of them keyed in the directory by its first row
+    ({!Schema.Species}). Sequences may also be appended to an
     already-loaded tree. *)
 
 exception Load_error of string
@@ -31,8 +35,9 @@ val load_tree :
     Species Repository; names must match leaves of the tree, each once.
     Raises {!Load_error}, having written nothing, on a duplicate tree
     name, a tree name too long for its index key, a node name longer
-    than {!Name_run.max_name}, and a species name that is not a leaf's,
-    is given twice or is too long for its index key. Logs progress on
+    than {!Name_run.max_name} or too long, once escaped, for the
+    directory key of its name block or species run, and a species name
+    that is not a leaf's or is given twice. Logs progress on
     the [crimson.loader] source (the GUI's "messages about the loading
     status"). The returned handle already holds the tree's node runs,
     their leaf maps and views of its lowest ids, so its first reads need
@@ -40,15 +45,23 @@ val load_tree :
 
 val append_species : Repo.t -> Stored_tree.t -> (string * string) list -> int
 (** Append species data to an existing tree ("append species data to an
-    existing phylogenetic tree"); returns rows written. Raises
-    {!Load_error} for names that are not leaves of the tree or already
-    have data. *)
+    existing phylogenetic tree"); returns the rows the new sequences
+    take. The tree's species run is read, the new chunks are merged into
+    it, and the merged run replaces the old one: both in the call's one
+    batch, so a crash leaves one run or the other. The old rows stay as
+    tombstones. Raises {!Load_error}, having written nothing, for names
+    that are not leaves of the tree, already have data or are given
+    twice. *)
 
 val species_sequence : Repo.t -> Stored_tree.t -> string -> string option
-(** Reassemble a species' sequence from its chunks. *)
+(** Reassemble a species' sequence from its chunks: the tree's species
+    directory is read (one B+tree prefix scan, on every call) and
+    searched in memory, then the rows are scanned from the run that can
+    hold the name's first chunk until the name changes. *)
 
 val species_names : Repo.t -> Stored_tree.t -> string list
-(** Names with stored sequences, sorted. *)
+(** Names with stored sequences, sorted: one scan of the tree's species
+    run. *)
 
 val load_nexus : ?f:int -> Repo.t -> Crimson_formats.Nexus.t -> report list
 (** Load every tree of a NEXUS document; the document's character matrix
@@ -61,9 +74,8 @@ val fetch_tree : Stored_tree.t -> Crimson_tree.Tree.t
 
 val delete_tree : Repo.t -> Stored_tree.t -> unit
 (** Remove the tree's rows from every repository table: its catalog row
-    first, then each of its clustered groups — its name run among them —
-    through their runs, then its species rows through their index. No
-    table is scanned. *)
+    first, then each of its clustered groups — its name run and species
+    run among them — through their runs. No table is scanned. *)
 
 val check_runs : Repo.t -> string list
 (** The directory check, one line per problem ([[]] when none): for each
@@ -72,4 +84,7 @@ val check_runs : Repo.t -> string list
     subtree count below it, one top cluster — every row decodes at its
     own rid with its key, and no runs are left of a group that no live
     tree has. Each live tree's name run passes {!Name_run.check} against
-    the names of its node rows. *)
+    the names of its node rows. Its species run, if any, passes the
+    directory check, holds its rows in strictly ascending (name, chunk)
+    order with each name's chunks numbered [0 .. k-1], keys each run by
+    its first row, and names leaves of the tree only. *)

@@ -148,7 +148,7 @@ let write repo ~tree t sorted =
     Key.cat [ Key.text (name_of t v); Key.int v ]
   in
   of_group ~tree
-    (Clustered.write (Repo.clustered repo Repo.names) [ tree ] ~first_key
+    (Clustered.write (Repo.clustered repo Repo.names) [ tree ] ~first_key ~row_runs:true
        ~rows:(Array.length starts) (fun b ->
          ignore (fill buf restarts t sorted starts.(b));
          Record.[| VInt tree; VInt b; VBlob (Buffer.contents buf) |]))
@@ -299,6 +299,9 @@ let check r ~names =
       let count = ref 0 and prev = ref "" and prev_id = ref (-1) in
       let error s = Error (Printf.sprintf "names (%d): %s" r.tree s) in
       try
+        if Array.length runs <> Clustered.size g then
+          fail "%d blocks in %d runs: a block is not a run of its own" (Clustered.size g)
+            (Array.length runs);
         for b = 0 to Clustered.size g - 1 do
           let first = !count in
           block_entries r b (fun name id ->

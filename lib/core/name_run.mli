@@ -54,5 +54,6 @@ val check : t -> names:string array -> (unit, string) result
 (** The run check, against [names] — each node id's stored name, [""]
     when unnamed: the directory check of the run's group; entries in
     strictly ascending (name, id) order, within blocks and across them;
-    each block's directory key is its first entry; each entry's name is
+    each block is a run of its own, and its directory key is its first
+    entry; each entry's name is
     its node's; and every named node has exactly one entry. *)

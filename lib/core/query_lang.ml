@@ -375,8 +375,11 @@ let table =
                 Printf.sprintf "%s… (%d sites)" (String.sub s 0 60) (String.length s))
           ~plan:(fun _ _ ->
             [
-              resolve_step 1;
-              "sequence chunks: prefix scan of species.by_chunk, decode + concatenate";
+              "the tree's species run: its directory rows, one prefix scan of \
+               node_runs.by_first, then a search of their first (name, chunk) keys in \
+               memory";
+              "scan from the first row of the run that can hold the name, each page \
+               pinned once, joining the name's chunks until the name changes";
             ]);
         tree "info" ~arity:(0, 0) ~usage:"info takes no arguments"
           ~help:[ ("info()", "tree metadata") ]

@@ -26,7 +26,7 @@ let open_error fmt = Printf.ksprintf (fun s -> raise (Open_error s)) fmt
 
 (* The layout of every table below. A repository records it in its
    catalog when created; any other version is refused, not migrated. *)
-let format_version = 2
+let format_version = 3
 
 (* Checked before the log is read, so a refused open leaves it as it
    was. A new repository (version 0, no tables) takes this version. *)
@@ -50,7 +50,7 @@ let open_tables db =
   let names = table "names" Schema.Names.schema [] in
   let layers = table "layers" Schema.Layers.schema [] in
   let subtrees = table "subtrees" Schema.Subtrees.schema [] in
-  let species = table "species" Schema.Species.schema Schema.Species.indexes in
+  let species = table "species" Schema.Species.schema [] in
   let queries = table "queries" Schema.Queries.schema Schema.Queries.indexes in
   let summaries = table "summaries" Schema.Summaries.schema [] in
   let collections =

@@ -23,9 +23,12 @@ exception Open_error of string
     in place. *)
 
 val format_version : int
-(** The layout this version reads and writes: 2, where each tree's names
-    are a sorted run of the [names] table (see {!Name_run}). Version 1
-    found them through a [nodes.by_name] B+tree. *)
+(** The layout this version reads and writes: 3, where each tree's
+    species sequences are a sorted run of the clustered [species] table
+    (see {!Schema.Species}). Version 2 found them through a
+    [species.by_chunk] B+tree, and version 1 also found node names
+    through a [nodes.by_name] B+tree instead of a name run (see
+    {!Name_run}). *)
 
 val open_dir :
   ?pool_size:int ->
@@ -72,7 +75,7 @@ val names : t -> Table.t
 
 val node_runs : t -> Table.t
 (** The run directory of the clustered tables: [nodes], [names],
-    [layers], [subtrees] and [summaries] (see {!clustered}). *)
+    [layers], [subtrees], [summaries] and [species] (see {!clustered}). *)
 
 val clustered : t -> (t -> Table.t) -> Crimson_storage.Clustered.t
 (** [clustered repo table] is one of the clustered tables, with the
@@ -81,6 +84,8 @@ val clustered : t -> (t -> Table.t) -> Crimson_storage.Clustered.t
 val layers : t -> Table.t
 val subtrees : t -> Table.t
 val species : t -> Table.t
+(** Each tree's species sequences, one sorted run (see {!Schema.Species}
+    and [Loader.species_sequence]). *)
 
 val summaries : t -> Table.t
 (** Precomputed per-clade rollups (see {!Schema.Summaries} and

@@ -98,29 +98,17 @@ module Species = struct
   let schema : Record.schema =
     [|
       ("tree", Record.Int);
+      ("row", Record.Int);
       ("name", Record.Text);
       ("chunk", Record.Int);
       ("seq", Record.Blob);
     |]
 
-  let c_tree = 0
-  let c_name = 1
-  let c_chunk = 2
-  let c_seq = 3
-
-  let key_chunk ~tree ~name chunk =
-    Crimson_storage.Key.cat [ Key.int tree; Key.text name; Key.int chunk ]
-
-  let key_name ~tree ~name = Key.cat [ Key.int tree; Key.text name ]
-
-  let indexes =
-    [
-      ix "by_chunk"
-        (fun row ->
-          key_chunk ~tree:(Record.get_int row c_tree)
-            ~name:(Record.get_text row c_name) (Record.get_int row c_chunk))
-        true;
-    ]
+  (* Three ints take at most 10 varint bytes each, and each of the two
+     strings' lengths 2. A load refuses every name too long to leave a
+     byte. *)
+  let chunk_bytes name =
+    max 1 (min chunk_size (Crimson_storage.Slotted.max_record - 34 - String.length name))
 end
 
 (* ------------------------- Summary clusters ------------------------- *)

@@ -12,11 +12,12 @@
     - [layers] — nodes of layers >= 1 of the hierarchical index;
     - [subtrees] — per (layer, subtree id): the subtree's root node;
     - [summaries] — precomputed per-clade rollups;
-    - [node_runs] — the run directory of those five clustered tables
+    - [species] — sequence data, chunked to fit pages, one sorted run
+      per tree;
+    - [node_runs] — the run directory of those six clustered tables
       (see [Crimson_storage.Clustered]): their rows are written in key
-      order, one group per tree ([nodes], [names]) or per (tree,
-      layer), and found by id, or by first name, with no B+tree;
-    - [species] — sequence data, chunked to fit pages;
+      order, one group per tree ([nodes], [names], [species]) or per
+      (tree, layer), and found by id, or by first key, with no B+tree;
     - [queries] — the Query Repository (history of user queries).
 
     Column positions are exposed as integer constants so the query layer
@@ -90,15 +91,22 @@ module Subtrees : sig
   val schema : Record.schema
 end
 
-(** [species] columns; long sequences are split into fixed-size chunks. *)
+(** [species] columns: (tree, row, name, chunk, seq). A clustered table,
+    one sorted group per tree that has sequences: a species' sequence is
+    cut into chunks numbered from 0, and row [row] of the group is the
+    [row]th (name, chunk) pair in ascending order. Each run's directory
+    row holds its first row's (name, chunk), so a lookup searches those
+    keys in memory and scans from one run. *)
 module Species : sig
   val chunk_size : int
+  (** The most sequence bytes one row holds. *)
+
   val schema : Record.schema
-  val c_tree : int
-  val c_name : int
-  val c_seq : int
-  val indexes : Table.index_spec list
-  val key_name : tree:int -> name:string -> string
+
+  val chunk_bytes : string -> int
+  (** [chunk_bytes name] is the sequence bytes one row of species [name]
+      holds: {!chunk_size}, or less when the name leaves less of the
+      page. *)
 end
 
 (** [summaries] columns — precomputed per-clade rollups, one row per

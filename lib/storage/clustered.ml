@@ -5,9 +5,10 @@
    tombstones never split a live group's runs because slots are never
    reused). One directory row per run is about one row per heap page,
    and locating id [i] is a binary search plus [rid + (i - first)]:
-   slots are the low bits of a rid. A sorted group's rows are page-sized
-   blocks, so giving each its own run, with its first key, keeps that
-   one directory row per page. *)
+   slots are the low bits of a rid. A sorted group's runs break at the
+   same places and keep their first row's key; a group whose rows are
+   page-sized blocks gives each its own run instead, which is still
+   about one directory row per page. *)
 
 module R = Record.Reader
 
@@ -90,7 +91,18 @@ let show_key ints = "(" ^ String.concat ", " (List.map string_of_int ints) ^ ")"
 
 (* ------------------------------ Write ------------------------------ *)
 
-let write t key ?(mark = fun _ -> 0) ?first_key ~rows row =
+let max_key t key =
+  let row =
+    Record.
+      [|
+        VText (Table.name t.table); VBlob (encode_group key); VInt max_int; VInt max_int;
+        VInt max_int; VInt max_int; VBlob "";
+      |]
+  in
+  (* A key of 128 bytes or more takes a second length byte. *)
+  Slotted.max_record - String.length (Record.encode directory_schema row) - 1
+
+let write t key ?(mark = fun _ -> 0) ?first_key ?(row_runs = false) ~rows row =
   let rids =
     Array.init rows (fun id ->
         let values = row id in
@@ -107,7 +119,7 @@ let write t key ?(mark = fun _ -> 0) ?first_key ~rows row =
   let runs = ref [] and first = ref 0 in
   for i = 1 to rows do
     if
-      i = rows || first_key <> None
+      i = rows || row_runs
       || Heap.rid_page rids.(i) <> Heap.rid_page rids.(i - 1)
       || Heap.rid_slot rids.(i) <> Heap.rid_slot rids.(i - 1) + 1
     then begin
@@ -160,14 +172,14 @@ let run_index g id =
 
 let below g key =
   let runs = g.runs in
-  (* runs.(lo).key < key <= runs.(hi + 1).key *)
+  (* runs.(lo).key <= key < runs.(hi + 1).key *)
   let rec search lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi + 1) / 2 in
-      if String.compare runs.(mid).key key < 0 then search mid hi else search lo (mid - 1)
+      if String.compare runs.(mid).key key <= 0 then search mid hi else search lo (mid - 1)
   in
-  if Array.length runs = 0 || String.compare runs.(0).key key >= 0 then -1
+  if Array.length runs = 0 || String.compare runs.(0).key key > 0 then -1
   else runs.(search 0 (Array.length runs - 1)).first
 
 let rid_of g id =
@@ -280,8 +292,6 @@ let check g ~rows =
       let run = g.runs.(r) in
       if run.first <> next then fail "run %d starts at id %d, not %d" r run.first next
       else if run.rows <= 0 then fail "run %d holds %d rows" r run.rows
-      else if run.key <> "" && run.rows <> 1 then
-        fail "run %d of a sorted group holds %d rows" r run.rows
       else if r > 0 && (run.key = "") <> (g.runs.(0).key = "") then
         fail "run %d has a key where run 0 has none, or none where it has one" r
       else if r > 0 && run.key <> "" && String.compare g.runs.(r - 1).key run.key >= 0 then

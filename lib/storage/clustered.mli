@@ -15,10 +15,13 @@
 
     A group is dense or sorted. A dense group is found by id alone, and
     its runs' keys are empty. A sorted group's rows also ascend by a
-    byte-string key the writer gives ([~first_key]): each row is then a
-    run of its own, with its first key in the directory, so {!below}
-    finds the row that can hold a key with no read. Crimson's [names]
-    table is sorted: one page-sized block of names per row.
+    byte-string key the writer gives ([~first_key]), and each run's
+    directory row holds its first row's key, so {!below} finds the run
+    whose rows can hold a key with no read. Crimson's [species] table is
+    sorted this way: its runs hold many (name, chunk) rows each. A
+    sorted group whose rows are page-sized blocks ([~row_runs:true])
+    gives every row a run of its own, so {!below} picks a row: Crimson's
+    [names] table holds one block of names per row.
 
     A point lookup is a binary search of the group's runs, one page pin
     and a decode checked against the group and the id. A range scan
@@ -54,23 +57,30 @@ type run = {
   rows : int;  (** Ids [first .. first + rows - 1]. *)
   rid : Heap.rid;  (** The rid of id [first]; the others follow slot by slot. *)
   mark : int;  (** The writer's value for the run's first row. *)
-  key : string;  (** A sorted group's key for the run's one row; [""] in a dense group. *)
+  key : string;  (** A sorted group's key of the run's first row; [""] in a dense group. *)
 }
+
+val max_key : t -> int list -> int
+(** [max_key t key] is the longest first key, in bytes, that a directory
+    row of group [key] holds: a longer one does not fit its page. *)
 
 val write :
   t ->
   int list ->
   ?mark:(int -> int) ->
   ?first_key:(int -> string) ->
+  ?row_runs:bool ->
   rows:int ->
   (int -> Record.value array) ->
   group
 (** [write t key ~rows row] inserts [row 0 .. row (rows - 1)] in id order
     and one directory row per run of the rids they land at; [mark id]
     (default 0) is stored with each run that starts at [id]. With
-    [first_key] the group is sorted: every row is a run of its own,
-    stored with [first_key id], and the keys must ascend. Raises
-    [Invalid_argument] when a row does not begin with [key] and its id. *)
+    [first_key] the group is sorted: each run is stored with
+    [first_key id] of its first row [id], and the keys must ascend.
+    [~row_runs:true] (default [false]) ends a run after every row.
+    Raises [Invalid_argument] when a row does not begin with [key] and
+    its id, or when a row or a first key does not fit a page. *)
 
 val open_group : t -> int list -> group
 (** The group's runs, read from the directory: no rows, hence no ids,
@@ -83,9 +93,10 @@ val runs : group -> run array
 (** In id order, covering [0 .. size - 1]. Do not mutate. *)
 
 val below : group -> string -> int
-(** [below g key] is the last row of a sorted group whose first key sorts
-    before [key] ([String.compare]), or [-1] when none does: a binary
-    search of the keys in memory. *)
+(** [below g key] is the first row of the run whose rows can hold [key]
+    in a sorted group: the last run whose first key is at most [key]
+    ([String.compare]). [-1] when none is, and a scan for [key] then
+    starts at row 0. A binary search of the keys in memory. *)
 
 val find : group -> int -> (Record.Reader.t -> 'a) -> 'a option
 (** [find g id decode] locates [id], pins its page and checks the row's
@@ -112,5 +123,6 @@ val groups : t -> int list list
 val check : group -> rows:int -> (unit, string) result
 (** The directory check: the runs cover ids [0 .. rows - 1] exactly
     once, in order, and every row decodes in full at its own rid with
-    the group's key and its id. In a sorted group every run holds one
-    row and the first keys ascend strictly. *)
+    the group's key and its id. In a sorted group the runs' first keys
+    ascend strictly; that each is its first row's key is the reader's
+    to check. *)

@@ -108,10 +108,29 @@ let refused_load_writes_nothing load () =
       check Alcotest.(list string) "directory check after it" [] (Loader.check_runs repo);
       Repo.close repo)
 
-let load_named_leaf repo ?species name =
-  let species = Option.map (fun seq -> [ (name, seq) ]) species in
-  Loader.load_tree repo ?species ~name:"b"
-    (Newick.parse (Printf.sprintf "((%s,B)x,C);" name))
+let load_named_leaf repo name =
+  Loader.load_tree repo ~name:"b" (Newick.parse (Printf.sprintf "((%s,B)x,C);" name))
+
+(* A root over leaves of these names, in order, built without Newick so
+   that names may hold any byte. *)
+let leaves_tree names =
+  let b = Tree.Builder.create () in
+  let root = Tree.Builder.add_root b in
+  List.iter (fun name -> ignore (Tree.Builder.add_child ~name b ~parent:root)) names;
+  Tree.Builder.finish b
+
+(* The longest all-NUL name a load accepts: [Key.text] writes each NUL
+   as two bytes, and the name's directory key, with its 8-byte id or
+   chunk number, must fit the directory row of its name block and of
+   its species run. *)
+let longest_nul_name repo =
+  let bound =
+    List.fold_left
+      (fun acc table ->
+        min acc (Crimson_storage.Clustered.max_key (Repo.clustered repo table) [ 0 ]))
+      max_int [ Repo.names; Repo.species ]
+  in
+  (bound - 10) / 2
 
 let test_refused_unknown_species =
   refused_load_writes_nothing (fun repo ->
@@ -136,9 +155,35 @@ let test_refused_species_twice =
         ~species:[ ("Bha", "ACGT"); ("Bha", "TTTT") ]
         fx.tree)
 
-let test_refused_long_species_name =
+(* A name within [Name_run.max_name] bytes whose escaped directory key
+   outgrows a page. *)
+let test_refused_escaped_name =
   refused_load_writes_nothing (fun repo ->
-      load_named_leaf repo ~species:"ACGT" (String.make 600 's'))
+      Loader.load_tree repo ~name:"b" (leaves_tree [ String.make 2030 '\000'; "B" ]))
+
+(* Species names up to the longest a load accepts are stored: a long
+   name leaves fewer sequence bytes in its rows, never a row too big
+   for its page, and its chunks read back whole. *)
+let test_long_species_names () =
+  let repo = Repo.open_mem () in
+  let seq = String.init 5000 (fun i -> "ACGT".[i * 7 mod 4]) in
+  List.iteri
+    (fun i name ->
+      let tree = Printf.sprintf "t%d" i in
+      let stored =
+        (Loader.load_tree repo ~name:tree ~species:[ (name, seq) ] (leaves_tree [ name; "B" ]))
+          .tree
+      in
+      let what = Printf.sprintf "a %d-byte name" (String.length name) in
+      check (Alcotest.option Alcotest.string) (what ^ " reads back") (Some seq)
+        (Loader.species_sequence repo stored name);
+      check Alcotest.(list string) (what ^ " is listed") [ name ]
+        (Loader.species_names repo stored))
+    [
+      String.make 600 's'; String.make Name_run.max_name 's';
+      String.make (longest_nul_name repo) '\000';
+    ];
+  check Alcotest.(list string) "directory check" [] (Loader.check_runs repo)
 
 (* Node names up to [Name_run.max_name] bytes load, and resolve. *)
 let test_long_node_names () =
@@ -793,6 +838,20 @@ let test_append_species () =
   | exception Loader.Load_error _ -> ()
   | _ -> Alcotest.fail "unknown species accepted"
 
+(* A name given twice in one call is refused before anything is
+   written. *)
+let test_append_species_twice () =
+  let repo = Repo.open_mem () in
+  let stored = (Loader.load_tree repo ~name:"t" (leaves_tree [ "A"; "B" ])).tree in
+  (match Loader.append_species repo stored [ ("A", "ACGT"); ("A", "TTTT") ] with
+  | exception Loader.Load_error msg ->
+      check Alcotest.bool "the message names the species" true (contains msg "\"A\"")
+  | _ -> Alcotest.fail "a species given twice was appended");
+  check (Alcotest.option Alcotest.string) "A has no sequence" None
+    (Loader.species_sequence repo stored "A");
+  check Alcotest.(list string) "no species stored" [] (Loader.species_names repo stored);
+  check Alcotest.(list string) "directory check" [] (Loader.check_runs repo)
+
 let test_load_nexus () =
   let repo = Repo.open_mem () in
   let doc =
@@ -862,14 +921,35 @@ let old_by_name =
     unique = false;
   }
 
+(* The [species] layout of format version 2: no row id, and a
+   [by_chunk] B+tree over (tree, name, chunk). *)
+let old_species_schema : Crimson_storage.Record.schema =
+  Crimson_storage.Record.[| ("tree", Int); ("name", Text); ("chunk", Int); ("seq", Blob) |]
+
+let old_by_chunk =
+  let module Record = Crimson_storage.Record in
+  let module Key = Crimson_storage.Key in
+  {
+    Table.index_name = "by_chunk";
+    key_of_row =
+      (fun row ->
+        Key.cat
+          [
+            Key.int (Record.get_int row 0); Key.text (Record.get_text row 1);
+            Key.int (Record.get_int row 2);
+          ]);
+    unique = true;
+  }
+
 (* A repository in any other format version is refused, not migrated:
    one written before versions were recorded (here with the
    pre-telemetry [queries] layout), one of format version 1 (nodes found
    by name through [nodes.by_name], and a run directory without first
-   keys), and one from a newer version. The message names both
-   versions; the old rows stay as they were, and so does the log beside
-   them: a committed batch is not replayed, and a log of the format
-   before CRIMWAL2 is not cleared as torn. *)
+   keys), one of format version 2 (sequences found through
+   [species.by_chunk]), and one from a newer version. The message names
+   both versions; the old rows stay as they were, and so does the log
+   beside them: a committed batch is not replayed, and a log of the
+   format before CRIMWAL2 is not cleared as torn. *)
 let test_query_history_legacy_refused () =
   let legacy = Array.sub Crimson_core.Schema.Queries.schema 0 4 in
   let wal dir = Filename.concat dir "crimson.wal" in
@@ -959,6 +1039,24 @@ let test_query_history_legacy_refused () =
       check Alcotest.int "no run rows written" 0 (Crimson_storage.Table.row_count node_runs);
       check Alcotest.bool "no names table created" false
         (List.mem "names" (Database.table_names db));
+      Database.close db);
+  with_temp_dir (fun dir ->
+      let module Database = Crimson_storage.Database in
+      let species db =
+        Database.table db ~name:"species" ~schema:old_species_schema ~indexes:[ old_by_chunk ]
+      in
+      (let db = Database.open_dir dir in
+       ignore
+         (Crimson_storage.Table.insert (species db)
+            Crimson_storage.Record.[| VInt 0; VText "Bha"; VInt 0; VBlob "ACGT" |]);
+       Database.set_version db 2;
+       Database.close db);
+      refused dir ~found:2;
+      let db = Database.open_dir dir in
+      check Alcotest.int "version 2 kept" 2 (Database.version db);
+      check Alcotest.int "version 2 rows kept" 1 (Crimson_storage.Table.row_count (species db));
+      check Alcotest.(list string) "its index kept" [ "by_chunk" ]
+        (Crimson_storage.Table.index_names (species db));
       Database.close db);
   with_temp_dir (fun dir ->
       Repo.close (Repo.open_dir dir);
@@ -2055,6 +2153,146 @@ let prop_differential_large =
       (Birth_death, 3_000, 8, 10);
     ]
 
+(* Species runs against an in-memory map. Leaf names share long
+   prefixes, hold NUL and other non-ASCII bytes, are one byte long, or
+   are as long as a load accepts; sequences are empty, exactly one
+   chunk, one chunk and a byte, or several chunks, so that one name's
+   chunks straddle runs. Part of the set is loaded with the tree and the
+   rest appended in one to three batches. After each step the primed or
+   appending handle, a reopened one and one over 8-page pools must read
+   every sequence back, answer [None] for an internal node, a leaf with
+   no sequence and a name not in the tree, list the names, and pass the
+   directory check. Deleting the tree must leave no species group. *)
+
+let species_name_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (String.make 1) (char_range '\000' '\255');
+        map2
+          (fun n suffix -> String.make n 'p' ^ suffix)
+          (int_range 100 1500)
+          (string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (int_range 0 2));
+        string_size ~gen:(oneofl [ '\000'; '\001'; '\xc3'; '\xa9'; '\xff'; 'a' ]) (int_range 1 12);
+        map (fun c -> String.make Name_run.max_name c) (oneofl [ 'm'; '\xe9' ]);
+        return (String.make (longest_nul_name (Repo.open_mem ())) '\000');
+      ])
+
+let species_seq_gen name =
+  let c = Crimson_core.Schema.Species.chunk_bytes name in
+  QCheck.Gen.(
+    map2
+      (fun len salt -> String.init len (fun i -> "ACGT".[((i * 31) + (i / 7) + salt) land 3]))
+      (oneof [ return 0; return c; return (c + 1); int_range (2 * c) ((4 * c) + 3) ])
+      nat)
+
+let arb_species_case =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 8) species_name_gen >>= fun names ->
+      let names =
+        List.filter
+          (fun n -> not (List.mem n [ "inner"; "bare"; "Martian" ]))
+          (List.sort_uniq String.compare names)
+      in
+      flatten_l (List.map (fun n -> map (fun seq -> (n, seq)) (species_seq_gen n)) names)
+      >>= fun pairs ->
+      shuffle_l pairs >>= fun pairs ->
+      int_range 1 3 >>= fun batches ->
+      list_repeat batches (int_bound (List.length pairs)) >>= fun cuts ->
+      return (pairs, List.sort compare cuts))
+  in
+  QCheck.make gen ~print:(fun (pairs, cuts) ->
+      Printf.sprintf "species [%s], appended from %s"
+        (String.concat "; "
+           (List.map
+              (fun (n, seq) ->
+                Printf.sprintf "%S (%d bytes): %d sites"
+                  (if String.length n > 12 then String.sub n 0 12 ^ "..." else n)
+                  (String.length n) (String.length seq))
+              pairs))
+        (String.concat ", " (List.map string_of_int cuts)))
+
+let species_case (pairs, cuts) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  (* Leaves: every species, then "bare", with no sequence, under an
+     internal node named "inner". *)
+  let tree =
+    let b = Tree.Builder.create () in
+    let root = Tree.Builder.add_root b in
+    let inner = Tree.Builder.add_child ~name:"inner" b ~parent:root in
+    List.iteri
+      (fun i (name, _) ->
+        ignore (Tree.Builder.add_child ~name b ~parent:(if i mod 2 = 0 then inner else root)))
+      pairs;
+    ignore (Tree.Builder.add_child ~name:"bare" b ~parent:root);
+    Tree.Builder.finish b
+  in
+  let rec split from = function
+    | [] -> [ List.filteri (fun i _ -> i >= from) pairs ]
+    | cut :: rest ->
+        List.filteri (fun i _ -> i >= from && i < cut) pairs :: split (max from cut) rest
+  in
+  let steps = split 0 cuts in
+  let verify ~what repo stored stored_pairs =
+    (match Loader.check_runs repo with
+    | [] -> ()
+    | problems -> fail "%s: %s" what (String.concat "; " problems));
+    List.iter
+      (fun (name, seq) ->
+        if Loader.species_sequence repo stored name <> Some seq then
+          fail "%s: the sequence of %S" what name)
+      stored_pairs;
+    List.iter
+      (fun name ->
+        if not (List.mem_assoc name stored_pairs) then
+          match Loader.species_sequence repo stored name with
+          | None -> ()
+          | Some _ -> fail "%s: %S has a sequence" what name)
+      ("inner" :: "bare" :: "Martian" :: List.map fst pairs);
+    let names = List.sort String.compare (List.map fst stored_pairs) in
+    if Loader.species_names repo stored <> names then fail "%s: the species names" what
+  in
+  with_temp_dir (fun dir ->
+      let reopen ?pool_size () =
+        let repo = Repo.open_dir ?pool_size dir in
+        (repo, Stored_tree.open_name repo "s")
+      in
+      let after_step i (repo, stored) stored_pairs =
+        verify ~what:(Printf.sprintf "step %d" i) repo stored stored_pairs;
+        Repo.close repo;
+        let repo, stored = reopen () in
+        verify ~what:(Printf.sprintf "step %d, reopened" i) repo stored stored_pairs;
+        Repo.close repo;
+        let ((repo, stored) as small) = reopen ~pool_size:8 () in
+        verify ~what:(Printf.sprintf "step %d, 8-page pools" i) repo stored stored_pairs;
+        small
+      in
+      let repo = Repo.open_dir dir in
+      let loaded = Loader.load_tree ~f:2 repo ~name:"s" ~species:(List.hd steps) tree in
+      let handle = ref (after_step 0 (repo, loaded.tree) (List.hd steps)) in
+      let stored_pairs = ref (List.hd steps) in
+      List.iteri
+        (fun i batch ->
+          let repo, stored = !handle in
+          ignore (Loader.append_species repo stored batch);
+          stored_pairs := !stored_pairs @ batch;
+          handle := after_step (i + 1) (repo, stored) !stored_pairs)
+        (List.tl steps);
+      let repo, stored = !handle in
+      Loader.delete_tree repo stored;
+      if Crimson_storage.Clustered.groups (Repo.clustered repo Repo.species) <> [] then
+        fail "a deleted tree's species group survived";
+      (match Loader.check_runs repo with
+      | [] -> ()
+      | problems -> fail "after the delete: %s" (String.concat "; " problems));
+      Repo.close repo;
+      true)
+
+let prop_species_runs =
+  QCheck.Test.make ~name:"species runs = in-memory reference" ~count:30 arb_species_case
+    species_case
+
 let test_forged_run_refused () =
   (* A run pointing one row off reads another node's row: every read
      path must refuse it as corrupt, never answer with that row. On a
@@ -2109,6 +2347,7 @@ let test_explain_names_real_indexes () =
   let table_of = function
     | "trees" -> Repo.trees repo
     | "nodes" -> Repo.nodes repo
+    | "node_runs" -> Repo.node_runs repo
     | "layers" -> Repo.layers repo
     | "subtrees" -> Repo.subtrees repo
     | "species" -> Repo.species repo
@@ -2160,7 +2399,20 @@ let test_explain_names_real_indexes () =
   List.iter
     (fun text -> check_plan text (Crimson_collection.Coll_lang.explain repo text))
     [ "consensus('boot')"; "support('boot')"; "rfmatrix('boot')"; "collstats('boot')" ];
-  check Alcotest.bool "plans cite indexes" true (!total > 10)
+  check Alcotest.bool "plans cite indexes" true (!total > 10);
+  (* [seq] reads the tree's species run: a directory search, then a scan
+     of the name's rows. *)
+  match Query_lang.explain stored "seq(Bha)" with
+  | Error msg -> Alcotest.fail msg
+  | Ok plan ->
+      let plan = String.concat "\n" plan in
+      List.iter
+        (fun (what, word) ->
+          if not (contains plan word) then Alcotest.failf "seq's plan %S names no %s" plan what)
+        [
+          ("directory search", "node_runs.by_first"); ("in-memory search", "in memory");
+          ("scan of the name's rows", "scan from");
+        ]
 
 (* ---------------------------- Accounting ---------------------------- *)
 (* Storage and node-cache events are charged on the domain that causes
@@ -2304,8 +2556,9 @@ let () =
           Alcotest.test_case "refused: long tree name" `Quick test_refused_long_tree_name;
           Alcotest.test_case "refused: long node name" `Quick test_refused_long_node_name;
           Alcotest.test_case "refused: species given twice" `Quick test_refused_species_twice;
-          Alcotest.test_case "refused: long species name" `Quick
-            test_refused_long_species_name;
+          Alcotest.test_case "refused: escaped name outgrows its key" `Quick
+            test_refused_escaped_name;
+          Alcotest.test_case "long species names load" `Quick test_long_species_names;
           Alcotest.test_case "long node names load" `Quick test_long_node_names;
           Alcotest.test_case "fetch round trip" `Quick test_fetch_roundtrip;
           Alcotest.test_case "fetch round trip (random)" `Quick
@@ -2375,6 +2628,7 @@ let () =
         [
           Alcotest.test_case "round trip with chunking" `Quick test_species_roundtrip;
           Alcotest.test_case "append" `Quick test_append_species;
+          Alcotest.test_case "append: species given twice" `Quick test_append_species_twice;
           Alcotest.test_case "nexus load" `Quick test_load_nexus;
         ] );
       ( "history",
@@ -2418,7 +2672,8 @@ let () =
           Alcotest.test_case "forged run is corrupt" `Quick test_forged_run_refused;
         ] );
       ( "reference",
-        List.map QCheck_alcotest.to_alcotest (prop_differential :: prop_differential_large) );
+        List.map QCheck_alcotest.to_alcotest
+          ((prop_differential :: prop_differential_large) @ [ prop_species_runs ]) );
       ( "explain",
         [
           Alcotest.test_case "plans name real indexes" `Quick

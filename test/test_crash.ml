@@ -152,11 +152,20 @@ let verify ~label ~observed dir =
         if Tree.node_count proj <> 5 then
           Alcotest.failf "%s: projection broken after recovery" label
       end;
+      (* Step 2 replaces the species run with a merged one: either run,
+         never a torn one. *)
       let step2 =
         step1
         &&
         let stored = Stored_tree.open_name repo "figure1" in
-        Loader.species_sequence repo stored "Lla" = Some "GGTT"
+        match Loader.species_names repo stored with
+        | [ "Bha" ] -> false
+        | [ "Bha"; "Lla" ]
+          when Loader.species_sequence repo stored "Bha" = Some "ACGT"
+               && Loader.species_sequence repo stored "Lla" = Some "GGTT" ->
+            true
+        | names ->
+            Alcotest.failf "%s: torn species run: [%s]" label (String.concat "; " names)
       in
       let history = Repo.history repo in
       (* Step 3 wrote three rows under one checkpoint: all or nothing. *)
