@@ -64,6 +64,7 @@ let species_pieces pairs =
    key order, one directory row per run of them. *)
 let write_species repo ~tree pieces =
   let pieces = Array.of_list pieces in
+  Repo.forget_species_run repo ~tree;
   ignore
     (Clustered.write (Repo.clustered repo Repo.species) [ tree ] ~rows:(Array.length pieces)
        ~first_key:(fun i ->
@@ -74,15 +75,16 @@ let write_species repo ~tree pieces =
          Record.[| VInt tree; VInt i; VText name; VInt chunk; VBlob piece |]));
   Array.length pieces
 
-(* Opened on every call: an append replaces the group. *)
-let species_group repo ~tree =
-  Clustered.open_group (Repo.clustered repo Repo.species) [ tree ]
+let drop_species repo ~tree =
+  Repo.forget_species_run repo ~tree;
+  Clustered.delete (Repo.clustered repo Repo.species) [ tree ]
 
-(* [f name chunk piece] on the group's rows from row [lo], in order, while
-   it answers [true]; [piece] is [""] for a name [wanted] refuses. *)
-let scan_species ?(wanted = fun _ -> true) g ~lo f =
+(* [f name chunk piece] on the group's rows from row [lo] to [hi], in
+   order, while it answers [true]; [piece] is [""] for a name [wanted]
+   refuses. *)
+let scan_species ?(wanted = fun _ -> true) ?hi g ~lo f =
   let size = Clustered.size g in
-  Clustered.scan g ~lo ~hi:(size - 1)
+  Clustered.scan g ~lo ~hi:(Option.value hi ~default:(size - 1))
     (fun id r ->
       let name = R.text r in
       let chunk = R.int r in
@@ -278,51 +280,60 @@ let load_tree ?f ?(species = []) repo ~name tree =
   load_tree_internal ?f repo ~name tree ~species
 
 let append_species repo tree pairs =
-  let tree_id = Stored_tree.id tree in
-  let old = rows_of (species_group repo ~tree:tree_id) in
-  let stored = Hashtbl.create 16 in
-  List.iter (fun (name, _, _) -> Hashtbl.replace stored name ()) old;
-  List.iter
-    (fun (name, _) ->
-      (match Stored_tree.node_by_name tree name with
-      | Some node when Stored_tree.is_leaf tree node -> ()
-      | Some _ -> load_error "species %S names an internal node" name
-      | None -> load_error "species %S is not a leaf of tree %S" name (Stored_tree.name tree));
-      if Hashtbl.mem stored name then load_error "species %S already has sequence data" name)
-    pairs;
-  refuse_twice (List.map fst pairs);
-  (* The merged run replaces the old one in the same batch: a crash
-     leaves one or the other. *)
-  let added = species_pieces pairs in
-  Clustered.delete (Repo.clustered repo Repo.species) [ tree_id ];
-  ignore (write_species repo ~tree:tree_id (List.merge compare_piece old added));
-  Repo.flush repo;
-  let rows = List.length added in
-  Log.info (fun m -> m "appended %d species rows to %S" rows (Stored_tree.name tree));
-  rows
+  (* No pairs, no merge: the run stays as it is. *)
+  if pairs = [] then 0
+  else
+    let tree_id = Stored_tree.id tree in
+    let old = rows_of (Repo.species_run repo ~tree:tree_id) in
+    let stored = Hashtbl.create 16 in
+    List.iter (fun (name, _, _) -> Hashtbl.replace stored name ()) old;
+    List.iter
+      (fun (name, _) ->
+        (match Stored_tree.node_by_name tree name with
+        | Some node when Stored_tree.is_leaf tree node -> ()
+        | Some _ -> load_error "species %S names an internal node" name
+        | None -> load_error "species %S is not a leaf of tree %S" name (Stored_tree.name tree));
+        if Hashtbl.mem stored name then load_error "species %S already has sequence data" name)
+      pairs;
+    refuse_twice (List.map fst pairs);
+    (* The merged run replaces the old one in the same batch: a crash
+       leaves one or the other. *)
+    let added = species_pieces pairs in
+    drop_species repo ~tree:tree_id;
+    ignore (write_species repo ~tree:tree_id (List.merge compare_piece old added));
+    Repo.flush repo;
+    let rows = List.length added in
+    Log.info (fun m -> m "appended %d species rows to %S" rows (Stored_tree.name tree));
+    rows
 
-(* A scan from the run that can hold the name's first chunk: the rows
-   before it in that run are skipped, and its chunks, which may straddle
-   runs, are joined until the name changes. *)
+(* The runs that can hold the name's chunks are found in memory and its
+   first row by a binary search of the first one's page; the scan from
+   there joins the chunks, which may straddle runs, until the name
+   changes or the last of those runs ends: no key of a later name is at
+   most (name, max_int), so a page past them is never read. *)
 let species_sequence repo tree name =
-  let g = species_group repo ~tree:(Stored_tree.id tree) in
-  let parts = ref [] in
-  scan_species g
-    ~lo:(max 0 (Clustered.below g (species_key name 0)))
-    ~wanted:(String.equal name)
-    (fun n _ piece ->
-      let c = String.compare n name in
-      if c = 0 then parts := piece :: !parts;
-      c <= 0);
-  match !parts with
-  | [] -> None
-  | [ s ] -> Some s
-  | parts -> Some (String.concat "" (List.rev parts))
+  let g = Repo.species_run repo ~tree:(Stored_tree.id tree) in
+  match Clustered.below g (species_key name 0) with
+  | -1 -> None
+  | run -> (
+      let parts = ref [] in
+      scan_species g
+        ~lo:(Clustered.seek g ~lo:run (fun r -> String.compare (R.text r) name))
+        ~hi:(Clustered.run_end g (Clustered.below g (species_key name max_int)) - 1)
+        ~wanted:(String.equal name)
+        (fun n _ piece ->
+          let c = String.compare n name in
+          if c = 0 then parts := piece :: !parts;
+          c <= 0);
+      match !parts with
+      | [] -> None
+      | [ s ] -> Some s
+      | parts -> Some (String.concat "" (List.rev parts)))
 
 let species_names repo tree =
   let names = ref [] in
   scan_species
-    (species_group repo ~tree:(Stored_tree.id tree))
+    (Repo.species_run repo ~tree:(Stored_tree.id tree))
     ~lo:0
     ~wanted:(fun _ -> false)
     (fun name _ _ ->
@@ -383,7 +394,7 @@ let delete_tree repo stored =
     Clustered.delete (clustered Repo.subtrees) [ tree_id; layer ];
     Clustered.delete (clustered Repo.summaries) [ tree_id; layer ]
   done;
-  Clustered.delete (clustered Repo.species) [ tree_id ];
+  drop_species repo ~tree:tree_id;
   Repo.flush repo;
   Log.info (fun m -> m "deleted tree %S" (Stored_tree.name stored))
 
@@ -508,6 +519,7 @@ let check_runs repo =
               names.(v.Node_view.node) <- v.Node_view.name;
               v.Node_view.node + 1);
           Name_run.check (Name_run.open_run repo ~tree:id) ~names);
-      checked "species" (fun () -> check_species stored (species_group repo ~tree:id)))
+      checked "species" (fun () ->
+          check_species stored (Clustered.open_group (clustered Repo.species) [ id ])))
     live;
   List.sort compare !problems

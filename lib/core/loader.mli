@@ -49,15 +49,20 @@ val append_species : Repo.t -> Stored_tree.t -> (string * string) list -> int
     take. The tree's species run is read, the new chunks are merged into
     it, and the merged run replaces the old one: both in the call's one
     batch, so a crash leaves one run or the other. The old rows stay as
-    tombstones. Raises {!Load_error}, having written nothing, for names
-    that are not leaves of the tree, already have data or are given
-    twice. *)
+    tombstones, so each append grows the species heap by the whole run
+    it rewrites. An empty list writes nothing. Raises {!Load_error},
+    having written nothing, for names that are not leaves of the tree,
+    already have data or are given twice. *)
 
 val species_sequence : Repo.t -> Stored_tree.t -> string -> string option
-(** Reassemble a species' sequence from its chunks: the tree's species
-    directory is read (one B+tree prefix scan, on every call) and
-    searched in memory, then the rows are scanned from the run that can
-    hold the name's first chunk until the name changes. *)
+(** Reassemble a species' sequence from its chunks. The tree's species
+    directory is read on the repository handle's first lookup of the
+    tree and kept ({!Repo.species_run}); its run keys are searched in
+    memory, the run that can hold the name's first chunk is
+    binary-searched on its page ({!Crimson_storage.Clustered.seek}), and
+    the rows are scanned from the name's first one until the name
+    changes. A warm lookup's cost does not grow with the tree's
+    sequences. *)
 
 val species_names : Repo.t -> Stored_tree.t -> string list
 (** Names with stored sequences, sorted: one scan of the tree's species

@@ -375,11 +375,12 @@ let table =
                 Printf.sprintf "%s… (%d sites)" (String.sub s 0 60) (String.length s))
           ~plan:(fun _ _ ->
             [
-              "the tree's species run: its directory rows, one prefix scan of \
-               node_runs.by_first, then a search of their first (name, chunk) keys in \
-               memory";
-              "scan from the first row of the run that can hold the name, each page \
-               pinned once, joining the name's chunks until the name changes";
+              "the tree's species run: its directory rows, read by one prefix scan of \
+               node_runs.by_first on the repository handle's first lookup of the tree \
+               and kept, then a search of their first (name, chunk) keys in memory";
+              "a binary search of the rows of the run that can hold the name, its page \
+               pinned once; then a scan from the name's first row, each page pinned \
+               once, joining its chunks until the name changes";
             ]);
         tree "info" ~arity:(0, 0) ~usage:"info takes no arguments"
           ~help:[ ("info()", "tree metadata") ]

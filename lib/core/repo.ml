@@ -18,6 +18,8 @@ type t = {
   bips : Table.t;
   members : Table.t;
   mutable next_query_id : int option; (* lazily initialised from storage *)
+  species_runs : (int, Clustered.group) Hashtbl.t;
+      (* each tree's species run, opened on its first lookup *)
 }
 
 exception Open_error of string
@@ -73,6 +75,7 @@ let open_tables db =
     bips;
     members;
     next_query_id = None;
+    species_runs = Hashtbl.create 8;
   }
 
 (* The server opens repositories it must not create, and has to report a
@@ -134,6 +137,19 @@ let collections t = t.collections
 let bips t = t.bips
 let members t = t.members
 let clustered t table = Clustered.create (table t) ~directory:t.node_runs
+
+(* Kept while the group stands: every write and delete of a species
+   group forgets it first, so a replaced group is never read through
+   its old runs. *)
+let species_run t ~tree =
+  match Hashtbl.find_opt t.species_runs tree with
+  | Some g -> g
+  | None ->
+      let g = Clustered.open_group (clustered t species) [ tree ] in
+      Hashtbl.replace t.species_runs tree g;
+      g
+
+let forget_species_run t ~tree = Hashtbl.remove t.species_runs tree
 
 let flush t = Database.flush t.db
 let close t = Database.close t.db

@@ -87,6 +87,17 @@ val species : t -> Table.t
 (** Each tree's species sequences, one sorted run (see {!Schema.Species}
     and [Loader.species_sequence]). *)
 
+val species_run : t -> tree:int -> Crimson_storage.Clustered.group
+(** Tree [tree]'s species group, its directory read on the first call
+    (one prefix scan of [node_runs.by_first]) and kept by this handle,
+    so that a lookup's cost does not grow with the sequences the tree
+    holds. *)
+
+val forget_species_run : t -> tree:int -> unit
+(** Drop the kept group of tree [tree]. [Loader] calls it before it
+    writes or deletes that group: the next {!species_run} reads the
+    directory again. *)
+
 val summaries : t -> Table.t
 (** Precomputed per-clade rollups (see {!Schema.Summaries} and
     {!Summary}): one row per bounded-depth subtree of every layer,

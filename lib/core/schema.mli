@@ -96,7 +96,8 @@ end
     cut into chunks numbered from 0, and row [row] of the group is the
     [row]th (name, chunk) pair in ascending order. Each run's directory
     row holds its first row's (name, chunk), so a lookup searches those
-    keys in memory and scans from one run. *)
+    keys in memory, binary-searches one run's page for the name's first
+    row and scans from there. *)
 module Species : sig
   val chunk_size : int
   (** The most sequence bytes one row holds. *)

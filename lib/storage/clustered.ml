@@ -182,6 +182,10 @@ let below g key =
   if Array.length runs = 0 || String.compare runs.(0).key key > 0 then -1
   else runs.(search 0 (Array.length runs - 1)).first
 
+let run_end g id =
+  let run = g.runs.(run_index g id) in
+  run.first + run.rows
+
 let rid_of g id =
   let run = g.runs.(run_index g id) in
   run.rid + (id - run.first)
@@ -210,6 +214,30 @@ let find g id decode =
     try Table.with_payload g.c.table rid (decode_checked g id rid decode)
     with Invalid_argument msg | Crimson_util.Codec.Corrupt msg | Record.Type_error msg ->
       corrupt_row g id rid msg
+
+(* A binary search of one run's rows, all in one page: ids [lo .. a)
+   are before the probe, [b ..] are not. *)
+let seek g ~lo cmp =
+  if lo < 0 || lo >= g.size then lo
+  else
+    let run = g.runs.(run_index g lo) in
+    let at = ref lo in
+    try
+      Table.with_slots g.c.table run.rid (fun read ->
+          let rec search a b =
+            if a >= b then a
+            else
+              let mid = (a + b) / 2 in
+              let rid = run.rid + (mid - run.first) in
+              at := mid;
+              match read (mid - run.first) (decode_checked g mid rid cmp) with
+              | Some c when c < 0 -> search (mid + 1) b
+              | Some _ -> search a mid
+              | None -> corrupt_row g mid rid "deleted in a live group"
+          in
+          search lo (run.first + run.rows))
+    with Invalid_argument msg | Crimson_util.Codec.Corrupt msg | Record.Type_error msg ->
+      corrupt_row g !at (run.rid + (!at - run.first)) msg
 
 (* [f] runs while the page is pinned, but what it raises is its own: only
    the walk and the decode report a malformed row as corrupt. *)

@@ -17,8 +17,9 @@
     its runs' keys are empty. A sorted group's rows also ascend by a
     byte-string key the writer gives ([~first_key]), and each run's
     directory row holds its first row's key, so {!below} finds the run
-    whose rows can hold a key with no read. Crimson's [species] table is
-    sorted this way: its runs hold many (name, chunk) rows each. A
+    whose rows can hold a key with no read, and {!seek} the row within
+    that run, its page pinned once. Crimson's [species] table is sorted
+    this way: its runs hold many (name, chunk) rows each. A
     sorted group whose rows are page-sized blocks ([~row_runs:true])
     gives every row a run of its own, so {!below} picks a row: Crimson's
     [names] table holds one block of names per row.
@@ -98,10 +99,21 @@ val below : group -> string -> int
     ([String.compare]). [-1] when none is, and a scan for [key] then
     starts at row 0. A binary search of the keys in memory. *)
 
+val run_end : group -> int -> int
+(** [run_end g id] is one past the last row of the run holding row [id]
+    (in [0, size)): a scan bounded by it reads one page. *)
+
 val find : group -> int -> (Record.Reader.t -> 'a) -> 'a option
 (** [find g id decode] locates [id], pins its page and checks the row's
     key, then [decode]s the columns after it off the pinned page. [None]
     when [id] is outside the group or its row was deleted. *)
+
+val seek : group -> lo:int -> (Record.Reader.t -> int) -> int
+(** [seek g ~lo cmp] is the first row from [lo] to the end of [lo]'s run
+    that [cmp] does not place before the probe ([cmp r >= 0], [r] at the
+    columns after the key, each row checked as {!find} does), or the
+    run's end: a binary search of a sorted group's rows within one run,
+    its page pinned once. [lo] itself when it is outside the group. *)
 
 val scan :
   group -> lo:int -> hi:int -> (int -> Record.Reader.t -> 'a) -> ('a -> int) -> unit

@@ -88,6 +88,12 @@ let with_records t rid ~count f =
       in
       walk 0)
 
+let with_slots t rid f =
+  check_rid t rid "with_slots";
+  Pager.with_page t.pager (rid_page rid) (fun page ->
+      let slot = rid_slot rid in
+      f (fun i g -> Slotted.with_record page (slot + i) g))
+
 let delete t rid =
   check_rid t rid "delete";
   Pager.with_page_mut t.pager (rid_page rid) (fun page ->

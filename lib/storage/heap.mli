@@ -44,6 +44,13 @@ val with_records : t -> rid -> count:int -> (int -> bytes -> int -> int -> int) 
     it returns. [f] must not keep [page]. Raises [Invalid_argument] for a
     rid that never existed or a slot past the page's directory. *)
 
+val with_slots : t -> rid -> ((int -> (bytes -> int -> int -> 'a) -> 'a option) -> 'b) -> 'b
+(** [with_slots t rid f] pins [rid]'s page once and hands [f] a reader
+    of its slots in any order: [read i g] is [g page off len] on slot
+    [i], counting from [rid]'s, or [None] for a deleted slot. Neither
+    [read] nor [page] may be kept past [f]. Raises [Invalid_argument]
+    as {!with_records} does. *)
+
 val delete : t -> rid -> unit
 
 val iter : t -> (rid -> string -> unit) -> unit

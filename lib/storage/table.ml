@@ -62,6 +62,13 @@ let with_payloads t rid ~count f =
       Crimson_obs.Cost.row_decoded ~bytes:len;
       f i page off len)
 
+let with_slots t rid f =
+  Heap.with_slots t.heap rid (fun read ->
+      f (fun i g ->
+          read i (fun page off len ->
+              Crimson_obs.Cost.row_decoded ~bytes:len;
+              g page off len)))
+
 let heap_file t =
   match Pager.file_path (Heap.pager t.heap) with
   | Some path -> path

@@ -55,6 +55,10 @@ val with_payloads : t -> Heap.rid -> count:int -> (int -> bytes -> int -> int ->
     it wants. Returns where the walk ended: [>= count], or the index of
     a deleted row. *)
 
+val with_slots : t -> Heap.rid -> ((int -> (bytes -> int -> int -> 'a) -> 'a option) -> 'b) -> 'b
+(** {!Heap.with_slots} on the table's heap: one page pin, the slots from
+    [rid]'s read in any order, each read charged as one decoded row. *)
+
 val heap_file : t -> string
 (** The heap's file path ([<name>.heap] for an in-memory table): the
     file a [Corrupt_page] error about one of its rows names. *)

@@ -852,6 +852,48 @@ let test_append_species_twice () =
   check Alcotest.(list string) "no species stored" [] (Loader.species_names repo stored);
   check Alcotest.(list string) "directory check" [] (Loader.check_runs repo)
 
+(* The repository keeps each tree's species run after its first lookup:
+   a warm lookup pins its own row's page twice (the search and the scan)
+   and no other, also for a name that ends a run, however many pages the
+   tree has; and an append, a delete or a load that reuses the tree's id
+   is seen by every handle. *)
+let test_species_lookups_kept () =
+  let repo = Repo.open_mem () in
+  let names = List.init 2000 (Printf.sprintf "L%04d") in
+  let seq_of name = String.make 500 name.[4] ^ name in
+  let stored =
+    (Loader.load_tree repo ~name:"many" (leaves_tree names)
+       ~species:(List.map (fun n -> (n, seq_of n)) names))
+      .tree
+  in
+  ignore (Loader.species_sequence repo stored "L0000");
+  List.iter
+    (fun name ->
+      let before = Cost.pages (Cost.current ()) in
+      check (Alcotest.option Alcotest.string) name (Some (seq_of name))
+        (Loader.species_sequence repo stored name);
+      let pages = Cost.pages (Cost.current ()) - before in
+      if pages > 2 then Alcotest.failf "a warm lookup of %s touched %d pages" name pages)
+    names;
+  Loader.delete_tree repo stored;
+  let ab = leaves_tree [ "A"; "B" ] in
+  let first = (Loader.load_tree repo ~name:"a" ab ~species:[ ("A", "ACGT") ]).tree in
+  let seq = Loader.species_sequence repo in
+  check (Alcotest.option Alcotest.string) "A" (Some "ACGT") (seq first "A");
+  check (Alcotest.option Alcotest.string) "B before the append" None (seq first "B");
+  ignore (Loader.append_species repo first [ ("B", "TTTT") ]);
+  check (Alcotest.option Alcotest.string) "B after the append" (Some "TTTT") (seq first "B");
+  check (Alcotest.option Alcotest.string) "B on another handle" (Some "TTTT")
+    (seq (Stored_tree.open_name repo "a") "B");
+  check Alcotest.int "an empty append writes nothing" 0 (Loader.append_species repo first []);
+  Loader.delete_tree repo first;
+  check (Alcotest.option Alcotest.string) "A after the delete" None (seq first "A");
+  let second = (Loader.load_tree repo ~name:"b" ab ~species:[ ("A", "GGGG") ]).tree in
+  check Alcotest.int "the id is reused" (Stored_tree.id first) (Stored_tree.id second);
+  check (Alcotest.option Alcotest.string) "A of the new tree" (Some "GGGG") (seq second "A");
+  check (Alcotest.option Alcotest.string) "B of the new tree" None (seq second "B");
+  check Alcotest.(list string) "directory check" [] (Loader.check_runs repo)
+
 let test_load_nexus () =
   let repo = Repo.open_mem () in
   let doc =
@@ -2629,6 +2671,7 @@ let () =
           Alcotest.test_case "round trip with chunking" `Quick test_species_roundtrip;
           Alcotest.test_case "append" `Quick test_append_species;
           Alcotest.test_case "append: species given twice" `Quick test_append_species_twice;
+          Alcotest.test_case "lookups kept until replaced" `Quick test_species_lookups_kept;
           Alcotest.test_case "nexus load" `Quick test_load_nexus;
         ] );
       ( "history",

@@ -954,7 +954,36 @@ let test_clustered_find_and_scan () =
       next id);
   check (Alcotest.list Alcotest.int) "jumps" (expect 5 []) (List.rev !seen);
   check Alcotest.int "no decode of a row jumped over" (List.length !seen)
-    ((Cost.current ()).rows_decoded - before.rows_decoded)
+    ((Cost.current ()).rows_decoded - before.rows_decoded);
+  (* A seek binary-searches one run's rows, its page pinned once: ids
+     ascend, so the first row whose id is not below the probe, or the
+     run's end. *)
+  Array.iter
+    (fun (r : Clustered.run) ->
+      let stop = r.first + r.rows in
+      List.iter
+        (fun (lo, probe) ->
+          let before = Cost.snapshot () in
+          let at =
+            Clustered.seek reopened ~lo (fun rd ->
+                Int.compare (id_of_payload (decode_text rd)) probe)
+          in
+          let after = Cost.current () in
+          check Alcotest.int
+            (Printf.sprintf "seek %d from %d" probe lo)
+            (max lo (min probe stop)) at;
+          check Alcotest.int "one page pin" 1 (Cost.pages after - Cost.pages before);
+          check Alcotest.int "run end" stop (Clustered.run_end reopened lo);
+          if after.rows_decoded - before.rows_decoded > 8 then
+            Alcotest.failf "a seek in a run of %d rows decoded %d" r.rows
+              (after.rows_decoded - before.rows_decoded))
+        [
+          (r.first, r.first - 1); (r.first, r.first); (r.first, (r.first + stop) / 2);
+          (r.first, stop - 1); (r.first, stop + 5); (stop - 1, r.first);
+        ])
+    (Clustered.runs reopened);
+  check Alcotest.int "a seek outside the group stays" 300
+    (Clustered.seek reopened ~lo:300 (fun _ -> 0))
 
 let test_clustered_key_checked () =
   let table, directory, c = clustered_db () in
@@ -983,6 +1012,7 @@ let test_clustered_key_checked () =
   in
   corrupt "find" (fun () -> ignore (Clustered.find g 0 decode_text));
   corrupt "scan" (fun () -> Clustered.scan g ~lo:0 ~hi:3 (fun _ -> decode_text) (fun _ -> max_int));
+  corrupt "seek" (fun () -> ignore (Clustered.seek g ~lo:0 (fun _ -> 0)));
   check Alcotest.bool "check reports it" true
     (Result.is_error (Clustered.check g ~rows:40));
   (* What the consumer raises is its own, not a corrupt row. *)
