@@ -107,7 +107,7 @@ bench-snapshot:
 # `make bench-snapshot`) against the committed bench/baselines/.
 # A changed exact field (E7's nrf_*/triplet_* scores, E3's
 # frontier_nodes_* sizes, every *pages* count) fails the target;
-# a >20% throughput regression only prints a WARNING — bench containers
+# a >20% throughput or >10% word-count regression only prints a WARNING — bench containers
 # are too noisy to hard-gate times.
 bench-diff:
 	dune exec bench/diff.exe -- $(BENCH_DIR) $(CURDIR)/bench/baselines

@@ -12,7 +12,14 @@
    The end-to-end phase serves the largest tree over a real gateway
    socket and measures overview GET latency and the conditional-GET
    path: after the first 200, every revalidation must come back 304 Not
-   Modified. *)
+   Modified.
+
+   Each /v1 route's allocation is measured in process on the largest
+   tree, through [Worker_core.handle_http] after a warm-up: the mean
+   minor, promoted and major words one request allocates on the calling
+   domain ([Gc.counters]; its major words include the promoted ones),
+   as [<kind>_words_r_<route>] for an overview at depth 1, a clade of 3
+   species and a POST query of lca. *)
 
 open Bench_common
 module Repo = Crimson_core.Repo
@@ -22,12 +29,72 @@ module Summary = Crimson_core.Summary
 module Wire = Crimson_server.Wire
 module Worker_core = Crimson_server.Worker_core
 module Http_client = Crimson_server.Http_client
+module Http = Crimson_gateway.Http
 
 let sizes = [ 500; 2000; 8000 ]
 let reps = 40
 let conditional_gets = 50
 
 let overview_once stored = ignore (Summary.overview stored ~depth:1)
+
+(* (route, decoded request, measured requests): warmed with 5 requests,
+   then measured as a mean over [n]. *)
+let routes =
+  let request raw =
+    match Http.feed (Http.create_decoder ()) raw with
+    | Ok [ r ] -> r
+    | _ -> failwith "E17: cannot decode a probe request"
+  in
+  let get path = request (Printf.sprintf "GET %s HTTP/1.1\r\nHost: crimson\r\n\r\n" path) in
+  let lca = "lca(T17, T4711)" in
+  [
+    ("overview", get "/v1/trees/bench/overview?depth=1", 50);
+    ("clade", get "/v1/trees/bench/clade?species=T11,T2024,T5003", 400);
+    ( "lca",
+      request
+        (Printf.sprintf
+           "POST /v1/trees/bench/query HTTP/1.1\r\nHost: crimson\r\nContent-Length: %d\r\n\r\n%s"
+           (String.length lca) lca),
+      400 );
+  ]
+
+let route_words repo =
+  (* One session, admitted as the server's accept loop admits it. *)
+  let sessions = Worker_core.create_sessions () in
+  let core = Worker_core.create (Worker_core.local_ctx ~sessions repo) repo in
+  Atomic.incr (Worker_core.admitted sessions);
+  let s = Worker_core.accept_session core ~id:1 in
+  let table =
+    T.create
+      ~columns:
+        [ ("route", T.Left); ("minor words", T.Right); ("promoted", T.Right); ("major", T.Right) ]
+  in
+  let fields =
+    List.concat_map
+      (fun (route, r, n) ->
+        let serve () =
+          match Worker_core.handle_http core s r with
+          | raw, _ when String.starts_with ~prefix:"HTTP/1.1 200" raw -> ()
+          | raw, _ -> failwith ("E17: " ^ route ^ " answered " ^ String.sub raw 0 12)
+        in
+        for _ = 1 to 5 do
+          serve ()
+        done;
+        let minor0, promoted0, major0 = Gc.counters () in
+        for _ = 1 to n do
+          serve ()
+        done;
+        let minor1, promoted1, major1 = Gc.counters () in
+        let per x0 x1 = (x1 -. x0) /. float_of_int n in
+        let words = [ per minor0 minor1; per promoted0 promoted1; per major0 major1 ] in
+        T.add_row table (route :: List.map (Printf.sprintf "%.1f") words);
+        List.map2
+          (fun kind w -> (Printf.sprintf "%s_words_r_%s" kind route, Json.Num w))
+          [ "minor"; "promoted"; "major" ] words)
+      routes
+  in
+  Worker_core.close_session core s;
+  (fields, T.render table)
 
 let run () =
   section "E17" "gateway: overview latency vs tree size, 304 rate";
@@ -44,7 +111,7 @@ let run () =
               ("pages", T.Right);
             ]
       in
-      let fields = ref [] in
+      let fields = ref [] and words = ref ([], "") in
       List.iter
         (fun leaves ->
           let repo_dir = Filename.concat dir (Printf.sprintf "r%d" leaves) in
@@ -69,9 +136,11 @@ let run () =
             (Printf.sprintf "overview_pages_l%d" leaves, Json.Num (float_of_int pages))
             :: (Printf.sprintf "overview_ms_l%d" leaves, Json.Num ms)
             :: !fields;
+          if leaves = List.fold_left max 0 sizes then words := route_words repo;
           Repo.close repo)
         sizes;
       print_string (T.render table);
+      print_string (snd !words);
       let served_dir = Filename.concat dir (Printf.sprintf "r%d" (List.fold_left max 0 sizes)) in
       let sock = Filename.concat dir "e17.sock" in
       let hsock = Filename.concat dir "e17_http.sock" in
@@ -120,6 +189,7 @@ let run () =
       emit_bench ~experiment:"E17"
         ~fields:
           (List.rev !fields
+          @ fst !words
           @ [
               ("http_overview_ms", Json.Num http_ms);
               ("etag_304_rate", Json.Num rate_304);

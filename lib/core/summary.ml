@@ -100,12 +100,16 @@ let decode_entry sub r =
   R.finish r;
   { sub; root; parent_sub; name; nodes; leaves; height; blen }
 
-let overview stored ~depth =
+let iter stored ~depth f =
   let layer = layer_for ~layer_count:(Stored_tree.layer_count stored) ~depth in
-  let acc = ref [] in
   Clustered.scan (Stored_tree.group stored Repo.summaries ~layer) ~lo:0 ~hi:max_int
     decode_entry (fun e ->
-      acc := e :: !acc;
+      f e;
       e.sub + 1);
   Metrics.Counter.incr m_hit;
+  layer
+
+let overview stored ~depth =
+  let acc = ref [] in
+  let layer = iter stored ~depth (fun e -> acc := e :: !acc) in
   (layer, List.rev !acc)

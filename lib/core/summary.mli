@@ -40,7 +40,11 @@ val layer_for : layer_count:int -> depth:int -> int
     the single top cluster, each step descends one layer, clamped at
     layer 0. *)
 
+val iter : Stored_tree.t -> depth:int -> (entry -> unit) -> int
+(** [iter stored ~depth f] calls [f] on each cluster at the given
+    resolution, in ascending [sub] order, as one scan of the tree's
+    (tree, layer) group decodes it, and returns the layer. The scan's
+    directory rows are read once per handle; the entries are not kept. *)
+
 val overview : Stored_tree.t -> depth:int -> int * entry list
-(** [(layer, clusters)] at the given resolution, clusters in ascending
-    [sub] order: one scan of the tree's (tree, layer) group, whose
-    directory rows the handle reads once. *)
+(** [(layer, clusters)]: {!iter}'s clusters as a list. *)

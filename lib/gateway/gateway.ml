@@ -10,14 +10,17 @@ type handlers = {
   validator : Request.t -> string option;
 }
 
-let error_body code message =
-  Json.to_string
-    (Json.Obj
-       [ ("ok", Json.Bool false); ("error", Response.error_json code message) ])
-  ^ "\n"
+(* A value and its LF, written in the domain's render buffer and copied
+   out once. *)
+let line v =
+  Json.render (fun buf ->
+      Json.to_buffer buf v;
+      Buffer.add_char buf '\n')
 
-let reply_body fields =
-  Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields)) ^ "\n"
+let error_body code message =
+  line (Json.Obj [ ("ok", Json.Bool false); ("error", Response.error_json code message) ])
+
+let reply_body fields = line (Json.Obj (("ok", Json.Bool true) :: fields))
 
 (* One HTTP exchange: route, try the conditional-GET fast path, else
    dispatch through the shared verb handlers and render per the

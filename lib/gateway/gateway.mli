@@ -22,6 +22,13 @@ type handlers = {
 val respond : handlers -> Http.request -> string * bool
 (** [(rendered_response, close_after)]. *)
 
+val reply_body : (string * Crimson_obs.Json.t) list -> string
+(** The [{"ok":true, <fields>}] JSON body and its LF: an HTTP body and a
+    wire reply line alike. It is written in the calling domain's render
+    buffer ({!Crimson_obs.Json.render}) and copied out once, so it
+    never aliases that buffer. *)
+
 val error_body : Response.code -> string -> string
-(** The [{"ok":false,"error":{…}}] JSON body (shared with admission
+(** The [{"ok":false,"error":{…}}] JSON body and its LF, rendered as
+    {!reply_body} is (shared with the wire protocol and with admission
     rejections rendered outside {!respond}). *)

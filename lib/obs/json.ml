@@ -5,6 +5,7 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 exception Parse_error of { pos : int; message : string }
 
@@ -81,12 +82,24 @@ let to_buffer buf v =
             go item)
           fields;
         Buffer.add_char buf '}'
+    | Raw text -> Buffer.add_string buf text
   in
   go v
 
 let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;
+  Buffer.contents buf
+
+let render_keep = 1 lsl 20
+let render_buf = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+let render write =
+  let buf = Domain.DLS.get render_buf in
+  (* The capacity the last call needed stays for the next one, unless
+     that call wrote more than [render_keep]. *)
+  if Buffer.length buf > render_keep then Buffer.reset buf else Buffer.clear buf;
+  write buf;
   Buffer.contents buf
 
 (* ------------------------------ Parsing ----------------------------- *)
@@ -263,7 +276,7 @@ let parse s =
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
-  | Null | Bool _ | Num _ | Str _ | List _ -> None
+  | Null | Bool _ | Num _ | Str _ | List _ | Raw _ -> None
 
 let rec equal a b =
   match (a, b) with
@@ -279,4 +292,5 @@ let rec equal a b =
       && List.for_all2
            (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
            x y
-  | (Null | Bool _ | Num _ | Str _ | List _ | Obj _), _ -> false
+  | Raw x, Raw y -> String.equal x y
+  | (Null | Bool _ | Num _ | Str _ | List _ | Obj _ | Raw _), _ -> false

@@ -13,6 +13,12 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Text already encoded by this module, such as an array rendered
+          item by item through {!to_buffer}: {!to_buffer} copies it
+          verbatim, so the caller vouches that it is one well-formed
+          value. {!parse} never returns it; {!member} finds no field in
+          it, and {!equal} compares its text, not its value. *)
 
 exception Parse_error of { pos : int; message : string }
 
@@ -32,6 +38,14 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 (** Append {!to_string}'s bytes to a buffer. *)
+
+val render : (Buffer.t -> unit) -> string
+(** [render write] empties a buffer that the calling domain keeps from
+    call to call, runs [write] on it and returns a copy of what [write]
+    appended: the string never aliases the buffer, so it may outlive
+    the call and cross domains. [write] must not call [render]. The
+    buffer keeps the capacity its largest text needed, up to 1 MiB; a
+    call that wrote more gives it back at the domain's next call. *)
 
 val parse : string -> t
 (** Strict parser for the subset above. Raises {!Parse_error} with the

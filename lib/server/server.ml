@@ -117,7 +117,8 @@ let run ?(config = Worker_core.default_config) ?(on_ready = ignore)
          503 carrying the same structured error. *)
       let msg = Printf.sprintf "session limit reached (%d active, max %d)" n max_sessions in
       match kind with
-      | Conn.Wire_conn -> Conn.reject fd (Wire.error Response.Session_limit msg)
+      | Conn.Wire_conn ->
+          Conn.reject fd (Crimson_gateway.Gateway.error_body Response.Session_limit msg)
       | Conn.Http_conn ->
           Conn.reject_http set fd
             (Crimson_gateway.Http.render ~status:503

@@ -1,5 +1,3 @@
-module Json = Crimson_obs.Json
-
 (* ----------------------------- Addresses --------------------------- *)
 
 type addr =
@@ -127,16 +125,3 @@ module Line_buffer = struct
       end
     end
 end
-
-(* ------------------------------ Replies ---------------------------- *)
-
-let render fields =
-  let buf = Buffer.create 256 in
-  Json.to_buffer buf (Json.Obj fields);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-let ok fields = render (("ok", Json.Bool true) :: fields)
-
-let error code msg =
-  render [ ("ok", Json.Bool false); ("error", Response.error_json code msg) ]

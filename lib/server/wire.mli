@@ -1,11 +1,12 @@
-(** The Crimson wire protocol: addresses, framing, requests, replies.
+(** The Crimson wire protocol: addresses, framing, requests.
 
     The query service speaks a line-oriented protocol: each request is
     one LF-terminated line (a trailing CR is stripped, so both netcat
-    and CRLF clients work), and each reply is exactly one line of JSON
-    rendered by {!Crimson_obs.Json} — [{"ok":true, ...}] on success,
-    [{"ok":false,"error":{"code":…,"message":…}}] on failure (the same
-    structured error object the HTTP gateway serves). A request line is
+    and CRLF clients work), and each reply is exactly one line of JSON,
+    the HTTP gateway's JSON body byte for byte
+    ({!Crimson_gateway.Gateway.reply_body} and [error_body]) —
+    [{"ok":true, ...}] on success,
+    [{"ok":false,"error":{"code":…,"message":…}}] on failure. A request line is
     a verb, case-insensitive, then everything after the first space as
     its payload, verbatim; {!Crimson_gateway.Request.wire_table} lists
     the verbs and parses their payloads (DESIGN.md §10 gives the
@@ -59,13 +60,3 @@ module Line_buffer : sig
   val pending : t -> int
   (** Bytes buffered towards the next (incomplete) line. *)
 end
-
-(** {1 Replies} *)
-
-val ok : (string * Crimson_obs.Json.t) list -> string
-(** One reply line: [{"ok":true, <fields>}] plus the LF terminator. *)
-
-val error : Crimson_gateway.Response.code -> string -> string
-(** One reply line:
-    [{"ok":false,"error":{"code":<code>,"message":<msg>}}] plus the
-    terminator. *)

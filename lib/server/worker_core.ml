@@ -224,9 +224,9 @@ type reply = {
    parity test replays a golden transcript against it). *)
 let render_wire (resp : Response.t) =
   match resp with
-  | Response.Reply { fields; close; _ } -> { body = Wire.ok fields; close }
+  | Response.Reply { fields; close; _ } -> { body = Gateway.reply_body fields; close }
   | Response.Err { code; message; close } ->
-      { body = Wire.error code message; close }
+      { body = Gateway.error_body code message; close }
 
 (* ----------------------------- Sessions ---------------------------- *)
 
@@ -331,7 +331,7 @@ let protocol_error t s msg =
   Metrics.Counter.incr t.mw_errors;
   Metrics.Counter.incr t.m_errors;
   Log.info (fun m -> m "session=%d protocol error: %s" s.id msg);
-  { body = Wire.error Response.Bad_request msg; close = true }
+  { body = Gateway.error_body Response.Bad_request msg; close = true }
 
 let hello t s =
   let trees = List.map (fun (_, name) -> Json.Str name) (Stored_tree.list_all t.repo) in
@@ -541,23 +541,20 @@ let sleep_verb t ms =
    elapsed_ms/pages noise): a cacheable response must render identically
    until the backing catalog rows change, or ETags would never 304. *)
 
-(* Resolve ":tree" path segments: stored name first, then numeric id. *)
+(* Resolve ":tree" path segments to the catalog row and its rid: stored
+   name first, then numeric id. *)
 let tree_catalog_row t name =
   let trees = Repo.trees t.repo in
   match Table.find trees ~index:"by_name" ~key:(Schema.Trees.key_name name) with
-  | Some (_, row) -> Some row
-  | None -> (
-      match int_of_string_opt name with
-      | Some id -> (
-          match Table.find trees ~index:"by_id" ~key:(Schema.Trees.key_id id) with
-          | Some (_, row) -> Some row
-          | None -> None)
-      | None -> None)
+  | Some _ as found -> found
+  | None ->
+      Option.bind (int_of_string_opt name) (fun id ->
+          Table.find trees ~index:"by_id" ~key:(Schema.Trees.key_id id))
 
 let resolve_tree t name =
   match tree_catalog_row t name with
   | None -> None
-  | Some row -> (
+  | Some (_, row) -> (
       let id = Record.get_int row Schema.Trees.c_id in
       match Hashtbl.find_opt t.trees id with
       | Some shared -> Some shared
@@ -580,17 +577,18 @@ let tree_meta_fields row =
     ("leaves", num (Record.get_int row Schema.Trees.c_leaves));
   ]
 
+(* The catalog's (rid, row) pairs in id order. *)
 let catalog_rows t =
   let rows = ref [] in
-  Table.scan (Repo.trees t.repo) (fun _ row -> rows := row :: !rows);
+  Table.scan (Repo.trees t.repo) (fun rid row -> rows := (rid, row) :: !rows);
   List.sort
-    (fun a b ->
+    (fun (_, a) (_, b) ->
       Int.compare (Record.get_int a Schema.Trees.c_id)
         (Record.get_int b Schema.Trees.c_id))
     !rows
 
 let list_trees t ~page ~per_page =
-  let rows = catalog_rows t in
+  let rows = List.map snd (catalog_rows t) in
   let total = List.length rows in
   (* [page] is 1-based (the router floors it at 1). *)
   let first = (page - 1) * per_page in
@@ -608,32 +606,44 @@ let list_trees t ~page ~per_page =
 let tree_info t name =
   match tree_catalog_row t name with
   | None -> no_such_tree t name
-  | Some row -> Response.ok (tree_meta_fields row)
+  | Some (_, row) -> Response.ok (tree_meta_fields row)
 
+let cluster_json (e : Summary.entry) =
+  Json.Obj
+    [
+      ("sub", num e.sub);
+      ("root", num e.root);
+      ("parent_sub", num e.parent_sub);
+      ("name", Json.Str e.name);
+      ("nodes", num e.nodes);
+      ("leaves", num e.leaves);
+      ("height", num e.height);
+      ("blen", Json.Num e.blen);
+    ]
+
+(* Each cluster is written as the summary scan decodes it, into the
+   domain's render buffer: neither a list of entries nor a reply-sized
+   JSON value is built, and the array enters the reply as raw text. *)
 let overview_req t ~tree ~depth =
   match resolve_tree t tree with
   | None -> no_such_tree t tree
   | Some stored ->
-      let layer, entries = Summary.overview stored ~depth in
-      let cluster (e : Summary.entry) =
-        Json.Obj
-          [
-            ("sub", num e.Summary.sub);
-            ("root", num e.Summary.root);
-            ("parent_sub", num e.Summary.parent_sub);
-            ("name", Json.Str e.Summary.name);
-            ("nodes", num e.Summary.nodes);
-            ("leaves", num e.Summary.leaves);
-            ("height", num e.Summary.height);
-            ("blen", Json.Num e.Summary.blen);
-          ]
+      let layer = ref 0 in
+      let clusters =
+        Json.render (fun buf ->
+            Buffer.add_char buf '[';
+            layer :=
+              Summary.iter stored ~depth (fun e ->
+                  if Buffer.length buf > 1 then Buffer.add_char buf ',';
+                  Json.to_buffer buf (cluster_json e));
+            Buffer.add_char buf ']')
       in
       Response.ok
         [
           ("tree", Json.Str (Stored_tree.name stored));
           ("depth", num depth);
-          ("layer", num layer);
-          ("clusters", Json.List (List.map cluster entries));
+          ("layer", num !layer);
+          ("clusters", Json.Raw clusters);
         ]
 
 let clade_req t ~tree ~species =
@@ -713,38 +723,32 @@ let consensus_view t s ~coll ~threshold =
 
 let doc_req _t = Response.ok [ ("routes", Router.doc_routes) ]
 
+(* Every catalog field a reply renders (the name quoted, so that no name
+   reads as a separator), and the row's rid. A tree deleted and loaded
+   again takes the same id (the largest live id + 1), but never the same
+   rid: heap slots are not reused, and a reopen keeps them. *)
+let tree_fingerprint (rid, row) =
+  Printf.sprintf "%d:%d:%S:%d:%d:%d:%d" rid
+    (Record.get_int row Schema.Trees.c_id)
+    (Record.get_text row Schema.Trees.c_name)
+    (Record.get_int row Schema.Trees.c_f)
+    (Record.get_int row Schema.Trees.c_layers)
+    (Record.get_int row Schema.Trees.c_nodes)
+    (Record.get_int row Schema.Trees.c_leaves)
+
 (* Resource fingerprints for conditional GETs. Trees are immutable once
    loaded, so a catalog row is a complete validator for everything
-   derived from that tree; the full catalog digest covers the listing;
+   derived from that tree; the catalog's rows cover the listing;
    collection rows cover consensus views. Anything else is dynamic. *)
 let validator t (req : Request.t) =
   match req with
   | Request.Doc -> Some "doc:v1"
   | Request.List_trees _ ->
-      let buf = Buffer.create 64 in
-      List.iter
-        (fun row ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d:%s:%d;"
-               (Record.get_int row Schema.Trees.c_id)
-               (Record.get_text row Schema.Trees.c_name)
-               (Record.get_int row Schema.Trees.c_nodes)))
-        (catalog_rows t);
-      Some ("catalog:" ^ Buffer.contents buf)
+      Some ("catalog:" ^ String.concat ";" (List.map tree_fingerprint (catalog_rows t)))
   | Request.Tree_info name
   | Request.Overview { tree = name; _ }
-  | Request.Clade { tree = name; _ } -> (
-      match tree_catalog_row t name with
-      | None -> None
-      | Some row ->
-          Some
-            (Printf.sprintf "tree:%d:%s:%d:%d:%d:%d"
-               (Record.get_int row Schema.Trees.c_id)
-               (Record.get_text row Schema.Trees.c_name)
-               (Record.get_int row Schema.Trees.c_f)
-               (Record.get_int row Schema.Trees.c_layers)
-               (Record.get_int row Schema.Trees.c_nodes)
-               (Record.get_int row Schema.Trees.c_leaves)))
+  | Request.Clade { tree = name; _ } ->
+      Option.map (fun found -> "tree:" ^ tree_fingerprint found) (tree_catalog_row t name)
   | Request.Consensus_view { coll; _ } -> (
       match
         Table.find (Repo.collections t.repo) ~index:"by_name"

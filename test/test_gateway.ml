@@ -12,6 +12,7 @@ module Response = Crimson_gateway.Response
 module Json = Crimson_obs.Json
 module Repo = Crimson_core.Repo
 module Loader = Crimson_core.Loader
+module Stored_tree = Crimson_core.Stored_tree
 module Models = Crimson_sim.Models
 module Prng = Crimson_util.Prng
 module Wire = Crimson_server.Wire
@@ -637,6 +638,73 @@ let test_e2e_mutation_invalidates () =
       check Alcotest.string "untouched tree keeps its tag" gold_before
         gold_after)
 
+(* One server life over [repo]: a fresh core, as a (re)start builds
+   it, answering GETs, with an If-None-Match when [etag] is given, as
+   (status, ETag, body). *)
+let serving repo =
+  let core = Worker_core.create (Worker_core.local_ctx repo) repo in
+  let s = Worker_core.accept_session core ~id:1 in
+  fun ?etag target ->
+    let r = http_req target in
+    let r =
+      match etag with
+      | Some e -> { r with Http.headers = [ ("if-none-match", e) ] }
+      | None -> r
+    in
+    let raw, _ = Worker_core.handle_http core s r in
+    let rec body_at i =
+      if String.sub raw i 4 = "\r\n\r\n" then i + 4 else body_at (i + 1)
+    in
+    let b = body_at 0 in
+    (status_of raw, header_of raw "etag", String.sub raw b (String.length raw - b))
+
+(* A tree deleted and loaded again gets the same id (the largest live id
+   + 1). Every validator must still change with it: the overview's when
+   another tree takes the name, the listing's when the same tree comes
+   back at another fan-out. A restart over the unchanged repository
+   must keep every tag. *)
+let test_validators_cover_reloads () =
+  with_temp_dir (fun dir ->
+      let yule seed = Models.yule ~rng:(Prng.create seed) ~leaves:200 () in
+      let reload repo ~f tree =
+        Loader.delete_tree repo (Stored_tree.open_name repo "gold");
+        ignore (Loader.load_tree ~f repo ~name:"gold" tree)
+      in
+      let overview = "/v1/trees/gold/overview?depth=1" in
+      let repo = Repo.open_dir dir in
+      ignore (Loader.load_tree ~f:8 repo ~name:"gold" (yule 1));
+      let _, old_tag, old_body = serving repo overview in
+      check Alcotest.bool "overview tagged" true (old_tag <> None);
+      reload repo ~f:8 (yule 2);
+      let get = serving repo in
+      let status, _, body = get ?etag:old_tag overview in
+      check Alcotest.int "another tree, same id and name: 200" 200 status;
+      check Alcotest.bool "with its own overview" true (body <> old_body);
+      let _, list_tag, list_body = get "/v1/trees" in
+      check Alcotest.bool "listing tagged" true (list_tag <> None);
+      reload repo ~f:4 (yule 2);
+      let get = serving repo in
+      let status, _, body = get ?etag:list_tag "/v1/trees" in
+      check Alcotest.int "same tree at f = 4: listing 200" 200 status;
+      check Alcotest.bool "listing shows the new f" true
+        (body <> list_body && contains "\"f\":4" body);
+      let tags =
+        List.map
+          (fun path ->
+            let _, tag, _ = get path in
+            (path, tag))
+          [ overview; "/v1/trees"; "/v1/trees/gold" ]
+      in
+      Repo.close repo;
+      let repo = Repo.open_dir ~create:false dir in
+      let get = serving repo in
+      List.iter
+        (fun (path, etag) ->
+          let status, _, _ = get ?etag path in
+          check Alcotest.int (path ^ " revalidates after a restart") 304 status)
+        tags;
+      Repo.close repo)
+
 (* Admission at the HTTP front door: with the only session slot held
    over the wire, a GET must read a well-formed 503 carrying the
    structured session_limit error, not a reset connection. Over TCP a
@@ -725,6 +793,8 @@ let () =
             test_e2e_stable_across_workers;
           Alcotest.test_case "mutation invalidates etags" `Quick
             test_e2e_mutation_invalidates;
+          Alcotest.test_case "validators cover reloads" `Quick
+            test_validators_cover_reloads;
           Alcotest.test_case "over-limit GET gets 503 (1 worker)" `Quick
             test_e2e_over_limit_single;
           Alcotest.test_case "over-limit GET gets 503 (4 workers)" `Quick

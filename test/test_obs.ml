@@ -321,6 +321,7 @@ let oracle_to_string v =
         Buffer.add_char buf '{';
         List.iteri (fun i (k, v) -> sep i; str k; Buffer.add_char buf ':'; go v) fields;
         Buffer.add_char buf '}'
+    | Json.Raw text -> Buffer.add_string buf text
   in
   go v;
   Buffer.contents buf
@@ -407,6 +408,29 @@ let test_json_encoder_bytes () =
   check Alcotest.string "negative zero" "-0" (Json.to_string (Json.Num (-0.0)));
   run_qcheck ~count:2000 ~name:"to_string matches the Printf oracle" (json_arb ~finite:false)
     (fun v -> String.equal (Json.to_string v) (oracle_to_string v))
+
+(* [Raw] text goes out verbatim wherever it sits; [render] hands back
+   copies of what it wrote into the domain's buffer: a later, smaller or
+   failed call never shows in an earlier result or in a later one. *)
+let test_json_raw_and_render () =
+  let items =
+    Json.render (fun buf -> Json.to_buffer buf (Json.List [ Json.Num 1.5; Json.Str "a\"b" ]))
+  in
+  check Alcotest.string "raw in a list" "[[1.5,\"a\\\"b\"],null]"
+    (Json.to_string (Json.List [ Json.Raw items; Json.Null ]));
+  check Alcotest.string "raw in an object" "{\"k\":[1.5,\"a\\\"b\"]}"
+    (Json.to_string (Json.Obj [ ("k", Json.Raw items) ]));
+  check Alcotest.bool "raw has no fields" true (Json.member "k" (Json.Raw "{\"k\":1}") = None);
+  let large = Json.render (fun buf -> Buffer.add_string buf (String.make (3 lsl 20) 'x')) in
+  let small = Json.render (fun buf -> Buffer.add_string buf "ab") in
+  check Alcotest.string "small after large" "ab" small;
+  check Alcotest.bool "large kept whole" true (large = String.make (3 lsl 20) 'x');
+  (match Json.render (fun buf -> Buffer.add_string buf "lost"; failwith "boom") with
+  | _ -> Alcotest.fail "render swallowed an exception"
+  | exception Failure _ -> ());
+  check Alcotest.string "after a failure" "ok"
+    (Json.render (fun buf -> Buffer.add_string buf "ok"));
+  check Alcotest.string "earlier results unchanged" "ab" small
 
 let test_json_decoder_round_trip () =
   run_qcheck ~count:2000 ~name:"parse inverts to_string" (json_arb ~finite:true) (fun v ->
@@ -755,6 +779,7 @@ let () =
           Alcotest.test_case "json trace payloads" `Quick test_json_trace_payloads;
           Alcotest.test_case "json encoder bytes" `Quick test_json_encoder_bytes;
           Alcotest.test_case "json decoder round-trip" `Quick test_json_decoder_round_trip;
+          Alcotest.test_case "json raw text and render" `Quick test_json_raw_and_render;
           Alcotest.test_case "json malformed inputs" `Quick test_json_malformed_inputs;
           Alcotest.test_case "prometheus exporter" `Quick test_prometheus_exporter;
           Alcotest.test_case "prometheus buckets" `Quick test_prometheus_buckets;

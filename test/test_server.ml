@@ -10,6 +10,7 @@ module Repo = Crimson_core.Repo
 module Stored_tree = Crimson_core.Stored_tree
 module Loader = Crimson_core.Loader
 module Query_lang = Crimson_core.Query_lang
+module Summary = Crimson_core.Summary
 module Models = Crimson_sim.Models
 module Prng = Crimson_util.Prng
 module Json = Crimson_obs.Json
@@ -20,6 +21,7 @@ module Server = Crimson_server.Server
 module Conn = Crimson_server.Conn
 module Client = Crimson_server.Client
 module Http_client = Crimson_server.Http_client
+module Http = Crimson_gateway.Http
 module Collection = Crimson_collection.Collection
 module Coll_lang = Crimson_collection.Coll_lang
 
@@ -1824,6 +1826,12 @@ let test_obs_routes_fleet () = obs_routes ~workers:4 ()
    to run (elapsed_ms, minor/major words) are normalised to 0 on both
    sides before comparing.
 
+   After the wire script, a second session replays the /v1 routes
+   through [Worker_core.handle_http] ([parity_http_script]). Each
+   exchange records its status, its Content-Type and its body byte for
+   byte, and only whether an ETag came back: the tag's value follows
+   the catalog row, not the reply.
+
    Regenerate after an intentional protocol change with
      CRIMSON_PARITY_PROMOTE=$PWD/test/data/wire_parity.golden \
        dune exec test/test_server.exe -- test parity *)
@@ -1857,6 +1865,53 @@ let parity_script =
     "SLOWLOG 5";
     "QUIT";
   ]
+
+let parity_http_script =
+  [
+    "/v1/trees/gold/overview?depth=0";
+    "/v1/trees/gold/overview?depth=1";
+    "/v1/trees/gold/overview?depth=2";
+    "/v1/trees/gold/overview?depth=64";
+    "/v1/trees/gold/clade?species=T1,T2,T3";
+    "/v1/trees/gold/clade?species=T1,T2,T3&format=newick";
+    "/v1/trees";
+    "/v1/trees/gold";
+    "/v1/doc";
+    "/v1/trees/nope/overview";
+    "/v1/trees/gold/overview?depth=x";
+  ]
+
+(* A GET of [target] as the gateway's decoder hands it over. *)
+let http_get target =
+  match
+    Http.feed (Http.create_decoder ())
+      (Printf.sprintf "GET %s HTTP/1.1\r\nHost: crimson\r\n\r\n" target)
+  with
+  | Ok [ r ] -> r
+  | _ -> Alcotest.failf "cannot decode GET %s" target
+
+(* A rendered response's status, headers (names lowercased) and body. *)
+let http_parts raw =
+  let rec head_end i =
+    if i + 4 > String.length raw then Alcotest.failf "unframed response %S" raw
+    else if String.sub raw i 4 = "\r\n\r\n" then i
+    else head_end (i + 1)
+  in
+  let e = head_end 0 in
+  match String.split_on_char '\n' (String.sub raw 0 e) with
+  | status_line :: lines ->
+      let header line =
+        match String.index_opt line ':' with
+        | Some i ->
+            Some
+              ( String.lowercase_ascii (String.sub line 0 i),
+                String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+        | None -> None
+      in
+      ( int_of_string (List.nth (String.split_on_char ' ' status_line) 1),
+        List.filter_map header lines,
+        String.sub raw (e + 4) (String.length raw - e - 4) )
+  | [] -> Alcotest.failf "empty response head %S" raw
 
 (* Zero every numeric field whose value is clock- or GC-dependent, so
    the transcript is stable while everything else stays byte-exact. *)
@@ -1902,6 +1957,17 @@ let parity_transcript () =
       Buffer.add_string out ("> " ^ line ^ "\n");
       Buffer.add_string out (parity_normalise (body reply)))
     parity_script;
+  let h = open_session () in
+  List.iter
+    (fun target ->
+      let raw, _ = Worker_core.handle_http t h (http_get target) in
+      let status, headers, body = http_parts raw in
+      Buffer.add_string out
+        (Printf.sprintf "> GET %s\n< %d %s%s\n" target status
+           (Option.value ~default:"-" (List.assoc_opt "content-type" headers))
+           (if List.mem_assoc "etag" headers then " etag" else ""));
+      Buffer.add_string out body)
+    parity_http_script;
   Buffer.contents out
 
 (* dune runtest runs with cwd _build/default/test, `dune exec
@@ -1945,6 +2011,137 @@ let test_wire_parity () =
           at (ctx golden) (ctx transcript)
       end
 
+(* -------------------------- Overview replies ------------------------ *)
+
+(* The overview body as a list renderer writes it: Summary.overview's
+   entries, one Json.Obj per cluster inside a Json.List, Json.to_string,
+   then the LF. The oracle of the reply the gateway streams. *)
+let oracle_overview stored ~depth =
+  let num n = Json.Num (float_of_int n) in
+  let layer, entries = Summary.overview stored ~depth in
+  let cluster (e : Summary.entry) =
+    Json.Obj
+      [
+        ("sub", num e.sub);
+        ("root", num e.root);
+        ("parent_sub", num e.parent_sub);
+        ("name", Json.Str e.name);
+        ("nodes", num e.nodes);
+        ("leaves", num e.leaves);
+        ("height", num e.height);
+        ("blen", Json.Num e.blen);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("ok", Json.Bool true);
+         ("tree", Json.Str (Stored_tree.name stored));
+         ("depth", num depth);
+         ("layer", num layer);
+         ("clusters", Json.List (List.map cluster entries));
+       ])
+  ^ "\n"
+
+(* Names the encoder treats specially: quotes, backslashes, control
+   bytes, bytes >= 0x80 and the empty name. *)
+let awkward_names =
+  [| ""; "\""; "\\"; "a\"b\\c"; "\000\001\031"; "\n\r\t"; "\127\128\255"; "caf\195\169"; "T0" |]
+
+(* [n] nodes, each under the previous one or under a uniform earlier
+   one, so depths range from logarithmic to linear; unnamed nodes,
+   awkward names and random bytes; integral and fractional lengths. *)
+let awkward_tree rng n =
+  let b = Tree.Builder.create ~capacity:n () in
+  let name () =
+    match Prng.int rng 4 with
+    | 0 -> None
+    | 1 -> Some (String.init (Prng.int rng 6) (fun _ -> Char.chr (Prng.int rng 256)))
+    | _ -> Some (Prng.choose rng awkward_names)
+  in
+  ignore (Tree.Builder.add_root ?name:(name ()) b);
+  for i = 1 to n - 1 do
+    let parent = if Prng.int rng 3 = 0 then i - 1 else Prng.int rng i in
+    let branch_length =
+      if Prng.bool rng then float_of_int (Prng.int rng 3) else Prng.float rng 2.0
+    in
+    ignore (Tree.Builder.add_child ?name:(name ()) ~branch_length b ~parent)
+  done;
+  Tree.Builder.finish b
+
+let overview_body t s ~tree ~depth =
+  let _, _, body =
+    http_parts
+      (fst
+         (Worker_core.handle_http t s
+            (http_get (Printf.sprintf "/v1/trees/%s/overview?depth=%d" tree depth))))
+  in
+  body
+
+let prop_overview_matches_oracle =
+  QCheck.Test.make ~count:60 ~name:"overview body matches the list renderer"
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 300) (oneofl [ 2; 3; 8; 16 ]))
+    (fun (seed, n, f) ->
+      let repo = Repo.open_mem () in
+      let stored =
+        (Loader.load_tree ~f repo ~name:"t" (awkward_tree (Prng.create seed) n)).Loader.tree
+      in
+      let t, open_session = core repo in
+      let s = open_session () in
+      List.for_all
+        (fun depth ->
+          String.equal (overview_body t s ~tree:"t" ~depth) (oracle_overview stored ~depth))
+        (List.init (Stored_tree.layer_count stored + 1) Fun.id))
+
+(* Replies are rendered in buffers each domain keeps across requests.
+   One core serves a large reply, a small one, then the large one
+   again, over wire and over HTTP in turn: each comes out whole, with a
+   Content-Length that is its body's, and a reply already handed over
+   never changes. *)
+let test_reply_buffer_reuse () =
+  let repo = Repo.open_mem () in
+  let big = Models.yule ~rng:(Prng.create 11) ~leaves:3000 () in
+  let stored = (Loader.load_tree ~f:4 repo ~name:"big" big).Loader.tree in
+  let t, open_session = core repo in
+  let h = open_session () and w = open_session () in
+  let get target =
+    let raw, _ = Worker_core.handle_http t h (http_get target) in
+    let _, headers, body = http_parts raw in
+    check Alcotest.int
+      (target ^ ": Content-Length is the body's")
+      (String.length body)
+      (int_of_string (List.assoc "content-length" headers));
+    (raw, body)
+  in
+  let line text = body (Worker_core.handle_line t w text) in
+  (* A whole reply parses to its end, or Json.parse refuses it. *)
+  let whole reply =
+    String.index reply '\n' = String.length reply - 1
+    && Json.member "ok" (Json.parse reply) = Some (Json.Bool true)
+  in
+  let overview = "/v1/trees/big/overview?depth=64" in
+  let expected = oracle_overview stored ~depth:64 in
+  let info =
+    Printf.sprintf
+      "{\"ok\":true,\"id\":0,\"name\":\"big\",\"f\":4,\"layers\":%d,\"nodes\":%d,\"leaves\":3000}\n"
+      (Stored_tree.layer_count stored) (Stored_tree.node_count stored)
+  in
+  check Alcotest.bool "USE" true (contains "\"ok\":true" (line "USE big"));
+  let first_raw, first = get overview in
+  check Alcotest.bool "the overview is large" true (String.length first > 100_000);
+  check Alcotest.string "large overview" expected first;
+  check Alcotest.string "small wire reply" "{\"ok\":true,\"seed\":5}\n" (line "SEED 5");
+  check Alcotest.string "small HTTP reply" info (snd (get "/v1/trees/big"));
+  let stats = line "STATS" in
+  check Alcotest.bool "a large wire reply" true (String.length stats > 4096 && whole stats);
+  check Alcotest.string "small wire reply again" "{\"ok\":true,\"seed\":6}\n" (line "SEED 6");
+  check Alcotest.bool "large wire reply again" true (whole (line "STATS"));
+  check Alcotest.string "small HTTP reply again" info (snd (get "/v1/trees/big"));
+  check Alcotest.string "large overview again" expected (snd (get overview));
+  check Alcotest.string "the first overview is unchanged" expected
+    (let _, _, b = http_parts first_raw in
+     b)
+
 let () =
   (* The e2e tests fork servers and clients and write into sockets the
      peer may already have closed (e.g. an admission rejection); without
@@ -1978,7 +2175,11 @@ let () =
             test_metrics_route_is_registry;
         ] );
       ( "parity",
-        [ Alcotest.test_case "wire replay vs golden" `Quick test_wire_parity ] );
+        [
+          Alcotest.test_case "wire replay vs golden" `Quick test_wire_parity;
+          QCheck_alcotest.to_alcotest prop_overview_matches_oracle;
+          Alcotest.test_case "reply buffers reused" `Quick test_reply_buffer_reuse;
+        ] );
       ( "conn",
         [ Alcotest.test_case "queued replies arrive in order" `Quick test_conn_flush_order ]
       );
