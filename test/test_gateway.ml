@@ -793,11 +793,11 @@ let () =
             test_e2e_stable_across_workers;
           Alcotest.test_case "mutation invalidates etags" `Quick
             test_e2e_mutation_invalidates;
-          Alcotest.test_case "validators cover reloads" `Quick
-            test_validators_cover_reloads;
           Alcotest.test_case "over-limit GET gets 503 (1 worker)" `Quick
             test_e2e_over_limit_single;
           Alcotest.test_case "over-limit GET gets 503 (4 workers)" `Quick
             test_e2e_over_limit_fleet;
+          Alcotest.test_case "validators cover reloads" `Quick
+            test_validators_cover_reloads;
         ] );
     ]
