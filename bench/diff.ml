@@ -14,7 +14,8 @@
    [major_words_r_overview]); [nrf_*] and [triplet_*] (E7's scores),
    [frontier_nodes_*] (E3's frontier sizes) and every field with a
    [pages] name component ([warm_lca_pages], [overview_pages_l500],
-   [lca_pages_q_cat10k_c4096]) are exact; everything else (other
+   [lca_pages_q_cat10k_c4096]) or an [fsyncs] one (E12's
+   [commit_fsyncs_load]) are exact; everything else (other
    counts, sizes such as E14's [rss_mb_w4_k8], the raw metrics dump) is
    informational only.
 
@@ -53,6 +54,7 @@ let direction_of field =
     || String.starts_with ~prefix:"triplet_" field
     || String.starts_with ~prefix:"frontier_nodes_" field
     || List.mem "pages" components
+    || List.mem "fsyncs" components
   then Some Exact
   else if ends_with "per_s" || has_per_s parts then Some Higher_better
   else if has_ms_infix || ends_with "_pct" || List.mem "words" components then

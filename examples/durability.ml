@@ -1,11 +1,11 @@
-(* Durability: crash-atomic checkpoints for the repositories.
+(* Durability: crash-atomic commits for the repositories.
 
    The original Crimson delegated durability to its host RDBMS; this
    reproduction ships its own write-ahead log. The example opens a
    durable repository, loads a gold standard, then simulates a crash
-   that leaves a committed-but-unapplied checkpoint batch in the
-   repository's crimson.wal — and shows the next open repairing it
-   transparently.
+   that leaves a committed batch in the repository's crimson.wal whose
+   pages never reached their file — and shows the next open repairing
+   it transparently.
 
    Run with: dune exec examples/durability.exe *)
 
@@ -32,8 +32,8 @@ let () =
   in
   rm dir;
 
-  (* 1. A durable repository: every flush and dirty eviction is a
-     WAL-protected checkpoint. *)
+  (* 1. A durable repository: every load and dirty eviction is one
+     WAL-protected commit, and a close checkpoints. *)
   let rng = Prng.create 7 in
   let gold = Models.birth_death ~rng ~leaves:150 () in
   let repo = Repo.open_dir ~durable:true dir in
@@ -41,8 +41,8 @@ let () =
   Repo.close repo;
   Printf.printf "loaded 150-species gold standard into a durable repository\n";
 
-  (* 2. Simulate a crash: a checkpoint committed its batch to the WAL
-     and died before applying it to the page files. We fabricate that
+  (* 2. Simulate a crash: a commit appended its batch to the WAL and
+     the machine died before the page files held it. We fabricate that
      state directly: capture a page's current ("new") content, revert
      the page file to an "old" value, and leave the new image committed
      in crimson.wal, tagged with the file it belongs to. *)

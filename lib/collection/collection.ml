@@ -121,7 +121,7 @@ let list_all repo =
         :: !acc);
   List.sort compare !acc
 
-let create ?(flush = true) repo ~name ~taxa =
+let create ?(commit = true) repo ~name ~taxa =
   let taxa = List.sort_uniq String.compare taxa in
   if taxa = [] then err "a collection needs a non-empty taxon set";
   if name = "" then err "a collection needs a non-empty name";
@@ -147,10 +147,10 @@ let create ?(flush = true) repo ~name ~taxa =
   | _ -> ()
   | exception Table.Constraint_violation _ ->
       err "a collection named %S already exists" name);
-  if flush then Repo.flush repo;
+  if commit then Repo.commit repo;
   handle_of_row repo row
 
-let drop ?(flush = true) repo name =
+let drop ?(commit = true) repo name =
   let t = open_name repo name in
   let delete_prefix tbl prefix =
     let rids = ref [] in
@@ -167,7 +167,7 @@ let drop ?(flush = true) repo name =
    with
   | Some (rid, _) -> ignore (Table.delete (Repo.collections repo) rid)
   | None -> ());
-  if flush then Repo.flush repo
+  if commit then Repo.commit repo
 
 (* --------------------------- Clade extraction ----------------------- *)
 
@@ -338,7 +338,7 @@ type ingest_report = {
   enc_bytes : int;
 }
 
-let ingest ?(flush = true) ?name t tree =
+let ingest ?(commit = true) ?name t tree =
   Span.with_ ~name:"coll.ingest" (fun () ->
       let member = t.n_trees in
       let member_name =
@@ -422,7 +422,7 @@ let ingest ?(flush = true) ?name t tree =
       t.n_trees <- member + 1;
       save_catalog t;
       Metrics.Counter.incr (Metrics.counter "coll.ingest.trees");
-      if flush then Repo.flush t.repo;
+      if commit then Repo.commit t.repo;
       {
         member;
         member_name;

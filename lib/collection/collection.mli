@@ -22,8 +22,8 @@
       adds/removes against member 0.
 
     Mutations are WAL-covered like every other repository write: one
-    {!Repo.flush} checkpoint per logical operation (crash-matrix
-    tested). On a read-only repository they refuse with the typed
+    {!Repo.commit} per logical operation (crash-matrix tested). On a
+    read-only repository they refuse with the typed
     [Crimson_storage.Error.Read_only]. *)
 
 module Repo = Crimson_core.Repo
@@ -38,10 +38,11 @@ exception Collection_error of string
 type t
 (** An open handle on one collection (catalog row + cached taxa). *)
 
-val create : ?flush:bool -> Repo.t -> name:string -> taxa:string list -> t
+val create : ?commit:bool -> Repo.t -> name:string -> taxa:string list -> t
 (** Create an empty collection over the given taxon set (deduplicated,
     stored sorted). Raises {!Collection_error} on a duplicate name or
-    an empty taxon list. [flush] (default [true]) checkpoints. *)
+    an empty taxon list. [commit] (default [true]) ends with
+    {!Repo.commit}. *)
 
 val open_name : Repo.t -> string -> t
 (** Raises {!Collection_error} when no such collection exists. *)
@@ -49,9 +50,10 @@ val open_name : Repo.t -> string -> t
 val list_all : Repo.t -> (int * string) list
 (** [(id, name)] of every collection, by id. *)
 
-val drop : ?flush:bool -> Repo.t -> string -> unit
+val drop : ?commit:bool -> Repo.t -> string -> unit
 (** Remove a collection: catalog row, dictionary and members. Raises
-    {!Collection_error} when absent. One checkpoint. *)
+    {!Collection_error} when absent. One commit (unless
+    [~commit:false]). *)
 
 val id : t -> int
 val n_trees : t -> int
@@ -69,12 +71,12 @@ type ingest_report = {
   enc_bytes : int;  (** Encoded id-list size. *)
 }
 
-val ingest : ?flush:bool -> ?name:string -> t -> Tree.t -> ingest_report
+val ingest : ?commit:bool -> ?name:string -> t -> Tree.t -> ingest_report
 (** Add one member tree. Its leaf-name set must equal the collection's
     taxa ({!Collection_error} otherwise; [name] defaults to ["m<id>"],
     duplicate member names refuse). Shared clades only bump dictionary
     counts; the member row stores ids, delta-encoded against member 0
-    whenever that is smaller. One checkpoint (unless [~flush:false] —
+    whenever that is smaller. One commit (unless [~commit:false] —
     the crash harness groups operations). *)
 
 val member_names : t -> string list

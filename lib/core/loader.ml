@@ -264,7 +264,7 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
      the load, and the first reads on the handle paid their promotion:
      ingest_mixed's read p99 doubled. *)
   let species_rows = write_species repo ~tree:tree_id (species_pieces species) in
-  Repo.flush repo;
+  Repo.commit repo;
   Log.info (fun m ->
       m "loaded %S: %d node rows, %d layer rows, %d subtree rows, %d summary rows, %d species rows"
         name n !layer_rows !subtree_rows summary_rows species_rows);
@@ -301,7 +301,7 @@ let append_species repo tree pairs =
     let added = species_pieces pairs in
     drop_species repo ~tree:tree_id;
     ignore (write_species repo ~tree:tree_id (List.merge compare_piece old added));
-    Repo.flush repo;
+    Repo.commit repo;
     let rows = List.length added in
     Log.info (fun m -> m "appended %d species rows to %S" rows (Stored_tree.name tree));
     rows
@@ -395,7 +395,7 @@ let delete_tree repo stored =
     Clustered.delete (clustered Repo.summaries) [ tree_id; layer ]
   done;
   drop_species repo ~tree:tree_id;
-  Repo.flush repo;
+  Repo.commit repo;
   Log.info (fun m -> m "deleted tree %S" (Stored_tree.name stored))
 
 exception Bad_run of string

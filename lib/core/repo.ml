@@ -151,6 +151,7 @@ let species_run t ~tree =
 
 let forget_species_run t ~tree = Hashtbl.remove t.species_runs tree
 
+let commit t = Database.commit t.db
 let flush t = Database.flush t.db
 let close t = Database.close t.db
 let abandon t = Database.abandon t.db
@@ -168,20 +169,52 @@ let next_query_id t =
       | Some (_, row) -> Record.get_int row Schema.Queries.c_id + 1
       | None -> 0)
 
+(* A history row is one heap record, so it must fit one page. Cut the
+   result, then the text, then the cost, until it does; a cut field
+   ends in a marker that says how many bytes went. *)
+let max_row = Crimson_storage.Slotted.max_record
+
+let history_row ~id ~elapsed_ms ~pages ~cost ~text ~result =
+  let time = Unix.gettimeofday () in
+  let row ~text ~result ~cost =
+    [|
+      Record.VInt id;
+      Record.VFloat time;
+      Record.VText text;
+      Record.VText result;
+      Record.VFloat elapsed_ms;
+      Record.VInt pages;
+      Record.VText cost;
+    |]
+  in
+  (* The other fields and the three lengths encode in under 64 bytes. *)
+  if String.length text + String.length result + String.length cost + 64 <= max_row then
+    row ~text ~result ~cost
+  else
+    let excess ~text ~result ~cost =
+      String.length (Record.encode Schema.Queries.schema (row ~text ~result ~cost))
+      - max_row
+    in
+    (* Shed at least [over] bytes, the marker's included. A field no
+       longer than its marker stays whole: cutting it would not help. *)
+    let cut s over =
+      if over <= 0 then s
+      else
+        let keep = max 0 (String.length s - over - 32) in
+        let marked =
+          Printf.sprintf "%s... [%d bytes cut]" (String.sub s 0 keep) (String.length s - keep)
+        in
+        if String.length marked < String.length s then marked else s
+    in
+    let result = cut result (excess ~text ~result ~cost) in
+    let text = cut text (excess ~text ~result ~cost) in
+    let cost = cut cost (excess ~text ~result ~cost) in
+    row ~text ~result ~cost
+
 let record_query ?(elapsed_ms = 0.0) ?(pages = 0) ?(cost = "") t ~text ~result =
   let id = next_query_id t in
   t.next_query_id <- Some (id + 1);
-  ignore
-    (Table.insert t.queries
-       [|
-         Record.VInt id;
-         Record.VFloat (Unix.gettimeofday ());
-         Record.VText text;
-         Record.VText result;
-         Record.VFloat elapsed_ms;
-         Record.VInt pages;
-         Record.VText cost;
-       |]);
+  ignore (Table.insert t.queries (history_row ~id ~elapsed_ms ~pages ~cost ~text ~result));
   id
 
 type query_record = {

@@ -40,7 +40,7 @@ val open_dir :
   t
 (** Open or create the repositories under a directory. [pool_size] is the
     per-file buffer pool size in pages; [durable] enables write-ahead
-    logging for crash-atomic checkpoints; [io] selects the storage
+    logging for crash-atomic commits; [io] selects the storage
     backend (default {!Crimson_storage.Io.real} — fault-injecting
     backends drive the crash-safety harness). [create] (default [true])
     creates the directory when absent; with [~create:false] the
@@ -118,7 +118,16 @@ val members : t -> Table.t
 (** Per-member encodings: dictionary-id lists, full or delta-encoded
     against a base member. *)
 
+val commit : t -> unit
+(** End a transaction: with [durable], every dirty page reaches the log
+    as one batch under one fsync, the commit point (see
+    {!Database.commit}). Without it, the pages are written back, as
+    {!flush} does. *)
+
 val flush : t -> unit
+(** Commit, then checkpoint: every page is in the data files and the
+    log is empty. *)
+
 val close : t -> unit
 
 val abandon : t -> unit
@@ -142,7 +151,10 @@ val record_query :
   result:string ->
   int
 (** Append to the history; returns the query id. Timestamps come from the
-    system clock; both costs default to 0 (unmeasured).
+    system clock; both costs default to 0 (unmeasured). A row must fit
+    one heap page: past that, [result], then [text], then [cost] are
+    cut, each to a prefix that ends in ["... [<n> bytes cut]"] (a field
+    no longer than that marker stays whole).
     {!Crimson_obs.Profile.measure} measures the first two; [cost] is a
     compact JSON cost breakdown from {!Crimson_obs.Profile} — [""] (the
     default) means the query was not profiled. *)

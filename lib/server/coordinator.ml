@@ -147,7 +147,8 @@ let spawn ~(config : Worker_core.config) ~sessions ~stop repo =
            (worker domains re-open it read-only)"
   in
   (* Quiesce the files so the workers' read-only opens see a consistent
-     image (no half-checkpointed WAL). *)
+     image: a read-only open refuses a log that holds committed
+     batches, and the flush empties it. *)
   Repo.flush repo;
   let history_lock = Mutex.create () in
   let history = Queue.create () in

@@ -28,11 +28,14 @@ type t = {
   mutable version : int; (* the format version the catalog records; 0 = none *)
   mutable catalog : catalog_entry list;
   (* Table handle plus (relative file name, pager) for each of its
-     files — the names tag WAL records at checkpoint time. *)
+     files — the names tag WAL records at commit time. *)
   open_tables : (string, Table.t * (string * Pager.t) list) Hashtbl.t;
   (* The database-level WAL, opened lazily on the first durable
-     checkpoint (and eagerly by recovery). *)
+     commit (and eagerly by recovery). *)
   mutable db_wal : Wal.t option;
+  (* Pagers written back since the last checkpoint: their files hold
+     committed pages that only the log makes durable. *)
+  mutable unsynced : Pager.t list;
   mutable closed : bool;
 }
 
@@ -102,14 +105,40 @@ let save_catalog t =
 (* ------------------------- Directory recovery ----------------------- *)
 
 (* Replay or discard the database-level WAL before any pager opens. The
-   commit record decides: a committed batch is applied to every tagged
-   file (idempotent — a crash mid-replay reruns it on the next open); a
-   torn batch means the crash happened before the checkpoint committed,
-   so the files already hold the previous consistent state. A torn
-   record *inside* a committed batch cannot happen (the commit checksum
-   covers every record), so Wal.read never returns such a state; the
-   typed [Torn_wal_record] error is reserved for callers that bypass
-   classification. *)
+   commit records decide: the committed batches are applied in log
+   order, a later image of a page replacing an earlier one, to every
+   tagged file (idempotent — a crash mid-replay reruns it on the next
+   open); a torn batch means the crash happened before that commit, so
+   it is dropped, and a log whose first batch is torn leaves the files
+   as the last checkpoint made them. A torn record *inside* a committed
+   batch cannot happen (the commit checksum covers every record), so
+   Wal.read never returns such a state; the typed [Torn_wal_record]
+   error is reserved for callers that bypass classification. *)
+let replay io dir batches =
+  let by_file = Hashtbl.create 8 in
+  List.iter
+    (List.iter (fun (e : Wal.entry) ->
+         let pages =
+           match Hashtbl.find_opt by_file e.file with
+           | Some pages -> pages
+           | None ->
+               let pages = Hashtbl.create 64 in
+               Hashtbl.add by_file e.file pages;
+               pages
+         in
+         Hashtbl.replace pages e.page_id e.image))
+    batches;
+  Hashtbl.fold (fun file pages acc -> (file, pages) :: acc) by_file []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (file, pages) ->
+         (* Ascending page ids: one forward pass over the file. *)
+         let batch =
+           Hashtbl.fold (fun page_id image acc -> (page_id, image) :: acc) pages []
+           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+         in
+         let f = Io.open_file io (Filename.concat dir file) in
+         Fun.protect ~finally:(fun () -> Io.close f) (fun () -> Pager.replay_batch f batch))
+
 let recover_dir io dir =
   let wal_file = Filename.concat dir db_wal_name in
   if Io.file_exists io wal_file then begin
@@ -119,26 +148,7 @@ let recover_dir io dir =
       (fun () ->
         Crimson_obs.Span.record_traced h_recovery (fun () ->
             (match Wal.read wal with
-            | Wal.Committed entries ->
-                let by_file = Hashtbl.create 8 in
-                let order = ref [] in
-                List.iter
-                  (fun (e : Wal.entry) ->
-                    (match Hashtbl.find_opt by_file e.file with
-                    | Some batch -> batch := (e.page_id, e.image) :: !batch
-                    | None ->
-                        Hashtbl.add by_file e.file (ref [ (e.page_id, e.image) ]);
-                        order := e.file :: !order);
-                    ())
-                  entries;
-                List.iter
-                  (fun file ->
-                    let batch = List.rev !(Hashtbl.find by_file file) in
-                    let f = Io.open_file io (Filename.concat dir file) in
-                    Fun.protect
-                      ~finally:(fun () -> Io.close f)
-                      (fun () -> Pager.replay_batch f batch))
-                  (List.rev !order)
+            | Wal.Committed batches -> replay io dir batches
             | Wal.Torn _ -> Crimson_obs.Metrics.Counter.incr m_rec_discarded
             | Wal.Empty -> ());
             Wal.clear wal))
@@ -190,6 +200,7 @@ let open_dir ?(pool_size = 256) ?(durable = false) ?(io = Io.real)
     catalog;
     open_tables = Hashtbl.create 8;
     db_wal = None;
+    unsynced = [];
     closed = false;
   }
 
@@ -204,6 +215,7 @@ let open_mem ?(pool_size = 256) () =
     catalog = [];
     open_tables = Hashtbl.create 8;
     db_wal = None;
+    unsynced = [];
     closed = false;
   }
 
@@ -219,7 +231,11 @@ let check_open t = if t.closed then invalid_arg "Database: already closed"
 let heap_file_name name = name ^ ".heap"
 let index_file_name name index = Printf.sprintf "%s.%s.idx" name index
 
-(* --------------------------- Checkpointing -------------------------- *)
+(* ------------------------ Commit and checkpoint --------------------- *)
+
+(* Past this many bytes of log a commit checkpoints: recovery replays at
+   most this much plus the last commit. *)
+let log_bound = 8 lsl 20
 
 let all_pagers t =
   Hashtbl.fold (fun _ (_, pagers) acc -> pagers @ acc) t.open_tables []
@@ -232,33 +248,57 @@ let get_db_wal t dir =
       t.db_wal <- Some wal;
       wal
 
-(* One atomic checkpoint covering every file of the database: collect
-   the dirty pages of every pager into a single WAL batch tagged with
-   file names, fsync it (the commit point), apply each pager's pages to
-   its own file, then clear the WAL. A crash anywhere leaves either the
-   previous checkpoint (WAL torn or cleared) or this one (WAL
-   committed, replayed by [recover_dir] on the next open) — never a mix
-   of files from different checkpoints. *)
+(* The files hold every committed page once each file written since the
+   last checkpoint is fsynced; then the log has nothing left to
+   redo. *)
 let checkpoint t =
   check_open t;
+  List.iter Pager.sync t.unsynced;
+  t.unsynced <- [];
+  match t.db_wal with
+  | Some wal when Wal.size wal > 0 -> Wal.clear wal
+  | Some _ | None -> ()
+
+(* One atomic commit covering every file of the database: collect the
+   dirty pages of every pager into a single WAL batch tagged with file
+   names and append it to the log; its fsync is the commit point. Then
+   write each pager's pages back to its own file, with no fsync: until
+   the next checkpoint the log is what makes them durable. A crash
+   anywhere leaves either the previous commit (this batch torn) or this
+   one (committed, replayed by [recover_dir] on the next open) — never a
+   mix of files from different commits. Without durability a commit is
+   the write-back alone. *)
+let commit t =
+  check_open t;
   match t.dir with
-  | None -> ()
-  | Some dir ->
-      let pagers = all_pagers t in
-      let entries =
-        List.concat_map
+  | Some dir when t.durable ->
+      let dirty =
+        List.filter_map
           (fun (file, pager) ->
-            List.map
-              (fun (page_id, image) -> { Wal.file; page_id; image })
-              (Pager.dirty_batch pager))
-          pagers
+            match Pager.dirty_batch pager with
+            | [] -> None
+            | pages -> Some (file, pager, pages))
+          (all_pagers t)
       in
-      if entries <> [] then begin
+      if dirty <> [] then begin
         let wal = get_db_wal t dir in
-        Wal.append_entries wal entries;
-        List.iter (fun (_, pager) -> Pager.apply_checkpoint pager) pagers;
-        Wal.clear wal
+        Wal.append_entries wal
+          (List.concat_map
+             (fun (file, _, pages) ->
+               List.map (fun (page_id, image) -> { Wal.file; page_id; image }) pages)
+             dirty);
+        List.iter
+          (fun (_, pager, _) ->
+            if not (List.memq pager t.unsynced) then t.unsynced <- pager :: t.unsynced;
+            Pager.flush pager)
+          dirty;
+        if Wal.size wal > log_bound then checkpoint t
       end
+  | Some _ | None -> Hashtbl.iter (fun _ (tbl, _) -> Table.flush tbl) t.open_tables
+
+let flush t =
+  commit t;
+  checkpoint t
 
 let make_pager t file =
   match t.dir with
@@ -270,7 +310,7 @@ let make_pager t file =
           ~read_only:(t.mode = Read_only)
           (Filename.concat dir file)
       in
-      if t.durable then Pager.set_dirty_pressure pager (fun () -> checkpoint t);
+      if t.durable then Pager.set_dirty_pressure pager (fun () -> commit t);
       pager
   | None -> Pager.create_mem ~pool_size:t.pool_size ()
 
@@ -369,7 +409,7 @@ let drop_table t name =
   let entry = List.find (fun e -> String.equal e.table_name name) t.catalog in
   (* Settle outstanding dirty state first so the WAL never references
      files about to disappear. *)
-  if t.durable then checkpoint t;
+  if t.durable then flush t;
   (match Hashtbl.find_opt t.open_tables name with
   | Some (_, pagers) ->
       List.iter (fun (_, p) -> Pager.close p) pagers;
@@ -384,14 +424,9 @@ let drop_table t name =
   t.catalog <- List.filter (fun e -> not (String.equal e.table_name name)) t.catalog;
   save_catalog t
 
-let flush t =
-  check_open t;
-  if t.durable && t.dir <> None then checkpoint t
-  else Hashtbl.iter (fun _ (tbl, _) -> Table.flush tbl) t.open_tables
-
 let close t =
   if not t.closed then begin
-    if t.durable && t.dir <> None then checkpoint t;
+    if t.durable then flush t;
     Hashtbl.iter (fun _ (_, pagers) -> List.iter (fun (_, p) -> Pager.close p) pagers)
       t.open_tables;
     Option.iter Wal.close t.db_wal;

@@ -7,10 +7,13 @@
     and indexes whose files are missing are rebuilt from the heap.
 
     With [durable], the whole directory shares a single write-ahead log
-    ([crimson.wal]): a checkpoint ({!flush}/{!close}) collects the dirty
-    pages of {e every} open file into one committed batch, so a crash
-    can never persist the heap's half of an insert without its index
-    entries. Recovery runs inside {!open_dir}, before any table opens. *)
+    ([crimson.wal]): a {!commit} appends the dirty pages of {e every}
+    open file to it as one batch, so a crash can never persist the
+    heap's half of an insert without its index entries. The log's fsync
+    is the commit point; the pages then reach their files with no fsync
+    until a {!checkpoint} makes the files durable and empties the log.
+    Recovery runs inside {!open_dir}, before any table opens, and
+    replays every committed batch in order. *)
 
 type t
 
@@ -19,8 +22,10 @@ exception Schema_mismatch of string
 type mode =
   | Read_write
   | Read_only
-      (** Skip WAL replay (a committed WAL raises [Error.Read_only] —
-          open read-write once to recover first), never create or
+      (** Skip WAL replay (a log holding a committed batch raises
+          [Error.Read_only] — open read-write once to recover first; a
+          durable writer leaves committed batches there until its next
+          {!checkpoint}), never create or
           mutate files, and refuse every mutating operation
           ([table] creation, [drop_table], page writes) with the typed
           [Error.Read_only]. Any number of read-only handles — one per
@@ -38,8 +43,8 @@ val open_dir :
   t
 (** Open or create a database in a directory (created if absent).
     [pool_size] is the per-file buffer-pool size in pages; [durable]
-    (default false) makes checkpoints crash-atomic across all files via
-    the database-level WAL. [io] (default {!Io.real}) is the backend
+    (default false) makes commits crash-atomic across all files via the
+    database-level WAL. [io] (default {!Io.real}) is the backend
     every file of this database is accessed through — tests pass a
     fault-injecting one. Committed WALs left by a crash are replayed
     regardless of the flag; torn ones are discarded
@@ -81,16 +86,33 @@ val set_version : t -> int -> unit
 val drop_table : t -> string -> unit
 (** Remove a table and its files. Raises [Not_found] for unknown names. *)
 
+val log_bound : int
+(** Bytes of log (8 MiB) past which a {!commit} ends with a
+    {!checkpoint}, so recovery replays at most this much plus the last
+    commit. *)
+
+val commit : t -> unit
+(** Make every file's dirty pages durable as one atomic batch: append
+    it to the database WAL and fsync the log (the commit point), then
+    write the pages back to their files without an fsync. Checkpoints
+    when the log has passed {!log_bound}. No-op when nothing is dirty.
+    Without [durable] (and in memory) it only writes the dirty pages
+    back. A durable database's dirty-pool pressure runs a commit. *)
+
 val checkpoint : t -> unit
-(** Commit every file's dirty pages as one atomic batch through the
-    database WAL, then write them back. No-op when nothing is dirty or
-    the database is in-memory. {!flush} calls this when [durable]. *)
+(** Fsync the files written back since the last checkpoint, then empty
+    the log. Pages not yet committed stay dirty in memory. No-op when
+    nothing was written. *)
 
 val flush : t -> unit
+(** {!commit}, then {!checkpoint}: every committed page is in the data
+    files and the log is empty. *)
+
 val close : t -> unit
+(** {!flush} when durable, then release every file. *)
 
 val abandon : t -> unit
 (** Release every file {e without} flushing — for error paths (a
     fault-frozen backend, a failed open) where storage must not be
     touched again. Dirty state is dropped; a later {!open_dir} recovers
-    to the last checkpoint. *)
+    to the last commit. *)

@@ -1,6 +1,6 @@
 exception Crash
 
-type fault = Fail_op | Torn_write | Crash_op
+type fault = Fail_op | Torn_write | Crash_op | Power_cut
 
 type plan = Count | Fault of fault * int | Short of int
 
@@ -8,13 +8,16 @@ type state = {
   plan : plan;
   mutable ops : int;
   mutable is_frozen : bool;
+  (* Under [Power_cut]: each file written or truncated since its last
+     fsync, with what it held before the first such operation. *)
+  unsynced : (string, string) Hashtbl.t;
 }
 
 type t = Real | Sim of state
 type file = { fd : Unix.file_descr; fpath : string; io : t }
 
 let real = Real
-let sim plan = Sim { plan; ops = 0; is_frozen = false }
+let sim plan = Sim { plan; ops = 0; is_frozen = false; unsynced = Hashtbl.create 8 }
 let faulty fault ~at = sim (Fault (fault, at))
 let counting () = sim Count
 let short_writes ~every = sim (Short (max 1 every))
@@ -34,6 +37,30 @@ let guard ~file ~op f =
 let check_alive = function
   | Real -> ()
   | Sim s -> if s.is_frozen then raise Crash
+
+let rec read_fd fd buf pos =
+  if pos >= Bytes.length buf then pos
+  else begin
+    ignore (Unix.lseek fd pos Unix.SEEK_SET);
+    match Unix.read fd buf pos (Bytes.length buf - pos) with
+    | 0 -> pos
+    | n -> read_fd fd buf (pos + n)
+  end
+
+(* A power cut: every file written since its last fsync goes back to
+   what it held before. *)
+let lose_unsynced s =
+  Hashtbl.iter
+    (fun path contents ->
+      match Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 with
+      | fd ->
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              ignore (Unix.write_substring fd contents 0 (String.length contents)))
+      | exception Unix.Unix_error _ -> ())
+    s.unsynced;
+  Hashtbl.reset s.unsynced
 
 (* Outcome of consulting the fault plan for one mutating operation.
    [`Partial n] instructs a write to truncate its payload to [n] bytes;
@@ -62,6 +89,10 @@ let tick io ~file ~op ~len =
         | Fault (Crash_op, _) ->
             s.is_frozen <- true;
             raise Crash
+        | Fault (Power_cut, _) ->
+            lose_unsynced s;
+            s.is_frozen <- true;
+            raise Crash
         | Fault (Torn_write, _) ->
             s.is_frozen <- true;
             if len > 1 then `Torn (len / 2) else raise Crash
@@ -76,6 +107,19 @@ let open_file io fpath =
   { fd; fpath; io }
 
 let path f = f.fpath
+
+(* Under [Power_cut], keep what a file held before its first write or
+   truncate since its last fsync. *)
+let note_write f =
+  match f.io with
+  | Sim ({ plan = Fault (Power_cut, _); _ } as s) when not (Hashtbl.mem s.unsynced f.fpath)
+    ->
+      let buf = Bytes.create (Unix.fstat f.fd).Unix.st_size in
+      Hashtbl.replace s.unsynced f.fpath (Bytes.sub_string buf 0 (read_fd f.fd buf 0))
+  | Real | Sim _ -> ()
+
+let note_sync f =
+  match f.io with Sim s -> Hashtbl.remove s.unsynced f.fpath | Real -> ()
 
 let size f =
   check_alive f.io;
@@ -95,6 +139,7 @@ let pwrite f ~off buf ~pos ~len =
   let do_write n =
     let written =
       guard ~file:f.fpath ~op:"write" (fun () ->
+          note_write f;
           ignore (Unix.lseek f.fd off Unix.SEEK_SET);
           Unix.write f.fd buf pos n)
     in
@@ -113,13 +158,16 @@ let pwrite f ~off buf ~pos ~len =
 let fsync f =
   match tick f.io ~file:f.fpath ~op:"fsync" ~len:0 with
   | `Proceed | `Partial _ ->
-      guard ~file:f.fpath ~op:"fsync" (fun () -> Unix.fsync f.fd)
+      guard ~file:f.fpath ~op:"fsync" (fun () -> Unix.fsync f.fd);
+      note_sync f
   | `Torn _ -> raise Crash
 
 let truncate f len =
   match tick f.io ~file:f.fpath ~op:"truncate" ~len:0 with
   | `Proceed | `Partial _ ->
-      guard ~file:f.fpath ~op:"truncate" (fun () -> Unix.ftruncate f.fd len)
+      guard ~file:f.fpath ~op:"truncate" (fun () ->
+          note_write f;
+          Unix.ftruncate f.fd len)
   | `Torn _ -> raise Crash
 
 let close f = try Unix.close f.fd with Unix.Unix_error _ -> ()

@@ -12,13 +12,17 @@
       raise a typed {!Error.Io_failed} and subsequent operations
       succeed (a transient disk error). [Torn_write] writes only a
       prefix of the requested bytes and then freezes. [Crash_op]
-      freezes before the operation does anything.
+      freezes before the operation does anything. [Power_cut] does the
+      same, and first gives every file written or truncated since its
+      last fsync back what it held before: the writes an fsync had not
+      made durable are lost.
     - {!short_writes} makes every [every]-th write a legitimate short
       write (a prefix is written and its length returned) — retry
       loops must cope.
 
     Freezing simulates power loss: the file images stay exactly as they
-    were at the fault point, and every later operation (including
+    were at the fault point (as the last fsyncs left them, after
+    [Power_cut]), and every later operation (including
     reads) raises {!Crash} — only {!close} still works, so test
     drivers can release descriptors. Recovery is then exercised by
     reopening the same paths through {!real}. *)
@@ -26,7 +30,7 @@
 exception Crash
 (** The simulated machine is off. *)
 
-type fault = Fail_op | Torn_write | Crash_op
+type fault = Fail_op | Torn_write | Crash_op | Power_cut
 
 type t
 (** A backend. Cheap to create; fault state is per-backend. *)

@@ -52,9 +52,9 @@ type t = {
   mutable allocated : int; (* frames that have their page buffer *)
   mutable n_pages : int;
   mutable closed : bool;
-  (* Database-managed pagers get a checkpoint-the-whole-group callback:
+  (* Database-managed pagers get a commit-the-whole-group callback:
      eviction pressure on a dirty frame must not write uncommitted pages
-     to the file outside a WAL batch, so it forces a group checkpoint
+     to the file outside a WAL batch, so it forces a group commit
      instead (see Database). *)
   mutable dirty_pressure : (unit -> unit) option;
   (* Read-only pools refuse every mutating operation with a typed
@@ -198,8 +198,8 @@ let do_evict t i =
 let evict_one t =
   (* Walk from the LRU tail for the first unpinned frame, preferring a
      clean one: evicting clean frames never touches the backend, and
-     under a group checkpoint discipline dirty frames must not leak to
-     the file between commit points. *)
+     under a group commit discipline dirty frames must not leak to the
+     file between commit points. *)
   let rec find ~clean_only i =
     if i < 0 then None
     else
@@ -211,10 +211,10 @@ let evict_one t =
   | Some i -> do_evict t i
   | None -> (
       match t.dirty_pressure with
-      | Some checkpoint -> (
+      | Some commit -> (
           (* Commit the whole group early; afterwards some unpinned frame
-             is clean (checkpoint cleans every frame). *)
-          checkpoint ();
+             is clean (a commit cleans every frame). *)
+          commit ();
           match find ~clean_only:true t.lru_tail with
           | Some i -> do_evict t i
           | None -> failwith "Pager: all frames pinned; pool too small")
@@ -295,19 +295,11 @@ let dirty_batch t =
   check_open t;
   collect_dirty t
 
-let apply_checkpoint t =
+let sync t =
   check_open t;
-  let dirty = collect_dirty t in
-  if dirty <> [] then begin
-    List.iter (fun (page_id, buf) -> backend_write t page_id buf) dirty;
-    (match t.backend with
-    | File { file; _ } -> timed_fsync file
-    | Mem _ -> ());
-    (* Only after every write and the fsync succeeded: an I/O failure
-       mid-way must leave the frames dirty so the WAL stays the source
-       of truth. *)
-    Array.iter (fun f -> if f.page_id >= 0 then f.dirty <- false) t.frames
-  end
+  match t.backend with
+  | File { file; _ } -> timed_fsync file
+  | Mem _ -> ()
 
 let flush t =
   check_open t;

@@ -30,7 +30,7 @@ val create_file : ?pool_size:int -> ?io:Io.t -> ?read_only:bool -> string -> t
 (** Open or create a page file. [pool_size] (default 256 frames, minimum
     8) bounds resident pages. Crash atomicity is the {!Database}'s: its
     one WAL commits every file's dirty pages together (see {e Group
-    checkpoints} below), and it replays a committed batch before any
+    commits} below), and it replays a committed batch before any
     pager opens. Raises {!Error.Error} ([Io_failed] on backend failure,
     [Corrupt_page] when the file length is not page-aligned).
 
@@ -63,7 +63,8 @@ val with_page_mut : t -> int -> (bytes -> 'a) -> 'a
 (** Like {!with_page} but marks the page dirty. *)
 
 val flush : t -> unit
-(** Write back all dirty frames (no-op for memory pagers). *)
+(** Write back all dirty frames and mark them clean, without an fsync.
+    Frames stay dirty if any write fails. *)
 
 val close : t -> unit
 (** Flush and release the backing file. Using a closed pager raises
@@ -74,29 +75,29 @@ val abandon : t -> unit
     dropped. For error paths where the caller must not touch storage
     again (a fault-frozen backend, a failed open). *)
 
-(** {1 Group checkpoints}
+(** {1 Group commits}
 
-    A {!Database} makes one checkpoint cover every file of the
-    directory: it collects {!dirty_batch} from each pager, commits the
-    union to a single database-level WAL, then calls {!apply_checkpoint}
-    on each pager. Pagers enrolled in a group must never write dirty
-    pages outside it, so {!set_dirty_pressure} installs a
-    checkpoint-now callback used when eviction finds only dirty
-    frames. *)
+    A {!Database} makes one commit cover every file of the directory:
+    it collects {!dirty_batch} from each pager, appends the union to a
+    single database-level WAL, then calls {!flush} on each pager; a
+    checkpoint later calls {!sync} on the pagers written since the last
+    one. Pagers enrolled in a group must never write dirty pages outside
+    it, so {!set_dirty_pressure} installs a commit-now callback used
+    when eviction finds only dirty frames. *)
 
 val dirty_batch : t -> (int * bytes) list
 (** Snapshot of (page id, buffer) for every dirty resident frame. The
     buffers are live frame storage: commit them before the next pager
     operation. *)
 
-val apply_checkpoint : t -> unit
-(** Write every dirty frame to the backing file, fsync, and mark frames
-    clean — the apply phase after the group WAL committed. Frames stay
-    dirty if any write fails. *)
+val sync : t -> unit
+(** Fsync the backing file (no-op for memory pagers): the checkpoint
+    step that makes pages written back since the last one durable
+    without the log. *)
 
 val set_dirty_pressure : t -> (unit -> unit) -> unit
 (** Callback invoked when eviction would have to write back a dirty
-    frame; it must make frames clean (by checkpointing the group). *)
+    frame; it must make frames clean (by committing the group). *)
 
 (** Page traffic — reads, writes, hits, misses, evictions, fsyncs — is
     charged to the calling domain's {!Crimson_obs.Cost} record, which

@@ -946,6 +946,48 @@ let test_query_history () =
       check Alcotest.int "entry pages" 7 q.Repo.pages
   | None -> Alcotest.fail "entry missing"
 
+(* A history row is one heap record: a row past a page is cut to fit,
+   result first, then text, then cost, each cut marked, a field shorter
+   than its marker skipped; rows that fit are kept whole, and the cut
+   rows read back like any other. *)
+let test_query_history_oversized () =
+  let repo = Repo.open_mem () in
+  let marked s = String.ends_with ~suffix:" bytes cut]" s in
+  let text = String.make 3000 't' and result = String.make 3000 'r' in
+  let id = Repo.record_query repo ~text ~result in
+  (match Repo.history_entry repo id with
+  | Some q ->
+      check Alcotest.string "the text fits once the result is cut" text q.Repo.text;
+      check Alcotest.bool "the result is cut, and says so" true (marked q.Repo.result);
+      check Alcotest.bool "a prefix of the result is kept" true
+        (String.length q.Repo.result > 900
+        && String.starts_with ~prefix:(String.sub q.Repo.result 0 900) result)
+  | None -> Alcotest.fail "the oversized row was not recorded");
+  let big = String.make 9000 'x' in
+  let id2 = Repo.record_query repo ~cost:big ~text:big ~result:big in
+  (match Repo.history_entry repo id2 with
+  | Some q ->
+      check Alcotest.bool "result cut" true (marked q.Repo.result);
+      check Alcotest.bool "text cut" true (marked q.Repo.text);
+      check Alcotest.bool "cost cut" true (marked q.Repo.cost);
+      check Alcotest.bool "the cost, cut last, keeps what fits" true
+        (String.length q.Repo.cost > 3000)
+  | None -> Alcotest.fail "the row of three oversized fields was not recorded");
+  let long_text = String.make 5000 't' in
+  let id_short = Repo.record_query repo ~text:long_text ~result:"C" in
+  (match Repo.history_entry repo id_short with
+  | Some q ->
+      check Alcotest.string "a result shorter than its marker stays whole" "C"
+        q.Repo.result;
+      check Alcotest.bool "the text is cut instead" true (marked q.Repo.text)
+  | None -> Alcotest.fail "the row with a long text was not recorded");
+  let id3 = Repo.record_query repo ~text:"lca(A, B)" ~result:"C" in
+  check Alcotest.int "ids continue" (id_short + 1) id3;
+  check Alcotest.(list string) "small rows stay whole" [ "lca(A, B)" ]
+    (List.filter_map
+       (fun q -> if q.Repo.id = id3 then Some q.Repo.text else None)
+       (Repo.history repo))
+
 (* The [nodes.by_name] index that format versions before 2 kept. *)
 let old_by_name =
   let module Record = Crimson_storage.Record in
@@ -2679,6 +2721,8 @@ let () =
           Alcotest.test_case "record and recall" `Quick test_query_history;
           Alcotest.test_case "legacy schema refused" `Quick
             test_query_history_legacy_refused;
+          Alcotest.test_case "oversized row cut to a page" `Quick
+            test_query_history_oversized;
         ] );
       ( "summary",
         [

@@ -2,10 +2,11 @@
    repository through a fault-injecting I/O backend, crash at every
    mutating operation, reopen through the real backend, and check the
    recovered state. The invariant is transactional: the workload is a
-   sequence of committed steps (each ends in one [Repo.flush]-level
-   checkpoint), and after any crash the surviving state must be an exact
-   prefix of those steps — every committed step fully present, every
-   uncommitted one fully absent, nothing in between. *)
+   sequence of committed steps (each ends in one [Repo.commit]), with
+   checkpoints ([Repo.flush]) between some of them, and after any crash
+   the surviving state must be an exact prefix of those steps — every
+   committed step fully present, every uncommitted one fully absent,
+   nothing in between. *)
 
 module Io = Crimson_storage.Io
 module Error = Crimson_storage.Error
@@ -37,8 +38,8 @@ let with_temp_dir f =
 
 (* ----------------------------- Workload ----------------------------- *)
 
-(* Three transactions. Each ends in exactly one group checkpoint (the
-   loader flushes once at the end of a load; the query step flushes
+(* Three transactions. Each ends in exactly one group commit (the
+   loader commits once at the end of a load; the query step commits
    explicitly), so each is atomic under the WAL discipline. *)
 
 let step_load repo =
@@ -58,20 +59,20 @@ let step_queries repo =
          ~text:(Printf.sprintf "q%d" i)
          ~result:(Printf.sprintf "r%d" i))
   done;
-  Repo.flush repo
+  Repo.commit repo
 
 (* Collection steps: ingest into the bipartition dictionary (including
    the delta-encoded replicate path), then an atomic create+drop swap.
-   Each groups its writes with [~flush:false] so the step's final
-   operation is its one checkpoint. *)
+   Each groups its writes with [~commit:false] so the step's final
+   operation is its one commit. *)
 
 let coll_t1 () = Newick.parse "((a,b),(c,d));"
 let coll_t2 () = Newick.parse "((a,c),(b,d));"
 let coll_taxa = [ "a"; "b"; "c"; "d" ]
 
 let step_coll_create repo =
-  let c = Collection.create ~flush:false repo ~name:"boot" ~taxa:coll_taxa in
-  ignore (Collection.ingest ~flush:false c (coll_t1 ()));
+  let c = Collection.create ~commit:false repo ~name:"boot" ~taxa:coll_taxa in
+  ignore (Collection.ingest ~commit:false c (coll_t1 ()));
   ignore (Collection.ingest c (coll_t2 ()))
 
 let step_coll_ingest repo =
@@ -81,8 +82,8 @@ let step_coll_ingest repo =
   ignore (Collection.ingest c (coll_t1 ()))
 
 let step_coll_swap repo =
-  let c = Collection.create ~flush:false repo ~name:"algs" ~taxa:coll_taxa in
-  ignore (Collection.ingest ~flush:false c (coll_t2 ()));
+  let c = Collection.create ~commit:false repo ~name:"algs" ~taxa:coll_taxa in
+  ignore (Collection.ingest ~commit:false c (coll_t2 ()));
   Collection.drop repo "boot"
 
 let steps =
@@ -92,6 +93,11 @@ let steps =
   |]
 
 let n_steps = Array.length steps
+
+(* The steps after which the script checkpoints: the log then holds the
+   batches of steps 1-3, and of steps 4-5, so faults land inside a
+   checkpoint over several batches; the close checkpoints step 6. *)
+let checkpoint_after = [ 3; 5 ]
 
 (* Run the workload through [io]. Returns how many steps returned
    normally; a raised fault stops the run at that point, like the
@@ -105,7 +111,8 @@ let run_workload ~io dir =
      Array.iter
        (fun step ->
          step r;
-         incr observed)
+         incr observed;
+         if List.mem !observed checkpoint_after then Repo.flush r)
        steps;
      Repo.close r;
      repo := None
@@ -122,17 +129,13 @@ let run_workload ~io dir =
 
 (* Reopen through the real backend (recovery runs inside open) and
    measure which steps survived; check each surviving step is complete
-   and internally consistent, not merely detectable. *)
+   and internally consistent, not merely detectable, and end with the
+   run check. *)
 let verify ~label ~observed dir =
   let repo = Repo.open_dir ~durable:true dir in
   Fun.protect
     ~finally:(fun () -> Repo.close repo)
     (fun () ->
-      (* The clustered tables' runs cover every live tree's rows, each
-         at its own rid, and nothing else. *)
-      (match Loader.check_runs repo with
-      | [] -> ()
-      | problems -> Alcotest.failf "%s: %s" label (String.concat "; " problems));
       let step1 =
         List.exists (fun (_, name) -> name = "figure1") (Stored_tree.list_all repo)
       in
@@ -227,6 +230,11 @@ let verify ~label ~observed dir =
       if present < observed || present > min n_steps (observed + 1) then
         Alcotest.failf "%s: observed %d commits but recovered %d" label observed
           present;
+      (* The clustered tables' runs cover every live tree's rows, each
+         at its own rid, and nothing else. *)
+      (match Loader.check_runs repo with
+      | [] -> ()
+      | problems -> Alcotest.failf "%s: %s" label (String.concat "; " problems));
       present)
 
 (* ------------------------------ Matrix ------------------------------ *)
@@ -248,7 +256,7 @@ let test_matrix () =
   if total < 20 then Alcotest.failf "workload too small to matter (%d ops)" total;
   let log = Buffer.create 4096 in
   Buffer.add_string log
-    (Printf.sprintf "# crash matrix: %d fault points x 3 fault kinds\n" total);
+    (Printf.sprintf "# crash matrix: %d fault points x 4 fault kinds\n" total);
   List.iter
     (fun (fault, fname) ->
       for at = 1 to total do
@@ -258,10 +266,15 @@ let test_matrix () =
             let observed = run_workload ~io dir in
             let present = verify ~label ~observed dir in
             Buffer.add_string log
-              (Printf.sprintf "%s observed=%d recovered=%d ok\n" label observed
-                 present))
+              (Printf.sprintf "%s observed=%d recovered=%d check_runs=ok\n" label
+                 observed present))
       done)
-    [ (Io.Fail_op, "fail"); (Io.Torn_write, "torn"); (Io.Crash_op, "crash") ];
+    [
+      (Io.Fail_op, "fail");
+      (Io.Torn_write, "torn");
+      (Io.Crash_op, "crash");
+      (Io.Power_cut, "power");
+    ];
   match Sys.getenv_opt "CRIMSON_CRASH_LOG" with
   | None -> ()
   | Some path ->

@@ -1811,6 +1811,58 @@ let obs_routes ~workers () =
 let test_obs_routes_single () = obs_routes ~workers:1 ()
 let test_obs_routes_fleet () = obs_routes ~workers:4 ()
 
+(* A query whose text and result overflow a history row: the server
+   answers it, records it cut to a page, and serves the next request
+   on the same connection. *)
+let test_oversized_query_served () =
+  with_tmp_dir (fun dir ->
+      let repo_dir = Filename.concat dir "repo" in
+      let sock = Filename.concat dir "big.sock" in
+      (let repo = Repo.open_dir repo_dir in
+       let tree = Models.yule ~rng:(Prng.create 11) ~leaves:1500 () in
+       ignore (Loader.load_tree ~f:8 repo ~name:"gold" tree);
+       Repo.close repo);
+      flush stdout;
+      flush stderr;
+      let server_pid =
+        match Unix.fork () with
+        | 0 ->
+            Crimson_obs.Trace.child_reset ();
+            Crimson_obs.Events.child_reset ();
+            let repo = Repo.open_dir ~create:false repo_dir in
+            Fun.protect
+              ~finally:(fun () -> Repo.close repo)
+              (fun () ->
+                Server.run ~config:Worker_core.default_config repo (Wire.Unix_path sock));
+            Unix._exit 0
+        | pid -> pid
+      in
+      wait_until_listening sock;
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] server_pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          let c = Client.connect (Wire.Unix_path sock) in
+          check Alcotest.bool "USE" true (Client.ok (Client.request c "USE gold"));
+          let names = List.init 1200 (Printf.sprintf "T%d") in
+          let big =
+            Client.request c (Printf.sprintf "QUERY project(%s)" (String.concat ", " names))
+          in
+          check Alcotest.bool "the oversized query answers" true (Client.ok big);
+          check Alcotest.bool "with its whole result" true
+            (match Client.str_field "result" big with
+            | Some r -> String.length r > Crimson_storage.Page.size
+            | None -> false);
+          let next = Client.request c "QUERY lca(T0, T1)" in
+          check Alcotest.bool "the next request is served" true (Client.ok next);
+          Client.close c;
+          Unix.kill server_pid Sys.sigterm;
+          match Unix.waitpid [] server_pid with
+          | _, Unix.WEXITED 0 -> ()
+          | _, Unix.WEXITED n -> Alcotest.failf "server exited %d on SIGTERM" n
+          | _, _ -> Alcotest.fail "server stopped"))
+
 (* ---------------------------- Wire parity --------------------------- *)
 
 (* Replay a fixed script against a deterministic repository and compare
@@ -2209,5 +2261,7 @@ let () =
             test_obs_routes_single;
           Alcotest.test_case "observability routes (4 workers)" `Slow
             test_obs_routes_fleet;
+          Alcotest.test_case "oversized query answered" `Slow
+            test_oversized_query_served;
         ] );
     ]
