@@ -187,26 +187,24 @@ let history_row ~id ~elapsed_ms ~pages ~cost ~text ~result =
       Record.VText cost;
     |]
   in
-  (* The other fields and the three lengths encode in under 64 bytes. *)
-  if String.length text + String.length result + String.length cost + 64 <= max_row then
-    row ~text ~result ~cost
+  let excess ~text ~result ~cost =
+    String.length (Record.encode Schema.Queries.schema (row ~text ~result ~cost)) - max_row
+  in
+  (* Shed at least [over] bytes, the marker's included. A field no
+     longer than its marker stays whole: cutting it would not help. *)
+  let cut s over =
+    if over <= 0 then s
+    else
+      let keep = max 0 (String.length s - over - 32) in
+      let marked =
+        Printf.sprintf "%s... [%d bytes cut]" (String.sub s 0 keep) (String.length s - keep)
+      in
+      if String.length marked < String.length s then marked else s
+  in
+  let over = excess ~text ~result ~cost in
+  if over <= 0 then row ~text ~result ~cost
   else
-    let excess ~text ~result ~cost =
-      String.length (Record.encode Schema.Queries.schema (row ~text ~result ~cost))
-      - max_row
-    in
-    (* Shed at least [over] bytes, the marker's included. A field no
-       longer than its marker stays whole: cutting it would not help. *)
-    let cut s over =
-      if over <= 0 then s
-      else
-        let keep = max 0 (String.length s - over - 32) in
-        let marked =
-          Printf.sprintf "%s... [%d bytes cut]" (String.sub s 0 keep) (String.length s - keep)
-        in
-        if String.length marked < String.length s then marked else s
-    in
-    let result = cut result (excess ~text ~result ~cost) in
+    let result = cut result over in
     let text = cut text (excess ~text ~result ~cost) in
     let cost = cut cost (excess ~text ~result ~cost) in
     row ~text ~result ~cost

@@ -442,7 +442,12 @@ let test_log_bound_checkpoints () =
       let db = Database.open_dir ~durable:true ~pool_size:64 dir in
       let t = row_table db in
       let body = String.make 3000 'b' in
+      (* Each commit logs at least 32 pages, so the bound is passed
+         within [cap] commits; past it, no checkpoint ever ran. *)
+      let cap = 2 * Database.log_bound / (32 * Page.size) in
       let rec commits sizes =
+        if List.length sizes >= cap then
+          Alcotest.failf "no checkpoint after %d commits (log at %d bytes)" cap (wal_size dir);
         for i = 1 to 32 do
           ignore (Table.insert t [| Record.VInt i; VText body |])
         done;
