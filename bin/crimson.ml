@@ -915,8 +915,6 @@ let serve_cmd =
                     stall_after;
                     stall_factor;
                     events_out;
-                    events_max_bytes =
-                      Worker_core.default_config.Worker_core.events_max_bytes;
                     debug_verbs;
                   }
                 in

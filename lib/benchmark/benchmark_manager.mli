@@ -37,8 +37,6 @@ val bionj_jc : algorithm
 
 val upgma_jc : algorithm
 val parsimony : algorithm
-val default_algorithms : algorithm list
-(** [nj_jc; upgma_jc; parsimony]. *)
 
 type config = {
   sample_method : sample_method;

@@ -79,6 +79,15 @@ let drop_species repo ~tree =
   Repo.forget_species_run repo ~tree;
   Clustered.delete (Repo.clustered repo Repo.species) [ tree ]
 
+(* Every group of tree [tree] in every clustered table: its node rows,
+   name run, layers, subtree roots, summaries and species run. One
+   directory prefix scan per table; no other tree's runs are read. *)
+let drop_groups repo ~tree =
+  drop_species repo ~tree;
+  List.iter
+    (fun table -> Clustered.delete (Repo.clustered repo table) [ tree ])
+    [ Repo.nodes; Repo.names; Repo.layers; Repo.subtrees; Repo.summaries ]
+
 (* [f name chunk piece] on the group's rows from row [lo] to [hi], in
    order, while it answers [true]; [piece] is [""] for a name [wanted]
    refuses. *)
@@ -201,6 +210,10 @@ let load_tree_internal ?(f = 8) repo ~name tree ~species =
       Record.VInt subtree_end.(v);
     |]
   in
+  (* A load larger than the pool commits under pressure before its
+     catalog row exists, so a crash can leave groups under this id that
+     no live tree owns. They go before the first insert. *)
+  drop_groups repo ~tree:tree_id;
   (* Every table below is clustered: rows go in id order, one group per
      tree or per (tree, layer), and the directory records where each
      run of them landed. A [nodes] run keeps its first row's [leaf_lo]
@@ -386,15 +399,7 @@ let delete_tree repo stored =
    with
   | Some (rid, _) -> ignore (Table.delete (Repo.trees repo) rid)
   | None -> ());
-  let clustered = Repo.clustered repo in
-  Clustered.delete (clustered Repo.nodes) [ tree_id ];
-  Clustered.delete (clustered Repo.names) [ tree_id ];
-  for layer = 0 to Stored_tree.layer_count stored - 1 do
-    if layer > 0 then Clustered.delete (clustered Repo.layers) [ tree_id; layer ];
-    Clustered.delete (clustered Repo.subtrees) [ tree_id; layer ];
-    Clustered.delete (clustered Repo.summaries) [ tree_id; layer ]
-  done;
-  drop_species repo ~tree:tree_id;
+  drop_groups repo ~tree:tree_id;
   Repo.commit repo;
   Log.info (fun m -> m "deleted tree %S" (Stored_tree.name stored))
 

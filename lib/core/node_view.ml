@@ -279,7 +279,7 @@ let decode_view node r =
 (* A miss reads its own row: one directory search, one page pin, one
    checked decode and one LRU admission. *)
 let fetch_node c n =
-  Span.record_traced h_fetch
+  Span.record h_fetch
     ~attrs:(fun () ->
       [
         ("table", Json.Str "nodes");
@@ -370,7 +370,7 @@ let h_scan = Metrics.histogram "core.node_scan.ms"
 
 let scan c ~lo ~hi f =
   let rows = ref 0 and jumps = ref 0 in
-  Span.record_traced h_scan
+  Span.record h_scan
     ~attrs:(fun () ->
       [
         ("tree", Json.Num (float_of_int c.tree));
@@ -407,7 +407,7 @@ let layer_view c ~layer n =
         { l_parent; l_edge_index; l_sub; l_local_depth }
       in
       let row =
-        Span.record_traced h_fetch
+        Span.record h_fetch
           ~attrs:(fun () ->
             [
               ("table", Json.Str "layers");

@@ -198,14 +198,14 @@ end
 
 module Engine = Layered.Engine (Store)
 
-(* Hot path: pre-created histogram, no span stack unless a trace is
-   collecting (Span.record_traced). *)
+(* Hot path: a pre-created histogram, and a span only while a trace is
+   collecting (Span.record). *)
 let h_lca = Crimson_obs.Metrics.histogram "core.lca"
 
 let lca t a b =
   ignore (view t a);
   ignore (view t b);
-  Crimson_obs.Span.record_traced h_lca
+  Crimson_obs.Span.record h_lca
     ~attrs:(fun () ->
       Crimson_obs.Json.
         [

@@ -109,11 +109,6 @@ val flat_label : t -> int -> Dewey.t
 val label_to_string : int array list -> string
 (** ["2.1|3.4"] — segments separated by ['|']. *)
 
-val label_size_bytes : t -> int -> int
-(** Encoded size of the stored per-node label: the node's subtree id plus
-    its local segment, varint-encoded — what the Tree Repository stores
-    per node row. Bounded by O(f) bytes regardless of tree depth. *)
-
 type stats = {
   f : int;
   layers : int;

@@ -14,9 +14,6 @@ type counters = {
 
 type t
 
-val default_max_bytes : int
-(** 64 MiB. *)
-
 val make : counters -> t
 (** A sink with no destination; writes are dropped until {!set}. *)
 

@@ -128,9 +128,6 @@ val prometheus_name : string -> string
 (** [crimson_<name>] with every non-alphanumeric character folded to
     [_] — a valid Prometheus metric name for any registry name. *)
 
-val prometheus_float : float -> string
-(** Render a sample value for the exposition ([+Inf]/[-Inf]/[NaN]
-    spelled the Prometheus way). *)
 
 val prometheus_escape_help : string -> string
 (** Escape a HELP text per the exposition format: backslash doubles,

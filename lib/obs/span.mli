@@ -1,88 +1,76 @@
-(** Nested spans: time a scope, feed the latency histogram of the same
-    name, optionally trace via [Logs], and — when a trace is collecting —
-    emit enter/exit events into the {!Trace} pipeline.
+(** Timed scopes, and the span trees of a collecting trace.
 
-    [Span.with_ ~name f] runs [f ()], records the elapsed wall time in
-    milliseconds into [Metrics.histogram name], and emits one debug line
-    on the [crimson.obs] log source ([span core.lca 0.041ms depth=1]).
-    Spans nest: the depth is tracked in a domain-local stack so trace
-    lines show the call structure, and {!current} exposes the innermost
-    open span for ad-hoc attribution. The elapsed time is recorded even
-    when [f] raises.
+    [Span.with_ ~name f] runs [f ()], records its elapsed wall time in
+    milliseconds into [Metrics.histogram name] (also when [f] raises),
+    and emits one debug line on the [crimson.obs] log source
+    ([span core.lca 0.041ms]). Outside a collecting trace that is all a
+    scope does: one clock read on each side and one histogram sample.
 
-    While a trace is collecting (a {!type-sink} is installed — see
-    {!Trace}), every span additionally carries structured attributes:
-    {!attr} attaches a key/value pair to the innermost open span, and
-    the exit event delivers the finished span (name, depth, elapsed,
-    attributes) to the sink, which assembles the span tree. When no sink
-    is installed the attribute path is a no-op and the per-span overhead
-    is one ref read.
+    While a trace collects ({!collect}, which [Trace.timed] calls when a
+    slowlog threshold or a sink will read the tree), its open spans are
+    frames on a domain-local stack: every scope pushes one, {!attr}
+    attaches a key/value pair to the innermost, and a scope that closes
+    becomes a finished {!span} among its parent's children. A scope
+    opened once the trace holds its event cap is dropped with its whole
+    subtree; the attributes set inside it go with it.
 
-    The stack and the sink are domain-local: each domain nests and
-    traces its own spans. A forked child inherits the parent's open
-    stack and any installed sink; it must call [Trace.child_reset ()]
-    (which calls {!reset}) before doing any traced work, or its spans
-    would graft onto the parent's tree.
+    The collecting trace is domain-local: each domain assembles its own.
+    A forked child inherits the parent's; it must call
+    [Trace.child_reset ()] (which calls {!reset}) before any traced
+    work, or its spans would graft onto the parent's tree. *)
 
-    For hot call sites that cannot afford the per-call name lookup and
-    trace branch, pre-create the histogram and use {!record}; use
-    {!record_traced} where the site should still show up in traces. *)
+type span = {
+  name : string;
+  depth : int;  (** 0 for the root *)
+  start_ms : float;  (** offset from the root's start *)
+  elapsed_ms : float;
+  attrs : (string * Json.t) list;  (** in call order *)
+  children : span list;  (** in call order *)
+}
 
 val with_ : name:string -> (unit -> 'a) -> 'a
 
 val timed : name:string -> (unit -> 'a) -> 'a * float
 (** Like {!with_} but also returns the elapsed milliseconds. *)
 
-val record : Metrics.Histogram.t -> (unit -> 'a) -> 'a
-(** Fast path: time [f] into a pre-created histogram. No stack
-    maintenance, no trace line, never traced. *)
-
-val record_traced :
-  Metrics.Histogram.t ->
-  ?attrs:(unit -> (string * Json.t) list) ->
-  (unit -> 'a) ->
-  'a
-(** Like {!record} when no trace is collecting. While one is, behaves
-    like {!with_} under the histogram's name, first attaching the
-    attributes returned by [attrs] (only evaluated when tracing — safe
-    to compute labels lazily). *)
+val record :
+  Metrics.Histogram.t -> ?attrs:(unit -> (string * Json.t) list) -> (unit -> 'a) -> 'a
+(** Like {!with_} on a pre-created histogram, for hot call sites that
+    cannot afford the per-call name lookup. Inside a collecting trace the
+    span takes the histogram's name and starts with the attributes
+    [attrs] returns; [attrs] runs only then, so labels may be computed
+    lazily. *)
 
 val attr : string -> Json.t -> unit
-(** Attach an attribute to the innermost open span. No-op when no span
-    is open or no trace is collecting. Later values with the same key
-    are kept alongside earlier ones (delivered in call order). *)
+(** Attach an attribute to the innermost open span of the collecting
+    trace. A no-op outside one, and inside a span the event cap
+    dropped. Later values with the same key are kept alongside earlier
+    ones. *)
 
-val current : unit -> string option
-(** Name of the innermost open span, if any. *)
+val collecting : unit -> bool
+(** Whether a trace is collecting on this domain. Guard expensive
+    attribute computation with this. *)
 
-val depth : unit -> int
-(** Number of open spans. *)
+val collect :
+  id:int ->
+  max_events:int ->
+  name:string ->
+  finish:(span -> dropped:int -> unit) ->
+  (unit -> 'a) ->
+  'a * float
+(** [collect ~id ~max_events ~name ~finish f] runs [f] as {!timed} does,
+    as the root of a trace that keeps at most [max_events] spans, and
+    hands [finish] the root's finished tree and the number of spans the
+    cap dropped (each with its subtree) before it returns, or re-raises
+    what [f] raised. Owned by [Trace]. *)
+
+val trace_id : unit -> int option
+(** The [id] of the trace collecting on this domain. *)
 
 val reset : unit -> unit
-(** Drop every open frame. For forked children (via
-    [Trace.child_reset]) and test harnesses; using it mid-span in
-    normal code would corrupt enclosing [with_] bookkeeping. *)
-
-(** {1 Event sink (installed by [Trace])} *)
-
-type sink = {
-  on_enter : name:string -> depth:int -> t0_ms:float -> unit;
-  on_exit :
-    name:string ->
-    depth:int ->
-    elapsed_ms:float ->
-    attrs:(string * Json.t) list ->
-    unit;
-}
-
-val set_sink : sink option -> unit
-(** Install (or remove) the event sink. Owned by [Trace]; only one sink
-    exists at a time. *)
-
-val tracing : unit -> bool
-(** Whether a sink is installed, i.e. a trace is actively collecting.
-    Guard expensive attribute computation with this. *)
+(** Abandon the collecting trace. For forked children (via
+    [Trace.child_reset]) and test harnesses. *)
 
 val src : Logs.src
-(** The [crimson.obs] log source — set its level to [Debug] to stream
-    span trace lines. *)
+(** The [crimson.obs] log source: set its level to [Debug] to stream
+    one line per closed scope. *)

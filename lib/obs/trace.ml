@@ -1,24 +1,24 @@
-(* The trace pipeline: assemble Span enter/exit events into span trees,
-   one tree per top-level request, and fan completed trace records out
-   to (a) the slow-query log when the root span exceeds a threshold and
-   (b) an optional JSONL sink with crash-safe appends and size-capped
-   rotation.
+(* The trace pipeline: collect one span tree per top-level request, and
+   fan completed trace records out to (a) the slow-query log when the
+   root span exceeds a threshold and (b) an optional JSONL sink with
+   crash-safe appends and size-capped rotation.
 
-   Collection is scoped: [timed ~name ~meta f] installs the Span sink,
-   opens the root span, and finalises the record when that root exits —
-   including on exceptions, because [Span.timed] runs its finish path
-   while unwinding. A nested [timed] joins the enclosing trace as an
-   ordinary span instead of starting a second one.
+   Collection is scoped and has a reader or does not happen: [timed
+   ~name ~meta f] starts a trace only while a slowlog threshold is set
+   or the sink is installed. The tree is [Span]'s own frames; [Span]
+   hands the finished root back when it exits, also while unwinding an
+   exception. A nested [timed] joins the enclosing trace as an ordinary
+   span instead of starting a second one.
 
-   Domain model: collection state is domain-local (each server worker
-   assembles its own traces). Each domain's slowlog ring sits behind its
+   Domain model: the collecting trace is domain-local (each server
+   worker assembles its own). Each domain's slowlog ring sits behind its
    own mutex on one process-wide list, so a reader on any domain walks
    every domain's entries. Trace ids come from one process-global atomic
    so ids stay unique across workers, and the JSONL sink is
    process-global behind a mutex so all workers append to the same
    file. *)
 
-type span = {
+type span = Span.span = {
   name : string;
   depth : int;
   start_ms : float; (* offset from the trace's start *)
@@ -248,46 +248,20 @@ let flush () = Jsonl_sink.flush sink
 
 (* ---------------------------- Collection ----------------------------- *)
 
-type partial = {
-  p_name : string;
-  p_depth : int;
-  p_start_ms : float;
-  mutable p_children : span list; (* reversed *)
-}
-
-type state = {
-  trace_id : int;
-  started_at : float;
-  meta : (string * Json.t) list;
-  mutable t0_ms : float;
-  mutable open_spans : partial list;
-  mutable events : int;
-  mutable skipping : int;
-  mutable dropped : int;
-}
-
-let current_key : state option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current () = Domain.DLS.get current_key
 let next_id = Atomic.make 1
-
-let collecting () = !(current ()) <> None
-
-let current_id () =
-  match !(current ()) with Some st -> Some st.trace_id | None -> None
-
+let collecting = Span.collecting
+let current_id = Span.trace_id
 let sink_installed () = Jsonl_sink.installed sink
 
-let finalize st root =
-  Span.set_sink None;
-  current () := None;
+let finalize ~id ~started_at ~meta root ~dropped =
   let meta =
-    if st.dropped > 0 then
-      st.meta @ [ ("dropped_events", Json.Num (float_of_int st.dropped)) ]
-    else st.meta
+    if dropped = 0 then meta
+    else begin
+      Metrics.Counter.add m_dropped dropped;
+      meta @ [ ("dropped_events", Json.Num (float_of_int dropped)) ]
+    end
   in
-  let record = { id = st.trace_id; started_at = st.started_at; meta; root } in
+  let record = { id; started_at; meta; root } in
   Metrics.Counter.incr m_records;
   (match Atomic.get slow_threshold with
   | Some t when root.elapsed_ms >= t ->
@@ -301,93 +275,19 @@ let finalize st root =
   if sink_installed () then
     sink_write (Json.to_string (record_to_json record) ^ "\n")
 
-let on_enter st ~name ~depth ~t0_ms =
-  if st.skipping > 0 then st.skipping <- st.skipping + 1
-  else if st.events >= Atomic.get max_events then begin
-    st.skipping <- 1;
-    st.dropped <- st.dropped + 1;
-    Metrics.Counter.incr m_dropped
-  end
-  else begin
-    if st.events = 0 then st.t0_ms <- t0_ms;
-    st.events <- st.events + 1;
-    st.open_spans <-
-      { p_name = name; p_depth = depth; p_start_ms = t0_ms -. st.t0_ms; p_children = [] }
-      :: st.open_spans
-  end
-
-let on_exit st ~name:_ ~depth:_ ~elapsed_ms ~attrs =
-  if st.skipping > 0 then st.skipping <- st.skipping - 1
-  else
-    match st.open_spans with
-    | [] -> () (* an exit from below the trace root; ignore *)
-    | p :: rest -> (
-        let span =
-          {
-            name = p.p_name;
-            depth = p.p_depth;
-            start_ms = p.p_start_ms;
-            elapsed_ms;
-            attrs;
-            children = List.rev p.p_children;
-          }
-        in
-        st.open_spans <- rest;
-        match rest with
-        | parent :: _ -> parent.p_children <- span :: parent.p_children
-        | [] -> finalize st span)
-
-let make_sink st =
-  {
-    Span.on_enter = (fun ~name ~depth ~t0_ms -> on_enter st ~name ~depth ~t0_ms);
-    Span.on_exit =
-      (fun ~name ~depth ~elapsed_ms ~attrs -> on_exit st ~name ~depth ~elapsed_ms ~attrs);
-  }
-
 let timed ~name ?(meta = []) f =
-  match !(current ()) with
-  | Some _ -> Span.timed ~name f (* join the enclosing trace *)
-  | None ->
-      let st =
-        {
-          trace_id = Atomic.fetch_and_add next_id 1;
-          started_at = Unix.gettimeofday ();
-          meta;
-          t0_ms = 0.0;
-          open_spans = [];
-          events = 0;
-          skipping = 0;
-          dropped = 0;
-        }
-      in
-      let current = current () in
-      current := Some st;
-      Span.set_sink (Some (make_sink st));
-      let cleanup () =
-        (* The root exit normally finalised already; this is the
-           belt-and-braces path for a sink torn down mid-trace. *)
-        match !current with
-        | Some st' when st' == st ->
-            Span.set_sink None;
-            current := None
-        | Some _ | None -> ()
-      in
-      (match Span.timed ~name f with
-      | result ->
-          cleanup ();
-          result
-      | exception e ->
-          cleanup ();
-          raise e)
+  if Span.collecting () || (Atomic.get slow_threshold = None && not (sink_installed ()))
+  then Span.timed ~name f (* joins the enclosing trace, or has no reader *)
+  else
+    let id = Atomic.fetch_and_add next_id 1 and started_at = Unix.gettimeofday () in
+    Span.collect ~id ~max_events:(Atomic.get max_events) ~name
+      ~finish:(finalize ~id ~started_at ~meta) f
 
 let with_ ~name ?meta f = fst (timed ~name ?meta f)
 
 (* ------------------------------- Reset ------------------------------- *)
 
-let reset () =
-  Span.set_sink None;
-  current () := None;
-  Span.reset ()
+let reset = Span.reset
 
 let child_reset () =
   reset ();

@@ -1,29 +1,31 @@
 (** Trace pipeline: span trees per request, slow-query log, JSONL sink.
 
-    [Trace.timed ~name ~meta f] opens a {e trace}: it assigns a fresh
-    trace id, installs the {!Span} event sink, and runs [f] under a root
-    span called [name]. Every [Span.with_]/[timed]/[record_traced] scope
-    entered while [f] runs becomes a node in the span tree, carrying its
-    structured attributes ([Span.attr]). When the root span exits — on
-    return or while unwinding an exception — the finished {!record} is:
+    [Trace.timed ~name ~meta f] runs [f] under a root span called
+    [name]. While the tree has a reader, a slowlog threshold
+    ({!set_slowlog_ms}) or a sink ({!set_sink}), it opens a {e trace}: it
+    assigns a fresh trace id and has {!Span} collect, so every
+    [Span.with_]/[timed]/[record] scope entered while [f] runs becomes a
+    node in the span tree, carrying its structured attributes
+    ([Span.attr]). When the root span exits — on return or while
+    unwinding an exception — the finished {!record} is:
 
     - pushed into the slow-query ring when the root's elapsed time
-      reaches the {!set_slowlog_ms} threshold ({!slowlog});
-    - appended as one JSON line to the optional {!set_sink} file.
+      reaches the threshold ({!slowlog});
+    - appended as one JSON line to the sink file, if one is installed.
 
-    A nested [Trace.timed] joins the enclosing trace as an ordinary
-    span; only the outermost call owns the record. When no trace is
-    collecting, instrumented code pays one ref read per span.
+    With neither reader, [timed] is a plain [Span.timed]: its histogram
+    still gets its sample, and no tree, id or attribute is built. A
+    nested [Trace.timed] joins the enclosing trace as an ordinary span;
+    only the outermost call owns the record.
 
-    Collection state is domain-local, like the span stack: each worker
-    domain assembles its own traces. Each domain's slowlog ring sits
-    behind its own mutex on one process-wide list, so {!slowlog} on any
-    domain reads every domain's entries. Trace ids come from one
-    process-wide atomic, and the JSONL sink is shared by every domain
-    behind a mutex. Forked children must call {!child_reset} before any
-    traced work. *)
+    The collecting trace is domain-local: each worker domain assembles
+    its own. Each domain's slowlog ring sits behind its own mutex on one
+    process-wide list, so {!slowlog} on any domain reads every domain's
+    entries. Trace ids come from one process-wide atomic, and the JSONL
+    sink is shared by every domain behind a mutex. Forked children must
+    call {!child_reset} before any traced work. *)
 
-type span = {
+type span = Span.span = {
   name : string;
   depth : int;  (** 0 for the root *)
   start_ms : float;  (** offset from the trace's first event *)
@@ -47,14 +49,18 @@ val root_elapsed_ms : record -> float
 
 val timed :
   name:string -> ?meta:(string * Json.t) list -> (unit -> 'a) -> 'a * float
-(** Run [f] as a traced request rooted at a span called [name]; returns
-    the result and the root's elapsed milliseconds. Joins the enclosing
-    trace (meta ignored) when one is already collecting. *)
+(** Run [f] as a request rooted at a span called [name]; returns the
+    result and the root's elapsed milliseconds. Collects a trace only
+    when the slowlog or the sink will read it; joins the enclosing trace
+    (meta ignored) when one is already collecting. *)
 
 val with_ : name:string -> ?meta:(string * Json.t) list -> (unit -> 'a) -> 'a
 
 val collecting : unit -> bool
+(** [Span.collecting]. *)
+
 val current_id : unit -> int option
+(** The collecting trace's id ([Span.trace_id]). *)
 
 (** {1 Slow-query log} *)
 
@@ -116,7 +122,7 @@ val record_of_json : Json.t -> (record, string) result
 (** {1 Reset} *)
 
 val reset : unit -> unit
-(** Abandon any in-flight trace and clear the span stack. *)
+(** Abandon the trace collecting on this domain, if any ([Span.reset]). *)
 
 val child_reset : unit -> unit
 (** For forked children: {!reset}, drop the inherited sink fd (the

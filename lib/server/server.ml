@@ -31,10 +31,7 @@ let run ?(config = Worker_core.default_config) ?(on_ready = ignore)
   Option.iter
     (fun path -> Trace.set_sink ~max_bytes:config.Worker_core.trace_max_bytes (Some path))
     config.Worker_core.trace_out;
-  Option.iter
-    (fun path ->
-      Events.set_journal ~max_bytes:config.Worker_core.events_max_bytes (Some path))
-    config.Worker_core.events_out;
+  Option.iter (fun path -> Events.set_journal (Some path)) config.Worker_core.events_out;
   (* Every listener binds before anything serves, so a bad address fails
      fast; a failure releases the ones already bound. *)
   let bound = ref [] in

@@ -47,7 +47,6 @@ type config = {
   stall_after : float;
   stall_factor : float;
   events_out : string option;
-  events_max_bytes : int;
   debug_verbs : bool;
 }
 
@@ -66,7 +65,6 @@ let default_config =
     stall_after = 10.0;
     stall_factor = 4.0;
     events_out = None;
-    events_max_bytes = 64 * 1024 * 1024;
     debug_verbs = false;
   }
 
@@ -384,7 +382,7 @@ let use t s name =
    deltas, read off this domain's cost record only while a trace is
    collecting. *)
 let measured_query t s ~profiled ?stored table env ~text call =
-  let cost0 = if Span.tracing () then Some (Crimson_obs.Cost.snapshot ()) else None in
+  let cost0 = if Span.collecting () then Some (Crimson_obs.Cost.snapshot ()) else None in
   let result =
     Deadline.with_timeout t.cfg.request_timeout (fun () ->
         Query_lang.measured_in table env ~profiled ~record:false t.repo ~text call)
@@ -827,10 +825,12 @@ let accounted t s ~line f =
   Metrics.Counter.incr t.mw_requests;
   Metrics.Counter.incr t.m_requests;
   Metrics.Counter.incr t.m_sess_requests;
-  (* The per-request trace: one span tree rooted at server.request_ms
-     (which the Span layer also feeds as a histogram, so STATS scrapes
-     keep working), tagged with the session/request ids and the request
-     line — that text is what the slowlog shows next to the tree. *)
+  (* The per-request trace: one span tree rooted at server.request_ms,
+     collected only while the slowlog or the sink reads it, tagged with
+     the session/request ids and the request line — that text is what
+     the slowlog shows next to the tree. The Span layer feeds
+     server.request_ms as a histogram either way, so STATS scrapes keep
+     working. *)
   let resp, elapsed_ms =
     Trace.timed ~name:"server.request_ms"
       ~meta:

@@ -20,8 +20,9 @@
     into [server.timeouts], session churn into
     [server.sessions.accepted]/[closed] and the
     [server.sessions.active] gauge. Every request runs under
-    [Trace.timed]: its span tree reaches the slowlog when it passes
-    [slowlog_ms], and the JSONL sink when one is installed. *)
+    [Trace.timed]: its span tree is collected only while a reader
+    is configured, and reaches the slowlog when it passes [slowlog_ms]
+    and the JSONL sink when [trace_out] is set. *)
 
 type config = {
   max_sessions : int;  (** Reject new sessions beyond this many, fleet-wide. *)
@@ -53,7 +54,6 @@ type config = {
   events_out : string option;
       (** JSONL event-journal path ([worker_stalled], [server_started],
           ...); [None] disables the journal. *)
-  events_max_bytes : int;  (** Event-journal rotation threshold. *)
   debug_verbs : bool;
       (** Accept debug/fault-injection wire verbs (SLEEP). Off by
           default; enabled by tests and the smoke scripts. *)

@@ -11,7 +11,6 @@ val of_rows : float array array -> t
 val add : t -> t -> t
 val scale : float -> t -> t
 val mul : t -> t -> t
-val max_abs : t -> float
 
 val expm : t -> t
 (** Matrix exponential by scaling-and-squaring with a Taylor series —

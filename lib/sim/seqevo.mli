@@ -34,7 +34,6 @@ val transition_matrix : model -> float -> Matrix4.t
 
 val stationary : model -> float array
 
-val base_of_index : int -> char
 val index_of_base : char -> int
 (** Raises [Invalid_argument] for non-ACGT characters. *)
 

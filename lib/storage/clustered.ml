@@ -77,11 +77,22 @@ let group_of c key runs =
   in
   { c; key; runs; size; hint = 0 }
 
-let open_group t key =
-  let run_of (_, row) =
-    let int = Record.get_int row in
-    { first = int 2; rows = int 3; rid = int 4; mark = int 5; key = Record.get_blob row 6 }
+let run_of (_, row) =
+  let int = Record.get_int row in
+  { first = int 2; rows = int 3; rid = int 4; mark = int 5; key = Record.get_blob row 6 }
+
+(* The group key a directory row names. *)
+let group_key (_, row) =
+  let blob = Record.get_blob row 1 in
+  let rec ints pos =
+    if pos >= String.length blob then []
+    else
+      let v, pos = Key.decode_int blob ~pos in
+      v :: ints pos
   in
+  ints 0
+
+let open_group t key =
   group_of t key (Array.of_list (List.map run_of (directory_rows t key)))
 
 let size g = g.size
@@ -272,25 +283,25 @@ let scan g ~lo ~hi decode f =
 
 (* ----------------------------- Delete ------------------------------ *)
 
+(* Each directory row is a run: its rows go, each checked to be its
+   group's, whether or not the group's other runs are there. *)
 let delete t key =
-  let g = open_group t key in
-  for id = 0 to g.size - 1 do
-    if find g id ignore <> None then ignore (Table.delete t.table (rid_of g id))
-  done;
-  List.iter (fun (rid, _) -> ignore (Table.delete t.directory rid)) (directory_rows t key)
+  let dir = directory_rows t key in
+  List.iter
+    (fun entry ->
+      let run = run_of entry in
+      let g = group_of t (group_key entry) [| run |] in
+      for id = run.first to run.first + run.rows - 1 do
+        if find g id ignore <> None then ignore (Table.delete t.table (rid_of g id))
+      done)
+    dir;
+  List.iter (fun (rid, _) -> ignore (Table.delete t.directory rid)) dir
 
 let groups t =
   let acc = ref [] in
   List.iter
-    (fun (_, row) ->
-      let blob = Record.get_blob row 1 in
-      let rec ints pos =
-        if pos >= String.length blob then []
-        else
-          let v, pos = Key.decode_int blob ~pos in
-          v :: ints pos
-      in
-      let key = ints 0 in
+    (fun entry ->
+      let key = group_key entry in
       match !acc with k :: _ when k = key -> () | _ -> acc := key :: !acc)
     (directory_rows t []);
   List.rev !acc

@@ -126,8 +126,11 @@ val scan :
     page is pinned. *)
 
 val delete : t -> int list -> unit
-(** Delete the group's rows, each checked to be the group's first, then
-    its directory rows. *)
+(** [delete t key] deletes every group whose key begins with [key]: the
+    group [key], and with a tree id alone every group of that tree. Each
+    run's rows go, each checked to be its group's, then the directory
+    rows; one prefix scan of the directory finds them all, also the runs
+    of a group whose other runs were never written. *)
 
 val groups : t -> int list list
 (** Every group of this table the directory holds, in key order. *)

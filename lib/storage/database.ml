@@ -146,7 +146,7 @@ let recover_dir io dir =
     Fun.protect
       ~finally:(fun () -> Wal.close wal)
       (fun () ->
-        Crimson_obs.Span.record_traced h_recovery (fun () ->
+        Crimson_obs.Span.record h_recovery (fun () ->
             (match Wal.read wal with
             | Wal.Committed batches -> replay io dir batches
             | Wal.Torn _ -> Crimson_obs.Metrics.Counter.incr m_rec_discarded

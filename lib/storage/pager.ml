@@ -25,7 +25,7 @@ let () =
 
 let timed_fsync file =
   Cost.pager_fsync ();
-  Crimson_obs.Span.record_traced h_fsync (fun () -> Io.fsync file)
+  Crimson_obs.Span.record h_fsync (fun () -> Io.fsync file)
 
 type backend =
   | File of { file : Io.file }

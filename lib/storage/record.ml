@@ -174,8 +174,3 @@ let decode_schema payload =
   done;
   schema
 
-let pp_value ppf = function
-  | VInt x -> Format.fprintf ppf "%d" x
-  | VFloat x -> Format.fprintf ppf "%g" x
-  | VText s -> Format.fprintf ppf "%S" s
-  | VBlob s -> Format.fprintf ppf "<blob %d bytes>" (String.length s)

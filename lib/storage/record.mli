@@ -68,4 +68,3 @@ val encode_schema : schema -> string
 val decode_schema : string -> schema
 (** Catalog persistence. *)
 
-val pp_value : Format.formatter -> value -> unit

@@ -29,12 +29,6 @@ let live_count page =
   done;
   !live
 
-let free_space page =
-  let n = count page in
-  let cell_start = Codec.get_u16 page 2 in
-  let dir_end = header_size + (n * dir_entry_size) in
-  max 0 (cell_start - dir_end - dir_entry_size)
-
 let max_record = Page.size - header_size - dir_entry_size
 
 let insert page record =
@@ -45,7 +39,7 @@ let insert page record =
   let cell_start = Codec.get_u16 page 2 in
   let dir_end = header_size + (n * dir_entry_size) in
   (* Unclamped arithmetic: a full directory leaves negative room, which a
-     clamped free_space would hide for zero-length records. *)
+     clamp at zero would hide for zero-length records. *)
   if cell_start - dir_end - dir_entry_size < len then None
   else begin
     let off = cell_start - len in

@@ -16,9 +16,6 @@ val count : bytes -> int
 val live_count : bytes -> int
 (** Slots currently holding a record. *)
 
-val free_space : bytes -> int
-(** Bytes available for one more record (directory entry accounted). *)
-
 val max_record : int
 (** Largest record a single page can hold. *)
 

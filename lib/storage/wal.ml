@@ -9,7 +9,7 @@ let h_fsync = Crimson_obs.Metrics.histogram "storage.wal.fsync_ms"
 
 let timed_fsync file =
   Crimson_obs.Cost.wal_fsync ();
-  Crimson_obs.Span.record_traced h_fsync (fun () -> Io.fsync file)
+  Crimson_obs.Span.record h_fsync (fun () -> Io.fsync file)
 
 type t = {
   handle : Io.file;

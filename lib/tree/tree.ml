@@ -96,14 +96,6 @@ let parent t n =
   check t n "parent";
   t.parent.(n)
 
-let first_child t n =
-  check t n "first_child";
-  t.first_child.(n)
-
-let next_sibling t n =
-  check t n "next_sibling";
-  t.next_sibling.(n)
-
 let children t n =
   check t n "children";
   let rec collect c acc =

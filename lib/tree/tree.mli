@@ -45,8 +45,6 @@ val root : t -> node
 val parent : t -> node -> node
 (** [nil] for the root. *)
 
-val first_child : t -> node -> node
-val next_sibling : t -> node -> node
 val children : t -> node -> node list
 val out_degree : t -> node -> int
 val is_leaf : t -> node -> bool

@@ -24,9 +24,6 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
-val bits30 : t -> int
-(** 30 uniform non-negative bits. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform in \[0, bound). Raises [Invalid_argument] when
     [bound <= 0]. *)

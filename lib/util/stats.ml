@@ -62,7 +62,3 @@ let summarize xs =
     p95 = percentile xs 95.0;
     max = max xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.max

@@ -17,6 +17,8 @@ module Projection = Crimson_core.Projection
 module Tree = Crimson_tree.Tree
 module Newick = Crimson_formats.Newick
 module Collection = Crimson_collection.Collection
+module Models = Crimson_sim.Models
+module Prng = Crimson_util.Prng
 
 let check = Alcotest.check
 
@@ -305,6 +307,51 @@ let test_transient_open_failure () =
       check Alcotest.int "workload completes after retry" n_steps observed;
       ignore (verify ~label:"transient-open" ~observed dir))
 
+(* ------------------------- Pressure commits ------------------------- *)
+
+(* A durable load larger than the pool commits under dirty-page pressure
+   before its catalog row exists. A crash after such a commit leaves
+   groups under the id the load took and no tree owning them; loading
+   again takes that id and must clear them first. *)
+let big_tree () = Models.yule ~rng:(Prng.create 3) ~leaves:3000 ()
+
+let load_big ~io dir =
+  match Repo.open_dir ~io ~durable:true ~pool_size:8 dir with
+  | exception (Io.Crash | Error.Error _ | Repo.Open_error _) -> ()
+  | repo -> (
+      try
+        ignore (Loader.load_tree ~f:2 repo ~name:"big" (big_tree ()));
+        Repo.close repo
+      with Io.Crash | Error.Error _ -> ( try Repo.abandon repo with Io.Crash -> ()))
+
+let test_reload_after_pressure_commit () =
+  let total =
+    with_temp_dir (fun dir ->
+        let io = Io.counting () in
+        load_big ~io dir;
+        Io.op_count io)
+  in
+  let stranded = ref 0 in
+  let at = ref 1 in
+  while !at <= total do
+    let label = Printf.sprintf "crash at op %d of %d" !at total in
+    with_temp_dir (fun dir ->
+        load_big ~io:(Io.faulty Io.Crash_op ~at:!at) dir;
+        let repo = Repo.open_dir ~durable:true dir in
+        Fun.protect
+          ~finally:(fun () -> Repo.close repo)
+          (fun () ->
+            if Stored_tree.list_all repo = [] then begin
+              if Loader.check_runs repo <> [] then incr stranded;
+              match Loader.load_tree ~f:2 repo ~name:"big" (big_tree ()) with
+              | _ -> ()
+              | exception e -> Alcotest.failf "%s: reload raised %s" label (Printexc.to_string e)
+            end;
+            check (Alcotest.list Alcotest.string) (label ^ ": runs") [] (Loader.check_runs repo)));
+    at := !at + 5
+  done;
+  check Alcotest.bool "some crash left a pressure commit's groups" true (!stranded > 0)
+
 (* --------------------------- kill -9 smoke --------------------------- *)
 
 (* The in-process matrix proves the algebra; this proves the real thing:
@@ -365,6 +412,8 @@ let () =
           Alcotest.test_case "every fault point" `Quick test_matrix;
           Alcotest.test_case "short writes" `Quick test_short_writes;
           Alcotest.test_case "transient open failure" `Quick test_transient_open_failure;
+          Alcotest.test_case "load after a crashed pressure commit" `Quick
+            test_reload_after_pressure_commit;
         ] );
       ( "e2e",
         [ Alcotest.test_case "kill -9 during load" `Quick test_kill9_during_load ] );

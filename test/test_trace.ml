@@ -197,6 +197,87 @@ let test_event_cap () =
   | [] -> Alcotest.fail "record missing");
   fresh ()
 
+(* A root that raises still yields its record, with the spans the
+   exception unwound closed in it, and leaves nothing collecting. *)
+let test_raising_root () =
+  fresh_logging_all ();
+  (match
+     Trace.with_ ~name:"raise.root" (fun () ->
+         Span.with_ ~name:"raise.child" (fun () -> failwith "boom"))
+   with
+  | () -> Alcotest.fail "expected the exception to propagate"
+  | exception Failure _ -> ());
+  check Alcotest.bool "not collecting after" false (Trace.collecting ());
+  let records = Trace.slowlog () in
+  fresh ();
+  match records with
+  | [ r ] ->
+      check Alcotest.string "root kept" "raise.root" r.Trace.root.Trace.name;
+      check (Alcotest.list Alcotest.string) "unwound child kept" [ "raise.child" ]
+        (span_names r.Trace.root)
+  | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
+
+(* With no reader (slowlog off, no sink) a request is a plain timed
+   scope: no trace collects, no attribute thunk runs, no record is made,
+   and the root's histogram still gains its one sample. *)
+let test_no_reader_no_tree () =
+  fresh ();
+  let root = Metrics.histogram "test.trace.unread" in
+  let samples = Metrics.Histogram.count root in
+  let records = Metrics.counter_value "obs.trace.records" in
+  let thunks = ref 0 in
+  let v =
+    Trace.with_ ~name:"test.trace.unread" (fun () ->
+        check Alcotest.bool "not collecting inside" false (Trace.collecting ());
+        check Alcotest.bool "no trace id inside" true (Trace.current_id () = None);
+        Span.attr "ignored" (Json.Num 1.0);
+        Span.record (Metrics.histogram "test.trace.unread.child")
+          ~attrs:(fun () ->
+            incr thunks;
+            [ ("ignored", Json.Num 2.0) ])
+          (fun () -> Span.attr "ignored" (Json.Num 3.0));
+        5)
+  in
+  check Alcotest.int "value threads through" 5 v;
+  check Alcotest.int "no attribute thunk ran" 0 !thunks;
+  check Alcotest.int "no record made" records (Metrics.counter_value "obs.trace.records");
+  check Alcotest.int "root histogram sampled once" (samples + 1)
+    (Metrics.Histogram.count root);
+  check Alcotest.int "child histogram sampled once" 1
+    (Metrics.Histogram.count (Metrics.histogram "test.trace.unread.child"));
+  check Alcotest.int "slowlog stays empty" 0 (List.length (Trace.slowlog ()));
+  fresh ()
+
+(* A span past the cap takes the attributes set inside it along with
+   its subtree: none lands on the kept parent, which keeps its own
+   from before and after. *)
+let test_cap_drops_attrs () =
+  fresh_logging_all ();
+  Trace.set_max_events 2;
+  Trace.with_ ~name:"cap.attrs" (fun () ->
+      Span.with_ ~name:"cap.kept" (fun () ->
+          Span.attr "before" (Json.Bool true);
+          Span.with_ ~name:"cap.dropped" (fun () ->
+              Span.attr "leaked" (Json.Bool true);
+              Span.with_ ~name:"cap.dropped.child" (fun () ->
+                  Span.attr "leaked.child" (Json.Bool true)));
+          Span.attr "after" (Json.Bool true)));
+  let records = Trace.slowlog () in
+  fresh ();
+  match records with
+  | [ r ] -> (
+      check Alcotest.bool "one dropped span" true
+        (List.assoc_opt "dropped_events" r.Trace.meta = Some (Json.Num 1.0));
+      check Alcotest.bool "root has no attributes" true (r.Trace.root.Trace.attrs = []);
+      match r.Trace.root.Trace.children with
+      | [ kept ] ->
+          check Alcotest.string "kept span" "cap.kept" kept.Trace.name;
+          check (Alcotest.list Alcotest.string) "no child kept" [] (span_names kept);
+          check (Alcotest.list Alcotest.string) "only its own attributes"
+            [ "before"; "after" ] (List.map fst kept.Trace.attrs)
+      | _ -> Alcotest.fail "root children malformed")
+  | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
+
 (* ------------------------------- Sink ------------------------------- *)
 
 let with_tmp_dir f =
@@ -264,6 +345,31 @@ let test_sink_write_and_rotation () =
       let before = List.length (read_lines path) in
       Trace.with_ ~name:"sink.closed" (fun () -> ());
       check Alcotest.int "no write after close" before (List.length (read_lines path)));
+  fresh ()
+
+(* The sink alone is a reader: with no slowlog threshold, every request
+   still collects its tree and writes it to the file. *)
+let test_sink_without_threshold () =
+  fresh ();
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "t.jsonl" in
+      Trace.set_sink (Some path);
+      check Alcotest.bool "no threshold" true (Trace.slowlog_threshold () = None);
+      Trace.with_ ~name:"sink.only" (fun () ->
+          check Alcotest.bool "collecting inside" true (Trace.collecting ());
+          Span.with_ ~name:"sink.only.child" (fun () -> Span.attr "rows" (Json.Num 4.0)));
+      Trace.flush ();
+      (match List.map decode_line (read_lines path) with
+      | [ r ] -> (
+          check Alcotest.string "root written" "sink.only" r.Trace.root.Trace.name;
+          match r.Trace.root.Trace.children with
+          | [ c ] ->
+              check Alcotest.string "child written" "sink.only.child" c.Trace.name;
+              check Alcotest.bool "child attribute written" true
+                (List.assoc_opt "rows" c.Trace.attrs = Some (Json.Num 4.0))
+          | _ -> Alcotest.fail "root children malformed")
+      | rs -> Alcotest.failf "expected one record on disk, got %d" (List.length rs));
+      check Alcotest.int "slowlog stays empty" 0 (List.length (Trace.slowlog ())));
   fresh ()
 
 (* --------------------------- JSON codecs ---------------------------- *)
@@ -533,6 +639,9 @@ let () =
           Alcotest.test_case "untraced spans are free" `Quick
             test_untraced_spans_are_free;
           Alcotest.test_case "event cap" `Quick test_event_cap;
+          Alcotest.test_case "no reader, no tree" `Quick test_no_reader_no_tree;
+          Alcotest.test_case "capped span takes its attributes" `Quick test_cap_drops_attrs;
+          Alcotest.test_case "raising root still recorded" `Quick test_raising_root;
         ] );
       ( "rings",
         [
@@ -543,6 +652,7 @@ let () =
           Alcotest.test_case "write and rotation" `Quick test_sink_write_and_rotation;
           Alcotest.test_case "record round-trip" `Quick test_record_round_trip;
           Alcotest.test_case "child reset" `Quick test_child_reset;
+          Alcotest.test_case "sink without a threshold" `Quick test_sink_without_threshold;
         ] );
       ( "e2e",
         [ Alcotest.test_case "trace smoke" `Slow test_trace_smoke ] );
